@@ -26,6 +26,7 @@ construction S_n = p(n)^(1/2) p(n-1)^(-1/2), which gives cumulative moduli
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -115,16 +116,33 @@ class ShiftWeights:
 
 @dataclass(frozen=True)
 class AssembledDilation:
-    """Finite truncation of the dilation on H + n_blocks copies of H'."""
+    """Finite truncation of the dilation on H + n_blocks copies of H'.
 
-    matrix: np.ndarray
-    dim_h: int
-    dim_hprime: int
-    n_blocks: int
+    Stored as its blocks: the corner `t` (w x w), `u` (d x w) and the stacked
+    weights S_1..S_(n_blocks-1) as a (n_blocks-1, d, d) array.  `apply` acts
+    with the truncated W; the dense `matrix` is built only on request.
+    """
+
+    t: np.ndarray
+    u: np.ndarray
+    weights: np.ndarray
     model: DilationModel
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
+        for arr in (self.t, self.u, self.weights):
+            arr.setflags(write=False)
+
+    @property
+    def dim_h(self) -> int:
+        return self.t.shape[0]
+
+    @property
+    def dim_hprime(self) -> int:
+        return self.u.shape[0]
+
+    @property
+    def n_blocks(self) -> int:
+        return self.weights.shape[0] + 1
 
     @property
     def dim_total(self) -> int:
@@ -138,6 +156,36 @@ class AssembledDilation:
             raise IndexError(f"block {k} outside 0..{self.n_blocks}")
         start = self.dim_h + (k - 1) * self.dim_hprime
         return slice(start, start + self.dim_hprime)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """W x for a vector or a block of columns of length dim_total.
+
+        T and U act on the H part; block j+1 receives S_j times block j in
+        one batched product; the last block's content falls off the
+        truncation.
+        """
+        w, d = self.dim_h, self.dim_hprime
+        cols = x if x.ndim == 2 else x[:, None]
+        count = cols.shape[1]
+        out = np.empty((self.dim_total, count), dtype=np.complex128)
+        out[:w] = self.t @ cols[:w]
+        if d:
+            out[w : w + d] = self.u @ cols[:w]
+            tail = cols[w : w + (self.n_blocks - 1) * d].reshape(self.n_blocks - 1, d, count)
+            out[w + d :] = (self.weights @ tail).reshape(-1, count)
+        return out if x.ndim == 2 else out[:, 0]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense truncated block matrix, read-only, built on first use."""
+        mat = np.zeros((self.dim_total, self.dim_total), dtype=np.complex128)
+        mat[: self.dim_h, : self.dim_h] = self.t
+        if self.dim_hprime:
+            mat[self.block_slice(1), : self.dim_h] = self.u
+            for j, s in enumerate(self.weights, start=1):
+                mat[self.block_slice(j + 1), self.block_slice(j)] = s
+        mat.setflags(write=False)
+        return mat
 
 
 class QuotientForm(NamedTuple):
@@ -265,17 +313,13 @@ def _falling_factorial_coeffs(m: int) -> list[int]:
     return coeffs
 
 
-def ratio_bound_constant(m: int, scan: int = 256) -> float:
-    """Supremum over n >= m-1 of the successive falling-product ratio."""
-    best = 1.0
-    for n in range(m - 1, m - 1 + scan):
-        num = 1.0
-        den = 1.0
-        for i in range(m - 1):
-            num *= n + 1 - i
-            den *= n - i
-        best = max(best, num / den)
-    return best
+def ratio_bound_constant(m: int) -> float:
+    """Supremum over n >= m-1 of the successive falling-product ratio.
+
+    The ratio telescopes to (n+1)/(n-m+2), which decreases in n and so is
+    largest at n = m-1, where it equals m.
+    """
+    return float(m)
 
 
 class WeightsBuild(NamedTuple):
@@ -360,7 +404,7 @@ def assemble_dilation(
     weights: ShiftWeights,
     n_blocks: int,
 ) -> AssembledDilation:
-    """Assemble the truncated block matrix of the dilation.
+    """Assemble the truncated dilation from its blocks.
 
     Block (0,0) is T, block (1,0) is U, block (j+1, j) is S_j; everything
     else is zero.  A zero-dimensional H' yields W = T, the degenerate
@@ -378,16 +422,11 @@ def assemble_dilation(
         )
     if model.u.shape != (d, w):
         raise DimensionError(f"U must be {d}x{w}, got {model.u.shape}")
-    total = w + n_blocks * d
-    mat = np.zeros((total, total), dtype=np.complex128)
-    mat[:w, :w] = model.corner.matrix
+    stack = np.zeros((n_blocks - 1, d, d), dtype=np.complex128)
     if d:
-        mat[w : w + d, :w] = model.u
-        for j in range(1, n_blocks):
-            rows = slice(w + j * d, w + (j + 1) * d)
-            cols = slice(w + (j - 1) * d, w + j * d)
-            mat[rows, cols] = weights.weights[j - 1].mat
-    return AssembledDilation(mat, w, d, n_blocks, model)
+        stack[:] = [s.mat for s in weights.weights[: n_blocks - 1]]
+    t = np.array(model.corner.matrix, dtype=np.complex128)
+    return AssembledDilation(t, model.u, stack, model)
 
 
 def _restricted_defects(t: OperatorCorner, m: int, w: int, tols: Tolerances):

@@ -117,7 +117,7 @@ def check_dilation_property(
     tn = np.eye(w, dtype=np.complex128)
     residual = 0.0
     for n in range(1, n_max + 1):
-        cur = dilation.matrix @ cur
+        cur = dilation.apply(cur)
         tn = t.matrix @ tn
         win = max(t.n - n * t.bandwidth, 1) if t.exact else t.n
         residual = max(residual, max_abs(cur[:win, :win] - tn[:win, :win]))
@@ -152,6 +152,18 @@ def check_powers_formula(
     top_block = dilation.n_blocks - m
     rng = _rng(seed, "powers_formula")
 
+    # weight products do not depend on the trial: the prefixes
+    # S_(k-1)...S_1 for k <= m and the products S_(k-1)...S_(k-m) beyond
+    prefixes = [np.eye(d, dtype=np.complex128)]
+    for k in range(2, min(m, dilation.n_blocks) + 1):
+        prefixes.append(weights[k - 2].mat @ prefixes[-1])
+    products = {}
+    for k in range(m + 1, dilation.n_blocks + 1):
+        prod = np.eye(d, dtype=np.complex128)
+        for i in range(k - m, k):
+            prod = weights[i - 1].mat @ prod
+        products[k] = prod
+
     residual = 0.0
     for _ in range(trials):
         h = np.zeros(dilation.dim_total, dtype=np.complex128)
@@ -160,7 +172,7 @@ def check_powers_formula(
             h[dilation.block_slice(j)] = _random_complex(rng, d)
         y = h
         for _ in range(m):
-            y = dilation.matrix @ y
+            y = dilation.apply(y)
 
         expected = np.zeros_like(h)
         t_pow = h[:w].copy()
@@ -170,15 +182,9 @@ def check_powers_formula(
             t_pows.append(t_pow.copy())
         expected[:w] = t_pows[m]
         if d:
-            prefix = np.eye(d, dtype=np.complex128)
             for k in range(1, min(m, dilation.n_blocks) + 1):
-                if k >= 2:
-                    prefix = weights[k - 2].mat @ prefix
-                expected[dilation.block_slice(k)] = prefix @ (model.u @ t_pows[m - k])
-            for k in range(m + 1, dilation.n_blocks + 1):
-                prod = np.eye(d, dtype=np.complex128)
-                for i in range(k - m, k):
-                    prod = weights[i - 1].mat @ prod
+                expected[dilation.block_slice(k)] = prefixes[k - 1] @ (model.u @ t_pows[m - k])
+            for k, prod in products.items():
                 expected[dilation.block_slice(k)] = prod @ h[dilation.block_slice(k - m)]
 
         norm = float(np.sqrt(np.vdot(h, h).real))
@@ -192,13 +198,9 @@ def check_powers_formula(
 
 
 def _weights_of(dilation: AssembledDilation) -> tuple:
-    # weights live on the assembled subdiagonal; read them back so checks
-    # measure what was actually assembled
-    out = []
-    for j in range(1, dilation.n_blocks):
-        block = dilation.matrix[dilation.block_slice(j + 1), dilation.block_slice(j)]
-        out.append(hermitian(block))
-    return tuple(out)
+    # read the weights back from the assembled stack so checks measure what
+    # was actually assembled
+    return tuple(hermitian(s) for s in dilation.weights)
 
 
 def check_w_m_isometry(
@@ -231,7 +233,7 @@ def check_w_m_isometry(
         norms_sq = [float(np.vdot(x, x).real)]
         y = x
         for _ in range(m):
-            y = dilation.matrix @ y
+            y = dilation.apply(y)
             norms_sq.append(float(np.vdot(y, y).real))
         val = 0.0
         for k in range(m + 1):
@@ -353,12 +355,19 @@ def check_cumulative_polynomial(
     )
 
 
-def _column_space_rank(cols: np.ndarray, rel_tol: float = 1e-6) -> int:
-    """Numerical rank of the column space via blocked Gram-Schmidt."""
+def _column_space_rank(
+    cols: np.ndarray, rel_tol: float = 1e-6, scale: float | None = None
+) -> int:
+    """Numerical rank of the column space via blocked Gram-Schmidt.
+
+    A column counts when its residual norm exceeds rel_tol * scale; scale
+    defaults to the largest column norm of `cols`.
+    """
     dim, count = cols.shape
     if count == 0 or dim == 0:
         return 0
-    scale = float(np.max(np.sqrt(np.sum(np.abs(cols) ** 2, axis=0))))
+    if scale is None:
+        scale = float(np.max(np.sqrt(np.sum(np.abs(cols) ** 2, axis=0))))
     if scale == 0.0:
         return 0
     thresh = rel_tol * scale
@@ -369,16 +378,18 @@ def _column_space_rank(cols: np.ndarray, rel_tol: float = 1e-6) -> int:
         for _ in range(2):  # two-pass reorthogonalization
             if basis is not None:
                 blk -= basis @ (basis.conj().T @ blk)
-        accepted = []
+        accepted = np.empty_like(blk)
+        r = 0
         for i in range(blk.shape[1]):
             v = blk[:, i]
-            for u in accepted:
-                v = v - u * np.vdot(u, v)
+            for _ in range(2):  # classical Gram-Schmidt, twice
+                v = v - accepted[:, :r] @ (accepted[:, :r].conj().T @ v)
             nrm = float(np.sqrt(np.vdot(v, v).real))
             if nrm > thresh:
-                accepted.append(v / nrm)
-        if accepted:
-            basis_blocks.append(np.column_stack(accepted))
+                accepted[:, r] = v / nrm
+                r += 1
+        if r:
+            basis_blocks.append(accepted[:, :r])
             basis = np.concatenate(basis_blocks, axis=1)
     return 0 if basis is None else basis.shape[1]
 
@@ -389,28 +400,42 @@ def check_minimality(
 ) -> CheckResult:
     """Windowed minimality: the orbit of H under W spans the truncation.
 
-    Columns are W^n e over the H-block basis for n = 0..n_blocks; the
-    residual is the defect of the numerical rank from the full truncated
-    dimension.  Vacuous for a zero-dimensional H'.
+    The orbit columns are W^n e over the H-block basis for n = 0..n_blocks;
+    the residual is the defect of their numerical rank from the full
+    truncated dimension.  The rank is taken block by block: with
+    V_n = span{W^j H : j <= n} and P_k = S_(k-1)...S_1 U,
+
+        W^(n+1) h = W^n (T h) + P_(n+1) h   (the last term in block n+1),
+
+    so V_(n+1) = V_n + ran P_(n+1), an orthogonal sum, and
+    rank = dim H + sum_k rank P_k.  Each rank P_k uses the threshold of a
+    Gram-Schmidt pass over the whole orbit, rel_tol times the largest
+    orbit-column norm, read off the Gram matrices of W^n on H.  Vacuous
+    for a zero-dimensional H'.
     """
     if dilation.dim_hprime == 0:
         return _result("minimality", 0.0, 0.0, "vacuous (dim H' = 0)")
     w = dilation.dim_h
     total = dilation.dim_total
-    blocks = []
-    cur = np.eye(total, w, dtype=np.complex128)
-    blocks.append(cur.copy())
-    for _ in range(dilation.n_blocks):
-        cur = dilation.matrix @ cur
-        blocks.append(cur.copy())
-    cols = np.concatenate(blocks, axis=1)
-    rank = _column_space_rank(cols, rel_tol)
+    n_blocks = dilation.n_blocks
+    prods = [dilation.u]
+    for s in dilation.weights:
+        prods.append(s @ prods[-1])
+    # squared orbit-column norms are the diagonals of (W^n)* W^n on H,
+    # G_n = T* G_(n-1) T + P_n* P_n with G_0 = I
+    gram = np.eye(w, dtype=np.complex128)
+    norm_sq = 1.0
+    for p in prods:
+        gram = dilation.t.conj().T @ gram @ dilation.t + p.conj().T @ p
+        norm_sq = max(norm_sq, float(np.max(gram.diagonal().real)))
+    scale = float(np.sqrt(norm_sq))
+    rank = w + sum(_column_space_rank(p, rel_tol, scale) for p in prods)
     defect = float(total - rank)
     return _result(
         "minimality",
         defect,
         0.0,
-        f"rank {rank} of {total} from powers 0..{dilation.n_blocks} over {w} basis vectors",
+        f"rank {rank} of {total} from powers 0..{n_blocks} over {w} basis vectors",
     )
 
 
@@ -460,8 +485,8 @@ def nonisomorphism_certificate(
         xg[:w] = h
         xb = np.zeros(badea.dim_total, dtype=np.complex128)
         xb[:w] = h
-        yg = general.matrix @ xg
-        yb = badea.matrix @ xb
+        yg = general.apply(xg)
+        yb = badea.apply(xb)
         return abs(float(np.vdot(yg, yg).real) - float(np.vdot(yb, yb).real)) / norm_sq
 
     max_gap = max((gap_of(h) for h in candidates), default=0.0)

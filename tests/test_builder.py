@@ -33,6 +33,7 @@ from isodilation.operators import (
     dense_corner,
     make_shift_corner,
 )
+from isodilation.pipeline import DEMOS, demo_spec, run_pipeline
 from isodilation.qsolver import QSolution, solve_q_shift_diagonal
 
 
@@ -146,8 +147,18 @@ class TestPolynomialAndWeights:
     def test_ratio_bound_closed_form(self):
         # the successive-ratio supremum telescopes to (n+1)/(n-m+2), maximal
         # at the first admissible point, so the bound equals m
-        for m in range(2, 7):
-            assert ratio_bound_constant(m) == pytest.approx(float(m), rel=1e-12)
+        def scanned(m, scan=256):
+            best = 1.0
+            for n in range(m - 1, m - 1 + scan):
+                num = den = 1.0
+                for i in range(m - 1):
+                    num *= n + 1 - i
+                    den *= n - i
+                best = max(best, num / den)
+            return best
+
+        for m in range(2, 12):
+            assert ratio_bound_constant(m) == scanned(m) == float(m)
 
     @settings(max_examples=20, deadline=None)
     @given(m=st.integers(2, 5), seed=st.integers(0, 2**31))
@@ -218,6 +229,26 @@ class TestAssemble:
         model, weights = build_three_concave_model(t, weights_horizon=6)
         with pytest.raises(DimensionError):
             assemble_dilation(model, weights, 1)
+
+    @pytest.mark.parametrize("name", sorted(DEMOS))
+    def test_apply_matches_dense_matrix(self, demos, name):
+        r = demos.run(name)
+        rng = np.random.default_rng(5)
+        for dil in (r.assembled, r.badea_assembled):
+            if dil is None:
+                continue
+            n = dil.dim_total
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            cols = rng.standard_normal((n, 7)) + 1j * rng.standard_normal((n, 7))
+            assert dil.apply(x).shape == (n,)
+            assert max_abs(dil.apply(x) - dil.matrix @ x) <= 1e-13
+            assert max_abs(dil.apply(cols) - dil.matrix @ cols) <= 1e-13
+
+    def test_pipeline_never_builds_dense_matrix(self):
+        r = run_pipeline(demo_spec("nonisomorphic-pair"))
+        for dil in (r.assembled, r.badea_assembled):
+            assert "matrix" not in vars(dil)
+        assert not r.assembled.matrix.flags.writeable
 
 
 class TestBadea:

@@ -1,11 +1,12 @@
 """The in-repo spec examples must stay valid and runnable."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from isodilation import parse_spec, run_pipeline
+from isodilation import emit_report, parse_spec, run_pipeline
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "spec-examples"
 
@@ -25,3 +26,13 @@ def test_example_report_shape():
     assert report["overall"] is True
     for check in report["checks"]:
         assert set(check) == {"name", "residual", "tolerance", "passed", "window"}
+
+
+def test_example_report_reproduced_byte_for_byte():
+    # the committed report is the behaviour contract; only the header
+    # lines naming the time and the package version may differ
+    header = re.compile(r'^\s*"generated_(at|by)": .*\n', re.MULTILINE)
+    spec = parse_spec((EXAMPLES / "strict-shift.json").read_text())
+    produced = emit_report(run_pipeline(spec).report)
+    committed = (EXAMPLES / "strict-shift.report.json").read_text()
+    assert header.sub("", produced) == header.sub("", committed)

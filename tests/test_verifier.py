@@ -1,6 +1,7 @@
 """Verifier checks: block power formula, isometry criterion, minimality,
 non-isomorphism certificate, and the equivalence in both directions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -184,7 +185,10 @@ class TestMinimality:
         g2 = rng.standard_normal((7, 40)) + 1j * rng.standard_normal((7, 40))
         prod = g1 @ g2
         assert _column_space_rank(prod) == np.linalg.matrix_rank(prod)
+        assert _column_space_rank(prod) == _mgs_rank(prod)
         assert _column_space_rank(np.zeros((5, 3), dtype=complex)) == 0
+        # an absolute threshold above every residual accepts nothing
+        assert _column_space_rank(prod, scale=1e9 * float(np.max(np.abs(prod)))) == 0
 
     def test_scalar_full_rank(self, scalar_model):
         model, weights, _ = scalar_model
@@ -206,11 +210,7 @@ class TestMinimality:
     def test_zeroed_u_negative_control(self, scalar_model):
         model, weights, _ = scalar_model
         dil = assemble_dilation(model, weights, 5)
-        broken = np.array(dil.matrix)
-        broken[model.dim_h : model.dim_h + model.dim_hprime, : model.dim_h] = 0.0
-        from isodilation.builder import AssembledDilation
-
-        bad = AssembledDilation(broken, dil.dim_h, dil.dim_hprime, dil.n_blocks, model)
+        bad = dataclasses.replace(dil, u=np.zeros_like(dil.u))
         res = check_minimality(bad)
         assert not res.passed
         # the rank deficit is exactly the number of unreachable blocks
@@ -220,6 +220,81 @@ class TestMinimality:
         _, _, general, _, badea = strict_pair
         assert check_minimality(general).passed
         assert check_minimality(badea).passed
+
+
+def _mgs_rank(cols, rel_tol=1e-6):
+    """Blocked Gram-Schmidt rank, one modified pass within each batch."""
+    scale = float(np.max(np.sqrt(np.sum(np.abs(cols) ** 2, axis=0))))
+    basis = np.zeros((cols.shape[0], 0), dtype=complex)
+    for start in range(0, cols.shape[1], 48):
+        blk = cols[:, start : start + 48].astype(complex)
+        for _ in range(2):
+            blk = blk - basis @ (basis.conj().T @ blk)
+        accepted = []
+        for v in blk.T:
+            for u in accepted:
+                v = v - u * np.vdot(u, v)
+            nrm = float(np.sqrt(np.vdot(v, v).real))
+            if nrm > rel_tol * scale:
+                accepted.append(v / nrm)
+        if accepted:
+            basis = np.concatenate([basis, np.column_stack(accepted)], axis=1)
+    return basis.shape[1]
+
+
+def _dense_orbit_rank(dilation, rel_tol=1e-6):
+    """Gram-Schmidt rank of the dense orbit [W^n e : n = 0..n_blocks]."""
+    cur = np.eye(dilation.dim_total, dilation.dim_h, dtype=complex)
+    blocks = [cur]
+    for _ in range(dilation.n_blocks):
+        cur = dilation.matrix @ cur
+        blocks.append(cur)
+    return _mgs_rank(np.concatenate(blocks, axis=1), rel_tol)
+
+
+class TestBlockMinimalityOracle:
+    """The block rank w + sum_k rank(S_(k-1)...S_1 U) against the dense pass."""
+
+    @pytest.fixture(scope="class")
+    def dense_three_concave(self):
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        q, _ = np.linalg.qr(g)
+        z = rng.uniform(0.1, 0.95, 8) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 8))
+        model, weights = build_three_concave_model(
+            dense_corner((q * z) @ q.conj().T), weights_horizon=10
+        )
+        return assemble_dilation(model, weights, 6)
+
+    def _assert_matches(self, dil):
+        assert check_minimality(dil).residual == dil.dim_total - _dense_orbit_rank(dil)
+
+    def test_scalar(self, scalar_model):
+        self._assert_matches(scalar_model[2])
+
+    def test_strict_pair(self, strict_pair):
+        _, _, general, _, badea = strict_pair
+        self._assert_matches(general)
+        self._assert_matches(badea)
+
+    def test_dense_three_concave(self, dense_three_concave):
+        assert dense_three_concave.dim_hprime == 8
+        self._assert_matches(dense_three_concave)
+
+    def test_zeroed_u(self, strict_pair, dense_three_concave):
+        for dil in (strict_pair[2], dense_three_concave):
+            bad = dataclasses.replace(dil, u=np.zeros_like(dil.u))
+            self._assert_matches(bad)
+            assert check_minimality(bad).residual == dil.n_blocks * dil.dim_hprime
+
+    def test_rank_one_u(self, strict_pair, dense_three_concave):
+        for dil in (strict_pair[2], dense_three_concave):
+            lead = np.zeros_like(dil.u)
+            lead[:, 0] = dil.u[:, 0]
+            bad = dataclasses.replace(dil, u=lead)
+            self._assert_matches(bad)
+            # every P_k = S_(k-1)...S_1 U has rank 1
+            assert check_minimality(bad).residual == dil.dim_total - dil.dim_h - dil.n_blocks
 
 
 class TestCertificate:
