@@ -228,11 +228,6 @@ def defect_form(t: OperatorCorner, m: int) -> tuple[HermitianMatrix, ExactWindow
     The form vanishes exactly for m-isometries and is <= 0 for m-concave
     operators.  Exact on the leading (N - m * bandwidth) block for exact
     corners, everywhere for finite-dimensional ones.
-
-    Computed by the Agler–Stankus recursion beta_k = T* beta_{k-1} T -
-    beta_{k-1} from beta_0 = I, which equals the binomial sum for any
-    matrix but avoids its cancellation between terms as large as
-    C(m, k) ||T||^(2k).
     """
     if m < 1:
         raise ValueError(f"defect order must be >= 1, got {m}")
@@ -242,11 +237,14 @@ def defect_form(t: OperatorCorner, m: int) -> tuple[HermitianMatrix, ExactWindow
             f"defect order {m} exhausts the window of a size-{t.n} corner "
             f"with bandwidth {t.bandwidth}"
         )
-    beta = np.eye(t.n, dtype=np.complex128)
-    adj = t.matrix.conj().T
-    for _ in range(m):
-        beta = adj @ beta @ t.matrix - beta
-    return hermitian(beta), ExactWindow(valid)
+    acc = np.zeros((t.n, t.n), dtype=np.complex128)
+    power = np.eye(t.n, dtype=np.complex128)
+    for k in range(m + 1):
+        if k > 0:
+            power = t.matrix @ power
+        sign = -1.0 if (m - k) % 2 else 1.0
+        acc = acc + (sign * math.comb(m, k)) * (power.conj().T @ power)
+    return hermitian(acc), ExactWindow(valid)
 
 
 class FlagResidual(NamedTuple):
