@@ -355,22 +355,15 @@ def check_cumulative_polynomial(
     )
 
 
-def _column_space_rank(
-    cols: np.ndarray, rel_tol: float = 1e-6, scale: float | None = None
-) -> int:
+def _column_space_rank(cols: np.ndarray, thresh: float) -> int:
     """Numerical rank of the column space via blocked Gram-Schmidt.
 
-    A column counts when its residual norm exceeds rel_tol * scale; scale
-    defaults to the largest column norm of `cols`.
+    A column counts when the norm of its residual against the columns
+    accepted before it exceeds the absolute threshold thresh.
     """
     dim, count = cols.shape
     if count == 0 or dim == 0:
         return 0
-    if scale is None:
-        scale = float(np.max(np.sqrt(np.sum(np.abs(cols) ** 2, axis=0))))
-    if scale == 0.0:
-        return 0
-    thresh = rel_tol * scale
     basis_blocks: list[np.ndarray] = []
     basis: np.ndarray | None = None
     for start in range(0, count, 48):
@@ -378,18 +371,16 @@ def _column_space_rank(
         for _ in range(2):  # two-pass reorthogonalization
             if basis is not None:
                 blk -= basis @ (basis.conj().T @ blk)
-        accepted = np.empty_like(blk)
-        r = 0
+        accepted = []
         for i in range(blk.shape[1]):
             v = blk[:, i]
-            for _ in range(2):  # classical Gram-Schmidt, twice
-                v = v - accepted[:, :r] @ (accepted[:, :r].conj().T @ v)
+            for u in accepted:
+                v = v - u * np.vdot(u, v)
             nrm = float(np.sqrt(np.vdot(v, v).real))
             if nrm > thresh:
-                accepted[:, r] = v / nrm
-                r += 1
-        if r:
-            basis_blocks.append(accepted[:, :r])
+                accepted.append(v / nrm)
+        if accepted:
+            basis_blocks.append(np.column_stack(accepted))
             basis = np.concatenate(basis_blocks, axis=1)
     return 0 if basis is None else basis.shape[1]
 
@@ -428,8 +419,8 @@ def check_minimality(
     for p in prods:
         gram = dilation.t.conj().T @ gram @ dilation.t + p.conj().T @ p
         norm_sq = max(norm_sq, float(np.max(gram.diagonal().real)))
-    scale = float(np.sqrt(norm_sq))
-    rank = w + sum(_column_space_rank(p, rel_tol, scale) for p in prods)
+    thresh = rel_tol * float(np.sqrt(norm_sq))
+    rank = w + sum(_column_space_rank(p, thresh) for p in prods)
     defect = float(total - rank)
     return _result(
         "minimality",

@@ -179,16 +179,20 @@ class TestEquivalenceBothDirections:
         assert not iso.passed and iso.residual > 1e-3
 
 
+def _max_column_norm(cols):
+    return float(np.max(np.sqrt(np.sum(np.abs(cols) ** 2, axis=0))))
+
+
 class TestMinimality:
     def test_column_rank_util(self, rng):
         g1 = rng.standard_normal((30, 7)) + 1j * rng.standard_normal((30, 7))
         g2 = rng.standard_normal((7, 40)) + 1j * rng.standard_normal((7, 40))
         prod = g1 @ g2
-        assert _column_space_rank(prod) == np.linalg.matrix_rank(prod)
-        assert _column_space_rank(prod) == _mgs_rank(prod)
-        assert _column_space_rank(np.zeros((5, 3), dtype=complex)) == 0
-        # an absolute threshold above every residual accepts nothing
-        assert _column_space_rank(prod, scale=1e9 * float(np.max(np.abs(prod)))) == 0
+        thresh = 1e-6 * _max_column_norm(prod)
+        assert _column_space_rank(prod, thresh) == np.linalg.matrix_rank(prod)
+        assert _column_space_rank(np.zeros((5, 3), dtype=complex), 0.0) == 0
+        # a threshold above every column norm accepts nothing
+        assert _column_space_rank(prod, 2.0 * _max_column_norm(prod)) == 0
 
     def test_scalar_full_rank(self, scalar_model):
         model, weights, _ = scalar_model
@@ -222,26 +226,6 @@ class TestMinimality:
         assert check_minimality(badea).passed
 
 
-def _mgs_rank(cols, rel_tol=1e-6):
-    """Blocked Gram-Schmidt rank, one modified pass within each batch."""
-    scale = float(np.max(np.sqrt(np.sum(np.abs(cols) ** 2, axis=0))))
-    basis = np.zeros((cols.shape[0], 0), dtype=complex)
-    for start in range(0, cols.shape[1], 48):
-        blk = cols[:, start : start + 48].astype(complex)
-        for _ in range(2):
-            blk = blk - basis @ (basis.conj().T @ blk)
-        accepted = []
-        for v in blk.T:
-            for u in accepted:
-                v = v - u * np.vdot(u, v)
-            nrm = float(np.sqrt(np.vdot(v, v).real))
-            if nrm > rel_tol * scale:
-                accepted.append(v / nrm)
-        if accepted:
-            basis = np.concatenate([basis, np.column_stack(accepted)], axis=1)
-    return basis.shape[1]
-
-
 def _dense_orbit_rank(dilation, rel_tol=1e-6):
     """Gram-Schmidt rank of the dense orbit [W^n e : n = 0..n_blocks]."""
     cur = np.eye(dilation.dim_total, dilation.dim_h, dtype=complex)
@@ -249,7 +233,8 @@ def _dense_orbit_rank(dilation, rel_tol=1e-6):
     for _ in range(dilation.n_blocks):
         cur = dilation.matrix @ cur
         blocks.append(cur)
-    return _mgs_rank(np.concatenate(blocks, axis=1), rel_tol)
+    cols = np.concatenate(blocks, axis=1)
+    return _column_space_rank(cols, rel_tol * _max_column_norm(cols))
 
 
 class TestBlockMinimalityOracle:
