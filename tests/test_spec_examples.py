@@ -28,11 +28,21 @@ def test_example_report_shape():
         assert set(check) == {"name", "residual", "tolerance", "passed", "window"}
 
 
-def test_example_report_reproduced_byte_for_byte():
+def _assert_report_reproduced(name: str):
     # the committed report is the behaviour contract; only the header
     # lines naming the time and the package version may differ
     header = re.compile(r'^\s*"generated_(at|by)": .*\n', re.MULTILINE)
-    spec = parse_spec((EXAMPLES / "strict-shift.json").read_text())
+    spec = parse_spec((EXAMPLES / f"{name}.json").read_text())
     produced = emit_report(run_pipeline(spec).report)
-    committed = (EXAMPLES / "strict-shift.report.json").read_text()
+    committed = (EXAMPLES / f"{name}.report.json").read_text()
     assert header.sub("", produced) == header.sub("", committed)
+
+
+def test_example_report_reproduced_byte_for_byte():
+    _assert_report_reproduced("strict-shift")
+
+
+def test_dense_example_report_reproduced_byte_for_byte():
+    # the dense 3-concave path: classification, both sign gates and the
+    # quotient form all feed this report
+    _assert_report_reproduced("dense-3concave")
