@@ -49,7 +49,7 @@ from .hermitian import (
     psd_check,
     spectral_apply,
 )
-from .operators import ExactWindow, OperatorCorner, defect_form
+from .operators import DefectForms, ExactWindow, OperatorCorner
 from .qsolver import QSolution
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -76,6 +76,7 @@ class DilationModel:
     u: np.ndarray
     a: HermitianMatrix
     b: HermitianMatrix
+    b_norm: float  # spectral norm of B
     p_coeffs: tuple
     ratio_bound: float
     rayleigh_bound: float
@@ -158,21 +159,28 @@ class AssembledDilation:
         return slice(start, start + self.dim_hprime)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """W x for a vector or a block of columns of length dim_total.
+        """W x for a vector or a block of columns.
 
-        T and U act on the H part; block j+1 receives S_j times block j in
-        one batched product; the last block's content falls off the
-        truncation.
+        x holds the leading blocks 0..j of a vector of the truncation, the
+        rest being zero: its length is dim_h + j * dim_hprime, and j =
+        n_blocks for a full vector.  The result holds blocks
+        0..min(j + 1, n_blocks): T and U act on the H part, block k+1
+        receives S_k times block k in one batched product, and the last
+        block's content falls off the truncation.
         """
         w, d = self.dim_h, self.dim_hprime
         cols = x if x.ndim == 2 else x[:, None]
         count = cols.shape[1]
-        out = np.empty((self.dim_total, count), dtype=np.complex128)
+        j = (cols.shape[0] - w) // d if d else 0
+        if j < 0 or cols.shape[0] != w + j * d or j > self.n_blocks:
+            raise DimensionError(f"length {cols.shape[0]} is not a leading run of blocks")
+        steps = min(j, self.n_blocks - 1)
+        out = np.empty((w + (steps + 1) * d, count), dtype=np.complex128)
         out[:w] = self.t @ cols[:w]
         if d:
             out[w : w + d] = self.u @ cols[:w]
-            tail = cols[w : w + (self.n_blocks - 1) * d].reshape(self.n_blocks - 1, d, count)
-            out[w + d :] = (self.weights @ tail).reshape(-1, count)
+            tail = cols[w : w + steps * d].reshape(steps, d, count)
+            out[w + d :] = (self.weights[:steps] @ tail).reshape(-1, count)
         return out if x.ndim == 2 else out[:, 0]
 
     @cached_property
@@ -202,6 +210,7 @@ def _quotient_form(
     rank_tol: float | None,
     tols: Tolerances,
     what: str,
+    dec: EigenDecomposition | None = None,
 ) -> QuotientForm:
     """Represent the form <X f, g> on the range of metric^(1/2).
 
@@ -211,7 +220,8 @@ def _quotient_form(
     residual ||X - R (R+ X R+) R||.
     """
     rtol = tols.rank_tol if rank_tol is None else rank_tol
-    dec = eigh(metric, tols.eig_tol)
+    if dec is None:
+        dec = eigh(metric, tols.eig_tol)
     floor = -tols.psd_tol * (1.0 + metric.norm_max())
     if metric.n and dec.values[0] < floor:
         raise NotPsdError(f"{what}: metric not PSD (min eig {dec.values[0]:.3e})")
@@ -268,37 +278,52 @@ def build_a_general(
     return form._replace(a=a)
 
 
+def _forms_of(t: OperatorCorner, forms: DefectForms | None, tols: Tolerances) -> DefectForms:
+    """The run's defect forms of t, or fresh ones for a direct call."""
+    if forms is None:
+        return DefectForms(t, tols)
+    if forms.corner is not t:
+        raise ValueError("the defect forms belong to another corner")
+    if forms.tols != tols:
+        raise ValueError("the defect forms were made with other tolerances")
+    return forms
+
+
 def build_a_three_concave(
     t: OperatorCorner,
-    delta: HermitianMatrix,
     window: ExactWindow,
     rank_tol: float | None = None,
     tols: Tolerances = DEFAULT_TOLERANCES,
+    forms: DefectForms | None = None,
 ) -> QuotientForm:
     """Representer of <T* defect_3 T f, g> over the range of the 2-defect root.
 
     Both sign preconditions are checked: the 2-defect must be nonnegative
-    and the 3-defect nonpositive on the window.
+    and the 3-defect nonpositive on the window.  The gate on the 2-defect
+    and the quotient form share one decomposition; `forms` supplies the
+    defect forms of t and their decompositions (computed here when None).
     """
-    beta3, win3 = defect_form(t, 3)
+    forms = _forms_of(t, forms, tols)
+    beta3, win3 = forms.full(3)
     compressed = t.matrix.conj().T @ beta3.mat @ t.matrix
-    w = min(window.valid_dim, win3.valid_dim - (t.bandwidth if t.exact else 0), delta.n)
+    w = min(window.valid_dim, win3.valid_dim - (t.bandwidth if t.exact else 0))
     if w <= 0:
         raise DimensionError("no exact window left for the 3-concave construction")
 
-    delta_w = delta.restrict(w)
-    gate = psd_check(delta_w, tols.psd_tol)
+    gate = forms.psd(2, tols.psd_tol, w)
     if not gate.is_psd:
         raise NotPsdError(f"2-defect must be nonnegative (min eig {gate.min_eig:.3e})")
-    beta3_w = beta3.restrict(w)
-    sign = psd_check(hermitian(-beta3_w.mat), tols.psd_tol)
+    sign = forms.psd(3, tols.psd_tol, w, negate=True)
     if not sign.is_psd:
         raise NotNegativeError(
             f"operator is not 3-concave on the window (max eig {-sign.min_eig:.3e})"
         )
 
     numerator = hermitian(compressed[:w, :w], tols.herm_tol)
-    form = _quotient_form(delta_w, numerator, rank_tol, tols, "3-concave construction")
+    form = _quotient_form(
+        forms.on(2, w), numerator, rank_tol, tols, "3-concave construction",
+        forms.decomposition(2, w),
+    )
     a = _clamp_nonpositive(form.a, tols, "3-concave construction")
     return form._replace(a=a)
 
@@ -429,15 +454,6 @@ def assemble_dilation(
     return AssembledDilation(t, model.u, stack, model)
 
 
-def _restricted_defects(t: OperatorCorner, m: int, w: int, tols: Tolerances):
-    beta_m, _ = defect_form(t, m)
-    if m - 1 >= 1:
-        beta_prev, _ = defect_form(t, m - 1)
-    else:
-        beta_prev = beta_m
-    return beta_m.restrict(w), beta_prev.restrict(w)
-
-
 def build_general_model(
     t: OperatorCorner,
     m: int,
@@ -445,14 +461,15 @@ def build_general_model(
     weights_horizon: int,
     rank_tol: float | None = None,
     tols: Tolerances = DEFAULT_TOLERANCES,
+    forms: DefectForms | None = None,
 ) -> tuple[DilationModel, ShiftWeights]:
     """Run the general construction for an expansive m-concave corner."""
-    _, win_m = defect_form(t, m)
-    w = min(win_m.valid_dim, q.q.n)
-    defect_m, defect_prev = _restricted_defects(t, m, w, tols)
+    forms = _forms_of(t, forms, tols)
+    w = min(forms.full(m)[1].valid_dim, q.q.n)
+    defect_m, defect_prev = forms.on(m, w), forms.on(max(m - 1, 1), w)
     form = build_a_general(q, defect_m, ExactWindow(w), rank_tol, tols)
     build = build_p_and_weights(form.a, m, weights_horizon, tols)
-    b = _b_from_a(form.a, tols)
+    b, b_norm = _b_from_a(form.a, tols)
     u = form.basis.conj().T @ form.metric_root.mat
     model = DilationModel(
         m=m,
@@ -466,9 +483,10 @@ def build_general_model(
         u=u,
         a=form.a,
         b=b,
+        b_norm=b_norm,
         p_coeffs=build.p_coeffs,
         ratio_bound=build.ratio_bound,
-        rayleigh_bound=max(_norm_sq_bound(b), build.ratio_bound),
+        rayleigh_bound=max(b_norm**2, build.ratio_bound),
         welldef_residual=form.welldef_residual,
         remark_form_norm=defect_m.norm_max(),
     )
@@ -480,17 +498,18 @@ def build_three_concave_model(
     weights_horizon: int,
     rank_tol: float | None = None,
     tols: Tolerances = DEFAULT_TOLERANCES,
+    forms: DefectForms | None = None,
 ) -> tuple[DilationModel, ShiftWeights]:
     """Run the 3-concave construction (no expansivity, no metric solve)."""
     m = 3
-    _, win3 = defect_form(t, m)
-    w = win3.valid_dim - (t.bandwidth if t.exact else 0)
+    forms = _forms_of(t, forms, tols)
+    w = forms.full(m)[1].valid_dim - (t.bandwidth if t.exact else 0)
     if w <= 0:
         raise DimensionError("corner too small for the 3-concave construction")
-    defect_m, defect_prev = _restricted_defects(t, m, w, tols)
-    form = build_a_three_concave(t, defect_prev, ExactWindow(w), rank_tol, tols)
+    defect_m, defect_prev = forms.on(m, w), forms.on(m - 1, w)
+    form = build_a_three_concave(t, ExactWindow(w), rank_tol, tols, forms)
     build = build_p_and_weights(form.a, m, weights_horizon, tols)
-    b = _b_from_a(form.a, tols)
+    b, b_norm = _b_from_a(form.a, tols)
     u = form.basis.conj().T @ form.metric_root.mat
     model = DilationModel(
         m=m,
@@ -504,9 +523,10 @@ def build_three_concave_model(
         u=u,
         a=form.a,
         b=b,
+        b_norm=b_norm,
         p_coeffs=build.p_coeffs,
         ratio_bound=build.ratio_bound,
-        rayleigh_bound=max(_norm_sq_bound(b), build.ratio_bound),
+        rayleigh_bound=max(b_norm**2, build.ratio_bound),
         welldef_residual=form.welldef_residual,
         remark_form_norm=form.numerator_norm,
     )
@@ -520,6 +540,7 @@ def build_badea_2iso(
     weights_horizon: int | None = None,
     rank_tol: float | None = None,
     tols: Tolerances = DEFAULT_TOLERANCES,
+    forms: DefectForms | None = None,
 ) -> tuple[DilationModel, ShiftWeights, AssembledDilation]:
     """Reference 2-isometric dilation with identity weights.
 
@@ -528,16 +549,16 @@ def build_badea_2iso(
     (isometric) shift, so the weight polynomial is constant.
     """
     m = 2
-    _, win_m = defect_form(t, m)
-    w = min(win_m.valid_dim, q.q.n)
-    defect_m, defect_prev = _restricted_defects(t, m, w, tols)
+    forms = _forms_of(t, forms, tols)
+    w = min(forms.full(m)[1].valid_dim, q.q.n)
+    defect_m, defect_prev = forms.on(m, w), forms.on(m - 1, w)
     gap = hermitian(q.q.restrict(w).mat - defect_prev.mat, tols.herm_tol)
-    gate = psd_check(gap, tols.psd_tol)
+    dec = eigh(gap, tols.eig_tol)
+    gate = psd_check(gap, tols.psd_tol, dec=dec)
     if not gate.is_psd:
         raise NotPsdError(
             f"metric minus 1-defect is not nonnegative (min eig {gate.min_eig:.3e})"
         )
-    dec = eigh(gap, tols.eig_tol)
     lam = np.clip(dec.values, 0.0, None)
     rtol = tols.rank_tol if rank_tol is None else rank_tol
     # the difference is formed from the metric and the 1-defect, so roundoff
@@ -566,6 +587,7 @@ def build_badea_2iso(
         u=u,
         a=hermitian(np.zeros((d, d))),
         b=eye,
+        b_norm=1.0 if d else 0.0,
         p_coeffs=(eye,),
         ratio_bound=ratio_bound_constant(m),
         rayleigh_bound=max(1.0, ratio_bound_constant(m)),
@@ -575,15 +597,15 @@ def build_badea_2iso(
     return model, weights, assemble_dilation(model, weights, n_blocks)
 
 
-def _b_from_a(a: HermitianMatrix, tols: Tolerances) -> HermitianMatrix:
-    """B = (I - A)^(1/2); expansive (>= I) and hence invertible for A <= 0."""
+def _b_from_a(a: HermitianMatrix, tols: Tolerances) -> tuple[HermitianMatrix, float]:
+    """B = (I - A)^(1/2) and its spectral norm.
+
+    B is expansive (>= I) and hence invertible for A <= 0; its norm is
+    read off one decomposition of B itself.
+    """
     i_minus_a = hermitian(np.eye(a.n) - a.mat, tols.herm_tol)
     dec = eigh(i_minus_a, tols.eig_tol)
-    return hermitian(spectral_apply(dec, np.sqrt(np.clip(dec.values, 0.0, None))), tols.herm_tol)
-
-
-def _norm_sq_bound(b: HermitianMatrix) -> float:
+    b = hermitian(spectral_apply(dec, np.sqrt(np.clip(dec.values, 0.0, None))), tols.herm_tol)
     if b.n == 0:
-        return 1.0
-    dec = eigh(b)
-    return float(dec.values[-1]) ** 2
+        return b, 0.0
+    return b, float(np.max(np.abs(eigh(b, tols.eig_tol).values)))

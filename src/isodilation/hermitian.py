@@ -236,12 +236,22 @@ class PsdCheck(NamedTuple):
     min_eig: float
 
 
-def psd_check(x: HermitianMatrix, tol: float | None = None) -> PsdCheck:
-    """Toleranced nonnegativity test: passes iff min eig >= -tol*(1+||X||)."""
+def psd_check(
+    x: HermitianMatrix,
+    tol: float | None = None,
+    eig_tol: float | None = None,
+    dec: EigenDecomposition | None = None,
+) -> PsdCheck:
+    """Toleranced nonnegativity test: passes iff min eig >= -tol*(1+||X||).
+
+    `dec` is the spectral decomposition of x, made here with `eig_tol`
+    when None.
+    """
     t = DEFAULT_TOLERANCES.psd_tol if tol is None else tol
     if x.n == 0:
         return PsdCheck(True, 0.0)
-    dec = eigh(x)
+    if dec is None:
+        dec = eigh(x, eig_tol)
     min_eig = float(dec.values[0])
     return PsdCheck(min_eig >= -t * (1.0 + x.norm_max()), min_eig)
 

@@ -15,13 +15,13 @@ therefore exact shift corners.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import WeightRuleError, WindowExhaustedError
-from .hermitian import HermitianMatrix, hermitian, psd_check
+from .hermitian import EigenDecomposition, HermitianMatrix, PsdCheck, eigh, hermitian, psd_check
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 RULE_NAMES = ("constant", "dirichlet", "geometric_concave", "table")
@@ -247,6 +247,60 @@ def defect_form(t: OperatorCorner, m: int) -> tuple[HermitianMatrix, ExactWindow
     return hermitian(acc), ExactWindow(valid)
 
 
+class DefectForms:
+    """The defect forms of one corner, each computed once.
+
+    `full(k)` is `defect_form(t, k)`; `on(k, w, negate)` is +-beta_k on
+    its leading w-block (by default its exact window), and
+    `decomposition(k, w, negate)` is the one spectral decomposition of
+    that block, made with the tolerances' eig_tol.  `classify` makes one
+    and hands it to the builders, so the classification flags, the
+    builders' sign gates and the 3-concave quotient form share every form
+    and every decomposition of an identical block.  A smaller block of a
+    form is another matrix and gets its own decomposition.  An instance
+    belongs to one corner and one run; nothing outlives it.
+    """
+
+    def __init__(self, t: OperatorCorner, tols: Tolerances = DEFAULT_TOLERANCES):
+        self.corner = t
+        self.tols = tols
+        self._full: dict[int, tuple[HermitianMatrix, ExactWindow]] = {}
+        self._blocks: dict[tuple, HermitianMatrix] = {}
+        self._decs: dict[tuple, EigenDecomposition] = {}
+
+    def full(self, k: int) -> tuple[HermitianMatrix, ExactWindow]:
+        """beta_k on the whole corner, with its exact window."""
+        if k not in self._full:
+            self._full[k] = defect_form(self.corner, k)
+        return self._full[k]
+
+    def _key(self, k: int, w: int | None, negate: bool) -> tuple:
+        return (k, self.full(k)[1].valid_dim if w is None else w, negate)
+
+    def on(self, k: int, w: int | None = None, negate: bool = False) -> HermitianMatrix:
+        """beta_k (or -beta_k) on its leading w-block, default its exact window."""
+        key = self._key(k, w, negate)
+        if key not in self._blocks:
+            block = self.full(k)[0].restrict(key[1])
+            self._blocks[key] = hermitian(-block.mat, self.tols.herm_tol) if negate else block
+        return self._blocks[key]
+
+    def decomposition(
+        self, k: int, w: int | None = None, negate: bool = False
+    ) -> EigenDecomposition:
+        """The spectral decomposition of `on(k, w, negate)`."""
+        key = self._key(k, w, negate)
+        if key not in self._decs:
+            self._decs[key] = eigh(self.on(k, w, negate), self.tols.eig_tol)
+        return self._decs[key]
+
+    def psd(
+        self, k: int, tol: float, w: int | None = None, negate: bool = False
+    ) -> PsdCheck:
+        """Toleranced nonnegativity of `on(k, w, negate)`."""
+        return psd_check(self.on(k, w, negate), tol, dec=self.decomposition(k, w, negate))
+
+
 class FlagResidual(NamedTuple):
     ok: bool
     residual: float
@@ -258,6 +312,8 @@ class Classification:
 
     Residuals are minimum eigenvalues (for semidefiniteness flags) or
     max-norms (for the isometry flag), measured on the exact window only.
+    `forms` holds the defect forms and decompositions the flags were
+    measured on, for the builders of the same run.
     """
 
     m: int
@@ -265,6 +321,7 @@ class Classification:
     m_concave: FlagResidual
     m_isometric: FlagResidual
     delta_psd: FlagResidual
+    forms: DefectForms | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -288,26 +345,17 @@ def classify(
     """Classify a corner: expansive, m-concave, m-isometric, and whether the
     (m-1)-defect is nonnegative (the precondition for the invariant metric)."""
     ctol = tols.class_tol if tol is None else tol
+    forms = DefectForms(t, tols)
 
-    beta_m, win_m = defect_form(t, m)
-    beta_m = beta_m.restrict(win_m.valid_dim)
-    beta_1, win_1 = defect_form(t, 1)
-    beta_1 = beta_1.restrict(win_1.valid_dim)
-    if m - 1 >= 1:
-        beta_prev, win_prev = defect_form(t, m - 1)
-        beta_prev = beta_prev.restrict(win_prev.valid_dim)
-    else:
-        beta_prev = beta_1
-
-    scale = 1.0 + beta_m.norm_max()
-    exp_check = psd_check(beta_1, ctol)
-    concave_check = psd_check(hermitian(-beta_m.mat), ctol)
-    iso_norm = beta_m.norm_max()
-    delta_check = psd_check(beta_prev, ctol)
+    iso_norm = forms.on(m).norm_max()
+    exp_check = forms.psd(1, ctol)
+    concave_check = forms.psd(m, ctol, negate=True)
+    delta_check = forms.psd(max(m - 1, 1), ctol)
     return Classification(
         m=m,
         expansive=FlagResidual(exp_check.is_psd, exp_check.min_eig),
         m_concave=FlagResidual(concave_check.is_psd, concave_check.min_eig),
-        m_isometric=FlagResidual(iso_norm <= ctol * scale, iso_norm),
+        m_isometric=FlagResidual(iso_norm <= ctol * (1.0 + iso_norm), iso_norm),
         delta_psd=FlagResidual(delta_check.is_psd, delta_check.min_eig),
+        forms=forms,
     )

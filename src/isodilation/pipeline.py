@@ -28,8 +28,8 @@ from .builder import (
 )
 from .diagonal import DiagonalModel, build_diagonal_model, defect_diagonal, dense_agreement_residual
 from .errors import PreconditionError, UnknownDemoError
-from .hermitian import eigh, hermitian, max_abs
-from .operators import Classification, OperatorCorner, classify, defect_form, dense_corner, make_shift_corner
+from .hermitian import hermitian, max_abs
+from .operators import Classification, DefectForms, OperatorCorner, classify, dense_corner, make_shift_corner
 from .qsolver import QSolution, solve_q_fixed_point, solve_q_shift_diagonal
 from .specfile import OperatorSpecFile, spec_from_dict
 from .tolerances import DEFAULT_SEED, DEFAULT_TRIALS, Tolerances
@@ -164,20 +164,15 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _solve_metric(spec, corner, m, tols) -> QSolution:
+def _solve_metric(spec, corner, m, tols, forms: DefectForms) -> QSolution:
     if spec.kind == "shift":
         horizon = spec.horizon if spec.horizon is not None else 4 * spec.n
         delta_diag = defect_diagonal(spec.rule, m - 1, horizon + 1)
         window = corner.n - m * corner.bandwidth
         return solve_q_shift_diagonal(spec.rule, delta_diag, horizon, dim=window, tols=tols)
-    delta, _ = defect_form(corner, m - 1)
-    return solve_q_fixed_point(corner, delta, tols=tols)
-
-
-def _norm_spectral(h) -> float:
-    if h.n == 0:
-        return 0.0
-    return float(np.max(np.abs(eigh(h).values)))
+    return solve_q_fixed_point(
+        corner, forms.on(m - 1), tols=tols, dec=forms.decomposition(m - 1)
+    )
 
 
 def run_pipeline(
@@ -199,6 +194,7 @@ def run_pipeline(
     corner = _make_corner(spec)
 
     cls = classify(corner, m, tols.class_tol, tols)
+    forms = cls.forms
     admissible = _admissible_paths(cls, m)
     if spec.path is not None and spec.path != "badea_2iso":
         if spec.path not in admissible:
@@ -228,20 +224,24 @@ def run_pipeline(
     badea_model = badea_weights = badea_assembled = None
 
     if path == "three_concave":
-        model, weights = build_three_concave_model(corner, weights_horizon, tols=tols)
+        model, weights = build_three_concave_model(
+            corner, weights_horizon, tols=tols, forms=forms
+        )
         assembled = assemble_dilation(model, weights, n_blocks)
     else:
-        q = _solve_metric(spec, corner, m, tols)
+        q = _solve_metric(spec, corner, m, tols, forms)
         if path == "badea_2iso":
             model, weights, assembled = build_badea_2iso(
-                corner, q, n_blocks, weights_horizon, tols=tols
+                corner, q, n_blocks, weights_horizon, tols=tols, forms=forms
             )
         else:
-            model, weights = build_general_model(corner, m, q, weights_horizon, tols=tols)
+            model, weights = build_general_model(
+                corner, m, q, weights_horizon, tols=tols, forms=forms
+            )
             assembled = assemble_dilation(model, weights, n_blocks)
     if m == 2 and path == "general_m":
         badea_model, badea_weights, badea_assembled = build_badea_2iso(
-            corner, q, n_blocks, weights_horizon, tols=tols
+            corner, q, n_blocks, weights_horizon, tols=tols, forms=forms
         )
 
     diag_model = None
@@ -258,7 +258,7 @@ def run_pipeline(
 
     verification = _verify(
         model, weights, assembled, q, badea_model, badea_assembled, diag_model,
-        cls, seed, trials, tols,
+        forms, seed, trials, tols,
     )
     report = _build_report(
         spec, tols, seed, cls, path, q, model, weights, assembled,
@@ -286,7 +286,7 @@ def run_pipeline(
 
 def _verify(
     model, weights, assembled, q, badea_model, badea_assembled, diag_model,
-    cls, seed, trials, tols,
+    forms, seed, trials, tols,
 ) -> VerificationReport:
     rep = VerificationReport()
 
@@ -356,7 +356,7 @@ def _verify(
             "badea_w_m_isometry",
         ))
         rep.add(_renamed(check_minimality(badea_assembled), "badea_minimality"))
-        expected_found = not _is_isometric(model, tols)
+        expected_found = not _is_isometric(model, forms, tols)
         rep.add(nonisomorphism_certificate(
             assembled, badea_assembled, expected_found=expected_found,
             trials=trials, seed=seed, tols=tols,
@@ -364,10 +364,9 @@ def _verify(
     return rep
 
 
-def _is_isometric(model: DilationModel, tols: Tolerances) -> bool:
-    beta1, _ = defect_form(model.corner, 1)
+def _is_isometric(model: DilationModel, forms: DefectForms, tols: Tolerances) -> bool:
     w = model.dim_h - model.corner.bandwidth if model.corner.exact else model.dim_h
-    return max_abs(beta1.mat[:w, :w]) <= tols.class_tol
+    return forms.on(1, w).norm_max() <= tols.class_tol
 
 
 def _renamed(check: CheckResult, name: str) -> CheckResult:
@@ -384,7 +383,7 @@ def _build_report(
         "dim_h": model.dim_h,
         "dim_hprime": model.dim_hprime,
         "n_blocks": assembled.n_blocks,
-        "b_norm": _norm_spectral(model.b),
+        "b_norm": model.b_norm,
         "ratio_bound": model.ratio_bound,
         "rayleigh_bound": model.rayleigh_bound,
         "welldef_residual": model.welldef_residual,

@@ -29,6 +29,7 @@ from .errors import (
     UnboundedQError,
 )
 from .hermitian import (
+    EigenDecomposition,
     HermitianMatrix,
     eigh,
     hermitian,
@@ -77,7 +78,7 @@ def verify_q(
     stein_full = tm.conj().T @ qm @ tm - qm
     stein = max_abs(stein_full[:stein_w, :stein_w])
     diff = hermitian(qm[:w, :w] - delta.mat[:w, :w], tols.herm_tol)
-    dominance = psd_check(diff, tols.psd_tol).min_eig
+    dominance = psd_check(diff, tols.psd_tol, tols.eig_tol).min_eig
     return stein, dominance
 
 
@@ -178,20 +179,22 @@ def solve_q_fixed_point(
     tol: float = 1e-13,
     max_iter: int = 512,
     tols: Tolerances = DEFAULT_TOLERANCES,
+    dec: EigenDecomposition | None = None,
 ) -> QSolution:
     """Invariant metric for a finite-dimensional invertible operator.
 
     Iterates X -> T^{-*} X T^{-1} from the defect.  The concavity
     precondition T* Delta T <= Delta is checked before iterating and inputs
     violating it are rejected; under it the iterates are nondecreasing and
-    bounded, so the limit satisfies both sides of the contract.
+    bounded, so the limit satisfies both sides of the contract.  `dec` is
+    the decomposition of the defect, computed here when None.
     """
     if t.exact:
         raise ValueError("fixed-point solve applies to finite-dimensional operators only")
     if t.n != delta.n:
         raise ValueError(f"dimension mismatch: operator {t.n}, defect {delta.n}")
 
-    delta_check = psd_check(delta, tols.psd_tol)
+    delta_check = psd_check(delta, tols.psd_tol, tols.eig_tol, dec)
     if not delta_check.is_psd:
         raise NotPsdError(f"defect must be nonnegative (min eig {delta_check.min_eig:.3e})")
 
@@ -210,7 +213,7 @@ def solve_q_fixed_point(
     contraction = hermitian(
         delta.mat - t.matrix.conj().T @ delta.mat @ t.matrix, tols.herm_tol
     )
-    gate = psd_check(contraction, tols.psd_tol)
+    gate = psd_check(contraction, tols.psd_tol, tols.eig_tol)
     if not gate.is_psd:
         raise PreconditionError(
             "concavity precondition T* Delta T <= Delta fails "
@@ -223,7 +226,7 @@ def solve_q_fixed_point(
     for iterations in range(1, max_iter + 1):
         nxt = hermitian(t_inv.conj().T @ q.mat @ t_inv, tols.herm_tol)
         step = hermitian(nxt.mat - q.mat, tols.herm_tol)
-        monotone = psd_check(step, max(1e-12, tols.psd_tol))
+        monotone = psd_check(step, max(1e-12, tols.psd_tol), tols.eig_tol)
         if not monotone.is_psd:
             raise ConvergenceError(
                 f"fixed-point iterate lost monotonicity (min eig {monotone.min_eig:.3e})"

@@ -104,7 +104,8 @@ def check_dilation_property(
 
     By the block structure row 0 of W contains only T, so the residual is
     rounding-level regardless of truncation; it is still compared on the
-    shrinking exact window of T^n.
+    shrinking exact window of T^n.  W^n maps H into blocks 0..n, so only
+    those blocks are carried.
     """
     tolerance = tols.dilation_tol if tol is None else tol
     model = dilation.model
@@ -113,7 +114,7 @@ def check_dilation_property(
         raise ValueError(f"n_max {n_max} exceeds n_blocks {dilation.n_blocks}")
     t = model.corner
     w = t.n
-    cur = np.eye(dilation.dim_total, w, dtype=np.complex128)
+    cur = np.eye(w, dtype=np.complex128)
     tn = np.eye(w, dtype=np.complex128)
     residual = 0.0
     for n in range(1, n_max + 1):
@@ -463,7 +464,7 @@ def nonisomorphism_certificate(
         candidates.append(_random_complex(rng, w))
     form = general.model.defect_prev
     if form.n == w and w > 0:
-        dec = eigh(form)
+        dec = eigh(form, tols.eig_tol)
         # extremal eigenvector of the 1-defect maximizes the quadratic form
         idx = int(np.argmax(np.abs(dec.values)))
         candidates.append(dec.basis[:, idx].copy())

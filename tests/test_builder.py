@@ -29,12 +29,14 @@ from isodilation.hermitian import hermitian, identity, max_abs, poly_eval
 from isodilation.operators import (
     ExactWindow,
     WeightRule,
+    classify,
     defect_form,
     dense_corner,
     make_shift_corner,
 )
 from isodilation.pipeline import DEMOS, demo_spec, run_pipeline
 from isodilation.qsolver import QSolution, solve_q_shift_diagonal
+from isodilation.tolerances import Tolerances
 
 
 def diagonal_q(values) -> QSolution:
@@ -90,28 +92,53 @@ class TestBuildAGeneral:
 class TestBuildAThreeConcave:
     def test_scalar_walkthrough(self):
         t = dense_corner([[1 / math.sqrt(2)]])
-        delta, _ = defect_form(t, 2)
-        form = build_a_three_concave(t, delta, ExactWindow(1))
+        form = build_a_three_concave(t, ExactWindow(1))
         assert form.a.mat[0, 0].real == pytest.approx(-0.25, abs=1e-13)
 
     def test_zero_operator(self):
         t = dense_corner([[0.0]])
-        delta, _ = defect_form(t, 2)
-        form = build_a_three_concave(t, delta, ExactWindow(1))
+        form = build_a_three_concave(t, ExactWindow(1))
         assert form.a.n == 1
         assert max_abs(form.a.mat) == 0.0
 
     def test_isometric_scalar_degenerates(self):
         t = dense_corner([[1.0]])
-        delta, _ = defect_form(t, 2)
-        form = build_a_three_concave(t, delta, ExactWindow(1))
+        form = build_a_three_concave(t, ExactWindow(1))
         assert form.a.n == 0  # H' is zero-dimensional
 
     def test_not_three_concave_rejected(self):
         t = dense_corner([[1.5]])
-        delta, _ = defect_form(t, 2)
         with pytest.raises(NotNegativeError):
-            build_a_three_concave(t, delta, ExactWindow(1))
+            build_a_three_concave(t, ExactWindow(1))
+
+    def test_indefinite_two_defect_rejected_without_classification(self):
+        # nilpotent and non-normal: T^2 = 0, so the 2-defect I - 2 T*T is
+        # diag(1, -1); the nonnegativity gate fires before the sign gate
+        t = dense_corner([[0.0, 1.0], [0.0, 0.0]])
+        assert min(np.linalg.eigvalsh(defect_form(t, 2)[0].mat)) == pytest.approx(-1.0)
+        with pytest.raises(NotPsdError):
+            build_a_three_concave(t, ExactWindow(2))
+        with pytest.raises(NotPsdError):
+            build_three_concave_model(t, weights_horizon=6)
+
+    def test_classification_forms_give_the_same_representer(self):
+        t = dense_corner(np.diag([0.5, 0.3j, -0.8]))
+        direct = build_a_three_concave(t, ExactWindow(3))
+        shared = build_a_three_concave(t, ExactWindow(3), forms=classify(t, 3).forms)
+        assert np.array_equal(direct.a.mat, shared.a.mat)
+        assert np.array_equal(direct.basis, shared.basis)
+
+    def test_forms_of_another_corner_rejected(self):
+        t = dense_corner([[0.5]])
+        other = classify(dense_corner([[0.5]]), 3).forms
+        with pytest.raises(ValueError):
+            build_a_three_concave(t, ExactWindow(1), forms=other)
+
+    def test_forms_with_other_tolerances_rejected(self):
+        t = dense_corner([[0.5]])
+        forms = classify(t, 3).forms
+        with pytest.raises(ValueError):
+            build_a_three_concave(t, ExactWindow(1), tols=Tolerances(eig_tol=1e-10), forms=forms)
 
 
 class TestPolynomialAndWeights:
@@ -243,6 +270,23 @@ class TestAssemble:
             assert dil.apply(x).shape == (n,)
             assert max_abs(dil.apply(x) - dil.matrix @ x) <= 1e-13
             assert max_abs(dil.apply(cols) - dil.matrix @ cols) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["strict-2concave", "scalar-3concave"])
+    def test_apply_on_leading_blocks(self, demos, name):
+        # blocks 0..j with zeros beyond map to the leading rows of W x
+        dil = demos.run(name).assembled
+        w, d = dil.dim_h, dil.dim_hprime
+        rng = np.random.default_rng(11)
+        for j in range(dil.n_blocks + 1):
+            x = np.zeros((dil.dim_total, 3), dtype=complex)
+            x[: w + j * d] = rng.standard_normal((w + j * d, 3))
+            short = dil.apply(x[: w + j * d])
+            rows = w + min(j + 1, dil.n_blocks) * d
+            assert short.shape == (rows, 3)
+            assert np.array_equal(short, dil.apply(x)[:rows])
+            assert not np.any(dil.apply(x)[rows:])
+        with pytest.raises(DimensionError):
+            dil.apply(np.zeros(dil.dim_total + d))
 
     def test_pipeline_never_builds_dense_matrix(self):
         r = run_pipeline(demo_spec("nonisomorphic-pair"))

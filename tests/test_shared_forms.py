@@ -1,0 +1,86 @@
+"""One run computes each defect form once and decomposes each matrix once.
+
+Every `isodilation` module that binds `eigh` or `defect_form` is patched
+with a recorder, so calls through any namespace are counted.
+"""
+
+import importlib
+import pkgutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import isodilation
+from isodilation import hermitian, parse_spec, run_pipeline, spec_from_dict
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "spec-examples"
+
+SHIFT_M2 = {
+    "schema_version": 1,
+    "operator": {"kind": "shift", "rule": {"name": "geometric_concave", "r": 0.5}},
+    "m": 2,
+    "truncation": {"N": 48, "n_blocks": 6},
+}
+
+
+def _dense_spec():
+    return parse_spec((EXAMPLES / "dense-3concave.json").read_text())
+
+
+def _modules():
+    yield isodilation
+    for info in pkgutil.iter_modules(isodilation.__path__):
+        yield importlib.import_module(f"isodilation.{info.name}")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Record (input bytes, eig_tol) per eigh call and the order per defect_form call."""
+    real_eigh = importlib.import_module("isodilation.hermitian").eigh
+    real_defect_form = importlib.import_module("isodilation.operators").defect_form
+    record = {"eigh": [], "defect_form": []}
+
+    def eigh(x, eig_tol=None, *args, **kwargs):
+        record["eigh"].append((x.mat.tobytes(), eig_tol))
+        return real_eigh(x, eig_tol, *args, **kwargs)
+
+    def defect_form(t, m):
+        record["defect_form"].append(m)
+        return real_defect_form(t, m)
+
+    for mod in _modules():
+        for name, fake, real in (("eigh", eigh, real_eigh), ("defect_form", defect_form, real_defect_form)):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, fake)
+    return record
+
+
+def test_dense_run_decomposes_each_matrix_once(calls):
+    result = run_pipeline(_dense_spec())
+    assert result.path == "three_concave" and result.overall
+    # classify: beta_1, -beta_3, beta_2 (shared with the builder's gates and
+    # quotient form); A; p(1..12); I - A; B
+    assert len(calls["eigh"]) == 18
+    assert sorted(calls["defect_form"]) == [1, 2, 3]
+    # every input is distinct except I - A: the weight loop decomposes it as
+    # p(m-1) and B's square root decomposes it again
+    a = result.model.a
+    i_minus_a = hermitian(np.eye(a.n) - a.mat).mat.tobytes()
+    inputs = [data for data, _ in calls["eigh"]]
+    assert inputs.count(i_minus_a) == 2
+    assert len(set(inputs)) == len(inputs) - 1
+
+
+def test_shift_run_computes_each_defect_form_once(calls):
+    result = run_pipeline(spec_from_dict(SHIFT_M2))
+    assert result.path == "general_m" and result.badea_model is not None
+    assert sorted(calls["defect_form"]) == [1, 2]
+
+
+@pytest.mark.parametrize("spec", [_dense_spec(), spec_from_dict(SHIFT_M2)], ids=["dense", "shift"])
+def test_eig_tol_override_reaches_every_decomposition(calls, spec):
+    result = run_pipeline(spec, tol_overrides={"eig_tol": 1e-10})
+    assert result.overall
+    assert calls["eigh"]
+    assert {tol for _, tol in calls["eigh"]} == {1e-10}
