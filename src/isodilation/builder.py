@@ -24,6 +24,7 @@ construction S_n = p(n)^(1/2) p(n-1)^(-1/2), which gives cumulative moduli
 |S_n ... S_1|^2 = p(n) exactly and hence an m-isometric weight shift.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,7 +46,6 @@ from .hermitian import (
     hermitian,
     identity,
     max_abs,
-    poly_eval,
     psd_check,
     spectral_apply,
 )
@@ -202,6 +202,8 @@ class QuotientForm(NamedTuple):
     welldef_residual: float
     metric_root: HermitianMatrix
     numerator_norm: float
+    # spectral decomposition of `a`, set once the sign gate has clamped it
+    a_dec: EigenDecomposition | None = None
 
 
 def _quotient_form(
@@ -246,20 +248,26 @@ def _quotient_form(
     )
 
 
-def _clamp_nonpositive(a: HermitianMatrix, tols: Tolerances, what: str) -> HermitianMatrix:
-    """Enforce A <= 0, clamping eigenvalues positive within psd_tol to zero."""
-    if a.n == 0:
-        return a
+def _clamp_nonpositive(
+    a: HermitianMatrix, tols: Tolerances, what: str
+) -> tuple[HermitianMatrix, EigenDecomposition]:
+    """Enforce A <= 0, clamping eigenvalues positive within psd_tol to zero.
+
+    Returns the clamped A with its spectral decomposition.
+    """
     dec = eigh(a, tols.eig_tol)
+    if a.n == 0 or dec.values[-1] <= 0.0:
+        return a, dec
     ceiling = tols.psd_tol * (1.0 + a.norm_max())
     if dec.values[-1] > ceiling:
         raise NotNegativeError(
             f"{what}: representer has positive eigenvalue {dec.values[-1]:.3e}, "
             "contradicting concavity"
         )
-    if dec.values[-1] <= 0.0:
-        return a
-    return hermitian(spectral_apply(dec, np.minimum(dec.values, 0.0)), tols.herm_tol)
+    values = np.minimum(dec.values, 0.0)
+    values.setflags(write=False)
+    clamped = hermitian(spectral_apply(dec, values), tols.herm_tol)
+    return clamped, dataclasses.replace(dec, values=values)
 
 
 def build_a_general(
@@ -274,8 +282,8 @@ def build_a_general(
     form = _quotient_form(
         q.q.restrict(w), defect_m.restrict(w), rank_tol, tols, "general construction"
     )
-    a = _clamp_nonpositive(form.a, tols, "general construction")
-    return form._replace(a=a)
+    a, a_dec = _clamp_nonpositive(form.a, tols, "general construction")
+    return form._replace(a=a, a_dec=a_dec)
 
 
 def _forms_of(t: OperatorCorner, forms: DefectForms | None, tols: Tolerances) -> DefectForms:
@@ -324,8 +332,8 @@ def build_a_three_concave(
         forms.on(2, w), numerator, rank_tol, tols, "3-concave construction",
         forms.decomposition(2, w),
     )
-    a = _clamp_nonpositive(form.a, tols, "3-concave construction")
-    return form._replace(a=a)
+    a, a_dec = _clamp_nonpositive(form.a, tols, "3-concave construction")
+    return form._replace(a=a, a_dec=a_dec)
 
 
 def _falling_factorial_coeffs(m: int) -> list[int]:
@@ -351,6 +359,8 @@ class WeightsBuild(NamedTuple):
     p_coeffs: tuple
     weights: "ShiftWeights"
     ratio_bound: float
+    b: HermitianMatrix
+    b_norm: float  # spectral norm of B
 
 
 def build_p_and_weights(
@@ -358,14 +368,18 @@ def build_p_and_weights(
     m: int,
     horizon: int,
     tols: Tolerances = DEFAULT_TOLERANCES,
+    dec: EigenDecomposition | None = None,
 ) -> WeightsBuild:
-    """Expand the weight polynomial and derive the telescoping weights.
+    """Expand the weight polynomial and derive the telescoping weights and B.
 
     The falling factorial is expanded with exact integer coefficients and
     scaled by 1/(m-1)!, avoiding cancellation at large evaluation points.
-    Every p(n) is a polynomial in the single Hermitian matrix A, so the
-    values commute and S_n = p(n)^(1/2) p(n-1)^(-1/2) is positive definite
-    with |S_n ... S_1|^2 telescoping to p(n).
+    Every p(n) is a polynomial in the single Hermitian matrix
+    A = V diag(lam) V*, so everything is formed on that one spectrum:
+    S_n = V diag(p_n(lam)^(1/2) p_(n-1)(lam)^(-1/2)) V* is positive definite
+    with |S_n ... S_1|^2 telescoping to p(n), and B = (I - A)^(1/2) =
+    V diag((1 - lam)^(1/2)) V* has norm max (1 - lam)^(1/2).  `dec` is the
+    spectral decomposition of A, made here when None.
     """
     if m < 2:
         raise ValueError(f"weight construction needs m >= 2, got {m}")
@@ -381,47 +395,58 @@ def build_p_and_weights(
         coeffs.append(hermitian(term, tols.herm_tol))
     p_coeffs = tuple(coeffs)
 
+    if dec is None:
+        dec = eigh(a, tols.eig_tol)
+    lam = dec.values
+    # p_n(lam) summed in poly_eval's order, so a diagonal A gives p(n)'s bits
+    lam_coeffs = [(s_k / scale) * -lam for s_k in fall]
+    lam_coeffs[0] = lam_coeffs[0] + 1.0
     weights = []
-    cumulative = []
-    prev_dec: EigenDecomposition | None = None
-    left_product = np.eye(d, dtype=np.complex128)
+    inv_sqrt_prev = np.ones(d)
     for n in range(1, horizon + 1):
-        p_n = poly_eval(p_coeffs, n, tols.comm_tol)
-        dec_n = eigh(p_n, tols.eig_tol)
-        if d and dec_n.values[0] <= tols.inv_tol:
+        p_n = np.zeros(d)
+        for k, c_k in enumerate(lam_coeffs):
+            p_n = p_n + c_k * float(n**k)
+        if d and p_n.min() <= tols.inv_tol:
             raise NotInvertibleError(
-                f"p({n}) has minimal eigenvalue {dec_n.values[0]:.3e}; "
+                f"p({n}) has minimal eigenvalue {p_n.min():.3e}; "
                 "input representer was not nonpositive"
             )
-        sqrt_n = spectral_apply(dec_n, np.sqrt(dec_n.values))
-        if prev_dec is None:
-            inv_sqrt_prev = np.eye(d, dtype=np.complex128)
-        else:
-            inv_sqrt_prev = spectral_apply(prev_dec, 1.0 / np.sqrt(prev_dec.values))
-        s_n = hermitian(sqrt_n @ inv_sqrt_prev, tols.herm_tol)
-        weights.append(s_n)
-        left_product = s_n.mat @ left_product
-        cumulative.append(hermitian(left_product.conj().T @ left_product, tols.herm_tol))
-        prev_dec = dec_n
+        sqrt_n = np.sqrt(p_n)
+        weights.append(hermitian(spectral_apply(dec, sqrt_n * inv_sqrt_prev), tols.herm_tol))
+        inv_sqrt_prev = 1.0 / sqrt_n
 
+    b_vals = np.sqrt(np.clip(1.0 - lam, 0.0, None))
     return WeightsBuild(
-        p_coeffs, ShiftWeights(tuple(weights), tuple(cumulative)), ratio_bound_constant(m)
+        p_coeffs,
+        _with_cumulative(weights, tols.herm_tol),
+        ratio_bound_constant(m),
+        hermitian(spectral_apply(dec, b_vals), tols.herm_tol),
+        float(b_vals.max()) if d else 0.0,
     )
 
 
+def _with_cumulative(weights: list, herm_tol: float | None = None) -> ShiftWeights:
+    """The weight sequence with its cumulative moduli |S_n ... S_1|^2."""
+    cumulative = []
+    left = np.eye(weights[0].n if weights else 0, dtype=np.complex128)
+    for s in weights:
+        left = s.mat @ left
+        cumulative.append(hermitian(left.conj().T @ left, herm_tol))
+    return ShiftWeights(tuple(weights), tuple(cumulative))
+
+
 def perturb_weight(weights: ShiftWeights, n: int, amount: float) -> ShiftWeights:
-    """Copy of a weight sequence with S_n shifted by amount * I (negative control)."""
+    """Copy of a weight sequence with S_n shifted by amount * I (negative control).
+
+    The cumulative moduli are recomputed from the shifted weights.
+    """
     if not 1 <= n <= weights.horizon:
         raise IndexError(f"weight index {n} outside 1..{weights.horizon}")
     new_weights = list(weights.weights)
     bumped = new_weights[n - 1].mat + amount * np.eye(new_weights[n - 1].n)
     new_weights[n - 1] = hermitian(bumped)
-    cumulative = []
-    left = np.eye(bumped.shape[0], dtype=np.complex128)
-    for s in new_weights:
-        left = s.mat @ left
-        cumulative.append(hermitian(left.conj().T @ left))
-    return ShiftWeights(tuple(new_weights), tuple(cumulative))
+    return _with_cumulative(new_weights)
 
 
 def assemble_dilation(
@@ -454,6 +479,30 @@ def assemble_dilation(
     return AssembledDilation(t, model.u, stack, model)
 
 
+def _model_from_form(
+    form: QuotientForm, m: int, weights_horizon: int, tols: Tolerances, **fields
+) -> tuple[DilationModel, ShiftWeights]:
+    """Weights, B and U from a clamped representer, and the model holding them.
+
+    `fields` are the path-specific DilationModel fields.
+    """
+    build = build_p_and_weights(form.a, m, weights_horizon, tols, dec=form.a_dec)
+    model = DilationModel(
+        m=m,
+        basis=form.basis,
+        u=form.basis.conj().T @ form.metric_root.mat,
+        a=form.a,
+        b=build.b,
+        b_norm=build.b_norm,
+        p_coeffs=build.p_coeffs,
+        ratio_bound=build.ratio_bound,
+        rayleigh_bound=max(build.b_norm**2, build.ratio_bound),
+        welldef_residual=form.welldef_residual,
+        **fields,
+    )
+    return model, build.weights
+
+
 def build_general_model(
     t: OperatorCorner,
     m: int,
@@ -468,29 +517,16 @@ def build_general_model(
     w = min(forms.full(m)[1].valid_dim, q.q.n)
     defect_m, defect_prev = forms.on(m, w), forms.on(max(m - 1, 1), w)
     form = build_a_general(q, defect_m, ExactWindow(w), rank_tol, tols)
-    build = build_p_and_weights(form.a, m, weights_horizon, tols)
-    b, b_norm = _b_from_a(form.a, tols)
-    u = form.basis.conj().T @ form.metric_root.mat
-    model = DilationModel(
-        m=m,
+    return _model_from_form(
+        form, m, weights_horizon, tols,
         path="general_m",
         corner=t.leading(w),
         window=ExactWindow(w),
         defect_m=defect_m,
         defect_prev=defect_prev,
         q=q,
-        basis=form.basis,
-        u=u,
-        a=form.a,
-        b=b,
-        b_norm=b_norm,
-        p_coeffs=build.p_coeffs,
-        ratio_bound=build.ratio_bound,
-        rayleigh_bound=max(b_norm**2, build.ratio_bound),
-        welldef_residual=form.welldef_residual,
         remark_form_norm=defect_m.norm_max(),
     )
-    return model, build.weights
 
 
 def build_three_concave_model(
@@ -508,29 +544,16 @@ def build_three_concave_model(
         raise DimensionError("corner too small for the 3-concave construction")
     defect_m, defect_prev = forms.on(m, w), forms.on(m - 1, w)
     form = build_a_three_concave(t, ExactWindow(w), rank_tol, tols, forms)
-    build = build_p_and_weights(form.a, m, weights_horizon, tols)
-    b, b_norm = _b_from_a(form.a, tols)
-    u = form.basis.conj().T @ form.metric_root.mat
-    model = DilationModel(
-        m=m,
+    return _model_from_form(
+        form, m, weights_horizon, tols,
         path="three_concave",
         corner=t.leading(w),
         window=ExactWindow(w),
         defect_m=defect_m,
         defect_prev=defect_prev,
         q=None,
-        basis=form.basis,
-        u=u,
-        a=form.a,
-        b=b,
-        b_norm=b_norm,
-        p_coeffs=build.p_coeffs,
-        ratio_bound=build.ratio_bound,
-        rayleigh_bound=max(b_norm**2, build.ratio_bound),
-        welldef_residual=form.welldef_residual,
         remark_form_norm=form.numerator_norm,
     )
-    return model, build.weights
 
 
 def build_badea_2iso(
@@ -595,17 +618,3 @@ def build_badea_2iso(
         remark_form_norm=defect_m.norm_max(),
     )
     return model, weights, assemble_dilation(model, weights, n_blocks)
-
-
-def _b_from_a(a: HermitianMatrix, tols: Tolerances) -> tuple[HermitianMatrix, float]:
-    """B = (I - A)^(1/2) and its spectral norm.
-
-    B is expansive (>= I) and hence invertible for A <= 0; its norm is
-    read off one decomposition of B itself.
-    """
-    i_minus_a = hermitian(np.eye(a.n) - a.mat, tols.herm_tol)
-    dec = eigh(i_minus_a, tols.eig_tol)
-    b = hermitian(spectral_apply(dec, np.sqrt(np.clip(dec.values, 0.0, None))), tols.herm_tol)
-    if b.n == 0:
-        return b, 0.0
-    return b, float(np.max(np.abs(eigh(b, tols.eig_tol).values)))

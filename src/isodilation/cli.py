@@ -16,6 +16,7 @@ from pathlib import Path
 from .errors import PreconditionError, SpecError, UnknownDemoError
 from .pipeline import DEMOS, classify_spec, demo_spec, emit_report, run_pipeline
 from .specfile import parse_spec
+from .tolerances import DEFAULT_TOLERANCES
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -67,6 +68,10 @@ def _parse_tol_overrides(pairs) -> dict:
             overrides[name.strip()] = float(value)
         except ValueError as exc:
             raise SpecError(f"--tol {name}: {value!r} is not a number") from exc
+    try:
+        DEFAULT_TOLERANCES.replace(**overrides)
+    except ValueError as exc:
+        raise SpecError(f"--tol: {exc}") from exc
     return overrides
 
 

@@ -313,46 +313,16 @@ def pinv_sqrt(
     return PinvSqrt(root, projector, int(np.count_nonzero(kept)))
 
 
-def range_basis(
-    x: HermitianMatrix,
-    rank_tol: float | None = None,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-    dec: EigenDecomposition | None = None,
-) -> np.ndarray:
-    """Orthonormal columns spanning the numerical range of a PSD matrix."""
-    rtol = tols.rank_tol if rank_tol is None else rank_tol
-    if dec is None:
-        dec = eigh(x, tols.eig_tol)
-    _require_psd(x, dec, tols.psd_tol, "range basis")
-    lam_max = float(dec.values[-1]) if x.n else 0.0
-    kept = dec.values > rtol * max(lam_max, 0.0)
-    return np.ascontiguousarray(dec.basis[:, kept])
-
-
-def poly_eval(
-    coeffs: Sequence[HermitianMatrix],
-    n: int,
-    comm_tol: float | None = None,
-) -> HermitianMatrix:
+def poly_eval(coeffs: Sequence[HermitianMatrix], n: int) -> HermitianMatrix:
     """Evaluate sum coeffs[k] * n**k at an integer point with exact powers.
 
-    The coefficients must commute pairwise (they are polynomials in a single
-    Hermitian matrix in every use here); violation raises ValueError.
+    The coefficients are polynomials in a single Hermitian matrix in every
+    use here, so they commute and the value is Hermitian.
     """
     if not coeffs:
         raise ValueError("poly_eval needs at least one coefficient")
     if n < 0 or int(n) != n:
         raise ValueError(f"evaluation point must be a nonnegative integer, got {n!r}")
-    ctol = DEFAULT_TOLERANCES.comm_tol if comm_tol is None else comm_tol
-    scale = 1.0 + max(c.norm_max() for c in coeffs)
-    for i in range(len(coeffs)):
-        for j in range(i + 1, len(coeffs)):
-            comm = coeffs[i].mat @ coeffs[j].mat - coeffs[j].mat @ coeffs[i].mat
-            if max_abs(comm) > ctol * scale * scale:
-                raise ValueError(
-                    f"coefficients {i} and {j} do not commute "
-                    f"(residual {max_abs(comm):.3e})"
-                )
     acc = np.zeros_like(coeffs[0].mat)
     point = int(n)
     for k, coeff in enumerate(coeffs):

@@ -18,7 +18,6 @@ class Tolerances:
     sqrt_tol: float = 1e-9       # ||R^2 - X|| for principal square roots
     eig_tol: float = 1e-11       # eigendecomposition reconstruction/unitarity
     rank_tol: float = 1e-10      # relative eigenvalue cutoff for numerical rank
-    comm_tol: float = 1e-8       # pairwise commutation of polynomial coefficients
     # solver / builder tolerances
     stein_tol: float = 1e-10     # ||T*QT - Q|| and the U-invariance identity
     welldef_tol: float = 1e-8    # quotient form must vanish on the kernel

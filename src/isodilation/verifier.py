@@ -15,7 +15,7 @@ import numpy as np
 
 from .builder import AssembledDilation, DilationModel, ShiftWeights
 from .errors import WindowExhaustedError
-from .hermitian import eigh, hermitian, max_abs, poly_eval
+from .hermitian import eigh, max_abs, poly_eval
 from .tolerances import DEFAULT_SEED, DEFAULT_TOLERANCES, DEFAULT_TRIALS, Tolerances
 
 
@@ -145,7 +145,7 @@ def check_powers_formula(
     """
     tolerance = tols.powers_tol if tol is None else tol
     model = dilation.model
-    weights = _weights_of(dilation)
+    weights = dilation.weights
     m = model.m
     w = model.dim_h
     d = model.dim_hprime
@@ -157,12 +157,12 @@ def check_powers_formula(
     # S_(k-1)...S_1 for k <= m and the products S_(k-1)...S_(k-m) beyond
     prefixes = [np.eye(d, dtype=np.complex128)]
     for k in range(2, min(m, dilation.n_blocks) + 1):
-        prefixes.append(weights[k - 2].mat @ prefixes[-1])
+        prefixes.append(weights[k - 2] @ prefixes[-1])
     products = {}
     for k in range(m + 1, dilation.n_blocks + 1):
         prod = np.eye(d, dtype=np.complex128)
         for i in range(k - m, k):
-            prod = weights[i - 1].mat @ prod
+            prod = weights[i - 1] @ prod
         products[k] = prod
 
     residual = 0.0
@@ -196,12 +196,6 @@ def check_powers_formula(
         tolerance,
         f"h0 on {h0_dim} of {w} coords, blocks 1..{top_block}, {trials} trials",
     )
-
-
-def _weights_of(dilation: AssembledDilation) -> tuple:
-    # read the weights back from the assembled stack so checks measure what
-    # was actually assembled
-    return tuple(hermitian(s) for s in dilation.weights)
 
 
 def check_w_m_isometry(
@@ -308,8 +302,9 @@ def check_weight_shift_isometry(
     """m-isometry of the weight shift in cumulative form.
 
     The m-th forward difference of n -> |S_n ... S_1|^2 (with the empty
-    product at n = 0) must vanish; the cumulative moduli are recomputed from
-    the actual weights, so a corrupted weight is localized here.
+    product at n = 0) must vanish.  The stored cumulative moduli are read;
+    `perturb_weight` recomputes them from a corrupted weight, so the
+    corruption shows here.
     """
     tolerance_scale = 1.0 + max((c.norm_max() for c in weights.cumulative), default=0.0)
     tolerance = (tols.difference_tol if tol is None else tol) * tolerance_scale
@@ -346,7 +341,7 @@ def check_cumulative_polynomial(
     tolerance = (tols.cumulative_tol if tol is None else tol) * scale
     residual = 0.0
     for n in range(1, weights.horizon + 1):
-        p_n = poly_eval(p_coeffs, n, tols.comm_tol)
+        p_n = poly_eval(p_coeffs, n)
         residual = max(residual, max_abs(weights.cumulative[n - 1].mat - p_n.mat))
     return _result(
         "cumulative_matches_polynomial",

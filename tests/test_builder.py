@@ -187,6 +187,31 @@ class TestPolynomialAndWeights:
         for m in range(2, 12):
             assert ratio_bound_constant(m) == scanned(m) == float(m)
 
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(2, 5), d=st.integers(2, 6), seed=st.integers(0, 2**31))
+    def test_weights_and_b_match_a_dense_oracle(self, m, d, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        a = hermitian(-(g.conj().T @ g) / 4.0)  # dense nonpositive representer
+        horizon = m + 5
+        build = build_p_and_weights(a, m, horizon)
+
+        lam, v = np.linalg.eigh(a.mat)
+
+        def on_spectrum(values):
+            return v @ (values[:, None] * v.conj().T)
+
+        def p(n):  # 1 - lam n (n-1) ... (n-m+2) / (m-1)!
+            return 1.0 - lam * math.prod(range(n - m + 2, n + 1)) / math.factorial(m - 1)
+
+        for n in range(1, horizon + 1):
+            expected = on_spectrum(np.sqrt(p(n) / p(n - 1)))
+            assert max_abs(build.weights.weights[n - 1].mat - expected) <= 1e-9 * max_abs(expected)
+        b = on_spectrum(np.sqrt(1.0 - lam))
+        assert max_abs(build.b.mat - b) <= 1e-9 * max_abs(b)
+        assert max_abs(build.b.mat @ build.b.mat - (np.eye(d) - a.mat)) <= 1e-9 * (1 + a.norm_max())
+        assert build.b_norm == pytest.approx(math.sqrt(1.0 - lam[0]), rel=1e-10)
+
     @settings(max_examples=20, deadline=None)
     @given(m=st.integers(2, 5), seed=st.integers(0, 2**31))
     def test_prefix_identities_and_difference(self, m, seed):

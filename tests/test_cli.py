@@ -63,6 +63,15 @@ class TestExitCodes:
         assert main(["--spec", str(spec_file), "--tol", "psd_tol"]) == 3
         assert main(["--spec", str(spec_file), "--tol", "psd_tol=abc"]) == 3
 
+    def test_removed_comm_tol_is_three(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(json.loads(DIRICHLET_SPEC), tolerances={"comm_tol": 1e-8})))
+        assert main(["--spec", str(path)]) == 3
+        assert "comm_tol" in capsys.readouterr().err
+        path.write_text(DIRICHLET_SPEC)
+        assert main(["--spec", str(path), "--tol", "comm_tol=1e-8"]) == 3
+        assert "comm_tol" in capsys.readouterr().err
+
     def test_no_spec_is_three(self, capsys):
         assert main([]) == 3
 

@@ -237,12 +237,6 @@ class TestPolyEval:
         p = poly_eval(coeffs, 3)
         assert p.mat[0, 0].real == pytest.approx(1.75, abs=1e-15)
 
-    def test_rejects_noncommuting_coefficients(self):
-        a = hermitian([[1.0, 0.0], [0.0, -1.0]])
-        b = hermitian([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError):
-            poly_eval([a, b], 2)
-
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(0, 9), deg=st.integers(0, 4), seed=st.integers(0, 2**31))
     def test_matches_horner_oracle(self, n, deg, seed):

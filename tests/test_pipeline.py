@@ -1,12 +1,15 @@
 """Pipeline orchestration: path selection, report layout, demo catalog."""
 
 import json
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from isodilation.errors import PreconditionError, UnknownDemoError
+from isodilation.hermitian import max_abs
 from isodilation.pipeline import DEMOS, classify_spec, demo, demo_spec, run_pipeline
 from isodilation.specfile import spec_from_dict
 
@@ -86,6 +89,44 @@ class TestPathSelection:
         )
         with pytest.raises(PreconditionError):
             run_pipeline(spec)
+
+
+def _paired_moduli_contraction(seed: int, dim: int, nilpotent: float) -> np.ndarray:
+    """V (Z + nilpotent * N) V*: Haar V, moduli in equal pairs, N strictly upper.
+
+    With nilpotent = 0 the contraction is normal, so the representer commutes
+    with the 2-defect and arrives (nearly) diagonal in its eigenbasis; the
+    triangular part keeps it 3-concave but puts it far off that basis.
+    """
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    v = q * (np.diag(r) / np.abs(np.diag(r)))
+    moduli = np.repeat(rng.uniform(0.3, 0.8, dim // 2), 2)
+    z = moduli * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, dim))
+    tri = np.diag(z) + nilpotent * np.triu(rng.standard_normal((dim, dim)), 1)
+    return v @ tri @ v.conj().T
+
+
+class TestDenseRepresenter:
+    @pytest.mark.parametrize("nilpotent", [0.0, 0.01], ids=["normal", "nonnormal"])
+    @pytest.mark.parametrize("n_blocks", [12, 24])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_every_check_passes(self, seed, n_blocks, nilpotent):
+        t = _paired_moduli_contraction(seed, 8, nilpotent)
+        entries = [[[float(x.real), float(x.imag)] for x in row] for row in t]
+        result = run_pipeline(spec_from_dict({
+            "operator": {"kind": "dense", "entries": entries},
+            "m": 3,
+            "truncation": {"n_blocks": n_blocks},
+        }))
+        assert result.path == "three_concave"
+        assert [c["name"] for c in result.report["checks"] if not c["passed"]] == []
+        a = result.model.a.mat
+        off_diagonal = max_abs(a - np.diag(np.diag(a)))
+        if nilpotent:
+            # far above the Jacobi stopping threshold, so A is rotated
+            assert off_diagonal > 1e-6 * max_abs(a)
 
 
 class TestClassifyOnly:

@@ -8,11 +8,10 @@ import importlib
 import pkgutil
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import isodilation
-from isodilation import hermitian, parse_spec, run_pipeline, spec_from_dict
+from isodilation import parse_spec, run_pipeline, spec_from_dict
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "spec-examples"
 
@@ -60,22 +59,19 @@ def test_dense_run_decomposes_each_matrix_once(calls):
     result = run_pipeline(_dense_spec())
     assert result.path == "three_concave" and result.overall
     # classify: beta_1, -beta_3, beta_2 (shared with the builder's gates and
-    # quotient form); A; p(1..12); I - A; B
-    assert len(calls["eigh"]) == 18
+    # quotient form); A, whose spectrum gives every weight and B
+    assert len(calls["eigh"]) == 4
     assert sorted(calls["defect_form"]) == [1, 2, 3]
-    # every input is distinct except I - A: the weight loop decomposes it as
-    # p(m-1) and B's square root decomposes it again
-    a = result.model.a
-    i_minus_a = hermitian(np.eye(a.n) - a.mat).mat.tobytes()
     inputs = [data for data, _ in calls["eigh"]]
-    assert inputs.count(i_minus_a) == 2
-    assert len(set(inputs)) == len(inputs) - 1
+    assert len(set(inputs)) == len(inputs)
+    assert inputs[-1] == result.model.a.mat.tobytes()
 
 
 def test_shift_run_computes_each_defect_form_once(calls):
     result = run_pipeline(spec_from_dict(SHIFT_M2))
     assert result.path == "general_m" and result.badea_model is not None
     assert sorted(calls["defect_form"]) == [1, 2]
+    assert len(calls["eigh"]) == 7
 
 
 @pytest.mark.parametrize("spec", [_dense_spec(), spec_from_dict(SHIFT_M2)], ids=["dense", "shift"])

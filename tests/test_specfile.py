@@ -1,12 +1,18 @@
 """Spec file parsing, validation, and canonical round-trips."""
 
+import ast
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from isodilation.errors import SpecParseError, SpecValidationError
 from isodilation.pipeline import DEMOS
 from isodilation.specfile import emit_spec, parse_spec, spec_from_dict
+from isodilation.tolerances import Tolerances
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "isodilation"
 
 VALID_SHIFT = {
     "operator": {"kind": "shift", "rule": {"name": "dirichlet"}},
@@ -71,6 +77,12 @@ class TestParse:
         bad = dict(VALID_SHIFT, tolerances={"no_such_tol": 1e-9})
         with pytest.raises(SpecValidationError):
             spec_from_dict(bad)
+
+    def test_removed_comm_tol_rejected(self):
+        bad = dict(VALID_SHIFT, tolerances={"comm_tol": 1e-8})
+        with pytest.raises(SpecValidationError) as err:
+            spec_from_dict(bad)
+        assert "comm_tol" in " ".join(err.value.errors)
 
     def test_wrong_schema_version_rejected(self):
         bad = dict(VALID_SHIFT, schema_version=2)
@@ -143,3 +155,15 @@ class TestRoundTrip:
         assert again == spec
         assert again.tolerances().psd_tol == 1e-8
         assert again.seed == 7
+
+
+def test_every_tolerance_is_read():
+    """A spec can set every Tolerances field, so each must be read outside
+    tolerances.py; a field whose last reader is gone is a dead knob."""
+    read = set()
+    for path in SRC.rglob("*.py"):
+        if path.name != "tolerances.py":
+            tree = ast.parse(path.read_text())
+            read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    fields = {f.name for f in dataclasses.fields(Tolerances)}
+    assert sorted(fields - read) == []
