@@ -56,14 +56,12 @@ from .hermitian import (
 )
 from .operators import (
     Classification,
-    ExactWindow,
     OperatorCorner,
     WeightRule,
     classify,
     defect_form,
     dense_corner,
     make_shift_corner,
-    power_window,
 )
 from .pipeline import (
     DEMOS,

@@ -49,7 +49,7 @@ from .hermitian import (
     psd_check,
     spectral_apply,
 )
-from .operators import DefectForms, ExactWindow, OperatorCorner
+from .operators import DefectForms, OperatorCorner
 from .qsolver import QSolution
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -68,7 +68,6 @@ class DilationModel:
     m: int
     path: str
     corner: OperatorCorner
-    window: ExactWindow
     defect_m: HermitianMatrix
     defect_prev: HermitianMatrix
     q: QSolution | None
@@ -78,8 +77,6 @@ class DilationModel:
     b: HermitianMatrix
     b_norm: float  # spectral norm of B
     p_coeffs: tuple
-    ratio_bound: float
-    rayleigh_bound: float
     welldef_residual: float
     # window norm of the form the representer A stands for: the m-defect on
     # the general path, the T-compressed 3-defect on the 3-concave path.
@@ -209,7 +206,6 @@ class QuotientForm(NamedTuple):
 def _quotient_form(
     metric: HermitianMatrix,
     numerator: HermitianMatrix,
-    rank_tol: float | None,
     tols: Tolerances,
     what: str,
     dec: EigenDecomposition | None = None,
@@ -221,7 +217,6 @@ def _quotient_form(
     defined only when X vanishes on the kernel of R, certified by the
     residual ||X - R (R+ X R+) R||.
     """
-    rtol = tols.rank_tol if rank_tol is None else rank_tol
     if dec is None:
         dec = eigh(metric, tols.eig_tol)
     floor = -tols.psd_tol * (1.0 + metric.norm_max())
@@ -229,7 +224,7 @@ def _quotient_form(
         raise NotPsdError(f"{what}: metric not PSD (min eig {dec.values[0]:.3e})")
     lam = np.clip(dec.values, 0.0, None)
     lam_max = float(lam[-1]) if metric.n else 0.0
-    kept = lam > rtol * lam_max
+    kept = lam > tols.rank_tol * lam_max
     root = spectral_apply(dec, np.sqrt(lam))
     inv_root = spectral_apply(dec, np.where(kept, 1.0 / np.sqrt(np.where(kept, lam, 1.0)), 0.0))
     basis = np.ascontiguousarray(dec.basis[:, kept])
@@ -273,15 +268,12 @@ def _clamp_nonpositive(
 def build_a_general(
     q: QSolution,
     defect_m: HermitianMatrix,
-    window: ExactWindow,
-    rank_tol: float | None = None,
+    window: int,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> QuotientForm:
     """Representer of the m-defect over the range of the metric root."""
-    w = min(window.valid_dim, defect_m.n, q.q.n)
-    form = _quotient_form(
-        q.q.restrict(w), defect_m.restrict(w), rank_tol, tols, "general construction"
-    )
+    w = min(window, defect_m.n, q.q.n)
+    form = _quotient_form(q.q.restrict(w), defect_m.restrict(w), tols, "general construction")
     a, a_dec = _clamp_nonpositive(form.a, tols, "general construction")
     return form._replace(a=a, a_dec=a_dec)
 
@@ -299,8 +291,7 @@ def _forms_of(t: OperatorCorner, forms: DefectForms | None, tols: Tolerances) ->
 
 def build_a_three_concave(
     t: OperatorCorner,
-    window: ExactWindow,
-    rank_tol: float | None = None,
+    window: int,
     tols: Tolerances = DEFAULT_TOLERANCES,
     forms: DefectForms | None = None,
 ) -> QuotientForm:
@@ -312,9 +303,8 @@ def build_a_three_concave(
     defect forms of t and their decompositions (computed here when None).
     """
     forms = _forms_of(t, forms, tols)
-    beta3, win3 = forms.full(3)
-    compressed = t.matrix.conj().T @ beta3.mat @ t.matrix
-    w = min(window.valid_dim, win3.valid_dim - (t.bandwidth if t.exact else 0))
+    compressed = t.matrix.conj().T @ forms.full(3).mat @ t.matrix
+    w = min(window, t.window_after(4))
     if w <= 0:
         raise DimensionError("no exact window left for the 3-concave construction")
 
@@ -329,7 +319,7 @@ def build_a_three_concave(
 
     numerator = hermitian(compressed[:w, :w], tols.herm_tol)
     form = _quotient_form(
-        forms.on(2, w), numerator, rank_tol, tols, "3-concave construction",
+        forms.on(2, w), numerator, tols, "3-concave construction",
         forms.decomposition(2, w),
     )
     a, a_dec = _clamp_nonpositive(form.a, tols, "3-concave construction")
@@ -346,19 +336,9 @@ def _falling_factorial_coeffs(m: int) -> list[int]:
     return coeffs
 
 
-def ratio_bound_constant(m: int) -> float:
-    """Supremum over n >= m-1 of the successive falling-product ratio.
-
-    The ratio telescopes to (n+1)/(n-m+2), which decreases in n and so is
-    largest at n = m-1, where it equals m.
-    """
-    return float(m)
-
-
 class WeightsBuild(NamedTuple):
     p_coeffs: tuple
     weights: "ShiftWeights"
-    ratio_bound: float
     b: HermitianMatrix
     b_norm: float  # spectral norm of B
 
@@ -420,7 +400,6 @@ def build_p_and_weights(
     return WeightsBuild(
         p_coeffs,
         _with_cumulative(weights, tols.herm_tol),
-        ratio_bound_constant(m),
         hermitian(spectral_apply(dec, b_vals), tols.herm_tol),
         float(b_vals.max()) if d else 0.0,
     )
@@ -495,8 +474,6 @@ def _model_from_form(
         b=build.b,
         b_norm=build.b_norm,
         p_coeffs=build.p_coeffs,
-        ratio_bound=build.ratio_bound,
-        rayleigh_bound=max(build.b_norm**2, build.ratio_bound),
         welldef_residual=form.welldef_residual,
         **fields,
     )
@@ -508,20 +485,18 @@ def build_general_model(
     m: int,
     q: QSolution,
     weights_horizon: int,
-    rank_tol: float | None = None,
     tols: Tolerances = DEFAULT_TOLERANCES,
     forms: DefectForms | None = None,
 ) -> tuple[DilationModel, ShiftWeights]:
     """Run the general construction for an expansive m-concave corner."""
     forms = _forms_of(t, forms, tols)
-    w = min(forms.full(m)[1].valid_dim, q.q.n)
+    w = min(t.window_after(m), q.q.n)
     defect_m, defect_prev = forms.on(m, w), forms.on(max(m - 1, 1), w)
-    form = build_a_general(q, defect_m, ExactWindow(w), rank_tol, tols)
+    form = build_a_general(q, defect_m, w, tols)
     return _model_from_form(
         form, m, weights_horizon, tols,
         path="general_m",
         corner=t.leading(w),
-        window=ExactWindow(w),
         defect_m=defect_m,
         defect_prev=defect_prev,
         q=q,
@@ -532,23 +507,21 @@ def build_general_model(
 def build_three_concave_model(
     t: OperatorCorner,
     weights_horizon: int,
-    rank_tol: float | None = None,
     tols: Tolerances = DEFAULT_TOLERANCES,
     forms: DefectForms | None = None,
 ) -> tuple[DilationModel, ShiftWeights]:
     """Run the 3-concave construction (no expansivity, no metric solve)."""
     m = 3
     forms = _forms_of(t, forms, tols)
-    w = forms.full(m)[1].valid_dim - (t.bandwidth if t.exact else 0)
+    w = t.window_after(m + 1)  # the represented form compresses beta_3 by T
     if w <= 0:
         raise DimensionError("corner too small for the 3-concave construction")
     defect_m, defect_prev = forms.on(m, w), forms.on(m - 1, w)
-    form = build_a_three_concave(t, ExactWindow(w), rank_tol, tols, forms)
+    form = build_a_three_concave(t, w, tols, forms)
     return _model_from_form(
         form, m, weights_horizon, tols,
         path="three_concave",
         corner=t.leading(w),
-        window=ExactWindow(w),
         defect_m=defect_m,
         defect_prev=defect_prev,
         q=None,
@@ -561,7 +534,6 @@ def build_badea_2iso(
     q: QSolution,
     n_blocks: int,
     weights_horizon: int | None = None,
-    rank_tol: float | None = None,
     tols: Tolerances = DEFAULT_TOLERANCES,
     forms: DefectForms | None = None,
 ) -> tuple[DilationModel, ShiftWeights, AssembledDilation]:
@@ -573,7 +545,7 @@ def build_badea_2iso(
     """
     m = 2
     forms = _forms_of(t, forms, tols)
-    w = min(forms.full(m)[1].valid_dim, q.q.n)
+    w = min(t.window_after(m), q.q.n)
     defect_m, defect_prev = forms.on(m, w), forms.on(m - 1, w)
     gap = hermitian(q.q.restrict(w).mat - defect_prev.mat, tols.herm_tol)
     dec = eigh(gap, tols.eig_tol)
@@ -583,13 +555,12 @@ def build_badea_2iso(
             f"metric minus 1-defect is not nonnegative (min eig {gate.min_eig:.3e})"
         )
     lam = np.clip(dec.values, 0.0, None)
-    rtol = tols.rank_tol if rank_tol is None else rank_tol
     # the difference is formed from the metric and the 1-defect, so roundoff
     # lives at their scale; a cutoff relative to lam_max alone would promote
     # pure noise to range directions when the difference vanishes
     data_scale = q.q.norm_max() + defect_prev.norm_max()
     lam_max = float(lam[-1]) if lam.size else 0.0
-    kept = lam > rtol * max(lam_max, data_scale)
+    kept = lam > tols.rank_tol * max(lam_max, data_scale)
     basis = np.ascontiguousarray(dec.basis[:, kept])
     root = spectral_apply(dec, np.sqrt(lam))
     u = basis.conj().T @ root
@@ -602,7 +573,6 @@ def build_badea_2iso(
         m=m,
         path="badea_2iso",
         corner=t.leading(w),
-        window=ExactWindow(w),
         defect_m=defect_m,
         defect_prev=defect_prev,
         q=q,
@@ -612,8 +582,6 @@ def build_badea_2iso(
         b=eye,
         b_norm=1.0 if d else 0.0,
         p_coeffs=(eye,),
-        ratio_bound=ratio_bound_constant(m),
-        rayleigh_bound=max(1.0, ratio_bound_constant(m)),
         welldef_residual=0.0,
         remark_form_norm=defect_m.norm_max(),
     )

@@ -6,7 +6,8 @@
     dilate --list-demos
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 the operator fails
-the preconditions of every construction path, 3 parse or validation errors.
+the preconditions of every construction path, 3 parse or validation errors,
+an unreadable spec or an unwritable report file.
 """
 
 import argparse
@@ -96,7 +97,10 @@ def _trials_kw(args) -> dict:
 def _write(report: dict, out: str | None):
     text = emit_report(report)
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise SpecError(f"cannot write report {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -3,8 +3,9 @@
 For a scalar shift every object in the construction is diagonal in the
 standard basis: the defect forms, the invariant metric, the representer A,
 B, U, and all weights.  This module computes those diagonals straight from
-the weight rule (no eigendecompositions), both as a fast production route
-and as an independent cross-check of the dense path.
+the weight rule (no eigendecompositions).  The pipeline builds them only
+for the `diagonal_dense_agreement` check, an independent cross-check of the
+dense path; every reported object comes from the dense path.
 """
 
 import math
@@ -17,6 +18,9 @@ from .errors import NotNegativeError, NotPsdError
 from .hermitian import max_abs
 from .operators import WeightRule
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
+
+# leading weights S_1 .. S_8 enter the dense agreement residual
+_AGREEMENT_WEIGHTS = 8
 
 
 def defect_diagonal(rule: WeightRule, m: int, count: int) -> np.ndarray:
@@ -46,10 +50,7 @@ class DiagonalModel:
     path: str
     window: int
     support: np.ndarray          # H' indices: metric diagonal above the rank cutoff
-    defect_m_diag: np.ndarray
-    defect_prev_diag: np.ndarray
     q_diag: np.ndarray | None    # metric diagonal on the window (general/badea)
-    metric_diag: np.ndarray      # diagonal whose root defines U (path dependent)
     a_diag: np.ndarray           # on support
     b_diag: np.ndarray           # on support
     u_diag: np.ndarray           # on support
@@ -70,11 +71,9 @@ def build_diagonal_model(
     path: str,
     horizon: int,
     q_seq: np.ndarray | None = None,
-    rank_tol: float | None = None,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> DiagonalModel:
     """Diagonal analogue of the dense construction on the same window."""
-    rtol = tols.rank_tol if rank_tol is None else rank_tol
     beta_m = defect_diagonal(rule, m, window)
     beta_prev = defect_diagonal(rule, m - 1, window) if m >= 2 else beta_m
 
@@ -110,7 +109,7 @@ def build_diagonal_model(
             float(np.max(np.abs(q_seq[:window]), initial=0.0))
             + float(np.max(np.abs(beta_prev), initial=0.0)),
         )
-    cutoff = rtol * cutoff_scale
+    cutoff = tols.rank_tol * cutoff_scale
     support = np.nonzero(metric > cutoff)[0]
 
     a_vals = numerator[support] / metric[support] if support.size else np.zeros(0)
@@ -141,10 +140,7 @@ def build_diagonal_model(
         path=path,
         window=window,
         support=support,
-        defect_m_diag=beta_m,
-        defect_prev_diag=beta_prev,
         q_diag=q_diag,
-        metric_diag=metric,
         a_diag=a_vals,
         b_diag=b_vals,
         u_diag=u_vals,
@@ -163,7 +159,6 @@ def dense_agreement_residual(
     model: DilationModel,
     weights: ShiftWeights,
     diag: DiagonalModel,
-    n_weights: int = 8,
 ) -> float:
     """Max-norm disagreement between the dense path and the diagonal path.
 
@@ -182,7 +177,7 @@ def dense_agreement_residual(
     u_window = model.basis @ model.u
     u_diag_mat = embed_support_diagonal(w, diag.support, diag.u_diag)
     residual = max(residual, max_abs(u_window - u_diag_mat))
-    count = min(n_weights, weights.horizon, len(diag.weight_diags))
+    count = min(_AGREEMENT_WEIGHTS, weights.horizon, len(diag.weight_diags))
     for n in range(1, count + 1):
         dense_s = model.embed(weights.weights[n - 1].mat)
         diag_s = embed_support_diagonal(w, diag.support, diag.weight_diags[n - 1])

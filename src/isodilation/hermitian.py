@@ -289,22 +289,20 @@ class PinvSqrt(NamedTuple):
 
 def pinv_sqrt(
     x: HermitianMatrix,
-    rank_tol: float | None = None,
     tols: Tolerances = DEFAULT_TOLERANCES,
     dec: EigenDecomposition | None = None,
 ) -> PinvSqrt:
     """Pseudo-inverse square root of a nonnegative matrix.
 
-    Eigenvalues at or below rank_tol * max eigenvalue count as kernel and map
-    to zero; the returned projector spans the numerical range and its trace
-    is the numerical rank.
+    Eigenvalues at or below tols.rank_tol * max eigenvalue count as kernel
+    and map to zero; the returned projector spans the numerical range and
+    its trace is the numerical rank.
     """
-    rtol = tols.rank_tol if rank_tol is None else rank_tol
     if dec is None:
         dec = eigh(x, tols.eig_tol)
     _require_psd(x, dec, tols.psd_tol, "pseudo-inverse square root")
     lam_max = float(dec.values[-1]) if x.n else 0.0
-    cutoff = rtol * max(lam_max, 0.0)
+    cutoff = tols.rank_tol * max(lam_max, 0.0)
     kept = dec.values > cutoff
     inv_vals = np.where(kept, 1.0 / np.sqrt(np.where(kept, dec.values, 1.0)), 0.0)
     proj_vals = kept.astype(float)

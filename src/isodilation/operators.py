@@ -2,9 +2,10 @@
 
 A corner is the N-by-N leading block of an operator together with bandwidth
 and exactness metadata.  Products and alternating sums of corners are only
-trustworthy on a leading sub-block; `ExactWindow` carries the conservative
-bound valid_dim = N - (operators applied) * (total bandwidth), which replaces
-closure arguments about the infinite objects by exact finite accounting.
+trustworthy on a leading sub-block; `OperatorCorner.window_after` is the one
+rule for its size, N - (operators applied) * (total bandwidth), which
+replaces closure arguments about the infinite objects by exact finite
+accounting.
 
 Finite-dimensional inputs (exact=False) are classified globally with no
 window shrink.  Note that a finite-dimensional operator that is both
@@ -46,8 +47,8 @@ class WeightRule:
 
     def __post_init__(self):
         if self.kind == "constant":
-            if self.c is None or not (self.c > 0.0):
-                raise WeightRuleError(f"constant rule needs c > 0, got {self.c!r}")
+            if self.c is None or not (0.0 < self.c < math.inf):
+                raise WeightRuleError(f"constant rule needs finite c > 0, got {self.c!r}")
         elif self.kind == "dirichlet":
             pass
         elif self.kind == "geometric_concave":
@@ -56,10 +57,12 @@ class WeightRule:
                     f"geometric_concave rule needs r in (0, 1), got {self.r!r}"
                 )
         elif self.kind == "table":
-            if not self.values or any(not (v > 0.0) for v in self.values):
-                raise WeightRuleError("table rule needs a nonempty list of positive weights")
-            if self.tail is None or not (self.tail > 0.0):
-                raise WeightRuleError(f"table rule needs tail_value > 0, got {self.tail!r}")
+            if not self.values or any(not (0.0 < v < math.inf) for v in self.values):
+                raise WeightRuleError(
+                    "table rule needs a nonempty list of finite positive weights"
+                )
+            if self.tail is None or not (0.0 < self.tail < math.inf):
+                raise WeightRuleError(f"table rule needs finite tail_value > 0, got {self.tail!r}")
         else:
             raise WeightRuleError(f"unknown weight rule {self.kind!r}")
 
@@ -96,10 +99,6 @@ class WeightRule:
     def weight(self, j: int) -> float:
         return math.sqrt(self.weight_sq(j))
 
-    def weights(self, count: int) -> np.ndarray:
-        """Array of w_1 .. w_count."""
-        return np.array([self.weight(j) for j in range(1, count + 1)])
-
     def weight_sq_products(self, count: int) -> np.ndarray:
         """Prefix products pi_n = w_1^2 * ... * w_n^2 for n = 0 .. count."""
         out = np.empty(count + 1)
@@ -107,22 +106,6 @@ class WeightRule:
         for j in range(1, count + 1):
             out[j] = out[j - 1] * self.weight_sq(j)
         return out
-
-    def label(self) -> str:
-        if self.kind == "constant":
-            return f"constant({self.c:g})"
-        if self.kind == "geometric_concave":
-            return f"geometric_concave({self.r:g})"
-        if self.kind == "table":
-            return f"table({len(self.values)} values, tail {self.tail:g})"
-        return self.kind
-
-
-@dataclass(frozen=True)
-class ExactWindow:
-    """Leading principal block of a computed corner that is truncation-exact."""
-
-    valid_dim: int
 
 
 @dataclass(frozen=True)
@@ -207,32 +190,15 @@ def dense_corner(entries) -> OperatorCorner:
     return OperatorCorner(mat, max(lower, 0), max(upper, 0), False, None)
 
 
-def power_window(t: OperatorCorner, n: int) -> tuple[np.ndarray, ExactWindow]:
-    """n-th power of a corner with its exact window."""
-    if n < 0:
-        raise ValueError("power must be nonnegative")
-    valid = t.window_after(n)
-    if valid <= 0:
-        raise WindowExhaustedError(
-            f"power {n} of a bandwidth-{t.bandwidth} corner of size {t.n} has no exact window"
-        )
-    acc = np.eye(t.n, dtype=np.complex128)
-    for _ in range(n):
-        acc = t.matrix @ acc
-    return acc, ExactWindow(valid)
-
-
-def defect_form(t: OperatorCorner, m: int) -> tuple[HermitianMatrix, ExactWindow]:
+def defect_form(t: OperatorCorner, m: int) -> HermitianMatrix:
     """m-th defect form: the alternating binomial sum over T*^k T^k, k = 0..m.
 
     The form vanishes exactly for m-isometries and is <= 0 for m-concave
-    operators.  Exact on the leading (N - m * bandwidth) block for exact
-    corners, everywhere for finite-dimensional ones.
+    operators.  Exact on the leading `t.window_after(m)` block.
     """
     if m < 1:
         raise ValueError(f"defect order must be >= 1, got {m}")
-    valid = t.window_after(m)
-    if valid <= 0:
+    if t.window_after(m) <= 0:
         raise WindowExhaustedError(
             f"defect order {m} exhausts the window of a size-{t.n} corner "
             f"with bandwidth {t.bandwidth}"
@@ -244,7 +210,7 @@ def defect_form(t: OperatorCorner, m: int) -> tuple[HermitianMatrix, ExactWindow
             power = t.matrix @ power
         sign = -1.0 if (m - k) % 2 else 1.0
         acc = acc + (sign * math.comb(m, k)) * (power.conj().T @ power)
-    return hermitian(acc), ExactWindow(valid)
+    return hermitian(acc)
 
 
 class DefectForms:
@@ -264,24 +230,24 @@ class DefectForms:
     def __init__(self, t: OperatorCorner, tols: Tolerances = DEFAULT_TOLERANCES):
         self.corner = t
         self.tols = tols
-        self._full: dict[int, tuple[HermitianMatrix, ExactWindow]] = {}
+        self._full: dict[int, HermitianMatrix] = {}
         self._blocks: dict[tuple, HermitianMatrix] = {}
         self._decs: dict[tuple, EigenDecomposition] = {}
 
-    def full(self, k: int) -> tuple[HermitianMatrix, ExactWindow]:
-        """beta_k on the whole corner, with its exact window."""
+    def full(self, k: int) -> HermitianMatrix:
+        """beta_k on the whole corner; exact on `corner.window_after(k)`."""
         if k not in self._full:
             self._full[k] = defect_form(self.corner, k)
         return self._full[k]
 
     def _key(self, k: int, w: int | None, negate: bool) -> tuple:
-        return (k, self.full(k)[1].valid_dim if w is None else w, negate)
+        return (k, self.corner.window_after(k) if w is None else w, negate)
 
     def on(self, k: int, w: int | None = None, negate: bool = False) -> HermitianMatrix:
         """beta_k (or -beta_k) on its leading w-block, default its exact window."""
         key = self._key(k, w, negate)
         if key not in self._blocks:
-            block = self.full(k)[0].restrict(key[1])
+            block = self.full(k).restrict(key[1])
             self._blocks[key] = hermitian(-block.mat, self.tols.herm_tol) if negate else block
         return self._blocks[key]
 
@@ -336,15 +302,10 @@ class Classification:
         }
 
 
-def classify(
-    t: OperatorCorner,
-    m: int,
-    tol: float | None = None,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> Classification:
+def classify(t: OperatorCorner, m: int, tols: Tolerances = DEFAULT_TOLERANCES) -> Classification:
     """Classify a corner: expansive, m-concave, m-isometric, and whether the
     (m-1)-defect is nonnegative (the precondition for the invariant metric)."""
-    ctol = tols.class_tol if tol is None else tol
+    ctol = tols.class_tol
     forms = DefectForms(t, tols)
 
     iso_norm = forms.on(m).norm_max()

@@ -120,10 +120,6 @@ class PipelineResult:
     def overall(self) -> bool:
         return self.verification.overall
 
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.overall else 1
-
 
 def _make_corner(spec: OperatorSpecFile):
     if spec.kind == "shift":
@@ -146,7 +142,7 @@ def classify_spec(
     """Classification-only entry point (the `verify` subcommand)."""
     tols = spec.tolerances().replace(**(tol_overrides or {}))
     corner = _make_corner(spec)
-    cls = classify(corner, spec.m, tols.class_tol, tols)
+    cls = classify(corner, spec.m, tols)
     admissible = _admissible_paths(cls, spec.m)
     report = {
         "schema_version": 1,
@@ -168,8 +164,9 @@ def _solve_metric(spec, corner, m, tols, forms: DefectForms) -> QSolution:
     if spec.kind == "shift":
         horizon = spec.horizon if spec.horizon is not None else 4 * spec.n
         delta_diag = defect_diagonal(spec.rule, m - 1, horizon + 1)
-        window = corner.n - m * corner.bandwidth
-        return solve_q_shift_diagonal(spec.rule, delta_diag, horizon, dim=window, tols=tols)
+        return solve_q_shift_diagonal(
+            spec.rule, delta_diag, horizon, dim=corner.window_after(m), tols=tols
+        )
     return solve_q_fixed_point(
         corner, forms.on(m - 1), tols=tols, dec=forms.decomposition(m - 1)
     )
@@ -193,7 +190,7 @@ def run_pipeline(
     n_blocks = spec.n_blocks
     corner = _make_corner(spec)
 
-    cls = classify(corner, m, tols.class_tol, tols)
+    cls = classify(corner, m, tols)
     forms = cls.forms
     admissible = _admissible_paths(cls, m)
     if spec.path is not None and spec.path != "badea_2iso":
@@ -249,7 +246,7 @@ def run_pipeline(
         diag_model = build_diagonal_model(
             spec.rule,
             m,
-            model.window.valid_dim,
+            model.dim_h,
             path,
             max(weights_horizon, 8),
             q_seq=q.q_seq if q is not None else None,
@@ -323,7 +320,7 @@ def _verify(
         gram = model.u.conj().T @ model.u
         t_mat = model.corner.matrix
         diff = t_mat.conj().T @ gram @ t_mat - gram
-        win = model.dim_h - model.corner.bandwidth if model.corner.exact else model.dim_h
+        win = model.corner.window_after(1)
         u_res = max_abs(diff[:win, :win])
         u_limit = tols.stein_tol * (1.0 + max_abs(gram))
         rep.add(CheckResult(
@@ -365,8 +362,7 @@ def _verify(
 
 
 def _is_isometric(model: DilationModel, forms: DefectForms, tols: Tolerances) -> bool:
-    w = model.dim_h - model.corner.bandwidth if model.corner.exact else model.dim_h
-    return forms.on(1, w).norm_max() <= tols.class_tol
+    return forms.on(1, model.corner.window_after(1)).norm_max() <= tols.class_tol
 
 
 def _renamed(check: CheckResult, name: str) -> CheckResult:
@@ -384,8 +380,10 @@ def _build_report(
         "dim_hprime": model.dim_hprime,
         "n_blocks": assembled.n_blocks,
         "b_norm": model.b_norm,
-        "ratio_bound": model.ratio_bound,
-        "rayleigh_bound": model.rayleigh_bound,
+        # closed forms: the successive falling-product ratio
+        # (n+1)/(n-m+2) is largest at n = m-1, where it equals m
+        "ratio_bound": float(model.m),
+        "rayleigh_bound": max(model.b_norm**2, float(model.m)),
         "welldef_residual": model.welldef_residual,
         "weights_head": weights_head,
     }

@@ -37,8 +37,13 @@ from .hermitian import (
     psd_check,
     spectral_apply,
 )
-from .operators import ExactWindow, OperatorCorner, WeightRule, make_shift_corner
+from .operators import OperatorCorner, WeightRule, make_shift_corner
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
+
+# relative step size at which the fixed-point iteration has settled, and
+# its step budget
+_FIXED_POINT_TOL = 1e-13
+_FIXED_POINT_MAX_ITER = 512
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ def verify_q(
     t: OperatorCorner,
     q: HermitianMatrix,
     delta: HermitianMatrix,
-    window: ExactWindow,
+    window: int,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[float, float]:
     """Measure the contract residuals of a candidate metric.
@@ -71,7 +76,7 @@ def verify_q(
     Returns (stein_residual, dominance_residual) computed on the exact
     window only; pure measurement, no mutation.
     """
-    w = min(window.valid_dim, q.n, delta.n, t.n)
+    w = min(window, q.n, delta.n, t.n)
     stein_w = max(w - t.bandwidth, 0) if t.exact else w
     tm = t.matrix[:w, :w]
     qm = q.mat[:w, :w]
@@ -165,7 +170,7 @@ def solve_q_shift_diagonal(
     corner = make_shift_corner(rule, d) if d >= 2 else None
     if corner is not None:
         delta_mat = hermitian(np.diag(delta_diag[:d]).astype(np.complex128))
-        stein, dominance = verify_q(corner, q_mat, delta_mat, ExactWindow(d), tols)
+        stein, dominance = verify_q(corner, q_mat, delta_mat, d, tols)
     else:
         stein = 0.0
         dominance = float(q_seq[0] - delta_diag[0])
@@ -176,8 +181,6 @@ def solve_q_shift_diagonal(
 def solve_q_fixed_point(
     t: OperatorCorner,
     delta: HermitianMatrix,
-    tol: float = 1e-13,
-    max_iter: int = 512,
     tols: Tolerances = DEFAULT_TOLERANCES,
     dec: EigenDecomposition | None = None,
 ) -> QSolution:
@@ -223,7 +226,7 @@ def solve_q_fixed_point(
 
     q = delta
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _FIXED_POINT_MAX_ITER + 1):
         nxt = hermitian(t_inv.conj().T @ q.mat @ t_inv, tols.herm_tol)
         step = hermitian(nxt.mat - q.mat, tols.herm_tol)
         monotone = psd_check(step, max(1e-12, tols.psd_tol), tols.eig_tol)
@@ -231,14 +234,16 @@ def solve_q_fixed_point(
             raise ConvergenceError(
                 f"fixed-point iterate lost monotonicity (min eig {monotone.min_eig:.3e})"
             )
-        done = max_abs(step.mat) <= tol * (1.0 + nxt.norm_max())
+        done = max_abs(step.mat) <= _FIXED_POINT_TOL * (1.0 + nxt.norm_max())
         q = nxt
         if done:
             break
     else:
-        raise ConvergenceError(f"fixed-point iteration did not settle in {max_iter} steps")
+        raise ConvergenceError(
+            f"fixed-point iteration did not settle in {_FIXED_POINT_MAX_ITER} steps"
+        )
 
-    stein, dominance = verify_q(t, q, delta, ExactWindow(t.n), tols)
+    stein, dominance = verify_q(t, q, delta, t.n, tols)
     _check_contract(q, stein, dominance, tols)
     method = "zero" if q.norm_max() == 0.0 else "fixed_point"
     return QSolution(q, method, None, stein, dominance, iterations)

@@ -7,6 +7,7 @@ bounds).  Unknown fields and unknown rule names are rejected.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import jsonschema
@@ -104,10 +105,6 @@ class OperatorSpecFile:
     horizon: int | None = None
     tolerance_overrides: tuple = field(default_factory=tuple)  # sorted (name, value)
     seed: int | None = None
-
-    @property
-    def dense_dim(self) -> int | None:
-        return len(self.entries) if self.entries is not None else None
 
     def entries_matrix(self):
         """Dense entries as a nested list of complex numbers."""
@@ -214,6 +211,10 @@ def spec_from_dict(data: dict) -> OperatorSpecFile:
     path = data.get("path")
     seed = data.get("seed")
     overrides = tuple(sorted((data.get("tolerances") or {}).items()))
+    try:
+        Tolerances().replace(**dict(overrides))
+    except ValueError as exc:
+        errors.append(f"tolerances: {exc}")
 
     rule = None
     entries = None
@@ -244,6 +245,8 @@ def spec_from_dict(data: dict) -> OperatorSpecFile:
                 entries = tuple(
                     tuple((float(re), float(im)) for re, im in row) for row in rows
                 )
+                if not all(math.isfinite(x) for row in entries for pair in row for x in pair):
+                    errors.append("operator.entries: entries must be finite")
             if n is not None and n != dim:
                 errors.append(
                     f"truncation: N = {n} does not match the dense dimension {dim}"
@@ -272,10 +275,18 @@ def spec_from_dict(data: dict) -> OperatorSpecFile:
     )
 
 
+def _reject_constant(name: str):
+    raise SpecParseError(f"spec is not valid JSON: non-finite number {name} is not allowed")
+
+
 def parse_spec(text: str) -> OperatorSpecFile:
-    """Parse and validate spec text; parse errors carry line context."""
+    """Parse and validate spec text; parse errors carry line context.
+
+    JSON has no NaN or Infinity, so those literals are rejected; a number
+    too large for a float is rejected at validation.
+    """
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SpecParseError(
             f"spec is not valid JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}"

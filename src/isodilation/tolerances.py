@@ -7,6 +7,7 @@ pipeline so every check reports the tolerance it was held to.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -36,14 +37,15 @@ class Tolerances:
     def replace(self, **overrides) -> "Tolerances":
         """Return a copy with named tolerances overridden.
 
-        Raises ValueError for unknown names or nonpositive values.
+        Raises ValueError for unknown names and for values that are not
+        finite and positive.
         """
         names = {f.name for f in dataclasses.fields(self)}
         for key, value in overrides.items():
             if key not in names:
                 raise ValueError(f"unknown tolerance {key!r}")
-            if not (float(value) > 0.0):
-                raise ValueError(f"tolerance {key} must be positive, got {value!r}")
+            if not (0.0 < float(value) < math.inf):
+                raise ValueError(f"tolerance {key} must be finite and positive, got {value!r}")
         return dataclasses.replace(self, **{k: float(v) for k, v in overrides.items()})
 
 

@@ -18,6 +18,10 @@ from .errors import WindowExhaustedError
 from .hermitian import eigh, max_abs, poly_eval
 from .tolerances import DEFAULT_SEED, DEFAULT_TOLERANCES, DEFAULT_TRIALS, Tolerances
 
+# orbit columns count towards the rank above this fraction of the largest
+# orbit-column norm
+_MINIMALITY_REL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -47,7 +51,6 @@ class CheckResult:
 @dataclass
 class VerificationReport:
     checks: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
 
     @property
     def overall(self) -> bool:
@@ -77,9 +80,7 @@ def _random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
 def _h_support(model: DilationModel, applications: int) -> int:
     """Coordinates of the H block whose orbit stays exact that many steps."""
     t = model.corner
-    if not t.exact:
-        return t.n
-    support = t.n - applications * t.bandwidth
+    support = t.window_after(applications)
     if support <= 0:
         raise WindowExhaustedError(
             f"window {t.n} cannot absorb {applications} applications of a "
@@ -95,24 +96,17 @@ def _result(name, residual, tolerance, window) -> CheckResult:
 
 
 def check_dilation_property(
-    dilation: AssembledDilation,
-    n_max: int | None = None,
-    tol: float | None = None,
-    tols: Tolerances = DEFAULT_TOLERANCES,
+    dilation: AssembledDilation, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> CheckResult:
-    """Compression of powers: block (0,0) of W^n must equal T^n.
+    """Compression of powers: block (0,0) of W^n must equal T^n, n = 1..n_blocks.
 
     By the block structure row 0 of W contains only T, so the residual is
     rounding-level regardless of truncation; it is still compared on the
     shrinking exact window of T^n.  W^n maps H into blocks 0..n, so only
     those blocks are carried.
     """
-    tolerance = tols.dilation_tol if tol is None else tol
-    model = dilation.model
-    n_max = dilation.n_blocks if n_max is None else n_max
-    if n_max > dilation.n_blocks:
-        raise ValueError(f"n_max {n_max} exceeds n_blocks {dilation.n_blocks}")
-    t = model.corner
+    n_max = dilation.n_blocks
+    t = dilation.model.corner
     w = t.n
     cur = np.eye(w, dtype=np.complex128)
     tn = np.eye(w, dtype=np.complex128)
@@ -120,12 +114,12 @@ def check_dilation_property(
     for n in range(1, n_max + 1):
         cur = dilation.apply(cur)
         tn = t.matrix @ tn
-        win = max(t.n - n * t.bandwidth, 1) if t.exact else t.n
+        win = max(t.window_after(n), 1)
         residual = max(residual, max_abs(cur[:win, :win] - tn[:win, :win]))
     return _result(
         "dilation_property",
         residual,
-        tolerance,
+        tols.dilation_tol,
         f"powers 1..{n_max} on the leading {w}-block",
     )
 
@@ -134,7 +128,6 @@ def check_powers_formula(
     dilation: AssembledDilation,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
-    tol: float | None = None,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> CheckResult:
     """Closed-form block formula for W^m h against direct multiplication.
@@ -143,7 +136,6 @@ def check_powers_formula(
     S_(k-1)...S_1 U T^(m-k) h_0 (2 <= k <= m), and S_(k-1)...S_(k-m) h_(k-m)
     beyond.  Test vectors are supported so every referenced entry is exact.
     """
-    tolerance = tols.powers_tol if tol is None else tol
     model = dilation.model
     weights = dilation.weights
     m = model.m
@@ -193,7 +185,7 @@ def check_powers_formula(
     return _result(
         "powers_formula",
         residual,
-        tolerance,
+        tols.powers_tol,
         f"h0 on {h0_dim} of {w} coords, blocks 1..{top_block}, {trials} trials",
     )
 
@@ -203,7 +195,6 @@ def check_w_m_isometry(
     m: int | None = None,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
-    tol: float | None = None,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> CheckResult:
     """m-isometry defect of W on windowed test vectors.
@@ -213,7 +204,6 @@ def check_w_m_isometry(
     """
     model = dilation.model
     m = model.m if m is None else m
-    tolerance = tols.isometry_tol if tol is None else tol
     h0_dim = _h_support(model, m)
     d = model.dim_hprime
     top_block = dilation.n_blocks - m
@@ -238,7 +228,7 @@ def check_w_m_isometry(
     return _result(
         "w_m_isometry",
         residual,
-        tolerance,
+        tols.isometry_tol,
         f"support {h0_dim} of {model.dim_h} coords + blocks 1..{top_block}, {trials} trials",
     )
 
@@ -248,7 +238,6 @@ def check_criterion_identity(
     weights: ShiftWeights,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
-    tol: float | None = None,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> CheckResult:
     """Scalar criterion for m-isometricity of the dilation.
@@ -258,7 +247,6 @@ def check_criterion_identity(
     m-isometry of the weight shift this is equivalent to W being
     m-isometric.
     """
-    tolerance = tols.criterion_tol if tol is None else tol
     m = model.m
     h_dim = _h_support(model, m)
     d = model.dim_hprime
@@ -288,16 +276,13 @@ def check_criterion_identity(
     return _result(
         "criterion_identity",
         residual,
-        tolerance,
+        tols.criterion_tol,
         f"h on {h_dim} of {model.dim_h} coords, {trials} trials",
     )
 
 
 def check_weight_shift_isometry(
-    weights: ShiftWeights,
-    m: int,
-    tol: float | None = None,
-    tols: Tolerances = DEFAULT_TOLERANCES,
+    weights: ShiftWeights, m: int, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> CheckResult:
     """m-isometry of the weight shift in cumulative form.
 
@@ -307,7 +292,7 @@ def check_weight_shift_isometry(
     corruption shows here.
     """
     tolerance_scale = 1.0 + max((c.norm_max() for c in weights.cumulative), default=0.0)
-    tolerance = (tols.difference_tol if tol is None else tol) * tolerance_scale
+    tolerance = tols.difference_tol * tolerance_scale
     if weights.horizon < m:
         raise WindowExhaustedError(
             f"need at least {m} weights for the order-{m} difference, have {weights.horizon}"
@@ -331,14 +316,11 @@ def check_weight_shift_isometry(
 
 
 def check_cumulative_polynomial(
-    weights: ShiftWeights,
-    p_coeffs: tuple,
-    tol: float | None = None,
-    tols: Tolerances = DEFAULT_TOLERANCES,
+    weights: ShiftWeights, p_coeffs: tuple, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> CheckResult:
     """Cumulative moduli must equal the weight polynomial at integer points."""
     scale = 1.0 + max((c.norm_max() for c in weights.cumulative), default=0.0)
-    tolerance = (tols.cumulative_tol if tol is None else tol) * scale
+    tolerance = tols.cumulative_tol * scale
     residual = 0.0
     for n in range(1, weights.horizon + 1):
         p_n = poly_eval(p_coeffs, n)
@@ -381,10 +363,7 @@ def _column_space_rank(cols: np.ndarray, thresh: float) -> int:
     return 0 if basis is None else basis.shape[1]
 
 
-def check_minimality(
-    dilation: AssembledDilation,
-    rel_tol: float = 1e-6,
-) -> CheckResult:
+def check_minimality(dilation: AssembledDilation) -> CheckResult:
     """Windowed minimality: the orbit of H under W spans the truncation.
 
     The orbit columns are W^n e over the H-block basis for n = 0..n_blocks;
@@ -396,9 +375,9 @@ def check_minimality(
 
     so V_(n+1) = V_n + ran P_(n+1), an orthogonal sum, and
     rank = dim H + sum_k rank P_k.  Each rank P_k uses the threshold of a
-    Gram-Schmidt pass over the whole orbit, rel_tol times the largest
-    orbit-column norm, read off the Gram matrices of W^n on H.  Vacuous
-    for a zero-dimensional H'.
+    Gram-Schmidt pass over the whole orbit, _MINIMALITY_REL_TOL times the
+    largest orbit-column norm, read off the Gram matrices of W^n on H.
+    Vacuous for a zero-dimensional H'.
     """
     if dilation.dim_hprime == 0:
         return _result("minimality", 0.0, 0.0, "vacuous (dim H' = 0)")
@@ -415,7 +394,7 @@ def check_minimality(
     for p in prods:
         gram = dilation.t.conj().T @ gram @ dilation.t + p.conj().T @ p
         norm_sq = max(norm_sq, float(np.max(gram.diagonal().real)))
-    thresh = rel_tol * float(np.sqrt(norm_sq))
+    thresh = _MINIMALITY_REL_TOL * float(np.sqrt(norm_sq))
     rank = w + sum(_column_space_rank(p, thresh) for p in prods)
     defect = float(total - rank)
     return _result(
@@ -432,7 +411,6 @@ def nonisomorphism_certificate(
     expected_found: bool | None = None,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
-    cert_tol: float | None = None,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> CheckResult:
     """Norm-gap obstruction to an isomorphism of the two dilations.
@@ -448,7 +426,7 @@ def nonisomorphism_certificate(
     search outcome matches the expectation; with no expectation it passes
     iff a certificate was found.
     """
-    ctol = tols.cert_tol if cert_tol is None else cert_tol
+    ctol = tols.cert_tol
     w = general.dim_h
     if badea.dim_h != w:
         raise ValueError("both dilations must share the H block")
@@ -495,10 +473,7 @@ def nonisomorphism_certificate(
 
 
 def remark_consistency(
-    model: DilationModel,
-    weights: ShiftWeights,
-    tol: float | None = None,
-    tols: Tolerances = DEFAULT_TOLERANCES,
+    model: DilationModel, weights: ShiftWeights, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> CheckResult:
     """The last nontrivial weight is the identity exactly when the form
     represented by A vanishes.
@@ -509,7 +484,7 @@ def remark_consistency(
     passes when the two indicators agree.  Vacuous for a zero-dimensional
     H'.
     """
-    threshold = tols.class_tol if tol is None else tol
+    threshold = tols.class_tol
     if model.dim_hprime == 0:
         return _result("remark_consistency", 0.0, 0.0, "vacuous (dim H' = 0)")
     if weights.horizon < model.m - 1:

@@ -55,7 +55,7 @@ def test_criterion_1_scalar_three_concave_walkthrough(demos):
 def test_criterion_2_dirichlet_shift(demos):
     r = demos.run("dirichlet-2iso")
     ok = r.path == "general_m"
-    w = r.model.window.valid_dim
+    w = r.model.dim_h
     q_err = max(abs(r.q.q_seq[n] - 1.0 / (n + 1)) for n in range(w))
     ok &= q_err <= 1e-12
     a_norm = r.model.a.norm_max()
@@ -76,7 +76,7 @@ def test_criterion_2_dirichlet_shift(demos):
 def test_criterion_3_strict_two_concave(demos):
     r = demos.run("strict-2concave")
     ok = r.path == "general_m"
-    w = r.model.window.valid_dim
+    w = r.model.dim_h
     diag = np.diagonal(r.model.defect_m.mat).real
     expected = np.array(
         [-(2.0 ** -(n + 2)) * (1 - 2.0 ** -(n + 1)) for n in range(w)]
@@ -211,7 +211,7 @@ def test_criterion_7_oracle_equivalence(demos):
         diag = build_diagonal_model(
             r.spec.rule,
             r.spec.m,
-            r.model.window.valid_dim,
+            r.model.dim_h,
             r.path,
             9,
             q_seq=r.q.q_seq if r.q is not None else None,

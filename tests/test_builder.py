@@ -16,7 +16,6 @@ from isodilation.builder import (
     build_p_and_weights,
     build_three_concave_model,
     perturb_weight,
-    ratio_bound_constant,
 )
 from isodilation.diagonal import defect_diagonal
 from isodilation.errors import (
@@ -27,7 +26,6 @@ from isodilation.errors import (
 )
 from isodilation.hermitian import hermitian, identity, max_abs, poly_eval
 from isodilation.operators import (
-    ExactWindow,
     WeightRule,
     classify,
     defect_form,
@@ -51,20 +49,21 @@ class TestBuildAGeneral:
         # 2-isometric shift: the defect vanishes, so the representer does too
         rule = WeightRule.dirichlet()
         corner = make_shift_corner(rule, 12)
-        beta, win = defect_form(corner, 2)
-        q = diagonal_q([1.0 / (n + 1) for n in range(win.valid_dim)])
-        form = build_a_general(q, beta.restrict(win.valid_dim), win)
+        beta = defect_form(corner, 2)
+        w = corner.window_after(2)
+        q = diagonal_q([1.0 / (n + 1) for n in range(w)])
+        form = build_a_general(q, beta.restrict(w), w)
         assert max_abs(form.a.mat) < 1e-12
         assert form.welldef_residual < 1e-12
 
     def test_geometric_diagonal_entries(self):
         rule = WeightRule.geometric_concave(0.5)
         corner = make_shift_corner(rule, 16)
-        beta, win = defect_form(corner, 2)
-        w = win.valid_dim
+        beta = defect_form(corner, 2)
+        w = corner.window_after(2)
         delta = defect_diagonal(rule, 1, 65)
         sol = solve_q_shift_diagonal(rule, delta, 64, dim=w)
-        form = build_a_general(sol, beta.restrict(w), ExactWindow(w))
+        form = build_a_general(sol, beta.restrict(w), w)
         # cross-check against the closed-form diagonal division
         pi = rule.weight_sq_products(w)
         expected = {}
@@ -80,51 +79,51 @@ class TestBuildAGeneral:
         q = diagonal_q([1.0, 0.0])
         beta = hermitian(np.diag([0.0, -1.0]).astype(complex))
         with pytest.raises(IllDefinedFormError):
-            build_a_general(q, beta, ExactWindow(2))
+            build_a_general(q, beta, 2)
 
     def test_positive_defect_rejected(self):
         q = diagonal_q([1.0, 1.0])
         beta = hermitian(np.diag([0.5, 0.0]).astype(complex))
         with pytest.raises(NotNegativeError):
-            build_a_general(q, beta, ExactWindow(2))
+            build_a_general(q, beta, 2)
 
 
 class TestBuildAThreeConcave:
     def test_scalar_walkthrough(self):
         t = dense_corner([[1 / math.sqrt(2)]])
-        form = build_a_three_concave(t, ExactWindow(1))
+        form = build_a_three_concave(t, 1)
         assert form.a.mat[0, 0].real == pytest.approx(-0.25, abs=1e-13)
 
     def test_zero_operator(self):
         t = dense_corner([[0.0]])
-        form = build_a_three_concave(t, ExactWindow(1))
+        form = build_a_three_concave(t, 1)
         assert form.a.n == 1
         assert max_abs(form.a.mat) == 0.0
 
     def test_isometric_scalar_degenerates(self):
         t = dense_corner([[1.0]])
-        form = build_a_three_concave(t, ExactWindow(1))
+        form = build_a_three_concave(t, 1)
         assert form.a.n == 0  # H' is zero-dimensional
 
     def test_not_three_concave_rejected(self):
         t = dense_corner([[1.5]])
         with pytest.raises(NotNegativeError):
-            build_a_three_concave(t, ExactWindow(1))
+            build_a_three_concave(t, 1)
 
     def test_indefinite_two_defect_rejected_without_classification(self):
         # nilpotent and non-normal: T^2 = 0, so the 2-defect I - 2 T*T is
         # diag(1, -1); the nonnegativity gate fires before the sign gate
         t = dense_corner([[0.0, 1.0], [0.0, 0.0]])
-        assert min(np.linalg.eigvalsh(defect_form(t, 2)[0].mat)) == pytest.approx(-1.0)
+        assert min(np.linalg.eigvalsh(defect_form(t, 2).mat)) == pytest.approx(-1.0)
         with pytest.raises(NotPsdError):
-            build_a_three_concave(t, ExactWindow(2))
+            build_a_three_concave(t, 2)
         with pytest.raises(NotPsdError):
             build_three_concave_model(t, weights_horizon=6)
 
     def test_classification_forms_give_the_same_representer(self):
         t = dense_corner(np.diag([0.5, 0.3j, -0.8]))
-        direct = build_a_three_concave(t, ExactWindow(3))
-        shared = build_a_three_concave(t, ExactWindow(3), forms=classify(t, 3).forms)
+        direct = build_a_three_concave(t, 3)
+        shared = build_a_three_concave(t, 3, forms=classify(t, 3).forms)
         assert np.array_equal(direct.a.mat, shared.a.mat)
         assert np.array_equal(direct.basis, shared.basis)
 
@@ -132,13 +131,13 @@ class TestBuildAThreeConcave:
         t = dense_corner([[0.5]])
         other = classify(dense_corner([[0.5]]), 3).forms
         with pytest.raises(ValueError):
-            build_a_three_concave(t, ExactWindow(1), forms=other)
+            build_a_three_concave(t, 1, forms=other)
 
     def test_forms_with_other_tolerances_rejected(self):
         t = dense_corner([[0.5]])
         forms = classify(t, 3).forms
         with pytest.raises(ValueError):
-            build_a_three_concave(t, ExactWindow(1), tols=Tolerances(eig_tol=1e-10), forms=forms)
+            build_a_three_concave(t, 1, tols=Tolerances(eig_tol=1e-10), forms=forms)
 
 
 class TestPolynomialAndWeights:
@@ -173,7 +172,7 @@ class TestPolynomialAndWeights:
 
     def test_ratio_bound_closed_form(self):
         # the successive-ratio supremum telescopes to (n+1)/(n-m+2), maximal
-        # at the first admissible point, so the bound equals m
+        # at the first admissible point, so the bound the report states is m
         def scanned(m, scan=256):
             best = 1.0
             for n in range(m - 1, m - 1 + scan):
@@ -185,7 +184,10 @@ class TestPolynomialAndWeights:
             return best
 
         for m in range(2, 12):
-            assert ratio_bound_constant(m) == scanned(m) == float(m)
+            assert scanned(m) == float(m)
+        for name, m in (("strict-2concave", 2), ("scalar-3concave", 3)):
+            report = run_pipeline(demo_spec(name)).report
+            assert report["model"]["ratio_bound"] == scanned(m)
 
     @settings(max_examples=25, deadline=None)
     @given(m=st.integers(2, 5), d=st.integers(2, 6), seed=st.integers(0, 2**31))

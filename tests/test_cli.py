@@ -63,6 +63,32 @@ class TestExitCodes:
         assert main(["--spec", str(spec_file), "--tol", "psd_tol"]) == 3
         assert main(["--spec", str(spec_file), "--tol", "psd_tol=abc"]) == 3
 
+    def test_infinite_tol_is_three(self, spec_file, capsys):
+        # an infinite tolerance would switch its check off
+        assert main(["--spec", str(spec_file), "--tol", "isometry_tol=inf"]) == 3
+        assert "isometry_tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            DIRICHLET_SPEC.replace('"m":2', '"tolerances":{"isometry_tol":Infinity},"m":2'),
+            DIRICHLET_SPEC.replace('"m":2', '"tolerances":{"isometry_tol":NaN},"m":2'),
+            DIRICHLET_SPEC.replace('"dirichlet"}', '"constant","c":Infinity}'),
+            NOT_CONCAVE_SPEC.replace("1.5,0.0", "NaN,0.0"),
+        ],
+        ids=["tolerance-inf", "tolerance-nan", "rule-inf", "dense-nan"],
+    )
+    def test_non_finite_spec_number_is_three(self, tmp_path, capsys, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert main(["--spec", str(path)]) == 3
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_unwritable_out_is_three(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "r.json"
+        assert main(["demo", "strict-2concave", "--out", str(out)]) == 3
+        assert "cannot write report" in capsys.readouterr().err
+
     def test_removed_comm_tol_is_three(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(dict(json.loads(DIRICHLET_SPEC), tolerances={"comm_tol": 1e-8})))

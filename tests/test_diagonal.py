@@ -28,8 +28,8 @@ class TestDefectDiagonal:
     def test_matches_matrix_route(self, rule, m):
         n = 12
         corner = make_shift_corner(rule, n)
-        beta, win = defect_form(corner, m)
-        w = win.valid_dim
+        beta = defect_form(corner, m)
+        w = corner.window_after(m)
         diag = defect_diagonal(rule, m, w)
         matrix_diag = np.diagonal(beta.mat)[:w].real
         assert np.max(np.abs(diag - matrix_diag)) <= 1e-12 * (1 + max_abs(beta.mat))
@@ -46,7 +46,7 @@ class TestAgreement:
         sol = solve_q_shift_diagonal(rule, delta, 4 * n, dim=n - m)
         model, weights = build_general_model(corner, m, sol, weights_horizon=9)
         diag = build_diagonal_model(
-            rule, m, model.window.valid_dim, "general_m", 9, q_seq=sol.q_seq
+            rule, m, model.dim_h, "general_m", 9, q_seq=sol.q_seq
         )
         return model, weights, diag
 
@@ -79,7 +79,7 @@ class TestAgreement:
         n = 16
         corner = make_shift_corner(rule, n)
         model, weights = build_three_concave_model(corner, weights_horizon=9)
-        diag = build_diagonal_model(rule, 3, model.window.valid_dim, "three_concave", 9)
+        diag = build_diagonal_model(rule, 3, model.dim_h, "three_concave", 9)
         assert dense_agreement_residual(model, weights, diag) < 1e-10
         # A is the constant c^2 (c^2 - 1) on the diagonal
         c2 = 0.64

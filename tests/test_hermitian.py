@@ -23,7 +23,7 @@ from isodilation.hermitian import (
     spectral_apply,
     sqrt_psd,
 )
-from isodilation.tolerances import DEFAULT_TOLERANCES
+from isodilation.tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -174,7 +174,7 @@ class TestPinvSqrt:
         assert rank == 4
 
     def test_below_cutoff_treated_as_kernel(self):
-        root, proj, rank = pinv_sqrt(hermitian(np.diag([1.0, 1e-30])), rank_tol=1e-10)
+        root, proj, rank = pinv_sqrt(hermitian(np.diag([1.0, 1e-30])), tols=Tolerances(rank_tol=1e-10))
         assert np.allclose(root.mat, np.diag([1.0, 0.0]))
         assert np.allclose(proj.mat, np.diag([1.0, 0.0]))
         assert rank == 1
@@ -214,8 +214,9 @@ class TestPsdCheck:
         # its exact window, so it is nonnegative in both directions
         from isodilation.operators import WeightRule, defect_form, make_shift_corner
 
-        beta, win = defect_form(make_shift_corner(WeightRule.dirichlet(), 8), 2)
-        window = hermitian(beta.mat[: win.valid_dim, : win.valid_dim])
+        corner = make_shift_corner(WeightRule.dirichlet(), 8)
+        w = corner.window_after(2)
+        window = hermitian(defect_form(corner, 2).mat[:w, :w])
         assert psd_check(window).is_psd
         assert psd_check(hermitian(-window.mat)).is_psd
         assert abs(psd_check(window).min_eig) < 1e-13

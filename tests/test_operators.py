@@ -15,7 +15,6 @@ from isodilation.operators import (
     defect_form,
     dense_corner,
     make_shift_corner,
-    power_window,
 )
 
 RULES = st.one_of(
@@ -94,53 +93,28 @@ class TestShiftCorner:
             OperatorCorner(np.tril(np.ones((3, 3), dtype=np.complex128)), 1, 0, True)
 
 
-class TestPowerWindow:
-    def test_zeroth_power(self):
-        corner = make_shift_corner(WeightRule.dirichlet(), 4)
-        mat, win = power_window(corner, 0)
-        assert np.allclose(mat, np.eye(4))
-        assert win.valid_dim == 4
-
-    def test_unweighted_square(self):
-        corner = make_shift_corner(WeightRule.constant(1.0), 4)
-        mat, win = power_window(corner, 2)
-        assert np.allclose(np.diagonal(mat, -2), 1.0)
-        assert win.valid_dim == 2
-
-    def test_dirichlet_square_entry(self):
-        corner = make_shift_corner(WeightRule.dirichlet(), 5)
-        mat, win = power_window(corner, 2)
-        assert mat[2, 0].real == pytest.approx(math.sqrt(3), abs=1e-14)
-        assert win.valid_dim == 3
-
-    def test_window_exhaustion(self):
-        corner = make_shift_corner(WeightRule.dirichlet(), 4)
-        with pytest.raises(WindowExhaustedError):
-            power_window(corner, 4)
-
-
 class TestDefectForm:
     def test_identity_is_isometric(self):
         t = dense_corner(np.eye(3))
-        beta, win = defect_form(t, 2)
+        beta = defect_form(t, 2)
         assert max_abs(beta.mat) == 0.0
-        assert win.valid_dim == 3
+        assert t.window_after(2) == 3
 
     def test_scalar_closed_form(self):
         t = dense_corner([[1 / math.sqrt(2)]])
-        beta, _ = defect_form(t, 3)
+        beta = defect_form(t, 3)
         assert beta.mat[0, 0].real == pytest.approx(-0.125, abs=1e-15)
 
     def test_dirichlet_vanishes_on_window(self):
         corner = make_shift_corner(WeightRule.dirichlet(), 6)
-        beta, win = defect_form(corner, 2)
-        assert win.valid_dim == 4
+        beta = defect_form(corner, 2)
+        assert corner.window_after(2) == 4
         assert max_abs(beta.mat[:4, :4]) < 1e-13
 
     def test_geometric_closed_form_diagonal(self):
         corner = make_shift_corner(WeightRule.geometric_concave(0.5), 12)
-        beta, win = defect_form(corner, 2)
-        w = win.valid_dim
+        beta = defect_form(corner, 2)
+        w = corner.window_after(2)
         expected = np.array(
             [-(2.0 ** -(n + 2)) * (1 - 2.0 ** -(n + 1)) for n in range(w)]
         )
@@ -156,11 +130,11 @@ class TestDefectForm:
     def test_recurrence_identity(self, rule, m, n):
         # beta_m = T* beta_{m-1} T - beta_{m-1} on the shared exact window
         corner = make_shift_corner(rule, n)
-        beta_m, win_m = defect_form(corner, m + 1)
-        beta_prev, _ = defect_form(corner, m)
+        beta_m = defect_form(corner, m + 1)
+        beta_prev = defect_form(corner, m)
         t = corner.matrix
         recur = t.conj().T @ beta_prev.mat @ t - beta_prev.mat
-        w = win_m.valid_dim
+        w = corner.window_after(m + 1)
         assert max_abs(beta_m.mat[:w, :w] - recur[:w, :w]) <= 1e-11 * (
             1 + max_abs(beta_m.mat)
         )
@@ -168,7 +142,7 @@ class TestDefectForm:
     @settings(max_examples=30, deadline=None)
     @given(t=st.floats(-1.4, 1.4), m=st.integers(1, 5))
     def test_scalar_power_formula(self, t, m):
-        beta, _ = defect_form(dense_corner([[t]]), m)
+        beta = defect_form(dense_corner([[t]]), m)
         expected = (t * t - 1.0) ** m
         assert abs(beta.mat[0, 0].real - expected) <= 1e-14 * (1 + abs(expected))
 
@@ -176,17 +150,18 @@ class TestDefectForm:
     @given(rule=RULES, m=st.integers(1, 3), n=st.integers(8, 14))
     def test_shift_defect_is_diagonal(self, rule, m, n):
         corner = make_shift_corner(rule, n)
-        beta, win = defect_form(corner, m)
-        w = win.valid_dim
+        beta = defect_form(corner, m)
+        w = corner.window_after(m)
         off = beta.mat[:w, :w] - np.diag(np.diagonal(beta.mat[:w, :w]))
         assert max_abs(off) <= 1e-13 * (1 + max_abs(beta.mat))
 
     @settings(max_examples=20, deadline=None)
     @given(rule=RULES, m=st.integers(1, 3), n=st.integers(8, 12))
     def test_window_consistency_under_enlargement(self, rule, m, n):
-        small, win_small = defect_form(make_shift_corner(rule, n), m)
-        large, _ = defect_form(make_shift_corner(rule, 2 * n), m)
-        w = win_small.valid_dim
+        small_corner = make_shift_corner(rule, n)
+        small = defect_form(small_corner, m)
+        large = defect_form(make_shift_corner(rule, 2 * n), m)
+        w = small_corner.window_after(m)
         assert max_abs(small.mat[:w, :w] - large.mat[:w, :w]) <= 1e-13 * (
             1 + max_abs(large.mat)
         )

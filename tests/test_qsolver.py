@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from isodilation.diagonal import defect_diagonal
 from isodilation.errors import NotPsdError, PreconditionError, UnboundedQError
 from isodilation.hermitian import hermitian, max_abs
-from isodilation.operators import ExactWindow, WeightRule, dense_corner, make_shift_corner
+from isodilation.operators import WeightRule, dense_corner, make_shift_corner
 from isodilation.qsolver import solve_q_fixed_point, solve_q_shift_diagonal, verify_q
 
 
@@ -100,7 +100,7 @@ class TestVerifyQ:
     def test_trivial_zero(self):
         corner = make_shift_corner(WeightRule.constant(1.0), 6)
         zero = hermitian(np.zeros((6, 6)))
-        stein, dom = verify_q(corner, zero, zero, ExactWindow(6))
+        stein, dom = verify_q(corner, zero, zero, 6)
         assert stein == 0.0 and dom == 0.0
 
     def test_dirichlet_contract(self):
@@ -108,7 +108,7 @@ class TestVerifyQ:
         corner = make_shift_corner(rule, 10)
         q = hermitian(np.diag([1.0 / (n + 1) for n in range(10)]).astype(complex))
         delta = hermitian(np.diag(defect_diagonal(rule, 1, 10)).astype(complex))
-        stein, dom = verify_q(corner, q, delta, ExactWindow(10))
+        stein, dom = verify_q(corner, q, delta, 10)
         assert stein <= 1e-12
         assert dom >= -1e-12
 
@@ -118,7 +118,7 @@ class TestVerifyQ:
         delta_seq = defect_diagonal(rule, 1, 49)
         sol = solve_q_shift_diagonal(rule, delta_seq, 48, dim=12)
         delta = hermitian(np.diag(delta_seq[:12]).astype(complex))
-        stein, dom = verify_q(corner, sol.q, delta, ExactWindow(12))
+        stein, dom = verify_q(corner, sol.q, delta, 12)
         assert stein <= 1e-10
         assert dom >= -1e-10
 

@@ -46,3 +46,9 @@ def test_dense_example_report_reproduced_byte_for_byte():
     # the dense 3-concave path: classification, both sign gates and the
     # quotient form all feed this report
     _assert_report_reproduced("dense-3concave")
+
+
+def test_general_m3_example_report_reproduced_byte_for_byte():
+    # the general path at m = 3: the exact windows of the defect forms and
+    # of the verifier's test vectors, and the report's closed-form bounds
+    _assert_report_reproduced("table-shift-m3")

@@ -140,6 +140,42 @@ class TestParse:
             spec_from_dict(bad)
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_is_a_parse_error(self, literal):
+        text = json.dumps(dict(VALID_SHIFT, tolerances={"isometry_tol": 1e-10}))
+        with pytest.raises(SpecParseError, match=literal):
+            parse_spec(text.replace("1e-10", literal))
+
+    def test_non_finite_dense_entry_is_a_parse_error(self):
+        text = '{"operator":{"kind":"dense","entries":[[[NaN,0.0]]]},"m":2,"truncation":{"n_blocks":4}}'
+        with pytest.raises(SpecParseError):
+            parse_spec(text)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            dict(VALID_SHIFT, tolerances={"isometry_tol": 1e999}),
+            dict(VALID_SHIFT, operator={"kind": "shift", "rule": {"name": "constant", "c": 1e999}}),
+            dict(
+                VALID_SHIFT,
+                operator={"kind": "shift", "rule": {"name": "table", "values": [1.0], "tail_value": 1e999}},
+            ),
+            {"operator": {"kind": "dense", "entries": [[[1e999, 0.0]]]}, "m": 2, "truncation": {"n_blocks": 4}},
+        ],
+        ids=["tolerance", "constant", "table-tail", "dense-entry"],
+    )
+    def test_overflowing_number_is_rejected(self, data):
+        # 1e999 is valid JSON that reads as an infinite float
+        with pytest.raises(SpecValidationError):
+            parse_spec(json.dumps(data).replace("Infinity", "1e999"))
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_tolerances_replace_rejects_non_finite(self, value):
+        with pytest.raises(ValueError):
+            Tolerances().replace(isometry_tol=value)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(DEMOS))
     def test_catalog_round_trips(self, name):
@@ -167,3 +203,21 @@ def test_every_tolerance_is_read():
             read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     fields = {f.name for f in dataclasses.fields(Tolerances)}
     assert sorted(fields - read) == []
+
+
+def test_no_public_function_overrides_a_tolerance():
+    """A function that takes the run's `tols` reads every threshold from it;
+    a per-call `tol` or `*_tol` parameter beside it is a second source."""
+    knobs = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                if "tols" in names:
+                    knobs += [
+                        f"{path.name}:{node.name}({name})"
+                        for name in names
+                        if name == "tol" or name.endswith("_tol")
+                    ]
+    assert knobs == []
