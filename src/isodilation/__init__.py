@@ -72,7 +72,7 @@ from .pipeline import (
     emit_report,
     run_pipeline,
 )
-from .qsolver import QSolution, solve_q_fixed_point, solve_q_shift_diagonal, verify_q
+from .qsolver import QSolution, solve_q_shift_diagonal, solve_q_unitary, verify_q
 from .specfile import OperatorSpecFile, emit_spec, parse_spec, spec_from_dict
 from .tolerances import DEFAULT_SEED, DEFAULT_TOLERANCES, DEFAULT_TRIALS, Tolerances
 from .verifier import (

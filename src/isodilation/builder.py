@@ -405,7 +405,7 @@ def build_p_and_weights(
     )
 
 
-def _with_cumulative(weights: list, herm_tol: float | None = None) -> ShiftWeights:
+def _with_cumulative(weights: list, herm_tol: float) -> ShiftWeights:
     """The weight sequence with its cumulative moduli |S_n ... S_1|^2."""
     cumulative = []
     left = np.eye(weights[0].n if weights else 0, dtype=np.complex128)
@@ -415,7 +415,9 @@ def _with_cumulative(weights: list, herm_tol: float | None = None) -> ShiftWeigh
     return ShiftWeights(tuple(weights), tuple(cumulative))
 
 
-def perturb_weight(weights: ShiftWeights, n: int, amount: float) -> ShiftWeights:
+def perturb_weight(
+    weights: ShiftWeights, n: int, amount: float, tols: Tolerances = DEFAULT_TOLERANCES
+) -> ShiftWeights:
     """Copy of a weight sequence with S_n shifted by amount * I (negative control).
 
     The cumulative moduli are recomputed from the shifted weights.
@@ -424,8 +426,8 @@ def perturb_weight(weights: ShiftWeights, n: int, amount: float) -> ShiftWeights
         raise IndexError(f"weight index {n} outside 1..{weights.horizon}")
     new_weights = list(weights.weights)
     bumped = new_weights[n - 1].mat + amount * np.eye(new_weights[n - 1].n)
-    new_weights[n - 1] = hermitian(bumped)
-    return _with_cumulative(new_weights)
+    new_weights[n - 1] = hermitian(bumped, tols.herm_tol)
+    return _with_cumulative(new_weights, tols.herm_tol)
 
 
 def assemble_dilation(
@@ -556,9 +558,9 @@ def build_badea_2iso(
         )
     lam = np.clip(dec.values, 0.0, None)
     # the difference is formed from the metric and the 1-defect, so roundoff
-    # lives at their scale; a cutoff relative to lam_max alone would promote
-    # pure noise to range directions when the difference vanishes
-    data_scale = q.q.norm_max() + defect_prev.norm_max()
+    # lives at (1 + their scale); a cutoff relative to lam_max alone would
+    # promote pure noise to range directions when the difference vanishes
+    data_scale = 1.0 + q.q.norm_max() + defect_prev.norm_max()
     lam_max = float(lam[-1]) if lam.size else 0.0
     kept = lam > tols.rank_tol * max(lam_max, data_scale)
     basis = np.ascontiguousarray(dec.basis[:, kept])
@@ -578,7 +580,7 @@ def build_badea_2iso(
         q=q,
         basis=basis,
         u=u,
-        a=hermitian(np.zeros((d, d))),
+        a=hermitian(np.zeros((d, d)), tols.herm_tol),
         b=eye,
         b_norm=1.0 if d else 0.0,
         p_coeffs=(eye,),

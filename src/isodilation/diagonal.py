@@ -74,14 +74,13 @@ def build_diagonal_model(
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> DiagonalModel:
     """Diagonal analogue of the dense construction on the same window."""
-    beta_m = defect_diagonal(rule, m, window)
-    beta_prev = defect_diagonal(rule, m - 1, window) if m >= 2 else beta_m
+    beta_prev = defect_diagonal(rule, m - 1, window)
 
     if path == "general_m":
         if q_seq is None:
             raise ValueError("general path needs the solved metric diagonal")
         metric = np.asarray(q_seq, dtype=float)[:window]
-        numerator = beta_m
+        numerator = defect_diagonal(rule, m, window)
     elif path == "three_concave":
         metric = beta_prev
         beta3_next = defect_diagonal(rule, 3, window + 1)
@@ -102,11 +101,12 @@ def build_diagonal_model(
     metric = np.clip(metric, 0.0, None)
     cutoff_scale = float(np.max(metric, initial=0.0))
     if path == "badea_2iso":
-        # match the dense cutoff: roundoff in the difference lives at the
-        # scale of the metric and the 1-defect
+        # match the dense cutoff: roundoff in the difference lives at
+        # (1 + the scale of the metric and the 1-defect)
         cutoff_scale = max(
             cutoff_scale,
-            float(np.max(np.abs(q_seq[:window]), initial=0.0))
+            1.0
+            + float(np.max(np.abs(q_seq[:window]), initial=0.0))
             + float(np.max(np.abs(beta_prev), initial=0.0)),
         )
     cutoff = tols.rank_tol * cutoff_scale

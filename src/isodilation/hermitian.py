@@ -311,7 +311,9 @@ def pinv_sqrt(
     return PinvSqrt(root, projector, int(np.count_nonzero(kept)))
 
 
-def poly_eval(coeffs: Sequence[HermitianMatrix], n: int) -> HermitianMatrix:
+def poly_eval(
+    coeffs: Sequence[HermitianMatrix], n: int, herm_tol: float | None = None
+) -> HermitianMatrix:
     """Evaluate sum coeffs[k] * n**k at an integer point with exact powers.
 
     The coefficients are polynomials in a single Hermitian matrix in every
@@ -325,4 +327,4 @@ def poly_eval(coeffs: Sequence[HermitianMatrix], n: int) -> HermitianMatrix:
     point = int(n)
     for k, coeff in enumerate(coeffs):
         acc = acc + coeff.mat * float(point**k)
-    return hermitian(acc)
+    return hermitian(acc, herm_tol)

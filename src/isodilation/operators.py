@@ -190,7 +190,9 @@ def dense_corner(entries) -> OperatorCorner:
     return OperatorCorner(mat, max(lower, 0), max(upper, 0), False, None)
 
 
-def defect_form(t: OperatorCorner, m: int) -> HermitianMatrix:
+def defect_form(
+    t: OperatorCorner, m: int, tols: Tolerances = DEFAULT_TOLERANCES
+) -> HermitianMatrix:
     """m-th defect form: the alternating binomial sum over T*^k T^k, k = 0..m.
 
     The form vanishes exactly for m-isometries and is <= 0 for m-concave
@@ -210,7 +212,7 @@ def defect_form(t: OperatorCorner, m: int) -> HermitianMatrix:
             power = t.matrix @ power
         sign = -1.0 if (m - k) % 2 else 1.0
         acc = acc + (sign * math.comb(m, k)) * (power.conj().T @ power)
-    return hermitian(acc)
+    return hermitian(acc, tols.herm_tol)
 
 
 class DefectForms:
@@ -237,7 +239,7 @@ class DefectForms:
     def full(self, k: int) -> HermitianMatrix:
         """beta_k on the whole corner; exact on `corner.window_after(k)`."""
         if k not in self._full:
-            self._full[k] = defect_form(self.corner, k)
+            self._full[k] = defect_form(self.corner, k, self.tols)
         return self._full[k]
 
     def _key(self, k: int, w: int | None, negate: bool) -> tuple:

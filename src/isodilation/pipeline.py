@@ -26,11 +26,11 @@ from .builder import (
     build_general_model,
     build_three_concave_model,
 )
-from .diagonal import DiagonalModel, build_diagonal_model, defect_diagonal, dense_agreement_residual
+from .diagonal import build_diagonal_model, defect_diagonal, dense_agreement_residual
 from .errors import PreconditionError, UnknownDemoError
 from .hermitian import hermitian, max_abs
 from .operators import Classification, DefectForms, OperatorCorner, classify, dense_corner, make_shift_corner
-from .qsolver import QSolution, solve_q_fixed_point, solve_q_shift_diagonal
+from .qsolver import QSolution, solve_q_shift_diagonal, solve_q_unitary
 from .specfile import OperatorSpecFile, spec_from_dict
 from .tolerances import DEFAULT_SEED, DEFAULT_TRIALS, Tolerances
 from .verifier import (
@@ -110,9 +110,7 @@ class PipelineResult:
     weights: ShiftWeights
     assembled: AssembledDilation
     badea_model: DilationModel | None
-    badea_weights: ShiftWeights | None
     badea_assembled: AssembledDilation | None
-    diag_model: DiagonalModel | None
     verification: VerificationReport
     report: dict
 
@@ -167,9 +165,7 @@ def _solve_metric(spec, corner, m, tols, forms: DefectForms) -> QSolution:
         return solve_q_shift_diagonal(
             spec.rule, delta_diag, horizon, dim=corner.window_after(m), tols=tols
         )
-    return solve_q_fixed_point(
-        corner, forms.on(m - 1), tols=tols, dec=forms.decomposition(m - 1)
-    )
+    return solve_q_unitary(corner, forms.on(m - 1), tols)
 
 
 def run_pipeline(
@@ -218,7 +214,7 @@ def run_pipeline(
 
     weights_horizon = max(n_blocks - 1, 8) + m + 1
     q: QSolution | None = None
-    badea_model = badea_weights = badea_assembled = None
+    badea_model = badea_assembled = None
 
     if path == "three_concave":
         model, weights = build_three_concave_model(
@@ -237,7 +233,7 @@ def run_pipeline(
             )
             assembled = assemble_dilation(model, weights, n_blocks)
     if m == 2 and path == "general_m":
-        badea_model, badea_weights, badea_assembled = build_badea_2iso(
+        badea_model, _, badea_assembled = build_badea_2iso(
             corner, q, n_blocks, weights_horizon, tols=tols, forms=forms
         )
 
@@ -273,9 +269,7 @@ def run_pipeline(
         weights=weights,
         assembled=assembled,
         badea_model=badea_model,
-        badea_weights=badea_weights,
         badea_assembled=badea_assembled,
-        diag_model=diag_model,
         verification=verification,
         report=report,
     )
@@ -394,7 +388,8 @@ def _build_report(
             "q0": q.q0,
             "stein_residual": q.stein_residual,
             "dominance_residual": q.dominance_residual,
-            "iterations": q.iterations,
+            # both metric solves are closed forms; the key keeps the report schema
+            "iterations": 0,
         }
     badea_summary = None
     if badea_model is not None:

@@ -323,7 +323,7 @@ def check_cumulative_polynomial(
     tolerance = tols.cumulative_tol * scale
     residual = 0.0
     for n in range(1, weights.horizon + 1):
-        p_n = poly_eval(p_coeffs, n)
+        p_n = poly_eval(p_coeffs, n, tols.herm_tol)
         residual = max(residual, max_abs(weights.cumulative[n - 1].mat - p_n.mat))
     return _result(
         "cumulative_matches_polynomial",

@@ -40,7 +40,7 @@ from isodilation.tolerances import Tolerances
 def diagonal_q(values) -> QSolution:
     vals = np.asarray(values, dtype=float)
     return QSolution(
-        hermitian(np.diag(vals).astype(complex)), "diagonal_shift", vals, 0.0, 0.0, 0
+        hermitian(np.diag(vals).astype(complex)), "diagonal_shift", vals, 0.0, 0.0
     )
 
 
@@ -261,7 +261,7 @@ class TestAssemble:
     def test_unitary_input_degenerates_to_itself(self):
         f = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         t = dense_corner(f)
-        q = QSolution(hermitian(np.zeros((2, 2))), "zero", None, 0.0, 0.0, 1)
+        q = QSolution(hermitian(np.zeros((2, 2))), "zero", None, 0.0, 0.0)
         model, weights = build_general_model(t, 2, q, weights_horizon=6)
         dil = assemble_dilation(model, weights, 4)
         assert model.dim_hprime == 0
@@ -360,7 +360,7 @@ class TestBadea:
         rule = WeightRule.geometric_concave(0.5)
         corner = make_shift_corner(rule, 12)
         bad = QSolution(
-            hermitian(np.zeros((10, 10))), "zero", np.zeros(10), 0.0, 0.0, 0
+            hermitian(np.zeros((10, 10))), "zero", np.zeros(10), 0.0, 0.0
         )
         with pytest.raises(NotPsdError):
             build_badea_2iso(corner, bad, 4)

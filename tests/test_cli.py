@@ -41,6 +41,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "no construction path" in err
 
+    @pytest.mark.parametrize("entry", ["1.000001", "1.00000001"])
+    def test_nonunitary_dense_general_path_is_two(self, tmp_path, capsys, entry):
+        # expansive and 2-concave within class_tol, yet not unitary: the
+        # zero metric cannot dominate the 1-defect
+        path = tmp_path / "near.json"
+        path.write_text(
+            f'{{"operator":{{"kind":"dense","entries":[[[{entry},0.0]]]}},'
+            '"m":2,"truncation":{"n_blocks":6}}'
+        )
+        assert main(["--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not unitary" in err
+
     def test_validation_error_is_three(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"operator":{"kind":"shift","rule":{"name":"drichlet"}},'

@@ -129,6 +129,52 @@ class TestDenseRepresenter:
             assert off_diagonal > 1e-6 * max_abs(a)
 
 
+def _near_unitary(rng: np.random.Generator, dim: int, perturb: bool) -> np.ndarray:
+    """A Haar-like unitary V moved off the unitaries by eps = 10^U(-13, -4):
+    V + eps E with E complex Gaussian, or V diag(1 + eps U(0, 1))."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    v, _ = np.linalg.qr(g)
+    eps = 10.0 ** rng.uniform(-13.0, -4.0)
+    if perturb:
+        return v + eps * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return v * (1.0 + eps * rng.uniform(0.0, 1.0, dim))
+
+
+class TestNearUnitaryGeneralPath:
+    DRAWS = 300
+
+    def test_every_run_passes_or_is_refused(self):
+        """A finite-dimensional input unitary only within rounding either
+        passes every check on the general path or raises PreconditionError;
+        any other exception escapes and fails the test."""
+        rng = np.random.default_rng(20250)
+        passed, failed = 0, []
+        for draw in range(self.DRAWS):
+            dim, m = int(rng.integers(1, 7)), int(rng.integers(2, 6))
+            t = _near_unitary(rng, dim, perturb=draw % 2 == 0)
+            spec = spec_from_dict({
+                "operator": {
+                    "kind": "dense",
+                    "entries": [[[float(x.real), float(x.imag)] for x in row] for row in t],
+                },
+                "m": m,
+                "path": "general_m",
+                "truncation": {"n_blocks": m + 2},
+            })
+            try:
+                result = run_pipeline(spec, seed=1)
+            except PreconditionError:
+                continue
+            bad = [c.name for c in result.verification.checks if not c.passed]
+            if bad:
+                failed.append((draw, dim, m, bad))
+            else:
+                passed += 1
+        assert failed == []
+        # the draws reach the metric solve and the builders, not only the gates
+        assert passed >= self.DRAWS // 5
+
+
 class TestClassifyOnly:
     def test_reports_admissible_paths(self):
         cls, admissible, report = classify_spec(_spec())

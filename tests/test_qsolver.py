@@ -1,4 +1,4 @@
-"""Invariant metric solvers: diagonal shift solve and fixed-point iteration."""
+"""Invariant metric solvers: diagonal shift solve and the unitary closed form."""
 
 import math
 
@@ -11,7 +11,7 @@ from isodilation.diagonal import defect_diagonal
 from isodilation.errors import NotPsdError, PreconditionError, UnboundedQError
 from isodilation.hermitian import hermitian, max_abs
 from isodilation.operators import WeightRule, dense_corner, make_shift_corner
-from isodilation.qsolver import solve_q_fixed_point, solve_q_shift_diagonal, verify_q
+from isodilation.qsolver import solve_q_shift_diagonal, solve_q_unitary, verify_q
 
 
 def brute_force_q0(rule: WeightRule, delta_diag, horizon: int) -> float:
@@ -67,15 +67,6 @@ class TestDiagonalSolver:
         with pytest.raises(NotPsdError):
             solve_q_shift_diagonal(rule, np.full(33, -1.0), 32, dim=8)
 
-    def test_q0_override_explores_nonminimal(self):
-        rule = WeightRule.dirichlet()
-        delta = defect_diagonal(rule, 1, 33)
-        sol = solve_q_shift_diagonal(rule, delta, 32, dim=8, q0=2.0)
-        assert sol.q0 == 2.0
-        assert sol.dominance_residual >= -1e-12
-        with pytest.raises(ValueError):
-            solve_q_shift_diagonal(rule, delta, 32, dim=8, q0=0.5)
-
     def test_stein_equation_holds_exactly(self):
         rule = WeightRule.geometric_concave(0.25)
         delta = defect_diagonal(rule, 1, 65)
@@ -123,51 +114,35 @@ class TestVerifyQ:
         assert dom >= -1e-10
 
 
-class TestFixedPoint:
-    def test_unitary_degenerate(self):
+class TestUnitaryClosedForm:
+    def test_unitary_gives_zero_metric(self):
         f = dense_corner(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
-        delta = hermitian(np.zeros((2, 2)))
-        sol = solve_q_fixed_point(f, delta)
+        t = dense_corner(f.matrix @ np.diag([1.0, 1j]))
+        for corner in (f, t):
+            delta = hermitian(np.zeros((2, 2)))
+            sol = solve_q_unitary(corner, delta)
+            assert sol.method == "zero" and sol.q_seq is None and sol.q0 is None
+            assert max_abs(sol.q.mat) == 0.0
+            # the report prints these; a negative zero would read -0.0
+            assert repr((sol.stein_residual, sol.dominance_residual)) == "(0.0, 0.0)"
+
+    @pytest.mark.parametrize(
+        "entry", [1.000001, 1.00000001, math.sqrt(2)], ids=["1e-6", "1e-8", "sqrt2"]
+    )
+    def test_nonunitary_defect_refused(self, entry):
+        # beta_1 = |t|^2 - 1 > 0, which the zero metric cannot dominate
+        t = dense_corner([[entry]])
+        delta = hermitian([[entry * entry - 1.0]])
+        with pytest.raises(PreconditionError, match="not unitary"):
+            solve_q_unitary(t, delta)
+
+    def test_defect_within_class_tol_accepted(self):
+        t = dense_corner([[1.0]])
+        sol = solve_q_unitary(t, hermitian([[5e-11]]))
         assert sol.method == "zero"
-        assert sol.iterations == 1
-        assert max_abs(sol.q.mat) == 0.0
-
-    def test_identity_returns_defect(self):
-        t = dense_corner(np.eye(2))
-        delta = hermitian(np.diag([1.0, 2.0]).astype(complex))
-        sol = solve_q_fixed_point(t, delta)
-        assert max_abs(sol.q.mat - delta.mat) == 0.0
-        assert sol.iterations == 1
-
-    def test_concavity_gate_rejects(self):
-        # T* delta T = 2 delta > delta: violates the concavity precondition
-        t = dense_corner([[math.sqrt(2)]])
-        delta = hermitian([[1.0]])
-        with pytest.raises(PreconditionError):
-            solve_q_fixed_point(t, delta)
-
-    def test_nonexpansive_rejected(self):
-        t = dense_corner([[0.5]])
-        delta = hermitian([[0.0]])
-        with pytest.raises(PreconditionError):
-            solve_q_fixed_point(t, delta)
-
-    def test_singular_rejected(self):
-        t = dense_corner([[0.0]])
-        with pytest.raises(Exception):
-            solve_q_fixed_point(t, hermitian([[0.0]]))
+        assert sol.dominance_residual == -5e-11
 
     def test_shift_corner_rejected(self):
         corner = make_shift_corner(WeightRule.dirichlet(), 6)
         with pytest.raises(ValueError):
-            solve_q_fixed_point(corner, hermitian(np.zeros((6, 6))))
-
-    def test_scaling_covariance(self):
-        rng = np.random.default_rng(5)
-        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        q_unitary, _ = np.linalg.qr(g)
-        t = dense_corner(q_unitary)
-        delta = hermitian(np.zeros((3, 3)))
-        base = solve_q_fixed_point(t, delta)
-        scaled = solve_q_fixed_point(t, hermitian(3.0 * delta.mat))
-        assert max_abs(scaled.q.mat - 3.0 * base.q.mat) <= 1e-10
+            solve_q_unitary(corner, hermitian(np.zeros((6, 6))))

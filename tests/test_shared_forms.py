@@ -1,7 +1,7 @@
 """One run computes each defect form once and decomposes each matrix once.
 
-Every `isodilation` module that binds `eigh` or `defect_form` is patched
-with a recorder, so calls through any namespace are counted.
+Every `isodilation` module that binds `eigh`, `hermitian` or `defect_form`
+is patched with a recorder, so calls through any namespace are counted.
 """
 
 import importlib
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import isodilation
-from isodilation import parse_spec, run_pipeline, spec_from_dict
+from isodilation import demo_spec, parse_spec, run_pipeline, spec_from_dict
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "spec-examples"
 
@@ -35,21 +35,32 @@ def _modules():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Record (input bytes, eig_tol) per eigh call and the order per defect_form call."""
+    """Record (input bytes, eig_tol) per eigh call, the order per defect_form
+    call and herm_tol per hermitian call."""
     real_eigh = importlib.import_module("isodilation.hermitian").eigh
+    real_hermitian = importlib.import_module("isodilation.hermitian").hermitian
     real_defect_form = importlib.import_module("isodilation.operators").defect_form
-    record = {"eigh": [], "defect_form": []}
+    record = {"eigh": [], "defect_form": [], "hermitian": []}
 
     def eigh(x, eig_tol=None, *args, **kwargs):
         record["eigh"].append((x.mat.tobytes(), eig_tol))
         return real_eigh(x, eig_tol, *args, **kwargs)
 
-    def defect_form(t, m):
-        record["defect_form"].append(m)
-        return real_defect_form(t, m)
+    def hermitian(x, herm_tol=None):
+        record["hermitian"].append(herm_tol)
+        return real_hermitian(x, herm_tol)
 
+    def defect_form(t, m, *args, **kwargs):
+        record["defect_form"].append(m)
+        return real_defect_form(t, m, *args, **kwargs)
+
+    fakes = (
+        ("eigh", eigh, real_eigh),
+        ("hermitian", hermitian, real_hermitian),
+        ("defect_form", defect_form, real_defect_form),
+    )
     for mod in _modules():
-        for name, fake, real in (("eigh", eigh, real_eigh), ("defect_form", defect_form, real_defect_form)):
+        for name, fake, real in fakes:
             if getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, fake)
     return record
@@ -80,3 +91,15 @@ def test_eig_tol_override_reaches_every_decomposition(calls, spec):
     assert result.overall
     assert calls["eigh"]
     assert {tol for _, tol in calls["eigh"]} == {1e-10}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [_dense_spec(), spec_from_dict(SHIFT_M2), demo_spec("unitary")],
+    ids=["dense", "shift", "unitary"],
+)
+def test_herm_tol_override_reaches_every_hermitian_call(calls, spec):
+    result = run_pipeline(spec, tol_overrides={"herm_tol": 1e-8})
+    assert result.overall
+    assert calls["hermitian"]
+    assert set(calls["hermitian"]) == {1e-8}

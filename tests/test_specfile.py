@@ -221,3 +221,21 @@ def test_no_public_function_overrides_a_tolerance():
                         if name == "tol" or name.endswith("_tol")
                     ]
     assert knobs == []
+
+
+def test_every_hermitian_and_eigh_call_passes_its_tolerance():
+    """`hermitian` and `eigh` fall back to the default tolerances when called
+    without one, so a call that omits it ignores the run's override."""
+    tolerance_of = {"hermitian": "herm_tol", "eigh": "eig_tol"}
+    omitted = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in tolerance_of
+                and len(node.args) < 2
+                and tolerance_of[node.func.id] not in {k.arg for k in node.keywords}
+            ):
+                omitted.append(f"{path.name}:{node.lineno}:{node.func.id}")
+    assert omitted == []

@@ -56,7 +56,7 @@ class TestDilationProperty:
         from isodilation.qsolver import QSolution
         from isodilation.hermitian import hermitian
 
-        q = QSolution(hermitian(np.zeros((2, 2))), "zero", None, 0.0, 0.0, 1)
+        q = QSolution(hermitian(np.zeros((2, 2))), "zero", None, 0.0, 0.0)
         model, weights = build_general_model(dense_corner(f), 2, q, 6)
         dil = assemble_dilation(model, weights, 4)
         assert check_dilation_property(dil).residual == 0.0
@@ -206,7 +206,7 @@ class TestMinimality:
         from isodilation.qsolver import QSolution
         from isodilation.hermitian import hermitian
 
-        q = QSolution(hermitian(np.zeros((2, 2))), "zero", None, 0.0, 0.0, 1)
+        q = QSolution(hermitian(np.zeros((2, 2))), "zero", None, 0.0, 0.0)
         model, weights = build_general_model(dense_corner(f), 2, q, 6)
         dil = assemble_dilation(model, weights, 4)
         assert check_minimality(dil).passed
@@ -343,7 +343,7 @@ class TestRemark:
         from isodilation.qsolver import QSolution
         from isodilation.hermitian import hermitian
 
-        q = QSolution(hermitian(np.zeros((2, 2))), "zero", None, 0.0, 0.0, 1)
+        q = QSolution(hermitian(np.zeros((2, 2))), "zero", None, 0.0, 0.0)
         model, weights = build_general_model(dense_corner(f), 2, q, 6)
         assert remark_consistency(model, weights).passed
 
