@@ -50,7 +50,6 @@ class DiagonalModel:
     path: str
     window: int
     support: np.ndarray          # H' indices: metric diagonal above the rank cutoff
-    q_diag: np.ndarray | None    # metric diagonal on the window (general/badea)
     a_diag: np.ndarray           # on support
     b_diag: np.ndarray           # on support
     u_diag: np.ndarray           # on support
@@ -134,13 +133,11 @@ def build_diagonal_model(
             p_prev = p_n
         weight_diags = tuple(diags)
 
-    q_diag = np.asarray(q_seq, dtype=float)[:window] if q_seq is not None else None
     return DiagonalModel(
         m=m,
         path=path,
         window=window,
         support=support,
-        q_diag=q_diag,
         a_diag=a_vals,
         b_diag=b_vals,
         u_diag=u_vals,
@@ -182,10 +179,4 @@ def dense_agreement_residual(
         dense_s = model.embed(weights.weights[n - 1].mat)
         diag_s = embed_support_diagonal(w, diag.support, diag.weight_diags[n - 1])
         residual = max(residual, max_abs(dense_s - diag_s))
-    if model.q is not None and model.q.q_seq is not None and diag.q_diag is not None:
-        count_q = min(9, w)
-        residual = max(
-            residual,
-            float(np.max(np.abs(model.q.q_seq[:count_q] - diag.q_diag[:count_q]))),
-        )
     return residual

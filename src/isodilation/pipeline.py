@@ -337,7 +337,7 @@ def _verify(
         rep.add(CheckResult(
             "diagonal_dense_agreement", agree, tols.agreement_tol,
             agree <= tols.agreement_tol,
-            "diagonal fast path vs dense eigendecomposition path (A, B, U, S, q)",
+            "diagonal fast path vs dense eigendecomposition path (A, B, U, S)",
         ))
 
     if badea_assembled is not None:

@@ -3,11 +3,14 @@ non-isomorphism certificate, and the equivalence in both directions."""
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from isodilation import demo_spec, run_pipeline
 from isodilation.builder import (
+    AssembledDilation,
     assemble_dilation,
     build_badea_2iso,
     build_general_model,
@@ -15,10 +18,14 @@ from isodilation.builder import (
     perturb_weight,
 )
 from isodilation.diagonal import defect_diagonal
+from isodilation.hermitian import eigh
 from isodilation.operators import WeightRule, dense_corner, make_shift_corner
 from isodilation.qsolver import solve_q_shift_diagonal
+from isodilation.tolerances import DEFAULT_TOLERANCES, DEFAULT_TRIALS
 from isodilation.verifier import (
     _column_space_rank,
+    _random_complex,
+    _rng,
     check_criterion_identity,
     check_dilation_property,
     check_minimality,
@@ -101,6 +108,78 @@ class TestPowersFormula:
         y = general.matrix @ (general.matrix @ h)
         expected = weights.weights[2].mat @ (weights.weights[1].mat @ vec)
         assert np.allclose(y[general.block_slice(4)], expected, atol=1e-12)
+
+
+    def test_batched_matches_per_trial_reference(self, scalar_model, strict_pair):
+        _, _, scalar = scalar_model
+        _, _, general, _, badea = strict_pair
+        corrupted = dataclasses.replace(general, u=general.u + 0.1)
+        for dil in (scalar, general, badea, corrupted):
+            for seed in (0, 5):
+                res = check_powers_formula(dil, trials=9, seed=seed)
+                ref = _powers_residual_reference(dil, trials=9, seed=seed)
+                assert res.residual == pytest.approx(ref, rel=1e-12)
+
+    def test_perturbed_weight_is_a_consistent_dilation(self, strict_pair):
+        # both sides of the formula read the stored weights, so a corrupted
+        # S_n still satisfies it; the m-isometry check is what catches it
+        model, weights, _, _, _ = strict_pair
+        bad = assemble_dilation(model, perturb_weight(weights, 2, 0.1), 6)
+        assert check_powers_formula(bad).passed
+        assert not check_w_m_isometry(bad).passed
+
+    def test_blocks_disagreeing_with_model_fail(self, strict_pair):
+        # W^m is applied from the stored blocks, the closed form reads T and
+        # U from the model: a stored block that disagrees must show
+        _, _, general, _, _ = strict_pair
+        for bad in (
+            dataclasses.replace(general, u=general.u + 0.1),
+            dataclasses.replace(general, t=general.t * 1.01),
+        ):
+            res = check_powers_formula(bad)
+            assert not res.passed
+            assert res.residual > 1e-3
+
+
+def _powers_residual_reference(dilation, trials, seed):
+    """check_powers_formula one trial vector at a time."""
+    model = dilation.model
+    weights = dilation.weights
+    m, w, d = model.m, model.dim_h, model.dim_hprime
+    h0_dim = model.corner.window_after(m)
+    top_block = dilation.n_blocks - m
+    rng = _rng(seed, "powers_formula")
+    prefixes = [np.eye(d, dtype=np.complex128)]
+    for k in range(2, min(m, dilation.n_blocks) + 1):
+        prefixes.append(weights[k - 2] @ prefixes[-1])
+    products = {}
+    for k in range(m + 1, dilation.n_blocks + 1):
+        prod = np.eye(d, dtype=np.complex128)
+        for i in range(k - m, k):
+            prod = weights[i - 1] @ prod
+        products[k] = prod
+    residual = 0.0
+    for _ in range(trials):
+        h = np.zeros(dilation.dim_total, dtype=np.complex128)
+        h[:h0_dim] = _random_complex(rng, h0_dim)
+        for j in range(1, top_block + 1):
+            h[dilation.block_slice(j)] = _random_complex(rng, d)
+        y = h
+        for _ in range(m):
+            y = dilation.apply(y)
+        expected = np.zeros_like(h)
+        t_pows = [h[:w].copy()]
+        for _ in range(m):
+            t_pows.append(model.corner.matrix @ t_pows[-1])
+        expected[:w] = t_pows[m]
+        if d:
+            for k in range(1, min(m, dilation.n_blocks) + 1):
+                expected[dilation.block_slice(k)] = prefixes[k - 1] @ (model.u @ t_pows[m - k])
+            for k, prod in products.items():
+                expected[dilation.block_slice(k)] = prod @ h[dilation.block_slice(k - m)]
+        norm = float(np.sqrt(np.vdot(h, h).real))
+        residual = max(residual, float(np.max(np.abs(y - expected))) / max(norm, 1.0))
+    return residual
 
 
 class TestWMIsometry:
@@ -226,6 +305,90 @@ class TestMinimality:
         assert check_minimality(badea).passed
 
 
+def _mgs_rank_reference(cols, thresh):
+    """Blocked Gram-Schmidt with a per-column modified Gram-Schmidt inside
+    each 48-column batch: the rank kernel one accepted vector at a time."""
+    dim, count = cols.shape
+    if count == 0 or dim == 0:
+        return 0
+    basis = None
+    for start in range(0, count, 48):
+        blk = cols[:, start : start + 48].astype(np.complex128, copy=True)
+        for _ in range(2):
+            if basis is not None:
+                blk -= basis @ (basis.conj().T @ blk)
+        accepted = []
+        for i in range(blk.shape[1]):
+            v = blk[:, i]
+            for u in accepted:
+                v = v - u * np.vdot(u, v)
+            nrm = float(np.sqrt(np.vdot(v, v).real))
+            if nrm > thresh:
+                accepted.append(v / nrm)
+        if accepted:
+            new = np.column_stack(accepted)
+            basis = new if basis is None else np.concatenate([basis, new], axis=1)
+    return 0 if basis is None else basis.shape[1]
+
+
+def _complex_gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestRankKernelAgainstReference:
+    """The batched rank kernel accepts exactly the columns the per-column
+    modified Gram-Schmidt accepts."""
+
+    @pytest.mark.parametrize("shape", [(150, 120), (120, 150), (48, 48), (200, 97)])
+    def test_full_rank(self, rng, shape):
+        cols = _complex_gaussian(rng, shape)
+        thresh = 1e-6 * _max_column_norm(cols)
+        rank = _column_space_rank(cols, thresh)
+        assert rank == _mgs_rank_reference(cols, thresh) == min(shape)
+        assert rank == np.linalg.matrix_rank(cols)
+
+    def test_exact_deficiency_inside_and_across_batches(self, rng):
+        cols = _complex_gaussian(rng, (160, 130))
+        # inside the first batch: a duplicate and a combination
+        cols[:, 10] = cols[:, 3]
+        cols[:, 20] = 2.0 * cols[:, 5] - 1j * cols[:, 7]
+        # across batches: columns of batches 2 and 3 from earlier batches
+        cols[:, 60] = cols[:, 2]
+        cols[:, 70] = cols[:, 1] + (0.5 - 2j) * cols[:, 50]
+        cols[:, 100] = cols[:, 99] - 3.0 * cols[:, 40] + 1j * cols[:, 0]
+        cols[:, 129] = cols[:, 100]
+        thresh = 1e-6 * _max_column_norm(cols)
+        rank = _column_space_rank(cols, thresh)
+        assert rank == _mgs_rank_reference(cols, thresh) == 130 - 6
+        assert rank == np.linalg.matrix_rank(cols)
+
+    @pytest.mark.parametrize("thresh", [1e-4, 1e-6])
+    def test_residuals_within_one_percent_of_threshold(self, rng, thresh):
+        # columns of norm about 1 (minimality's threshold is 1e-6 of the
+        # largest column norm) built on an orthonormal frame: every third
+        # column has residual thresh * (1 + delta) along a direction of its
+        # own, the others open a fresh direction; all mix in the directions
+        # opened before them
+        dim, count = 200, 130
+        frame, _ = np.linalg.qr(_complex_gaussian(rng, (dim, dim)))
+        deltas = (-0.01, -0.005, -0.001, 0.001, 0.005, 0.01)
+        cols = np.zeros((dim, count), dtype=np.complex128)
+        opened, near, expected = 0, 0, 0
+        for j in range(count):
+            cols[:, j] = frame[:, :opened] @ _complex_gaussian(rng, opened) / np.sqrt(max(opened, 1))
+            if j % 3 == 2:
+                delta = deltas[near % len(deltas)]
+                near += 1
+                cols[:, j] += thresh * (1.0 + delta) * frame[:, dim - near]
+                expected += delta > 0
+            else:
+                cols[:, j] += (1.0 + rng.uniform()) * frame[:, opened]
+                opened += 1
+                expected += 1
+        rank = _column_space_rank(cols, thresh)
+        assert rank == _mgs_rank_reference(cols, thresh) == expected
+
+
 def _dense_orbit_rank(dilation, rel_tol=1e-6):
     """Gram-Schmidt rank of the dense orbit [W^n e : n = 0..n_blocks]."""
     cur = np.eye(dilation.dim_total, dilation.dim_h, dtype=complex)
@@ -323,6 +486,44 @@ class TestCertificate:
         assert not res.passed
 
 
+    @pytest.mark.parametrize("seed", [None, 1, 7])
+    def test_batched_search_matches_per_candidate_reference(self, seed):
+        # the strict-2concave demo (seed None) is also the N = 48 spec of the
+        # shift-m2 workload, which runs it at verifier seeds 1, 7, ...
+        result = run_pipeline(demo_spec("strict-2concave"), seed=seed)
+        general, badea = result.assembled, result.badea_assembled
+        reported = next(
+            c for c in result.verification.checks if c.name == "nonisomorphism_certificate"
+        )
+        ref = _certificate_gap_reference(general, badea, DEFAULT_TRIALS, result.seed)
+        assert reported.residual == ref
+        assert reported.passed
+
+
+def _certificate_gap_reference(general, badea, trials, seed):
+    """Largest norm gap over the certificate's candidates, one padded
+    vector and one application of each dilation per candidate."""
+    w = general.dim_h
+    rng = _rng(seed, "nonisomorphism_certificate")
+    candidates = [np.eye(w, dtype=np.complex128)[:, i] for i in range(w)]
+    for _ in range(trials):
+        candidates.append(_random_complex(rng, w))
+    dec = eigh(general.model.defect_prev, DEFAULT_TOLERANCES.eig_tol)
+    candidates.append(dec.basis[:, int(np.argmax(np.abs(dec.values)))].copy())
+
+    def gap_of(h):
+        norm_sq = float(np.vdot(h, h).real)
+        xg = np.zeros(general.dim_total, dtype=np.complex128)
+        xg[:w] = h
+        xb = np.zeros(badea.dim_total, dtype=np.complex128)
+        xb[:w] = h
+        yg = general.apply(xg)
+        yb = badea.apply(xb)
+        return abs(float(np.vdot(yg, yg).real) - float(np.vdot(yb, yb).real)) / norm_sq
+
+    return max(gap_of(h) for h in candidates)
+
+
 class TestRemark:
     def test_dirichlet_isometric_branch(self):
         rule = WeightRule.dirichlet()
@@ -356,3 +557,27 @@ class TestRemark:
         eye = identity(model.dim_hprime)
         fake = ShiftWeights((eye,) * 4, (eye,) * 4)
         assert not remark_consistency(model, fake).passed
+
+
+def test_batched_checks_apply_each_dilation_once_per_power(monkeypatch):
+    # structural guard: the certificate applies each dilation once to its
+    # whole candidate block, and the powers check applies W m times to its
+    # whole trial block; a return to one application per vector fails here
+    calls = []
+    apply = AssembledDilation.apply
+
+    def counting_apply(self, x):
+        calls.append((sys._getframe(1).f_code.co_name, x.shape))
+        return apply(self, x)
+
+    monkeypatch.setattr(AssembledDilation, "apply", counting_apply)
+    # the strict-2concave demo is the N = 48 spec of the shift-m2 workload
+    result = run_pipeline(demo_spec("strict-2concave"), seed=1)
+    w = result.assembled.dim_h
+
+    cert = [shape for caller, shape in calls if caller == "nonisomorphism_certificate"]
+    assert len(cert) == 2
+    assert all(len(shape) == 2 and shape[0] == w for shape in cert)
+    powers = [shape for caller, shape in calls if caller == "check_powers_formula"]
+    assert len(powers) == result.model.m == 2
+    assert all(shape == (result.assembled.dim_total, DEFAULT_TRIALS) for shape in powers)
