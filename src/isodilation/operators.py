@@ -22,7 +22,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import WeightRuleError, WindowExhaustedError
-from .hermitian import EigenDecomposition, HermitianMatrix, PsdCheck, eigh, hermitian, psd_check
+from .hermitian import (
+    EigenDecomposition,
+    HermitianMatrix,
+    PsdCheck,
+    eigh_stack,
+    hermitian,
+    psd_check,
+)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 RULE_NAMES = ("constant", "dirichlet", "geometric_concave", "table")
@@ -221,11 +228,12 @@ class DefectForms:
     `full(k)` is `defect_form(t, k)`; `on(k, w, negate)` is +-beta_k on
     its leading w-block (by default its exact window), and
     `decomposition(k, w, negate)` is the one spectral decomposition of
-    that block, made with the tolerances' eig_tol.  `classify` makes one
-    and hands it to the builders, so the classification flags, the
-    builders' sign gates and the 3-concave quotient form share every form
-    and every decomposition of an identical block.  A smaller block of a
-    form is another matrix and gets its own decomposition.  An instance
+    that block, made with the tolerances' eig_tol; `decompose` makes those
+    of several blocks at once, one Jacobi stack per block size.  `classify`
+    makes one and hands it to the builders, so the classification flags,
+    the builders' sign gates and the 3-concave quotient form share every
+    form and every decomposition of an identical block.  A smaller block of
+    a form is another matrix and gets its own decomposition.  An instance
     belongs to one corner and one run; nothing outlives it.
     """
 
@@ -257,10 +265,24 @@ class DefectForms:
         self, k: int, w: int | None = None, negate: bool = False
     ) -> EigenDecomposition:
         """The spectral decomposition of `on(k, w, negate)`."""
-        key = self._key(k, w, negate)
-        if key not in self._decs:
-            self._decs[key] = eigh(self.on(k, w, negate), self.tols.eig_tol)
-        return self._decs[key]
+        return self.decompose([(k, w, negate)])[0]
+
+    def decompose(self, blocks) -> list[EigenDecomposition]:
+        """Spectral decompositions of several `(k, w, negate)` blocks.
+
+        The blocks not yet decomposed are swept in one `eigh_stack` per
+        block size, the sizes in order of first appearance; each result is
+        bit for bit the block's decomposition alone.
+        """
+        keys = [self._key(*block) for block in blocks]
+        by_size: dict[int, list] = {}
+        for key in dict.fromkeys(keys):
+            if key not in self._decs:
+                by_size.setdefault(key[1], []).append(key)
+        for same_size in by_size.values():
+            mats = [self.on(*key) for key in same_size]
+            self._decs.update(zip(same_size, eigh_stack(mats, self.tols.eig_tol)))
+        return [self._decs[key] for key in keys]
 
     def psd(
         self, k: int, tol: float, w: int | None = None, negate: bool = False
@@ -311,6 +333,8 @@ def classify(t: OperatorCorner, m: int, tols: Tolerances = DEFAULT_TOLERANCES) -
     forms = DefectForms(t, tols)
 
     iso_norm = forms.on(m).norm_max()
+    # beta_1, -beta_m and beta_(m-1) in one stack where their windows agree
+    forms.decompose([(1, None, False), (m, None, True), (max(m - 1, 1), None, False)])
     exp_check = forms.psd(1, ctol)
     concave_check = forms.psd(m, ctol, negate=True)
     delta_check = forms.psd(max(m - 1, 1), ctol)

@@ -150,6 +150,11 @@ def check_powers_formula(
     Block k of W^m h is T^m h_0 (k = 0), U T^(m-1) h_0 (k = 1),
     S_(k-1)...S_1 U T^(m-k) h_0 (2 <= k <= m), and S_(k-1)...S_(k-m) h_(k-m)
     beyond.  Test vectors are supported so every referenced entry is exact.
+
+    Both sides read the weights stored in `dilation`, so the check covers
+    only how `apply` places blocks and the stored T and U against the
+    model.  A corrupted weight passes here; `w_m_isometry` and
+    `weight_shift_m_isometry` are the checks that catch it.
     """
     model = dilation.model
     weights = dilation.weights

@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 
 from isodilation.errors import ConvergenceError, HermitianityError, NotPsdError
 from isodilation.hermitian import (
+    _STACK_BYTES,
+    _rotation_rounds,
     eigh,
+    eigh_stack,
     hermitian,
     identity,
     max_abs,
@@ -59,8 +62,6 @@ class TestHermitianConstruction:
 class TestEigh:
     @pytest.mark.parametrize("n", [2, 3, 8, 13])
     def test_rotation_schedule_covers_every_pair_once(self, n):
-        from isodilation.hermitian import _rotation_rounds
-
         seen = []
         for p, q in _rotation_rounds(n):
             # disjoint indices within a round
@@ -128,6 +129,157 @@ class TestEigh:
         assert dec.recon_residual <= limit
         ref = np.sort(np.linalg.eigvalsh(x.mat))
         assert np.max(np.abs(dec.values - ref)) <= limit
+
+
+def _one_matrix_jacobi(x, tol=DEFAULT_TOLERANCES.eig_tol, max_sweeps=64):
+    """The one-matrix cyclic Jacobi loop that `eigh_stack` generalizes,
+    kept as the loop reference: the stacked kernel must reproduce its bits.
+    Returns (values, basis) for n >= 2."""
+    n = x.n
+    a = np.array(x.mat)
+    scale = max_abs(a)
+    stop = max(tol * (1.0 + scale) / 4.0, 8.0 * n * np.finfo(float).eps * scale)
+    skip = stop / (8.0 * n)
+    v = np.eye(n, dtype=np.complex128)
+    for _ in range(max_sweeps):
+        off = a.copy()
+        np.fill_diagonal(off, 0.0)
+        if max_abs(off) <= stop:
+            break
+        for p, q in _rotation_rounds(n):
+            apq = a[p, q]
+            mags = np.abs(apq)
+            live = mags > skip
+            p, q, apq, mags = p[live], q[live], apq[live], mags[live]
+            phase = apq / mags
+            tau = (a[q, q].real - a[p, p].real) / (2.0 * mags)
+            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            cp, cq = a[:, p], a[:, q]
+            a[:, p] = cp * c - cq * (s * phase.conj())
+            a[:, q] = cp * s + cq * (c * phase.conj())
+            rp, rq = a[p, :], a[q, :]
+            a[p, :] = c[:, None] * rp - (s * phase)[:, None] * rq
+            a[q, :] = s[:, None] * rp + (c * phase)[:, None] * rq
+            cp, cq = v[:, p], v[:, q]
+            v[:, p] = cp * c - cq * (s * phase.conj())
+            v[:, q] = cp * s + cq * (c * phase.conj())
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+        a = (a + a.conj().T) / 2.0
+    else:
+        raise ConvergenceError("reference loop did not converge")
+    values = a.diagonal().real.copy()
+    order = np.argsort(values, kind="stable")
+    return values[order], v[:, order]
+
+
+def _sweeps_needed(x):
+    """Fewest sweeps after which `eigh` accepts x."""
+    for sweeps in range(65):
+        try:
+            eigh(x, max_sweeps=sweeps)
+            return sweeps
+        except ConvergenceError:
+            pass
+    raise AssertionError("no sweep budget suffices")
+
+
+def _mixed_stack(seed, n):
+    """Diagonal, dense and near-degenerate members of one size."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    clustered = np.repeat(rng.standard_normal(n // 2 + 1), 2)[:n] + 1e-9 * rng.standard_normal(n)
+    return [
+        hermitian(np.diag(rng.standard_normal(n))),
+        random_hermitian(rng, n, scale=3.0),
+        hermitian(u @ np.diag(clustered) @ u.conj().T),
+        hermitian(np.diag(rng.standard_normal(n)) + 1e-7 * random_hermitian(rng, n).mat),
+        random_hermitian(rng, n, scale=1e-3),
+    ]
+
+
+def _same_bits(a, b):
+    return (
+        np.array_equal(a.values, b.values)
+        and np.array_equal(a.basis, b.basis)
+        and a.recon_residual == b.recon_residual
+        and a.basis_residual == b.basis_residual
+    )
+
+
+class TestEighStack:
+    @pytest.mark.parametrize("seed, n", [(1, 5), (2, 12), (3, 24)])
+    def test_members_keep_the_bits_of_a_lone_decomposition(self, seed, n):
+        xs = _mixed_stack(seed, n)
+        # the members leave the stack after different numbers of sweeps
+        assert len({_sweeps_needed(x) for x in xs}) >= 3
+        stacked = eigh_stack(xs)
+        assert len(stacked) == len(xs)
+        for x, dec in zip(xs, stacked):
+            assert _same_bits(dec, eigh(x))
+            values, basis = _one_matrix_jacobi(x)
+            assert np.array_equal(dec.values, values)
+            assert np.array_equal(dec.basis, basis)
+        # a reordered stack gives every member the same bits
+        for x, dec in zip(xs[::-1], eigh_stack(xs[::-1])):
+            assert _same_bits(dec, eigh(x))
+
+    @pytest.mark.parametrize("seed, n", [(4, 7), (5, 32)])
+    def test_matches_lapack_oracle(self, seed, n):
+        xs = _mixed_stack(seed, n)
+        for x, dec in zip(xs, eigh_stack(xs, DEFAULT_TOLERANCES.eig_tol)):
+            ref = np.linalg.eigvalsh(x.mat)
+            assert np.max(np.abs(dec.values - ref)) < 1e-11 * (1 + x.norm_max())
+            assert dec.recon_residual <= DEFAULT_TOLERANCES.eig_tol * (1 + x.norm_max())
+
+    def test_stack_over_the_gather_budget_is_split_without_changing_bits(self):
+        n = 48
+        per_stack = _STACK_BYTES // (8 * n * n)
+        assert 1 < per_stack < 20
+        rng = np.random.default_rng(6)
+        xs = [
+            hermitian(np.diag(rng.standard_normal(n)) + 1e-3 * random_hermitian(rng, n).mat)
+            for _ in range(per_stack + 2)
+        ]
+        for x, dec in zip(xs, eigh_stack(xs)):
+            assert _same_bits(dec, eigh(x))
+
+    def test_sizes_zero_one_and_two(self):
+        empty = hermitian(np.zeros((0, 0)))
+        assert [d.values.shape for d in eigh_stack([empty, empty])] == [(0,), (0,)]
+        ones = eigh_stack([hermitian([[4.0]]), hermitian([[-1.5]])])
+        assert [d.values.tolist() for d in ones] == [[4.0], [-1.5]]
+        assert all(np.array_equal(d.basis, np.eye(1)) for d in ones)
+        twos = [hermitian([[2.0, 1.0], [1.0, 2.0]]), hermitian(np.diag([3.0, 1.0]))]
+        decs = eigh_stack(twos)
+        assert np.allclose(decs[0].values, [1.0, 3.0], atol=1e-13)
+        assert np.array_equal(decs[1].values, [1.0, 3.0])
+        for x, dec in zip(twos, decs):
+            assert _same_bits(dec, eigh(x))
+        assert eigh_stack([]) == ()
+
+    def test_mixed_sizes_rejected(self):
+        rng = np.random.default_rng(8)
+        with pytest.raises(ValueError, match="one size"):
+            eigh_stack([random_hermitian(rng, 3), random_hermitian(rng, 4)])
+
+    def test_spent_budget_raises_for_the_first_unconverged_member(self):
+        rng = np.random.default_rng(9)
+        diagonal = hermitian(np.diag(rng.standard_normal(8)))
+        first, second = random_hermitian(rng, 8), random_hermitian(rng, 8, scale=5.0)
+        with pytest.raises(ConvergenceError) as alone:
+            eigh(first, max_sweeps=1)
+        with pytest.raises(ConvergenceError) as other:
+            eigh(second, max_sweeps=1)
+        assert str(alone.value) != str(other.value)
+        with pytest.raises(ConvergenceError) as stacked:
+            eigh_stack([diagonal, first, second], max_sweeps=1)
+        assert str(stacked.value) == str(alone.value)
+        with pytest.raises(ConvergenceError) as reversed_stack:
+            eigh_stack([second, diagonal, first], max_sweeps=1)
+        assert str(reversed_stack.value) == str(other.value)
 
 
 class TestSqrtPsd:

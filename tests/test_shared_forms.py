@@ -1,9 +1,13 @@
 """One run computes each defect form once and decomposes each matrix once.
 
-Every `isodilation` module that binds `eigh`, `hermitian` or `defect_form`
-is patched with a recorder, so calls through any namespace are counted.
+Every `isodilation` module that binds `eigh_stack`, `hermitian` or
+`defect_form` is patched with a recorder, so calls through any namespace
+are counted.  `eigh` is the one-member case of `eigh_stack`, so the
+recorder in `hermitian` sees every matrix that reaches the Jacobi kernel
+through either entry point.
 """
 
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -11,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import isodilation
-from isodilation import demo_spec, parse_spec, run_pipeline, spec_from_dict
+from isodilation import classify_spec, demo_spec, parse_spec, run_pipeline, spec_from_dict
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "spec-examples"
 
@@ -35,16 +39,19 @@ def _modules():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Record (input bytes, eig_tol) per eigh call, the order per defect_form
-    call and herm_tol per hermitian call."""
-    real_eigh = importlib.import_module("isodilation.hermitian").eigh
+    """Record (input bytes, eig_tol) per matrix decomposed, the member count
+    per kernel call, the order per defect_form call and herm_tol per
+    hermitian call."""
+    real_eigh_stack = importlib.import_module("isodilation.hermitian").eigh_stack
     real_hermitian = importlib.import_module("isodilation.hermitian").hermitian
     real_defect_form = importlib.import_module("isodilation.operators").defect_form
-    record = {"eigh": [], "defect_form": [], "hermitian": []}
+    record = {"eigh": [], "stacks": [], "defect_form": [], "hermitian": []}
 
-    def eigh(x, eig_tol=None, *args, **kwargs):
-        record["eigh"].append((x.mat.tobytes(), eig_tol))
-        return real_eigh(x, eig_tol, *args, **kwargs)
+    def eigh_stack(xs, eig_tol=None, *args, **kwargs):
+        xs = tuple(xs)
+        record["stacks"].append(len(xs))
+        record["eigh"] += [(x.mat.tobytes(), eig_tol) for x in xs]
+        return real_eigh_stack(xs, eig_tol, *args, **kwargs)
 
     def hermitian(x, herm_tol=None):
         record["hermitian"].append(herm_tol)
@@ -55,7 +62,7 @@ def calls(monkeypatch):
         return real_defect_form(t, m, *args, **kwargs)
 
     fakes = (
-        ("eigh", eigh, real_eigh),
+        ("eigh_stack", eigh_stack, real_eigh_stack),
         ("hermitian", hermitian, real_hermitian),
         ("defect_form", defect_form, real_defect_form),
     )
@@ -76,6 +83,19 @@ def test_dense_run_decomposes_each_matrix_once(calls):
     inputs = [data for data, _ in calls["eigh"]]
     assert len(set(inputs)) == len(inputs)
     assert inputs[-1] == result.model.a.mat.tobytes()
+    # the three classification forms are swept as one stack
+    assert calls["stacks"] == [3, 1]
+
+
+@pytest.mark.parametrize("m, members", [(3, 3), (2, 2)])
+def test_dense_classify_makes_one_stacked_call(calls, m, members):
+    """beta_1, -beta_m and beta_(m-1) share the window of a dense corner;
+    for m = 2 the last is beta_1 again."""
+    spec = _dense_spec()
+    cls, _, _ = classify_spec(spec if m == spec.m else dataclasses.replace(spec, m=m))
+    cls.forms.decompose([(1, None, False), (m, None, True), (m - 1, None, False)])
+    assert calls["stacks"] == [members]
+    assert len(set(calls["eigh"])) == members
 
 
 def test_shift_run_computes_each_defect_form_once(calls):
@@ -83,6 +103,8 @@ def test_shift_run_computes_each_defect_form_once(calls):
     assert result.path == "general_m" and result.badea_model is not None
     assert sorted(calls["defect_form"]) == [1, 2]
     assert len(calls["eigh"]) == 7
+    # the forms' windows differ, so every stack has one member
+    assert set(calls["stacks"]) == {1}
 
 
 @pytest.mark.parametrize("spec", [_dense_spec(), spec_from_dict(SHIFT_M2)], ids=["dense", "shift"])

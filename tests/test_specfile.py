@@ -224,9 +224,10 @@ def test_no_public_function_overrides_a_tolerance():
 
 
 def test_every_hermitian_and_eigh_call_passes_its_tolerance():
-    """`hermitian` and `eigh` fall back to the default tolerances when called
-    without one, so a call that omits it ignores the run's override."""
-    tolerance_of = {"hermitian": "herm_tol", "eigh": "eig_tol"}
+    """`hermitian`, `eigh` and `eigh_stack` fall back to the default
+    tolerances when called without one, so a call that omits it ignores the
+    run's override."""
+    tolerance_of = {"hermitian": "herm_tol", "eigh": "eig_tol", "eigh_stack": "eig_tol"}
     omitted = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
