@@ -118,7 +118,8 @@ class AssembledDilation:
 
     Stored as its blocks: the corner `t` (w x w), `u` (d x w) and the stacked
     weights S_1..S_(n_blocks-1) as a (n_blocks-1, d, d) array.  `apply` acts
-    with the truncated W; the dense `matrix` is built only on request.
+    with the truncated W, multiplying by the stored `t` through the band
+    kernel of `t_corner`; the dense `matrix` is built only on request.
     """
 
     t: np.ndarray
@@ -145,6 +146,13 @@ class AssembledDilation:
     @property
     def dim_total(self) -> int:
         return self.dim_h + self.n_blocks * self.dim_hprime
+
+    @cached_property
+    def t_corner(self) -> OperatorCorner:
+        """A copy of the stored `t` as a corner, its band read from its own
+        nonzeros, so a stored `t` that leaves the model's band is still
+        multiplied as stored."""
+        return OperatorCorner.spanning(self.t.copy())
 
     def block_slice(self, k: int) -> slice:
         """Coordinate slice of block k (0 is H, 1..n_blocks are H' copies)."""
@@ -173,7 +181,7 @@ class AssembledDilation:
             raise DimensionError(f"length {cols.shape[0]} is not a leading run of blocks")
         steps = min(j, self.n_blocks - 1)
         out = np.empty((w + (steps + 1) * d, count), dtype=np.complex128)
-        out[:w] = self.t @ cols[:w]
+        out[:w] = self.t_corner.dot(cols[:w])
         if d:
             out[w : w + d] = self.u @ cols[:w]
             tail = cols[w : w + steps * d].reshape(steps, d, count)
@@ -303,7 +311,7 @@ def build_a_three_concave(
     defect forms of t and their decompositions (computed here when None).
     """
     forms = _forms_of(t, forms, tols)
-    compressed = t.matrix.conj().T @ forms.full(3).mat @ t.matrix
+    compressed = t.congruence(forms.full(3).mat)
     w = min(window, t.window_after(4))
     if w <= 0:
         raise DimensionError("no exact window left for the 3-concave construction")

@@ -17,6 +17,7 @@ therefore exact shift corners.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -122,6 +123,16 @@ class OperatorCorner:
     exact=True means the matrix is the literal upper-left corner of a
     declared infinite operator; exact=False means a free-standing
     finite-dimensional operator (no window shrink applies).
+
+    Every product with the corner goes through one band kernel: `dot`
+    (T x), `adjoint_dot` (T* x) and `congruence` (T* g T).  When the
+    corner has a single nonzero diagonal, real, inside a declared band of
+    at most two diagonals (every weighted-shift corner), the kernel is a
+    scaled, shifted slice: O(N) work per column instead of O(N^2), and
+    each product entry is the one term the dense product rounds, so it
+    gets the dense product's values (a zero's sign aside: BLAS can return
+    -0.0 where the kernel writes 0.0).  Every other corner falls back to
+    the dense `matrix @ x`; a wider declared band decides that in O(1).
     """
 
     matrix: np.ndarray
@@ -142,6 +153,16 @@ class OperatorCorner:
                 f"entry ({i},{j}) = {mat[i, j]} lies outside the declared band"
             )
         mat.setflags(write=False)
+
+    @classmethod
+    def spanning(cls, mat: np.ndarray) -> "OperatorCorner":
+        """A square complex matrix as a free-standing corner (exact=False)
+        whose declared band is the one its nonzero entries span; the matrix
+        is taken as given, not copied or checked further."""
+        rows, cols = np.nonzero(mat)
+        lower = int(np.max(rows - cols)) if rows.size else 0
+        upper = int(np.max(cols - rows)) if rows.size else 0
+        return cls(mat, max(lower, 0), max(upper, 0), False, None)
 
     @property
     def n(self) -> int:
@@ -169,6 +190,57 @@ class OperatorCorner:
             return self.n
         return self.n - applications * self.bandwidth
 
+    @cached_property
+    def _diagonal(self) -> tuple | None:
+        """(offset j - i, real entries T[i, i + offset]) when the declared
+        band spans at most two diagonals and only one of them is nonzero and
+        real, as on a weighted shift; None otherwise, decided from the band
+        alone on a wider one."""
+        if self.bandwidth > 1:
+            return None
+        offsets = range(-self.lower_band, self.upper_band + 1)
+        nonzero = [k for k in offsets if np.any(np.diagonal(self.matrix, k))]
+        if len(nonzero) != 1:
+            return None
+        vals = np.diagonal(self.matrix, nonzero[0])
+        return None if np.any(vals.imag) else (nonzero[0], vals.real.copy())
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """T x for a vector or a block of columns."""
+        if self._diagonal is None:
+            return self.matrix @ x
+        return _diagonal_product(*self._diagonal, x)
+
+    def adjoint_dot(self, x: np.ndarray) -> np.ndarray:
+        """T* x for a vector or a block of columns."""
+        if self._diagonal is None:
+            return self.matrix.conj().T @ x
+        offset, vals = self._diagonal
+        return _diagonal_product(-offset, vals, x)
+
+    def congruence(self, g: np.ndarray) -> np.ndarray:
+        """T* g T, associated as (T* g) T like the dense product."""
+        if self._diagonal is None:
+            return self.matrix.conj().T @ g @ self.matrix
+        offset, vals = self._diagonal
+        y = self.adjoint_dot(g)
+        # column i + offset of y T is y[:, i] T[i, i + offset]
+        src, dst = max(-offset, 0), max(offset, 0)
+        out = np.zeros(y.shape, dtype=np.complex128)
+        out[:, dst : dst + vals.size] = y[:, src : src + vals.size] * vals
+        return out
+
+
+def _diagonal_product(offset: int, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The product with x of the matrix whose only nonzero diagonal holds
+    the real `vals` at `offset`: a vector or a block of columns whose row i
+    is T[i, i + offset] x[i + offset], zero where that entry lies outside."""
+    src, dst = max(offset, 0), max(-offset, 0)
+    out = np.zeros(x.shape, dtype=np.complex128)
+    v = vals.reshape(vals.shape + (1,) * (x.ndim - 1))
+    out[dst : dst + vals.size] = v * x[src : src + vals.size]
+    return out
+
 
 def make_shift_corner(rule: WeightRule, n: int) -> OperatorCorner:
     """Exact corner of the unilateral weighted shift generated by a rule.
@@ -191,10 +263,7 @@ def dense_corner(entries) -> OperatorCorner:
         raise ValueError(f"dense operator must be square and nonempty, got {mat.shape}")
     if not np.all(np.isfinite(mat.view(np.float64))):
         raise ValueError("dense operator entries must be finite")
-    rows, cols = np.nonzero(mat)
-    lower = int(np.max(rows - cols)) if rows.size else 0
-    upper = int(np.max(cols - rows)) if rows.size else 0
-    return OperatorCorner(mat, max(lower, 0), max(upper, 0), False, None)
+    return OperatorCorner.spanning(mat)
 
 
 def defect_form(
@@ -216,7 +285,7 @@ def defect_form(
     power = np.eye(t.n, dtype=np.complex128)
     for k in range(m + 1):
         if k > 0:
-            power = t.matrix @ power
+            power = t.dot(power)
         sign = -1.0 if (m - k) % 2 else 1.0
         acc = acc + (sign * math.comb(m, k)) * (power.conj().T @ power)
     return hermitian(acc, tols.herm_tol)

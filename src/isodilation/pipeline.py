@@ -27,7 +27,7 @@ from .builder import (
     build_three_concave_model,
 )
 from .diagonal import build_diagonal_model, defect_diagonal, dense_agreement_residual
-from .errors import PreconditionError, UnknownDemoError
+from .errors import NotNegativeError, PreconditionError, UnknownDemoError
 from .hermitian import hermitian, max_abs
 from .operators import Classification, DefectForms, OperatorCorner, classify, dense_corner, make_shift_corner
 from .qsolver import QSolution, solve_q_shift_diagonal, solve_q_unitary
@@ -178,7 +178,10 @@ def run_pipeline(
 
     Raises PreconditionError when the classification admits no construction
     path (or the requested path is not admissible), carrying the failing
-    residuals.
+    residuals.  So does a sign gate of the construction (NotNegativeError)
+    on an automatically selected path: the classification admitted the
+    path, the construction found the operator outside it.  A requested
+    path keeps the builder's named error.
     """
     tols = spec.tolerances().replace(**(tol_overrides or {}))
     seed = seed if seed is not None else (spec.seed if spec.seed is not None else DEFAULT_SEED)
@@ -216,22 +219,30 @@ def run_pipeline(
     q: QSolution | None = None
     badea_model = badea_assembled = None
 
-    if path == "three_concave":
-        model, weights = build_three_concave_model(
-            corner, weights_horizon, tols=tols, forms=forms
-        )
-        assembled = assemble_dilation(model, weights, n_blocks)
-    else:
-        q = _solve_metric(spec, corner, m, tols, forms)
-        if path == "badea_2iso":
-            model, weights, assembled = build_badea_2iso(
-                corner, q, n_blocks, weights_horizon, tols=tols, forms=forms
-            )
-        else:
-            model, weights = build_general_model(
-                corner, m, q, weights_horizon, tols=tols, forms=forms
+    try:
+        if path == "three_concave":
+            model, weights = build_three_concave_model(
+                corner, weights_horizon, tols=tols, forms=forms
             )
             assembled = assemble_dilation(model, weights, n_blocks)
+        else:
+            q = _solve_metric(spec, corner, m, tols, forms)
+            if path == "badea_2iso":
+                model, weights, assembled = build_badea_2iso(
+                    corner, q, n_blocks, weights_horizon, tols=tols, forms=forms
+                )
+            else:
+                model, weights = build_general_model(
+                    corner, m, q, weights_horizon, tols=tols, forms=forms
+                )
+                assembled = assemble_dilation(model, weights, n_blocks)
+    except NotNegativeError as exc:
+        if spec.path is not None:
+            raise
+        raise PreconditionError(
+            f"automatically selected path {path!r} failed its construction gate: {exc}",
+            details=cls.as_dict(),
+        ) from exc
     if m == 2 and path == "general_m":
         badea_model, _, badea_assembled = build_badea_2iso(
             corner, q, n_blocks, weights_horizon, tols=tols, forms=forms
@@ -312,8 +323,7 @@ def _verify(
 
     if model.path == "general_m":
         gram = model.u.conj().T @ model.u
-        t_mat = model.corner.matrix
-        diff = t_mat.conj().T @ gram @ t_mat - gram
+        diff = model.corner.congruence(gram) - gram
         win = model.corner.window_after(1)
         u_res = max_abs(diff[:win, :win])
         u_limit = tols.stein_tol * (1.0 + max_abs(gram))

@@ -61,10 +61,10 @@ def verify_q(
     window only; pure measurement, no mutation.
     """
     w = min(window, q.n, delta.n, t.n)
-    stein_w = max(t.leading(w).window_after(1), 0)
-    tm = t.matrix[:w, :w]
+    tw = t.leading(w)
+    stein_w = max(tw.window_after(1), 0)
     qm = q.mat[:w, :w]
-    stein_full = tm.conj().T @ qm @ tm - qm
+    stein_full = tw.congruence(qm) - qm
     stein = max_abs(stein_full[:stein_w, :stein_w])
     diff = hermitian(qm[:w, :w] - delta.mat[:w, :w], tols.herm_tol)
     dominance = psd_check(diff, tols.psd_tol, tols.eig_tol).min_eig

@@ -115,20 +115,22 @@ def check_dilation_property(
 ) -> CheckResult:
     """Compression of powers: block (0,0) of W^n must equal T^n, n = 1..n_blocks.
 
-    By the block structure row 0 of W contains only T, so the residual is
-    rounding-level regardless of truncation; it is still compared on the
-    shrinking exact window of T^n.  W^n maps H into blocks 0..n, so only
-    those blocks are carried.
+    By the block structure row 0 of W contains only T, so block 0 of W x
+    is T x_0 and (W^n)_00 = T (W^(n-1))_00.  Only block 0 is carried, one
+    `apply` per power: the blocks 1..n of W^n H never enter block 0 of a
+    later power, so dropping them leaves the residual unchanged.  It is
+    rounding-level regardless of truncation (zero when `apply` reads the
+    model's T) and is compared on the shrinking exact window of T^n.
     """
     n_max = dilation.n_blocks
     t = dilation.model.corner
     w = t.n
     cur = np.eye(w, dtype=np.complex128)
-    tn = np.eye(w, dtype=np.complex128)
+    tn = cur
     residual = 0.0
     for n in range(1, n_max + 1):
-        cur = dilation.apply(cur)
-        tn = t.matrix @ tn
+        cur = dilation.apply(cur)[:w]
+        tn = t.dot(tn)
         win = max(t.window_after(n), 1)
         residual = max(residual, max_abs(cur[:win, :win] - tn[:win, :win]))
     return _result(
@@ -190,7 +192,7 @@ def check_powers_formula(
     expected = np.zeros_like(h)
     t_pows = [h[:w]]
     for _ in range(m):
-        t_pows.append(model.corner.matrix @ t_pows[-1])
+        t_pows.append(model.corner.dot(t_pows[-1]))
     expected[:w] = t_pows[m]
     if d:
         for k in range(1, min(m, dilation.n_blocks) + 1):
@@ -281,7 +283,7 @@ def check_criterion_identity(
         h[:h_dim] = _random_complex(rng, h_dim)
         t_pows = [h.copy()]
         for _ in range(m - 1):
-            t_pows.append(model.corner.matrix @ t_pows[-1])
+            t_pows.append(model.corner.dot(t_pows[-1]))
         lhs = float(np.vdot(h, model.defect_m.mat @ h).real)
         for ell in range(1, m + 1):
             sign = -1.0 if (m - ell) % 2 else 1.0
@@ -419,7 +421,7 @@ def check_minimality(dilation: AssembledDilation) -> CheckResult:
     gram = np.eye(w, dtype=np.complex128)
     norm_sq = 1.0
     for p in prods:
-        gram = dilation.t.conj().T @ gram @ dilation.t + p.conj().T @ p
+        gram = dilation.t_corner.congruence(gram) + p.conj().T @ p
         norm_sq = max(norm_sq, float(np.max(gram.diagonal().real)))
     thresh = _MINIMALITY_REL_TOL * float(np.sqrt(norm_sq))
     rank = w + sum(_column_space_rank(p, thresh) for p in prods)

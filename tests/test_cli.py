@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, report emission, reproducibility."""
 
+import cmath
 import json
+import math
 import subprocess
 import sys
 
@@ -53,6 +55,22 @@ class TestExitCodes:
         assert main(["--spec", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not unitary" in err
+
+    def test_construction_gate_on_selected_path_is_two(self, tmp_path, capsys):
+        # near-unitary non-expansive scalar, m = 3: the classification admits
+        # the 3-concave path, whose representer gate then finds a positive
+        # eigenvalue; that is a precondition failure, not a traceback
+        t = math.sqrt(1 - 2.0571702694423545e-06) * cmath.exp(1j * 5.735012432197602)
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({
+            "operator": {"kind": "dense", "entries": [[[t.real, t.imag]]]},
+            "m": 3, "truncation": {"n_blocks": 6},
+        }))
+        assert main(["--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: automatically selected path 'three_concave'")
+        assert "representer has positive eigenvalue" in err
+        assert "expansive: ok=False" in err
 
     def test_validation_error_is_three(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isodilation import operators
 from isodilation.errors import WeightRuleError, WindowExhaustedError
 from isodilation.hermitian import max_abs
 from isodilation.operators import (
+    RULE_NAMES,
     WeightRule,
     classify,
     defect_form,
@@ -91,6 +93,80 @@ class TestShiftCorner:
         OperatorCorner(np.eye(2, dtype=np.complex128), 0, 0, True)
         with pytest.raises(ValueError):
             OperatorCorner(np.tril(np.ones((3, 3), dtype=np.complex128)), 1, 0, True)
+
+
+# one rule of every kind in the catalog
+RULE_EXAMPLES = {
+    "constant": WeightRule.constant(1.3),
+    "dirichlet": WeightRule.dirichlet(),
+    "geometric_concave": WeightRule.geometric_concave(0.5),
+    "table": WeightRule.table([1.2, 0.8, 1.5], 1.1),
+}
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _kernel_and_dense(t, rng):
+    """(kernel, dense) pairs of T x, T* x and T* g T on vectors and blocks."""
+    n, mat = t.n, t.matrix
+    pairs = []
+    for shape in ((n,), (n, 1), (n, 7), (n, n)):
+        x = _complex(rng, shape)
+        pairs.append((t.dot(x), mat @ x))
+        pairs.append((t.adjoint_dot(x), mat.conj().T @ x))
+    g = _complex(rng, (n, n))
+    pairs.append((t.congruence(g), mat.conj().T @ g @ mat))
+    return pairs
+
+
+def _same_values(got, ref):
+    """Equal entry by entry to the last bit, except that the sign of a zero
+    is not checked (-0.0 == 0.0): BLAS can leave -0.0 in an entry whose
+    terms are all zero, where the kernel writes 0.0."""
+    return got.shape == ref.shape and np.array_equal(got, ref)
+
+
+class TestBandKernel:
+    def test_examples_cover_every_rule(self):
+        assert sorted(RULE_EXAMPLES) == sorted(RULE_NAMES)
+
+    @pytest.mark.parametrize("kind", sorted(RULE_EXAMPLES))
+    def test_shift_corner_matches_dense(self, kind):
+        t = make_shift_corner(RULE_EXAMPLES[kind], 23)
+        assert t._diagonal is not None
+        for got, ref in _kernel_and_dense(t, np.random.default_rng(1)):
+            assert _same_values(got, ref)
+
+    def test_diagonal_corner_matches_dense(self):
+        t = dense_corner(np.diag(np.linspace(-1.5, 2.0, 9)))
+        assert t._diagonal is not None
+        for got, ref in _kernel_and_dense(t, np.random.default_rng(2)):
+            assert _same_values(got, ref)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            _complex(np.random.default_rng(6), (8, 8)),
+            [[0.6 - 0.7j]],
+            np.diag([0.5j, 1.0, 2.0], -1),
+            np.diag([1.0, 2.0, 3.0]) + np.diag([0.5, 0.25], -1),
+            np.diag([1.0, 2.0, 3.0], 1) + np.diag([0.5, 0.25, 0.125], -1),
+            np.zeros((3, 3)),
+        ],
+        ids=["dense", "complex-scalar", "complex-shift", "bidiagonal", "two-apart", "zero"],
+    )
+    def test_other_corners_take_dense_branch(self, monkeypatch, entries):
+        # the kernel serves one real diagonal; anything else is the dense product
+        def banned(*args, **kwargs):
+            raise AssertionError("band kernel used")
+
+        monkeypatch.setattr(operators, "_diagonal_product", banned)
+        t = dense_corner(entries)
+        assert t._diagonal is None
+        for got, ref in _kernel_and_dense(t, np.random.default_rng(7)):
+            assert _same_values(got, ref)
 
 
 class TestDefectForm:

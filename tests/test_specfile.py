@@ -223,6 +223,43 @@ def test_no_public_function_overrides_a_tolerance():
     assert knobs == []
 
 
+def test_no_dense_product_with_the_corner():
+    """Products with T go through `OperatorCorner`'s band kernel (`dot`,
+    `adjoint_dot`, `congruence`); a `@` on a corner's `.matrix` or on
+    `AssembledDilation.t`, directly or through a local name bound to one,
+    is a second, dense T product."""
+
+    def reads_t(node, aliases):
+        return any(
+            (isinstance(n, ast.Attribute) and n.attr in ("matrix", "t"))
+            or (isinstance(n, ast.Name) and n.id in aliases)
+            for n in ast.walk(node)
+        )
+
+    dense = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "operators.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            aliases = {
+                target.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Assign) and reads_t(node.value, set())
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            dense += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(fn)
+                if isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.MatMult)
+                and (reads_t(node.left, aliases) or reads_t(node.right, aliases))
+            ]
+    assert dense == []
+
+
 def test_every_hermitian_and_eigh_call_passes_its_tolerance():
     """`hermitian`, `eigh` and `eigh_stack` fall back to the default
     tolerances when called without one, so a call that omits it ignores the

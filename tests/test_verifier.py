@@ -76,6 +76,48 @@ class TestDilationProperty:
         _, _, general, _, _ = strict_pair
         assert check_dilation_property(general).residual <= 1e-12
 
+    def test_block_zero_matches_dense_powers(self, scalar_model, strict_pair):
+        # only block 0 is carried; the residual is that of the dense W^n
+        _, _, scalar = scalar_model
+        _, _, general, _, _ = strict_pair
+        corrupted = [
+            dataclasses.replace(general, t=general.t * 1.01),
+            dataclasses.replace(general, t=general.t + 0.01),
+        ]
+        for dil in (scalar, general, *corrupted):
+            t, w = dil.model.corner, dil.dim_h
+            wn = tn = np.eye(dil.dim_total)
+            ref = 0.0
+            for n in range(1, dil.n_blocks + 1):
+                wn = dil.matrix @ wn
+                tn = t.matrix @ tn[:w, :w]
+                win = max(t.window_after(n), 1)
+                ref = max(ref, np.max(np.abs(wn[:win, :win] - tn[:win, :win])))
+            assert check_dilation_property(dil).residual == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+    def test_corrupted_stored_t_fails(self, strict_pair):
+        # `apply` multiplies by the stored t, the reference powers by the
+        # model's corner: a stored T that disagrees must show
+        _, _, general, _, _ = strict_pair
+        bad = dataclasses.replace(general, t=general.t * 1.01)
+        res = check_dilation_property(bad)
+        assert not res.passed
+        assert res.residual > 1e-3
+        assert not check_powers_formula(bad).passed
+
+    @pytest.mark.parametrize("where", ["outside-band", "main-diagonal"])
+    def test_stored_t_off_the_shift_diagonal_fails_without_raising(self, strict_pair, where):
+        # a stored t with entries off the shift's one diagonal, outside the
+        # model's band or inside it, is multiplied as stored
+        _, _, general, _, _ = strict_pair
+        w = general.dim_h
+        extra = 0.01 if where == "outside-band" else 0.01 * np.eye(w)
+        bad = dataclasses.replace(general, t=general.t + extra)
+        assert bad.t_corner._diagonal is None
+        assert not check_dilation_property(bad).passed
+        assert not check_powers_formula(bad).passed
+        assert check_minimality(bad).residual == bad.dim_total - _dense_orbit_rank(bad)
+
 
 class TestPowersFormula:
     def test_hand_computed_scalar_case(self, scalar_model):
