@@ -39,7 +39,6 @@ from .errors import (
     SpecError,
     SpecParseError,
     SpecValidationError,
-    UnboundedQError,
     UnknownDemoError,
     WeightRuleError,
     WindowExhaustedError,

@@ -25,10 +25,6 @@ class WeightRuleError(IsodilationError):
     """A shift weight rule has invalid parameters or produces nonpositive weights."""
 
 
-class UnboundedQError(IsodilationError):
-    """The diagonal invariant-metric solve found no finite solution over the horizon."""
-
-
 class NotInvertibleError(IsodilationError):
     """An operator required to be invertible is singular beyond tolerance."""
 

@@ -107,14 +107,6 @@ class WeightRule:
     def weight(self, j: int) -> float:
         return math.sqrt(self.weight_sq(j))
 
-    def weight_sq_products(self, count: int) -> np.ndarray:
-        """Prefix products pi_n = w_1^2 * ... * w_n^2 for n = 0 .. count."""
-        out = np.empty(count + 1)
-        out[0] = 1.0
-        for j in range(1, count + 1):
-            out[j] = out[j - 1] * self.weight_sq(j)
-        return out
-
 
 @dataclass(frozen=True)
 class OperatorCorner:

@@ -160,11 +160,8 @@ def _timestamp() -> str:
 
 def _solve_metric(spec, corner, m, tols, forms: DefectForms) -> QSolution:
     if spec.kind == "shift":
-        horizon = spec.horizon if spec.horizon is not None else 4 * spec.n
-        delta_diag = defect_diagonal(spec.rule, m - 1, horizon + 1)
-        return solve_q_shift_diagonal(
-            spec.rule, delta_diag, horizon, dim=corner.window_after(m), tols=tols
-        )
+        delta_diag = defect_diagonal(spec.rule, m - 1, corner.window_after(m))
+        return solve_q_shift_diagonal(corner, delta_diag, tols)
     return solve_q_unitary(corner, forms.on(m - 1), tols)
 
 

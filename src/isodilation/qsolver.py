@@ -3,9 +3,10 @@
 Two finite-presentation regimes are supported:
 
 * scalar weighted shifts: the Stein equation forces a diagonal solution
-  q_n = q_0 / (w_1^2 ... w_n^2); the minimal admissible q_0 is the supremum
-  of delta_n * (w_1^2 ... w_n^2), scanned over a horizon with a plateau test
-  that rejects genuinely unbounded suprema;
+  q_n = q_0 / (w_1^2 ... w_n^2), and the minimal admissible q_0 is the
+  supremum of delta_n * (w_1^2 ... w_n^2).  That product is the forward
+  difference Delta^(m-1) a(n) of a_n = ||T^n e_0||^2, nonincreasing by
+  m-concavity, so the supremum is its first entry delta_0;
 
 * finite-dimensional operators: an expansive m-concave operator on a
   finite-dimensional space is unitary (see `operators`), so its
@@ -21,14 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NotPsdError, PreconditionError, UnboundedQError
+from .errors import ConvergenceError, NotPsdError, PreconditionError
 from .hermitian import HermitianMatrix, hermitian, max_abs, psd_check
-from .operators import OperatorCorner, WeightRule, make_shift_corner
+from .operators import OperatorCorner
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
-
-# relative slack of the plateau test: a scanned value within this factor
-# of the running maximum counts as attaining it
-_PLATEAU_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,7 +34,7 @@ class QSolution:
 
     q: HermitianMatrix
     method: str                      # "diagonal_shift" or "zero"
-    q_seq: np.ndarray | None         # diagonal values over the full horizon
+    q_seq: np.ndarray | None         # diagonal values on the metric window
     stein_residual: float            # ||T*QT - Q||_max on the exact window
     dominance_residual: float        # min eig of Q - Delta on the exact window
 
@@ -84,73 +81,48 @@ def _check_contract(sol_q, stein, dominance, tols):
 
 
 def solve_q_shift_diagonal(
-    rule: WeightRule,
+    t: OperatorCorner,
     delta_diag: np.ndarray,
-    horizon: int,
-    dim: int | None = None,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> QSolution:
-    """Minimal diagonal invariant metric for a scalar weighted shift.
+    """Minimal diagonal invariant metric of a scalar weighted shift.
 
-    `delta_diag` must hold the exact diagonal of the (m-1)-defect for
-    indices 0 .. horizon.  Entries within psd_tol of zero count as zero, so
-    a defect that vanishes up to rounding yields the zero metric instead of
-    letting noise grow with the weight products.  The returned diagonal
-    satisfies the Stein equation exactly by construction and dominates the
-    defect entrywise (within psd_tol).
+    `t` is the exact corner of the shift and `delta_diag` the exact
+    diagonal of its (m-1)-defect on the metric window, indices 0 .. w-1
+    with 0 < w = len(delta_diag) <= t.n.  The Stein equation forces
+    q_n = q_0 / pi_n with pi_n = w_1^2 ... w_n^2, and dominance asks for
+    q_0 >= delta_n pi_n for every n.  With a_n = ||T^n e_0||^2 = pi_n,
+    delta_n pi_n is the forward difference Delta^(m-1) a(n), which
+    m-concavity makes nonincreasing; so the least q_0 is delta_0.  An
+    entry within psd_tol of zero counts as zero, so a defect that vanishes
+    up to rounding yields the zero metric instead of letting noise grow
+    with the weight products.
 
-    Raises UnboundedQError when the scanned sequence delta_n * pi_n fails
-    the plateau test (its running maximum is attained late or still grows
-    near the horizon), signaling that no finite diagonal metric exists over
-    this horizon.
+    The contract is measured by `verify_q` on `t`, not assumed: a shift
+    that is not m-concave on the window fails to dominate its defect and
+    raises NotPsdError, as does a defect diagonal with an entry below the
+    negative noise floor.
     """
+    if t.rule is None or not 0 < len(delta_diag) <= t.n:
+        raise ValueError("the diagonal metric needs a shift corner covering the defect window")
     delta_diag = np.asarray(delta_diag, dtype=float)
-    if horizon < 8:
-        raise ValueError(f"horizon must be at least 8, got {horizon}")
-    if delta_diag.shape[0] < horizon + 1:
-        raise ValueError(
-            f"need defect diagonal up to the horizon ({horizon + 1} entries, "
-            f"got {delta_diag.shape[0]})"
-        )
     noise_floor = tols.psd_tol * (1.0 + float(np.max(np.abs(delta_diag), initial=0.0)))
     if np.min(delta_diag, initial=0.0) < -noise_floor:
         raise NotPsdError(
             f"defect diagonal has entry {np.min(delta_diag):.3e} below {-noise_floor:.3e}"
         )
 
-    pi = rule.weight_sq_products(horizon)
-    head = delta_diag[: horizon + 1]
-    scaled = np.where(head > noise_floor, head, 0.0) * pi
-    top = float(np.max(scaled))
-    if top > 0.0:
-        near_top = scaled >= top * (1.0 - _PLATEAU_REL_TOL)
-        first_hit = int(np.argmax(near_top))
-        running = np.maximum.accumulate(scaled)
-        three_quarters = (3 * horizon) // 4
-        still_growing = running[-1] > running[three_quarters] * (1.0 + _PLATEAU_REL_TOL)
-        if first_hit > horizon // 2 or still_growing:
-            raise UnboundedQError(
-                f"supremum of the scaled defect not attained on a plateau "
-                f"(first attained at n={first_hit} of horizon {horizon})"
-            )
+    w = delta_diag.shape[0]
+    q_seq = np.empty(w)
+    q_seq[0] = delta_diag[0] if delta_diag[0] > noise_floor else 0.0
+    for n in range(1, w):
+        q_seq[n] = q_seq[n - 1] / t.rule.weight_sq(n)
 
-    q_seq = np.empty(horizon + 1)
-    q_seq[0] = top
-    for n in range(1, horizon + 1):
-        q_seq[n] = q_seq[n - 1] / rule.weight_sq(n)
-
-    d = min(dim if dim is not None else delta_diag.shape[0], horizon + 1)
-    q_mat = hermitian(np.diag(q_seq[:d]).astype(np.complex128), tols.herm_tol)
-    method = "zero" if top == 0.0 else "diagonal_shift"
-
-    corner = make_shift_corner(rule, d) if d >= 2 else None
-    if corner is not None:
-        delta_mat = hermitian(np.diag(delta_diag[:d]).astype(np.complex128), tols.herm_tol)
-        stein, dominance = verify_q(corner, q_mat, delta_mat, d, tols)
-    else:
-        stein = 0.0
-        dominance = float(q_seq[0] - delta_diag[0])
+    q_mat = hermitian(np.diag(q_seq).astype(np.complex128), tols.herm_tol)
+    delta_mat = hermitian(np.diag(delta_diag).astype(np.complex128), tols.herm_tol)
+    stein, dominance = verify_q(t, q_mat, delta_mat, w, tols)
     _check_contract(q_mat, stein, dominance, tols)
+    method = "zero" if q_seq[0] == 0.0 else "diagonal_shift"
     return QSolution(q_mat, method, q_seq, stein, dominance)
 
 

@@ -69,7 +69,6 @@ SPEC_SCHEMA = {
             "properties": {
                 "N": {"type": "integer", "minimum": 1},
                 "n_blocks": {"type": "integer", "minimum": 1},
-                "horizon": {"type": "integer", "minimum": 8},
             },
             "required": ["n_blocks"],
             "additionalProperties": False,
@@ -102,7 +101,6 @@ class OperatorSpecFile:
     entries: tuple | None = None
     path: str | None = None
     n: int | None = None
-    horizon: int | None = None
     tolerance_overrides: tuple = field(default_factory=tuple)  # sorted (name, value)
     seed: int | None = None
 
@@ -132,8 +130,6 @@ class OperatorSpecFile:
         trunc: dict = {"n_blocks": self.n_blocks}
         if self.n is not None:
             trunc["N"] = self.n
-        if self.horizon is not None:
-            trunc["horizon"] = self.horizon
         out["truncation"] = trunc
         if self.tolerance_overrides:
             out["tolerances"] = dict(self.tolerance_overrides)
@@ -207,7 +203,6 @@ def spec_from_dict(data: dict) -> OperatorSpecFile:
     trunc = data["truncation"]
     n_blocks = trunc["n_blocks"]
     n = trunc.get("N")
-    horizon = trunc.get("horizon")
     path = data.get("path")
     seed = data.get("seed")
     overrides = tuple(sorted((data.get("tolerances") or {}).items()))
@@ -229,8 +224,6 @@ def spec_from_dict(data: dict) -> OperatorSpecFile:
             errors.append("truncation: shift operators require N")
         elif n < 2 * m + 2:
             errors.append(f"truncation: N = {n} too small, need N >= 2m + 2 = {2 * m + 2}")
-        if horizon is not None and n is not None and horizon < n:
-            errors.append(f"truncation: horizon {horizon} must be at least N = {n}")
     else:
         if "entries" not in op:
             errors.append("operator: dense operators require entries")
@@ -269,7 +262,6 @@ def spec_from_dict(data: dict) -> OperatorSpecFile:
         entries=entries,
         path=path,
         n=n,
-        horizon=horizon,
         tolerance_overrides=overrides,
         seed=seed,
     )

@@ -61,11 +61,11 @@ class TestBuildAGeneral:
         corner = make_shift_corner(rule, 16)
         beta = defect_form(corner, 2)
         w = corner.window_after(2)
-        delta = defect_diagonal(rule, 1, 65)
-        sol = solve_q_shift_diagonal(rule, delta, 64, dim=w)
+        delta = defect_diagonal(rule, 1, w)
+        sol = solve_q_shift_diagonal(corner, delta)
         form = build_a_general(sol, beta.restrict(w), w)
         # cross-check against the closed-form diagonal division
-        pi = rule.weight_sq_products(w)
+        pi = np.cumprod([1.0] + [rule.weight_sq(j) for j in range(1, w + 1)])
         expected = {}
         for n in range(w):
             beta_n = -(2.0 ** -(n + 2)) * (1 - 2.0 ** -(n + 1))
@@ -271,8 +271,8 @@ class TestAssemble:
     def test_isometric_shift_needs_no_inflation(self):
         rule = WeightRule.constant(1.0)
         corner = make_shift_corner(rule, 10)
-        delta = defect_diagonal(rule, 1, 41)
-        sol = solve_q_shift_diagonal(rule, delta, 40, dim=8)
+        delta = defect_diagonal(rule, 1, 8)
+        sol = solve_q_shift_diagonal(corner, delta)
         model, weights = build_general_model(corner, 2, sol, weights_horizon=6)
         dil = assemble_dilation(model, weights, 4)
         assert model.dim_hprime == 0
@@ -326,8 +326,8 @@ class TestBadea:
     def test_dirichlet_collapses(self):
         rule = WeightRule.dirichlet()
         corner = make_shift_corner(rule, 12)
-        delta = defect_diagonal(rule, 1, 49)
-        sol = solve_q_shift_diagonal(rule, delta, 48, dim=10)
+        delta = defect_diagonal(rule, 1, 10)
+        sol = solve_q_shift_diagonal(corner, delta)
         model, weights, dil = build_badea_2iso(corner, sol, 4)
         assert model.dim_hprime == 0
         assert dil.dim_total == model.dim_h
@@ -335,8 +335,8 @@ class TestBadea:
     def test_geometric_drops_first_direction(self):
         rule = WeightRule.geometric_concave(0.5)
         corner = make_shift_corner(rule, 12)
-        delta = defect_diagonal(rule, 1, 49)
-        sol = solve_q_shift_diagonal(rule, delta, 48, dim=10)
+        delta = defect_diagonal(rule, 1, 10)
+        sol = solve_q_shift_diagonal(corner, delta)
         model, weights, dil = build_badea_2iso(corner, sol, 4)
         # the gap vanishes exactly at n = 0 and is positive beyond
         assert model.dim_hprime == model.dim_h - 1
@@ -351,8 +351,8 @@ class TestBadea:
     def test_unweighted_shift_collapses(self):
         rule = WeightRule.constant(1.0)
         corner = make_shift_corner(rule, 10)
-        delta = defect_diagonal(rule, 1, 41)
-        sol = solve_q_shift_diagonal(rule, delta, 40, dim=8)
+        delta = defect_diagonal(rule, 1, 8)
+        sol = solve_q_shift_diagonal(corner, delta)
         _, _, dil = build_badea_2iso(corner, sol, 4)
         assert dil.dim_total == dil.dim_h
 
@@ -393,8 +393,8 @@ class TestTableRuleGeneralM3:
         rule = self._rule()
         n = 16
         corner = make_shift_corner(rule, n)
-        delta = defect_diagonal(rule, 2, 4 * n + 1)
-        sol = solve_q_shift_diagonal(rule, delta, 4 * n, dim=n - 3)
+        delta = defect_diagonal(rule, 2, n - 3)
+        sol = solve_q_shift_diagonal(corner, delta)
         model, weights = build_general_model(corner, 3, sol, weights_horizon=8)
         assert model.dim_hprime > 0
         # S_1 = I but S_2 = B differs from I (strictly 3-concave input)
@@ -434,8 +434,8 @@ class TestTableRuleGeneralM4:
         assert cls.expansive.ok and cls.m_concave.ok and cls.delta_psd.ok
         assert not cls.m_isometric.ok
 
-        delta = defect_diagonal(rule, 3, 4 * n + 1)
-        sol = solve_q_shift_diagonal(rule, delta, 4 * n, dim=n - 4)
+        delta = defect_diagonal(rule, 3, n - 4)
+        sol = solve_q_shift_diagonal(corner, delta)
         model, weights = build_general_model(corner, 4, sol, weights_horizon=9)
         d = model.dim_hprime
         assert d > 0

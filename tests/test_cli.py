@@ -129,6 +129,16 @@ class TestExitCodes:
         assert main(["--spec", str(path), "--tol", "comm_tol=1e-8"]) == 3
         assert "comm_tol" in capsys.readouterr().err
 
+    def test_removed_horizon_is_three(self, tmp_path, capsys):
+        # the scalar metric is solved in closed form on the window; a
+        # horizon has no effect and is refused like any unknown field
+        spec = json.loads(DIRICHLET_SPEC)
+        spec["truncation"]["horizon"] = 96
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["--spec", str(path)]) == 3
+        assert "horizon" in capsys.readouterr().err
+
     def test_no_spec_is_three(self, capsys):
         assert main([]) == 3
 

@@ -175,6 +175,52 @@ class TestNearUnitaryGeneralPath:
         assert passed >= self.DRAWS // 5
 
 
+def _random_rule(rng: np.random.Generator, n: int) -> dict:
+    """geometric_concave(r), constant(c), dirichlet, or a table head of
+    w_j^2 = a_j / a_(j-1) for a_j = (j+1)^p with tail 1, up to 2N long."""
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return {"name": "geometric_concave", "r": float(rng.uniform(0.05, 0.95))}
+    if kind == 1:
+        return {"name": "constant", "c": float(rng.uniform(0.5, 1.5))}
+    if kind == 2:
+        return {"name": "dirichlet"}
+    p, head = float(rng.uniform(0.2, 3.0)), int(rng.integers(1, 2 * n + 1))
+    values = [((j + 1) / j) ** (p / 2) for j in range(1, head + 1)]
+    return {"name": "table", "values": values, "tail_value": 1.0}
+
+
+class TestRandomShifts:
+    DRAWS = 300
+
+    def test_every_run_passes_or_is_refused(self):
+        """A random catalogue shift either passes every check or raises
+        PreconditionError; any other exception escapes and fails the test.
+        Table heads whose defect turns negative beyond the metric window
+        reach the metric solve, which reads the defect on the window only."""
+        rng = np.random.default_rng(20261)
+        passed, failed = 0, []
+        for draw in range(self.DRAWS):
+            m = int(rng.integers(2, 5))
+            n = int(rng.integers(2 * m + 2, 25))
+            spec = spec_from_dict({
+                "operator": {"kind": "shift", "rule": _random_rule(rng, n)},
+                "m": m,
+                "truncation": {"N": n, "n_blocks": m + 2},
+            })
+            try:
+                result = run_pipeline(spec, seed=1)
+            except PreconditionError:
+                continue
+            bad = [c.name for c in result.verification.checks if not c.passed]
+            if bad:
+                failed.append((draw, spec.rule, m, n, bad))
+            else:
+                passed += 1
+        assert failed == []
+        assert passed >= self.DRAWS // 5
+
+
 class TestClassifyOnly:
     def test_reports_admissible_paths(self):
         cls, admissible, report = classify_spec(_spec())

@@ -260,6 +260,27 @@ def test_no_dense_product_with_the_corner():
     assert dense == []
 
 
+def test_every_error_class_is_raised_or_subclassed():
+    """An exception class that no code under `src/` raises or derives from
+    is dead API: callers would catch an error that never comes."""
+    raised, bases = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+            elif isinstance(node, ast.ClassDef):
+                bases |= {b.id for b in node.bases if isinstance(b, ast.Name)}
+    defined = [
+        node.name
+        for node in ast.parse((SRC / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    ]
+    assert defined
+    assert [name for name in defined if name not in raised | bases] == []
+
+
 def test_every_hermitian_and_eigh_call_passes_its_tolerance():
     """`hermitian`, `eigh` and `eigh_stack` fall back to the default
     tolerances when called without one, so a call that omits it ignores the

@@ -49,8 +49,8 @@ def strict_pair():
     rule = WeightRule.geometric_concave(0.5)
     n = 20
     corner = make_shift_corner(rule, n)
-    delta = defect_diagonal(rule, 1, 4 * n + 1)
-    sol = solve_q_shift_diagonal(rule, delta, 4 * n, dim=n - 2)
+    delta = defect_diagonal(rule, 1, n - 2)
+    sol = solve_q_shift_diagonal(corner, delta)
     model, weights = build_general_model(corner, 2, sol, weights_horizon=10)
     general = assemble_dilation(model, weights, 6)
     bmodel, bweights, badea = build_badea_2iso(corner, sol, 6)
@@ -228,8 +228,8 @@ class TestWMIsometry:
     def test_unweighted_shift_corner(self):
         rule = WeightRule.constant(1.0)
         corner = make_shift_corner(rule, 12)
-        delta = defect_diagonal(rule, 1, 49)
-        sol = solve_q_shift_diagonal(rule, delta, 48, dim=10)
+        delta = defect_diagonal(rule, 1, 10)
+        sol = solve_q_shift_diagonal(corner, delta)
         model, weights = build_general_model(corner, 2, sol, 8)
         dil = assemble_dilation(model, weights, 5)
         assert check_w_m_isometry(dil).residual <= 1e-13
@@ -255,8 +255,8 @@ class TestCriterionIdentity:
     def test_isometric_input_binomial_collapse(self):
         rule = WeightRule.dirichlet()
         corner = make_shift_corner(rule, 16)
-        delta = defect_diagonal(rule, 1, 65)
-        sol = solve_q_shift_diagonal(rule, delta, 64, dim=14)
+        delta = defect_diagonal(rule, 1, 14)
+        sol = solve_q_shift_diagonal(corner, delta)
         model, weights = build_general_model(corner, 2, sol, 8)
         assert check_criterion_identity(model, weights).residual <= 1e-10
 
@@ -513,8 +513,8 @@ class TestCertificate:
     def test_isometric_input_no_certificate(self):
         rule = WeightRule.constant(1.0)
         corner = make_shift_corner(rule, 12)
-        delta = defect_diagonal(rule, 1, 49)
-        sol = solve_q_shift_diagonal(rule, delta, 48, dim=10)
+        delta = defect_diagonal(rule, 1, 10)
+        sol = solve_q_shift_diagonal(corner, delta)
         model, weights = build_general_model(corner, 2, sol, 8)
         general = assemble_dilation(model, weights, 5)
         _, _, badea = build_badea_2iso(corner, sol, 5)
@@ -570,8 +570,8 @@ class TestRemark:
     def test_dirichlet_isometric_branch(self):
         rule = WeightRule.dirichlet()
         corner = make_shift_corner(rule, 16)
-        delta = defect_diagonal(rule, 1, 65)
-        sol = solve_q_shift_diagonal(rule, delta, 64, dim=14)
+        delta = defect_diagonal(rule, 1, 14)
+        sol = solve_q_shift_diagonal(corner, delta)
         model, weights = build_general_model(corner, 2, sol, 8)
         res = remark_consistency(model, weights)
         assert res.passed  # S_1 = I and vanishing defect: consistent
