@@ -16,8 +16,8 @@ from .builder import (
     build_a_three_concave,
     build_badea_2iso,
     build_general_model,
-    build_p_and_weights,
     build_three_concave_model,
+    build_weights,
     perturb_weight,
 )
 from .diagonal import (
@@ -49,7 +49,6 @@ from .hermitian import (
     eigh,
     hermitian,
     pinv_sqrt,
-    poly_eval,
     psd_check,
     sqrt_psd,
 )

@@ -19,9 +19,11 @@ on H + l2(H'), where H' is the numerical range of the relevant metric root:
 * reference path (identity weights): U = (Q - defect_1)^(1/2), all S_j = I.
 
 The weight sequence comes from the degree-(m-1) matrix polynomial
-p(z) = z(z-1)...(z-m+2)/(m-1)! * (-A) + I via the commuting telescoping
-construction S_n = p(n)^(1/2) p(n-1)^(-1/2), which gives cumulative moduli
-|S_n ... S_1|^2 = p(n) exactly and hence an m-isometric weight shift.
+p(z) = I - z(z-1)...(z-m+2)/(m-1)! * A, which at integer points is
+p(n) = I - C(n, m-1) A, via the commuting telescoping construction
+S_n = p(n)^(1/2) p(n-1)^(-1/2).  It gives cumulative moduli
+|S_n ... S_1|^2 = p(n) exactly and hence an m-isometric weight shift;
+S_n = I for n < m-1, and S_(m-1) = (I - A)^(1/2) is B.
 """
 
 import dataclasses
@@ -76,7 +78,6 @@ class DilationModel:
     a: HermitianMatrix
     b: HermitianMatrix
     b_norm: float  # spectral norm of B
-    p_coeffs: tuple
     welldef_residual: float
     # window norm of the form the representer A stands for: the m-defect on
     # the general path, the T-compressed 3-defect on the 3-concave path.
@@ -334,83 +335,42 @@ def build_a_three_concave(
     return form._replace(a=a, a_dec=a_dec)
 
 
-def _falling_factorial_coeffs(m: int) -> list[int]:
-    """Integer coefficients of z (z-1) ... (z-m+2), lowest degree first."""
-    coeffs = [1]
-    for j in range(m - 1):
-        shifted = [0] + coeffs                      # z * poly
-        scaled = [-j * c for c in coeffs] + [0]     # -j * poly
-        coeffs = [a + b for a, b in zip(shifted, scaled)]
-    return coeffs
-
-
-class WeightsBuild(NamedTuple):
-    p_coeffs: tuple
-    weights: "ShiftWeights"
-    b: HermitianMatrix
-    b_norm: float  # spectral norm of B
-
-
-def build_p_and_weights(
+def build_weights(
     a: HermitianMatrix,
     m: int,
     horizon: int,
     tols: Tolerances = DEFAULT_TOLERANCES,
     dec: EigenDecomposition | None = None,
-) -> WeightsBuild:
-    """Expand the weight polynomial and derive the telescoping weights and B.
+) -> ShiftWeights:
+    """The telescoping weights S_1 .. S_horizon of p(n) = I - C(n, m-1) A.
 
-    The falling factorial is expanded with exact integer coefficients and
-    scaled by 1/(m-1)!, avoiding cancellation at large evaluation points.
-    Every p(n) is a polynomial in the single Hermitian matrix
-    A = V diag(lam) V*, so everything is formed on that one spectrum:
-    S_n = V diag(p_n(lam)^(1/2) p_(n-1)(lam)^(-1/2)) V* is positive definite
-    with |S_n ... S_1|^2 telescoping to p(n), and B = (I - A)^(1/2) =
-    V diag((1 - lam)^(1/2)) V* has norm max (1 - lam)^(1/2).  `dec` is the
-    spectral decomposition of A, made here when None.
+    At integer points the weight polynomial z(z-1)...(z-m+2)/(m-1)! is the
+    exact integer C(n, m-1), and every p(n) is a function of the single
+    Hermitian matrix A = V diag(lam) V*, so each weight is formed on that
+    one spectrum: S_n = V diag(p_n(lam)^(1/2) p_(n-1)(lam)^(-1/2)) V* with
+    p_n(lam) = 1 - C(n, m-1) lam, and |S_n ... S_1|^2 telescopes to p(n).
+    S_n = I for n < m-1 and S_(m-1) = (I - A)^(1/2) = B.  `dec` is the
+    spectral decomposition of A, made here when None.  Raises
+    NotInvertibleError when some p(n) is not positive definite, which a
+    nonpositive A rules out.
     """
     if m < 2:
         raise ValueError(f"weight construction needs m >= 2, got {m}")
-    d = a.n
-    fall = _falling_factorial_coeffs(m)
-    scale = math.factorial(m - 1)
-    neg_a = -a.mat
-    coeffs = []
-    for k, s_k in enumerate(fall):
-        term = (s_k / scale) * neg_a
-        if k == 0:
-            term = term + np.eye(d)
-        coeffs.append(hermitian(term, tols.herm_tol))
-    p_coeffs = tuple(coeffs)
-
     if dec is None:
         dec = eigh(a, tols.eig_tol)
-    lam = dec.values
-    # p_n(lam) summed in poly_eval's order, so a diagonal A gives p(n)'s bits
-    lam_coeffs = [(s_k / scale) * -lam for s_k in fall]
-    lam_coeffs[0] = lam_coeffs[0] + 1.0
     weights = []
-    inv_sqrt_prev = np.ones(d)
+    inv_sqrt_prev = np.ones(a.n)
     for n in range(1, horizon + 1):
-        p_n = np.zeros(d)
-        for k, c_k in enumerate(lam_coeffs):
-            p_n = p_n + c_k * float(n**k)
-        if d and p_n.min() <= tols.inv_tol:
+        p_n = 1.0 - math.comb(n, m - 1) * dec.values
+        if a.n and p_n.min() <= 0.0:
             raise NotInvertibleError(
-                f"p({n}) has minimal eigenvalue {p_n.min():.3e}; "
-                "input representer was not nonpositive"
+                f"p({n}) = I - C({n}, {m - 1}) A has eigenvalue {p_n.min():.3e}; "
+                "the representer A is not nonpositive"
             )
         sqrt_n = np.sqrt(p_n)
         weights.append(hermitian(spectral_apply(dec, sqrt_n * inv_sqrt_prev), tols.herm_tol))
         inv_sqrt_prev = 1.0 / sqrt_n
-
-    b_vals = np.sqrt(np.clip(1.0 - lam, 0.0, None))
-    return WeightsBuild(
-        p_coeffs,
-        _with_cumulative(weights, tols.herm_tol),
-        hermitian(spectral_apply(dec, b_vals), tols.herm_tol),
-        float(b_vals.max()) if d else 0.0,
-    )
+    return _with_cumulative(weights, tols.herm_tol)
 
 
 def _with_cumulative(weights: list, herm_tol: float) -> ShiftWeights:
@@ -473,21 +433,25 @@ def _model_from_form(
 ) -> tuple[DilationModel, ShiftWeights]:
     """Weights, B and U from a clamped representer, and the model holding them.
 
-    `fields` are the path-specific DilationModel fields.
+    B = (I - A)^(1/2) is the weight S_(m-1), so its norm is
+    (1 - lam_min)^(1/2).  `fields` are the path-specific DilationModel
+    fields.
     """
-    build = build_p_and_weights(form.a, m, weights_horizon, tols, dec=form.a_dec)
+    if weights_horizon < m - 1:
+        raise DimensionError(f"B is the weight S_{m - 1}; the horizon is {weights_horizon}")
+    weights = build_weights(form.a, m, weights_horizon, tols, dec=form.a_dec)
+    lam = form.a_dec.values
     model = DilationModel(
         m=m,
         basis=form.basis,
         u=form.basis.conj().T @ form.metric_root.mat,
         a=form.a,
-        b=build.b,
-        b_norm=build.b_norm,
-        p_coeffs=build.p_coeffs,
+        b=weights.weights[m - 2],
+        b_norm=float(np.sqrt(1.0 - lam[0])) if lam.size else 0.0,
         welldef_residual=form.welldef_residual,
         **fields,
     )
-    return model, build.weights
+    return model, weights
 
 
 def build_general_model(
@@ -591,7 +555,6 @@ def build_badea_2iso(
         a=hermitian(np.zeros((d, d)), tols.herm_tol),
         b=eye,
         b_norm=1.0 if d else 0.0,
-        p_coeffs=(eye,),
         welldef_residual=0.0,
         remark_form_norm=defect_m.norm_max(),
     )

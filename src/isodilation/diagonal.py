@@ -56,13 +56,6 @@ class DiagonalModel:
     weight_diags: tuple          # per n = 1..horizon, values on support
 
 
-def _falling(n: int, m: int) -> float:
-    prod = 1.0
-    for i in range(m - 1):
-        prod *= n - i
-    return prod
-
-
 def build_diagonal_model(
     rule: WeightRule,
     m: int,
@@ -121,14 +114,13 @@ def build_diagonal_model(
     b_vals = np.sqrt(1.0 - a_vals)
     u_vals = np.sqrt(metric[support])
 
-    scale = math.factorial(m - 1)
     if path == "badea_2iso":
         weight_diags = tuple(np.ones(support.size) for _ in range(horizon))
     else:
         p_prev = np.ones(support.size)
         diags = []
         for n in range(1, horizon + 1):
-            p_n = 1.0 + (_falling(n, m) / scale) * (-a_vals)
+            p_n = 1.0 - math.comb(n, m - 1) * a_vals
             diags.append(np.sqrt(p_n / p_prev))
             p_prev = p_n
         weight_diags = tuple(diags)

@@ -396,21 +396,3 @@ def pinv_sqrt(
     projector = hermitian(spectral_apply(dec, proj_vals), tols.herm_tol)
     return PinvSqrt(root, projector, int(np.count_nonzero(kept)))
 
-
-def poly_eval(
-    coeffs: Sequence[HermitianMatrix], n: int, herm_tol: float | None = None
-) -> HermitianMatrix:
-    """Evaluate sum coeffs[k] * n**k at an integer point with exact powers.
-
-    The coefficients are polynomials in a single Hermitian matrix in every
-    use here, so they commute and the value is Hermitian.
-    """
-    if not coeffs:
-        raise ValueError("poly_eval needs at least one coefficient")
-    if n < 0 or int(n) != n:
-        raise ValueError(f"evaluation point must be a nonnegative integer, got {n!r}")
-    acc = np.zeros_like(coeffs[0].mat)
-    point = int(n)
-    for k, coeff in enumerate(coeffs):
-        acc = acc + coeff.mat * float(point**k)
-    return hermitian(acc, herm_tol)

@@ -329,7 +329,7 @@ def _verify(
             f"T* U*U T = U*U on the leading {win}-block",
         ))
 
-    rep.add(check_cumulative_polynomial(weights, model.p_coeffs, tols=tols))
+    rep.add(check_cumulative_polynomial(model, weights, tols=tols))
     rep.add(check_weight_shift_isometry(weights, model.m, tols=tols))
     rep.add(check_dilation_property(assembled, tols=tols))
     rep.add(check_powers_formula(assembled, trials=trials, seed=seed, tols=tols))

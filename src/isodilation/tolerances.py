@@ -22,7 +22,6 @@ class Tolerances:
     # solver / builder tolerances
     stein_tol: float = 1e-10     # ||T*QT - Q|| and the U-invariance identity
     welldef_tol: float = 1e-8    # quotient form must vanish on the kernel
-    inv_tol: float = 1e-8        # minimal eigenvalue certifying invertibility
     # verification tolerances (pinned by the acceptance criteria)
     class_tol: float = 1e-10     # classification flags
     dilation_tol: float = 1e-12  # compression of powers reproduces powers

@@ -15,7 +15,7 @@ import numpy as np
 
 from .builder import AssembledDilation, DilationModel, ShiftWeights
 from .errors import WindowExhaustedError
-from .hermitian import eigh, max_abs, poly_eval
+from .hermitian import eigh, max_abs
 from .tolerances import DEFAULT_SEED, DEFAULT_TOLERANCES, DEFAULT_TRIALS, Tolerances
 
 # orbit columns count towards the rank above this fraction of the largest
@@ -77,19 +77,9 @@ def _random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def _column_norms_sq(cols: np.ndarray, length: int) -> np.ndarray:
-    """Squared norm of each column, zero-padded to the given length.
-
-    Each sum is np.vdot over one contiguous vector of that length: the
-    BLAS dot kernel orders its sum by the vector's length and stride, so
-    this reproduces the bits of the same vector checked on its own.
-    """
-    buf = np.zeros(length, dtype=np.complex128)
-    out = np.empty(cols.shape[1])
-    for i in range(cols.shape[1]):
-        buf[: cols.shape[0]] = cols[:, i]
-        out[i] = np.vdot(buf, buf).real
-    return out
+def _column_norms_sq(cols: np.ndarray) -> np.ndarray:
+    """Squared norm of each column."""
+    return np.einsum("ij,ij->j", cols.conj(), cols).real
 
 
 def _h_support(model: DilationModel, applications: int) -> int:
@@ -117,10 +107,11 @@ def check_dilation_property(
 
     By the block structure row 0 of W contains only T, so block 0 of W x
     is T x_0 and (W^n)_00 = T (W^(n-1))_00.  Only block 0 is carried, one
-    `apply` per power: the blocks 1..n of W^n H never enter block 0 of a
-    later power, so dropping them leaves the residual unchanged.  It is
-    rounding-level regardless of truncation (zero when `apply` reads the
-    model's T) and is compared on the shrinking exact window of T^n.
+    product with the stored T (`t_corner`, as in `apply`) per power: the
+    blocks 1..n of W^n H never enter block 0 of a later power, so dropping
+    them leaves the residual unchanged.  It is rounding-level regardless
+    of truncation (zero when the stored T is the model's T) and is
+    compared on the shrinking exact window of T^n.
     """
     n_max = dilation.n_blocks
     t = dilation.model.corner
@@ -129,7 +120,7 @@ def check_dilation_property(
     tn = cur
     residual = 0.0
     for n in range(1, n_max + 1):
-        cur = dilation.apply(cur)[:w]
+        cur = dilation.t_corner.dot(cur)
         tn = t.dot(tn)
         win = max(t.window_after(n), 1)
         residual = max(residual, max_abs(cur[:win, :win] - tn[:win, :win]))
@@ -200,7 +191,7 @@ def check_powers_formula(
         for k, prod in products.items():
             expected[dilation.block_slice(k)] = prod @ h[dilation.block_slice(k - m)]
 
-    norms = np.sqrt(_column_norms_sq(h, dilation.dim_total))
+    norms = np.sqrt(_column_norms_sq(h))
     errors = np.max(np.abs(y - expected), axis=0, initial=0.0)
     residual = float(np.max(errors / np.maximum(norms, 1.0), initial=0.0))
     return _result(
@@ -337,15 +328,17 @@ def check_weight_shift_isometry(
 
 
 def check_cumulative_polynomial(
-    weights: ShiftWeights, p_coeffs: tuple, tols: Tolerances = DEFAULT_TOLERANCES
+    model: DilationModel, weights: ShiftWeights, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> CheckResult:
-    """Cumulative moduli must equal the weight polynomial at integer points."""
+    """Cumulative moduli must equal the weight polynomial at integer points,
+    p(n) = I - C(n, m-1) A, formed from the model's representer A."""
     scale = 1.0 + max((c.norm_max() for c in weights.cumulative), default=0.0)
     tolerance = tols.cumulative_tol * scale
+    eye = np.eye(model.a.n)
     residual = 0.0
     for n in range(1, weights.horizon + 1):
-        p_n = poly_eval(p_coeffs, n, tols.herm_tol)
-        residual = max(residual, max_abs(weights.cumulative[n - 1].mat - p_n.mat))
+        p_n = eye - math.comb(n, model.m - 1) * model.a.mat
+        residual = max(residual, max_abs(weights.cumulative[n - 1].mat - p_n))
     return _result(
         "cumulative_matches_polynomial",
         residual,
@@ -473,10 +466,10 @@ def nonisomorphism_certificate(
     h = np.concatenate(columns, axis=1)
 
     # (h, 0, ...) is a leading block, so each dilation is applied once
-    norm_sq = _column_norms_sq(h, w)
+    norm_sq = _column_norms_sq(h)
     image_gap = np.abs(
-        _column_norms_sq(general.apply(h), general.dim_total)
-        - _column_norms_sq(badea.apply(h), badea.dim_total)
+        _column_norms_sq(general.apply(h))
+        - _column_norms_sq(badea.apply(h))
     )
     gaps = np.divide(image_gap, norm_sq, out=np.zeros_like(norm_sq), where=norm_sq != 0.0)
     max_gap = float(np.max(gaps, initial=0.0))

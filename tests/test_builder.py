@@ -13,18 +13,19 @@ from isodilation.builder import (
     build_a_three_concave,
     build_badea_2iso,
     build_general_model,
-    build_p_and_weights,
     build_three_concave_model,
+    build_weights,
     perturb_weight,
 )
 from isodilation.diagonal import defect_diagonal
 from isodilation.errors import (
     DimensionError,
     IllDefinedFormError,
+    NotInvertibleError,
     NotNegativeError,
     NotPsdError,
 )
-from isodilation.hermitian import hermitian, identity, max_abs, poly_eval
+from isodilation.hermitian import hermitian, max_abs
 from isodilation.operators import (
     WeightRule,
     classify,
@@ -140,35 +141,36 @@ class TestBuildAThreeConcave:
             build_a_three_concave(t, 1, tols=Tolerances(eig_tol=1e-10), forms=forms)
 
 
+def p_oracle(lam, m: int, n: int):
+    """1 - lam n (n-1) ... (n-m+2) / (m-1)!, the weight polynomial on a spectrum."""
+    return 1.0 - lam * math.prod(range(n - m + 2, n + 1)) / math.factorial(m - 1)
+
+
 class TestPolynomialAndWeights:
     def test_zero_representer_gives_identities(self):
-        build = build_p_and_weights(hermitian(np.zeros((3, 3))), 3, 6)
-        for s in build.weights.weights:
+        weights = build_weights(hermitian(np.zeros((3, 3))), 3, 6)
+        for s in weights.weights + weights.cumulative:
             assert max_abs(s.mat - np.eye(3)) < 1e-13
-        for n in range(6):
-            p = poly_eval(build.p_coeffs, n)
-            assert max_abs(p.mat - np.eye(3)) < 1e-13
 
     def test_scalar_m3_walkthrough(self):
-        build = build_p_and_weights(hermitian([[-0.25]]), 3, 4)
-        values = [poly_eval(build.p_coeffs, n).mat[0, 0].real for n in range(4)]
-        assert values == pytest.approx([1.0, 1.0, 1.25, 1.75], abs=1e-14)
-        s = [w.mat[0, 0].real for w in build.weights.weights[:3]]
-        assert s[0] == pytest.approx(1.0, abs=1e-14)
+        # p(n) = 1 + C(n, 2) / 4 for A = -1/4
+        weights = build_weights(hermitian([[-0.25]]), 3, 4)
+        cumulative = [c.mat[0, 0].real for c in weights.cumulative]
+        assert cumulative == pytest.approx([1.0, 1.25, 1.75, 2.5], abs=1e-14)
+        s = [w.mat[0, 0].real for w in weights.weights[:3]]
+        assert s[0] == 1.0
         assert s[1] == pytest.approx(math.sqrt(5) / 2, abs=1e-14)
         assert s[2] == pytest.approx(math.sqrt(7.0 / 5.0), abs=1e-14)
 
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(0.01, 3.0), n=st.integers(1, 12))
     def test_m2_closed_form(self, a, n):
-        # p(z) = a z + 1 and S_n = sqrt((1 + n a) / (1 + (n-1) a))
-        build = build_p_and_weights(hermitian([[-a]]), 2, n)
-        s_n = build.weights.weights[n - 1].mat[0, 0].real
+        # p(n) = 1 + n a and S_n = sqrt((1 + n a) / (1 + (n-1) a))
+        weights = build_weights(hermitian([[-a]]), 2, n)
+        s_n = weights.weights[n - 1].mat[0, 0].real
         expected = math.sqrt((1 + n * a) / (1 + (n - 1) * a))
         assert s_n == pytest.approx(expected, rel=1e-13)
-        assert build.weights.weights[0].mat[0, 0].real == pytest.approx(
-            math.sqrt(1 + a), rel=1e-13
-        )
+        assert weights.weights[0].mat[0, 0].real == pytest.approx(math.sqrt(1 + a), rel=1e-13)
 
     def test_ratio_bound_closed_form(self):
         # the successive-ratio supremum telescopes to (n+1)/(n-m+2), maximal
@@ -196,23 +198,20 @@ class TestPolynomialAndWeights:
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         a = hermitian(-(g.conj().T @ g) / 4.0)  # dense nonpositive representer
         horizon = m + 5
-        build = build_p_and_weights(a, m, horizon)
+        weights = build_weights(a, m, horizon)
 
         lam, v = np.linalg.eigh(a.mat)
 
         def on_spectrum(values):
             return v @ (values[:, None] * v.conj().T)
 
-        def p(n):  # 1 - lam n (n-1) ... (n-m+2) / (m-1)!
-            return 1.0 - lam * math.prod(range(n - m + 2, n + 1)) / math.factorial(m - 1)
-
         for n in range(1, horizon + 1):
-            expected = on_spectrum(np.sqrt(p(n) / p(n - 1)))
-            assert max_abs(build.weights.weights[n - 1].mat - expected) <= 1e-9 * max_abs(expected)
-        b = on_spectrum(np.sqrt(1.0 - lam))
-        assert max_abs(build.b.mat - b) <= 1e-9 * max_abs(b)
-        assert max_abs(build.b.mat @ build.b.mat - (np.eye(d) - a.mat)) <= 1e-9 * (1 + a.norm_max())
-        assert build.b_norm == pytest.approx(math.sqrt(1.0 - lam[0]), rel=1e-10)
+            expected = on_spectrum(np.sqrt(p_oracle(lam, m, n) / p_oracle(lam, m, n - 1)))
+            assert max_abs(weights.weights[n - 1].mat - expected) <= 1e-9 * max_abs(expected)
+        # S_(m-1) is B = (I - A)^(1/2)
+        b = weights.weights[m - 2].mat
+        assert max_abs(b - on_spectrum(np.sqrt(1.0 - lam))) <= 1e-9 * max_abs(b)
+        assert max_abs(b @ b - (np.eye(d) - a.mat)) <= 1e-9 * (1 + a.norm_max())
 
     @settings(max_examples=20, deadline=None)
     @given(m=st.integers(2, 5), seed=st.integers(0, 2**31))
@@ -221,29 +220,44 @@ class TestPolynomialAndWeights:
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         a = hermitian(-(g.conj().T @ g) / 4.0)  # random nonpositive representer
         horizon = m + 5
-        build = build_p_and_weights(a, m, horizon)
-        # p(k) = I for k <= m - 2, p(m-1) = B^2 = I - A
-        for k in range(m - 1):
-            assert max_abs(poly_eval(build.p_coeffs, k).mat - np.eye(4)) < 1e-12
-        pm1 = poly_eval(build.p_coeffs, m - 1)
-        assert max_abs(pm1.mat - (np.eye(4) - a.mat)) < 1e-11
-        # identity prefix of the weights
+        weights = build_weights(a, m, horizon)
+        # identity prefix of the weights: p(k) = I for k <= m - 2
         for k in range(m - 2):
-            assert max_abs(build.weights.weights[k].mat - np.eye(4)) < 1e-12
-        # cumulative moduli equal the polynomial (telescoping)
+            assert max_abs(weights.weights[k].mat - np.eye(4)) < 1e-12
+        # cumulative moduli equal p(n) = I - C(n, m-1) A (telescoping);
+        # p(m-1) = B^2 = I - A
         for n in range(1, horizon + 1):
-            p_n = poly_eval(build.p_coeffs, n)
-            assert max_abs(build.weights.cumulative[n - 1].mat - p_n.mat) <= 1e-10 * (
-                1 + max_abs(p_n.mat)
-            )
+            p_n = np.eye(4) - math.comb(n, m - 1) * a.mat
+            assert max_abs(weights.cumulative[n - 1].mat - p_n) <= 1e-10 * (1 + max_abs(p_n))
         # m-th forward difference of the cumulative sequence vanishes
-        cum = [np.eye(4)] + [c.mat for c in build.weights.cumulative]
+        cum = [np.eye(4)] + [c.mat for c in weights.cumulative]
         for n in range(len(cum) - m):
             acc = np.zeros((4, 4), dtype=complex)
             for k in range(m + 1):
                 sign = -1.0 if (m - k) % 2 else 1.0
                 acc += sign * math.comb(m, k) * cum[n + k]
             assert max_abs(acc) <= 1e-11 * (1 + max_abs(cum[n + m]))
+
+    def test_b_is_the_weight_s_m_minus_1(self):
+        # p(m-2) = I exactly, so S_(m-1) = (I - A)^(1/2) = B bit for bit,
+        # and ||B|| = (1 - lam_min)^(1/2)
+        rule = WeightRule.geometric_concave(0.5)
+        corner = make_shift_corner(rule, 16)
+        sol = solve_q_shift_diagonal(corner, defect_diagonal(rule, 1, corner.window_after(2)))
+        shift = build_general_model(corner, 2, sol, weights_horizon=8)
+        dense = build_three_concave_model(dense_corner(np.diag([0.5, 0.3j, -0.8])), 8)
+        for model, weights in (shift, dense):
+            assert model.dim_hprime > 0
+            assert np.array_equal(model.b.mat, weights.weights[model.m - 2].mat)
+            assert model.b_norm == pytest.approx(np.linalg.norm(model.b.mat, 2), rel=1e-12)
+        with pytest.raises(DimensionError):
+            build_three_concave_model(dense_corner(np.diag([0.5, 0.3j, -0.8])), 1)
+
+    def test_p_not_positive_raises(self):
+        # p(2) = 1 - 2 * 0.5 = 0 is not invertible
+        with pytest.raises(NotInvertibleError):
+            build_weights(hermitian([[0.5]]), 2, 3)
+        assert len(build_weights(hermitian([[0.5]]), 2, 1).weights) == 1
 
 
 class TestAssemble:
@@ -452,11 +466,15 @@ class TestTableRuleGeneralM4:
 
 class TestPerturb:
     def test_cumulative_recomputed(self):
-        build = build_p_and_weights(hermitian([[-0.25]]), 3, 5)
-        bumped = perturb_weight(build.weights, 2, 0.1)
-        s2 = build.weights.weights[1].mat[0, 0].real
+        # A = -1/4, m = 3: p(1) = 1, p(2) = 5/4, p(3) = 7/4
+        weights = build_weights(hermitian([[-0.25]]), 3, 5)
+        bumped = perturb_weight(weights, 2, 0.1)
+        s2 = weights.weights[1].mat[0, 0].real
+        assert s2 == pytest.approx(math.sqrt(1.25), rel=1e-14)
         assert bumped.weights[1].mat[0, 0].real == pytest.approx(s2 + 0.1)
-        # cumulative at n >= 2 reflects the bump
-        c2 = bumped.cumulative[1].mat[0, 0].real
-        assert c2 == pytest.approx((s2 + 0.1) ** 2, rel=1e-13)
-        assert max_abs(bumped.cumulative[0].mat - build.weights.cumulative[0].mat) == 0.0
+        # cumulative at n >= 2 reflects the bump, n = 1 keeps p(1)
+        assert max_abs(bumped.cumulative[0].mat - weights.cumulative[0].mat) == 0.0
+        assert bumped.cumulative[1].mat[0, 0].real == pytest.approx((s2 + 0.1) ** 2, rel=1e-13)
+        assert bumped.cumulative[2].mat[0, 0].real == pytest.approx(
+            (s2 + 0.1) ** 2 * 1.75 / 1.25, rel=1e-13
+        )

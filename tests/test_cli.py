@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from isodilation.cli import main
-from isodilation.pipeline import demo_spec, run_pipeline
+from isodilation.pipeline import DEMOS, demo_spec, run_pipeline
 
 DIRICHLET_SPEC = """\
 {"operator":{"kind":"shift","rule":{"name":"dirichlet"}},
@@ -138,6 +138,17 @@ class TestExitCodes:
         path.write_text(json.dumps(spec))
         assert main(["--spec", str(path)]) == 3
         assert "horizon" in capsys.readouterr().err
+
+    def test_removed_inv_tol_is_three(self, tmp_path, capsys):
+        # a clamped representer makes every p(n) >= I, so no invertibility
+        # threshold is read; the field is refused like any unknown tolerance
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(DEMOS["strict-2concave"], tolerances={"inv_tol": 2.0})))
+        assert main(["--spec", str(path)]) == 3
+        assert "inv_tol" in capsys.readouterr().err
+        path.write_text(json.dumps(DEMOS["strict-2concave"]))
+        assert main(["--spec", str(path), "--tol", "inv_tol=2.0"]) == 3
+        assert "inv_tol" in capsys.readouterr().err
 
     def test_no_spec_is_three(self, capsys):
         assert main([]) == 3

@@ -21,7 +21,6 @@ from isodilation.hermitian import (
     identity,
     max_abs,
     pinv_sqrt,
-    poly_eval,
     psd_check,
     spectral_apply,
     sqrt_psd,
@@ -372,37 +371,3 @@ class TestPsdCheck:
         assert psd_check(window).is_psd
         assert psd_check(hermitian(-window.mat)).is_psd
         assert abs(psd_check(window).min_eig) < 1e-13
-
-
-class TestPolyEval:
-    def test_constant(self):
-        p = poly_eval([identity(3)], 17)
-        assert max_abs(p.mat - np.eye(3)) == 0.0
-
-    def test_scalar_linear(self):
-        # z/4 + 1 at z = 2
-        p = poly_eval([hermitian([[1.0]]), hermitian([[0.25]])], 2)
-        assert p.mat[0, 0].real == pytest.approx(1.5, abs=1e-15)
-
-    def test_scalar_quadratic(self):
-        # z(z-1)/8 + 1 = z^2/8 - z/8 + 1 at z = 3 -> 7/4
-        coeffs = [hermitian([[1.0]]), hermitian([[-0.125]]), hermitian([[0.125]])]
-        p = poly_eval(coeffs, 3)
-        assert p.mat[0, 0].real == pytest.approx(1.75, abs=1e-15)
-
-    @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(0, 9), deg=st.integers(0, 4), seed=st.integers(0, 2**31))
-    def test_matches_horner_oracle(self, n, deg, seed):
-        rng = np.random.default_rng(seed)
-        base = random_hermitian(rng, 4)
-        # coefficients are scalar multiples of powers of one matrix, so they commute
-        coeffs = [
-            hermitian(rng.uniform(-2, 2) * np.linalg.matrix_power(base.mat, k % 3))
-            for k in range(deg + 1)
-        ]
-        value = poly_eval(coeffs, n)
-        horner = np.zeros_like(base.mat)
-        for c in reversed(coeffs):
-            horner = horner * n + c.mat
-        scale = max(max_abs(horner), 1.0)
-        assert max_abs(value.mat - horner) <= 1e-12 * scale

@@ -28,27 +28,12 @@ def test_example_report_shape():
         assert set(check) == {"name", "residual", "tolerance", "passed", "window"}
 
 
-def _assert_report_reproduced(name: str):
-    # the committed report is the behaviour contract; only the header
-    # lines naming the time and the package version may differ
+@pytest.mark.parametrize("pin", sorted(p.name for p in EXAMPLES.glob("*.report.json")))
+def test_report_pin_reproduced_byte_for_byte(pin):
+    # each committed report is the behaviour contract of its spec; only
+    # the header lines naming the time and the package version may differ
     header = re.compile(r'^\s*"generated_(at|by)": .*\n', re.MULTILINE)
-    spec = parse_spec((EXAMPLES / f"{name}.json").read_text())
+    spec = parse_spec((EXAMPLES / pin.replace(".report.json", ".json")).read_text())
     produced = emit_report(run_pipeline(spec).report)
-    committed = (EXAMPLES / f"{name}.report.json").read_text()
+    committed = (EXAMPLES / pin).read_text()
     assert header.sub("", produced) == header.sub("", committed)
-
-
-def test_example_report_reproduced_byte_for_byte():
-    _assert_report_reproduced("strict-shift")
-
-
-def test_dense_example_report_reproduced_byte_for_byte():
-    # the dense 3-concave path: classification, both sign gates and the
-    # quotient form all feed this report
-    _assert_report_reproduced("dense-3concave")
-
-
-def test_general_m3_example_report_reproduced_byte_for_byte():
-    # the general path at m = 3: the exact windows of the defect forms and
-    # of the verifier's test vectors, and the report's closed-form bounds
-    _assert_report_reproduced("table-shift-m3")

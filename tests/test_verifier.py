@@ -4,11 +4,12 @@ non-isomorphism certificate, and the equivalence in both directions."""
 import dataclasses
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from isodilation import demo_spec, run_pipeline
+from isodilation import demo_spec, parse_spec, run_pipeline
 from isodilation.builder import (
     AssembledDilation,
     assemble_dilation,
@@ -17,12 +18,14 @@ from isodilation.builder import (
     build_three_concave_model,
     perturb_weight,
 )
-from isodilation.diagonal import defect_diagonal
-from isodilation.hermitian import eigh
+from isodilation.diagonal import build_diagonal_model, defect_diagonal
+from isodilation.hermitian import eigh, hermitian
 from isodilation.operators import WeightRule, dense_corner, make_shift_corner
+from isodilation.pipeline import _verify
 from isodilation.qsolver import solve_q_shift_diagonal
 from isodilation.tolerances import DEFAULT_TOLERANCES, DEFAULT_TRIALS
 from isodilation.verifier import (
+    _column_norms_sq,
     _column_space_rank,
     _random_complex,
     _rng,
@@ -601,6 +604,16 @@ class TestRemark:
         assert not remark_consistency(model, fake).passed
 
 
+def test_column_norms_match_per_column_vdot():
+    # one reduction over all columns sums in another order than a dot per
+    # column, so the two agree to a few units of rounding
+    rng = np.random.default_rng(3)
+    cols = rng.standard_normal((97, 13)) + 1j * rng.standard_normal((97, 13))
+    reference = np.array([np.vdot(c, c).real for c in cols.T])
+    assert np.allclose(_column_norms_sq(cols), reference, rtol=64 * np.finfo(float).eps, atol=0.0)
+    assert np.array_equal(_column_norms_sq(cols[:, :0]), np.zeros(0))
+
+
 def test_batched_checks_apply_each_dilation_once_per_power(monkeypatch):
     # structural guard: the certificate applies each dilation once to its
     # whole candidate block, and the powers check applies W m times to its
@@ -623,3 +636,88 @@ def test_batched_checks_apply_each_dilation_once_per_power(monkeypatch):
     powers = [shape for caller, shape in calls if caller == "check_powers_formula"]
     assert len(powers) == result.model.m == 2
     assert all(shape == (result.assembled.dim_total, DEFAULT_TRIALS) for shape in powers)
+    # the compression check carries block 0 with the stored T alone
+    assert not [shape for caller, shape in calls if caller == "check_dilation_property"]
+
+
+# Checks that fail on each corruption of a verified run, re-verified with
+# the pipeline's full check set.  "a" is the representer A, which only
+# `b_square` and `cumulative_matches_polynomial` read (and, on a shift,
+# the diagonal cross-check); a stored weight S_2 is read by `apply` alone,
+# so only `w_m_isometry` sees it.
+_MUTATION_MATRIX = {
+    "strict-2concave": {
+        "none": set(),
+        "t": {"dilation_property", "powers_formula", "w_m_isometry"},
+        "u": {"powers_formula", "w_m_isometry"},
+        "stored_s2": {"w_m_isometry"},
+        "perturb_s2": {
+            "cumulative_matches_polynomial", "diagonal_dense_agreement",
+            "w_m_isometry", "weight_shift_m_isometry",
+        },
+        "a": {"b_square", "cumulative_matches_polynomial", "diagonal_dense_agreement"},
+        "b": {"b_square", "diagonal_dense_agreement"},
+    },
+    "dense-3concave": {
+        "none": set(),
+        "t": {"dilation_property", "powers_formula", "w_m_isometry"},
+        "u": {"powers_formula", "w_m_isometry"},
+        "stored_s2": {"w_m_isometry"},
+        "perturb_s2": {
+            "criterion_identity", "cumulative_matches_polynomial",
+            "w_m_isometry", "weight_shift_m_isometry",
+        },
+        "a": {"b_square", "cumulative_matches_polynomial"},
+        "b": {"b_square"},
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def mutation_runs(demos):
+    examples = Path(__file__).resolve().parent.parent / "spec-examples"
+    dense = parse_spec((examples / "dense-3concave.json").read_text())
+    return {"strict-2concave": demos.run("strict-2concave"), "dense-3concave": run_pipeline(dense)}
+
+
+def _corrupted(result, what):
+    """(model, weights, dilation) of a run with one stored object corrupted."""
+    model, weights, dil = result.model, result.weights, result.assembled
+    if what == "none":
+        return model, weights, dil
+    if what == "t":
+        return model, weights, dataclasses.replace(dil, t=dil.t * 1.01)
+    if what == "u":
+        return model, weights, dataclasses.replace(dil, u=dil.u * 1.01)
+    if what == "stored_s2":
+        stack = dil.weights.copy()
+        stack[1] *= 1.01
+        return model, weights, dataclasses.replace(dil, weights=stack)
+    if what == "perturb_s2":
+        bumped = perturb_weight(weights, 2, 0.01, result.tolerances)
+        return model, bumped, assemble_dilation(model, bumped, dil.n_blocks)
+    scaled = hermitian(getattr(model, what).mat * 1.01, result.tolerances.herm_tol)
+    model = dataclasses.replace(model, **{what: scaled})
+    return model, weights, dataclasses.replace(dil, model=model)
+
+
+def _failing_checks(result, model, weights, dil) -> set:
+    diag = None
+    if result.spec.kind == "shift":
+        diag = build_diagonal_model(
+            result.spec.rule, model.m, model.dim_h, result.path, max(weights.horizon, 8),
+            q_seq=result.q.q_seq, tols=result.tolerances,
+        )
+    rep = _verify(
+        model, weights, dil, result.q, result.badea_model, result.badea_assembled, diag,
+        result.classification.forms, result.seed, DEFAULT_TRIALS, result.tolerances,
+    )
+    return {c.name for c in rep.checks if not c.passed}
+
+
+@pytest.mark.parametrize(
+    "case,what", [(case, what) for case, row in sorted(_MUTATION_MATRIX.items()) for what in row]
+)
+def test_mutation_matrix(mutation_runs, case, what):
+    r = mutation_runs[case]
+    assert _failing_checks(r, *_corrupted(r, what)) == _MUTATION_MATRIX[case][what]
