@@ -3,13 +3,20 @@
 Everything downstream (defect forms, invariant metrics, dilation blocks)
 is built from the handful of kernels in this module: a cyclic Jacobi
 eigensolver for Hermitian matrices, principal and pseudo-inverse square
-roots, polynomial evaluation in a commuting family, and toleranced
-semidefiniteness tests.  No LAPACK-backed routine is used here.  Each
-Jacobi rotation round is one set of array operations, vectorized over its
-disjoint rotation pairs and over a stack of same-size matrices swept
-together (`eigh_stack`; `eigh` is its stack of one), so desk-scale
-dimensions (a few hundred) stay cheap and several forms of one size pay
-the per-round Python overhead once.
+roots, and toleranced semidefiniteness tests.  No LAPACK-backed routine is
+used here.  Each Jacobi rotation round is one set of array operations,
+vectorized over its disjoint rotation pairs and over a stack of same-size
+matrices swept together (`eigh_stack`; `eigh` is its stack of one), so
+desk-scale dimensions (a few hundred) stay cheap and several forms of one
+size pay the per-round Python overhead once.
+
+An input whose off-diagonal entries already lie below the stopping
+threshold (a diagonal one, say) takes zero sweeps, and its sorted basis is
+a permutation matrix with entries exactly 1.  Such a decomposition records
+the permutation (`EigenDecomposition.perm`); its residuals and
+`spectral_apply` are then scatters onto the diagonal, which give the bits
+of the dense products (each entry of those is one exact term plus exact
+zeros) without their n^3 work.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -92,12 +99,18 @@ def identity(n: int) -> HermitianMatrix:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Spectral decomposition X = V diag(values) V* with ascending values."""
+    """Spectral decomposition X = V diag(values) V* with ascending values.
+
+    `perm` is set when V is a permutation matrix with entries exactly 1:
+    column j of V is the unit vector e_perm[j].  It is read off the stored
+    nonzeros of V, never assumed.
+    """
 
     values: np.ndarray          # real, ascending
     basis: np.ndarray           # unitary, columns are eigenvectors
     recon_residual: float       # ||X - V diag(values) V*||_max
     basis_residual: float       # ||V*V - I||_max
+    perm: np.ndarray | None = None  # row of the unit entry of each column
 
     @property
     def n(self) -> int:
@@ -168,6 +181,34 @@ def _off_diagonal_max(a: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(np.abs(off), axis=1)
 
 
+def _unit_permutation(v: np.ndarray) -> np.ndarray | None:
+    """Row of each column's single nonzero, when v is a permutation matrix
+    whose nonzeros are exactly 1; None otherwise."""
+    n = v.shape[0]
+    if np.count_nonzero(v) != n:
+        return None
+    # the nonzeros of v.T come column by column of v
+    cols, rows = np.nonzero(v.T)
+    if not np.array_equal(cols, np.arange(n)) or np.unique(rows).size != n:
+        return None
+    if np.any(v[rows, cols] != 1.0):
+        return None
+    return rows
+
+
+def _basis_apply(v: np.ndarray, fvals) -> np.ndarray:
+    """V diag(fvals) V* as dense products."""
+    return v @ (np.asarray(fvals)[:, None] * v.conj().T)
+
+
+def _diagonal_scatter(perm: np.ndarray, fvals) -> np.ndarray:
+    """V diag(fvals) V* for the permutation basis V of `perm`."""
+    n = perm.shape[0]
+    out = np.zeros((n, n), dtype=np.complex128)
+    out[perm, perm] = fvals
+    return out
+
+
 def _sorted_decomposition(
     x: HermitianMatrix, a: np.ndarray, v: np.ndarray, tol: float, scale: float
 ) -> EigenDecomposition:
@@ -178,20 +219,29 @@ def _sorted_decomposition(
     values = values[order]
     v = np.ascontiguousarray(v[:, order])
 
-    recon = v @ (values[:, None] * v.conj().T)
+    perm = _unit_permutation(v)
+    if perm is None:
+        recon = _basis_apply(v, values)
+        basis_residual = max_abs(v.conj().T @ v - np.eye(n))
+    else:
+        # V*V is exactly I, and V diag(values) V* is values on the diagonal
+        recon = _diagonal_scatter(perm, values)
+        basis_residual = 0.0
     recon_residual = max_abs(x.mat - recon)
-    basis_residual = max_abs(v.conj().T @ v - np.eye(n))
     limit = tol * (1.0 + scale)
     if recon_residual > limit or basis_residual > max(tol, 64 * n * np.finfo(float).eps):
         raise ConvergenceError(
             f"eigendecomposition residuals out of tolerance "
             f"(reconstruction {recon_residual:.3e}, unitarity {basis_residual:.3e})"
         )
-    return EigenDecomposition(_frozen(values), _frozen(v), recon_residual, basis_residual)
+    return EigenDecomposition(
+        _frozen(values), _frozen(v), recon_residual, basis_residual,
+        None if perm is None else _frozen(perm),
+    )
 
 
 def _jacobi(xs: tuple, tol: float, max_sweeps: int) -> list:
-    """Sweep a stack of n-by-n Hermitian matrices (n >= 2) to diagonal form."""
+    """Sweep a stack of n-by-n Hermitian matrices (n >= 1) to diagonal form."""
     n = xs[0].n
     eps = np.finfo(float).eps
     a = np.array([x.mat for x in xs])
@@ -293,17 +343,8 @@ def eigh_stack(
     n = xs[0].n
     if n == 0:
         empty = _frozen(np.zeros((0, 0), dtype=np.complex128))
-        return tuple(EigenDecomposition(np.zeros(0), empty, 0.0, 0.0) for _ in xs)
-    if n == 1:
-        return tuple(
-            EigenDecomposition(
-                _frozen(x.mat.real.reshape(1).copy()),
-                _frozen(np.eye(1, dtype=np.complex128)),
-                0.0,
-                0.0,
-            )
-            for x in xs
-        )
+        perm = _frozen(np.zeros(0, dtype=np.intp))
+        return tuple(EigenDecomposition(np.zeros(0), empty, 0.0, 0.0, perm) for _ in xs)
     # a round gathers about n/2 columns of n complex entries per member
     per_stack = max(1, _STACK_BYTES // (8 * n * n))
     decs = []
@@ -313,8 +354,14 @@ def eigh_stack(
 
 
 def spectral_apply(dec: EigenDecomposition, fvals: np.ndarray) -> np.ndarray:
-    """Assemble V diag(fvals) V* for per-eigenvalue function values."""
-    return dec.basis @ (np.asarray(fvals)[:, None] * dec.basis.conj().T)
+    """Assemble V diag(fvals) V* for per-eigenvalue function values.
+
+    With a permutation basis (`dec.perm`) the values are scattered onto the
+    diagonal, the exact result of the dense product.
+    """
+    if dec.perm is not None:
+        return _diagonal_scatter(dec.perm, fvals)
+    return _basis_apply(dec.basis, fvals)
 
 
 class PsdCheck(NamedTuple):

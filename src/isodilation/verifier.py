@@ -355,10 +355,23 @@ def _column_space_rank(cols: np.ndarray, thresh: float) -> int:
     in batches of 48, each projected twice against the earlier batches;
     inside a batch every column is projected twice (classical Gram-Schmidt
     with reorthogonalization) against the batch's accepted columns.
+
+    When no row of `cols` holds more than one nonzero, as in every orbit
+    block of a shift corner, the columns have disjoint supports: every
+    projection is an exact zero, each residual is its column, and the rank
+    is the count of columns whose norm exceeds thresh, taken in one pass.
     """
     dim, count = cols.shape
     if count == 0 or dim == 0:
         return 0
+    if np.count_nonzero(cols, axis=1).max() <= 1:
+        return int(np.count_nonzero(np.sqrt(_column_norms_sq(cols)) > thresh))
+    return _gram_schmidt_rank(cols, thresh)
+
+
+def _gram_schmidt_rank(cols: np.ndarray, thresh: float) -> int:
+    """The blocked Gram-Schmidt pass of `_column_space_rank`."""
+    count = cols.shape[1]
     basis_blocks: list[np.ndarray] = []
     basis: np.ndarray | None = None
     for start in range(0, count, 48):

@@ -1,4 +1,4 @@
-"""Kernel tests: eigendecomposition, matrix roots, polynomial evaluation.
+"""Kernel tests: eigendecomposition, permutation bases, matrix roots.
 
 numpy.linalg is used here only as an independent oracle; the production
 code never calls it.
@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isodilation.builder import _clamp_nonpositive
 from isodilation.errors import ConvergenceError, HermitianityError, NotPsdError
 from isodilation.hermitian import (
     _STACK_BYTES,
     _rotation_rounds,
+    _sorted_decomposition,
     eigh,
     eigh_stack,
     hermitian,
@@ -205,6 +207,8 @@ def _same_bits(a, b):
         and np.array_equal(a.basis, b.basis)
         and a.recon_residual == b.recon_residual
         and a.basis_residual == b.basis_residual
+        and (a.perm is None) == (b.perm is None)
+        and (a.perm is None or np.array_equal(a.perm, b.perm))
     )
 
 
@@ -279,6 +283,92 @@ class TestEighStack:
         with pytest.raises(ConvergenceError) as reversed_stack:
             eigh_stack([second, diagonal, first], max_sweeps=1)
         assert str(reversed_stack.value) == str(other.value)
+
+
+def _dense_apply(basis, fvals):
+    return basis @ (np.asarray(fvals)[:, None] * basis.conj().T)
+
+
+class TestPermutationBasis:
+    """A diagonal input keeps its permutation basis, and the scatters that
+    replace the dense products give their values; the sign of a zero is
+    not compared."""
+
+    @pytest.mark.parametrize(
+        "diag",
+        [
+            [],
+            [-2.5],
+            [3.0, 1.0],
+            [1.0, 1.0],
+            [0.5, -3.0, 2.0, -0.25, 7.0],
+            [2.0, 0.0, -1.0, 2.0, 0.0, -1.0, 5.0],
+            [-1e-17, 0.0, 1e-300, -4.0],
+        ],
+        ids=["n0", "n1", "n2-unsorted", "n2-repeated", "unsorted", "repeated-zero", "tiny"],
+    )
+    def test_diagonal_input_scatters_like_the_dense_products(self, diag):
+        x = hermitian(np.diag(np.array(diag, dtype=float)).reshape(len(diag), len(diag)))
+        dec = eigh(x)
+        n = x.n
+        assert dec.perm is not None and dec.perm.shape == (n,)
+        permutation = np.zeros((n, n))
+        permutation[dec.perm, np.arange(n)] = 1.0
+        assert np.array_equal(dec.basis, permutation)
+        assert np.array_equal(dec.values, np.sort(np.array(diag, dtype=float)))
+        recon = _dense_apply(dec.basis, dec.values)
+        assert dec.recon_residual == max_abs(x.mat - recon)
+        assert dec.basis_residual == max_abs(dec.basis.conj().T @ dec.basis - np.eye(n)) == 0.0
+        fvals = np.linspace(-1.0, 2.0, n) ** 3
+        for f in (dec.values, fvals, np.zeros(n)):
+            assert np.array_equal(spectral_apply(dec, f), _dense_apply(dec.basis, f))
+
+    def test_off_diagonal_below_the_stopping_threshold(self):
+        # zero sweeps leave a permutation basis; the residual keeps the
+        # off-diagonal entries the decomposition did not rotate away
+        x = hermitian(np.diag([2.0, -1.0, 0.5]) + 1e-16 * (np.ones((3, 3)) - np.eye(3)))
+        dec = eigh(x)
+        assert dec.perm is not None
+        assert dec.recon_residual == max_abs(x.mat - _dense_apply(dec.basis, dec.values)) > 0.0
+        f = np.array([1.0, -0.5, 3.0])
+        assert np.array_equal(spectral_apply(dec, f), _dense_apply(dec.basis, f))
+
+    def test_rotated_input_has_no_permutation(self):
+        dec = eigh(hermitian([[2.0, 1.0], [1.0, 2.0]]))
+        assert dec.perm is None
+        f = np.array([0.5, 4.0])
+        assert np.array_equal(spectral_apply(dec, f), _dense_apply(dec.basis, f))
+
+    @pytest.mark.parametrize("entry", [-1.0, 1j, np.exp(0.3j)], ids=["minus-one", "i", "phase"])
+    def test_signed_or_phased_permutation_takes_the_dense_products(self, entry):
+        # a permutation of unit-modulus entries that are not 1 is a valid
+        # eigenbasis of a diagonal matrix, but not a scatter
+        values = np.array([4.0, -1.0, 2.0])
+        basis = np.zeros((3, 3), dtype=np.complex128)
+        basis[[2, 0, 1], [0, 1, 2]] = [1.0, entry, 1.0]
+        x = hermitian(_dense_apply(basis, values))
+        iterate = np.diag(values).astype(np.complex128)
+        dec = _sorted_decomposition(x, iterate, basis, DEFAULT_TOLERANCES.eig_tol, x.norm_max())
+        assert dec.perm is None
+        order = np.argsort(values, kind="stable")
+        sorted_basis = basis[:, order]
+        recon = _dense_apply(sorted_basis, values[order])
+        assert dec.recon_residual == max_abs(x.mat - recon)
+        assert dec.basis_residual == max_abs(sorted_basis.conj().T @ sorted_basis - np.eye(3))
+        f = np.array([0.5, 4.0, -2.0])
+        assert np.array_equal(spectral_apply(dec, f), _dense_apply(sorted_basis, f))
+
+    def test_clamp_keeps_the_permutation(self):
+        # an eigenvalue positive within psd_tol is clamped to zero through
+        # dataclasses.replace, which must carry perm along
+        a = hermitian(np.diag([-1.0, 1e-12, -2.0]))
+        clamped, dec = _clamp_nonpositive(a, DEFAULT_TOLERANCES, "test")
+        lone = eigh(a)
+        assert lone.perm is not None
+        assert np.array_equal(dec.perm, lone.perm)
+        assert np.array_equal(dec.values, [-2.0, -1.0, 0.0])
+        assert np.array_equal(clamped.mat, np.diag([-1.0, 0.0, -2.0]))
+        assert np.array_equal(clamped.mat, _dense_apply(dec.basis, dec.values))
 
 
 class TestSqrtPsd:

@@ -2,6 +2,7 @@
 non-isomorphism certificate, and the equivalence in both directions."""
 
 import dataclasses
+import importlib
 import math
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isodilation import demo_spec, parse_spec, run_pipeline
+from isodilation import demo_spec, parse_spec, run_pipeline, verifier
 from isodilation.builder import (
     AssembledDilation,
     assemble_dilation,
@@ -38,6 +39,9 @@ from isodilation.verifier import (
     nonisomorphism_certificate,
     remark_consistency,
 )
+
+# the package exports the function `hermitian` under the module's name
+hermitian_module = importlib.import_module("isodilation.hermitian")
 
 
 @pytest.fixture(scope="module")
@@ -433,6 +437,55 @@ class TestRankKernelAgainstReference:
         rank = _column_space_rank(cols, thresh)
         assert rank == _mgs_rank_reference(cols, thresh) == expected
 
+    @pytest.mark.parametrize(
+        "dim, count, complex_entries, zero_columns, seed",
+        [
+            (40, 40, False, 0, 1),
+            (60, 45, True, 0, 2),
+            (45, 60, True, 9, 3),
+            (130, 100, False, 12, 4),
+            (100, 130, True, 30, 5),
+        ],
+    )
+    def test_monomial_columns(self, monkeypatch, dim, count, complex_entries, zero_columns, seed):
+        # at most one nonzero in each row and each column, permuted: the
+        # columns have disjoint supports, so the rank is a count of norms;
+        # every fourth nonzero column has norm thresh * (1 +- 0.01)
+        rng = np.random.default_rng(seed)
+        thresh = 1e-6
+        live = min(dim, count) - zero_columns
+        rows = rng.permutation(dim)[:live]
+        columns = rng.permutation(count)[:live]
+        mags = rng.uniform(0.5, 2.0, live)
+        near = np.arange(live) % 4 == 3
+        mags[near] = thresh * np.where(np.arange(near.sum()) % 2, 1.01, 0.99)
+        if complex_entries:
+            phases = np.exp(2j * np.pi * rng.uniform(size=live))
+        else:
+            phases = rng.choice([-1.0, 1.0], live)
+        cols = np.zeros((dim, count), dtype=np.complex128)
+        cols[rows, columns] = mags * phases
+        expected = live - int(np.count_nonzero(near & (mags < thresh)))
+
+        calls = []
+        gram_schmidt = verifier._gram_schmidt_rank
+        monkeypatch.setattr(
+            verifier, "_gram_schmidt_rank", lambda c, t: calls.append(c.shape) or gram_schmidt(c, t)
+        )
+        rank = _column_space_rank(cols, thresh)
+        assert not calls
+        assert rank == _mgs_rank_reference(cols, thresh) == expected
+        assert rank == np.linalg.matrix_rank(cols, tol=thresh)
+
+        # a second nonzero in one row couples two columns: Gram-Schmidt runs
+        other = int(columns[1])
+        coupled = cols.copy()
+        coupled[rows[0], other] = 0.75 - 0.5j
+        rank = _column_space_rank(coupled, thresh)
+        assert calls == [(dim, count)]
+        assert rank == _mgs_rank_reference(coupled, thresh)
+        assert rank == np.linalg.matrix_rank(coupled, tol=thresh)
+
 
 def _dense_orbit_rank(dilation, rel_tol=1e-6):
     """Gram-Schmidt rank of the dense orbit [W^n e : n = 0..n_blocks]."""
@@ -488,6 +541,15 @@ class TestBlockMinimalityOracle:
             self._assert_matches(bad)
             # every P_k = S_(k-1)...S_1 U has rank 1
             assert check_minimality(bad).residual == dil.dim_total - dil.dim_h - dil.n_blocks
+
+    def test_u_off_its_pattern(self, strict_pair):
+        # one entry outside the one-per-row pattern of a shift's U: the
+        # orbit blocks leave the disjoint-support path
+        for dil in (strict_pair[2], strict_pair[4]):
+            u = dil.u.copy()
+            assert np.count_nonzero(u, axis=1).max() == 1
+            u[0, np.flatnonzero(u[0] == 0)[0]] = 0.01
+            self._assert_matches(dataclasses.replace(dil, u=u))
 
 
 class TestCertificate:
@@ -657,6 +719,10 @@ _MUTATION_MATRIX = {
         },
         "a": {"b_square", "cumulative_matches_polynomial", "diagonal_dense_agreement"},
         "b": {"b_square", "diagonal_dense_agreement"},
+        # corruptions that leave the exact structure of a shift's blocks
+        "u_off_pattern": {"powers_formula", "w_m_isometry"},
+        "stored_s2_off_diagonal": {"w_m_isometry"},
+        "basis": {"diagonal_dense_agreement"},
     },
     "dense-3concave": {
         "none": set(),
@@ -689,10 +755,20 @@ def _corrupted(result, what):
         return model, weights, dataclasses.replace(dil, t=dil.t * 1.01)
     if what == "u":
         return model, weights, dataclasses.replace(dil, u=dil.u * 1.01)
-    if what == "stored_s2":
+    if what == "u_off_pattern":
+        u = dil.u.copy()
+        u[0, np.flatnonzero(u[0] == 0)[0]] = 0.01
+        return model, weights, dataclasses.replace(dil, u=u)
+    if what in ("stored_s2", "stored_s2_off_diagonal"):
         stack = dil.weights.copy()
-        stack[1] *= 1.01
+        if what == "stored_s2":
+            stack[1] *= 1.01
+        else:
+            stack[1][0, 1] = 0.01
         return model, weights, dataclasses.replace(dil, weights=stack)
+    if what == "basis":
+        model = dataclasses.replace(model, basis=model.basis * 1.01)
+        return model, weights, dataclasses.replace(dil, model=model)
     if what == "perturb_s2":
         bumped = perturb_weight(weights, 2, 0.01, result.tolerances)
         return model, bumped, assemble_dilation(model, bumped, dil.n_blocks)
@@ -721,3 +797,41 @@ def _failing_checks(result, model, weights, dil) -> set:
 def test_mutation_matrix(mutation_runs, case, what):
     r = mutation_runs[case]
     assert _failing_checks(r, *_corrupted(r, what)) == _MUTATION_MATRIX[case][what]
+
+
+class TestStructurePaths:
+    """On a shift corner every orbit block has disjoint column supports and
+    every eigenbasis is a permutation, so the rank kernel's Gram-Schmidt
+    and the dense eigenbasis products never run; a dense input takes both.
+    A change that sends the shift path back to dense work fails here."""
+
+    def test_shift_run_takes_no_dense_branch(self, monkeypatch):
+        def banned(*args, **kwargs):
+            raise AssertionError("dense branch used")
+
+        monkeypatch.setattr(verifier, "_gram_schmidt_rank", banned)
+        monkeypatch.setattr(hermitian_module, "_basis_apply", banned)
+        # the strict-2concave demo is the N = 48 spec of the shift-m2 workload
+        result = run_pipeline(demo_spec("strict-2concave"), seed=1)
+        assert result.overall, [c.name for c in result.verification.checks if not c.passed]
+        names = {c.name for c in result.verification.checks}
+        assert {"minimality", "badea_minimality"} <= names
+
+    def test_dense_run_takes_both_dense_branches(self, monkeypatch):
+        calls = {"gram_schmidt": 0, "basis_apply": 0}
+        gram_schmidt, basis_apply = verifier._gram_schmidt_rank, hermitian_module._basis_apply
+
+        def counting_gram_schmidt(*args):
+            calls["gram_schmidt"] += 1
+            return gram_schmidt(*args)
+
+        def counting_basis_apply(*args):
+            calls["basis_apply"] += 1
+            return basis_apply(*args)
+
+        monkeypatch.setattr(verifier, "_gram_schmidt_rank", counting_gram_schmidt)
+        monkeypatch.setattr(hermitian_module, "_basis_apply", counting_basis_apply)
+        examples = Path(__file__).resolve().parent.parent / "spec-examples"
+        result = run_pipeline(parse_spec((examples / "dense-3concave.json").read_text()))
+        assert result.overall
+        assert calls["gram_schmidt"] > 0 and calls["basis_apply"] > 0
