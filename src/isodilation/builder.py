@@ -55,8 +55,6 @@ from .operators import DefectForms, OperatorCorner
 from .qsolver import QSolution
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
-PATHS = ("general_m", "three_concave", "badea_2iso")
-
 
 @dataclass(frozen=True)
 class DilationModel:

@@ -3,9 +3,13 @@
 For a scalar shift every object in the construction is diagonal in the
 standard basis: the defect forms, the invariant metric, the representer A,
 B, U, and all weights.  This module computes those diagonals straight from
-the weight rule (no eigendecompositions).  The pipeline builds them only
-for the `diagonal_dense_agreement` check, an independent cross-check of the
-dense path; every reported object comes from the dense path.
+the weight rule (no eigendecompositions).  The metric diagonal is shared
+with the dense path, not derived again: on the general path the pipeline
+solves the reported metric (its `q0` and `q_seq`) from the
+(m-1)-defect diagonal of `defect_diagonal`, and `build_diagonal_model`
+receives that same `q_seq`.  The `diagonal_dense_agreement` check
+cross-checks A, B, U and the weights of the dense path against diagonals
+built on this shared metric diagonal.
 """
 
 import math
@@ -79,11 +83,6 @@ def build_diagonal_model(
         numerator = np.array(
             [rule.weight_sq(n + 1) * beta3_next[n + 1] for n in range(window)]
         )
-    elif path == "badea_2iso":
-        if q_seq is None:
-            raise ValueError("reference path needs the solved metric diagonal")
-        metric = np.asarray(q_seq, dtype=float)[:window] - beta_prev
-        numerator = np.zeros(window)
     else:
         raise ValueError(f"unknown path {path!r}")
 
@@ -91,17 +90,7 @@ def build_diagonal_model(
     if np.min(metric, initial=0.0) < floor:
         raise NotPsdError(f"metric diagonal has entry below tolerance ({np.min(metric):.3e})")
     metric = np.clip(metric, 0.0, None)
-    cutoff_scale = float(np.max(metric, initial=0.0))
-    if path == "badea_2iso":
-        # match the dense cutoff: roundoff in the difference lives at
-        # (1 + the scale of the metric and the 1-defect)
-        cutoff_scale = max(
-            cutoff_scale,
-            1.0
-            + float(np.max(np.abs(q_seq[:window]), initial=0.0))
-            + float(np.max(np.abs(beta_prev), initial=0.0)),
-        )
-    cutoff = tols.rank_tol * cutoff_scale
+    cutoff = tols.rank_tol * float(np.max(metric, initial=0.0))
     support = np.nonzero(metric > cutoff)[0]
 
     a_vals = numerator[support] / metric[support] if support.size else np.zeros(0)
@@ -114,16 +103,12 @@ def build_diagonal_model(
     b_vals = np.sqrt(1.0 - a_vals)
     u_vals = np.sqrt(metric[support])
 
-    if path == "badea_2iso":
-        weight_diags = tuple(np.ones(support.size) for _ in range(horizon))
-    else:
-        p_prev = np.ones(support.size)
-        diags = []
-        for n in range(1, horizon + 1):
-            p_n = 1.0 - math.comb(n, m - 1) * a_vals
-            diags.append(np.sqrt(p_n / p_prev))
-            p_prev = p_n
-        weight_diags = tuple(diags)
+    p_prev = np.ones(support.size)
+    diags = []
+    for n in range(1, horizon + 1):
+        p_n = 1.0 - math.comb(n, m - 1) * a_vals
+        diags.append(np.sqrt(p_n / p_prev))
+        p_prev = p_n
 
     return DiagonalModel(
         m=m,
@@ -133,7 +118,7 @@ def build_diagonal_model(
         a_diag=a_vals,
         b_diag=b_vals,
         u_diag=u_vals,
-        weight_diags=weight_diags,
+        weight_diags=tuple(diags),
     )
 
 

@@ -173,12 +173,11 @@ def run_pipeline(
 ) -> PipelineResult:
     """Full pipeline: classify, solve the metric, build, assemble, verify.
 
-    Raises PreconditionError when the classification admits no construction
-    path (or the requested path is not admissible), carrying the failing
-    residuals.  So does a sign gate of the construction (NotNegativeError)
-    on an automatically selected path: the classification admitted the
-    path, the construction found the operator outside it.  A requested
-    path keeps the builder's named error.
+    The classification picks the construction path.  Raises
+    PreconditionError, carrying the failing residuals, when it admits none,
+    and when a sign gate of the construction (NotNegativeError) fails: the
+    classification admitted the path, the construction found the operator
+    outside it.
     """
     tols = spec.tolerances().replace(**(tol_overrides or {}))
     seed = seed if seed is not None else (spec.seed if spec.seed is not None else DEFAULT_SEED)
@@ -189,28 +188,13 @@ def run_pipeline(
     cls = classify(corner, m, tols)
     forms = cls.forms
     admissible = _admissible_paths(cls, m)
-    if spec.path is not None and spec.path != "badea_2iso":
-        if spec.path not in admissible:
-            raise PreconditionError(
-                f"requested path {spec.path!r} is not admissible for this operator",
-                details=cls.as_dict(),
-            )
-        path = spec.path
-    elif spec.path == "badea_2iso":
-        if "general_m" not in admissible:
-            raise PreconditionError(
-                "reference path needs an expansive 2-concave operator",
-                details=cls.as_dict(),
-            )
-        path = "badea_2iso"
-    elif admissible:
-        path = admissible[0]
-    else:
+    if not admissible:
         raise PreconditionError(
             "operator admits no construction path "
             "(not expansive m-concave; not 3-concave with nonnegative 2-defect)",
             details=cls.as_dict(),
         )
+    path = admissible[0]
 
     weights_horizon = max(n_blocks - 1, 8) + m + 1
     q: QSolution | None = None
@@ -221,26 +205,18 @@ def run_pipeline(
             model, weights = build_three_concave_model(
                 corner, weights_horizon, tols=tols, forms=forms
             )
-            assembled = assemble_dilation(model, weights, n_blocks)
         else:
             q = _solve_metric(spec, corner, m, tols, forms)
-            if path == "badea_2iso":
-                model, weights, assembled = build_badea_2iso(
-                    corner, q, n_blocks, weights_horizon, tols=tols, forms=forms
-                )
-            else:
-                model, weights = build_general_model(
-                    corner, m, q, weights_horizon, tols=tols, forms=forms
-                )
-                assembled = assemble_dilation(model, weights, n_blocks)
+            model, weights = build_general_model(
+                corner, m, q, weights_horizon, tols=tols, forms=forms
+            )
+        assembled = assemble_dilation(model, weights, n_blocks)
     except NotNegativeError as exc:
-        if spec.path is not None:
-            raise
         raise PreconditionError(
             f"automatically selected path {path!r} failed its construction gate: {exc}",
             details=cls.as_dict(),
         ) from exc
-    if m == 2 and path == "general_m":
+    if m == 2:  # the general path, the only one m = 2 admits
         badea_model, _, badea_assembled = build_badea_2iso(
             corner, q, n_blocks, weights_horizon, tols=tols, forms=forms
         )
@@ -336,8 +312,7 @@ def _verify(
     rep.add(check_w_m_isometry(assembled, trials=trials, seed=seed, tols=tols))
     rep.add(check_criterion_identity(model, weights, trials=trials, seed=seed, tols=tols))
     rep.add(check_minimality(assembled))
-    if model.path != "badea_2iso":
-        rep.add(remark_consistency(model, weights, tols=tols))
+    rep.add(remark_consistency(model, weights, tols=tols))
 
     if diag_model is not None:
         agree = dense_agreement_residual(model, weights, diag_model)

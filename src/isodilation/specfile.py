@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import jsonschema
 
-from .builder import PATHS
 from .errors import SpecParseError, SpecValidationError, WeightRuleError
 from .operators import RULE_NAMES, WeightRule
 from .tolerances import Tolerances
@@ -63,7 +62,6 @@ SPEC_SCHEMA = {
             "additionalProperties": False,
         },
         "m": {"type": "integer", "minimum": 2},
-        "path": {"enum": list(PATHS)},
         "truncation": {
             "type": "object",
             "properties": {
@@ -99,7 +97,6 @@ class OperatorSpecFile:
     schema_version: int = SCHEMA_VERSION
     rule: WeightRule | None = None
     entries: tuple | None = None
-    path: str | None = None
     n: int | None = None
     tolerance_overrides: tuple = field(default_factory=tuple)  # sorted (name, value)
     seed: int | None = None
@@ -110,9 +107,8 @@ class OperatorSpecFile:
             raise ValueError("spec has no dense entries")
         return [[complex(re, im) for re, im in row] for row in self.entries]
 
-    def tolerances(self, base: Tolerances | None = None) -> Tolerances:
-        base = base if base is not None else Tolerances()
-        return base.replace(**dict(self.tolerance_overrides))
+    def tolerances(self) -> Tolerances:
+        return Tolerances().replace(**dict(self.tolerance_overrides))
 
     def to_jsonable(self) -> dict:
         op: dict = {"kind": self.kind}
@@ -125,8 +121,6 @@ class OperatorSpecFile:
             "operator": op,
             "m": self.m,
         }
-        if self.path is not None:
-            out["path"] = self.path
         trunc: dict = {"n_blocks": self.n_blocks}
         if self.n is not None:
             trunc["N"] = self.n
@@ -203,7 +197,6 @@ def spec_from_dict(data: dict) -> OperatorSpecFile:
     trunc = data["truncation"]
     n_blocks = trunc["n_blocks"]
     n = trunc.get("N")
-    path = data.get("path")
     seed = data.get("seed")
     overrides = tuple(sorted((data.get("tolerances") or {}).items()))
     try:
@@ -247,10 +240,6 @@ def spec_from_dict(data: dict) -> OperatorSpecFile:
 
     if n_blocks < m + 2:
         errors.append(f"truncation: n_blocks = {n_blocks} too small, need >= m + 2 = {m + 2}")
-    if path == "three_concave" and m != 3:
-        errors.append(f"path: three_concave requires m = 3, got m = {m}")
-    if path == "badea_2iso" and m != 2:
-        errors.append(f"path: badea_2iso requires m = 2, got m = {m}")
 
     if errors:
         raise SpecValidationError("spec failed validation", errors)
@@ -260,7 +249,6 @@ def spec_from_dict(data: dict) -> OperatorSpecFile:
         n_blocks=n_blocks,
         rule=rule,
         entries=entries,
-        path=path,
         n=n,
         tolerance_overrides=overrides,
         seed=seed,

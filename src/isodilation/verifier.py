@@ -443,7 +443,7 @@ def check_minimality(dilation: AssembledDilation) -> CheckResult:
 def nonisomorphism_certificate(
     general: AssembledDilation,
     badea: AssembledDilation,
-    expected_found: bool | None = None,
+    expected_found: bool,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
     tols: Tolerances = DEFAULT_TOLERANCES,
@@ -457,9 +457,8 @@ def nonisomorphism_certificate(
     a certificate exists exactly when T is not isometric.
 
     This is a strict-inequality claim: the reported residual is the largest
-    gap found, and when `expected_found` is given the check passes iff the
-    search outcome matches the expectation; with no expectation it passes
-    iff a certificate was found.
+    gap found, and the check passes iff the search outcome matches
+    `expected_found`.
     """
     ctol = tols.cert_tol
     w = general.dim_h
@@ -487,19 +486,14 @@ def nonisomorphism_certificate(
     gaps = np.divide(image_gap, norm_sq, out=np.zeros_like(norm_sq), where=norm_sq != 0.0)
     max_gap = float(np.max(gaps, initial=0.0))
     found = max_gap > ctol
-    passed = found if expected_found is None else (found == expected_found)
-    expectation = (
-        "no expectation"
-        if expected_found is None
-        else f"expected {'found' if expected_found else 'not found'}"
-    )
     return CheckResult(
         "nonisomorphism_certificate",
         float(max_gap),
         float(ctol),
-        passed,
+        found == expected_found,
         f"{w} basis vectors + {trials} random + extremal direction; "
-        f"certificate {'found' if found else 'not found'} ({expectation})",
+        f"certificate {'found' if found else 'not found'} "
+        f"(expected {'found' if expected_found else 'not found'})",
     )
 
 

@@ -61,16 +61,21 @@ class TestExitCodes:
         # the 3-concave path, whose representer gate then finds a positive
         # eigenvalue; that is a precondition failure, not a traceback
         t = math.sqrt(1 - 2.0571702694423545e-06) * cmath.exp(1j * 5.735012432197602)
-        path = tmp_path / "near.json"
-        path.write_text(json.dumps({
+        spec = {
             "operator": {"kind": "dense", "entries": [[[t.real, t.imag]]]},
             "m": 3, "truncation": {"n_blocks": 6},
-        }))
+        }
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(spec))
         assert main(["--spec", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: automatically selected path 'three_concave'")
         assert "representer has positive eigenvalue" in err
         assert "expansive: ok=False" in err
+        # no spec key forces a path past the classification's error policy
+        path.write_text(json.dumps(dict(spec, path="three_concave")))
+        assert main(["--spec", str(path)]) == 3
+        assert "path" in capsys.readouterr().err
 
     def test_validation_error_is_three(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

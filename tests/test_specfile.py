@@ -134,10 +134,12 @@ class TestParse:
         with pytest.raises(SpecValidationError):
             spec_from_dict(bad)
 
-    def test_path_m_consistency(self):
-        bad = dict(VALID_SHIFT, path="three_concave")
-        with pytest.raises(SpecValidationError):
-            spec_from_dict(bad)
+    @pytest.mark.parametrize("path", ["general_m", "three_concave", "badea_2iso"])
+    def test_path_key_rejected(self, path):
+        # the classification picks the construction; no spec key forces one
+        with pytest.raises(SpecValidationError) as err:
+            spec_from_dict(dict(VALID_SHIFT, path=path))
+        assert any("path" in line for line in err.value.errors)
 
 
 class TestNonFinite:
@@ -191,6 +193,21 @@ class TestRoundTrip:
         assert again == spec
         assert again.tolerances().psd_tol == 1e-8
         assert again.seed == 7
+
+
+def test_specfile_imports_no_construction_module():
+    """Parsing a spec needs the rule catalogue, the tolerances and the
+    errors; an import of a construction module would let a spec key name
+    a construction, which the classification alone picks."""
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "specfile.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] == "isodilation":
+                module = (node.module or "").removeprefix("isodilation").strip(".")
+                imported |= {module} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.split(".")[0] == "isodilation"}
+    assert sorted(imported - {"errors", "operators", "tolerances"}) == []
 
 
 def test_every_tolerance_is_read():
