@@ -16,7 +16,11 @@ a permutation matrix with entries exactly 1.  Such a decomposition records
 the permutation (`EigenDecomposition.perm`); its residuals and
 `spectral_apply` are then scatters onto the diagonal, which give the bits
 of the dense products (each entry of those is one exact term plus exact
-zeros) without their n^3 work.
+zeros) without their n^3 work.  The same argument serves the blocks built
+downstream: `real_diagonal` and `real_monomial` read a block's structure
+off its stored nonzeros, `diagonal_dot`, `monomial_dot` and
+`monomial_gram` multiply by it, and `dense_product` is the product every
+other block takes.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -181,19 +185,76 @@ def _off_diagonal_max(a: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(np.abs(off), axis=1)
 
 
+def real_diagonal(x: np.ndarray) -> np.ndarray | None:
+    """The diagonal of a matrix whose stored nonzeros all lie on its
+    diagonal and are real, as a real vector; None otherwise."""
+    diag = np.diagonal(x)
+    if np.count_nonzero(x) != np.count_nonzero(diag) or np.any(diag.imag):
+        return None
+    return diag.real.copy()
+
+
+def real_monomial(x: np.ndarray) -> tuple | None:
+    """(cols, vals) with x[i, cols[i]] = vals[i] the only nonzero of row i,
+    when no row and no column of x holds more than one nonzero and all are
+    real; None otherwise.  An empty row reads as column 0 with value 0."""
+    rows, cols = x.shape
+    if np.count_nonzero(x) > min(rows, cols):
+        return None
+    at_rows, at_cols = np.nonzero(x)
+    if np.any(np.diff(at_rows) == 0) or np.unique(at_cols).size != at_cols.size:
+        return None
+    vals = x[at_rows, at_cols]
+    if np.any(vals.imag):
+        return None
+    out_cols = np.zeros(rows, dtype=np.intp)
+    out_vals = np.zeros(rows)
+    out_cols[at_rows], out_vals[at_rows] = at_cols, vals.real
+    return out_cols, out_vals
+
+
+def dense_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b: the product every structure path falls back to."""
+    return a @ b
+
+
+def _columnwise(vals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """vals broadcast against the rows of a vector or a block of columns."""
+    return vals.reshape(vals.shape + (1,) * (x.ndim - 1))
+
+
+def diagonal_dot(diag: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """diag(diag) x for a vector or a block of columns: row i is
+    diag[i] x[i], the one nonzero term of the dense product's entries."""
+    return _columnwise(diag, x) * x
+
+
+def monomial_dot(mono: tuple, x: np.ndarray) -> np.ndarray:
+    """M x for the (cols, vals) of `real_monomial`, a gather: row i is
+    vals[i] x[cols[i]], the one nonzero term of the dense product's
+    entries."""
+    cols, vals = mono
+    return _columnwise(vals, x) * x[cols]
+
+
+def monomial_gram(mono: tuple, n: int) -> np.ndarray:
+    """The real diagonal of M* M for the (cols, vals) of `real_monomial` of
+    an n-column M; its off-diagonal entries are exact zeros."""
+    cols, vals = mono
+    out = np.zeros(n)
+    rows = np.flatnonzero(vals)
+    out[cols[rows]] = vals[rows] * vals[rows]
+    return out
+
+
 def _unit_permutation(v: np.ndarray) -> np.ndarray | None:
     """Row of each column's single nonzero, when v is a permutation matrix
     whose nonzeros are exactly 1; None otherwise."""
-    n = v.shape[0]
-    if np.count_nonzero(v) != n:
+    # row j of v.T is column j of v; an empty one reads as value 0
+    mono = real_monomial(v.T)
+    if mono is None or np.any(mono[1] != 1.0):
         return None
-    # the nonzeros of v.T come column by column of v
-    cols, rows = np.nonzero(v.T)
-    if not np.array_equal(cols, np.arange(n)) or np.unique(rows).size != n:
-        return None
-    if np.any(v[rows, cols] != 1.0):
-        return None
-    return rows
+    return mono[0]
 
 
 def _basis_apply(v: np.ndarray, fvals) -> np.ndarray:
@@ -249,7 +310,7 @@ def _jacobi(xs: tuple, tol: float, max_sweeps: int) -> list:
     stops = [max(tol * (1.0 + sc) / 4.0, 8.0 * n * eps * sc) for sc in scales]
     v = np.zeros_like(a)
     v.reshape(len(xs), n * n)[:, :: n + 1] = 1.0
-    rounds = _rotation_rounds(n)
+    rounds = None  # fetched by the first sweep that rotates
 
     # input index of each member still in the stack
     members = list(range(len(xs)))
@@ -271,6 +332,8 @@ def _jacobi(xs: tuple, tol: float, max_sweeps: int) -> list:
             a, v = a[keep], v[keep]
             members = [members[j] for j in keep]
         skip = np.array([stops[member] for member in members])[:, None] / (8.0 * n)
+        if rounds is None:
+            rounds = _rotation_rounds(n)
         for p, q in rounds:
             apq = a[:, p, q]
             mags = np.abs(apq)

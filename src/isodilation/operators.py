@@ -27,9 +27,12 @@ from .hermitian import (
     EigenDecomposition,
     HermitianMatrix,
     PsdCheck,
+    dense_product,
     eigh_stack,
     hermitian,
+    monomial_gram,
     psd_check,
+    real_monomial,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -264,7 +267,10 @@ def defect_form(
     """m-th defect form: the alternating binomial sum over T*^k T^k, k = 0..m.
 
     The form vanishes exactly for m-isometries and is <= 0 for m-concave
-    operators.  Exact on the leading `t.window_after(m)` block.
+    operators.  Exact on the leading `t.window_after(m)` block.  A power
+    T^k that is a real monomial matrix (every power of a shift corner) adds
+    its Gram matrix T*^k T^k on the diagonal alone, where the dense
+    product's nonzero entries lie.
     """
     if m < 1:
         raise ValueError(f"defect order must be >= 1, got {m}")
@@ -278,8 +284,12 @@ def defect_form(
     for k in range(m + 1):
         if k > 0:
             power = t.dot(power)
-        sign = -1.0 if (m - k) % 2 else 1.0
-        acc = acc + (sign * math.comb(m, k)) * (power.conj().T @ power)
+        coef = (-1.0 if (m - k) % 2 else 1.0) * math.comb(m, k)
+        mono = real_monomial(power)
+        if mono is None:
+            acc = acc + coef * dense_product(power.conj().T, power)
+        else:
+            acc[np.diag_indices(t.n)] += coef * monomial_gram(mono, t.n)
     return hermitian(acc, tols.herm_tol)
 
 

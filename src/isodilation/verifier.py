@@ -15,7 +15,14 @@ import numpy as np
 
 from .builder import AssembledDilation, DilationModel, ShiftWeights
 from .errors import WindowExhaustedError
-from .hermitian import eigh, max_abs
+from .hermitian import (
+    dense_product,
+    diagonal_dot,
+    eigh,
+    max_abs,
+    monomial_gram,
+    real_diagonal,
+)
 from .tolerances import DEFAULT_SEED, DEFAULT_TOLERANCES, DEFAULT_TRIALS, Tolerances
 
 # orbit columns count towards the rank above this fraction of the largest
@@ -75,6 +82,21 @@ def _rng(seed: int, name: str) -> np.random.Generator:
 
 def _random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _trial_draws(rng: np.random.Generator, trials: int, sizes) -> np.ndarray:
+    """A (trials, sum(sizes)) array whose row i holds one `_random_complex`
+    segment per size, trial after trial.  All of it comes from one
+    `standard_normal` call, split in the order of the segment-by-segment
+    draws: the Generator's stream is the same, so are the values."""
+    sizes = list(sizes)
+    raw = rng.standard_normal((trials, 2 * sum(sizes)))
+    out = np.empty((trials, sum(sizes)), dtype=np.complex128)
+    at = 0
+    for n in sizes:
+        out[:, at : at + n] = raw[:, 2 * at : 2 * at + n] + 1j * raw[:, 2 * at + n : 2 * (at + n)]
+        at += n
+    return out
 
 
 def _column_norms_sq(cols: np.ndarray) -> np.ndarray:
@@ -147,35 +169,40 @@ def check_powers_formula(
     Both sides read the weights stored in `dilation`, so the check covers
     only how `apply` places blocks and the stored T and U against the
     model.  A corrupted weight passes here; `w_m_isometry` and
-    `weight_shift_m_isometry` are the checks that catch it.
+    `weight_shift_m_isometry` are the checks that catch it.  Real diagonal
+    stored weights are multiplied elementwise on their diagonals.
     """
     model = dilation.model
-    weights = dilation.weights
     m = model.m
     w = model.dim_h
     d = model.dim_hprime
     h0_dim = _h_support(model, m)
-    top_block = dilation.n_blocks - m
+    top_block = max(dilation.n_blocks - m, 0)
     rng = _rng(seed, "powers_formula")
 
     # weight products do not depend on the trial: the prefixes
     # S_(k-1)...S_1 for k <= m and the products S_(k-1)...S_(k-m) beyond
-    prefixes = [np.eye(d, dtype=np.complex128)]
+    weights = dilation.weight_diagonals
+    if weights is None:
+        weights, dot = dilation.weights, dense_product
+        one = np.eye(d, dtype=np.complex128)
+    else:
+        dot, one = diagonal_dot, np.ones(d)
+    prefixes = [one]
     for k in range(2, min(m, dilation.n_blocks) + 1):
-        prefixes.append(weights[k - 2] @ prefixes[-1])
+        prefixes.append(dot(weights[k - 2], prefixes[-1]))
     products = {}
     for k in range(m + 1, dilation.n_blocks + 1):
-        prod = np.eye(d, dtype=np.complex128)
+        prod = one
         for i in range(k - m, k):
-            prod = weights[i - 1] @ prod
+            prod = dot(weights[i - 1], prod)
         products[k] = prod
 
-    # one trial per column, drawn in the same order as trial by trial
+    # one trial per column, blocks 1..top_block contiguous after H
+    draws = _trial_draws(rng, trials, [h0_dim] + [d] * top_block)
     h = np.zeros((dilation.dim_total, trials), dtype=np.complex128)
-    for i in range(trials):
-        h[:h0_dim, i] = _random_complex(rng, h0_dim)
-        for j in range(1, top_block + 1):
-            h[dilation.block_slice(j), i] = _random_complex(rng, d)
+    h[:h0_dim] = draws[:, :h0_dim].T
+    h[dilation.dim_h : dilation.dim_h + top_block * d] = draws[:, h0_dim:].T
     y = h
     for _ in range(m):
         y = dilation.apply(y)
@@ -187,9 +214,9 @@ def check_powers_formula(
     expected[:w] = t_pows[m]
     if d:
         for k in range(1, min(m, dilation.n_blocks) + 1):
-            expected[dilation.block_slice(k)] = prefixes[k - 1] @ (model.u @ t_pows[m - k])
+            expected[dilation.block_slice(k)] = dot(prefixes[k - 1], model.u @ t_pows[m - k])
         for k, prod in products.items():
-            expected[dilation.block_slice(k)] = prod @ h[dilation.block_slice(k - m)]
+            expected[dilation.block_slice(k)] = dot(prod, h[dilation.block_slice(k - m)])
 
     norms = np.sqrt(_column_norms_sq(h))
     errors = np.max(np.abs(y - expected), axis=0, initial=0.0)
@@ -218,15 +245,15 @@ def check_w_m_isometry(
     m = model.m if m is None else m
     h0_dim = _h_support(model, m)
     d = model.dim_hprime
-    top_block = dilation.n_blocks - m
+    top_block = max(dilation.n_blocks - m, 0)
     rng = _rng(seed, "w_m_isometry")
 
+    draws = _trial_draws(rng, trials, [h0_dim] + [d] * top_block)
     residual = 0.0
-    for _ in range(trials):
+    for draw in draws:
         x = np.zeros(dilation.dim_total, dtype=np.complex128)
-        x[:h0_dim] = _random_complex(rng, h0_dim)
-        for j in range(1, top_block + 1):
-            x[dilation.block_slice(j)] = _random_complex(rng, d)
+        x[:h0_dim] = draw[:h0_dim]
+        x[dilation.dim_h : dilation.dim_h + top_block * d] = draw[h0_dim:]
         norms_sq = [float(np.vdot(x, x).real)]
         y = x
         for _ in range(m):
@@ -257,16 +284,23 @@ def check_criterion_identity(
     For h in H the m-defect form of T plus the alternating double sum of
     ||S_(k-1)...S_1 U T^(l-k) h||^2 must cancel exactly; together with the
     m-isometry of the weight shift this is equivalent to W being
-    m-isometric.
+    m-isometric.  Real diagonal weights are multiplied elementwise on their
+    diagonals.
     """
     m = model.m
     h_dim = _h_support(model, m)
     d = model.dim_hprime
     rng = _rng(seed, "criterion_identity")
 
-    prefixes = [np.eye(d, dtype=np.complex128)]
+    mats = [s.mat for s in weights.weights[: m - 1]]
+    diags = [real_diagonal(mat) for mat in mats]
+    if all(diag is not None for diag in diags):
+        factors, dot, one = diags, diagonal_dot, np.ones(d)
+    else:
+        factors, dot, one = mats, dense_product, np.eye(d, dtype=np.complex128)
+    prefixes = [one]
     for k in range(2, m + 1):
-        prefixes.append(weights.weights[k - 2].mat @ prefixes[-1])
+        prefixes.append(dot(factors[k - 2], prefixes[-1]))
 
     residual = 0.0
     for _ in range(trials):
@@ -280,7 +314,7 @@ def check_criterion_identity(
             sign = -1.0 if (m - ell) % 2 else 1.0
             inner = 0.0
             for k in range(1, ell + 1):
-                vec = prefixes[k - 1] @ (model.u @ t_pows[ell - k])
+                vec = dot(prefixes[k - 1], model.u @ t_pows[ell - k])
                 inner += float(np.vdot(vec, vec).real)
             lhs += sign * math.comb(m, ell) * inner
         norm_sq = float(np.vdot(h, h).real)
@@ -412,22 +446,41 @@ def check_minimality(dilation: AssembledDilation) -> CheckResult:
     rank = dim H + sum_k rank P_k.  Each rank P_k uses the threshold of a
     Gram-Schmidt pass over the whole orbit, _MINIMALITY_REL_TOL times the
     largest orbit-column norm, read off the Gram matrices of W^n on H.
-    Vacuous for a zero-dimensional H'.
+    With a real monomial stored U and real diagonal stored weights every
+    P_k is a real monomial matrix on U's pattern, chained elementwise, and
+    P_k* P_k is diagonal.  Vacuous for a zero-dimensional H'.
     """
     if dilation.dim_hprime == 0:
         return _result("minimality", 0.0, 0.0, "vacuous (dim H' = 0)")
     w = dilation.dim_h
     total = dilation.dim_total
     n_blocks = dilation.n_blocks
-    prods = [dilation.u]
-    for s in dilation.weights:
-        prods.append(s @ prods[-1])
+    mono, diags = dilation.u_monomial, dilation.weight_diagonals
+    if mono is None or diags is None:
+        prods = [dilation.u]
+        for s in dilation.weights:
+            prods.append(dense_product(s, prods[-1]))
+        monos = [None] * len(prods)
+    else:
+        cols, chain = mono[0], [mono[1]]
+        for diag in diags:
+            chain.append(diag * chain[-1])
+        monos = [(cols, vals) for vals in chain]
+        prods = []
+        for vals in chain:
+            p = np.zeros(dilation.u.shape, dtype=np.complex128)
+            p[np.arange(cols.size), cols] = vals
+            prods.append(p)
     # squared orbit-column norms are the diagonals of (W^n)* W^n on H,
     # G_n = T* G_(n-1) T + P_n* P_n with G_0 = I
     gram = np.eye(w, dtype=np.complex128)
     norm_sq = 1.0
-    for p in prods:
-        gram = dilation.t_corner.congruence(gram) + p.conj().T @ p
+    for p, p_mono in zip(prods, monos):
+        gram = dilation.t_corner.congruence(gram)
+        if p_mono is None:
+            gram = gram + dense_product(p.conj().T, p)
+        else:
+            gram[np.diag_indices(w)] += monomial_gram(p_mono, w)
         norm_sq = max(norm_sq, float(np.max(gram.diagonal().real)))
     thresh = _MINIMALITY_REL_TOL * float(np.sqrt(norm_sq))
     rank = w + sum(_column_space_rank(p, thresh) for p in prods)

@@ -17,13 +17,18 @@ from isodilation.hermitian import (
     _STACK_BYTES,
     _rotation_rounds,
     _sorted_decomposition,
+    diagonal_dot,
     eigh,
     eigh_stack,
     hermitian,
     identity,
     max_abs,
+    monomial_dot,
+    monomial_gram,
     pinv_sqrt,
     psd_check,
+    real_diagonal,
+    real_monomial,
     spectral_apply,
     sqrt_psd,
 )
@@ -369,6 +374,77 @@ class TestPermutationBasis:
         assert np.array_equal(dec.values, [-2.0, -1.0, 0.0])
         assert np.array_equal(clamped.mat, np.diag([-1.0, 0.0, -2.0]))
         assert np.array_equal(clamped.mat, _dense_apply(dec.basis, dec.values))
+
+
+class TestStructureReaders:
+    """`real_diagonal` and `real_monomial` read their answer from the stored
+    nonzeros; the products they feed give the dense products' values (the
+    sign of a zero is not compared)."""
+
+    @pytest.mark.parametrize(
+        "x,expected",
+        [
+            (np.zeros((0, 0), dtype=np.complex128), []),
+            (np.array([[2.5 + 0j]]), [2.5]),
+            (np.array([[0j]]), [0.0]),
+            (np.diag([1.0, 0.0, -3.0]).astype(np.complex128), [1.0, 0.0, -3.0]),
+            (np.diag([1.0, 1j, -3.0]), None),
+            (np.array([[1j]]), None),
+            (np.array([[1.0, 0.0], [0.5, 2.0]], dtype=np.complex128), None),
+            (np.array([[1.0, 0.5], [0.0, 2.0]], dtype=np.complex128), None),
+            (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128), None),
+        ],
+        ids=["empty", "1x1", "1x1-zero", "empty-row", "complex-entry", "1x1-complex",
+             "two-in-a-row", "two-in-a-column", "permutation"],
+    )
+    def test_real_diagonal(self, x, expected):
+        diag = real_diagonal(x)
+        if expected is None:
+            assert diag is None
+        else:
+            assert diag.dtype == np.float64 and np.array_equal(diag, expected)
+
+    @pytest.mark.parametrize(
+        "x,expected",
+        [
+            (np.zeros((0, 0), dtype=np.complex128), ([], [])),
+            (np.array([[-2.0 + 0j]]), ([0], [-2.0])),
+            (np.array([[0.0, 3.0], [0.0, 0.0], [4.0, 0.0]], dtype=np.complex128),
+             ([1, 0, 0], [3.0, 0.0, 4.0])),
+            (np.array([[0.0, 0.0, 5.0], [1.5, 0.0, 0.0]], dtype=np.complex128),
+             ([2, 0], [5.0, 1.5])),
+            (np.array([[0.0, 1j], [1.0, 0.0]]), None),
+            (np.array([[1j]]), None),
+            (np.array([[1.0, 2.0], [0.0, 0.0]], dtype=np.complex128), None),
+            (np.array([[1.0, 0.0], [2.0, 0.0]], dtype=np.complex128), None),
+            (np.ones((3, 3), dtype=np.complex128), None),
+        ],
+        ids=["empty", "1x1", "empty-row", "wide", "complex-entry", "1x1-complex",
+             "two-in-a-row", "two-in-a-column", "dense"],
+    )
+    def test_real_monomial(self, x, expected):
+        mono = real_monomial(x)
+        if expected is None:
+            assert mono is None
+            return
+        cols, vals = mono
+        assert cols.dtype == np.intp and vals.dtype == np.float64
+        assert np.array_equal(cols, expected[0]) and np.array_equal(vals, expected[1])
+
+    def test_products_match_the_dense_ones(self, rng):
+        x = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
+        diag = np.array([0.5, 0.0, -2.0, 3.0, 1e-300, -1.0, 7.0])
+        dense = np.diag(diag).astype(np.complex128)
+        assert np.array_equal(diagonal_dot(diag, x), dense @ x)
+        assert np.array_equal(diagonal_dot(diag, x[:, 0]), dense @ x[:, 0])
+        # rows 1 and 4 empty, columns 0 and 3 empty
+        m = np.zeros((5, 7), dtype=np.complex128)
+        m[[0, 2, 3], [4, 1, 6]] = [2.0, -0.5, 3.0]
+        mono = real_monomial(m)
+        assert np.array_equal(monomial_dot(mono, x), m @ x)
+        assert np.array_equal(monomial_dot(mono, x[:, 1]), m @ x[:, 1])
+        gram = m.conj().T @ m
+        assert np.array_equal(np.diag(monomial_gram(mono, 7)), gram)
 
 
 class TestSqrtPsd:

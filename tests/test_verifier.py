@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isodilation import demo_spec, parse_spec, run_pipeline, verifier
+from isodilation import DEMOS, demo_spec, parse_spec, run_pipeline, verifier
 from isodilation.builder import (
     AssembledDilation,
     assemble_dilation,
@@ -24,12 +24,14 @@ from isodilation.hermitian import eigh, hermitian
 from isodilation.operators import WeightRule, dense_corner, make_shift_corner
 from isodilation.pipeline import _verify
 from isodilation.qsolver import solve_q_shift_diagonal
+from isodilation.specfile import spec_from_dict
 from isodilation.tolerances import DEFAULT_TOLERANCES, DEFAULT_TRIALS
 from isodilation.verifier import (
     _column_norms_sq,
     _column_space_rank,
     _random_complex,
     _rng,
+    _trial_draws,
     check_criterion_identity,
     check_dilation_property,
     check_minimality,
@@ -676,6 +678,24 @@ def test_column_norms_match_per_column_vdot():
     assert np.array_equal(_column_norms_sq(cols[:, :0]), np.zeros(0))
 
 
+@pytest.mark.parametrize(
+    "trials,head,d,top_block",
+    [(32, 7, 3, 4), (32, 7, 3, 0), (32, 7, 0, 4), (32, 1, 5, 2), (1, 1, 0, 0), (0, 4, 2, 2)],
+    ids=["32-trials", "top-block-0", "d-0", "head-1", "one-trial", "no-trials"],
+)
+def test_one_call_draws_match_the_sequential_stream(trials, head, d, top_block):
+    sizes = [head] + [d] * top_block
+    rng = _rng(5, "w_m_isometry")
+    expected = np.zeros((trials, sum(sizes)), dtype=np.complex128)
+    for i in range(trials):
+        expected[i] = np.concatenate([_random_complex(rng, n) for n in sizes])
+    after = rng.standard_normal(3)
+    rng = _rng(5, "w_m_isometry")
+    assert np.array_equal(_trial_draws(rng, trials, sizes), expected)
+    # the stream goes on where the sequential draws left it
+    assert np.array_equal(rng.standard_normal(3), after)
+
+
 def test_batched_checks_apply_each_dilation_once_per_power(monkeypatch):
     # structural guard: the certificate applies each dilation once to its
     # whole candidate block, and the powers check applies W m times to its
@@ -723,6 +743,11 @@ _MUTATION_MATRIX = {
         "u_off_pattern": {"powers_formula", "w_m_isometry"},
         "stored_s2_off_diagonal": {"w_m_isometry"},
         "basis": {"diagonal_dense_agreement"},
+        # complex entries, multiplied densely: a unit phase on a diagonal
+        # entry of S_2 is a unitarily equivalent dilation, and a phase on
+        # U's column-0 entry shows only against the model's U
+        "stored_s2_phase": set(),
+        "u_phase": {"powers_formula"},
     },
     "dense-3concave": {
         "none": set(),
@@ -755,16 +780,21 @@ def _corrupted(result, what):
         return model, weights, dataclasses.replace(dil, t=dil.t * 1.01)
     if what == "u":
         return model, weights, dataclasses.replace(dil, u=dil.u * 1.01)
-    if what == "u_off_pattern":
+    if what in ("u_off_pattern", "u_phase"):
         u = dil.u.copy()
-        u[0, np.flatnonzero(u[0] == 0)[0]] = 0.01
+        if what == "u_off_pattern":
+            u[0, np.flatnonzero(u[0] == 0)[0]] = 0.01
+        else:
+            u[np.flatnonzero(u[:, 0])[0], 0] *= np.exp(0.5j)
         return model, weights, dataclasses.replace(dil, u=u)
-    if what in ("stored_s2", "stored_s2_off_diagonal"):
+    if what in ("stored_s2", "stored_s2_off_diagonal", "stored_s2_phase"):
         stack = dil.weights.copy()
         if what == "stored_s2":
             stack[1] *= 1.01
-        else:
+        elif what == "stored_s2_off_diagonal":
             stack[1][0, 1] = 0.01
+        else:
+            stack[1][0, 0] *= np.exp(0.5j)
         return model, weights, dataclasses.replace(dil, weights=stack)
     if what == "basis":
         model = dataclasses.replace(model, basis=model.basis * 1.01)
@@ -799,11 +829,79 @@ def test_mutation_matrix(mutation_runs, case, what):
     assert _failing_checks(r, *_corrupted(r, what)) == _MUTATION_MATRIX[case][what]
 
 
+def _patch_every_binding(monkeypatch, name: str, replacement) -> None:
+    """Replace the hermitian-module function `name` in every isodilation
+    module that binds it."""
+    original = getattr(hermitian_module, name)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("isodilation") and (
+            getattr(mod, name, None) is original
+        ):
+            monkeypatch.setattr(mod, name, replacement)
+
+
+# callers of the dense fallback `dense_product` on dense inputs.  The
+# normal dense-3concave example has a representer A that is diagonal in the
+# metric's eigenbasis, so its weights are real diagonal and take their
+# structure paths; a non-normal input takes every fallback but `embed`
+# (shift runs only) and the reference dilation's (m = 2 only).
+_NORMAL_FALLBACK_SITES = {
+    "defect_form", "_quotient_form", "_compress_rows", "apply", "check_minimality",
+}
+_DENSE_FALLBACK_SITES = _NORMAL_FALLBACK_SITES | {
+    "_with_cumulative", "check_powers_formula", "check_criterion_identity",
+}
+
+
+def _dense_input(name: str):
+    if name == "dense-3concave":
+        examples = Path(__file__).resolve().parent.parent / "spec-examples"
+        return parse_spec((examples / "dense-3concave.json").read_text())
+    t = [[0.2, 0.3, 0.0], [0.0, -0.1, 0.25], [0.1, 0.0, 0.15j]]
+    entries = [[[complex(z).real, complex(z).imag] for z in row] for row in t]
+    return spec_from_dict({
+        "schema_version": 1,
+        "operator": {"kind": "dense", "entries": entries},
+        "m": 3,
+        "truncation": {"n_blocks": 6},
+    })
+
+
+def _dense_branch_calls(monkeypatch, name: str) -> tuple[dict, set]:
+    """Run a dense input; count its Gram-Schmidt ranks and dense eigenbasis
+    products, and record the callers of the dense fallback."""
+    calls = {"gram_schmidt": 0, "basis_apply": 0}
+    fallback_sites = set()
+    gram_schmidt, basis_apply = verifier._gram_schmidt_rank, hermitian_module._basis_apply
+    dense_product = hermitian_module.dense_product
+
+    def counting_gram_schmidt(*args):
+        calls["gram_schmidt"] += 1
+        return gram_schmidt(*args)
+
+    def counting_basis_apply(*args):
+        calls["basis_apply"] += 1
+        return basis_apply(*args)
+
+    def recording_dense_product(a, b):
+        fallback_sites.add(sys._getframe(1).f_code.co_name)
+        return dense_product(a, b)
+
+    monkeypatch.setattr(verifier, "_gram_schmidt_rank", counting_gram_schmidt)
+    monkeypatch.setattr(hermitian_module, "_basis_apply", counting_basis_apply)
+    _patch_every_binding(monkeypatch, "dense_product", recording_dense_product)
+    result = run_pipeline(_dense_input(name))
+    assert result.overall and result.path == "three_concave"
+    return calls, fallback_sites
+
+
 class TestStructurePaths:
-    """On a shift corner every orbit block has disjoint column supports and
-    every eigenbasis is a permutation, so the rank kernel's Gram-Schmidt
-    and the dense eigenbasis products never run; a dense input takes both.
-    A change that sends the shift path back to dense work fails here."""
+    """On a shift corner every orbit block has disjoint column supports,
+    every eigenbasis is a permutation, U and the powers of T are real
+    monomial matrices and the weights real diagonal, so the rank kernel's
+    Gram-Schmidt, the dense eigenbasis products and every dense fallback
+    of a structure path never run; a dense input takes them all.  A change
+    that sends the shift path back to dense work fails here."""
 
     def test_shift_run_takes_no_dense_branch(self, monkeypatch):
         def banned(*args, **kwargs):
@@ -811,27 +909,48 @@ class TestStructurePaths:
 
         monkeypatch.setattr(verifier, "_gram_schmidt_rank", banned)
         monkeypatch.setattr(hermitian_module, "_basis_apply", banned)
+        _patch_every_binding(monkeypatch, "dense_product", banned)
         # the strict-2concave demo is the N = 48 spec of the shift-m2 workload
         result = run_pipeline(demo_spec("strict-2concave"), seed=1)
         assert result.overall, [c.name for c in result.verification.checks if not c.passed]
         names = {c.name for c in result.verification.checks}
-        assert {"minimality", "badea_minimality"} <= names
+        assert {"minimality", "badea_minimality", "diagonal_dense_agreement"} <= names
 
     def test_dense_run_takes_both_dense_branches(self, monkeypatch):
-        calls = {"gram_schmidt": 0, "basis_apply": 0}
-        gram_schmidt, basis_apply = verifier._gram_schmidt_rank, hermitian_module._basis_apply
-
-        def counting_gram_schmidt(*args):
-            calls["gram_schmidt"] += 1
-            return gram_schmidt(*args)
-
-        def counting_basis_apply(*args):
-            calls["basis_apply"] += 1
-            return basis_apply(*args)
-
-        monkeypatch.setattr(verifier, "_gram_schmidt_rank", counting_gram_schmidt)
-        monkeypatch.setattr(hermitian_module, "_basis_apply", counting_basis_apply)
-        examples = Path(__file__).resolve().parent.parent / "spec-examples"
-        result = run_pipeline(parse_spec((examples / "dense-3concave.json").read_text()))
-        assert result.overall
+        calls, sites = _dense_branch_calls(monkeypatch, "dense-3concave")
         assert calls["gram_schmidt"] > 0 and calls["basis_apply"] > 0
+        assert sites == _NORMAL_FALLBACK_SITES
+
+    def test_non_normal_run_takes_every_fallback(self, monkeypatch):
+        calls, sites = _dense_branch_calls(monkeypatch, "non-normal")
+        assert calls["gram_schmidt"] > 0 and calls["basis_apply"] > 0
+        assert sites == _DENSE_FALLBACK_SITES
+
+    def test_structure_is_read_per_stored_object(self, monkeypatch):
+        # lint: the readers run once per stored object (tens on this spec),
+        # not on every product; reading on every `@` was measured slower
+        # than the products it saves
+        reads = {"real_diagonal": 0, "real_monomial": 0}
+        for name in reads:
+            reader = getattr(hermitian_module, name)
+
+            def counting(x, _reader=reader, _name=name):
+                reads[_name] += 1
+                return _reader(x)
+
+            _patch_every_binding(monkeypatch, name, counting)
+        applies = []
+        apply = AssembledDilation.apply
+
+        def counting_apply(self, x):
+            applies.append(x.shape)
+            return apply(self, x)
+
+        monkeypatch.setattr(AssembledDilation, "apply", counting_apply)
+        # the largest spec of the shift-m2 workload
+        spec = {**DEMOS["strict-2concave"], "truncation": {"N": 192, "n_blocks": 6}}
+        result = run_pipeline(spec_from_dict(spec), seed=1)
+        assert result.overall and result.model.dim_h == 190
+        total = sum(reads.values())
+        assert 0 < total <= 64, reads
+        assert len(applies) > 2 * total, (reads, len(applies))
