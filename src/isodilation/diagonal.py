@@ -30,20 +30,15 @@ _AGREEMENT_WEIGHTS = 8
 def defect_diagonal(rule: WeightRule, m: int, count: int) -> np.ndarray:
     """Diagonal of the m-th defect form of the shift, entries 0 .. count-1.
 
-    Entry n is the alternating binomial sum over the squared weight products
-    w_{n+1}^2 ... w_{n+k}^2, which is exact for every n (the rule generates
-    the true infinite operator).
+    `operators.defect_step` on the diagonal: entry n of beta_k is
+    w_(n+1)^2 beta_(k-1)(n+1) - beta_(k-1)(n), from count + m ones, exact
+    for every n (the rule generates the true infinite operator).
     """
-    out = np.zeros(count)
-    for n in range(count):
-        ratio = 1.0
-        acc = -1.0 if m % 2 else 1.0  # k = 0 term
-        for k in range(1, m + 1):
-            ratio *= rule.weight_sq(n + k)
-            sign = -1.0 if (m - k) % 2 else 1.0
-            acc += sign * math.comb(m, k) * ratio
-        out[n] = acc
-    return out
+    w_sq = np.array([rule.weight_sq(j) for j in range(1, count + m)])
+    beta = np.ones(count + m)
+    for _ in range(m):
+        beta = w_sq[: beta.size - 1] * beta[1:] - beta[:-1]
+    return beta
 
 
 @dataclass(frozen=True)

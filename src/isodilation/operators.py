@@ -1,7 +1,7 @@
 """Operators as exact finite corners of banded (possibly infinite) operators.
 
 A corner is the N-by-N leading block of an operator together with bandwidth
-and exactness metadata.  Products and alternating sums of corners are only
+and exactness metadata.  Products of corners and the defect forms are only
 trustworthy on a leading sub-block; `OperatorCorner.window_after` is the one
 rule for its size, N - (operators applied) * (total bandwidth), which
 replaces closure arguments about the infinite objects by exact finite
@@ -27,12 +27,10 @@ from .hermitian import (
     EigenDecomposition,
     HermitianMatrix,
     PsdCheck,
-    dense_product,
     eigh_stack,
     hermitian,
-    monomial_gram,
+    identity,
     psd_check,
-    real_monomial,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -261,16 +259,25 @@ def dense_corner(entries) -> OperatorCorner:
     return OperatorCorner.spanning(mat)
 
 
+def defect_step(
+    t: OperatorCorner, beta: HermitianMatrix, tols: Tolerances = DEFAULT_TOLERANCES
+) -> HermitianMatrix:
+    """beta_k = T* beta_(k-1) T - beta_(k-1), the Agler-Stankus recursion
+    (m-Isometric transformations of Hilbert space I, IEOT 1995).  Below
+    index N - k * bandwidth, T* beta T reads beta_(k-1) inside its own
+    exact window, so the window rule of `window_after` holds."""
+    return hermitian(t.congruence(beta.mat) - beta.mat, tols.herm_tol)
+
+
 def defect_form(
     t: OperatorCorner, m: int, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> HermitianMatrix:
-    """m-th defect form: the alternating binomial sum over T*^k T^k, k = 0..m.
+    """m-th defect form beta_m = sum_k (-1)^(m-k) C(m, k) T*^k T^k.
 
-    The form vanishes exactly for m-isometries and is <= 0 for m-concave
-    operators.  Exact on the leading `t.window_after(m)` block.  A power
-    T^k that is a real monomial matrix (every power of a shift corner) adds
-    its Gram matrix T*^k T^k on the diagonal alone, where the dense
-    product's nonzero entries lie.
+    Computed as m steps of `defect_step` from beta_0 = I, never as the sum,
+    whose terms as large as |T|^(2m) cancel down to the form.  The form
+    vanishes exactly for m-isometries and is <= 0 for m-concave operators.
+    Exact on the leading `t.window_after(m)` block.
     """
     if m < 1:
         raise ValueError(f"defect order must be >= 1, got {m}")
@@ -279,24 +286,17 @@ def defect_form(
             f"defect order {m} exhausts the window of a size-{t.n} corner "
             f"with bandwidth {t.bandwidth}"
         )
-    acc = np.zeros((t.n, t.n), dtype=np.complex128)
-    power = np.eye(t.n, dtype=np.complex128)
-    for k in range(m + 1):
-        if k > 0:
-            power = t.dot(power)
-        coef = (-1.0 if (m - k) % 2 else 1.0) * math.comb(m, k)
-        mono = real_monomial(power)
-        if mono is None:
-            acc = acc + coef * dense_product(power.conj().T, power)
-        else:
-            acc[np.diag_indices(t.n)] += coef * monomial_gram(mono, t.n)
-    return hermitian(acc, tols.herm_tol)
+    beta = identity(t.n)
+    for _ in range(m):
+        beta = defect_step(t, beta, tols)
+    return beta
 
 
 class DefectForms:
     """The defect forms of one corner, each computed once.
 
-    `full(k)` is `defect_form(t, k)`; `on(k, w, negate)` is +-beta_k on
+    `full(k)` is `defect_form(t, k)`, one `defect_step` from `full(k - 1)`,
+    so the forms share one chain; `on(k, w, negate)` is +-beta_k on
     its leading w-block (by default its exact window), and
     `decomposition(k, w, negate)` is the one spectral decomposition of
     that block, made with the tolerances' eig_tol; `decompose` makes those
@@ -318,7 +318,10 @@ class DefectForms:
     def full(self, k: int) -> HermitianMatrix:
         """beta_k on the whole corner; exact on `corner.window_after(k)`."""
         if k not in self._full:
-            self._full[k] = defect_form(self.corner, k, self.tols)
+            if k > 1 and self.corner.window_after(k) > 0:
+                self._full[k] = defect_step(self.corner, self.full(k - 1), self.tols)
+            else:  # beta_1, or defect_form's error for a bad order or window
+                self._full[k] = defect_form(self.corner, k, self.tols)
         return self._full[k]
 
     def _key(self, k: int, w: int | None, negate: bool) -> tuple:

@@ -1,6 +1,5 @@
 """CLI behavior: exit codes, report emission, reproducibility."""
 
-import cmath
 import json
 import math
 import subprocess
@@ -57,12 +56,16 @@ class TestExitCodes:
         assert err.startswith("error:") and "not unitary" in err
 
     def test_construction_gate_on_selected_path_is_two(self, tmp_path, capsys):
-        # near-unitary non-expansive scalar, m = 3: the classification admits
-        # the 3-concave path, whose representer gate then finds a positive
-        # eigenvalue; that is a precondition failure, not a traceback
-        t = math.sqrt(1 - 2.0571702694423545e-06) * cmath.exp(1j * 5.735012432197602)
+        # diag(t, 0.5) with t^2 = 1 + 10^(-11/3), m = 3: beta_3 = (t^2 - 1)^3
+        # is about +1e-11 on e_0, inside class_tol, so the classification
+        # admits the 3-concave path; its representer t^2 (t^2 - 1) is
+        # positive there, and the gate's refusal is a precondition failure,
+        # not a traceback
+        t = math.sqrt(1 + 10 ** (-11 / 3))
         spec = {
-            "operator": {"kind": "dense", "entries": [[[t.real, t.imag]]]},
+            "operator": {
+                "kind": "dense", "entries": [[[t, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+            },
             "m": 3, "truncation": {"n_blocks": 6},
         }
         path = tmp_path / "near.json"

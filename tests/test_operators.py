@@ -12,6 +12,7 @@ from isodilation.errors import WeightRuleError, WindowExhaustedError
 from isodilation.hermitian import max_abs
 from isodilation.operators import (
     RULE_NAMES,
+    DefectForms,
     WeightRule,
     classify,
     defect_form,
@@ -200,6 +201,25 @@ class TestDefectForm:
         corner = make_shift_corner(WeightRule.dirichlet(), 4)
         with pytest.raises(WindowExhaustedError):
             defect_form(corner, 4)
+        forms = DefectForms(corner)
+        forms.full(3)
+        with pytest.raises(WindowExhaustedError):
+            forms.full(4)
+
+    @pytest.mark.parametrize(
+        "corner",
+        [
+            make_shift_corner(WeightRule.geometric_concave(0.5), 12),
+            dense_corner([[0.3, 0.2j], [0.1, -0.9]]),
+            dense_corner([[1.3433962645066637]]),
+        ],
+        ids=["shift", "dense", "scalar"],
+    )
+    def test_shared_chain_gives_the_same_bits(self, corner):
+        # full(k) steps from full(k - 1); defect_form steps from I
+        forms = DefectForms(corner)
+        for k in (1, 3, 2, 4):
+            assert np.array_equal(forms.full(k).mat, defect_form(corner, k).mat)
 
     @settings(max_examples=30, deadline=None)
     @given(rule=RULES, m=st.integers(1, 4), n=st.integers(10, 20))

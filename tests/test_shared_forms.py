@@ -1,7 +1,7 @@
 """One run computes each defect form once and decomposes each matrix once.
 
 Every `isodilation` module that binds `eigh_stack`, `hermitian` or
-`defect_form` is patched with a recorder, so calls through any namespace
+`defect_step` is patched with a recorder, so calls through any namespace
 are counted.  `eigh` is the one-member case of `eigh_stack`, so the
 recorder in `hermitian` sees every matrix that reaches the Jacobi kernel
 through either entry point.
@@ -40,12 +40,12 @@ def _modules():
 @pytest.fixture
 def calls(monkeypatch):
     """Record (input bytes, eig_tol) per matrix decomposed, the member count
-    per kernel call, the order per defect_form call and herm_tol per
+    per kernel call, one entry per defect recursion step and herm_tol per
     hermitian call."""
     real_eigh_stack = importlib.import_module("isodilation.hermitian").eigh_stack
     real_hermitian = importlib.import_module("isodilation.hermitian").hermitian
-    real_defect_form = importlib.import_module("isodilation.operators").defect_form
-    record = {"eigh": [], "stacks": [], "defect_form": [], "hermitian": []}
+    real_defect_step = importlib.import_module("isodilation.operators").defect_step
+    record = {"eigh": [], "stacks": [], "defect_step": [], "hermitian": []}
 
     def eigh_stack(xs, eig_tol=None, *args, **kwargs):
         xs = tuple(xs)
@@ -57,14 +57,14 @@ def calls(monkeypatch):
         record["hermitian"].append(herm_tol)
         return real_hermitian(x, herm_tol)
 
-    def defect_form(t, m, *args, **kwargs):
-        record["defect_form"].append(m)
-        return real_defect_form(t, m, *args, **kwargs)
+    def defect_step(t, beta, *args, **kwargs):
+        record["defect_step"].append(beta.n)
+        return real_defect_step(t, beta, *args, **kwargs)
 
     fakes = (
         ("eigh_stack", eigh_stack, real_eigh_stack),
         ("hermitian", hermitian, real_hermitian),
-        ("defect_form", defect_form, real_defect_form),
+        ("defect_step", defect_step, real_defect_step),
     )
     for mod in _modules():
         for name, fake, real in fakes:
@@ -79,7 +79,8 @@ def test_dense_run_decomposes_each_matrix_once(calls):
     # classify: beta_1, -beta_3, beta_2 (shared with the builder's gates and
     # quotient form); A, whose spectrum gives every weight and B
     assert len(calls["eigh"]) == 4
-    assert sorted(calls["defect_form"]) == [1, 2, 3]
+    # beta_1, beta_2 and beta_3 are one chain of three recursion steps
+    assert len(calls["defect_step"]) == 3
     inputs = [data for data, _ in calls["eigh"]]
     assert len(set(inputs)) == len(inputs)
     assert inputs[-1] == result.model.a.mat.tobytes()
@@ -101,7 +102,7 @@ def test_dense_classify_makes_one_stacked_call(calls, m, members):
 def test_shift_run_computes_each_defect_form_once(calls):
     result = run_pipeline(spec_from_dict(SHIFT_M2))
     assert result.path == "general_m" and result.badea_model is not None
-    assert sorted(calls["defect_form"]) == [1, 2]
+    assert len(calls["defect_step"]) == 2
     assert len(calls["eigh"]) == 7
     # the forms' windows differ, so every stack has one member
     assert set(calls["stacks"]) == {1}

@@ -844,9 +844,10 @@ def _patch_every_binding(monkeypatch, name: str, replacement) -> None:
 # normal dense-3concave example has a representer A that is diagonal in the
 # metric's eigenbasis, so its weights are real diagonal and take their
 # structure paths; a non-normal input takes every fallback but `embed`
-# (shift runs only) and the reference dilation's (m = 2 only).
+# (shift runs only) and the reference dilation's (m = 2 only).  The defect
+# forms take none: `defect_step` multiplies through the corner's `congruence`.
 _NORMAL_FALLBACK_SITES = {
-    "defect_form", "_quotient_form", "_compress_rows", "apply", "check_minimality",
+    "_quotient_form", "_compress_rows", "apply", "check_minimality",
 }
 _DENSE_FALLBACK_SITES = _NORMAL_FALLBACK_SITES | {
     "_with_cumulative", "check_powers_formula", "check_criterion_identity",
