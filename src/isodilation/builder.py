@@ -42,17 +42,14 @@ from .errors import (
     NotPsdError,
 )
 from .hermitian import (
+    Block,
     EigenDecomposition,
     HermitianMatrix,
-    dense_product,
     eigh,
     hermitian,
     identity,
     max_abs,
-    monomial_dot,
     psd_check,
-    real_diagonal,
-    real_monomial,
     spectral_apply,
 )
 from .operators import DefectForms, OperatorCorner
@@ -99,26 +96,18 @@ class DilationModel:
         return self.basis.shape[1]
 
     @cached_property
-    def _basis_adjoint(self) -> tuple | None:
-        """`real_monomial` of basis*, read once: column j of the basis is
-        vals[j] e_cols[j] on a permutation eigenbasis."""
-        return real_monomial(self.basis.conj().T)
+    def compression(self) -> Block:
+        """basis* as a `Block`: the map of H onto H' (a row gather on a
+        permutation eigenbasis)."""
+        return Block(self.basis.conj().T)
+
+    @cached_property
+    def u_block(self) -> Block:
+        return Block(self.u)
 
     def embed(self, x: np.ndarray) -> np.ndarray:
-        """Conjugate an H'-operator back into H-coordinates.
-
-        With a monomial basis this is a scatter: entry (cols[j], cols[l]) is
-        (vals[j] x[j, l]) vals[l], associated as the dense (basis x) basis*.
-        """
-        mono = self._basis_adjoint
-        if mono is None:
-            return dense_product(dense_product(self.basis, x), self.basis.conj().T)
-        cols, vals = mono
-        rows = np.flatnonzero(vals)
-        at, v = cols[rows], vals[rows]
-        out = np.zeros((self.dim_h, self.dim_h), dtype=np.complex128)
-        out[np.ix_(at, at)] = (v[:, None] * x[np.ix_(rows, rows)]) * v
-        return out
+        """Conjugate an H'-operator back into H-coordinates: basis x basis*."""
+        return self.compression.congruence(x)
 
 
 @dataclass(frozen=True)
@@ -139,11 +128,11 @@ class AssembledDilation:
 
     Stored as its blocks: the corner `t` (w x w), `u` (d x w) and the stacked
     weights S_1..S_(n_blocks-1) as a (n_blocks-1, d, d) array.  `apply` acts
-    with the truncated W, multiplying by the stored `t` through the band
-    kernel of `t_corner`, by a real monomial `u` as a gather and by real
-    diagonal weights elementwise; the dense `matrix` is built only on
-    request.  The structure of each stored block is read once, from its own
-    nonzeros, so a corrupted block is multiplied as stored.
+    with the truncated W through one `Block` per stored array: `t_corner`'s,
+    `u_block` and the stacked `weight_block`, all slices or gathers on a
+    shift; the dense `matrix` is built only on request.  The structure of
+    each stored array is read once, from its own nonzeros, so a corrupted
+    block is multiplied as stored.
     """
 
     t: np.ndarray
@@ -179,21 +168,13 @@ class AssembledDilation:
         return OperatorCorner.spanning(self.t.copy())
 
     @cached_property
-    def u_monomial(self) -> tuple | None:
-        """`real_monomial` of the stored `u`."""
-        return real_monomial(self.u)
+    def u_block(self) -> Block:
+        return Block(self.u)
 
     @cached_property
-    def weight_diagonals(self) -> np.ndarray | None:
-        """The real diagonals of the stored weights as a (n_blocks-1, d)
-        array, when every stored weight is real diagonal; None otherwise."""
-        diags = []
-        for s in self.weights:
-            diag = real_diagonal(s)
-            if diag is None:
-                return None
-            diags.append(diag)
-        return np.array(diags).reshape(len(diags), self.dim_hprime)
+    def weight_block(self) -> Block:
+        """The stored weights as one stacked `Block`."""
+        return Block(self.weights)
 
     def block_slice(self, k: int) -> slice:
         """Coordinate slice of block k (0 is H, 1..n_blocks are H' copies)."""
@@ -224,15 +205,9 @@ class AssembledDilation:
         out = np.empty((w + (steps + 1) * d, count), dtype=np.complex128)
         out[:w] = self.t_corner.dot(cols[:w])
         if d:
-            if self.u_monomial is None:
-                out[w : w + d] = dense_product(self.u, cols[:w])
-            else:
-                out[w : w + d] = monomial_dot(self.u_monomial, cols[:w])
+            out[w : w + d] = self.u_block.dot(cols[:w])
             tail = cols[w : w + steps * d].reshape(steps, d, count)
-            if self.weight_diagonals is None:
-                out[w + d :] = dense_product(self.weights[:steps], tail).reshape(-1, count)
-            else:
-                out[w + d :] = (self.weight_diagonals[:steps, :, None] * tail).reshape(-1, count)
+            out[w + d :] = self.weight_block[:steps].dot(tail).reshape(-1, count)
         return out if x.ndim == 2 else out[:, 0]
 
     @cached_property
@@ -270,9 +245,8 @@ def _quotient_form(
     With R the PSD square root of the metric, the representer is
     R+ X R+ compressed to the numerical range; the construction is well
     defined only when X vanishes on the kernel of R, certified by the
-    residual ||X - R (R+ X R+) R||.  A diagonal X over a permutation
-    eigenbasis takes each product elementwise on the diagonals, in the
-    association of the dense one.
+    residual ||X - R (R+ X R+) R||.  Every product is a `Block` product,
+    elementwise for a diagonal X over a permutation eigenbasis.
     """
     if dec is None:
         dec = eigh(metric, tols.eig_tol)
@@ -286,17 +260,10 @@ def _quotient_form(
     inv_root = spectral_apply(dec, np.where(kept, 1.0 / np.sqrt(np.where(kept, lam, 1.0)), 0.0))
     basis = np.ascontiguousarray(dec.basis[:, kept])
 
-    x = None if dec.perm is None else real_diagonal(numerator.mat)
-    if x is None:
-        a_full = dense_product(dense_product(inv_root, numerator.mat), inv_root)
-        welldef = max_abs(numerator.mat - dense_product(dense_product(root, a_full), root))
-        a_mat = dense_product(dense_product(basis.conj().T, a_full), basis)
-    else:
-        r, r_inv = np.diagonal(root).real, np.diagonal(inv_root).real
-        a_diag = (r_inv * x) * r_inv
-        welldef = max_abs(x - (r * a_diag) * r)
-        # column j of the basis is e_perm[kept][j]
-        a_mat = np.diag(a_diag[dec.perm[kept]])
+    r, r_inv = Block(root), Block(inv_root)
+    a_full = r_inv.then(numerator.block.then(r_inv))
+    welldef = max_abs(numerator.mat - r.then(a_full.then(r)).mat)
+    a_mat = Block(basis).congruence(a_full.mat)
     limit = tols.welldef_tol * (1.0 + numerator.norm_max())
     if welldef > limit:
         raise IllDefinedFormError(
@@ -431,24 +398,12 @@ def build_weights(
 
 
 def _with_cumulative(weights: list, herm_tol: float) -> ShiftWeights:
-    """The weight sequence with its cumulative moduli |S_n ... S_1|^2.
-
-    When every weight is real diagonal the products are elementwise on the
-    diagonals; each entry is the one nonzero term of the dense product.
-    """
-    n = weights[0].n if weights else 0
-    diags = [real_diagonal(s.mat) for s in weights]
+    """The weight sequence with its cumulative moduli |S_n ... S_1|^2."""
+    left = Block.identity(weights[0].n if weights else 0)
     cumulative = []
-    if all(diag is not None for diag in diags):
-        left = np.ones(n)
-        for diag in diags:
-            left = diag * left
-            cumulative.append(hermitian(np.diag(left * left), herm_tol))
-    else:
-        left = np.eye(n, dtype=np.complex128)
-        for s in weights:
-            left = dense_product(s.mat, left)
-            cumulative.append(hermitian(dense_product(left.conj().T, left), herm_tol))
+    for s in weights:
+        left = left.then(s.block)
+        cumulative.append(hermitian(left.gram(), herm_tol))
     return ShiftWeights(tuple(weights), tuple(cumulative))
 
 
@@ -497,14 +452,6 @@ def assemble_dilation(
     return AssembledDilation(t, model.u, stack, model)
 
 
-def _compress_rows(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """basis* x; a row gather when basis* is a real monomial matrix."""
-    mono = real_monomial(basis.conj().T)
-    if mono is None:
-        return dense_product(basis.conj().T, x)
-    return monomial_dot(mono, x)
-
-
 def _model_from_form(
     form: QuotientForm, m: int, weights_horizon: int, tols: Tolerances, **fields
 ) -> tuple[DilationModel, ShiftWeights]:
@@ -521,7 +468,7 @@ def _model_from_form(
     model = DilationModel(
         m=m,
         basis=form.basis,
-        u=_compress_rows(form.basis, form.metric_root.mat),
+        u=Block(form.basis.conj().T).dot(form.metric_root.mat),
         a=form.a,
         b=weights.weights[m - 2],
         b_norm=float(np.sqrt(1.0 - lam[0])) if lam.size else 0.0,
@@ -613,7 +560,7 @@ def build_badea_2iso(
     lam_max = float(lam[-1]) if lam.size else 0.0
     kept = lam > tols.rank_tol * max(lam_max, data_scale)
     basis = np.ascontiguousarray(dec.basis[:, kept])
-    u = _compress_rows(basis, spectral_apply(dec, np.sqrt(lam)))
+    u = Block(basis.conj().T).dot(spectral_apply(dec, np.sqrt(lam)))
     d = basis.shape[1]
 
     horizon = weights_horizon if weights_horizon is not None else max(n_blocks - 1, 8)

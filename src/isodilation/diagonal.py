@@ -143,7 +143,7 @@ def dense_agreement_residual(
         max_abs(model.embed(model.b.mat) - embed_support_diagonal(w, diag.support, diag.b_diag)),
     )
     # U compared as P * metric_root in window coordinates
-    u_window = model.basis @ model.u
+    u_window = model.compression.adjoint_dot(model.u)
     u_diag_mat = embed_support_diagonal(w, diag.support, diag.u_diag)
     residual = max(residual, max_abs(u_window - u_diag_mat))
     count = min(_AGREEMENT_WEIGHTS, weights.horizon, len(diag.weight_diags))

@@ -16,18 +16,19 @@ a permutation matrix with entries exactly 1.  Such a decomposition records
 the permutation (`EigenDecomposition.perm`); its residuals and
 `spectral_apply` are then scatters onto the diagonal, which give the bits
 of the dense products (each entry of those is one exact term plus exact
-zeros) without their n^3 work.  The same argument serves the blocks built
-downstream: `real_diagonal` and `real_monomial` read a block's structure
-off its stored nonzeros, `diagonal_dot`, `monomial_dot` and
-`monomial_gram` multiply by it, and `dense_product` is the product every
-other block takes.
+zeros) without their n^3 work.  The same argument serves every block
+built downstream through one type, `Block`: the one reader `real_monomial`
+reads a block's structure off its stored nonzeros, a real monomial block
+(a diagonal is one) multiplies by slices or gathers of its nonzeros, and
+every other block takes `dense_product`.
 
 All values are immutable after construction and safe to share across
 threads.
 """
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -81,6 +82,10 @@ class HermitianMatrix:
         if not 0 <= k <= self.n:
             raise ValueError(f"cannot restrict dimension {self.n} to {k}")
         return HermitianMatrix(_frozen(self.mat[:k, :k].copy()), self.defect)
+
+    @cached_property
+    def block(self) -> "Block":
+        return Block(self.mat)
 
 
 def hermitian(x, herm_tol: float | None = None) -> HermitianMatrix:
@@ -185,66 +190,169 @@ def _off_diagonal_max(a: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(np.abs(off), axis=1)
 
 
-def real_diagonal(x: np.ndarray) -> np.ndarray | None:
-    """The diagonal of a matrix whose stored nonzeros all lie on its
-    diagonal and are real, as a real vector; None otherwise."""
-    diag = np.diagonal(x)
-    if np.count_nonzero(x) != np.count_nonzero(diag) or np.any(diag.imag):
-        return None
-    return diag.real.copy()
-
-
 def real_monomial(x: np.ndarray) -> tuple | None:
-    """(cols, vals) with x[i, cols[i]] = vals[i] the only nonzero of row i,
-    when no row and no column of x holds more than one nonzero and all are
-    real; None otherwise.  An empty row reads as column 0 with value 0."""
-    rows, cols = x.shape
-    if np.count_nonzero(x) > min(rows, cols):
+    """(cols, vals) with x[..., i, cols[..., i]] = vals[..., i] the only
+    nonzero of row i, when no row and no column of x (of each matrix of a
+    stack) holds more than one nonzero and all are real; None otherwise.
+    An empty row reads as column 0 with value 0."""
+    *lead, rows, cols = x.shape
+    count = math.prod(lead)
+    # real and imaginary parts in turn; a nonzero imaginary part is odd
+    parts = np.ascontiguousarray(x, dtype=np.complex128).reshape(-1).view(np.float64)
+    at = (parts != 0.0).nonzero()[0]
+    if at.size > count * min(rows, cols) or (at & 1).any():
         return None
-    at_rows, at_cols = np.nonzero(x)
-    if np.any(np.diff(at_rows) == 0) or np.unique(at_cols).size != at_cols.size:
+    row_keys, at_cols = np.divmod(at >> 1, max(cols, 1))
+    seen = np.zeros(count * cols, dtype=bool)
+    seen[row_keys // max(rows, 1) * cols + at_cols] = True
+    if (row_keys[1:] == row_keys[:-1]).any() or np.count_nonzero(seen) != at.size:
         return None
-    vals = x[at_rows, at_cols]
-    if np.any(vals.imag):
-        return None
-    out_cols = np.zeros(rows, dtype=np.intp)
-    out_vals = np.zeros(rows)
-    out_cols[at_rows], out_vals[at_rows] = at_cols, vals.real
-    return out_cols, out_vals
+    out_cols = np.zeros(count * rows, dtype=np.intp)
+    out_vals = np.zeros(count * rows)
+    out_cols[row_keys], out_vals[row_keys] = at_cols, parts[at]
+    return out_cols.reshape(*lead, rows), out_vals.reshape(*lead, rows)
 
 
 def dense_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b: the product every structure path falls back to."""
+    """a @ b: the product of every block that is not a real monomial."""
     return a @ b
 
 
-def _columnwise(vals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """vals broadcast against the rows of a vector or a block of columns."""
-    return vals.reshape(vals.shape + (1,) * (x.ndim - 1))
+def _index(ix: np.ndarray):
+    """ix as a slice when it is one ascending run, so that indexing with it
+    takes a view instead of a gather."""
+    if ix.size == 0:
+        return slice(0, 0)
+    start, stop = int(ix[0]), int(ix[-1]) + 1
+    if stop - start == ix.size and (ix[1:] > ix[:-1]).all():
+        return slice(start, stop)
+    return ix
 
 
-def diagonal_dot(diag: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """diag(diag) x for a vector or a block of columns: row i is
-    diag[i] x[i], the one nonzero term of the dense product's entries."""
-    return _columnwise(diag, x) * x
+class Block:
+    """A matrix, or a stack of same-shape matrices, multiplied through the
+    structure of its own nonzeros, `mono = real_monomial(mat)`, read once.
 
+    On a real monomial each product touches only the nonzeros (a slice
+    where they run in one ascending step, as on a shift corner or a
+    diagonal, a gather otherwise), each entry the one term the dense
+    product rounds, in its association, and +0.0 on an empty row.  Any
+    other block takes `dense_product`.  A composition of monomials (`then`)
+    is built from their (cols, vals) and made dense only if `mat` is read;
+    any other composition is dense.
+    """
 
-def monomial_dot(mono: tuple, x: np.ndarray) -> np.ndarray:
-    """M x for the (cols, vals) of `real_monomial`, a gather: row i is
-    vals[i] x[cols[i]], the one nonzero term of the dense product's
-    entries."""
-    cols, vals = mono
-    return _columnwise(vals, x) * x[cols]
+    def __init__(self, mat: np.ndarray):
+        self.mat = mat
+        self.shape = mat.shape
 
+    @classmethod
+    def monomial(cls, shape: tuple, cols: np.ndarray, vals: np.ndarray) -> "Block":
+        """The real monomial matrix of `shape` with x[i, cols[i]] = vals[i]."""
+        block = cls.__new__(cls)
+        block.shape = shape
+        block.mono = (cols, vals)  # known, so never read
+        return block
 
-def monomial_gram(mono: tuple, n: int) -> np.ndarray:
-    """The real diagonal of M* M for the (cols, vals) of `real_monomial` of
-    an n-column M; its off-diagonal entries are exact zeros."""
-    cols, vals = mono
-    out = np.zeros(n)
-    rows = np.flatnonzero(vals)
-    out[cols[rows]] = vals[rows] * vals[rows]
-    return out
+    @classmethod
+    def identity(cls, n: int) -> "Block":
+        return cls.monomial((n, n), np.arange(n), np.ones(n))
+
+    @cached_property
+    def mono(self) -> tuple | None:
+        return real_monomial(self.mat)
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        """The dense form of a block built by `monomial`."""
+        cols, vals = self.mono
+        rows = np.flatnonzero(vals)
+        out = np.zeros(self.shape, dtype=np.complex128)
+        out[rows, cols[rows]] = vals[rows]
+        return out
+
+    @cached_property
+    def _entries(self) -> tuple:
+        """(rows, cols, vals) of the nonzeros, the members of a stack laid
+        end to end as one block-diagonal matrix; rows and cols as `_index`."""
+        cols, vals = self.mono
+        if vals.ndim > 1:
+            r, c = self.shape[-2:]
+            cols = cols.ravel() + np.repeat(np.arange(math.prod(self.shape[:-2])) * c, r)
+            vals = vals.ravel()
+        rows = vals.nonzero()[0]
+        return _index(rows), _index(cols[rows]), vals[rows]
+
+    def __getitem__(self, key) -> "Block":
+        """Member or leading members of a stack, with the structure read."""
+        mat = self.mat[key]
+        if mat.shape == self.shape:
+            return self
+        block = Block(mat)
+        block.mono = None if self.mono is None else (self.mono[0][key], self.mono[1][key])
+        return block
+
+    def _scatter(self, size: int, dst, src, x: np.ndarray) -> np.ndarray:
+        """The rows dst of a size-row result are vals times the rows src of
+        x (a vector or a block of columns); every other row is +0.0."""
+        vals = self._entries[2]
+        prod = (vals if x.ndim == 1 else vals[:, None]) * x[src]
+        if isinstance(dst, slice) and dst.stop - dst.start == size:
+            return prod
+        out = np.zeros((size,) + x.shape[1:], dtype=prod.dtype)
+        out[dst] = prod
+        return out
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """M x for a vector or a block of columns; on a stack, member k
+        times x[k], the members of x matching those of the stack."""
+        if self.mono is None:
+            return dense_product(self.mat, x)
+        rows, cols, _ = self._entries
+        lead = len(self.shape) - 2
+        if not lead:
+            return self._scatter(self.shape[0], rows, cols, x)
+        # a stack's members, and those of x, laid end to end
+        flat = x.reshape((math.prod(x.shape[: lead + 1]),) + x.shape[lead + 1 :])
+        out = self._scatter(math.prod(self.shape[:-1]), rows, cols, flat)
+        return out.reshape(self.shape[:-1] + x.shape[lead + 1 :])
+
+    def adjoint_dot(self, y: np.ndarray) -> np.ndarray:
+        """M* y for a vector or a block of columns."""
+        if self.mono is None:
+            return dense_product(self.mat.conj().T, y)
+        rows, cols, _ = self._entries
+        return self._scatter(self.shape[1], cols, rows, y)
+
+    def congruence(self, g: np.ndarray) -> np.ndarray:
+        """M* g M, associated as (M* g) M like the dense product."""
+        y = self.adjoint_dot(g)
+        if self.mono is None:
+            return dense_product(y, self.mat)
+        rows, cols, vals = self._entries
+        out = np.zeros((y.shape[0], self.shape[1]), dtype=y.dtype)
+        out[:, cols] = y[:, rows] * vals  # column cols[i] of y M
+        return out
+
+    def then(self, other: "Block") -> "Block":
+        """The composition `other` after `self`, other.mat @ self.mat; with
+        a refused factor it is dense, and its structure is not read."""
+        if self.mono is None or other.mono is None:
+            block = Block(dense_product(other.mat, self.mat))
+            block.mono = None
+            return block
+        (cols, vals), (o_cols, o_vals) = self.mono, other.mono
+        return Block.monomial((other.shape[0], self.shape[1]), cols[o_cols], o_vals * vals[o_cols])
+
+    def gram(self) -> np.ndarray:
+        """M* M: on a monomial, the diagonal of squared column norms."""
+        if self.mono is None:
+            return dense_product(self.mat.conj().T, self.mat)
+        _, cols, vals = self._entries
+        at = np.arange(self.shape[1])[cols]
+        out = np.zeros((self.shape[1], self.shape[1]), dtype=np.complex128)
+        out[at, at] = vals * vals
+        return out
 
 
 def _unit_permutation(v: np.ndarray) -> np.ndarray | None:

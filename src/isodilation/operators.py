@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import WeightRuleError, WindowExhaustedError
 from .hermitian import (
+    Block,
     EigenDecomposition,
     HermitianMatrix,
     PsdCheck,
@@ -117,15 +118,10 @@ class OperatorCorner:
     declared infinite operator; exact=False means a free-standing
     finite-dimensional operator (no window shrink applies).
 
-    Every product with the corner goes through one band kernel: `dot`
-    (T x), `adjoint_dot` (T* x) and `congruence` (T* g T).  When the
-    corner has a single nonzero diagonal, real, inside a declared band of
-    at most two diagonals (every weighted-shift corner), the kernel is a
-    scaled, shifted slice: O(N) work per column instead of O(N^2), and
-    each product entry is the one term the dense product rounds, so it
-    gets the dense product's values (a zero's sign aside: BLAS can return
-    -0.0 where the kernel writes 0.0).  Every other corner falls back to
-    the dense `matrix @ x`; a wider declared band decides that in O(1).
+    Every product with the corner, `dot` (T x), `adjoint_dot` (T* x) and
+    `congruence` (T* g T), is one of its `block`: on a weighted-shift
+    corner a scaled, shifted slice, O(N) work per column instead of
+    O(N^2), with the dense product's values.
     """
 
     matrix: np.ndarray
@@ -184,55 +180,20 @@ class OperatorCorner:
         return self.n - applications * self.bandwidth
 
     @cached_property
-    def _diagonal(self) -> tuple | None:
-        """(offset j - i, real entries T[i, i + offset]) when the declared
-        band spans at most two diagonals and only one of them is nonzero and
-        real, as on a weighted shift; None otherwise, decided from the band
-        alone on a wider one."""
-        if self.bandwidth > 1:
-            return None
-        offsets = range(-self.lower_band, self.upper_band + 1)
-        nonzero = [k for k in offsets if np.any(np.diagonal(self.matrix, k))]
-        if len(nonzero) != 1:
-            return None
-        vals = np.diagonal(self.matrix, nonzero[0])
-        return None if np.any(vals.imag) else (nonzero[0], vals.real.copy())
+    def block(self) -> Block:
+        return Block(self.matrix)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """T x for a vector or a block of columns."""
-        if self._diagonal is None:
-            return self.matrix @ x
-        return _diagonal_product(*self._diagonal, x)
+        return self.block.dot(x)
 
     def adjoint_dot(self, x: np.ndarray) -> np.ndarray:
         """T* x for a vector or a block of columns."""
-        if self._diagonal is None:
-            return self.matrix.conj().T @ x
-        offset, vals = self._diagonal
-        return _diagonal_product(-offset, vals, x)
+        return self.block.adjoint_dot(x)
 
     def congruence(self, g: np.ndarray) -> np.ndarray:
         """T* g T, associated as (T* g) T like the dense product."""
-        if self._diagonal is None:
-            return self.matrix.conj().T @ g @ self.matrix
-        offset, vals = self._diagonal
-        y = self.adjoint_dot(g)
-        # column i + offset of y T is y[:, i] T[i, i + offset]
-        src, dst = max(-offset, 0), max(offset, 0)
-        out = np.zeros(y.shape, dtype=np.complex128)
-        out[:, dst : dst + vals.size] = y[:, src : src + vals.size] * vals
-        return out
-
-
-def _diagonal_product(offset: int, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The product with x of the matrix whose only nonzero diagonal holds
-    the real `vals` at `offset`: a vector or a block of columns whose row i
-    is T[i, i + offset] x[i + offset], zero where that entry lies outside."""
-    src, dst = max(offset, 0), max(-offset, 0)
-    out = np.zeros(x.shape, dtype=np.complex128)
-    v = vals.reshape(vals.shape + (1,) * (x.ndim - 1))
-    out[dst : dst + vals.size] = v * x[src : src + vals.size]
-    return out
+        return self.block.congruence(g)
 
 
 def make_shift_corner(rule: WeightRule, n: int) -> OperatorCorner:

@@ -287,7 +287,7 @@ def _verify(
     ))
 
     i_minus_a = hermitian(np.eye(model.a.n) - model.a.mat, tols.herm_tol)
-    b_sq_res = max_abs(model.b.mat @ model.b.mat - i_minus_a.mat)
+    b_sq_res = max_abs(model.b.block.then(model.b.block).mat - i_minus_a.mat)
     b_sq_limit = tols.sqrt_tol * (1.0 + i_minus_a.norm_max())
     rep.add(CheckResult(
         "b_square", b_sq_res, b_sq_limit, b_sq_res <= b_sq_limit,
@@ -295,7 +295,7 @@ def _verify(
     ))
 
     if model.path == "general_m":
-        gram = model.u.conj().T @ model.u
+        gram = model.u_block.gram()
         diff = model.corner.congruence(gram) - gram
         win = model.corner.window_after(1)
         u_res = max_abs(diff[:win, :win])

@@ -15,14 +15,7 @@ import numpy as np
 
 from .builder import AssembledDilation, DilationModel, ShiftWeights
 from .errors import WindowExhaustedError
-from .hermitian import (
-    dense_product,
-    diagonal_dot,
-    eigh,
-    max_abs,
-    monomial_gram,
-    real_diagonal,
-)
+from .hermitian import Block, eigh, max_abs
 from .tolerances import DEFAULT_SEED, DEFAULT_TOLERANCES, DEFAULT_TRIALS, Tolerances
 
 # orbit columns count towards the rank above this fraction of the largest
@@ -128,30 +121,42 @@ def check_dilation_property(
     """Compression of powers: block (0,0) of W^n must equal T^n, n = 1..n_blocks.
 
     By the block structure row 0 of W contains only T, so block 0 of W x
-    is T x_0 and (W^n)_00 = T (W^(n-1))_00.  Only block 0 is carried, one
-    product with the stored T (`t_corner`, as in `apply`) per power: the
-    blocks 1..n of W^n H never enter block 0 of a later power, so dropping
-    them leaves the residual unchanged.  It is rounding-level regardless
-    of truncation (zero when the stored T is the model's T) and is
-    compared on the shrinking exact window of T^n.
+    is T x_0 and (W^n)_00 = T (W^(n-1))_00.  Only block 0 is carried, as
+    the composition of the stored T's block (`t_corner`, as in `apply`)
+    n times: the blocks 1..n of W^n H never enter block 0 of a later
+    power, so dropping them leaves the residual unchanged.  It is
+    rounding-level regardless of truncation (zero when the stored T is the
+    model's T) and is compared on the shrinking exact window of T^n.
     """
     n_max = dilation.n_blocks
     t = dilation.model.corner
     w = t.n
-    cur = np.eye(w, dtype=np.complex128)
-    tn = cur
+    cur = tn = Block.identity(w)
     residual = 0.0
     for n in range(1, n_max + 1):
-        cur = dilation.t_corner.dot(cur)
-        tn = t.dot(tn)
-        win = max(t.window_after(n), 1)
-        residual = max(residual, max_abs(cur[:win, :win] - tn[:win, :win]))
+        cur, tn = cur.then(dilation.t_corner.block), tn.then(t.block)
+        residual = max(residual, _leading_difference(cur, tn, max(t.window_after(n), 1)))
     return _result(
         "dilation_property",
         residual,
         tols.dilation_tol,
         f"powers 1..{n_max} on the leading {w}-block",
     )
+
+
+def _leading_difference(a: Block, b: Block, win: int) -> float:
+    """max |a - b| over the leading win-block.  When both are monomials it
+    is read off their column maps and values: a row's entries differ by
+    |a_i - b_i| where both sit in one column, and by each value alone where
+    they do not, the values in columns past the window read as 0."""
+    if a.mono is None or b.mono is None:
+        return max_abs(a.mat[:win, :win] - b.mat[:win, :win])
+    (a_cols, a_vals), (b_cols, b_vals) = a.mono, b.mono
+    a_cols, b_cols = a_cols[:win], b_cols[:win]
+    a_vals = np.where(a_cols < win, a_vals[:win], 0.0)
+    b_vals = np.where(b_cols < win, b_vals[:win], 0.0)
+    apart = np.maximum(np.abs(a_vals), np.abs(b_vals))
+    return float(np.max(np.where(a_cols == b_cols, np.abs(a_vals - b_vals), apart)))
 
 
 def check_powers_formula(
@@ -169,8 +174,7 @@ def check_powers_formula(
     Both sides read the weights stored in `dilation`, so the check covers
     only how `apply` places blocks and the stored T and U against the
     model.  A corrupted weight passes here; `w_m_isometry` and
-    `weight_shift_m_isometry` are the checks that catch it.  Real diagonal
-    stored weights are multiplied elementwise on their diagonals.
+    `weight_shift_m_isometry` are the checks that catch it.
     """
     model = dilation.model
     m = model.m
@@ -182,20 +186,16 @@ def check_powers_formula(
 
     # weight products do not depend on the trial: the prefixes
     # S_(k-1)...S_1 for k <= m and the products S_(k-1)...S_(k-m) beyond
-    weights = dilation.weight_diagonals
-    if weights is None:
-        weights, dot = dilation.weights, dense_product
-        one = np.eye(d, dtype=np.complex128)
-    else:
-        dot, one = diagonal_dot, np.ones(d)
+    weights = [dilation.weight_block[k] for k in range(dilation.n_blocks - 1)]
+    one = Block.identity(d)
     prefixes = [one]
     for k in range(2, min(m, dilation.n_blocks) + 1):
-        prefixes.append(dot(weights[k - 2], prefixes[-1]))
+        prefixes.append(prefixes[-1].then(weights[k - 2]))
     products = {}
     for k in range(m + 1, dilation.n_blocks + 1):
         prod = one
         for i in range(k - m, k):
-            prod = dot(weights[i - 1], prod)
+            prod = prod.then(weights[i - 1])
         products[k] = prod
 
     # one trial per column, blocks 1..top_block contiguous after H
@@ -214,9 +214,9 @@ def check_powers_formula(
     expected[:w] = t_pows[m]
     if d:
         for k in range(1, min(m, dilation.n_blocks) + 1):
-            expected[dilation.block_slice(k)] = dot(prefixes[k - 1], model.u @ t_pows[m - k])
+            expected[dilation.block_slice(k)] = prefixes[k - 1].dot(model.u_block.dot(t_pows[m - k]))
         for k, prod in products.items():
-            expected[dilation.block_slice(k)] = dot(prod, h[dilation.block_slice(k - m)])
+            expected[dilation.block_slice(k)] = prod.dot(h[dilation.block_slice(k - m)])
 
     norms = np.sqrt(_column_norms_sq(h))
     errors = np.max(np.abs(y - expected), axis=0, initial=0.0)
@@ -281,23 +281,16 @@ def check_criterion_identity(
     For h in H the m-defect form of T plus the alternating double sum of
     ||S_(k-1)...S_1 U T^(l-k) h||^2 must cancel exactly; together with the
     m-isometry of the weight shift this is equivalent to W being
-    m-isometric.  Real diagonal weights are multiplied elementwise on their
-    diagonals.
+    m-isometric.
     """
     m = model.m
     h_dim = _h_support(model, m)
     d = model.dim_hprime
     rng = _rng(seed, "criterion_identity")
 
-    mats = [s.mat for s in weights.weights[: m - 1]]
-    diags = [real_diagonal(mat) for mat in mats]
-    if all(diag is not None for diag in diags):
-        factors, dot, one = diags, diagonal_dot, np.ones(d)
-    else:
-        factors, dot, one = mats, dense_product, np.eye(d, dtype=np.complex128)
-    prefixes = [one]
+    prefixes = [Block.identity(d)]
     for k in range(2, m + 1):
-        prefixes.append(dot(factors[k - 2], prefixes[-1]))
+        prefixes.append(prefixes[-1].then(weights.weights[k - 2].block))
 
     residual = 0.0
     for _ in range(trials):
@@ -306,12 +299,13 @@ def check_criterion_identity(
         t_pows = [h.copy()]
         for _ in range(m - 1):
             t_pows.append(model.corner.dot(t_pows[-1]))
-        lhs = float(np.vdot(h, model.defect_m.mat @ h).real)
+        u_pows = [model.u_block.dot(t_pow) for t_pow in t_pows]
+        lhs = float(np.vdot(h, model.defect_m.block.dot(h)).real)
         for ell in range(1, m + 1):
             sign = -1.0 if (m - ell) % 2 else 1.0
             inner = 0.0
             for k in range(1, ell + 1):
-                vec = dot(prefixes[k - 1], model.u @ t_pows[ell - k])
+                vec = prefixes[k - 1].dot(u_pows[ell - k])
                 inner += float(np.vdot(vec, vec).real)
             lhs += sign * math.comb(m, ell) * inner
         norm_sq = float(np.vdot(h, h).real)
@@ -372,30 +366,26 @@ def check_cumulative_polynomial(
     )
 
 
-def _column_space_rank(cols: np.ndarray, thresh: float) -> int:
-    """Numerical rank of the column space via blocked Gram-Schmidt.
-
-    A column counts when the norm of its residual against the columns
-    accepted before it exceeds the absolute threshold thresh.  Columns go
-    in batches of 48, each projected twice against the earlier batches;
-    inside a batch every column is projected twice (classical Gram-Schmidt
-    with reorthogonalization) against the batch's accepted columns.
-
-    When no row of `cols` holds more than one nonzero, as in every orbit
-    block of a shift corner, the columns have disjoint supports: every
-    projection is an exact zero, each residual is its column, and the rank
-    is the count of columns whose norm exceeds thresh, taken in one pass.
-    """
-    dim, count = cols.shape
-    if count == 0 or dim == 0:
-        return 0
-    if np.count_nonzero(cols, axis=1).max() <= 1:
-        return int(np.count_nonzero(np.sqrt(_column_norms_sq(cols)) > thresh))
-    return _gram_schmidt_rank(cols, thresh)
+def _column_space_rank(block: Block, thresh: float) -> int:
+    """Numerical rank of a block's column space at the absolute threshold
+    thresh.  The columns of a real monomial (every orbit block of a shift
+    corner) have disjoint supports, so each residual is its column and the
+    rank counts the column norms above thresh; any other block takes
+    `_gram_schmidt_rank`."""
+    if block.mono is None:
+        return _gram_schmidt_rank(block.mat, thresh)
+    return int(np.count_nonzero(np.sqrt(block.gram().diagonal().real) > thresh))
 
 
 def _gram_schmidt_rank(cols: np.ndarray, thresh: float) -> int:
-    """The blocked Gram-Schmidt pass of `_column_space_rank`."""
+    """Numerical rank of the column space via blocked Gram-Schmidt.
+
+    A column counts when the norm of its residual against the columns
+    accepted before it exceeds thresh.  Columns go in batches of 48, each
+    projected twice against the earlier batches; inside a batch every
+    column is projected twice (classical Gram-Schmidt with
+    reorthogonalization) against the batch's accepted columns.
+    """
     count = cols.shape[1]
     basis_blocks: list[np.ndarray] = []
     basis: np.ndarray | None = None
@@ -437,41 +427,25 @@ def check_minimality(dilation: AssembledDilation) -> CheckResult:
     rank = dim H + sum_k rank P_k.  Each rank P_k uses the threshold of a
     Gram-Schmidt pass over the whole orbit, _MINIMALITY_REL_TOL times the
     largest orbit-column norm, read off the Gram matrices of W^n on H.
-    With a real monomial stored U and real diagonal stored weights every
-    P_k is a real monomial matrix on U's pattern, chained elementwise, and
-    P_k* P_k is diagonal.  Vacuous for a zero-dimensional H'.
+    Each P_k is a `Block`, composed from the stored U and weights: on a
+    shift it is a real monomial matrix on U's pattern, P_k* P_k is
+    diagonal and its rank a count of column norms.  Vacuous for a
+    zero-dimensional H'.
     """
     if dilation.dim_hprime == 0:
         return _result("minimality", 0.0, 0.0, "vacuous (dim H' = 0)")
     w = dilation.dim_h
     total = dilation.dim_total
     n_blocks = dilation.n_blocks
-    mono, diags = dilation.u_monomial, dilation.weight_diagonals
-    if mono is None or diags is None:
-        prods = [dilation.u]
-        for s in dilation.weights:
-            prods.append(dense_product(s, prods[-1]))
-        monos = [None] * len(prods)
-    else:
-        cols, chain = mono[0], [mono[1]]
-        for diag in diags:
-            chain.append(diag * chain[-1])
-        monos = [(cols, vals) for vals in chain]
-        prods = []
-        for vals in chain:
-            p = np.zeros(dilation.u.shape, dtype=np.complex128)
-            p[np.arange(cols.size), cols] = vals
-            prods.append(p)
+    prods = [dilation.u_block]
+    for k in range(n_blocks - 1):
+        prods.append(prods[-1].then(dilation.weight_block[k]))
     # squared orbit-column norms are the diagonals of (W^n)* W^n on H,
     # G_n = T* G_(n-1) T + P_n* P_n with G_0 = I
     gram = np.eye(w, dtype=np.complex128)
     norm_sq = 1.0
-    for p, p_mono in zip(prods, monos):
-        gram = dilation.t_corner.congruence(gram)
-        if p_mono is None:
-            gram = gram + dense_product(p.conj().T, p)
-        else:
-            gram[np.diag_indices(w)] += monomial_gram(p_mono, w)
+    for p in prods:
+        gram = dilation.t_corner.congruence(gram) + p.gram()
         norm_sq = max(norm_sq, float(np.max(gram.diagonal().real)))
     thresh = _MINIMALITY_REL_TOL * float(np.sqrt(norm_sq))
     rank = w + sum(_column_space_rank(p, thresh) for p in prods)

@@ -4,6 +4,7 @@ numpy.linalg is used here only as an independent oracle; the production
 code never calls it.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -17,22 +18,27 @@ from isodilation.hermitian import (
     _STACK_BYTES,
     _rotation_rounds,
     _sorted_decomposition,
-    diagonal_dot,
+    Block,
     eigh,
     eigh_stack,
     hermitian,
     identity,
     max_abs,
-    monomial_dot,
-    monomial_gram,
     pinv_sqrt,
     psd_check,
-    real_diagonal,
     real_monomial,
     spectral_apply,
     sqrt_psd,
 )
 from isodilation.tolerances import DEFAULT_TOLERANCES, Tolerances
+
+
+# the package exports the function `hermitian` under the module's name
+hermitian_module = importlib.import_module("isodilation.hermitian")
+
+
+def _complex_gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -376,33 +382,55 @@ class TestPermutationBasis:
         assert np.array_equal(clamped.mat, _dense_apply(dec.basis, dec.values))
 
 
+def _monomial(rng, shape, live, complex_vals=False):
+    """A shape-(r, c) matrix with `live` nonzeros, at most one in each row
+    and each column, in random rows and columns; a zero row keeps -0.0."""
+    r, c = shape
+    out = np.zeros(shape, dtype=np.complex128)
+    vals = rng.uniform(0.5, 2.0, live) * rng.choice([-1.0, 1.0], live)
+    out[rng.permutation(r)[:live], rng.permutation(c)[:live]] = (
+        vals * np.exp(1j * rng.uniform(0, 6, live)) if complex_vals else vals
+    )
+    return out
+
+
+def _as_block(mat):
+    return Block(np.array(mat, dtype=np.complex128))
+
+
 class TestStructureReaders:
-    """`real_diagonal` and `real_monomial` read their answer from the stored
-    nonzeros; the products they feed give the dense products' values (the
-    sign of a zero is not compared)."""
+    """The one reader `real_monomial` reads a matrix's structure from its
+    stored nonzeros, once per `Block`; the block's products give the bits
+    of the dense products (`np.array_equal` does not compare the sign of a
+    zero) and write +0.0 on every row with no nonzero."""
 
     @pytest.mark.parametrize(
         "x,expected",
         [
-            (np.zeros((0, 0), dtype=np.complex128), []),
-            (np.array([[2.5 + 0j]]), [2.5]),
-            (np.array([[0j]]), [0.0]),
-            (np.diag([1.0, 0.0, -3.0]).astype(np.complex128), [1.0, 0.0, -3.0]),
+            (np.zeros((0, 0), dtype=np.complex128), ([], [])),
+            (np.array([[2.5 + 0j]]), ([0], [2.5])),
+            (np.array([[0j]]), ([0], [0.0])),
+            (np.diag([1.0, 0.0, -3.0]).astype(np.complex128), ([0, 0, 2], [1.0, 0.0, -3.0])),
             (np.diag([1.0, 1j, -3.0]), None),
             (np.array([[1j]]), None),
             (np.array([[1.0, 0.0], [0.5, 2.0]], dtype=np.complex128), None),
             (np.array([[1.0, 0.5], [0.0, 2.0]], dtype=np.complex128), None),
-            (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128), None),
+            (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128), ([1, 0], [1.0, 1.0])),
         ],
         ids=["empty", "1x1", "1x1-zero", "empty-row", "complex-entry", "1x1-complex",
              "two-in-a-row", "two-in-a-column", "permutation"],
     )
     def test_real_diagonal(self, x, expected):
-        diag = real_diagonal(x)
+        # a real diagonal is the monomial whose row i sits in column i (an
+        # empty row reads column 0); a permutation is a monomial too
+        block = Block(x)
         if expected is None:
-            assert diag is None
+            assert block.mono is None
         else:
-            assert diag.dtype == np.float64 and np.array_equal(diag, expected)
+            cols, vals = block.mono
+            assert np.array_equal(cols, expected[0]) and np.array_equal(vals, expected[1])
+        v = np.arange(1.0, x.shape[1] + 1) - 2.5j
+        assert np.array_equal(block.dot(v), x @ v)
 
     @pytest.mark.parametrize(
         "x,expected",
@@ -431,20 +459,134 @@ class TestStructureReaders:
         assert cols.dtype == np.intp and vals.dtype == np.float64
         assert np.array_equal(cols, expected[0]) and np.array_equal(vals, expected[1])
 
+    def test_reads_a_stack_member_by_member(self):
+        # a member with two nonzeros in one column refuses the whole stack
+        stack = np.zeros((3, 2, 3), dtype=np.complex128)
+        stack[0, [0, 1], [2, 0]] = [1.5, -2.0]
+        stack[1, 1, 1] = 4.0
+        stack[2, [0, 1], [0, 2]] = [0.5, 3.0]
+        cols, vals = real_monomial(stack)
+        assert np.array_equal(cols, [[2, 0], [0, 1], [0, 2]])
+        assert np.array_equal(vals, [[1.5, -2.0], [0.0, 4.0], [0.5, 3.0]])
+        stack[1, 0, 1] = 1.0
+        assert real_monomial(stack) is None
+
     def test_products_match_the_dense_ones(self, rng):
         x = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
-        diag = np.array([0.5, 0.0, -2.0, 3.0, 1e-300, -1.0, 7.0])
-        dense = np.diag(diag).astype(np.complex128)
-        assert np.array_equal(diagonal_dot(diag, x), dense @ x)
-        assert np.array_equal(diagonal_dot(diag, x[:, 0]), dense @ x[:, 0])
+        diag = np.diag([0.5, 0.0, -2.0, 3.0, 1e-300, -1.0, 7.0]).astype(np.complex128)
         # rows 1 and 4 empty, columns 0 and 3 empty
         m = np.zeros((5, 7), dtype=np.complex128)
         m[[0, 2, 3], [4, 1, 6]] = [2.0, -0.5, 3.0]
-        mono = real_monomial(m)
-        assert np.array_equal(monomial_dot(mono, x), m @ x)
-        assert np.array_equal(monomial_dot(mono, x[:, 1]), m @ x[:, 1])
-        gram = m.conj().T @ m
-        assert np.array_equal(np.diag(monomial_gram(mono, 7)), gram)
+        for dense in (diag, m):
+            block = Block(dense)
+            assert block.mono is not None
+            assert np.array_equal(block.dot(x), dense @ x)
+            assert np.array_equal(block.dot(x[:, 0]), dense @ x[:, 0])
+            y = x[: dense.shape[0]]
+            assert np.array_equal(block.adjoint_dot(y), dense.conj().T @ y)
+            assert np.array_equal(block.gram(), dense.conj().T @ dense)
+            g = rng.standard_normal((dense.shape[0],) * 2) + 0j
+            assert np.array_equal(block.congruence(g), dense.conj().T @ g @ dense)
+
+    @pytest.mark.parametrize(
+        "shape,offset", [((6, 6), -1), ((6, 6), 0), ((6, 6), 2), ((7, 4), -1), ((4, 7), 1)]
+    )
+    def test_run_multiplies_by_slices(self, monkeypatch, rng, shape, offset):
+        # one diagonal at an offset, as on a shift corner or a diagonal:
+        # rows and columns run together, so no product gathers
+        dense = np.eye(*shape, k=offset) * rng.uniform(0.5, 2.0, shape[1])
+        block = _as_block(dense)
+        rows, cols, _ = block._entries
+        assert isinstance(rows, slice) and isinstance(cols, slice)
+        assert cols.start - rows.start == offset
+        x = _complex_gaussian(rng, (shape[1], 3))
+        y = _complex_gaussian(rng, (shape[0], 3))
+        g = _complex_gaussian(rng, (shape[0], shape[0]))
+        assert np.array_equal(block.dot(x), dense @ x)
+        assert np.array_equal(block.adjoint_dot(y), dense.T @ y)
+        assert np.array_equal(block.congruence(g), dense.T @ g @ dense)
+        assert np.array_equal(block.gram(), dense.T @ dense)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_monomials_match_bit_for_bit(self, rng, seed):
+        # rectangular shapes, empty rows and columns, zero values
+        rng = np.random.default_rng(seed)
+        r, c = rng.integers(1, 9, 2)
+        dense = _monomial(rng, (r, c), int(rng.integers(0, min(r, c) + 1)))
+        block = _as_block(dense)
+        assert block.mono is not None
+        x = _complex_gaussian(rng, (c, 5))
+        y = _complex_gaussian(rng, (r, 5))
+        assert np.array_equal(block.dot(x), dense @ x)
+        assert np.array_equal(block.dot(x[:, 2]), dense @ x[:, 2])
+        assert np.array_equal(block.adjoint_dot(y), dense.T @ y)
+        assert np.array_equal(block.gram(), dense.T @ dense)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_then_chains_match_bit_for_bit(self, rng, seed):
+        rng = np.random.default_rng(seed)
+        dims = rng.integers(1, 8, 5)
+        mats = [_monomial(rng, (dims[i + 1], dims[i]), int(rng.integers(0, min(dims[i : i + 2]) + 1)))
+                for i in range(4)]
+        chain, dense = _as_block(mats[0]), mats[0]
+        for mat in mats[1:]:
+            chain, dense = chain.then(_as_block(mat)), mat @ dense
+            assert chain.mono is not None and chain.shape == dense.shape
+            assert np.array_equal(chain.mat, dense)
+            x = _complex_gaussian(rng, (dims[0], 3))
+            assert np.array_equal(chain.dot(x), dense @ x)
+            assert np.array_equal(chain.gram(), dense.T @ dense)
+        # a dense factor makes the rest of the chain dense
+        full = _complex_gaussian(rng, (dims[0], dims[0]))
+        mixed = _as_block(full).then(_as_block(mats[0])).then(_as_block(mats[1]))
+        assert mixed.mono is None
+        assert np.array_equal(mixed.mat, mats[1] @ (mats[0] @ full))
+
+    def test_empty_rows_write_positive_zero(self):
+        # 0 * x is -0.0 for a negative x; an empty row is +0.0
+        dense = np.zeros((4, 4), dtype=np.complex128)
+        dense[[0, 2], [1, 3]] = [2.0, -3.0]
+        block = Block(dense)
+        x = -np.ones((4, 2), dtype=np.complex128)
+        for out, empty in ((block.dot(x), [1, 3]), (block.adjoint_dot(x), [0, 2])):
+            assert not np.any(np.signbit(out[empty].real)) and not np.any(np.signbit(out[empty].imag))
+        zero = Block(np.zeros((1, 1), dtype=np.complex128))
+        assert zero.mono is not None
+        out = zero.dot(np.array([-1.0 - 1.0j]))
+        assert not np.signbit(out[0].real) and not np.signbit(out[0].imag)
+
+    def test_refused_block_takes_the_dense_product(self, rng):
+        dense = _monomial(rng, (5, 5), 4, complex_vals=True)
+        full = _complex_gaussian(rng, (5, 5))
+        x = _complex_gaussian(rng, (5, 3))
+        for mat in (dense, full):
+            block = Block(mat)
+            assert block.mono is None
+            assert np.array_equal(block.dot(x), mat @ x)
+            assert np.array_equal(block.adjoint_dot(x), mat.conj().T @ x)
+            assert np.array_equal(block.gram(), mat.conj().T @ mat)
+            assert np.array_equal(block.congruence(full), mat.conj().T @ full @ mat)
+
+    def test_stack_dot_and_members_keep_the_structure(self, monkeypatch, rng):
+        stack = np.array([_monomial(rng, (4, 4), live) for live in (4, 2, 3)])
+        block = Block(stack)
+        x = _complex_gaussian(rng, (3, 4, 5))
+        assert np.array_equal(block.dot(x), stack @ x)
+        assert block.mono is not None
+        reads = []
+        monkeypatch.setattr(
+            hermitian_module, "real_monomial", lambda m: reads.append(m.shape)
+        )
+        assert block[:3] is block
+        assert np.array_equal(block[:2].dot(x[:2]), stack[:2] @ x[:2])
+        assert np.array_equal(block[1].dot(x[1]), stack[1] @ x[1])
+        assert reads == []
+        # one refused member leaves every member to the dense product
+        stack[2, 0, :] = 1.0
+        refused = Block(stack)
+        monkeypatch.undo()
+        assert refused.mono is None and refused[0].mono is None
+        assert np.array_equal(refused.dot(x), stack @ x)
 
 
 class TestSqrtPsd:

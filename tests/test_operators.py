@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isodilation import operators
 from isodilation.errors import WeightRuleError, WindowExhaustedError
-from isodilation.hermitian import max_abs
+from isodilation.hermitian import Block, max_abs
 from isodilation.operators import (
     RULE_NAMES,
     DefectForms,
@@ -135,16 +134,28 @@ class TestBandKernel:
 
     @pytest.mark.parametrize("kind", sorted(RULE_EXAMPLES))
     def test_shift_corner_matches_dense(self, kind):
+        # the corner's block is a real monomial whose one diagonal is a run
         t = make_shift_corner(RULE_EXAMPLES[kind], 23)
-        assert t._diagonal is not None
+        rows, cols, _ = t.block._entries
+        assert (rows, cols) == (slice(1, 23), slice(0, 22))
         for got, ref in _kernel_and_dense(t, np.random.default_rng(1)):
             assert _same_values(got, ref)
 
     def test_diagonal_corner_matches_dense(self):
         t = dense_corner(np.diag(np.linspace(-1.5, 2.0, 9)))
-        assert t._diagonal is not None
+        rows, cols, _ = t.block._entries
+        assert (rows, cols) == (slice(0, 9), slice(0, 9))
         for got, ref in _kernel_and_dense(t, np.random.default_rng(2)):
             assert _same_values(got, ref)
+
+    def test_zero_corner_reads_as_a_monomial(self):
+        # the zero corner, dense before the block type, is the monomial
+        # with no nonzero: every product is +0.0
+        t = dense_corner(np.zeros((3, 3)))
+        assert t.block.mono is not None
+        for got, ref in _kernel_and_dense(t, np.random.default_rng(7)):
+            assert _same_values(got, ref)
+            assert not np.any(np.signbit(got.view(np.float64)))
 
     @pytest.mark.parametrize(
         "entries",
@@ -154,18 +165,17 @@ class TestBandKernel:
             np.diag([0.5j, 1.0, 2.0], -1),
             np.diag([1.0, 2.0, 3.0]) + np.diag([0.5, 0.25], -1),
             np.diag([1.0, 2.0, 3.0], 1) + np.diag([0.5, 0.25, 0.125], -1),
-            np.zeros((3, 3)),
         ],
-        ids=["dense", "complex-scalar", "complex-shift", "bidiagonal", "two-apart", "zero"],
+        ids=["dense", "complex-scalar", "complex-shift", "bidiagonal", "two-apart"],
     )
     def test_other_corners_take_dense_branch(self, monkeypatch, entries):
-        # the kernel serves one real diagonal; anything else is the dense product
+        # the slices serve a real monomial; anything else is the dense product
         def banned(*args, **kwargs):
-            raise AssertionError("band kernel used")
+            raise AssertionError("monomial product used")
 
-        monkeypatch.setattr(operators, "_diagonal_product", banned)
+        monkeypatch.setattr(Block, "_scatter", banned)
         t = dense_corner(entries)
-        assert t._diagonal is None
+        assert t.block.mono is None
         for got, ref in _kernel_and_dense(t, np.random.default_rng(7)):
             assert _same_values(got, ref)
 

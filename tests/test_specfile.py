@@ -241,7 +241,7 @@ def test_no_public_function_overrides_a_tolerance():
 
 
 def test_no_dense_product_with_the_corner():
-    """Products with T go through `OperatorCorner`'s band kernel (`dot`,
+    """Products with T go through `OperatorCorner`'s block (`dot`,
     `adjoint_dot`, `congruence`); a `@` on a corner's `.matrix` or on
     `AssembledDilation.t`, directly or through a local name bound to one,
     is a second, dense T product."""
@@ -275,6 +275,24 @@ def test_no_dense_product_with_the_corner():
                 and (reads_t(node.left, aliases) or reads_t(node.right, aliases))
             ]
     assert dense == []
+
+
+def test_no_bare_matmul_outside_the_block_type():
+    """Products of the construction's blocks go through `hermitian.Block`,
+    which multiplies a real monomial by slices or gathers and any other
+    block by `dense_product`; a bare `@` in these modules is a dense product
+    that skips the structure.  `_gram_schmidt_rank` is the one kernel that
+    is dense by design."""
+    bare = []
+    for name in ("builder.py", "verifier.py", "diagonal.py", "pipeline.py"):
+        for fn in ast.walk(ast.parse((SRC / name).read_text())):
+            if isinstance(fn, ast.FunctionDef) and fn.name != "_gram_schmidt_rank":
+                bare += [
+                    f"{name}:{node.lineno}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                ]
+    assert sorted(set(bare)) == []
 
 
 def test_every_error_class_is_raised_or_subclassed():

@@ -20,7 +20,7 @@ from isodilation.builder import (
     perturb_weight,
 )
 from isodilation.diagonal import build_diagonal_model, defect_diagonal
-from isodilation.hermitian import eigh, hermitian
+from isodilation.hermitian import Block, eigh, hermitian
 from isodilation.operators import WeightRule, dense_corner, make_shift_corner
 from isodilation.pipeline import _verify
 from isodilation.qsolver import solve_q_shift_diagonal
@@ -122,7 +122,7 @@ class TestDilationProperty:
         w = general.dim_h
         extra = 0.01 if where == "outside-band" else 0.01 * np.eye(w)
         bad = dataclasses.replace(general, t=general.t + extra)
-        assert bad.t_corner._diagonal is None
+        assert bad.t_corner.block.mono is None
         assert not check_dilation_property(bad).passed
         assert not check_powers_formula(bad).passed
         assert check_minimality(bad).residual == bad.dim_total - _dense_orbit_rank(bad)
@@ -319,10 +319,10 @@ class TestMinimality:
         g2 = rng.standard_normal((7, 40)) + 1j * rng.standard_normal((7, 40))
         prod = g1 @ g2
         thresh = 1e-6 * _max_column_norm(prod)
-        assert _column_space_rank(prod, thresh) == np.linalg.matrix_rank(prod)
-        assert _column_space_rank(np.zeros((5, 3), dtype=complex), 0.0) == 0
+        assert _column_space_rank(Block(prod), thresh) == np.linalg.matrix_rank(prod)
+        assert _column_space_rank(Block(np.zeros((5, 3), dtype=complex)), 0.0) == 0
         # a threshold above every column norm accepts nothing
-        assert _column_space_rank(prod, 2.0 * _max_column_norm(prod)) == 0
+        assert _column_space_rank(Block(prod), 2.0 * _max_column_norm(prod)) == 0
 
     def test_scalar_full_rank(self, scalar_model):
         model, weights, _ = scalar_model
@@ -394,7 +394,7 @@ class TestRankKernelAgainstReference:
     def test_full_rank(self, rng, shape):
         cols = _complex_gaussian(rng, shape)
         thresh = 1e-6 * _max_column_norm(cols)
-        rank = _column_space_rank(cols, thresh)
+        rank = _column_space_rank(Block(cols), thresh)
         assert rank == _mgs_rank_reference(cols, thresh) == min(shape)
         assert rank == np.linalg.matrix_rank(cols)
 
@@ -409,7 +409,7 @@ class TestRankKernelAgainstReference:
         cols[:, 100] = cols[:, 99] - 3.0 * cols[:, 40] + 1j * cols[:, 0]
         cols[:, 129] = cols[:, 100]
         thresh = 1e-6 * _max_column_norm(cols)
-        rank = _column_space_rank(cols, thresh)
+        rank = _column_space_rank(Block(cols), thresh)
         assert rank == _mgs_rank_reference(cols, thresh) == 130 - 6
         assert rank == np.linalg.matrix_rank(cols)
 
@@ -436,7 +436,7 @@ class TestRankKernelAgainstReference:
                 cols[:, j] += (1.0 + rng.uniform()) * frame[:, opened]
                 opened += 1
                 expected += 1
-        rank = _column_space_rank(cols, thresh)
+        rank = _column_space_rank(Block(cols), thresh)
         assert rank == _mgs_rank_reference(cols, thresh) == expected
 
     @pytest.mark.parametrize(
@@ -451,8 +451,10 @@ class TestRankKernelAgainstReference:
     )
     def test_monomial_columns(self, monkeypatch, dim, count, complex_entries, zero_columns, seed):
         # at most one nonzero in each row and each column, permuted: the
-        # columns have disjoint supports, so the rank is a count of norms;
-        # every fourth nonzero column has norm thresh * (1 +- 0.01)
+        # columns have disjoint supports; a real monomial block is ranked by
+        # a count of norms, a complex one (refused by the structure reader)
+        # by Gram-Schmidt; every fourth nonzero column has norm
+        # thresh * (1 +- 0.01)
         rng = np.random.default_rng(seed)
         thresh = 1e-6
         live = min(dim, count) - zero_columns
@@ -474,8 +476,8 @@ class TestRankKernelAgainstReference:
         monkeypatch.setattr(
             verifier, "_gram_schmidt_rank", lambda c, t: calls.append(c.shape) or gram_schmidt(c, t)
         )
-        rank = _column_space_rank(cols, thresh)
-        assert not calls
+        rank = _column_space_rank(Block(cols), thresh)
+        assert calls == ([(dim, count)] if complex_entries else [])
         assert rank == _mgs_rank_reference(cols, thresh) == expected
         assert rank == np.linalg.matrix_rank(cols, tol=thresh)
 
@@ -483,7 +485,8 @@ class TestRankKernelAgainstReference:
         other = int(columns[1])
         coupled = cols.copy()
         coupled[rows[0], other] = 0.75 - 0.5j
-        rank = _column_space_rank(coupled, thresh)
+        calls.clear()
+        rank = _column_space_rank(Block(coupled), thresh)
         assert calls == [(dim, count)]
         assert rank == _mgs_rank_reference(coupled, thresh)
         assert rank == np.linalg.matrix_rank(coupled, tol=thresh)
@@ -497,7 +500,7 @@ def _dense_orbit_rank(dilation, rel_tol=1e-6):
         cur = dilation.matrix @ cur
         blocks.append(cur)
     cols = np.concatenate(blocks, axis=1)
-    return _column_space_rank(cols, rel_tol * _max_column_norm(cols))
+    return _column_space_rank(Block(cols), rel_tol * _max_column_norm(cols))
 
 
 class TestBlockMinimalityOracle:
@@ -745,7 +748,9 @@ _MUTATION_MATRIX = {
         "basis": {"diagonal_dense_agreement"},
         # complex entries, multiplied densely: a unit phase on a diagonal
         # entry of S_2 is a unitarily equivalent dilation, and a phase on
-        # U's column-0 entry shows only against the model's U
+        # U's column-0 entry shows only against the model's U (its orbit
+        # blocks are no longer real monomials, so minimality ranks them by
+        # Gram-Schmidt, not by a count of norms)
         "stored_s2_phase": set(),
         "u_phase": {"powers_formula"},
     },
@@ -840,18 +845,37 @@ def _patch_every_binding(monkeypatch, name: str, replacement) -> None:
             monkeypatch.setattr(mod, name, replacement)
 
 
-# callers of the dense fallback `dense_product` on dense inputs.  The
-# normal dense-3concave example has a representer A that is diagonal in the
-# metric's eigenbasis, so its weights are real diagonal and take their
-# structure paths; a non-normal input takes every fallback but `embed`
-# (shift runs only) and the reference dilation's (m = 2 only).  The defect
-# forms take none: `defect_step` multiplies through the corner's `congruence`.
+# callers of a `Block`'s dense product `dense_product` on dense inputs.
+# Every product with the dense corner, U, the metric root and the defect
+# form is dense on both.  The normal dense-3concave example has a
+# representer A that is diagonal in the metric's eigenbasis, so its weights
+# and B are real diagonal and multiply as monomials; a non-normal input
+# also takes the dense product for the cumulative moduli and for B^2
+# (`_verify`'s `b_square`).  `embed` (shift runs only) and the reference
+# dilation's products (m = 2 only) are not reached.
 _NORMAL_FALLBACK_SITES = {
-    "_quotient_form", "_compress_rows", "apply", "check_minimality",
+    "defect_step", "build_a_three_concave", "_quotient_form", "_model_from_form",
+    "apply", "check_dilation_property", "check_powers_formula",
+    "check_criterion_identity", "check_minimality",
 }
-_DENSE_FALLBACK_SITES = _NORMAL_FALLBACK_SITES | {
-    "_with_cumulative", "check_powers_formula", "check_criterion_identity",
-}
+_DENSE_FALLBACK_SITES = _NORMAL_FALLBACK_SITES | {"_with_cumulative", "_verify"}
+
+
+def _product_site(frame) -> str:
+    """The function that asked for a product: the first caller outside the
+    `Block` methods, the corner products that delegate to them and
+    comprehensions."""
+    operators_file = sys.modules["isodilation.operators"].__file__
+    while (
+        frame.f_code.co_filename == hermitian_module.__file__
+        or frame.f_code.co_name.startswith("<")
+        or (
+            frame.f_code.co_filename == operators_file
+            and frame.f_code.co_name in ("dot", "adjoint_dot", "congruence")
+        )
+    ):
+        frame = frame.f_back
+    return frame.f_code.co_name
 
 
 def _dense_input(name: str):
@@ -885,7 +909,7 @@ def _dense_branch_calls(monkeypatch, name: str) -> tuple[dict, set]:
         return basis_apply(*args)
 
     def recording_dense_product(a, b):
-        fallback_sites.add(sys._getframe(1).f_code.co_name)
+        fallback_sites.add(_product_site(sys._getframe(1)))
         return dense_product(a, b)
 
     monkeypatch.setattr(verifier, "_gram_schmidt_rank", counting_gram_schmidt)
@@ -928,18 +952,17 @@ class TestStructurePaths:
         assert sites == _DENSE_FALLBACK_SITES
 
     def test_structure_is_read_per_stored_object(self, monkeypatch):
-        # lint: the readers run once per stored object (tens on this spec),
-        # not on every product; reading on every `@` was measured slower
-        # than the products it saves
-        reads = {"real_diagonal": 0, "real_monomial": 0}
-        for name in reads:
-            reader = getattr(hermitian_module, name)
+        # lint: the one reader runs once per stored object (tens on this
+        # spec), not on every product; reading on every `@` was measured
+        # slower than the products it saves
+        reads = {"real_monomial": 0}
+        reader = hermitian_module.real_monomial
 
-            def counting(x, _reader=reader, _name=name):
-                reads[_name] += 1
-                return _reader(x)
+        def counting(x):
+            reads["real_monomial"] += 1
+            return reader(x)
 
-            _patch_every_binding(monkeypatch, name, counting)
+        _patch_every_binding(monkeypatch, "real_monomial", counting)
         applies = []
         apply = AssembledDilation.apply
 
