@@ -1,16 +1,17 @@
 """Operator spec files: parsing, validation, canonical emission.
 
 Specs are JSON with an explicit schema_version; complex numbers are
-[re, im] pairs.  Structural validation is delegated to a JSON Schema,
-followed by semantic checks (rule catalog, parameter ranges, truncation
-bounds).  Unknown fields and unknown rule names are rejected.
+[re, im] pairs.  `SPEC_SCHEMA`, a JSON Schema, states the structure; an
+in-package walker over the few keywords it uses checks a spec against it,
+and dense entries are checked and read in one pass.  Semantic checks (rule
+catalog, parameter ranges, truncation bounds) follow.  Unknown fields and
+unknown rule names are rejected.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
-
-import jsonschema
+from operator import itemgetter
 
 from .errors import SpecParseError, SpecValidationError, WeightRuleError
 from .operators import RULE_NAMES, WeightRule
@@ -23,6 +24,12 @@ _COMPLEX_PAIR = {
     "items": {"type": "number"},
     "minItems": 2,
     "maxItems": 2,
+}
+
+_ENTRIES = {
+    "type": "array",
+    "minItems": 1,
+    "items": {"type": "array", "minItems": 1, "items": _COMPLEX_PAIR},
 }
 
 _TOLERANCE_FIELDS = sorted(Tolerances.__dataclass_fields__.keys())
@@ -52,11 +59,7 @@ SPEC_SCHEMA = {
                     "required": ["name"],
                     "additionalProperties": False,
                 },
-                "entries": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "array", "minItems": 1, "items": _COMPLEX_PAIR},
-                },
+                "entries": _ENTRIES,
             },
             "required": ["kind"],
             "additionalProperties": False,
@@ -182,16 +185,115 @@ def _rule_from_json(data: dict, errors: list) -> WeightRule | None:
         return None
 
 
+# Python types of the JSON types; bool, an int subclass, is neither a
+# number nor an integer in JSON.
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
+
+
+def _is_type(value, kind: str) -> bool:
+    return isinstance(value, _TYPES[kind]) and not isinstance(value, bool)
+
+
+def _equal(value, expected) -> bool:
+    return isinstance(value, bool) == isinstance(expected, bool) and value == expected
+
+
+def _walk(schema: dict, value, path: str, errors: list) -> None:
+    """Append a `(json_path, message)` error for each keyword of `schema`
+    that `value` breaks, walking into properties and items.
+
+    Covers the keywords `SPEC_SCHEMA` uses, with the messages of the JSON
+    Schema reference validator; as there, each keyword judges only values
+    of its own type.  `integer` admits a JSON integer only, not `2.0`.
+    Dense entries are left to `_read_entries`.
+    """
+    kind = schema.get("type")
+    if kind is not None and not _is_type(value, kind):
+        errors.append((path, f"{value!r} is not of type {kind!r}"))
+    if "const" in schema and not _equal(value, schema["const"]):
+        errors.append((path, f"{schema['const']!r} was expected"))
+    if "enum" in schema and not any(_equal(value, each) for each in schema["enum"]):
+        errors.append((path, f"{value!r} is not one of {schema['enum']!r}"))
+    if _is_type(value, "number"):
+        if "minimum" in schema and value < schema["minimum"]:
+            errors.append((path, f"{value!r} is less than the minimum of {schema['minimum']!r}"))
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            bound = schema["exclusiveMinimum"]
+            errors.append((path, f"{value!r} is less than or equal to the minimum of {bound!r}"))
+    elif isinstance(value, list):
+        if "items" in schema:
+            for index, item in enumerate(value):
+                _walk(schema["items"], item, f"{path}[{index}]", errors)
+        if len(value) < schema.get("minItems", 0):
+            short = "should be non-empty" if schema["minItems"] == 1 else "is too short"
+            errors.append((path, f"{value!r} {short}"))
+        if len(value) > schema.get("maxItems", len(value)):
+            errors.append((path, f"{value!r} is too long"))
+    elif isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key, subschema in properties.items():
+            if key in value and subschema is not _ENTRIES:
+                _walk(subschema, value[key], f"{path}.{key}", errors)
+        for key in schema.get("required", ()):
+            if key not in value:
+                errors.append((path, f"{key!r} is a required property"))
+        extra = sorted(set(value) - set(properties), key=str)
+        if extra and schema.get("additionalProperties") is False:
+            verb = "was" if len(extra) == 1 else "were"
+            names = ", ".join(map(repr, extra))
+            errors.append((path, f"Additional properties are not allowed ({names} {verb} unexpected)"))
+
+
+def _read_entries(rows, errors: list) -> tuple[tuple | None, bool]:
+    """Check dense entries against `_ENTRIES` and read them, in one pass.
+
+    Returns the rows as tuples of `(re, im)` float pairs, or None once an
+    error was appended, and whether every number is finite (an integer
+    beyond float range reads as inf).  The tests here are those of
+    `_ENTRIES` written out; a part that fails one goes to `_walk` for its
+    errors.
+    """
+    path = "$.operator.entries"
+    if not (isinstance(rows, list) and rows):
+        _walk(_ENTRIES, rows, path, errors)
+        return None, True
+    start = len(errors)
+    read, finite = [], True
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and row):
+            _walk(_ENTRIES["items"], row, f"{path}[{i}]", errors)
+            continue
+        pairs = []
+        for j, pair in enumerate(row):
+            if not (
+                isinstance(pair, list) and len(pair) == 2
+                and _is_type(pair[0], "number") and _is_type(pair[1], "number")
+            ):
+                _walk(_COMPLEX_PAIR, pair, f"{path}[{i}][{j}]", errors)
+                continue
+            try:
+                re, im = float(pair[0]), float(pair[1])
+            except OverflowError:
+                re = im = math.inf
+            finite = finite and math.isfinite(re) and math.isfinite(im)
+            pairs.append((re, im))
+        read.append(tuple(pairs))
+    return (tuple(read) if len(errors) == start else None), finite
+
+
 def spec_from_dict(data: dict) -> OperatorSpecFile:
     """Validate a decoded spec dict and build the typed spec."""
-    validator = jsonschema.Draft202012Validator(SPEC_SCHEMA)
-    errors = []
-    for err in sorted(validator.iter_errors(data), key=lambda e: e.json_path):
-        errors.append(f"{err.json_path}: {err.message}")
-    if errors:
+    schema_errors = []
+    _walk(SPEC_SCHEMA, data, "$", schema_errors)
+    op = data.get("operator") if isinstance(data, dict) else None
+    entries, finite = None, True
+    if isinstance(op, dict) and "entries" in op:
+        entries, finite = _read_entries(op["entries"], schema_errors)
+    if schema_errors:
+        errors = [f"{path}: {message}" for path, message in sorted(schema_errors, key=itemgetter(0))]
         raise SpecValidationError("spec failed schema validation", errors)
 
-    op = data["operator"]
+    errors = []
     kind = op["kind"]
     m = data["m"]
     trunc = data["truncation"]
@@ -205,7 +307,6 @@ def spec_from_dict(data: dict) -> OperatorSpecFile:
         errors.append(f"tolerances: {exc}")
 
     rule = None
-    entries = None
     if kind == "shift":
         if "rule" not in op:
             errors.append("operator: shift operators require a rule")
@@ -223,16 +324,11 @@ def spec_from_dict(data: dict) -> OperatorSpecFile:
         elif "rule" in op:
             errors.append("operator: dense operators do not take a rule")
         else:
-            rows = op["entries"]
-            dim = len(rows)
-            if any(len(row) != dim for row in rows):
+            dim = len(entries)
+            if any(len(row) != dim for row in entries):
                 errors.append("operator.entries: matrix must be square")
-            else:
-                entries = tuple(
-                    tuple((float(re), float(im)) for re, im in row) for row in rows
-                )
-                if not all(math.isfinite(x) for row in entries for pair in row for x in pair):
-                    errors.append("operator.entries: entries must be finite")
+            elif not finite:
+                errors.append("operator.entries: entries must be finite")
             if n is not None and n != dim:
                 errors.append(
                     f"truncation: N = {n} does not match the dense dimension {dim}"

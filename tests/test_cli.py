@@ -123,6 +123,22 @@ class TestExitCodes:
         assert main(["--spec", str(path)]) == 3
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("m", DIRICHLET_SPEC.replace('"m":2', '"m":2.0')),
+            ("N", DIRICHLET_SPEC.replace('"N":24', '"N":24.0')),
+            ("n_blocks", DIRICHLET_SPEC.replace('"n_blocks":5', '"n_blocks":5.0')),
+            ("seed", DIRICHLET_SPEC.replace('"m":2', '"seed":3.0,"m":2')),
+        ],
+    )
+    def test_float_in_an_integer_field_is_three(self, tmp_path, capsys, key, text):
+        # JSON Schema counts 2.0 as an integer; the spec format does not
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert main(["--spec", str(path)]) == 3
+        assert f".{key}: " in capsys.readouterr().err
+
     def test_unwritable_out_is_three(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "r.json"
         assert main(["demo", "strict-2concave", "--out", str(out)]) == 3

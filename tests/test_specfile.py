@@ -3,6 +3,9 @@
 import ast
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -208,6 +211,35 @@ def test_specfile_imports_no_construction_module():
         elif isinstance(node, ast.Import):
             imported |= {a.name for a in node.names if a.name.split(".")[0] == "isodilation"}
     assert sorted(imported - {"errors", "operators", "tolerances"}) == []
+
+
+def test_no_module_imports_jsonschema():
+    """Specs are validated in the package; `jsonschema` is a test-only oracle
+    and no runtime dependency."""
+    imports = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imports += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "jsonschema"]
+    assert imports == []
+
+
+def test_parsing_a_dense_spec_loads_no_jsonschema():
+    entries = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0]]]
+    text = json.dumps({"operator": {"kind": "dense", "entries": entries}, "m": 3, "truncation": {"n_blocks": 6}})
+    code = (
+        "import sys, isodilation\n"
+        f"isodilation.parse_spec({text!r})\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_every_tolerance_is_read():
