@@ -128,7 +128,7 @@ class AssembledDilation:
 
     Stored as its blocks: the corner `t` (w x w), `u` (d x w) and the stacked
     weights S_1..S_(n_blocks-1) as a (n_blocks-1, d, d) array.  `apply` acts
-    with the truncated W through one `Block` per stored array: `t_corner`'s,
+    with the truncated W through one `Block` per stored array: `t_block`,
     `u_block` and the stacked `weight_block`, all slices or gathers on a
     shift; the dense `matrix` is built only on request.  The structure of
     each stored array is read once, from its own nonzeros, so a corrupted
@@ -161,11 +161,8 @@ class AssembledDilation:
         return self.dim_h + self.n_blocks * self.dim_hprime
 
     @cached_property
-    def t_corner(self) -> OperatorCorner:
-        """A copy of the stored `t` as a corner, its band read from its own
-        nonzeros, so a stored `t` that leaves the model's band is still
-        multiplied as stored."""
-        return OperatorCorner.spanning(self.t.copy())
+    def t_block(self) -> Block:
+        return Block(self.t)
 
     @cached_property
     def u_block(self) -> Block:
@@ -203,7 +200,7 @@ class AssembledDilation:
             raise DimensionError(f"length {cols.shape[0]} is not a leading run of blocks")
         steps = min(j, self.n_blocks - 1)
         out = np.empty((w + (steps + 1) * d, count), dtype=np.complex128)
-        out[:w] = self.t_corner.dot(cols[:w])
+        out[:w] = self.t_block.dot(cols[:w])
         if d:
             out[w : w + d] = self.u_block.dot(cols[:w])
             tail = cols[w : w + steps * d].reshape(steps, d, count)

@@ -10,17 +10,17 @@ matrices swept together (`eigh_stack`; `eigh` is its stack of one), so
 desk-scale dimensions (a few hundred) stay cheap and several forms of one
 size pay the per-round Python overhead once.
 
-An input whose off-diagonal entries already lie below the stopping
-threshold (a diagonal one, say) takes zero sweeps, and its sorted basis is
-a permutation matrix with entries exactly 1.  Such a decomposition records
-the permutation (`EigenDecomposition.perm`); its residuals and
-`spectral_apply` are then scatters onto the diagonal, which give the bits
-of the dense products (each entry of those is one exact term plus exact
-zeros) without their n^3 work.  The same argument serves every block
-built downstream through one type, `Block`: the one reader `real_monomial`
-reads a block's structure off its stored nonzeros, a real monomial block
-(a diagonal is one) multiplies by slices or gathers of its nonzeros, and
-every other block takes `dense_product`.
+Every product with a structured matrix goes through one type, `Block`:
+the one reader `real_monomial` reads a block's structure off its stored
+nonzeros, a real monomial block (a diagonal or a permutation is one)
+multiplies by slices or gathers of its nonzeros, and every other block
+takes `dense_product`.  Each entry of the dense product of a monomial is
+one exact term plus exact zeros, so the structured products give its bits
+without its n^3 work.  An eigenbasis is one such block
+(`EigenDecomposition.block`): an input whose off-diagonal entries already
+lie below the stopping threshold (a diagonal one, say) takes zero sweeps,
+its sorted basis is a permutation matrix, and its residuals and
+`spectral_apply` are then writes onto the diagonal.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -46,7 +46,8 @@ def max_abs(x: np.ndarray) -> float:
 
 def as_square_complex(x) -> np.ndarray:
     """Validate and copy input into a square complex128 matrix."""
-    mat = np.array(x, dtype=np.complex128)
+    # C order, so that the float view below is one of (re, im) pairs
+    mat = np.array(x, dtype=np.complex128, order="C")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     if mat.size and not np.all(np.isfinite(mat.view(np.float64))):
@@ -110,16 +111,15 @@ def identity(n: int) -> HermitianMatrix:
 class EigenDecomposition:
     """Spectral decomposition X = V diag(values) V* with ascending values.
 
-    `perm` is set when V is a permutation matrix with entries exactly 1:
-    column j of V is the unit vector e_perm[j].  It is read off the stored
-    nonzeros of V, never assumed.
+    `block` is V as a `Block`: its structure is read off V's stored
+    nonzeros, never assumed, so a permutation basis multiplies as a monomial.
     """
 
     values: np.ndarray          # real, ascending
     basis: np.ndarray           # unitary, columns are eigenvectors
     recon_residual: float       # ||X - V diag(values) V*||_max
     basis_residual: float       # ||V*V - I||_max
-    perm: np.ndarray | None = None  # row of the unit entry of each column
+    block: "Block"              # `Block(basis)`
 
     @property
     def n(self) -> int:
@@ -344,6 +344,18 @@ class Block:
         (cols, vals), (o_cols, o_vals) = self.mono, other.mono
         return Block.monomial((other.shape[0], self.shape[1]), cols[o_cols], o_vals * vals[o_cols])
 
+    def outer(self, f: np.ndarray) -> np.ndarray:
+        """M diag(f) M* for a square M, associated as M (diag(f) M*) like
+        the dense product: on a monomial, vals (f[cols] vals) written onto
+        the diagonal."""
+        if self.mono is None:
+            return dense_product(self.mat, f[:, None] * self.mat.conj().T)
+        cols, vals = self.mono
+        n = self.shape[0]
+        out = np.zeros((n, n), dtype=np.complex128)
+        out.reshape(-1)[:: n + 1] = vals * (f[cols] * vals)
+        return out
+
     def gram(self) -> np.ndarray:
         """M* M: on a monomial, the diagonal of squared column norms."""
         if self.mono is None:
@@ -355,29 +367,6 @@ class Block:
         return out
 
 
-def _unit_permutation(v: np.ndarray) -> np.ndarray | None:
-    """Row of each column's single nonzero, when v is a permutation matrix
-    whose nonzeros are exactly 1; None otherwise."""
-    # row j of v.T is column j of v; an empty one reads as value 0
-    mono = real_monomial(v.T)
-    if mono is None or np.any(mono[1] != 1.0):
-        return None
-    return mono[0]
-
-
-def _basis_apply(v: np.ndarray, fvals) -> np.ndarray:
-    """V diag(fvals) V* as dense products."""
-    return v @ (np.asarray(fvals)[:, None] * v.conj().T)
-
-
-def _diagonal_scatter(perm: np.ndarray, fvals) -> np.ndarray:
-    """V diag(fvals) V* for the permutation basis V of `perm`."""
-    n = perm.shape[0]
-    out = np.zeros((n, n), dtype=np.complex128)
-    out[perm, perm] = fvals
-    return out
-
-
 def _sorted_decomposition(
     x: HermitianMatrix, a: np.ndarray, v: np.ndarray, tol: float, scale: float
 ) -> EigenDecomposition:
@@ -386,27 +375,18 @@ def _sorted_decomposition(
     values = a.diagonal().real.copy()
     order = np.argsort(values, kind="stable")
     values = values[order]
-    v = np.ascontiguousarray(v[:, order])
+    v = _frozen(np.ascontiguousarray(v[:, order]))
 
-    perm = _unit_permutation(v)
-    if perm is None:
-        recon = _basis_apply(v, values)
-        basis_residual = max_abs(v.conj().T @ v - np.eye(n))
-    else:
-        # V*V is exactly I, and V diag(values) V* is values on the diagonal
-        recon = _diagonal_scatter(perm, values)
-        basis_residual = 0.0
-    recon_residual = max_abs(x.mat - recon)
+    block = Block(v)
+    recon_residual = max_abs(x.mat - block.outer(values))
+    basis_residual = max_abs(block.gram() - np.eye(n))
     limit = tol * (1.0 + scale)
     if recon_residual > limit or basis_residual > max(tol, 64 * n * np.finfo(float).eps):
         raise ConvergenceError(
             f"eigendecomposition residuals out of tolerance "
             f"(reconstruction {recon_residual:.3e}, unitarity {basis_residual:.3e})"
         )
-    return EigenDecomposition(
-        _frozen(values), _frozen(v), recon_residual, basis_residual,
-        None if perm is None else _frozen(perm),
-    )
+    return EigenDecomposition(_frozen(values), v, recon_residual, basis_residual, block)
 
 
 def _jacobi(xs: tuple, tol: float, max_sweeps: int) -> list:
@@ -514,8 +494,7 @@ def eigh_stack(
     n = xs[0].n
     if n == 0:
         empty = _frozen(np.zeros((0, 0), dtype=np.complex128))
-        perm = _frozen(np.zeros(0, dtype=np.intp))
-        return tuple(EigenDecomposition(np.zeros(0), empty, 0.0, 0.0, perm) for _ in xs)
+        return tuple(EigenDecomposition(np.zeros(0), empty, 0.0, 0.0, Block(empty)) for _ in xs)
     # a round gathers about n/2 columns of n complex entries per member
     per_stack = max(1, _STACK_BYTES // (8 * n * n))
     decs = []
@@ -525,14 +504,10 @@ def eigh_stack(
 
 
 def spectral_apply(dec: EigenDecomposition, fvals: np.ndarray) -> np.ndarray:
-    """Assemble V diag(fvals) V* for per-eigenvalue function values.
-
-    With a permutation basis (`dec.perm`) the values are scattered onto the
-    diagonal, the exact result of the dense product.
-    """
-    if dec.perm is not None:
-        return _diagonal_scatter(dec.perm, fvals)
-    return _basis_apply(dec.basis, fvals)
+    """Assemble V diag(fvals) V* for per-eigenvalue function values; on a
+    permutation basis the values land on the diagonal, the bits of the
+    dense product."""
+    return dec.block.outer(fvals)
 
 
 class PsdCheck(NamedTuple):

@@ -212,7 +212,8 @@ def make_shift_corner(rule: WeightRule, n: int) -> OperatorCorner:
 
 def dense_corner(entries) -> OperatorCorner:
     """Free-standing finite-dimensional operator (exact=False)."""
-    mat = np.array(entries, dtype=np.complex128)
+    # C order, so that the float view below is one of (re, im) pairs
+    mat = np.array(entries, dtype=np.complex128, order="C")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
         raise ValueError(f"dense operator must be square and nonempty, got {mat.shape}")
     if not np.all(np.isfinite(mat.view(np.float64))):

@@ -10,6 +10,7 @@ unknown rule names are rejected.
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -182,7 +183,17 @@ def _rule_from_json(data: dict, errors: list) -> WeightRule | None:
         return WeightRule.table(data["values"], data["tail_value"])
     except WeightRuleError as exc:
         errors.append(f"operator.rule: {exc}")
-        return None
+    except OverflowError:
+        errors += [f"operator.rule: parameter {key} is too large for a float"
+                   for key in sorted(params) if _beyond_float(data[key])]
+    return None
+
+
+def _beyond_float(value) -> bool:
+    """Whether a JSON number, or a number of a JSON list, is an integer too
+    large for a float, on which `float` raises OverflowError."""
+    items = value if isinstance(value, list) else [value]
+    return any(_is_type(v, "integer") and abs(v) > sys.float_info.max for v in items)
 
 
 # Python types of the JSON types; bool, an int subclass, is neither a
@@ -305,6 +316,9 @@ def spec_from_dict(data: dict) -> OperatorSpecFile:
         Tolerances().replace(**dict(overrides))
     except ValueError as exc:
         errors.append(f"tolerances: {exc}")
+    except OverflowError:
+        errors += [f"tolerances: {key} is too large for a float"
+                   for key, value in overrides if _beyond_float(value)]
 
     rule = None
     if kind == "shift":
@@ -355,14 +369,23 @@ def _reject_constant(name: str):
     raise SpecParseError(f"spec is not valid JSON: non-finite number {name} is not allowed")
 
 
+def _int_or_inf(digits: str):
+    """An integer literal, or a signed inf (out of range of every key) when
+    it has more digits than `int` reads."""
+    try:
+        return int(digits)
+    except ValueError:
+        return -math.inf if digits.startswith("-") else math.inf
+
+
 def parse_spec(text: str) -> OperatorSpecFile:
     """Parse and validate spec text; parse errors carry line context.
 
     JSON has no NaN or Infinity, so those literals are rejected; a number
-    too large for a float is rejected at validation.
+    too large for a float is rejected at validation, which names its key.
     """
     try:
-        data = json.loads(text, parse_constant=_reject_constant)
+        data = json.loads(text, parse_constant=_reject_constant, parse_int=_int_or_inf)
     except json.JSONDecodeError as exc:
         raise SpecParseError(
             f"spec is not valid JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}"

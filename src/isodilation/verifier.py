@@ -122,7 +122,7 @@ def check_dilation_property(
 
     By the block structure row 0 of W contains only T, so block 0 of W x
     is T x_0 and (W^n)_00 = T (W^(n-1))_00.  Only block 0 is carried, as
-    the composition of the stored T's block (`t_corner`, as in `apply`)
+    the composition of the stored T's block (`t_block`, as in `apply`)
     n times: the blocks 1..n of W^n H never enter block 0 of a later
     power, so dropping them leaves the residual unchanged.  It is
     rounding-level regardless of truncation (zero when the stored T is the
@@ -134,7 +134,7 @@ def check_dilation_property(
     cur = tn = Block.identity(w)
     residual = 0.0
     for n in range(1, n_max + 1):
-        cur, tn = cur.then(dilation.t_corner.block), tn.then(t.block)
+        cur, tn = cur.then(dilation.t_block), tn.then(t.block)
         residual = max(residual, _leading_difference(cur, tn, max(t.window_after(n), 1)))
     return _result(
         "dilation_property",
@@ -445,7 +445,7 @@ def check_minimality(dilation: AssembledDilation) -> CheckResult:
     gram = np.eye(w, dtype=np.complex128)
     norm_sq = 1.0
     for p in prods:
-        gram = dilation.t_corner.congruence(gram) + p.gram()
+        gram = dilation.t_block.congruence(gram) + p.gram()
         norm_sq = max(norm_sq, float(np.max(gram.diagonal().real)))
     thresh = _MINIMALITY_REL_TOL * float(np.sqrt(norm_sq))
     rank = w + sum(_column_space_rank(p, thresh) for p in prods)

@@ -92,6 +92,26 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["--spec", str(path)]) == 3
 
+    @pytest.mark.parametrize(
+        "rule, extra, key",
+        [
+            ('{"name":"constant","c":HUGE}', "", "parameter c"),
+            ('{"name":"table","values":[1.5,HUGE],"tail_value":1.0}', "", "parameter values"),
+            ('{"name":"dirichlet"}', ',"tolerances":{"psd_tol":HUGE}', "psd_tol"),
+            ('{"name":"dirichlet"}', ',"seed":LONG', "$.seed"),
+        ],
+        ids=["rule-parameter", "table-value", "tolerance", "seed-past-digit-limit"],
+    )
+    def test_integer_beyond_float_range_is_three(self, tmp_path, capsys, rule, extra, key):
+        # 401 digits overflow a float; 5001 exceed what `int` reads from text
+        text = (f'{{"operator":{{"kind":"shift","rule":{rule}}},'
+                f'"m":2,"truncation":{{"N":12,"n_blocks":6}}{extra}}}')
+        path = tmp_path / "huge.json"
+        path.write_text(text.replace("HUGE", "9" * 401).replace("LONG", "9" * 5001))
+        assert main(["--spec", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
     def test_missing_file_is_three(self, capsys):
         assert main(["--spec", "/nonexistent/spec.json"]) == 3
 

@@ -57,6 +57,14 @@ class TestHermitianConstruction:
         assert h.defect == pytest.approx(1e-12, rel=1e-6)
         assert max_abs(h.mat - h.mat.conj().T) == 0.0
 
+    def test_transposed_complex_input_reads_like_its_c_ordered_copy(self, rng):
+        # a.T is a Fortran-ordered view; the stored copy is C-ordered
+        g = _complex_gaussian(rng, (4, 4))
+        a = g + g.conj().T
+        h = hermitian(a.T)
+        assert h.mat.flags.c_contiguous
+        assert np.array_equal(h.mat, hermitian(np.ascontiguousarray(a.T)).mat)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermitianityError):
             hermitian([[0.0, 1.0], [0.0, 0.0]])
@@ -218,8 +226,8 @@ def _same_bits(a, b):
         and np.array_equal(a.basis, b.basis)
         and a.recon_residual == b.recon_residual
         and a.basis_residual == b.basis_residual
-        and (a.perm is None) == (b.perm is None)
-        and (a.perm is None or np.array_equal(a.perm, b.perm))
+        and (a.block.mono is None) == (b.block.mono is None)
+        and (a.block.mono is None or all(map(np.array_equal, a.block.mono, b.block.mono)))
     )
 
 
@@ -301,9 +309,9 @@ def _dense_apply(basis, fvals):
 
 
 class TestPermutationBasis:
-    """A diagonal input keeps its permutation basis, and the scatters that
-    replace the dense products give their values; the sign of a zero is
-    not compared."""
+    """A diagonal input keeps its permutation basis, a monomial `Block`
+    whose products scatter onto the diagonal and give the values of the
+    dense products; the sign of a zero is not compared."""
 
     @pytest.mark.parametrize(
         "diag",
@@ -322,9 +330,12 @@ class TestPermutationBasis:
         x = hermitian(np.diag(np.array(diag, dtype=float)).reshape(len(diag), len(diag)))
         dec = eigh(x)
         n = x.n
-        assert dec.perm is not None and dec.perm.shape == (n,)
+        assert dec.block.mat is dec.basis
+        cols, vals = dec.block.mono
+        assert cols.shape == (n,) and np.array_equal(vals, np.ones(n))
+        assert np.array_equal(np.sort(cols), np.arange(n))
         permutation = np.zeros((n, n))
-        permutation[dec.perm, np.arange(n)] = 1.0
+        permutation[np.arange(n), cols] = 1.0
         assert np.array_equal(dec.basis, permutation)
         assert np.array_equal(dec.values, np.sort(np.array(diag, dtype=float)))
         recon = _dense_apply(dec.basis, dec.values)
@@ -339,28 +350,33 @@ class TestPermutationBasis:
         # off-diagonal entries the decomposition did not rotate away
         x = hermitian(np.diag([2.0, -1.0, 0.5]) + 1e-16 * (np.ones((3, 3)) - np.eye(3)))
         dec = eigh(x)
-        assert dec.perm is not None
+        assert dec.block.mono is not None
         assert dec.recon_residual == max_abs(x.mat - _dense_apply(dec.basis, dec.values)) > 0.0
         f = np.array([1.0, -0.5, 3.0])
         assert np.array_equal(spectral_apply(dec, f), _dense_apply(dec.basis, f))
 
     def test_rotated_input_has_no_permutation(self):
         dec = eigh(hermitian([[2.0, 1.0], [1.0, 2.0]]))
-        assert dec.perm is None
+        assert dec.block.mono is None
         f = np.array([0.5, 4.0])
         assert np.array_equal(spectral_apply(dec, f), _dense_apply(dec.basis, f))
 
-    @pytest.mark.parametrize("entry", [-1.0, 1j, np.exp(0.3j)], ids=["minus-one", "i", "phase"])
-    def test_signed_or_phased_permutation_takes_the_dense_products(self, entry):
+    @pytest.mark.parametrize(
+        "entry, monomial",
+        [(-1.0, True), (1j, False), (np.exp(0.3j), False)],
+        ids=["minus-one", "i", "phase"],
+    )
+    def test_signed_or_phased_permutation_takes_the_dense_product_values(self, entry, monomial):
         # a permutation of unit-modulus entries that are not 1 is a valid
-        # eigenbasis of a diagonal matrix, but not a scatter
+        # eigenbasis of a diagonal matrix: a real one is a monomial `Block`,
+        # a complex one takes the dense products
         values = np.array([4.0, -1.0, 2.0])
         basis = np.zeros((3, 3), dtype=np.complex128)
         basis[[2, 0, 1], [0, 1, 2]] = [1.0, entry, 1.0]
         x = hermitian(_dense_apply(basis, values))
         iterate = np.diag(values).astype(np.complex128)
         dec = _sorted_decomposition(x, iterate, basis, DEFAULT_TOLERANCES.eig_tol, x.norm_max())
-        assert dec.perm is None
+        assert (dec.block.mono is not None) == monomial
         order = np.argsort(values, kind="stable")
         sorted_basis = basis[:, order]
         recon = _dense_apply(sorted_basis, values[order])
@@ -371,12 +387,13 @@ class TestPermutationBasis:
 
     def test_clamp_keeps_the_permutation(self):
         # an eigenvalue positive within psd_tol is clamped to zero through
-        # dataclasses.replace, which must carry perm along
+        # dataclasses.replace, which must carry the basis block along
         a = hermitian(np.diag([-1.0, 1e-12, -2.0]))
         clamped, dec = _clamp_nonpositive(a, DEFAULT_TOLERANCES, "test")
         lone = eigh(a)
-        assert lone.perm is not None
-        assert np.array_equal(dec.perm, lone.perm)
+        assert lone.block.mono is not None
+        assert dec.block.mat is dec.basis
+        assert all(map(np.array_equal, dec.block.mono, lone.block.mono))
         assert np.array_equal(dec.values, [-2.0, -1.0, 0.0])
         assert np.array_equal(clamped.mat, np.diag([-1.0, 0.0, -2.0]))
         assert np.array_equal(clamped.mat, _dense_apply(dec.basis, dec.values))
@@ -554,6 +571,24 @@ class TestStructureReaders:
         assert zero.mono is not None
         out = zero.dot(np.array([-1.0 - 1.0j]))
         assert not np.signbit(out[0].real) and not np.signbit(out[0].imag)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_outer_matches_the_dense_product(self, seed):
+        # M diag(f) M* with f of both signs and zeros: value-equal on a
+        # monomial (empty rows included), bit-equal on the dense path
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        f = rng.standard_normal(n) * rng.integers(0, 2, n)
+        for complex_vals in (False, True):
+            live = int(rng.integers(int(complex_vals), n + 1))
+            mat = _monomial(rng, (n, n), live, complex_vals)
+            block = Block(mat)
+            assert (block.mono is None) == complex_vals
+            expected = mat @ (f[:, None] * mat.conj().T)
+            out = block.outer(f)
+            assert out.shape == (n, n) and np.array_equal(out, expected)
+            if block.mono is None:
+                assert out.tobytes() == expected.tobytes()
 
     def test_refused_block_takes_the_dense_product(self, rng):
         dense = _monomial(rng, (5, 5), 4, complex_vals=True)

@@ -148,6 +148,12 @@ class TestBandKernel:
         for got, ref in _kernel_and_dense(t, np.random.default_rng(2)):
             assert _same_values(got, ref)
 
+    def test_fortran_ordered_entries_read_like_their_c_ordered_copy(self):
+        m = np.asfortranarray(_complex(np.random.default_rng(8), (5, 5)))
+        t = dense_corner(m)
+        assert t.matrix.flags.c_contiguous
+        assert np.array_equal(t.matrix, dense_corner(np.ascontiguousarray(m)).matrix)
+
     def test_zero_corner_reads_as_a_monomial(self):
         # the zero corner, dense before the block type, is the monomial
         # with no nonzero: every product is +0.0

@@ -273,10 +273,10 @@ def test_no_public_function_overrides_a_tolerance():
 
 
 def test_no_dense_product_with_the_corner():
-    """Products with T go through `OperatorCorner`'s block (`dot`,
-    `adjoint_dot`, `congruence`); a `@` on a corner's `.matrix` or on
-    `AssembledDilation.t`, directly or through a local name bound to one,
-    is a second, dense T product."""
+    """Products with T go through its block (`OperatorCorner`'s `dot`,
+    `adjoint_dot`, `congruence`, or `AssembledDilation.t_block`); a `@` on
+    a corner's `.matrix` or on `AssembledDilation.t`, directly or through a
+    local name bound to one, is a second, dense T product."""
 
     def reads_t(node, aliases):
         return any(
@@ -325,6 +325,48 @@ def test_no_bare_matmul_outside_the_block_type():
                     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
                 ]
     assert sorted(set(bare)) == []
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_real_monomial_is_called_only_by_block_mono():
+    """`real_monomial` is the one structure reader, called only in
+    `Block.mono`: a second call site would be a second structure reader
+    with products of its own beside `Block`'s."""
+    inside, outside = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        in_mono = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "Block"
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "mono"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _callee(node) == "real_monomial":
+                (inside if id(node) in in_mono else outside).append(f"{path.name}:{node.lineno}")
+    assert len(inside) == 1 and outside == []
+
+
+def test_every_private_definition_is_referenced():
+    """A `_`-prefixed function or class under `src/` that no code under
+    `src/` names is a leftover of a deleted caller."""
+    defined, named = {}, set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined[node.name] = f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert sorted(where for name, where in defined.items() if name not in named) == []
 
 
 def test_every_error_class_is_raised_or_subclassed():

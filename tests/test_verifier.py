@@ -122,7 +122,7 @@ class TestDilationProperty:
         w = general.dim_h
         extra = 0.01 if where == "outside-band" else 0.01 * np.eye(w)
         bad = dataclasses.replace(general, t=general.t + extra)
-        assert bad.t_corner.block.mono is None
+        assert bad.t_block.mono is None
         assert not check_dilation_property(bad).passed
         assert not check_powers_formula(bad).passed
         assert check_minimality(bad).residual == bad.dim_total - _dense_orbit_rank(bad)
@@ -847,18 +847,22 @@ def _patch_every_binding(monkeypatch, name: str, replacement) -> None:
 
 # callers of a `Block`'s dense product `dense_product` on dense inputs.
 # Every product with the dense corner, U, the metric root and the defect
-# form is dense on both.  The normal dense-3concave example has a
-# representer A that is diagonal in the metric's eigenbasis, so its weights
-# and B are real diagonal and multiply as monomials; a non-normal input
-# also takes the dense product for the cumulative moduli and for B^2
-# (`_verify`'s `b_square`).  `embed` (shift runs only) and the reference
-# dilation's products (m = 2 only) are not reached.
+# form is dense on both, and so is every eigenbasis of the defect forms
+# (`decompose`).  The normal dense-3concave example has a representer A
+# that is diagonal in the metric's eigenbasis, so A's eigenbasis is a
+# permutation, and its weights and B are real diagonal and multiply as
+# monomials; a non-normal input also takes the dense product for A's
+# eigenbasis (`_clamp_nonpositive`, `build_weights`), the cumulative moduli
+# and B^2 (`_verify`'s `b_square`).  `embed` (shift runs only) and the
+# reference dilation's products (m = 2 only) are not reached.
 _NORMAL_FALLBACK_SITES = {
     "defect_step", "build_a_three_concave", "_quotient_form", "_model_from_form",
-    "apply", "check_dilation_property", "check_powers_formula",
+    "decompose", "apply", "check_dilation_property", "check_powers_formula",
     "check_criterion_identity", "check_minimality",
 }
-_DENSE_FALLBACK_SITES = _NORMAL_FALLBACK_SITES | {"_with_cumulative", "_verify"}
+_DENSE_FALLBACK_SITES = _NORMAL_FALLBACK_SITES | {
+    "_clamp_nonpositive", "build_weights", "_with_cumulative", "_verify",
+}
 
 
 def _product_site(frame) -> str:
@@ -894,26 +898,24 @@ def _dense_input(name: str):
 
 def _dense_branch_calls(monkeypatch, name: str) -> tuple[dict, set]:
     """Run a dense input; count its Gram-Schmidt ranks and dense eigenbasis
-    products, and record the callers of the dense fallback."""
-    calls = {"gram_schmidt": 0, "basis_apply": 0}
+    products (`Block.outer` on a refused block), and record the callers of
+    the dense fallback."""
+    calls = {"gram_schmidt": 0, "dense_outer": 0}
     fallback_sites = set()
-    gram_schmidt, basis_apply = verifier._gram_schmidt_rank, hermitian_module._basis_apply
+    gram_schmidt = verifier._gram_schmidt_rank
     dense_product = hermitian_module.dense_product
 
     def counting_gram_schmidt(*args):
         calls["gram_schmidt"] += 1
         return gram_schmidt(*args)
 
-    def counting_basis_apply(*args):
-        calls["basis_apply"] += 1
-        return basis_apply(*args)
-
     def recording_dense_product(a, b):
-        fallback_sites.add(_product_site(sys._getframe(1)))
+        caller = sys._getframe(1)
+        calls["dense_outer"] += caller.f_code is Block.outer.__code__
+        fallback_sites.add(_product_site(caller))
         return dense_product(a, b)
 
     monkeypatch.setattr(verifier, "_gram_schmidt_rank", counting_gram_schmidt)
-    monkeypatch.setattr(hermitian_module, "_basis_apply", counting_basis_apply)
     _patch_every_binding(monkeypatch, "dense_product", recording_dense_product)
     result = run_pipeline(_dense_input(name))
     assert result.overall and result.path == "three_concave"
@@ -933,7 +935,6 @@ class TestStructurePaths:
             raise AssertionError("dense branch used")
 
         monkeypatch.setattr(verifier, "_gram_schmidt_rank", banned)
-        monkeypatch.setattr(hermitian_module, "_basis_apply", banned)
         _patch_every_binding(monkeypatch, "dense_product", banned)
         # the strict-2concave demo is the N = 48 spec of the shift-m2 workload
         result = run_pipeline(demo_spec("strict-2concave"), seed=1)
@@ -943,12 +944,12 @@ class TestStructurePaths:
 
     def test_dense_run_takes_both_dense_branches(self, monkeypatch):
         calls, sites = _dense_branch_calls(monkeypatch, "dense-3concave")
-        assert calls["gram_schmidt"] > 0 and calls["basis_apply"] > 0
+        assert calls["gram_schmidt"] > 0 and calls["dense_outer"] > 0
         assert sites == _NORMAL_FALLBACK_SITES
 
     def test_non_normal_run_takes_every_fallback(self, monkeypatch):
         calls, sites = _dense_branch_calls(monkeypatch, "non-normal")
-        assert calls["gram_schmidt"] > 0 and calls["basis_apply"] > 0
+        assert calls["gram_schmidt"] > 0 and calls["dense_outer"] > 0
         assert sites == _DENSE_FALLBACK_SITES
 
     def test_structure_is_read_per_stored_object(self, monkeypatch):
