@@ -23,7 +23,9 @@ p(z) = I - z(z-1)...(z-m+2)/(m-1)! * A, which at integer points is
 p(n) = I - C(n, m-1) A, via the commuting telescoping construction
 S_n = p(n)^(1/2) p(n-1)^(-1/2).  It gives cumulative moduli
 |S_n ... S_1|^2 = p(n) exactly and hence an m-isometric weight shift;
-S_n = I for n < m-1, and S_(m-1) = (I - A)^(1/2) is B.
+S_n = I for n < m-1, and S_(m-1) = (I - A)^(1/2) is B.  The weights and
+their cumulative moduli are each one (horizon, d, d) `HermitianMatrix`
+stack, and the assembled W stores a view of the weight stack, not a copy.
 """
 
 import dataclasses
@@ -47,7 +49,6 @@ from .hermitian import (
     HermitianMatrix,
     eigh,
     hermitian,
-    identity,
     max_abs,
     psd_check,
     spectral_apply,
@@ -63,7 +64,8 @@ class DilationModel:
 
     `corner` is the window-restricted H-block operator; `basis` holds
     orthonormal columns spanning H' inside H-coordinates; `u` maps H to H'
-    in the compressed coordinates; `a` and `b` live on H'.
+    in the compressed coordinates; `a` lives on H'.  B = S_(m-1) is read
+    from the weight stack.
     """
 
     m: int
@@ -71,11 +73,9 @@ class DilationModel:
     corner: OperatorCorner
     defect_m: HermitianMatrix
     defect_prev: HermitianMatrix
-    q: QSolution | None
     basis: np.ndarray
     u: np.ndarray
     a: HermitianMatrix
-    b: HermitianMatrix
     b_norm: float  # spectral norm of B
     welldef_residual: float
     # window norm of the form the representer A stands for: the m-defect on
@@ -112,22 +112,24 @@ class DilationModel:
 
 @dataclass(frozen=True)
 class ShiftWeights:
-    """Weight sequence S_1, S_2, ... with cumulative moduli |S_n...S_1|^2."""
+    """Weight sequence S_1, S_2, ... with cumulative moduli |S_n...S_1|^2,
+    each one (horizon, d, d) stack: member n-1 is S_n and |S_n...S_1|^2."""
 
-    weights: tuple
-    cumulative: tuple
+    weights: HermitianMatrix
+    cumulative: HermitianMatrix
 
     @property
     def horizon(self) -> int:
-        return len(self.weights)
+        return self.weights.mat.shape[0]
 
 
 @dataclass(frozen=True)
 class AssembledDilation:
     """Finite truncation of the dilation on H + n_blocks copies of H'.
 
-    Stored as its blocks: the corner `t` (w x w), `u` (d x w) and the stacked
-    weights S_1..S_(n_blocks-1) as a (n_blocks-1, d, d) array.  `apply` acts
+    Stored as its blocks, views of the model's arrays and the weight stack:
+    the corner `t` (w x w), `u` (d x w) and the stacked weights
+    S_1..S_(n_blocks-1) as a (n_blocks-1, d, d) array.  `apply` acts
     with the truncated W through one `Block` per stored array: `t_block`,
     `u_block` and the stacked `weight_block`, all slices or gathers on a
     shift; the dense `matrix` is built only on request.  The structure of
@@ -204,7 +206,7 @@ class AssembledDilation:
         if d:
             out[w : w + d] = self.u_block.dot(cols[:w])
             tail = cols[w : w + steps * d].reshape(steps, d, count)
-            out[w + d :] = self.weight_block[:steps].dot(tail).reshape(-1, count)
+            out[w + d :] = self.weight_block[:steps].dot(tail).reshape(steps * d, count)
         return out if x.ndim == 2 else out[:, 0]
 
     @cached_property
@@ -379,7 +381,7 @@ def build_weights(
         raise ValueError(f"weight construction needs m >= 2, got {m}")
     if dec is None:
         dec = eigh(a, tols.eig_tol)
-    weights = []
+    stack = np.empty((horizon, a.n, a.n), dtype=np.complex128)
     inv_sqrt_prev = np.ones(a.n)
     for n in range(1, horizon + 1):
         p_n = 1.0 - math.comb(n, m - 1) * dec.values
@@ -389,19 +391,19 @@ def build_weights(
                 "the representer A is not nonpositive"
             )
         sqrt_n = np.sqrt(p_n)
-        weights.append(hermitian(spectral_apply(dec, sqrt_n * inv_sqrt_prev), tols.herm_tol))
+        stack[n - 1] = spectral_apply(dec, sqrt_n * inv_sqrt_prev)
         inv_sqrt_prev = 1.0 / sqrt_n
-    return _with_cumulative(weights, tols.herm_tol)
+    return _with_cumulative(hermitian(stack, tols.herm_tol), tols.herm_tol)
 
 
-def _with_cumulative(weights: list, herm_tol: float) -> ShiftWeights:
-    """The weight sequence with its cumulative moduli |S_n ... S_1|^2."""
-    left = Block.identity(weights[0].n if weights else 0)
-    cumulative = []
-    for s in weights:
-        left = left.then(s.block)
-        cumulative.append(hermitian(left.gram(), herm_tol))
-    return ShiftWeights(tuple(weights), tuple(cumulative))
+def _with_cumulative(weights: HermitianMatrix, herm_tol: float) -> ShiftWeights:
+    """The weight stack with its cumulative moduli |S_n ... S_1|^2."""
+    left = Block.identity(weights.n)
+    cumulative = np.empty_like(weights.mat)
+    for k in range(cumulative.shape[0]):
+        left = left.then(weights.block[k])
+        cumulative[k] = left.gram()
+    return ShiftWeights(weights, hermitian(cumulative, herm_tol))
 
 
 def perturb_weight(
@@ -413,10 +415,9 @@ def perturb_weight(
     """
     if not 1 <= n <= weights.horizon:
         raise IndexError(f"weight index {n} outside 1..{weights.horizon}")
-    new_weights = list(weights.weights)
-    bumped = new_weights[n - 1].mat + amount * np.eye(new_weights[n - 1].n)
-    new_weights[n - 1] = hermitian(bumped, tols.herm_tol)
-    return _with_cumulative(new_weights, tols.herm_tol)
+    bumped = weights.weights.mat.copy()
+    bumped[n - 1] += amount * np.eye(weights.weights.n)
+    return _with_cumulative(hermitian(bumped, tols.herm_tol), tols.herm_tol)
 
 
 def assemble_dilation(
@@ -427,8 +428,8 @@ def assemble_dilation(
     """Assemble the truncated dilation from its blocks.
 
     Block (0,0) is T, block (1,0) is U, block (j+1, j) is S_j; everything
-    else is zero.  A zero-dimensional H' yields W = T, the degenerate
-    dilation of an isometric input.  Spec files enforce n_blocks >= m + 2
+    else is zero; all are stored as views, not copies.  A zero-dimensional
+    H' yields W = T, the degenerate dilation of an isometric input.  Spec files enforce n_blocks >= m + 2
     so every verifier window is nonempty; the assembly itself only needs
     two blocks.
     """
@@ -442,11 +443,10 @@ def assemble_dilation(
         )
     if model.u.shape != (d, w):
         raise DimensionError(f"U must be {d}x{w}, got {model.u.shape}")
-    stack = np.zeros((n_blocks - 1, d, d), dtype=np.complex128)
+    stack = np.zeros((n_blocks - 1, 0, 0), dtype=np.complex128)
     if d:
-        stack[:] = [s.mat for s in weights.weights[: n_blocks - 1]]
-    t = np.array(model.corner.matrix, dtype=np.complex128)
-    return AssembledDilation(t, model.u, stack, model)
+        stack = weights.weights.mat[: n_blocks - 1]
+    return AssembledDilation(model.corner.matrix, model.u, stack, model)
 
 
 def _model_from_form(
@@ -467,7 +467,6 @@ def _model_from_form(
         basis=form.basis,
         u=Block(form.basis.conj().T).dot(form.metric_root.mat),
         a=form.a,
-        b=weights.weights[m - 2],
         b_norm=float(np.sqrt(1.0 - lam[0])) if lam.size else 0.0,
         welldef_residual=form.welldef_residual,
         **fields,
@@ -494,7 +493,6 @@ def build_general_model(
         corner=t.leading(w),
         defect_m=defect_m,
         defect_prev=defect_prev,
-        q=q,
         remark_form_norm=defect_m.norm_max(),
     )
 
@@ -519,7 +517,6 @@ def build_three_concave_model(
         corner=t.leading(w),
         defect_m=defect_m,
         defect_prev=defect_prev,
-        q=None,
         remark_form_norm=form.numerator_norm,
     )
 
@@ -561,19 +558,17 @@ def build_badea_2iso(
     d = basis.shape[1]
 
     horizon = weights_horizon if weights_horizon is not None else max(n_blocks - 1, 8)
-    eye = identity(d)
-    weights = ShiftWeights(tuple([eye] * horizon), tuple([eye] * horizon))
+    eye = HermitianMatrix(np.broadcast_to(np.eye(d, dtype=np.complex128), (horizon, d, d)), 0.0)
+    weights = ShiftWeights(eye, eye)
     model = DilationModel(
         m=m,
         path="badea_2iso",
         corner=t.leading(w),
         defect_m=defect_m,
         defect_prev=defect_prev,
-        q=q,
         basis=basis,
         u=u,
         a=hermitian(np.zeros((d, d)), tols.herm_tol),
-        b=eye,
         b_norm=1.0 if d else 0.0,
         welldef_residual=0.0,
         remark_form_norm=defect_m.norm_max(),

@@ -138,9 +138,10 @@ def dense_agreement_residual(
     if w != diag.window:
         raise ValueError(f"window mismatch: dense {w}, diagonal {diag.window}")
     residual = max_abs(model.embed(model.a.mat) - embed_support_diagonal(w, diag.support, diag.a_diag))
+    b = weights.weights.mat[model.m - 2]
     residual = max(
         residual,
-        max_abs(model.embed(model.b.mat) - embed_support_diagonal(w, diag.support, diag.b_diag)),
+        max_abs(model.embed(b) - embed_support_diagonal(w, diag.support, diag.b_diag)),
     )
     # U compared as P * metric_root in window coordinates
     u_window = model.compression.adjoint_dot(model.u)
@@ -148,7 +149,7 @@ def dense_agreement_residual(
     residual = max(residual, max_abs(u_window - u_diag_mat))
     count = min(_AGREEMENT_WEIGHTS, weights.horizon, len(diag.weight_diags))
     for n in range(1, count + 1):
-        dense_s = model.embed(weights.weights[n - 1].mat)
+        dense_s = model.embed(weights.weights.mat[n - 1])
         diag_s = embed_support_diagonal(w, diag.support, diag.weight_diags[n - 1])
         residual = max(residual, max_abs(dense_s - diag_s))
     return residual

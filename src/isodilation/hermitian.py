@@ -22,6 +22,10 @@ lie below the stopping threshold (a diagonal one, say) takes zero sweeps,
 its sorted basis is a permutation matrix, and its residuals and
 `spectral_apply` are then writes onto the diagonal.
 
+A `HermitianMatrix` may be a stack (k, n, n), such as a dilation's weights:
+`hermitian()` checks each member against its own threshold, its `block`
+reads the structure of the whole stack once, and `eigh` refuses it.
+
 All values are immutable after construction and safe to share across
 threads.
 """
@@ -45,11 +49,12 @@ def max_abs(x: np.ndarray) -> float:
 
 
 def as_square_complex(x) -> np.ndarray:
-    """Validate and copy input into a square complex128 matrix."""
+    """Validate and copy input into a square complex128 matrix, or a stack
+    (k, n, n) of them."""
     # C order, so that the float view below is one of (re, im) pairs
     mat = np.array(x, dtype=np.complex128, order="C")
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if mat.ndim not in (2, 3) or mat.shape[-2] != mat.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {mat.shape}")
     if mat.size and not np.all(np.isfinite(mat.view(np.float64))):
         raise ValueError("matrix entries must be finite")
     return mat
@@ -62,10 +67,12 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """A square complex matrix stored in symmetrized form (X + X*)/2.
+    """A square complex matrix stored in symmetrized form (X + X*)/2, or a
+    stack (k, n, n) of them.
 
-    `defect` records the max-norm of X - X* seen at construction; it must
-    stay below herm_tol * (1 + max-norm of X) or construction fails.
+    `defect` records the max-norm of X - X* seen at construction (the
+    largest over a stack); for each member it must stay below
+    herm_tol * (1 + max-norm of that member) or construction fails.
     """
 
     mat: np.ndarray
@@ -73,16 +80,16 @@ class HermitianMatrix:
 
     @property
     def n(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
     def norm_max(self) -> float:
         return max_abs(self.mat)
 
     def restrict(self, k: int) -> "HermitianMatrix":
-        """Leading principal k-by-k block (still Hermitian)."""
+        """Leading principal k-by-k block (still Hermitian), of each member."""
         if not 0 <= k <= self.n:
             raise ValueError(f"cannot restrict dimension {self.n} to {k}")
-        return HermitianMatrix(_frozen(self.mat[:k, :k].copy()), self.defect)
+        return HermitianMatrix(_frozen(self.mat[..., :k, :k].copy()), self.defect)
 
     @cached_property
     def block(self) -> "Block":
@@ -90,17 +97,28 @@ class HermitianMatrix:
 
 
 def hermitian(x, herm_tol: float | None = None) -> HermitianMatrix:
-    """Construct a HermitianMatrix, checking the defect from the adjoint."""
+    """Construct a HermitianMatrix, checking the defect from the adjoint.
+
+    A stack is checked and symmetrized member by member, each against its
+    own threshold, with the bits of the member taken alone.
+    """
     tol = DEFAULT_TOLERANCES.herm_tol if herm_tol is None else herm_tol
     mat = as_square_complex(x)
-    defect = max_abs(mat - mat.conj().T)
-    if defect > tol * (1.0 + max_abs(mat)):
-        raise HermitianityError(
-            f"matrix deviates from its adjoint by {defect:.3e} "
-            f"(allowed {tol * (1.0 + max_abs(mat)):.3e})"
-        )
-    sym = (mat + mat.conj().T) / 2.0
-    return HermitianMatrix(_frozen(sym), defect)
+    defect = 0.0
+    # member by member: one pass over a whole weight stack read slower
+    for member in mat if mat.ndim == 3 else mat[None]:
+        adjoint = member.conj().T
+        member_defect = max_abs(member - adjoint)
+        allowed = tol * (1.0 + max_abs(member))
+        if member_defect > allowed:
+            raise HermitianityError(
+                f"matrix deviates from its adjoint by {member_defect:.3e} "
+                f"(allowed {allowed:.3e})"
+            )
+        defect = max(defect, member_defect)
+        member += adjoint
+        member /= 2.0
+    return HermitianMatrix(_frozen(mat), defect)
 
 
 def identity(n: int) -> HermitianMatrix:
@@ -461,7 +479,8 @@ def eigh(
     """Cyclic Jacobi eigendecomposition of a Hermitian matrix.
 
     The one-member case of `eigh_stack`.  Raises ConvergenceError when the
-    sweep budget is exhausted, which signals pathological input.
+    sweep budget is exhausted, which signals pathological input, and
+    ValueError on a stacked HermitianMatrix.
     """
     return eigh_stack([x], eig_tol, max_sweeps)[0]
 
@@ -480,12 +499,14 @@ def eigh_stack(
     member leaves the stack once it has converged: every result has the bits
     of that matrix decomposed alone.  Members go through in input order, in
     stacks of at most `_STACK_BYTES` of gathered columns per round.  Raises
-    ValueError on mixed sizes, and ConvergenceError for the first member, in
-    input order, that exhausts the sweep budget or misses its residual
-    checks.
+    ValueError on mixed sizes or a stacked HermitianMatrix, and
+    ConvergenceError for the first member, in input order, that exhausts
+    the sweep budget or misses its residual checks.
     """
     tol = DEFAULT_TOLERANCES.eig_tol if eig_tol is None else eig_tol
     xs = tuple(xs)
+    if any(x.mat.ndim != 2 for x in xs):
+        raise ValueError("eigh takes single matrices, not a stacked HermitianMatrix")
     sizes = {x.n for x in xs}
     if len(sizes) > 1:
         raise ValueError(f"a stack needs matrices of one size, got sizes {sorted(sizes)}")

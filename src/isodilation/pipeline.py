@@ -173,14 +173,16 @@ def run_pipeline(
 ) -> PipelineResult:
     """Full pipeline: classify, solve the metric, build, assemble, verify.
 
-    The classification picks the construction path.  Raises
-    PreconditionError, carrying the failing residuals, when it admits none,
-    and when a sign gate of the construction (NotNegativeError) fails: the
-    classification admitted the path, the construction found the operator
-    outside it.
+    The classification picks the construction path.  Raises ValueError
+    when trials < 1, and PreconditionError, carrying the failing residuals,
+    when the classification admits no path and when a sign gate of the
+    construction (NotNegativeError) fails: the classification admitted the
+    path, the construction found the operator outside it.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     tols = spec.tolerances().replace(**(tol_overrides or {}))
-    seed = seed if seed is not None else (spec.seed if spec.seed is not None else DEFAULT_SEED)
+    seed = int(seed if seed is not None else (spec.seed if spec.seed is not None else DEFAULT_SEED))
     m = spec.m
     n_blocks = spec.n_blocks
     corner = _make_corner(spec)
@@ -287,7 +289,8 @@ def _verify(
     ))
 
     i_minus_a = hermitian(np.eye(model.a.n) - model.a.mat, tols.herm_tol)
-    b_sq_res = max_abs(model.b.block.then(model.b.block).mat - i_minus_a.mat)
+    b = weights.weights.block[model.m - 2]
+    b_sq_res = max_abs(b.then(b).mat - i_minus_a.mat)
     b_sq_limit = tols.sqrt_tol * (1.0 + i_minus_a.norm_max())
     rep.add(CheckResult(
         "b_square", b_sq_res, b_sq_limit, b_sq_res <= b_sq_limit,
@@ -349,7 +352,7 @@ def _build_report(
     spec, tols, seed, cls, path, q, model, weights, assembled,
     badea_model, badea_assembled, verification,
 ) -> dict:
-    weights_head = [max_abs(s.mat) for s in weights.weights[:8]]
+    weights_head = [max_abs(s) for s in weights.weights.mat[:8]]
     model_summary = {
         "path": path,
         "dim_h": model.dim_h,
@@ -379,7 +382,7 @@ def _build_report(
             "dim_hprime": badea_model.dim_hprime,
             "u_norm": max_abs(badea_model.u),
         }
-    report = {
+    return {
         "schema_version": 1,
         "generated_by": f"isodilation {__about__.__version__}",
         "generated_at": _timestamp(),
@@ -393,20 +396,6 @@ def _build_report(
         "checks": [c.as_dict() for c in verification.checks],
         "overall": verification.overall,
     }
-    return _plain(report)
-
-
-def _plain(obj):
-    """Recursively convert numpy scalars so json emission is deterministic."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
 
 
 def emit_report(report: dict) -> str:

@@ -73,15 +73,12 @@ def _rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([int(seed) & 0xFFFFFFFF, _CHECK_SALTS.get(name, 1)])
 
 
-def _random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
 def _trial_draws(rng: np.random.Generator, trials: int, sizes) -> np.ndarray:
-    """A (trials, sum(sizes)) array whose row i holds one `_random_complex`
-    segment per size, trial after trial.  All of it comes from one
-    `standard_normal` call, split in the order of the segment-by-segment
-    draws: the Generator's stream is the same, so are the values."""
+    """A (trials, sum(sizes)) array whose row i holds one complex Gaussian
+    segment per size (n real parts, then n imaginary parts), trial after
+    trial.  All of it comes from one `standard_normal` call, split in the
+    order of segment-by-segment draws: the Generator's stream is the same,
+    so are the values."""
     sizes = list(sizes)
     raw = rng.standard_normal((trials, 2 * sum(sizes)))
     out = np.empty((trials, sum(sizes)), dtype=np.complex128)
@@ -290,12 +287,12 @@ def check_criterion_identity(
 
     prefixes = [Block.identity(d)]
     for k in range(2, m + 1):
-        prefixes.append(prefixes[-1].then(weights.weights[k - 2].block))
+        prefixes.append(prefixes[-1].then(weights.weights.block[k - 2]))
 
     residual = 0.0
-    for _ in range(trials):
+    for draw in _trial_draws(rng, trials, [h_dim]):
         h = np.zeros(model.dim_h, dtype=np.complex128)
-        h[:h_dim] = _random_complex(rng, h_dim)
+        h[:h_dim] = draw
         t_pows = [h.copy()]
         for _ in range(m - 1):
             t_pows.append(model.corner.dot(t_pows[-1]))
@@ -328,14 +325,13 @@ def check_weight_shift_isometry(
     `perturb_weight` recomputes them from a corrupted weight, so the
     corruption shows here.
     """
-    tolerance_scale = 1.0 + max((c.norm_max() for c in weights.cumulative), default=0.0)
-    tolerance = tols.difference_tol * tolerance_scale
+    tolerance = tols.difference_tol * (1.0 + weights.cumulative.norm_max())
     if weights.horizon < m:
         raise WindowExhaustedError(
             f"need at least {m} weights for the order-{m} difference, have {weights.horizon}"
         )
-    d = weights.weights[0].n if weights.weights else 0
-    stack = np.stack([np.eye(d, dtype=np.complex128)] + [c.mat for c in weights.cumulative])
+    eye = np.eye(weights.cumulative.n, dtype=np.complex128)
+    stack = np.concatenate([eye[None], weights.cumulative.mat])
     count = len(stack) - m
     residual = max_abs(np.diff(stack, n=m, axis=0))
     return _result(
@@ -351,13 +347,10 @@ def check_cumulative_polynomial(
 ) -> CheckResult:
     """Cumulative moduli must equal the weight polynomial at integer points,
     p(n) = I - C(n, m-1) A, formed from the model's representer A."""
-    scale = 1.0 + max((c.norm_max() for c in weights.cumulative), default=0.0)
-    tolerance = tols.cumulative_tol * scale
-    eye = np.eye(model.a.n)
-    residual = 0.0
-    for n in range(1, weights.horizon + 1):
-        p_n = eye - math.comb(n, model.m - 1) * model.a.mat
-        residual = max(residual, max_abs(weights.cumulative[n - 1].mat - p_n))
+    tolerance = tols.cumulative_tol * (1.0 + weights.cumulative.norm_max())
+    coeffs = np.array([float(math.comb(n, model.m - 1)) for n in range(1, weights.horizon + 1)])
+    p = np.eye(model.a.n) - coeffs[:, None, None] * model.a.mat
+    residual = max_abs(weights.cumulative.mat - p)
     return _result(
         "cumulative_matches_polynomial",
         residual,
@@ -487,7 +480,7 @@ def nonisomorphism_certificate(
     # candidates as columns: the basis of H, the random trials, and the
     # extremal eigenvector of the 1-defect, which maximizes its quadratic form
     columns = [np.eye(w, dtype=np.complex128)]
-    columns += [_random_complex(rng, w)[:, None] for _ in range(trials)]
+    columns.append(_trial_draws(rng, trials, [w]).T)
     form = general.model.defect_prev
     if form.n == w and w > 0:
         dec = eigh(form, tols.eig_tol)
@@ -534,8 +527,7 @@ def remark_consistency(
         raise WindowExhaustedError(
             f"need weight S_{model.m - 1}, horizon is {weights.horizon}"
         )
-    s = weights.weights[model.m - 2]
-    s_norm = max_abs(s.mat - np.eye(s.n))
+    s_norm = max_abs(weights.weights.mat[model.m - 2] - np.eye(model.dim_hprime))
     form_norm = model.remark_form_norm
     s_small = s_norm <= threshold
     form_small = form_norm <= threshold

@@ -35,8 +35,8 @@ def test_criterion_1_scalar_three_concave_walkthrough(demos):
     r = demos.run("scalar-3concave")
     ok = r.path == "three_concave"
     a = r.model.a.mat[0, 0].real
-    b = r.model.b.mat[0, 0].real
-    s = [w.mat[0, 0].real for w in r.weights.weights[:3]]
+    s = r.weights.weights.mat[:3, 0, 0].real
+    b = s[1]  # B = S_(m-1)
     expected_s = [1.0, math.sqrt(5) / 2, math.sqrt(7.0 / 5.0)]
     ok &= abs(a - (-0.25)) <= 1e-12
     ok &= abs(b - math.sqrt(5) / 2) <= 1e-12
@@ -61,7 +61,7 @@ def test_criterion_2_dirichlet_shift(demos):
     a_norm = r.model.a.norm_max()
     ok &= a_norm <= 1e-12
     s_err = max(
-        max_abs(s.mat - np.eye(r.model.dim_hprime)) for s in r.weights.weights
+        max_abs(s - np.eye(r.model.dim_hprime)) for s in r.weights.weights.mat
     )
     ok &= s_err <= 1e-12
     ok &= check_named(r, "w_m_isometry").residual <= 1e-10
@@ -85,9 +85,12 @@ def test_criterion_3_strict_two_concave(demos):
     ok &= beta_err <= 1e-12
     ok &= not r.classification.m_isometric.ok
     ok &= abs(r.q.q0 - 0.5) <= 1e-12
-    s1 = r.weights.weights[0]
-    s1_vs_b = max_abs(s1.mat - r.model.b.mat)
-    s1_vs_i = max_abs(s1.mat - np.eye(r.model.dim_hprime))
+    s1 = r.weights.weights.mat[0]
+    # B = (I - A)^(1/2), formed here independently of the weight stack
+    eye = np.eye(r.model.dim_hprime)
+    b = sqrt_psd(hermitian(eye - r.model.a.mat))
+    s1_vs_b = max_abs(s1 - b.mat)
+    s1_vs_i = max_abs(s1 - eye)
     ok &= s1_vs_b <= 1e-11
     ok &= s1_vs_i > 1e-3
     ok &= check_named(r, "w_m_isometry").residual <= 1e-10

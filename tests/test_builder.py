@@ -25,7 +25,7 @@ from isodilation.errors import (
     NotNegativeError,
     NotPsdError,
 )
-from isodilation.hermitian import hermitian, max_abs
+from isodilation.hermitian import hermitian, max_abs, sqrt_psd
 from isodilation.operators import (
     WeightRule,
     classify,
@@ -149,15 +149,16 @@ def p_oracle(lam, m: int, n: int):
 class TestPolynomialAndWeights:
     def test_zero_representer_gives_identities(self):
         weights = build_weights(hermitian(np.zeros((3, 3))), 3, 6)
-        for s in weights.weights + weights.cumulative:
-            assert max_abs(s.mat - np.eye(3)) < 1e-13
+        for stack in (weights.weights, weights.cumulative):
+            assert stack.mat.shape == (6, 3, 3)
+            assert max_abs(stack.mat - np.eye(3)) < 1e-13
 
     def test_scalar_m3_walkthrough(self):
         # p(n) = 1 + C(n, 2) / 4 for A = -1/4
         weights = build_weights(hermitian([[-0.25]]), 3, 4)
-        cumulative = [c.mat[0, 0].real for c in weights.cumulative]
+        cumulative = weights.cumulative.mat[:, 0, 0].real
         assert cumulative == pytest.approx([1.0, 1.25, 1.75, 2.5], abs=1e-14)
-        s = [w.mat[0, 0].real for w in weights.weights[:3]]
+        s = weights.weights.mat[:3, 0, 0].real
         assert s[0] == 1.0
         assert s[1] == pytest.approx(math.sqrt(5) / 2, abs=1e-14)
         assert s[2] == pytest.approx(math.sqrt(7.0 / 5.0), abs=1e-14)
@@ -167,10 +168,10 @@ class TestPolynomialAndWeights:
     def test_m2_closed_form(self, a, n):
         # p(n) = 1 + n a and S_n = sqrt((1 + n a) / (1 + (n-1) a))
         weights = build_weights(hermitian([[-a]]), 2, n)
-        s_n = weights.weights[n - 1].mat[0, 0].real
+        s_n = weights.weights.mat[n - 1, 0, 0].real
         expected = math.sqrt((1 + n * a) / (1 + (n - 1) * a))
         assert s_n == pytest.approx(expected, rel=1e-13)
-        assert weights.weights[0].mat[0, 0].real == pytest.approx(math.sqrt(1 + a), rel=1e-13)
+        assert weights.weights.mat[0, 0, 0].real == pytest.approx(math.sqrt(1 + a), rel=1e-13)
 
     def test_ratio_bound_closed_form(self):
         # the successive-ratio supremum telescopes to (n+1)/(n-m+2), maximal
@@ -207,9 +208,9 @@ class TestPolynomialAndWeights:
 
         for n in range(1, horizon + 1):
             expected = on_spectrum(np.sqrt(p_oracle(lam, m, n) / p_oracle(lam, m, n - 1)))
-            assert max_abs(weights.weights[n - 1].mat - expected) <= 1e-9 * max_abs(expected)
+            assert max_abs(weights.weights.mat[n - 1] - expected) <= 1e-9 * max_abs(expected)
         # S_(m-1) is B = (I - A)^(1/2)
-        b = weights.weights[m - 2].mat
+        b = weights.weights.mat[m - 2]
         assert max_abs(b - on_spectrum(np.sqrt(1.0 - lam))) <= 1e-9 * max_abs(b)
         assert max_abs(b @ b - (np.eye(d) - a.mat)) <= 1e-9 * (1 + a.norm_max())
 
@@ -223,14 +224,14 @@ class TestPolynomialAndWeights:
         weights = build_weights(a, m, horizon)
         # identity prefix of the weights: p(k) = I for k <= m - 2
         for k in range(m - 2):
-            assert max_abs(weights.weights[k].mat - np.eye(4)) < 1e-12
+            assert max_abs(weights.weights.mat[k] - np.eye(4)) < 1e-12
         # cumulative moduli equal p(n) = I - C(n, m-1) A (telescoping);
         # p(m-1) = B^2 = I - A
         for n in range(1, horizon + 1):
             p_n = np.eye(4) - math.comb(n, m - 1) * a.mat
-            assert max_abs(weights.cumulative[n - 1].mat - p_n) <= 1e-10 * (1 + max_abs(p_n))
+            assert max_abs(weights.cumulative.mat[n - 1] - p_n) <= 1e-10 * (1 + max_abs(p_n))
         # m-th forward difference of the cumulative sequence vanishes
-        cum = [np.eye(4)] + [c.mat for c in weights.cumulative]
+        cum = [np.eye(4)] + list(weights.cumulative.mat)
         for n in range(len(cum) - m):
             acc = np.zeros((4, 4), dtype=complex)
             for k in range(m + 1):
@@ -239,8 +240,8 @@ class TestPolynomialAndWeights:
             assert max_abs(acc) <= 1e-11 * (1 + max_abs(cum[n + m]))
 
     def test_b_is_the_weight_s_m_minus_1(self):
-        # p(m-2) = I exactly, so S_(m-1) = (I - A)^(1/2) = B bit for bit,
-        # and ||B|| = (1 - lam_min)^(1/2)
+        # p(m-2) = I exactly, so S_(m-1) = (I - A)^(1/2) = B, which the
+        # model keeps only as its norm ||B|| = (1 - lam_min)^(1/2)
         rule = WeightRule.geometric_concave(0.5)
         corner = make_shift_corner(rule, 16)
         sol = solve_q_shift_diagonal(corner, defect_diagonal(rule, 1, corner.window_after(2)))
@@ -248,8 +249,10 @@ class TestPolynomialAndWeights:
         dense = build_three_concave_model(dense_corner(np.diag([0.5, 0.3j, -0.8])), 8)
         for model, weights in (shift, dense):
             assert model.dim_hprime > 0
-            assert np.array_equal(model.b.mat, weights.weights[model.m - 2].mat)
-            assert model.b_norm == pytest.approx(np.linalg.norm(model.b.mat, 2), rel=1e-12)
+            assert not hasattr(model, "b")
+            b = weights.weights.mat[model.m - 2]
+            assert max_abs(b @ b - (np.eye(model.dim_hprime) - model.a.mat)) <= 1e-12
+            assert model.b_norm == pytest.approx(np.linalg.norm(b, 2), rel=1e-12)
         with pytest.raises(DimensionError):
             build_three_concave_model(dense_corner(np.diag([0.5, 0.3j, -0.8])), 1)
 
@@ -257,7 +260,7 @@ class TestPolynomialAndWeights:
         # p(2) = 1 - 2 * 0.5 = 0 is not invertible
         with pytest.raises(NotInvertibleError):
             build_weights(hermitian([[0.5]]), 2, 3)
-        assert len(build_weights(hermitian([[0.5]]), 2, 1).weights) == 1
+        assert build_weights(hermitian([[0.5]]), 2, 1).horizon == 1
 
 
 class TestAssemble:
@@ -329,6 +332,29 @@ class TestAssemble:
         with pytest.raises(DimensionError):
             dil.apply(np.zeros(dil.dim_total + d))
 
+    @pytest.mark.parametrize("name", ["strict-2concave", "scalar-3concave", "unitary"])
+    def test_apply_to_a_block_of_no_columns(self, demos, name):
+        dil = demos.run(name).assembled
+        w, d = dil.dim_h, dil.dim_hprime
+        for j in range(dil.n_blocks + 1):
+            rows = w + min(j + 1, dil.n_blocks) * d
+            assert dil.apply(np.zeros((w + j * d, 0))).shape == (rows, 0)
+
+    @pytest.mark.parametrize("name", sorted(DEMOS))
+    def test_blocks_are_views_not_copies(self, demos, name):
+        r = demos.run(name)
+        for model, weights, dil in (
+            (r.model, r.weights, r.assembled),
+            (r.badea_model, None, r.badea_assembled),
+        ):
+            if dil is None:
+                continue
+            assert dil.t is model.corner.matrix
+            assert dil.u is model.u
+            if weights is not None and model.dim_hprime:
+                assert np.shares_memory(dil.weights, weights.weights.mat)
+                assert dil.weights.shape == (dil.n_blocks - 1,) + weights.weights.mat.shape[1:]
+
     def test_pipeline_never_builds_dense_matrix(self):
         r = run_pipeline(demo_spec("nonisomorphic-pair"))
         for dil in (r.assembled, r.badea_assembled):
@@ -358,9 +384,13 @@ class TestBadea:
         assert abs(embedded[0, 0]) < 1e-12
         expected_1 = math.sqrt(sol.q_seq[1] - 0.25)
         assert embedded[1, 1].real == pytest.approx(expected_1, abs=1e-12)
-        # all weights are the identity
-        for s in weights.weights:
-            assert max_abs(s.mat - np.eye(model.dim_hprime)) == 0.0
+        # all weights are the identity, one read-only stack that the
+        # assembled W views
+        assert weights.weights.mat.shape == (8, model.dim_hprime, model.dim_hprime)
+        assert max_abs(weights.weights.mat - np.eye(model.dim_hprime)) == 0.0
+        assert weights.weights.defect == 0.0 and weights.cumulative is weights.weights
+        assert not weights.weights.mat.flags.writeable
+        assert np.shares_memory(dil.weights, weights.weights.mat)
 
     def test_unweighted_shift_collapses(self):
         rule = WeightRule.constant(1.0)
@@ -411,10 +441,13 @@ class TestTableRuleGeneralM3:
         sol = solve_q_shift_diagonal(corner, delta)
         model, weights = build_general_model(corner, 3, sol, weights_horizon=8)
         assert model.dim_hprime > 0
-        # S_1 = I but S_2 = B differs from I (strictly 3-concave input)
-        assert max_abs(weights.weights[0].mat - np.eye(model.dim_hprime)) < 1e-12
-        assert max_abs(weights.weights[1].mat - model.b.mat) < 1e-11
-        assert max_abs(weights.weights[1].mat - np.eye(model.dim_hprime)) > 1e-3
+        # S_1 = I but S_2 = B = (I - A)^(1/2) differs from I (strictly
+        # 3-concave input)
+        eye = np.eye(model.dim_hprime)
+        b = sqrt_psd(hermitian(eye - model.a.mat))
+        assert max_abs(weights.weights.mat[0] - eye) < 1e-12
+        assert max_abs(weights.weights.mat[1] - b.mat) < 1e-11
+        assert max_abs(weights.weights.mat[1] - eye) > 1e-3
         dil = assemble_dilation(model, weights, 5)
         from isodilation.verifier import check_w_m_isometry
 
@@ -453,10 +486,11 @@ class TestTableRuleGeneralM4:
         model, weights = build_general_model(corner, 4, sol, weights_horizon=9)
         d = model.dim_hprime
         assert d > 0
-        assert max_abs(weights.weights[0].mat - np.eye(d)) < 1e-12
-        assert max_abs(weights.weights[1].mat - np.eye(d)) < 1e-12
-        assert max_abs(weights.weights[2].mat - model.b.mat) < 1e-11
-        assert max_abs(weights.weights[2].mat - np.eye(d)) > 1e-3
+        b = sqrt_psd(hermitian(np.eye(d) - model.a.mat))
+        assert max_abs(weights.weights.mat[0] - np.eye(d)) < 1e-12
+        assert max_abs(weights.weights.mat[1] - np.eye(d)) < 1e-12
+        assert max_abs(weights.weights.mat[2] - b.mat) < 1e-11
+        assert max_abs(weights.weights.mat[2] - np.eye(d)) > 1e-3
 
         dil = assemble_dilation(model, weights, 6)
         assert check_w_m_isometry(dil).residual <= 1e-10
@@ -469,12 +503,15 @@ class TestPerturb:
         # A = -1/4, m = 3: p(1) = 1, p(2) = 5/4, p(3) = 7/4
         weights = build_weights(hermitian([[-0.25]]), 3, 5)
         bumped = perturb_weight(weights, 2, 0.1)
-        s2 = weights.weights[1].mat[0, 0].real
+        s2 = weights.weights.mat[1, 0, 0].real
         assert s2 == pytest.approx(math.sqrt(1.25), rel=1e-14)
-        assert bumped.weights[1].mat[0, 0].real == pytest.approx(s2 + 0.1)
+        assert bumped.weights.mat[1, 0, 0].real == pytest.approx(s2 + 0.1)
+        # only S_2 moves, in a copy
+        assert np.array_equal(np.delete(bumped.weights.mat, 1, 0), np.delete(weights.weights.mat, 1, 0))
+        assert weights.weights.mat[1, 0, 0].real == s2
         # cumulative at n >= 2 reflects the bump, n = 1 keeps p(1)
-        assert max_abs(bumped.cumulative[0].mat - weights.cumulative[0].mat) == 0.0
-        assert bumped.cumulative[1].mat[0, 0].real == pytest.approx((s2 + 0.1) ** 2, rel=1e-13)
-        assert bumped.cumulative[2].mat[0, 0].real == pytest.approx(
+        assert max_abs(bumped.cumulative.mat[0] - weights.cumulative.mat[0]) == 0.0
+        assert bumped.cumulative.mat[1, 0, 0].real == pytest.approx((s2 + 0.1) ** 2, rel=1e-13)
+        assert bumped.cumulative.mat[2, 0, 0].real == pytest.approx(
             (s2 + 0.1) ** 2 * 1.75 / 1.25, rel=1e-13
         )

@@ -79,6 +79,62 @@ class TestHermitianConstruction:
             h.mat[0, 0] = 2.0
 
 
+class TestHermitianStack:
+    """A (k, n, n) stack is checked and symmetrized member by member."""
+
+    def test_members_keep_the_bits_of_a_lone_construction(self, rng):
+        g = _complex_gaussian(rng, (5, 4, 4))
+        x = g + g.conj().transpose(0, 2, 1) + 1e-13 * _complex_gaussian(rng, (5, 4, 4))
+        given = x.copy()
+        stack = hermitian(x)
+        assert stack.mat.shape == (5, 4, 4) and stack.n == 4
+        lone = [hermitian(member) for member in x]
+        for k, h in enumerate(lone):
+            assert np.array_equal(stack.mat[k], h.mat)
+        assert stack.defect == max(h.defect for h in lone)
+        assert not stack.mat.flags.writeable
+        assert np.array_equal(x, given)  # symmetrized in a copy
+
+    def test_each_member_keeps_its_own_threshold(self):
+        # member 1 is off by 1e-7 against its own allowance
+        # herm_tol * (1 + 1) = 2e-8 and raises, although member 0 is so
+        # large that the same defect would pass against its scale
+        tol = 1e-8
+        big = np.diag([1e6, 1.0]).astype(complex)
+        small = np.array([[1.0, 1e-7], [0.0, 1.0]], dtype=complex)
+        assert hermitian(small + np.diag([1e6, 0.0]), tol).defect == pytest.approx(1e-7)
+        with pytest.raises(HermitianityError, match="allowed 2.000e-08"):
+            hermitian(np.stack([big, small]), tol)
+        with pytest.raises(HermitianityError):
+            hermitian(small, tol)
+        assert hermitian(np.stack([big, big]), tol).defect == 0.0
+
+    def test_empty_stacks_and_members(self):
+        assert hermitian(np.zeros((0, 3, 3))).mat.shape == (0, 3, 3)
+        assert hermitian(np.zeros((4, 0, 0))).defect == 0.0
+        assert hermitian(np.zeros((0, 0))).n == 0
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 4), (1, 2, 2, 2)])
+    def test_rejects_what_is_not_a_stack_of_squares(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            hermitian(np.zeros(shape))
+
+    def test_restrict_takes_each_leading_block(self, rng):
+        stack = hermitian(np.stack([random_hermitian(rng, 4).mat for _ in range(3)]))
+        leading = stack.restrict(2)
+        assert leading.mat.shape == (3, 2, 2)
+        assert np.array_equal(leading.mat, stack.mat[:, :2, :2])
+        with pytest.raises(ValueError):
+            stack.restrict(5)
+
+    def test_eigh_refuses_a_stack(self, rng):
+        stack = hermitian(np.stack([random_hermitian(rng, 3).mat for _ in range(2)]))
+        with pytest.raises(ValueError, match="stack"):
+            eigh(stack)
+        with pytest.raises(ValueError, match="stack"):
+            eigh_stack([random_hermitian(rng, 3), stack])
+
+
 class TestEigh:
     @pytest.mark.parametrize("n", [2, 3, 8, 13])
     def test_rotation_schedule_covers_every_pair_once(self, n):

@@ -10,8 +10,39 @@ import pytest
 
 from isodilation.errors import PreconditionError, UnknownDemoError
 from isodilation.hermitian import max_abs
-from isodilation.pipeline import DEMOS, classify_spec, demo, demo_spec, run_pipeline
+from isodilation.pipeline import DEMOS, classify_spec, demo, demo_spec, emit_report, run_pipeline
 from isodilation.specfile import spec_from_dict
+
+
+_JSON_LEAF_TYPES = {str, int, float, bool, type(None)}
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        for value in obj.values():
+            yield from _leaves(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _leaves(value)
+    else:
+        yield obj
+
+
+def _dense_m3_spec(dim: int):
+    """A random normal contraction V diag(z) V*, as in the dense-m3 benchmark
+    workload."""
+    rng = np.random.default_rng(1)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    v = q * (np.diag(r) / np.abs(np.diag(r)))
+    z = rng.uniform(0.1, 0.95, dim) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, dim))
+    t = (v * z) @ v.conj().T
+    entries = [[[float(x.real), float(x.imag)] for x in row] for row in t]
+    return spec_from_dict({
+        "operator": {"kind": "dense", "entries": entries},
+        "m": 3,
+        "truncation": {"n_blocks": 6},
+    })
 
 
 def _spec(**kwargs):
@@ -254,16 +285,31 @@ class TestReports:
         assert report["model"]["dim_h"] == 22
         assert len(report["model"]["weights_head"]) == 8
 
-    def test_report_is_json_clean(self):
+    def test_report_is_json_clean(self, demos):
         report = run_pipeline(_spec()).report
         text = json.dumps(report)
         assert "numpy" not in text
         json.loads(text)
+        # no numpy scalar reaches a report: every leaf is a plain JSON type
+        reports = [demos.run(name).report for name in sorted(DEMOS)]
+        reports.append(run_pipeline(_dense_m3_spec(8)).report)
+        for rep in reports:
+            assert {type(leaf) for leaf in _leaves(rep)} <= _JSON_LEAF_TYPES
+        # a numpy seed from the API is cast once, at the entry
+        seeded = run_pipeline(_spec(), seed=np.int64(5)).report
+        assert type(seeded["seed"]) is int
+        assert json.loads(emit_report(seeded))["seed"] == 5
 
     def test_three_concave_omits_metric(self):
         result = demo("scalar-3concave")
         assert result.report["q_solution"] is None
         assert result.report["badea"] is None
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_trials_below_one_is_refused(trials):
+    with pytest.raises(ValueError, match="trials"):
+        run_pipeline(_spec(), trials=trials)
 
 
 class TestDemoCatalog:
