@@ -12,8 +12,6 @@ from .builder import (
     DilationModel,
     ShiftWeights,
     assemble_dilation,
-    build_a_general,
-    build_a_three_concave,
     build_badea_2iso,
     build_general_model,
     build_three_concave_model,

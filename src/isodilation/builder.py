@@ -9,14 +9,18 @@ builder produces the pieces of the block dilation
               0  0   S2  0  ...
               ...              ]
 
-on H + l2(H'), where H' is the numerical range of the relevant metric root:
+on H + l2(H').  One recipe, `_construct`, makes it from two inputs: a
+metric M >= 0, whose numerical range is H' and whose root, compressed to
+H', is U, and a form on H', represented by A <= 0.  The three builders
+only choose them:
 
-* general path: U is the square root of an invariant metric Q with
-  T*QT = Q, and A on H' represents the m-defect through the quotient form
+* general path: M is an invariant metric Q with T*QT = Q, and A
+  represents the m-defect through the quotient form
   <A Q^(1/2) f, Q^(1/2) g> = <defect_m f, g>;
-* 3-concave path: U is the square root of the 2-defect Delta, and A
-  represents <T* defect_3 T f, g> over the range of Delta^(1/2);
-* reference path (identity weights): U = (Q - defect_1)^(1/2), all S_j = I.
+* 3-concave path: M is the 2-defect Delta, and A represents
+  <T* defect_3 T f, g> over the range of Delta^(1/2);
+* reference path (identity weights): M = Q - defect_1 and A = 0, so all
+  S_j = I.
 
 The weight sequence comes from the degree-(m-1) matrix polynomial
 p(z) = I - z(z-1)...(z-m+2)/(m-1)! * A, which at integer points is
@@ -25,14 +29,14 @@ S_n = p(n)^(1/2) p(n-1)^(-1/2).  It gives cumulative moduli
 |S_n ... S_1|^2 = p(n) exactly and hence an m-isometric weight shift;
 S_n = I for n < m-1, and S_(m-1) = (I - A)^(1/2) is B.  The weights and
 their cumulative moduli are each one (horizon, d, d) `HermitianMatrix`
-stack, and the assembled W stores a view of the weight stack, not a copy.
+stack, and the assembled W stores the `Block`s of the model and of the
+weight stack, not copies.
 """
 
 import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +54,6 @@ from .hermitian import (
     eigh,
     hermitian,
     max_abs,
-    psd_check,
     spectral_apply,
 )
 from .operators import DefectForms, OperatorCorner
@@ -127,24 +130,19 @@ class ShiftWeights:
 class AssembledDilation:
     """Finite truncation of the dilation on H + n_blocks copies of H'.
 
-    Stored as its blocks, views of the model's arrays and the weight stack:
-    the corner `t` (w x w), `u` (d x w) and the stacked weights
-    S_1..S_(n_blocks-1) as a (n_blocks-1, d, d) array.  `apply` acts
-    with the truncated W through one `Block` per stored array: `t_block`,
-    `u_block` and the stacked `weight_block`, all slices or gathers on a
+    Stored as its blocks, the `Block`s of the model and of the weight
+    stack, not copies: the corner `t` (w x w), `u` (d x w) and the stacked
+    weights S_1..S_(n_blocks-1) as one (n_blocks-1, d, d) `Block`.  `apply`
+    acts with the truncated W through them, all slices or gathers on a
     shift; the dense `matrix` is built only on request.  The structure of
     each stored array is read once, from its own nonzeros, so a corrupted
     block is multiplied as stored.
     """
 
-    t: np.ndarray
-    u: np.ndarray
-    weights: np.ndarray
+    t: Block
+    u: Block
+    weights: Block
     model: DilationModel
-
-    def __post_init__(self):
-        for arr in (self.t, self.u, self.weights):
-            arr.setflags(write=False)
 
     @property
     def dim_h(self) -> int:
@@ -161,19 +159,6 @@ class AssembledDilation:
     @property
     def dim_total(self) -> int:
         return self.dim_h + self.n_blocks * self.dim_hprime
-
-    @cached_property
-    def t_block(self) -> Block:
-        return Block(self.t)
-
-    @cached_property
-    def u_block(self) -> Block:
-        return Block(self.u)
-
-    @cached_property
-    def weight_block(self) -> Block:
-        """The stored weights as one stacked `Block`."""
-        return Block(self.weights)
 
     def block_slice(self, k: int) -> slice:
         """Coordinate slice of block k (0 is H, 1..n_blocks are H' copies)."""
@@ -202,51 +187,54 @@ class AssembledDilation:
             raise DimensionError(f"length {cols.shape[0]} is not a leading run of blocks")
         steps = min(j, self.n_blocks - 1)
         out = np.empty((w + (steps + 1) * d, count), dtype=np.complex128)
-        out[:w] = self.t_block.dot(cols[:w])
+        out[:w] = self.t.dot(cols[:w])
         if d:
-            out[w : w + d] = self.u_block.dot(cols[:w])
+            out[w : w + d] = self.u.dot(cols[:w])
             tail = cols[w : w + steps * d].reshape(steps, d, count)
-            out[w + d :] = self.weight_block[:steps].dot(tail).reshape(steps * d, count)
+            out[w + d :] = self.weights[:steps].dot(tail).reshape(steps * d, count)
         return out if x.ndim == 2 else out[:, 0]
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense truncated block matrix, read-only, built on first use."""
         mat = np.zeros((self.dim_total, self.dim_total), dtype=np.complex128)
-        mat[: self.dim_h, : self.dim_h] = self.t
+        mat[: self.dim_h, : self.dim_h] = self.t.mat
         if self.dim_hprime:
-            mat[self.block_slice(1), : self.dim_h] = self.u
-            for j, s in enumerate(self.weights, start=1):
+            mat[self.block_slice(1), : self.dim_h] = self.u.mat
+            for j, s in enumerate(self.weights.mat, start=1):
                 mat[self.block_slice(j + 1), self.block_slice(j)] = s
         mat.setflags(write=False)
         return mat
 
 
-class QuotientForm(NamedTuple):
-    a: HermitianMatrix
-    basis: np.ndarray
-    welldef_residual: float
-    metric_root: HermitianMatrix
-    numerator_norm: float
-    # spectral decomposition of `a`, set once the sign gate has clamped it
-    a_dec: EigenDecomposition | None = None
-
-
-def _quotient_form(
+def _construct(
+    forms: DefectForms,
+    m: int,
+    path: str,
+    w: int,
     metric: HermitianMatrix,
-    numerator: HermitianMatrix,
+    numerator: HermitianMatrix | None,
+    weights_horizon: int,
     tols: Tolerances,
     what: str,
     dec: EigenDecomposition | None = None,
-) -> QuotientForm:
-    """Represent the form <X f, g> on the range of metric^(1/2).
+    range_scale: float = 0.0,
+) -> tuple[DilationModel, ShiftWeights]:
+    """The construction on the leading w-block of the corner of `forms`.
 
-    With R the PSD square root of the metric, the representer is
-    R+ X R+ compressed to the numerical range; the construction is well
-    defined only when X vanishes on the kernel of R, certified by the
-    residual ||X - R (R+ X R+) R||.  Every product is a `Block` product,
-    elementwise for a diagonal X over a permutation eigenbasis.
+    H' is the numerical range of the metric M >= 0, the eigenvalues above
+    rank_tol * max(lam_max, range_scale), and U is the PSD root R of M
+    compressed to it.  A represents the form <X f, g> of the numerator X:
+    R+ X R+ compressed to the range, well defined only when X vanishes on
+    the kernel of R, certified by the residual ||X - R (R+ X R+) R||, and
+    it must be nonpositive; the weights telescope p(n) = I - C(n, m-1) A.
+    Every product is a `Block` product, elementwise for a diagonal X over
+    a permutation eigenbasis.  With no numerator A = 0, and every weight is
+    I, one read-only broadcast stack.  `dec` is the spectral decomposition
+    of the metric, made here when None.
     """
+    if weights_horizon < m - 1:
+        raise DimensionError(f"B is the weight S_{m - 1}; the horizon is {weights_horizon}")
     if dec is None:
         dec = eigh(metric, tols.eig_tol)
     floor = -tols.psd_tol * (1.0 + metric.norm_max())
@@ -254,25 +242,50 @@ def _quotient_form(
         raise NotPsdError(f"{what}: metric not PSD (min eig {dec.values[0]:.3e})")
     lam = np.clip(dec.values, 0.0, None)
     lam_max = float(lam[-1]) if metric.n else 0.0
-    kept = lam > tols.rank_tol * lam_max
+    kept = lam > tols.rank_tol * max(lam_max, range_scale)
     root = spectral_apply(dec, np.sqrt(lam))
-    inv_root = spectral_apply(dec, np.where(kept, 1.0 / np.sqrt(np.where(kept, lam, 1.0)), 0.0))
     basis = np.ascontiguousarray(dec.basis[:, kept])
+    d = basis.shape[1]
 
-    r, r_inv = Block(root), Block(inv_root)
-    a_full = r_inv.then(numerator.block.then(r_inv))
-    welldef = max_abs(numerator.mat - r.then(a_full.then(r)).mat)
-    a_mat = Block(basis).congruence(a_full.mat)
-    limit = tols.welldef_tol * (1.0 + numerator.norm_max())
-    if welldef > limit:
-        raise IllDefinedFormError(
-            f"{what}: form does not vanish on the metric kernel "
-            f"(residual {welldef:.3e}, allowed {limit:.3e})"
+    if numerator is None:
+        a = hermitian(np.zeros((d, d)), tols.herm_tol)
+        eye = HermitianMatrix(
+            np.broadcast_to(np.eye(d, dtype=np.complex128), (weights_horizon, d, d)), 0.0
         )
-    a = hermitian(a_mat, tols.herm_tol)
-    return QuotientForm(
-        a, basis, welldef, hermitian(root, tols.herm_tol), numerator.norm_max()
+        weights = ShiftWeights(eye, eye)
+        lam_a_min = welldef = form_norm = 0.0
+    else:
+        inv_root = spectral_apply(dec, np.where(kept, 1.0 / np.sqrt(np.where(kept, lam, 1.0)), 0.0))
+        r, r_inv = Block(root), Block(inv_root)
+        a_full = r_inv.then(numerator.block.then(r_inv))
+        welldef = max_abs(numerator.mat - r.then(a_full.then(r)).mat)
+        form_norm = numerator.norm_max()
+        limit = tols.welldef_tol * (1.0 + form_norm)
+        if welldef > limit:
+            raise IllDefinedFormError(
+                f"{what}: form does not vanish on the metric kernel "
+                f"(residual {welldef:.3e}, allowed {limit:.3e})"
+            )
+        a_mat = Block(basis).congruence(a_full.mat)
+        a, a_dec = _clamp_nonpositive(hermitian(a_mat, tols.herm_tol), tols, what)
+        weights = build_weights(a, m, weights_horizon, tols, dec=a_dec)
+        lam_a_min = float(a_dec.values[0]) if d else 0.0
+
+    model = DilationModel(
+        m=m,
+        path=path,
+        corner=forms.corner.leading(w),
+        defect_m=forms.on(m, w),
+        defect_prev=forms.on(max(m - 1, 1), w),
+        basis=basis,
+        u=Block(basis.conj().T).dot(hermitian(root, tols.herm_tol).mat),
+        a=a,
+        # B = (I - A)^(1/2) is the weight S_(m-1)
+        b_norm=float(np.sqrt(1.0 - lam_a_min)) if d else 0.0,
+        welldef_residual=welldef,
+        remark_form_norm=form_norm,
     )
+    return model, weights
 
 
 def _clamp_nonpositive(
@@ -297,19 +310,6 @@ def _clamp_nonpositive(
     return clamped, dataclasses.replace(dec, values=values)
 
 
-def build_a_general(
-    q: QSolution,
-    defect_m: HermitianMatrix,
-    window: int,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> QuotientForm:
-    """Representer of the m-defect over the range of the metric root."""
-    w = min(window, defect_m.n, q.q.n)
-    form = _quotient_form(q.q.restrict(w), defect_m.restrict(w), tols, "general construction")
-    a, a_dec = _clamp_nonpositive(form.a, tols, "general construction")
-    return form._replace(a=a, a_dec=a_dec)
-
-
 def _forms_of(t: OperatorCorner, forms: DefectForms | None, tols: Tolerances) -> DefectForms:
     """The run's defect forms of t, or fresh ones for a direct call."""
     if forms is None:
@@ -319,43 +319,6 @@ def _forms_of(t: OperatorCorner, forms: DefectForms | None, tols: Tolerances) ->
     if forms.tols != tols:
         raise ValueError("the defect forms were made with other tolerances")
     return forms
-
-
-def build_a_three_concave(
-    t: OperatorCorner,
-    window: int,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-    forms: DefectForms | None = None,
-) -> QuotientForm:
-    """Representer of <T* defect_3 T f, g> over the range of the 2-defect root.
-
-    Both sign preconditions are checked: the 2-defect must be nonnegative
-    and the 3-defect nonpositive on the window.  The gate on the 2-defect
-    and the quotient form share one decomposition; `forms` supplies the
-    defect forms of t and their decompositions (computed here when None).
-    """
-    forms = _forms_of(t, forms, tols)
-    compressed = t.congruence(forms.full(3).mat)
-    w = min(window, t.window_after(4))
-    if w <= 0:
-        raise DimensionError("no exact window left for the 3-concave construction")
-
-    gate = forms.psd(2, tols.psd_tol, w)
-    if not gate.is_psd:
-        raise NotPsdError(f"2-defect must be nonnegative (min eig {gate.min_eig:.3e})")
-    sign = forms.psd(3, tols.psd_tol, w, negate=True)
-    if not sign.is_psd:
-        raise NotNegativeError(
-            f"operator is not 3-concave on the window (max eig {-sign.min_eig:.3e})"
-        )
-
-    numerator = hermitian(compressed[:w, :w], tols.herm_tol)
-    form = _quotient_form(
-        forms.on(2, w), numerator, tols, "3-concave construction",
-        forms.decomposition(2, w),
-    )
-    a, a_dec = _clamp_nonpositive(form.a, tols, "3-concave construction")
-    return form._replace(a=a, a_dec=a_dec)
 
 
 def build_weights(
@@ -428,8 +391,9 @@ def assemble_dilation(
     """Assemble the truncated dilation from its blocks.
 
     Block (0,0) is T, block (1,0) is U, block (j+1, j) is S_j; everything
-    else is zero; all are stored as views, not copies.  A zero-dimensional
-    H' yields W = T, the degenerate dilation of an isometric input.  Spec files enforce n_blocks >= m + 2
+    else is zero; all are stored as the `Block`s of the model and of the
+    weight stack, not copies.  A zero-dimensional H' yields W = T, the
+    degenerate dilation of an isometric input.  Spec files enforce n_blocks >= m + 2
     so every verifier window is nonempty; the assembly itself only needs
     two blocks.
     """
@@ -443,35 +407,10 @@ def assemble_dilation(
         )
     if model.u.shape != (d, w):
         raise DimensionError(f"U must be {d}x{w}, got {model.u.shape}")
-    stack = np.zeros((n_blocks - 1, 0, 0), dtype=np.complex128)
+    stack = Block(np.zeros((n_blocks - 1, 0, 0), dtype=np.complex128))
     if d:
-        stack = weights.weights.mat[: n_blocks - 1]
-    return AssembledDilation(model.corner.matrix, model.u, stack, model)
-
-
-def _model_from_form(
-    form: QuotientForm, m: int, weights_horizon: int, tols: Tolerances, **fields
-) -> tuple[DilationModel, ShiftWeights]:
-    """Weights, B and U from a clamped representer, and the model holding them.
-
-    B = (I - A)^(1/2) is the weight S_(m-1), so its norm is
-    (1 - lam_min)^(1/2).  `fields` are the path-specific DilationModel
-    fields.
-    """
-    if weights_horizon < m - 1:
-        raise DimensionError(f"B is the weight S_{m - 1}; the horizon is {weights_horizon}")
-    weights = build_weights(form.a, m, weights_horizon, tols, dec=form.a_dec)
-    lam = form.a_dec.values
-    model = DilationModel(
-        m=m,
-        basis=form.basis,
-        u=Block(form.basis.conj().T).dot(form.metric_root.mat),
-        a=form.a,
-        b_norm=float(np.sqrt(1.0 - lam[0])) if lam.size else 0.0,
-        welldef_residual=form.welldef_residual,
-        **fields,
-    )
-    return model, weights
+        stack = weights.weights.block[: n_blocks - 1]
+    return AssembledDilation(model.corner.block, model.u_block, stack, model)
 
 
 def build_general_model(
@@ -482,18 +421,13 @@ def build_general_model(
     tols: Tolerances = DEFAULT_TOLERANCES,
     forms: DefectForms | None = None,
 ) -> tuple[DilationModel, ShiftWeights]:
-    """Run the general construction for an expansive m-concave corner."""
+    """Run the general construction for an expansive m-concave corner: the
+    metric is the invariant Q, the form the m-defect."""
     forms = _forms_of(t, forms, tols)
     w = min(t.window_after(m), q.q.n)
-    defect_m, defect_prev = forms.on(m, w), forms.on(max(m - 1, 1), w)
-    form = build_a_general(q, defect_m, w, tols)
-    return _model_from_form(
-        form, m, weights_horizon, tols,
-        path="general_m",
-        corner=t.leading(w),
-        defect_m=defect_m,
-        defect_prev=defect_prev,
-        remark_form_norm=defect_m.norm_max(),
+    return _construct(
+        forms, m, "general_m", w, q.q.restrict(w), forms.on(m, w), weights_horizon,
+        tols, "general construction",
     )
 
 
@@ -503,74 +437,56 @@ def build_three_concave_model(
     tols: Tolerances = DEFAULT_TOLERANCES,
     forms: DefectForms | None = None,
 ) -> tuple[DilationModel, ShiftWeights]:
-    """Run the 3-concave construction (no expansivity, no metric solve)."""
+    """Run the 3-concave construction (no expansivity, no metric solve).
+
+    The metric is the 2-defect and the form <T* defect_3 T f, g>.  Both
+    sign preconditions are checked, in this order: the 2-defect must be
+    nonnegative and the 3-defect nonpositive on the window.  The gate on
+    the 2-defect and the construction share one decomposition; `forms`
+    supplies the defect forms of t and their decompositions (computed here
+    when None).
+    """
     m = 3
     forms = _forms_of(t, forms, tols)
     w = t.window_after(m + 1)  # the represented form compresses beta_3 by T
     if w <= 0:
         raise DimensionError("corner too small for the 3-concave construction")
-    defect_m, defect_prev = forms.on(m, w), forms.on(m - 1, w)
-    form = build_a_three_concave(t, w, tols, forms)
-    return _model_from_form(
-        form, m, weights_horizon, tols,
-        path="three_concave",
-        corner=t.leading(w),
-        defect_m=defect_m,
-        defect_prev=defect_prev,
-        remark_form_norm=form.numerator_norm,
+    gate = forms.psd(2, tols.psd_tol, w)
+    if not gate.is_psd:
+        raise NotPsdError(f"2-defect must be nonnegative (min eig {gate.min_eig:.3e})")
+    sign = forms.psd(3, tols.psd_tol, w, negate=True)
+    if not sign.is_psd:
+        raise NotNegativeError(
+            f"operator is not 3-concave on the window (max eig {-sign.min_eig:.3e})"
+        )
+    numerator = hermitian(t.congruence(forms.full(3).mat)[:w, :w], tols.herm_tol)
+    return _construct(
+        forms, m, "three_concave", w, forms.on(2, w), numerator, weights_horizon,
+        tols, "3-concave construction", dec=forms.decomposition(2, w),
     )
 
 
 def build_badea_2iso(
     t: OperatorCorner,
     q: QSolution,
-    n_blocks: int,
-    weights_horizon: int | None = None,
+    weights_horizon: int,
     tols: Tolerances = DEFAULT_TOLERANCES,
     forms: DefectForms | None = None,
-) -> tuple[DilationModel, ShiftWeights, AssembledDilation]:
+) -> tuple[DilationModel, ShiftWeights]:
     """Reference 2-isometric dilation with identity weights.
 
-    U is the square root of (metric - 1-defect), which must be nonnegative;
-    H' is its numerical range.  The weight shift is the unweighted
-    (isometric) shift, so the weight polynomial is constant.
+    The metric is Q minus the 1-defect, which must be nonnegative, and A
+    = 0: the weight shift is the unweighted (isometric) shift.  The
+    difference is formed from Q and the 1-defect, so roundoff lives at
+    (1 + their scale); a range cutoff relative to lam_max alone would
+    promote pure noise to range directions when the difference vanishes.
     """
     m = 2
     forms = _forms_of(t, forms, tols)
     w = min(t.window_after(m), q.q.n)
-    defect_m, defect_prev = forms.on(m, w), forms.on(m - 1, w)
-    gap = hermitian(q.q.restrict(w).mat - defect_prev.mat, tols.herm_tol)
-    dec = eigh(gap, tols.eig_tol)
-    gate = psd_check(gap, tols.psd_tol, dec=dec)
-    if not gate.is_psd:
-        raise NotPsdError(
-            f"metric minus 1-defect is not nonnegative (min eig {gate.min_eig:.3e})"
-        )
-    lam = np.clip(dec.values, 0.0, None)
-    # the difference is formed from the metric and the 1-defect, so roundoff
-    # lives at (1 + their scale); a cutoff relative to lam_max alone would
-    # promote pure noise to range directions when the difference vanishes
-    data_scale = 1.0 + q.q.norm_max() + defect_prev.norm_max()
-    lam_max = float(lam[-1]) if lam.size else 0.0
-    kept = lam > tols.rank_tol * max(lam_max, data_scale)
-    basis = np.ascontiguousarray(dec.basis[:, kept])
-    u = Block(basis.conj().T).dot(spectral_apply(dec, np.sqrt(lam)))
-    d = basis.shape[1]
-
-    horizon = weights_horizon if weights_horizon is not None else max(n_blocks - 1, 8)
-    eye = HermitianMatrix(np.broadcast_to(np.eye(d, dtype=np.complex128), (horizon, d, d)), 0.0)
-    weights = ShiftWeights(eye, eye)
-    model = DilationModel(
-        m=m,
-        path="badea_2iso",
-        corner=t.leading(w),
-        defect_m=defect_m,
-        defect_prev=defect_prev,
-        basis=basis,
-        u=u,
-        a=hermitian(np.zeros((d, d)), tols.herm_tol),
-        b_norm=1.0 if d else 0.0,
-        welldef_residual=0.0,
-        remark_form_norm=defect_m.norm_max(),
+    defect_1 = forms.on(1, w)
+    gap = hermitian(q.q.restrict(w).mat - defect_1.mat, tols.herm_tol)
+    return _construct(
+        forms, m, "badea_2iso", w, gap, None, weights_horizon, tols,
+        "metric minus 1-defect", range_scale=1.0 + q.q.norm_max() + defect_1.norm_max(),
     )
-    return model, weights, assemble_dilation(model, weights, n_blocks)

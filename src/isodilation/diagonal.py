@@ -50,7 +50,6 @@ class DiagonalModel:
     window: int
     support: np.ndarray          # H' indices: metric diagonal above the rank cutoff
     a_diag: np.ndarray           # on support
-    b_diag: np.ndarray           # on support
     u_diag: np.ndarray           # on support
     weight_diags: tuple          # per n = 1..horizon, values on support
 
@@ -95,7 +94,6 @@ def build_diagonal_model(
             f"diagonal representer has positive entry {np.max(a_vals):.3e}"
         )
     a_vals = np.minimum(a_vals, 0.0)
-    b_vals = np.sqrt(1.0 - a_vals)
     u_vals = np.sqrt(metric[support])
 
     p_prev = np.ones(support.size)
@@ -111,7 +109,6 @@ def build_diagonal_model(
         window=window,
         support=support,
         a_diag=a_vals,
-        b_diag=b_vals,
         u_diag=u_vals,
         weight_diags=tuple(diags),
     )
@@ -138,17 +135,13 @@ def dense_agreement_residual(
     if w != diag.window:
         raise ValueError(f"window mismatch: dense {w}, diagonal {diag.window}")
     residual = max_abs(model.embed(model.a.mat) - embed_support_diagonal(w, diag.support, diag.a_diag))
-    b = weights.weights.mat[model.m - 2]
-    residual = max(
-        residual,
-        max_abs(model.embed(b) - embed_support_diagonal(w, diag.support, diag.b_diag)),
-    )
     # U compared as P * metric_root in window coordinates
     u_window = model.compression.adjoint_dot(model.u)
     u_diag_mat = embed_support_diagonal(w, diag.support, diag.u_diag)
     residual = max(residual, max_abs(u_window - u_diag_mat))
+    # B is the weight S_(m-1) on both paths, compared with the others
     count = min(_AGREEMENT_WEIGHTS, weights.horizon, len(diag.weight_diags))
-    for n in range(1, count + 1):
+    for n in sorted({*range(1, count + 1), model.m - 1}):
         dense_s = model.embed(weights.weights.mat[n - 1])
         diag_s = embed_support_diagonal(w, diag.support, diag.weight_diags[n - 1])
         residual = max(residual, max_abs(dense_s - diag_s))

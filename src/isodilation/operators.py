@@ -258,16 +258,17 @@ class DefectForms:
     """The defect forms of one corner, each computed once.
 
     `full(k)` is `defect_form(t, k)`, one `defect_step` from `full(k - 1)`,
-    so the forms share one chain; `on(k, w, negate)` is +-beta_k on
-    its leading w-block (by default its exact window), and
-    `decomposition(k, w, negate)` is the one spectral decomposition of
-    that block, made with the tolerances' eig_tol; `decompose` makes those
-    of several blocks at once, one Jacobi stack per block size.  `classify`
-    makes one and hands it to the builders, so the classification flags,
-    the builders' sign gates and the 3-concave quotient form share every
-    form and every decomposition of an identical block.  A smaller block of
-    a form is another matrix and gets its own decomposition.  An instance
-    belongs to one corner and one run; nothing outlives it.
+    so the forms share one chain; `on(k, w)` is beta_k on its leading
+    w-block (by default its exact window), and `decomposition(k, w)` is the
+    one spectral decomposition of that block, made with the tolerances'
+    eig_tol; `decompose` makes those of several blocks at once, one Jacobi
+    stack per block size; the sign test of -beta_k reads beta_k's own
+    decomposition.  `classify` makes one and hands it to the builders, so
+    the classification flags, the builders' sign gates and the 3-concave
+    quotient form share every form and every decomposition of an identical
+    block.  A smaller block of a form is another matrix and gets its own
+    decomposition.  An instance belongs to one corner and one run; nothing
+    outlives it.
     """
 
     def __init__(self, t: OperatorCorner, tols: Tolerances = DEFAULT_TOLERANCES):
@@ -286,25 +287,22 @@ class DefectForms:
                 self._full[k] = defect_form(self.corner, k, self.tols)
         return self._full[k]
 
-    def _key(self, k: int, w: int | None, negate: bool) -> tuple:
-        return (k, self.corner.window_after(k) if w is None else w, negate)
+    def _key(self, k: int, w: int | None) -> tuple:
+        return (k, self.corner.window_after(k) if w is None else w)
 
-    def on(self, k: int, w: int | None = None, negate: bool = False) -> HermitianMatrix:
-        """beta_k (or -beta_k) on its leading w-block, default its exact window."""
-        key = self._key(k, w, negate)
+    def on(self, k: int, w: int | None = None) -> HermitianMatrix:
+        """beta_k on its leading w-block, default its exact window."""
+        key = self._key(k, w)
         if key not in self._blocks:
-            block = self.full(k).restrict(key[1])
-            self._blocks[key] = hermitian(-block.mat, self.tols.herm_tol) if negate else block
+            self._blocks[key] = self.full(k).restrict(key[1])
         return self._blocks[key]
 
-    def decomposition(
-        self, k: int, w: int | None = None, negate: bool = False
-    ) -> EigenDecomposition:
-        """The spectral decomposition of `on(k, w, negate)`."""
-        return self.decompose([(k, w, negate)])[0]
+    def decomposition(self, k: int, w: int | None = None) -> EigenDecomposition:
+        """The spectral decomposition of `on(k, w)`."""
+        return self.decompose([(k, w)])[0]
 
     def decompose(self, blocks) -> list[EigenDecomposition]:
-        """Spectral decompositions of several `(k, w, negate)` blocks.
+        """Spectral decompositions of several `(k, w)` blocks.
 
         The blocks not yet decomposed are swept in one `eigh_stack` per
         block size, the sizes in order of first appearance; each result is
@@ -323,8 +321,13 @@ class DefectForms:
     def psd(
         self, k: int, tol: float, w: int | None = None, negate: bool = False
     ) -> PsdCheck:
-        """Toleranced nonnegativity of `on(k, w, negate)`."""
-        return psd_check(self.on(k, w, negate), tol, dec=self.decomposition(k, w, negate))
+        """Toleranced nonnegativity of `on(k, w)`, or of its negative: the
+        least eigenvalue of -beta_k is 0.0 - the largest of beta_k."""
+        block, dec = self.on(k, w), self.decomposition(k, w)
+        if not negate:
+            return psd_check(block, tol, dec=dec)
+        min_eig = 0.0 - float(dec.values[-1]) if block.n else 0.0
+        return PsdCheck(min_eig >= -tol * (1.0 + block.norm_max()), min_eig)
 
 
 class FlagResidual(NamedTuple):
@@ -369,8 +372,8 @@ def classify(t: OperatorCorner, m: int, tols: Tolerances = DEFAULT_TOLERANCES) -
     forms = DefectForms(t, tols)
 
     iso_norm = forms.on(m).norm_max()
-    # beta_1, -beta_m and beta_(m-1) in one stack where their windows agree
-    forms.decompose([(1, None, False), (m, None, True), (max(m - 1, 1), None, False)])
+    # beta_1, beta_m and beta_(m-1) in one stack where their windows agree
+    forms.decompose([(1, None), (m, None), (max(m - 1, 1), None)])
     exp_check = forms.psd(1, ctol)
     concave_check = forms.psd(m, ctol, negate=True)
     delta_check = forms.psd(max(m - 1, 1), ctol)

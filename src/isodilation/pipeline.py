@@ -219,9 +219,10 @@ def run_pipeline(
             details=cls.as_dict(),
         ) from exc
     if m == 2:  # the general path, the only one m = 2 admits
-        badea_model, _, badea_assembled = build_badea_2iso(
-            corner, q, n_blocks, weights_horizon, tols=tols, forms=forms
+        badea_model, badea_weights = build_badea_2iso(
+            corner, q, weights_horizon, tols=tols, forms=forms
         )
+        badea_assembled = assemble_dilation(badea_model, badea_weights, n_blocks)
 
     diag_model = None
     if spec.kind == "shift":

@@ -119,7 +119,7 @@ def check_dilation_property(
 
     By the block structure row 0 of W contains only T, so block 0 of W x
     is T x_0 and (W^n)_00 = T (W^(n-1))_00.  Only block 0 is carried, as
-    the composition of the stored T's block (`t_block`, as in `apply`)
+    the composition of the stored T's block (`t`, as in `apply`)
     n times: the blocks 1..n of W^n H never enter block 0 of a later
     power, so dropping them leaves the residual unchanged.  It is
     rounding-level regardless of truncation (zero when the stored T is the
@@ -131,7 +131,7 @@ def check_dilation_property(
     cur = tn = Block.identity(w)
     residual = 0.0
     for n in range(1, n_max + 1):
-        cur, tn = cur.then(dilation.t_block), tn.then(t.block)
+        cur, tn = cur.then(dilation.t), tn.then(t.block)
         residual = max(residual, _leading_difference(cur, tn, max(t.window_after(n), 1)))
     return _result(
         "dilation_property",
@@ -183,7 +183,7 @@ def check_powers_formula(
 
     # weight products do not depend on the trial: the prefixes
     # S_(k-1)...S_1 for k <= m and the products S_(k-1)...S_(k-m) beyond
-    weights = [dilation.weight_block[k] for k in range(dilation.n_blocks - 1)]
+    weights = [dilation.weights[k] for k in range(dilation.n_blocks - 1)]
     one = Block.identity(d)
     prefixes = [one]
     for k in range(2, min(m, dilation.n_blocks) + 1):
@@ -430,15 +430,15 @@ def check_minimality(dilation: AssembledDilation) -> CheckResult:
     w = dilation.dim_h
     total = dilation.dim_total
     n_blocks = dilation.n_blocks
-    prods = [dilation.u_block]
+    prods = [dilation.u]
     for k in range(n_blocks - 1):
-        prods.append(prods[-1].then(dilation.weight_block[k]))
+        prods.append(prods[-1].then(dilation.weights[k]))
     # squared orbit-column norms are the diagonals of (W^n)* W^n on H,
     # G_n = T* G_(n-1) T + P_n* P_n with G_0 = I
     gram = np.eye(w, dtype=np.complex128)
     norm_sq = 1.0
     for p in prods:
-        gram = dilation.t_block.congruence(gram) + p.gram()
+        gram = dilation.t.congruence(gram) + p.gram()
         norm_sq = max(norm_sq, float(np.max(gram.diagonal().real)))
     thresh = _MINIMALITY_REL_TOL * float(np.sqrt(norm_sq))
     rank = w + sum(_column_space_rank(p, thresh) for p in prods)

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isodilation.builder import (
+    _construct,
     assemble_dilation,
-    build_a_general,
-    build_a_three_concave,
     build_badea_2iso,
     build_general_model,
     build_three_concave_model,
@@ -27,6 +26,7 @@ from isodilation.errors import (
 )
 from isodilation.hermitian import hermitian, max_abs, sqrt_psd
 from isodilation.operators import (
+    DefectForms,
     WeightRule,
     classify,
     defect_form,
@@ -35,7 +35,7 @@ from isodilation.operators import (
 )
 from isodilation.pipeline import DEMOS, demo_spec, run_pipeline
 from isodilation.qsolver import QSolution, solve_q_shift_diagonal
-from isodilation.tolerances import Tolerances
+from isodilation.tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
 def diagonal_q(values) -> QSolution:
@@ -45,71 +45,90 @@ def diagonal_q(values) -> QSolution:
     )
 
 
+def _construct_form(metric_diag, numerator_diag):
+    """`_construct` on a hand-made diagonal metric and numerator."""
+    n = len(metric_diag)
+    forms = DefectForms(dense_corner(np.zeros((n, n))))
+    metric = hermitian(np.diag(metric_diag).astype(complex))
+    numerator = hermitian(np.diag(numerator_diag).astype(complex))
+    return _construct(
+        forms, 2, "general_m", n, metric, numerator, 6, DEFAULT_TOLERANCES, "hand-made form"
+    )
+
+
 class TestBuildAGeneral:
+    """The general path's representer A, built by `build_general_model`, and
+    `_construct`'s refusal of a hand-made metric and form."""
+
     def test_isometric_input_gives_zero(self):
         # 2-isometric shift: the defect vanishes, so the representer does too
         rule = WeightRule.dirichlet()
         corner = make_shift_corner(rule, 12)
-        beta = defect_form(corner, 2)
         w = corner.window_after(2)
         q = diagonal_q([1.0 / (n + 1) for n in range(w)])
-        form = build_a_general(q, beta.restrict(w), w)
-        assert max_abs(form.a.mat) < 1e-12
-        assert form.welldef_residual < 1e-12
+        model, _ = build_general_model(corner, 2, q, weights_horizon=6)
+        assert max_abs(model.a.mat) < 1e-12
+        assert model.welldef_residual < 1e-12
 
     def test_geometric_diagonal_entries(self):
         rule = WeightRule.geometric_concave(0.5)
         corner = make_shift_corner(rule, 16)
-        beta = defect_form(corner, 2)
         w = corner.window_after(2)
         delta = defect_diagonal(rule, 1, w)
         sol = solve_q_shift_diagonal(corner, delta)
-        form = build_a_general(sol, beta.restrict(w), w)
+        model, _ = build_general_model(corner, 2, sol, weights_horizon=6)
         # cross-check against the closed-form diagonal division
         pi = np.cumprod([1.0] + [rule.weight_sq(j) for j in range(1, w + 1)])
         expected = {}
         for n in range(w):
             beta_n = -(2.0 ** -(n + 2)) * (1 - 2.0 ** -(n + 1))
             expected[n] = beta_n * pi[n] / 0.5
-        embedded = form.basis @ form.a.mat @ form.basis.conj().T
+        embedded = model.basis @ model.a.mat @ model.basis.conj().T
         for n in range(w):
             assert embedded[n, n].real == pytest.approx(expected[n], abs=1e-12)
 
     def test_ill_defined_form_rejected(self):
-        # defect does not vanish on the metric kernel
-        q = diagonal_q([1.0, 0.0])
-        beta = hermitian(np.diag([0.0, -1.0]).astype(complex))
+        # the form does not vanish on the metric kernel
         with pytest.raises(IllDefinedFormError):
-            build_a_general(q, beta, 2)
+            _construct_form([1.0, 0.0], [0.0, -1.0])
 
     def test_positive_defect_rejected(self):
-        q = diagonal_q([1.0, 1.0])
-        beta = hermitian(np.diag([0.5, 0.0]).astype(complex))
         with pytest.raises(NotNegativeError):
-            build_a_general(q, beta, 2)
+            _construct_form([1.0, 1.0], [0.5, 0.0])
+
+    def test_hand_made_form_represented(self):
+        # A = R+ X R+ on the range: -1 / 4 on the metric's range, and the
+        # represented form's norm is the numerator's
+        model, _ = _construct_form([4.0, 0.0], [-1.0, 0.0])
+        assert model.dim_hprime == 1
+        assert model.a.mat[0, 0].real == pytest.approx(-0.25, abs=1e-15)
+        assert model.remark_form_norm == 1.0
 
 
 class TestBuildAThreeConcave:
+    """The 3-concave path's representer A and sign gates, built by
+    `build_three_concave_model`."""
+
     def test_scalar_walkthrough(self):
         t = dense_corner([[1 / math.sqrt(2)]])
-        form = build_a_three_concave(t, 1)
-        assert form.a.mat[0, 0].real == pytest.approx(-0.25, abs=1e-13)
+        model, _ = build_three_concave_model(t, weights_horizon=6)
+        assert model.a.mat[0, 0].real == pytest.approx(-0.25, abs=1e-13)
 
     def test_zero_operator(self):
         t = dense_corner([[0.0]])
-        form = build_a_three_concave(t, 1)
-        assert form.a.n == 1
-        assert max_abs(form.a.mat) == 0.0
+        model, _ = build_three_concave_model(t, weights_horizon=6)
+        assert model.a.n == 1
+        assert max_abs(model.a.mat) == 0.0
 
     def test_isometric_scalar_degenerates(self):
         t = dense_corner([[1.0]])
-        form = build_a_three_concave(t, 1)
-        assert form.a.n == 0  # H' is zero-dimensional
+        model, _ = build_three_concave_model(t, weights_horizon=6)
+        assert model.a.n == 0  # H' is zero-dimensional
 
     def test_not_three_concave_rejected(self):
         t = dense_corner([[1.5]])
         with pytest.raises(NotNegativeError):
-            build_a_three_concave(t, 1)
+            build_three_concave_model(t, weights_horizon=6)
 
     def test_indefinite_two_defect_rejected_without_classification(self):
         # nilpotent and non-normal: T^2 = 0, so the 2-defect I - 2 T*T is
@@ -117,14 +136,12 @@ class TestBuildAThreeConcave:
         t = dense_corner([[0.0, 1.0], [0.0, 0.0]])
         assert min(np.linalg.eigvalsh(defect_form(t, 2).mat)) == pytest.approx(-1.0)
         with pytest.raises(NotPsdError):
-            build_a_three_concave(t, 2)
-        with pytest.raises(NotPsdError):
             build_three_concave_model(t, weights_horizon=6)
 
     def test_classification_forms_give_the_same_representer(self):
         t = dense_corner(np.diag([0.5, 0.3j, -0.8]))
-        direct = build_a_three_concave(t, 3)
-        shared = build_a_three_concave(t, 3, forms=classify(t, 3).forms)
+        direct, _ = build_three_concave_model(t, 6)
+        shared, _ = build_three_concave_model(t, 6, forms=classify(t, 3).forms)
         assert np.array_equal(direct.a.mat, shared.a.mat)
         assert np.array_equal(direct.basis, shared.basis)
 
@@ -132,13 +149,13 @@ class TestBuildAThreeConcave:
         t = dense_corner([[0.5]])
         other = classify(dense_corner([[0.5]]), 3).forms
         with pytest.raises(ValueError):
-            build_a_three_concave(t, 1, forms=other)
+            build_three_concave_model(t, 6, forms=other)
 
     def test_forms_with_other_tolerances_rejected(self):
         t = dense_corner([[0.5]])
         forms = classify(t, 3).forms
         with pytest.raises(ValueError):
-            build_a_three_concave(t, 1, tols=Tolerances(eig_tol=1e-10), forms=forms)
+            build_three_concave_model(t, 6, tols=Tolerances(eig_tol=1e-10), forms=forms)
 
 
 def p_oracle(lam, m: int, n: int):
@@ -349,10 +366,10 @@ class TestAssemble:
         ):
             if dil is None:
                 continue
-            assert dil.t is model.corner.matrix
-            assert dil.u is model.u
+            assert dil.t is model.corner.block
+            assert dil.u is model.u_block
             if weights is not None and model.dim_hprime:
-                assert np.shares_memory(dil.weights, weights.weights.mat)
+                assert np.shares_memory(dil.weights.mat, weights.weights.mat)
                 assert dil.weights.shape == (dil.n_blocks - 1,) + weights.weights.mat.shape[1:]
 
     def test_pipeline_never_builds_dense_matrix(self):
@@ -368,7 +385,8 @@ class TestBadea:
         corner = make_shift_corner(rule, 12)
         delta = defect_diagonal(rule, 1, 10)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights, dil = build_badea_2iso(corner, sol, 4)
+        model, weights = build_badea_2iso(corner, sol, 8)
+        dil = assemble_dilation(model, weights, 4)
         assert model.dim_hprime == 0
         assert dil.dim_total == model.dim_h
 
@@ -377,7 +395,8 @@ class TestBadea:
         corner = make_shift_corner(rule, 12)
         delta = defect_diagonal(rule, 1, 10)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights, dil = build_badea_2iso(corner, sol, 4)
+        model, weights = build_badea_2iso(corner, sol, 8)
+        dil = assemble_dilation(model, weights, 4)
         # the gap vanishes exactly at n = 0 and is positive beyond
         assert model.dim_hprime == model.dim_h - 1
         embedded = model.basis @ model.u
@@ -390,14 +409,17 @@ class TestBadea:
         assert max_abs(weights.weights.mat - np.eye(model.dim_hprime)) == 0.0
         assert weights.weights.defect == 0.0 and weights.cumulative is weights.weights
         assert not weights.weights.mat.flags.writeable
-        assert np.shares_memory(dil.weights, weights.weights.mat)
+        assert np.shares_memory(dil.weights.mat, weights.weights.mat)
+        # A = 0 represents no form, so the model claims none
+        assert max_abs(model.a.mat) == 0.0 and model.remark_form_norm == 0.0
 
     def test_unweighted_shift_collapses(self):
         rule = WeightRule.constant(1.0)
         corner = make_shift_corner(rule, 10)
         delta = defect_diagonal(rule, 1, 8)
         sol = solve_q_shift_diagonal(corner, delta)
-        _, _, dil = build_badea_2iso(corner, sol, 4)
+        model, weights = build_badea_2iso(corner, sol, 8)
+        dil = assemble_dilation(model, weights, 4)
         assert dil.dim_total == dil.dim_h
 
     def test_dominance_violation_rejected(self):
@@ -407,7 +429,7 @@ class TestBadea:
             hermitian(np.zeros((10, 10))), "zero", np.zeros(10), 0.0, 0.0
         )
         with pytest.raises(NotPsdError):
-            build_badea_2iso(corner, bad, 4)
+            build_badea_2iso(corner, bad, 8)
 
 
 class TestTableRuleGeneralM3:

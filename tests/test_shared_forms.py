@@ -9,6 +9,7 @@ through either entry point.
 
 import dataclasses
 import importlib
+import math
 import pkgutil
 from pathlib import Path
 
@@ -16,6 +17,8 @@ import pytest
 
 import isodilation
 from isodilation import classify_spec, demo_spec, parse_spec, run_pipeline, spec_from_dict
+from isodilation.hermitian import hermitian, psd_check
+from isodilation.operators import classify, dense_corner
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "spec-examples"
 
@@ -76,7 +79,7 @@ def calls(monkeypatch):
 def test_dense_run_decomposes_each_matrix_once(calls):
     result = run_pipeline(_dense_spec())
     assert result.path == "three_concave" and result.overall
-    # classify: beta_1, -beta_3, beta_2 (shared with the builder's gates and
+    # classify: beta_1, beta_3, beta_2 (shared with the builder's gates and
     # quotient form); A, whose spectrum gives every weight and B
     assert len(calls["eigh"]) == 4
     # beta_1, beta_2 and beta_3 are one chain of three recursion steps
@@ -90,13 +93,29 @@ def test_dense_run_decomposes_each_matrix_once(calls):
 
 @pytest.mark.parametrize("m, members", [(3, 3), (2, 2)])
 def test_dense_classify_makes_one_stacked_call(calls, m, members):
-    """beta_1, -beta_m and beta_(m-1) share the window of a dense corner;
+    """beta_1, beta_m and beta_(m-1) share the window of a dense corner;
     for m = 2 the last is beta_1 again."""
     spec = _dense_spec()
     cls, _, _ = classify_spec(spec if m == spec.m else dataclasses.replace(spec, m=m))
-    cls.forms.decompose([(1, None, False), (m, None, True), (m - 1, None, False)])
+    cls.forms.decompose([(1, None), (m, None), (m - 1, None)])
     assert calls["stacks"] == [members]
     assert len(set(calls["eigh"])) == members
+
+
+def test_negated_sign_test_reads_the_forms_own_decomposition(calls):
+    """The sign test of -beta_k decomposes no second matrix: its least
+    eigenvalue is 0.0 minus the largest of beta_k, so a vanishing form
+    reads +0.0, as a decomposition of -beta_k did."""
+    forms = classify_spec(_dense_spec())[0].forms
+    decomposed = len(calls["eigh"])
+    check = forms.psd(3, 1e-12, negate=True)
+    assert len(calls["eigh"]) == decomposed
+    assert check.min_eig == 0.0 - forms.decomposition(3).values[-1]
+    reference = psd_check(hermitian(-forms.on(3).mat), 1e-12)
+    assert check.is_psd == reference.is_psd
+    assert check.min_eig == pytest.approx(reference.min_eig, abs=1e-13)
+    residual = classify(dense_corner([[1.0]]), 2).m_concave.residual
+    assert residual == 0.0 and math.copysign(1.0, residual) == 1.0
 
 
 def test_shift_run_computes_each_defect_form_once(calls):

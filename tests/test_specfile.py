@@ -274,9 +274,9 @@ def test_no_public_function_overrides_a_tolerance():
 
 def test_no_dense_product_with_the_corner():
     """Products with T go through its block (`OperatorCorner`'s `dot`,
-    `adjoint_dot`, `congruence`, or `AssembledDilation.t_block`); a `@` on
-    a corner's `.matrix` or on `AssembledDilation.t`, directly or through a
-    local name bound to one, is a second, dense T product."""
+    `adjoint_dot`, `congruence`, or the `Block` `AssembledDilation.t`); a
+    `@` on a corner's `.matrix` or on `AssembledDilation.t`, directly or
+    through a local name bound to one, is a second, dense T product."""
 
     def reads_t(node, aliases):
         return any(
