@@ -101,7 +101,8 @@ class DilationModel:
     @cached_property
     def compression(self) -> Block:
         """basis* as a `Block`: the map of H onto H' (a row gather on a
-        permutation eigenbasis)."""
+        permutation eigenbasis); `_construct` stores the one it made U
+        with."""
         return Block(self.basis.conj().T)
 
     @cached_property
@@ -244,7 +245,11 @@ def _construct(
     lam_max = float(lam[-1]) if metric.n else 0.0
     kept = lam > tols.rank_tol * max(lam_max, range_scale)
     root = spectral_apply(dec, np.sqrt(lam))
-    basis = np.ascontiguousarray(dec.basis[:, kept])
+    if kept.all():  # the eigenbasis itself, its structure read once
+        basis, basis_block = dec.basis, dec.block
+    else:
+        basis = np.ascontiguousarray(dec.basis[:, kept])
+        basis_block = Block(basis)
     d = basis.shape[1]
 
     if numerator is None:
@@ -266,11 +271,12 @@ def _construct(
                 f"{what}: form does not vanish on the metric kernel "
                 f"(residual {welldef:.3e}, allowed {limit:.3e})"
             )
-        a_mat = Block(basis).congruence(a_full.mat)
+        a_mat = basis_block.congruence(a_full.mat)
         a, a_dec = _clamp_nonpositive(hermitian(a_mat, tols.herm_tol), tols, what)
         weights = build_weights(a, m, weights_horizon, tols, dec=a_dec)
         lam_a_min = float(a_dec.values[0]) if d else 0.0
 
+    compression = Block(basis.conj().T)
     model = DilationModel(
         m=m,
         path=path,
@@ -278,13 +284,15 @@ def _construct(
         defect_m=forms.on(m, w),
         defect_prev=forms.on(max(m - 1, 1), w),
         basis=basis,
-        u=Block(basis.conj().T).dot(hermitian(root, tols.herm_tol).mat),
+        u=compression.dot(hermitian(root, tols.herm_tol).mat),
         a=a,
         # B = (I - A)^(1/2) is the weight S_(m-1)
         b_norm=float(np.sqrt(1.0 - lam_a_min)) if d else 0.0,
         welldef_residual=welldef,
         remark_form_norm=form_norm,
     )
+    # the block U was made with, so that its structure is read once
+    model.__dict__["compression"] = compression
     return model, weights
 
 

@@ -8,7 +8,13 @@ used here.  Each Jacobi rotation round is one set of array operations,
 vectorized over its disjoint rotation pairs and over a stack of same-size
 matrices swept together (`eigh_stack`; `eigh` is its stack of one), so
 desk-scale dimensions (a few hundred) stay cheap and several forms of one
-size pay the per-round Python overhead once.
+size pay the per-round Python overhead once.  Each member that rotates
+keeps its iterate and accumulated basis in one (2n, n) buffer, so a
+column rotation gathers, computes and scatters both at once, and the
+products are formed in place with numpy's operands in one fixed order: a
+broadcast complex multiply need not round like its swap, and the order is
+what keeps every result bit for bit that of the one-matrix loop (see
+`_apply_rotations`).
 
 Every product with a structured matrix goes through one type, `Block`:
 the one reader `real_monomial` reads a block's structure off its stored
@@ -144,11 +150,12 @@ class EigenDecomposition:
         return self.values.shape[0]
 
 
-# Bytes of the columns one rotation round gathers across a stack.  Larger
-# per-round temporaries come from fresh pages on every round (glibc's
-# default mmap threshold is 128 KiB), which costs more than the stack saves:
-# on a 2-core Xeon, three dense n = 80 matrices took 0.44 s as one stack and
-# 0.36 s one by one.
+# Bytes below which each gather of a rotation round stays: a round is
+# applied in chunks of rotations, whatever the stack.  Larger temporaries
+# came from fresh pages on every round (glibc's default mmap threshold is
+# 128 KiB): best of three on a 2-core Xeon, one n = 192 matrix took 2.9 s
+# gathering a whole round at once and 1.4 s in chunks, three n = 64
+# matrices 0.27 s and 0.15 s.
 _STACK_BYTES = 1 << 17
 
 
@@ -175,37 +182,66 @@ def _rotation_rounds(n: int) -> tuple:
     return tuple(rounds)
 
 
-def _apply_rotations(a, v, b, p, q, c, s, phase):
+def _apply_rotations(av, b, p, q, c, s, phase):
     """Apply disjoint plane rotations V_i in place: a <- V* a V, v <- v V.
 
-    `a` and `v` are stacks of matrices.  V_i acts on member b_i at
-    coordinates (p_i, q_i) as [[c, s], [-conj(phase) s, conj(phase) c]]
-    where phase is the unit phase of a[b, p, q].  Every entry gets the same
-    arithmetic whatever else is in the stack.
+    `av` is a stack of (2n, n) buffers, the iterate a in rows :n over its
+    accumulated basis v in rows n:, so one gather, one product per term
+    and one scatter rotate the columns of both; the rows of a follow.  V_i
+    acts on member b_i at coordinates (p_i, q_i) as
+    [[c, s], [-conj(phase) s, conj(phase) c]] where phase is the unit phase
+    of a[b, p, q].  Every entry gets the same arithmetic whatever else is
+    in the stack or in its chunk (`_chunks`).
+
+    The products are formed into the gathered columns and rows with
+    `out=`, each with its operands in the order of `cp * c - cq * (s *
+    conj(phase))` and `c * rp - (s * phase) * rq`: numpy's broadcast
+    complex multiply need not round like its swap, and writing `rq *= c *
+    phase` for `(c * phase) * rq` changed 340 of 448 seeded
+    decompositions and 19 of 43 reports.  c and s are cast to complex once,
+    as numpy's promotion casts them.
     """
-    cc, ss = c[:, None], s[:, None]
-    s_ph_conj = (s * phase.conj())[:, None]
-    c_ph_conj = (c * phase.conj())[:, None]
-    cp = a[b, :, p]
-    cq = a[b, :, q]
-    a[b, :, p] = cp * cc - cq * s_ph_conj
-    a[b, :, q] = cp * ss + cq * c_ph_conj
-    rp = a[b, p, :]
-    rq = a[b, q, :]
-    a[b, p, :] = cc * rp - (s * phase)[:, None] * rq
-    a[b, q, :] = ss * rp + (c * phase)[:, None] * rq
-    cp = v[b, :, p]
-    cq = v[b, :, q]
-    v[b, :, p] = cp * cc - cq * s_ph_conj
-    v[b, :, q] = cp * ss + cq * c_ph_conj
+    cc = c.astype(np.complex128)[:, None]
+    ss = s.astype(np.complex128)[:, None]
+    conj = phase.conj()
+    s_conj, c_conj = (s * conj)[:, None], (c * conj)[:, None]
+    s_ph, c_ph = (s * phase)[:, None], (c * phase)[:, None]
+    n = av.shape[2]
+    for i in _chunks(b.size, 2 * n):
+        bi, pi, qi = b[i], p[i], q[i]
+        cols_p = av[bi, :, pi]
+        cols_q = av[bi, :, qi]
+        sin_p = cols_p * ss[i]
+        sin_q = cols_q * s_conj[i]
+        np.multiply(cols_p, cc[i], out=cols_p)
+        np.multiply(cols_q, c_conj[i], out=cols_q)
+        av[bi, :, pi] = np.subtract(cols_p, sin_q, out=cols_p)
+        av[bi, :, qi] = np.add(sin_p, cols_q, out=cols_q)
+    for i in _chunks(b.size, n):
+        bi, pi, qi = b[i], p[i], q[i]
+        rows_p = av[bi, pi, :]
+        rows_q = av[bi, qi, :]
+        sin_p = ss[i] * rows_p
+        sin_q = s_ph[i] * rows_q
+        np.multiply(cc[i], rows_p, out=rows_p)
+        np.multiply(c_ph[i], rows_q, out=rows_q)
+        av[bi, pi, :] = np.subtract(rows_p, sin_q, out=rows_p)
+        av[bi, qi, :] = np.add(sin_p, rows_q, out=rows_q)
+
+
+def _chunks(count: int, width: int) -> list:
+    """Slices of `count` rotations, each gathering less than `_STACK_BYTES`
+    in rows of `width` complex entries."""
+    step = max(1, (_STACK_BYTES - 1) // (16 * width))
+    return [slice(at, at + step) for at in range(0, count, step)]
 
 
 def _off_diagonal_max(a: np.ndarray) -> np.ndarray:
     """Max-norm of each stacked matrix with its diagonal zeroed."""
     k, n, _ = a.shape
-    off = a.reshape(k, n * n).copy()
-    off[:, :: n + 1] = 0.0
-    return np.maximum.reduce(np.abs(off), axis=1)
+    mags = np.abs(a).reshape(k, n * n)
+    mags[:, :: n + 1] = 0.0
+    return np.maximum.reduce(mags, axis=1)
 
 
 def real_monomial(x: np.ndarray) -> tuple | None:
@@ -378,10 +414,18 @@ class Block:
         """M* M: on a monomial, the diagonal of squared column norms."""
         if self.mono is None:
             return dense_product(self.mat.conj().T, self.mat)
+        n = self.shape[1]
+        out = np.zeros((n, n), dtype=np.complex128)
+        out.reshape(-1)[:: n + 1] = self.gram_diagonal()
+        return out
+
+    def gram_diagonal(self) -> np.ndarray:
+        """The diagonal of M* M of a monomial, the squared column norms:
+        vals**2 at the column of each nonzero, 0 at an empty column.  Every
+        other entry of M* M is an exact zero."""
         _, cols, vals = self._entries
-        at = np.arange(self.shape[1])[cols]
-        out = np.zeros((self.shape[1], self.shape[1]), dtype=np.complex128)
-        out[at, at] = vals * vals
+        out = np.zeros(self.shape[1])
+        out[cols] = vals * vals
         return out
 
 
@@ -397,7 +441,10 @@ def _sorted_decomposition(
 
     block = Block(v)
     recon_residual = max_abs(x.mat - block.outer(values))
-    basis_residual = max_abs(block.gram() - np.eye(n))
+    if block.mono is None:
+        basis_residual = max_abs(block.gram() - np.eye(n))
+    else:  # M*M - I is diagonal: read it in O(n)
+        basis_residual = max_abs(block.gram_diagonal() - 1.0)
     limit = tol * (1.0 + scale)
     if recon_residual > limit or basis_residual > max(tol, 64 * n * np.finfo(float).eps):
         raise ConvergenceError(
@@ -411,53 +458,65 @@ def _jacobi(xs: tuple, tol: float, max_sweeps: int) -> list:
     """Sweep a stack of n-by-n Hermitian matrices (n >= 1) to diagonal form."""
     n = xs[0].n
     eps = np.finfo(float).eps
-    a = np.array([x.mat for x in xs])
     scales = [max_abs(x.mat) for x in xs]
     stops = [max(tol * (1.0 + sc) / 4.0, 8.0 * n * eps * sc) for sc in scales]
-    v = np.zeros_like(a)
-    v.reshape(len(xs), n * n)[:, :: n + 1] = 1.0
     rounds = None  # fetched by the first sweep that rotates
 
     # input index of each member still in the stack
     members = list(range(len(xs)))
-    # input index -> converged (a, v), or the off-diagonal max it stopped at
+    # member j: its iterate in rows :n, its accumulated basis in rows n:;
+    # made for the members that rotate, so that one whose off-diagonal is
+    # already below the stop pays for no buffer
+    av = None
+    # input index -> converged (iterate, basis), or the off-diagonal max it
+    # stopped at
     outcome: dict = {}
     for sweep in range(max_sweeps + 1):
-        off = _off_diagonal_max(a)
+        off = _off_diagonal_max(np.array([x.mat for x in xs]) if av is None else av[:, :n])
         keep = []
         for j, member in enumerate(members):
             if off[j] <= stops[member]:
-                outcome[member] = (a[j], v[j])
+                if av is None:
+                    outcome[member] = (xs[member].mat, np.eye(n, dtype=np.complex128))
+                else:
+                    outcome[member] = (av[j, :n], av[j, n:])
             elif sweep == max_sweeps:
                 outcome[member] = float(off[j])
             else:
                 keep.append(j)
         if not keep:
             break
-        if len(keep) < len(members):
-            a, v = a[keep], v[keep]
-            members = [members[j] for j in keep]
+        members = [members[j] for j in keep]
+        if av is None:
+            av = np.zeros((len(members), 2 * n, n), dtype=np.complex128)
+            for buf, member in zip(av, members):
+                buf[:n] = xs[member].mat
+                np.fill_diagonal(buf[n:], 1.0)
+        elif len(keep) < len(off):
+            av = av[keep]
         skip = np.array([stops[member] for member in members])[:, None] / (8.0 * n)
         if rounds is None:
             rounds = _rotation_rounds(n)
         for p, q in rounds:
-            apq = a[:, p, q]
+            apq = av[:, p, q]
             mags = np.abs(apq)
             b, i = np.nonzero(mags > skip)
             if not b.size:
                 continue
             pl, ql, apql, magl = p[i], q[i], apq[b, i], mags[b, i]
             phase = apql / magl
-            tau = (a[b, ql, ql].real - a[b, pl, pl].real) / (2.0 * magl)
+            tau = (av[b, ql, ql].real - av[b, pl, pl].real) / (2.0 * magl)
             sign = np.where(tau >= 0.0, 1.0, -1.0)
             t = sign / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
-            _apply_rotations(a, v, b, pl, ql, c, s, phase)
-            a[b, pl, ql] = 0.0
-            a[b, ql, pl] = 0.0
+            _apply_rotations(av, b, pl, ql, c, s, phase)
+            av[b, pl, ql] = 0.0
+            av[b, ql, pl] = 0.0
         # keep the iterates exactly Hermitian against rounding drift
-        a = (a + a.conj().transpose(0, 2, 1)) / 2.0
+        a = av[:, :n]
+        a += a.conj().transpose(0, 2, 1)
+        a /= 2.0
 
     decs = []
     for member, x in enumerate(xs):
@@ -497,8 +556,8 @@ def eigh_stack(
     each round one set of array operations for the whole stack, but each
     keeps its own thresholds and rotates only its own live pairs, and a
     member leaves the stack once it has converged: every result has the bits
-    of that matrix decomposed alone.  Members go through in input order, in
-    stacks of at most `_STACK_BYTES` of gathered columns per round.  Raises
+    of that matrix decomposed alone.  Each round is applied in chunks of
+    rotations that gather less than `_STACK_BYTES` at a time.  Raises
     ValueError on mixed sizes or a stacked HermitianMatrix, and
     ConvergenceError for the first member, in input order, that exhausts
     the sweep budget or misses its residual checks.
@@ -516,12 +575,7 @@ def eigh_stack(
     if n == 0:
         empty = _frozen(np.zeros((0, 0), dtype=np.complex128))
         return tuple(EigenDecomposition(np.zeros(0), empty, 0.0, 0.0, Block(empty)) for _ in xs)
-    # a round gathers about n/2 columns of n complex entries per member
-    per_stack = max(1, _STACK_BYTES // (8 * n * n))
-    decs = []
-    for first in range(0, len(xs), per_stack):
-        decs += _jacobi(xs[first : first + per_stack], tol, max_sweeps)
-    return tuple(decs)
+    return tuple(_jacobi(xs, tol, max_sweeps))
 
 
 def spectral_apply(dec: EigenDecomposition, fvals: np.ndarray) -> np.ndarray:

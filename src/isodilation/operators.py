@@ -162,16 +162,29 @@ class OperatorCorner:
         return self.lower_band + self.upper_band
 
     def leading(self, k: int) -> "OperatorCorner":
-        """Leading k-by-k block; still the exact corner of the same operator."""
+        """Leading k-by-k block; still the exact corner of the same operator.
+
+        One per k, made on first use: the metric check and the models of
+        one window share it and the structure its `block` reads.  The
+        leading n-block is the corner itself.
+        """
         if not 1 <= k <= self.n:
             raise ValueError(f"cannot take leading {k} of dimension {self.n}")
-        return OperatorCorner(
-            self.matrix[:k, :k].copy(),
-            self.lower_band,
-            self.upper_band,
-            self.exact,
-            self.rule,
-        )
+        if k == self.n:
+            return self
+        if k not in self._leading:
+            self._leading[k] = OperatorCorner(
+                self.matrix[:k, :k].copy(),
+                self.lower_band,
+                self.upper_band,
+                self.exact,
+                self.rule,
+            )
+        return self._leading[k]
+
+    @cached_property
+    def _leading(self) -> dict:
+        return {}
 
     def window_after(self, applications: int) -> int:
         """Conservative exact window after composing this corner that many times."""

@@ -367,7 +367,7 @@ def _column_space_rank(block: Block, thresh: float) -> int:
     `_gram_schmidt_rank`."""
     if block.mono is None:
         return _gram_schmidt_rank(block.mat, thresh)
-    return int(np.count_nonzero(np.sqrt(block.gram().diagonal().real) > thresh))
+    return int(np.count_nonzero(np.sqrt(block.gram_diagonal()) > thresh))
 
 
 def _gram_schmidt_rank(cols: np.ndarray, thresh: float) -> int:

@@ -16,6 +16,7 @@ from isodilation.builder import _clamp_nonpositive
 from isodilation.errors import ConvergenceError, HermitianityError, NotPsdError
 from isodilation.hermitian import (
     _STACK_BYTES,
+    _chunks,
     _rotation_rounds,
     _sorted_decomposition,
     Block,
@@ -30,6 +31,7 @@ from isodilation.hermitian import (
     spectral_apply,
     sqrt_psd,
 )
+from isodilation.operators import DefectForms, dense_corner
 from isodilation.tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -252,14 +254,21 @@ def _one_matrix_jacobi(x, tol=DEFAULT_TOLERANCES.eig_tol, max_sweeps=64):
 
 
 def _sweeps_needed(x):
-    """Fewest sweeps after which `eigh` accepts x."""
-    for sweeps in range(65):
-        try:
-            eigh(x, max_sweeps=sweeps)
-            return sweeps
-        except ConvergenceError:
-            pass
-    raise AssertionError("no sweep budget suffices")
+    """Fewest sweeps after which `eigh` accepts x: a lone decomposition
+    checks the off-diagonal once before each sweep and once to accept."""
+    checks = []
+    check = hermitian_module._off_diagonal_max
+
+    def counting(a):
+        checks.append(a.shape)
+        return check(a)
+
+    hermitian_module._off_diagonal_max = counting
+    try:
+        eigh(x)
+    finally:
+        hermitian_module._off_diagonal_max = check
+    return len(checks) - 1
 
 
 def _mixed_stack(seed, n):
@@ -288,7 +297,9 @@ def _same_bits(a, b):
 
 
 class TestEighStack:
-    @pytest.mark.parametrize("seed, n", [(1, 5), (2, 12), (3, 24)])
+    # n = 47 rotates with the dummy slot of the schedule, n = 48 is the
+    # size of the dense benchmark's largest input
+    @pytest.mark.parametrize("seed, n", [(1, 5), (2, 12), (3, 24), (10, 47), (11, 48)])
     def test_members_keep_the_bits_of_a_lone_decomposition(self, seed, n):
         xs = _mixed_stack(seed, n)
         # the members leave the stack after different numbers of sweeps
@@ -313,14 +324,32 @@ class TestEighStack:
             assert dec.recon_residual <= DEFAULT_TOLERANCES.eig_tol * (1 + x.norm_max())
 
     def test_stack_over_the_gather_budget_is_split_without_changing_bits(self):
-        n = 48
-        per_stack = _STACK_BYTES // (8 * n * n)
-        assert 1 < per_stack < 20
+        # the columns of one round of this stack gather more than the
+        # budget, so the round is applied in chunks, one of them across
+        # the rotations of two members
+        n, count = 48, 5
+        chunks = _chunks(count * (n // 2), 2 * n)
+        assert len(chunks) > 1 and chunks[0].stop % (n // 2)
+        assert chunks[0].stop * 16 * 2 * n < _STACK_BYTES
         rng = np.random.default_rng(6)
         xs = [
             hermitian(np.diag(rng.standard_normal(n)) + 1e-3 * random_hermitian(rng, n).mat)
-            for _ in range(per_stack + 2)
+            for _ in range(count)
         ]
+        for x, dec in zip(xs, eigh_stack(xs)):
+            assert _same_bits(dec, eigh(x))
+
+    def test_defect_forms_of_a_dense_contraction_keep_their_bits(self):
+        # beta_1, beta_3 and beta_2 of a dim-48 normal contraction, one
+        # stack of three as `classify` makes it, whose rounds fit one chunk
+        rng = np.random.default_rng(12)
+        n = 48
+        u, _ = np.linalg.qr(_complex_gaussian(rng, (n, n)))
+        z = rng.uniform(0.1, 0.95, n) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
+        forms = DefectForms(dense_corner(u @ np.diag(z) @ u.conj().T))
+        xs = [forms.on(k) for k in (1, 3, 2)]
+        assert len(_chunks(len(xs) * (n // 2), 2 * n)) == 1
+        assert min(_sweeps_needed(x) for x in xs) >= 2
         for x, dec in zip(xs, eigh_stack(xs)):
             assert _same_bits(dec, eigh(x))
 
@@ -419,13 +448,14 @@ class TestPermutationBasis:
 
     @pytest.mark.parametrize(
         "entry, monomial",
-        [(-1.0, True), (1j, False), (np.exp(0.3j), False)],
-        ids=["minus-one", "i", "phase"],
+        [(-1.0, True), (1.0 + 2.0**-40, True), (1j, False), (np.exp(0.3j), False)],
+        ids=["minus-one", "stretched", "i", "phase"],
     )
     def test_signed_or_phased_permutation_takes_the_dense_product_values(self, entry, monomial):
         # a permutation of unit-modulus entries that are not 1 is a valid
         # eigenbasis of a diagonal matrix: a real one is a monomial `Block`,
-        # a complex one takes the dense products
+        # a complex one takes the dense products; a stretched entry leaves
+        # a unitarity residual, read off the monomial's Gram diagonal
         values = np.array([4.0, -1.0, 2.0])
         basis = np.zeros((3, 3), dtype=np.complex128)
         basis[[2, 0, 1], [0, 1, 2]] = [1.0, entry, 1.0]

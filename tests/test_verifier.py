@@ -992,5 +992,24 @@ class TestStructurePaths:
         result = run_pipeline(spec_from_dict(spec), seed=1)
         assert result.overall and result.model.dim_h == 190
         total = sum(reads.values())
-        assert 0 < total <= 24, reads
+        assert 0 < total <= 20, reads
         assert len(applies) > 2 * total, (reads, len(applies))
+
+    def test_no_array_has_its_structure_read_twice(self, monkeypatch):
+        # the metric check and both models share one leading corner, and
+        # the builder reuses the eigenbasis block and the block U is made
+        # with: no array of the largest shift-m2 spec is read again
+        reads: dict = {}
+        reader = hermitian_module.real_monomial
+
+        def counting(x):
+            key = (x.shape, np.ascontiguousarray(x).tobytes())
+            reads[key] = reads.get(key, 0) + 1
+            return reader(x)
+
+        _patch_every_binding(monkeypatch, "real_monomial", counting)
+        spec = {**DEMOS["strict-2concave"], "truncation": {"N": 192, "n_blocks": 6}}
+        result = run_pipeline(spec_from_dict(spec), seed=1)
+        assert result.overall
+        assert result.model.corner is result.badea_model.corner
+        assert max(reads.values()) == 1, sorted(reads.values())
