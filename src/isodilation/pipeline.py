@@ -3,18 +3,18 @@
 Path auto-selection follows the scope of the two construction routes:
 expansive + m-concave inputs take the general path; for m = 3 a 3-concave
 but non-expansive input takes the dedicated 3-concave path.  For m = 2 the
-reference identity-weight dilation is built alongside and the norm-gap
-certificate compares the two.
+reference identity-weight dilation is built alongside.  The pipeline makes
+no check itself: `verifier.verify_run` makes every check of the run, the
+norm-gap certificate that compares the two dilations among them.
 
 Reports are plain dicts, byte-stable for a fixed (spec, seed, version)
 apart from the single timestamp in the header.
 """
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
-
-import numpy as np
 
 from . import __about__
 from .builder import (
@@ -26,26 +26,14 @@ from .builder import (
     build_general_model,
     build_three_concave_model,
 )
-from .diagonal import build_diagonal_model, defect_diagonal, dense_agreement_residual
+from .diagonal import build_diagonal_model, defect_diagonal
 from .errors import NotNegativeError, PreconditionError, UnknownDemoError
-from .hermitian import hermitian, max_abs
+from .hermitian import max_abs
 from .operators import Classification, DefectForms, OperatorCorner, classify, dense_corner, make_shift_corner
 from .qsolver import QSolution, solve_q_shift_diagonal, solve_q_unitary
 from .specfile import OperatorSpecFile, spec_from_dict
 from .tolerances import DEFAULT_SEED, DEFAULT_TRIALS, Tolerances
-from .verifier import (
-    CheckResult,
-    VerificationReport,
-    check_criterion_identity,
-    check_cumulative_polynomial,
-    check_dilation_property,
-    check_minimality,
-    check_powers_formula,
-    check_w_m_isometry,
-    check_weight_shift_isometry,
-    nonisomorphism_certificate,
-    remark_consistency,
-)
+from .verifier import VerificationReport, verify_run
 
 DEMOS: dict[str, dict] = {
     "dirichlet-2iso": {
@@ -231,14 +219,13 @@ def run_pipeline(
             m,
             model.dim_h,
             path,
-            max(weights_horizon, 8),
+            weights_horizon,
             q_seq=q.q_seq if q is not None else None,
             tols=tols,
         )
 
-    verification = _verify(
-        model, weights, assembled, q, badea_model, badea_assembled, diag_model,
-        forms, seed, trials, tols,
+    verification = verify_run(
+        assembled, weights, q, badea_assembled, diag_model, seed, trials, tols
     )
     report = _build_report(
         spec, tols, seed, cls, path, q, model, weights, assembled,
@@ -260,93 +247,6 @@ def run_pipeline(
         verification=verification,
         report=report,
     )
-
-
-def _verify(
-    model, weights, assembled, q, badea_model, badea_assembled, diag_model,
-    forms, seed, trials, tols,
-) -> VerificationReport:
-    rep = VerificationReport()
-
-    if q is not None:
-        scale = 1.0 + q.q.norm_max()
-        rep.add(CheckResult(
-            "q_invariance", q.stein_residual, tols.stein_tol * scale,
-            q.stein_residual <= tols.stein_tol * scale,
-            f"Stein residual of the {q.method} metric",
-        ))
-        dom = max(0.0, -q.dominance_residual)
-        rep.add(CheckResult(
-            "q_dominance", dom, tols.psd_tol * scale,
-            dom <= tols.psd_tol * scale,
-            f"min eig of (metric - defect) = {q.dominance_residual:.3e}",
-        ))
-
-    welldef_limit = tols.welldef_tol * (1.0 + model.defect_m.norm_max())
-    rep.add(CheckResult(
-        "form_welldefined", model.welldef_residual, welldef_limit,
-        model.welldef_residual <= welldef_limit,
-        "quotient form vanishes on the metric kernel",
-    ))
-
-    i_minus_a = hermitian(np.eye(model.a.n) - model.a.mat, tols.herm_tol)
-    b = weights.weights.block[model.m - 2]
-    b_sq_res = max_abs(b.then(b).mat - i_minus_a.mat)
-    b_sq_limit = tols.sqrt_tol * (1.0 + i_minus_a.norm_max())
-    rep.add(CheckResult(
-        "b_square", b_sq_res, b_sq_limit, b_sq_res <= b_sq_limit,
-        "B^2 reconstructs I - A",
-    ))
-
-    if model.path == "general_m":
-        gram = model.u_block.gram()
-        diff = model.corner.congruence(gram) - gram
-        win = model.corner.window_after(1)
-        u_res = max_abs(diff[:win, :win])
-        u_limit = tols.stein_tol * (1.0 + max_abs(gram))
-        rep.add(CheckResult(
-            "u_invariance", u_res, u_limit, u_res <= u_limit,
-            f"T* U*U T = U*U on the leading {win}-block",
-        ))
-
-    rep.add(check_cumulative_polynomial(model, weights, tols=tols))
-    rep.add(check_weight_shift_isometry(weights, model.m, tols=tols))
-    rep.add(check_dilation_property(assembled, tols=tols))
-    rep.add(check_powers_formula(assembled, trials=trials, seed=seed, tols=tols))
-    rep.add(check_w_m_isometry(assembled, trials=trials, seed=seed, tols=tols))
-    rep.add(check_criterion_identity(model, weights, trials=trials, seed=seed, tols=tols))
-    rep.add(check_minimality(assembled))
-    rep.add(remark_consistency(model, weights, tols=tols))
-
-    if diag_model is not None:
-        agree = dense_agreement_residual(model, weights, diag_model)
-        rep.add(CheckResult(
-            "diagonal_dense_agreement", agree, tols.agreement_tol,
-            agree <= tols.agreement_tol,
-            "diagonal fast path vs dense eigendecomposition path (A, B, U, S)",
-        ))
-
-    if badea_assembled is not None:
-        rep.add(_renamed(check_dilation_property(badea_assembled, tols=tols), "badea_dilation_property"))
-        rep.add(_renamed(
-            check_w_m_isometry(badea_assembled, trials=trials, seed=seed, tols=tols),
-            "badea_w_m_isometry",
-        ))
-        rep.add(_renamed(check_minimality(badea_assembled), "badea_minimality"))
-        expected_found = not _is_isometric(model, forms, tols)
-        rep.add(nonisomorphism_certificate(
-            assembled, badea_assembled, expected_found=expected_found,
-            trials=trials, seed=seed, tols=tols,
-        ))
-    return rep
-
-
-def _is_isometric(model: DilationModel, forms: DefectForms, tols: Tolerances) -> bool:
-    return forms.on(1, model.corner.window_after(1)).norm_max() <= tols.class_tol
-
-
-def _renamed(check: CheckResult, name: str) -> CheckResult:
-    return CheckResult(name, check.residual, check.tolerance, check.passed, check.window)
 
 
 def _build_report(
@@ -394,7 +294,7 @@ def _build_report(
         "q_solution": q_summary,
         "model": model_summary,
         "badea": badea_summary,
-        "checks": [c.as_dict() for c in verification.checks],
+        "checks": [dataclasses.asdict(c) for c in verification.checks],
         "overall": verification.overall,
     }
 

@@ -63,7 +63,7 @@ def verify_q(
     qm = q.mat[:w, :w]
     stein_full = tw.congruence(qm) - qm
     stein = max_abs(stein_full[:stein_w, :stein_w])
-    diff = hermitian(qm[:w, :w] - delta.mat[:w, :w], tols.herm_tol)
+    diff = hermitian(qm - delta.mat[:w, :w], tols.herm_tol)
     dominance = psd_check(diff, tols.psd_tol, tols.eig_tol).min_eig
     return stein, dominance
 

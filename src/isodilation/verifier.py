@@ -1,21 +1,28 @@
 """Independent verification of every checkable identity of a built dilation.
 
+`verify_run` makes every check of a run, in report order, and each check
+but two reads its verdict off one rule, residual <= tolerance (`_result`).
 All checks are measurements on exact windows: the truncated dilation is not
 globally m-isometric (boundary blocks leak), so each check restricts its
 test vectors to supports whose forward orbit under the required number of
 applications stays inside exact blocks and coordinates.  Randomized test
 vectors are complex Gaussian on the permitted support, deterministic given
-the seed.
+the seed.  Each randomized check carries all its trials as the columns of
+one block, and every inner product it reads is one `np.vdot` per column
+(`_column_dots`), summed as the same dot on a lone vector.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .builder import AssembledDilation, DilationModel, ShiftWeights
+from .diagonal import DiagonalModel, dense_agreement_residual
 from .errors import WindowExhaustedError
-from .hermitian import Block, eigh, max_abs
+from .hermitian import Block, eigh, hermitian, max_abs
+from .qsolver import QSolution
 from .tolerances import DEFAULT_SEED, DEFAULT_TOLERANCES, DEFAULT_TRIALS, Tolerances
 
 # orbit columns count towards the rank above this fraction of the largest
@@ -27,9 +34,9 @@ _MINIMALITY_REL_TOL = 1e-6
 class CheckResult:
     """One named residual check; passed iff residual <= tolerance.
 
-    The only exception is the norm-gap certificate, which is a strict
-    inequality claim with expectation matching; see
-    `nonisomorphism_certificate`.
+    The exceptions are the norm-gap certificate, a strict inequality claim
+    with expectation matching (see `nonisomorphism_certificate`), and
+    `remark_consistency`, which compares two indicators.
     """
 
     name: str
@@ -37,15 +44,6 @@ class CheckResult:
     tolerance: float
     passed: bool
     window: str
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "window": self.window,
-        }
 
 
 @dataclass
@@ -89,9 +87,28 @@ def _trial_draws(rng: np.random.Generator, trials: int, sizes) -> np.ndarray:
     return out
 
 
-def _column_norms_sq(cols: np.ndarray) -> np.ndarray:
-    """Squared norm of each column."""
-    return np.einsum("ij,ij->j", cols.conj(), cols).real
+def _trial_block(
+    rng: np.random.Generator, trials: int, size: int, head: int,
+    blocks: int = 0, d: int = 0, at: int = 0,
+) -> np.ndarray:
+    """A (size, trials) block, one trial per column: complex Gaussian on
+    the leading `head` coordinates and on `blocks` blocks of dimension d
+    laid end to end from coordinate `at`, zero elsewhere."""
+    draws = _trial_draws(rng, trials, [head] + [d] * blocks)
+    x = np.zeros((size, trials), dtype=np.complex128)
+    x[:head] = draws[:, :head].T
+    x[at : at + blocks * d] = draws[:, head:].T
+    return x
+
+
+def _column_dots(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Re<a_j, b_j> of each column j, b defaulting to a (the squared column
+    norms).  One `np.vdot` per column of contiguous copies: each column
+    sums as the same dot on a lone vector, where one reduction over all
+    columns (`einsum`) sums in another order."""
+    rows_a = np.ascontiguousarray(a.T)
+    rows_b = rows_a if b is None else np.ascontiguousarray(b.T)
+    return np.array([np.vdot(x, y).real for x, y in zip(rows_a, rows_b)])
 
 
 def _h_support(model: DilationModel, applications: int) -> int:
@@ -110,6 +127,88 @@ def _result(name, residual, tolerance, window) -> CheckResult:
     residual = float(residual)
     tolerance = float(tolerance)
     return CheckResult(name, residual, tolerance, residual <= tolerance, window)
+
+
+def verify_run(
+    dilation: AssembledDilation,
+    weights: ShiftWeights,
+    q: QSolution | None,
+    reference: AssembledDilation | None,
+    diag: DiagonalModel | None,
+    seed: int,
+    trials: int,
+    tols: Tolerances,
+) -> VerificationReport:
+    """Every check of one run, in report order.
+
+    `q` is the metric of the general path, `reference` the identity-weight
+    dilation of an m = 2 run and `diag` the diagonal model of a shift; each
+    adds its checks when given.  The reference dilation's checks carry the
+    prefix `badea_`, and the certificate expects a norm gap exactly when
+    the 1-defect of T does not vanish on its window.
+    """
+    model = dilation.model
+    rep = VerificationReport()
+    if q is not None:
+        scale = 1.0 + q.q.norm_max()
+        rep.add(_result(
+            "q_invariance", q.stein_residual, tols.stein_tol * scale,
+            f"Stein residual of the {q.method} metric",
+        ))
+        rep.add(_result(
+            "q_dominance", max(0.0, -q.dominance_residual), tols.psd_tol * scale,
+            f"min eig of (metric - defect) = {q.dominance_residual:.3e}",
+        ))
+    rep.add(_result(
+        "form_welldefined", model.welldef_residual,
+        tols.welldef_tol * (1.0 + model.defect_m.norm_max()),
+        "quotient form vanishes on the metric kernel",
+    ))
+    i_minus_a = hermitian(np.eye(model.a.n) - model.a.mat, tols.herm_tol)
+    b = weights.weights.block[model.m - 2]
+    rep.add(_result(
+        "b_square", max_abs(b.then(b).mat - i_minus_a.mat),
+        tols.sqrt_tol * (1.0 + i_minus_a.norm_max()), "B^2 reconstructs I - A",
+    ))
+    if model.path == "general_m":
+        gram = model.u_block.gram()
+        diff = model.corner.congruence(gram) - gram
+        win = model.corner.window_after(1)
+        rep.add(_result(
+            "u_invariance", max_abs(diff[:win, :win]),
+            tols.stein_tol * (1.0 + max_abs(gram)),
+            f"T* U*U T = U*U on the leading {win}-block",
+        ))
+
+    rep.add(check_cumulative_polynomial(model, weights, tols=tols))
+    rep.add(check_weight_shift_isometry(weights, model.m, tols=tols))
+    rep.add(check_dilation_property(dilation, tols=tols))
+    rep.add(check_powers_formula(dilation, trials=trials, seed=seed, tols=tols))
+    rep.add(check_w_m_isometry(dilation, trials=trials, seed=seed, tols=tols))
+    rep.add(check_criterion_identity(model, weights, trials=trials, seed=seed, tols=tols))
+    rep.add(check_minimality(dilation))
+    rep.add(remark_consistency(model, weights, tols=tols))
+    if diag is not None:
+        rep.add(_result(
+            "diagonal_dense_agreement", dense_agreement_residual(model, weights, diag),
+            tols.agreement_tol,
+            "diagonal fast path vs dense eigendecomposition path (A, B, U, S)",
+        ))
+
+    if reference is not None:
+        for check in (
+            check_dilation_property(reference, tols=tols),
+            check_w_m_isometry(reference, trials=trials, seed=seed, tols=tols),
+            check_minimality(reference),
+        ):
+            rep.add(dataclasses.replace(check, name="badea_" + check.name))
+        beta_1 = model.defect_prev.restrict(model.corner.window_after(1))
+        isometric = beta_1.norm_max() <= tols.class_tol
+        rep.add(nonisomorphism_certificate(
+            dilation, reference, expected_found=not isometric,
+            trials=trials, seed=seed, tols=tols,
+        ))
+    return rep
 
 
 def check_dilation_property(
@@ -196,10 +295,7 @@ def check_powers_formula(
         products[k] = prod
 
     # one trial per column, blocks 1..top_block contiguous after H
-    draws = _trial_draws(rng, trials, [h0_dim] + [d] * top_block)
-    h = np.zeros((dilation.dim_total, trials), dtype=np.complex128)
-    h[:h0_dim] = draws[:, :h0_dim].T
-    h[dilation.dim_h : dilation.dim_h + top_block * d] = draws[:, h0_dim:].T
+    h = _trial_block(rng, trials, dilation.dim_total, h0_dim, top_block, d, dilation.dim_h)
     y = h
     for _ in range(m):
         y = dilation.apply(y)
@@ -215,7 +311,7 @@ def check_powers_formula(
         for k, prod in products.items():
             expected[dilation.block_slice(k)] = prod.dot(h[dilation.block_slice(k - m)])
 
-    norms = np.sqrt(_column_norms_sq(h))
+    norms = np.sqrt(_column_dots(h))
     errors = np.max(np.abs(y - expected), axis=0, initial=0.0)
     residual = float(np.max(errors / np.maximum(norms, 1.0), initial=0.0))
     return _result(
@@ -237,6 +333,7 @@ def check_w_m_isometry(
 
     The m-th forward difference of k -> ||W^k x||^2 must vanish for every x
     whose m-step forward orbit stays inside exact blocks and coordinates.
+    W is applied m times to one block holding every trial as a column.
     """
     model = dilation.model
     m = model.m if m is None else m
@@ -245,19 +342,13 @@ def check_w_m_isometry(
     top_block = max(dilation.n_blocks - m, 0)
     rng = _rng(seed, "w_m_isometry")
 
-    draws = _trial_draws(rng, trials, [h0_dim] + [d] * top_block)
-    residual = 0.0
-    for draw in draws:
-        x = np.zeros(dilation.dim_total, dtype=np.complex128)
-        x[:h0_dim] = draw[:h0_dim]
-        x[dilation.dim_h : dilation.dim_h + top_block * d] = draw[h0_dim:]
-        norms_sq = [float(np.vdot(x, x).real)]
-        y = x
-        for _ in range(m):
-            y = dilation.apply(y)
-            norms_sq.append(float(np.vdot(y, y).real))
-        val = np.diff(norms_sq, n=m)[0]
-        residual = max(residual, abs(val) / max(norms_sq[0], 1e-300))
+    x = _trial_block(rng, trials, dilation.dim_total, h0_dim, top_block, d, dilation.dim_h)
+    norms_sq = [_column_dots(x)]
+    for _ in range(m):
+        x = dilation.apply(x)
+        norms_sq.append(_column_dots(x))
+    defect = np.diff(norms_sq, n=m, axis=0)[0]
+    residual = np.max(np.abs(defect) / np.maximum(norms_sq[0], 1e-300), initial=0.0)
     return _result(
         "w_m_isometry",
         residual,
@@ -278,7 +369,8 @@ def check_criterion_identity(
     For h in H the m-defect form of T plus the alternating double sum of
     ||S_(k-1)...S_1 U T^(l-k) h||^2 must cancel exactly; together with the
     m-isometry of the weight shift this is equivalent to W being
-    m-isometric.
+    m-isometric.  Every trial is a column of one block, carried through
+    each product at once.
     """
     m = model.m
     h_dim = _h_support(model, m)
@@ -289,24 +381,19 @@ def check_criterion_identity(
     for k in range(2, m + 1):
         prefixes.append(prefixes[-1].then(weights.weights.block[k - 2]))
 
-    residual = 0.0
-    for draw in _trial_draws(rng, trials, [h_dim]):
-        h = np.zeros(model.dim_h, dtype=np.complex128)
-        h[:h_dim] = draw
-        t_pows = [h.copy()]
-        for _ in range(m - 1):
-            t_pows.append(model.corner.dot(t_pows[-1]))
-        u_pows = [model.u_block.dot(t_pow) for t_pow in t_pows]
-        lhs = float(np.vdot(h, model.defect_m.block.dot(h)).real)
-        for ell in range(1, m + 1):
-            sign = -1.0 if (m - ell) % 2 else 1.0
-            inner = 0.0
-            for k in range(1, ell + 1):
-                vec = prefixes[k - 1].dot(u_pows[ell - k])
-                inner += float(np.vdot(vec, vec).real)
-            lhs += sign * math.comb(m, ell) * inner
-        norm_sq = float(np.vdot(h, h).real)
-        residual = max(residual, abs(lhs) / max(norm_sq, 1e-300))
+    h = _trial_block(rng, trials, model.dim_h, h_dim)
+    t_pows = [h]
+    for _ in range(m - 1):
+        t_pows.append(model.corner.dot(t_pows[-1]))
+    u_pows = [model.u_block.dot(t_pow) for t_pow in t_pows]
+    lhs = _column_dots(h, model.defect_m.block.dot(h))
+    for ell in range(1, m + 1):
+        sign = -1.0 if (m - ell) % 2 else 1.0
+        inner = 0.0
+        for k in range(1, ell + 1):
+            inner = inner + _column_dots(prefixes[k - 1].dot(u_pows[ell - k]))
+        lhs = lhs + sign * math.comb(m, ell) * inner
+    residual = np.max(np.abs(lhs) / np.maximum(_column_dots(h), 1e-300), initial=0.0)
     return _result(
         "criterion_identity",
         residual,
@@ -479,8 +566,7 @@ def nonisomorphism_certificate(
 
     # candidates as columns: the basis of H, the random trials, and the
     # extremal eigenvector of the 1-defect, which maximizes its quadratic form
-    columns = [np.eye(w, dtype=np.complex128)]
-    columns.append(_trial_draws(rng, trials, [w]).T)
+    columns = [np.eye(w, dtype=np.complex128), _trial_block(rng, trials, w, w)]
     form = general.model.defect_prev
     if form.n == w and w > 0:
         dec = eigh(form, tols.eig_tol)
@@ -489,11 +575,8 @@ def nonisomorphism_certificate(
     h = np.concatenate(columns, axis=1)
 
     # (h, 0, ...) is a leading block, so each dilation is applied once
-    norm_sq = _column_norms_sq(h)
-    image_gap = np.abs(
-        _column_norms_sq(general.apply(h))
-        - _column_norms_sq(badea.apply(h))
-    )
+    norm_sq = _column_dots(h)
+    image_gap = np.abs(_column_dots(general.apply(h)) - _column_dots(badea.apply(h)))
     gaps = np.divide(image_gap, norm_sq, out=np.zeros_like(norm_sq), where=norm_sq != 0.0)
     max_gap = float(np.max(gaps, initial=0.0))
     found = max_gap > ctol
