@@ -46,9 +46,8 @@ from .hermitian import (
     HermitianMatrix,
     eigh,
     hermitian,
-    pinv_sqrt,
     psd_check,
-    sqrt_psd,
+    psd_root,
 )
 from .operators import (
     Classification,

@@ -11,8 +11,9 @@ builder produces the pieces of the block dilation
 
 on H + l2(H').  One recipe, `_construct`, makes it from two inputs: a
 metric M >= 0, whose numerical range is H' and whose root, compressed to
-H', is U, and a form on H', represented by A <= 0.  The three builders
-only choose them:
+H', is U, and a form on H', represented by A <= 0.  The gate, the range
+and both roots R = M^(1/2) and R+ come from one kernel,
+`hermitian.psd_root`.  The three builders only choose the inputs:
 
 * general path: M is an invariant metric Q with T*QT = Q, and A
   represents the m-defect through the quotient form
@@ -54,7 +55,8 @@ from .hermitian import (
     eigh,
     hermitian,
     max_abs,
-    spectral_apply,
+    psd_check,
+    psd_root,
 )
 from .operators import DefectForms, OperatorCorner
 from .qsolver import QSolution
@@ -223,14 +225,14 @@ def _construct(
 ) -> tuple[DilationModel, ShiftWeights]:
     """The construction on the leading w-block of the corner of `forms`.
 
-    H' is the numerical range of the metric M >= 0, the eigenvalues above
-    rank_tol * max(lam_max, range_scale), and U is the PSD root R of M
-    compressed to it.  A represents the form <X f, g> of the numerator X:
-    R+ X R+ compressed to the range, well defined only when X vanishes on
-    the kernel of R, certified by the residual ||X - R (R+ X R+) R||, and
-    it must be nonpositive; the weights telescope p(n) = I - C(n, m-1) A.
-    Every product is a `Block` product, elementwise for a diagonal X over
-    a permutation eigenbasis.  With no numerator A = 0, and every weight is
+    H' is the numerical range of the metric M >= 0 that `psd_root` keeps,
+    given `range_scale`, and U is the root R of M compressed to it.  A
+    represents the form <X f, g> of the numerator X: R+ X R+ compressed
+    to the range, well defined only when X vanishes on the kernel of R,
+    certified by the residual ||X - R (R+ X R+) R||, and it must be
+    nonpositive; the weights telescope p(n) = I - C(n, m-1) A.  Every
+    product is a `Block` product, elementwise for a diagonal X over a
+    permutation eigenbasis.  With no numerator A = 0, and every weight is
     I, one read-only broadcast stack.  `dec` is the spectral decomposition
     of the metric, made here when None.
     """
@@ -238,13 +240,7 @@ def _construct(
         raise DimensionError(f"B is the weight S_{m - 1}; the horizon is {weights_horizon}")
     if dec is None:
         dec = eigh(metric, tols.eig_tol)
-    floor = -tols.psd_tol * (1.0 + metric.norm_max())
-    if metric.n and dec.values[0] < floor:
-        raise NotPsdError(f"{what}: metric not PSD (min eig {dec.values[0]:.3e})")
-    lam = np.clip(dec.values, 0.0, None)
-    lam_max = float(lam[-1]) if metric.n else 0.0
-    kept = lam > tols.rank_tol * max(lam_max, range_scale)
-    root = spectral_apply(dec, np.sqrt(lam))
+    kept, root, inv_root = psd_root(metric, tols, dec, range_scale, what=what)
     if kept.all():  # the eigenbasis itself, its structure read once
         basis, basis_block = dec.basis, dec.block
     else:
@@ -260,7 +256,6 @@ def _construct(
         weights = ShiftWeights(eye, eye)
         lam_a_min = welldef = form_norm = 0.0
     else:
-        inv_root = spectral_apply(dec, np.where(kept, 1.0 / np.sqrt(np.where(kept, lam, 1.0)), 0.0))
         r, r_inv = Block(root), Block(inv_root)
         a_full = r_inv.then(numerator.block.then(r_inv))
         welldef = max_abs(numerator.mat - r.then(a_full.then(r)).mat)
@@ -306,15 +301,14 @@ def _clamp_nonpositive(
     dec = eigh(a, tols.eig_tol)
     if a.n == 0 or dec.values[-1] <= 0.0:
         return a, dec
-    ceiling = tols.psd_tol * (1.0 + a.norm_max())
-    if dec.values[-1] > ceiling:
+    if not psd_check(a, tols.psd_tol, dec=dec, negate=True).is_psd:
         raise NotNegativeError(
             f"{what}: representer has positive eigenvalue {dec.values[-1]:.3e}, "
             "contradicting concavity"
         )
     values = np.minimum(dec.values, 0.0)
     values.setflags(write=False)
-    clamped = hermitian(spectral_apply(dec, values), tols.herm_tol)
+    clamped = hermitian(dec.block.outer(values), tols.herm_tol)
     return clamped, dataclasses.replace(dec, values=values)
 
 
@@ -362,7 +356,7 @@ def build_weights(
                 "the representer A is not nonpositive"
             )
         sqrt_n = np.sqrt(p_n)
-        stack[n - 1] = spectral_apply(dec, sqrt_n * inv_sqrt_prev)
+        stack[n - 1] = dec.block.outer(sqrt_n * inv_sqrt_prev)
         inv_sqrt_prev = 1.0 / sqrt_n
     return _with_cumulative(hermitian(stack, tols.herm_tol), tols.herm_tol)
 

@@ -2,8 +2,10 @@
 
 Everything downstream (defect forms, invariant metrics, dilation blocks)
 is built from the handful of kernels in this module: a cyclic Jacobi
-eigensolver for Hermitian matrices, principal and pseudo-inverse square
-roots, and toleranced semidefiniteness tests.  No LAPACK-backed routine is
+eigensolver for Hermitian matrices, one toleranced sign test (`psd_check`,
+of X or of -X) and one root kernel (`psd_root`: the principal and
+pseudo-inverse square roots of a nonnegative matrix with its numerical
+range, the step every dilation is built on).  No LAPACK-backed routine is
 used here.  Each Jacobi rotation round is one set of array operations,
 vectorized over its disjoint rotation pairs and over a stack of same-size
 matrices swept together (`eigh_stack`; `eigh` is its stack of one), so
@@ -25,8 +27,8 @@ one exact term plus exact zeros, so the structured products give its bits
 without its n^3 work.  An eigenbasis is one such block
 (`EigenDecomposition.block`): an input whose off-diagonal entries already
 lie below the stopping threshold (a diagonal one, say) takes zero sweeps,
-its sorted basis is a permutation matrix, and its residuals and
-`spectral_apply` are then writes onto the diagonal.
+its sorted basis is a permutation matrix, and its residuals and every
+function of it (`Block.outer`) are then writes onto the diagonal.
 
 A `HermitianMatrix` may be a stack (k, n, n), such as a dilation's weights:
 `hermitian()` checks each member against its own threshold, its `block`
@@ -578,13 +580,6 @@ def eigh_stack(
     return tuple(_jacobi(xs, tol, max_sweeps))
 
 
-def spectral_apply(dec: EigenDecomposition, fvals: np.ndarray) -> np.ndarray:
-    """Assemble V diag(fvals) V* for per-eigenvalue function values; on a
-    permutation basis the values land on the diagonal, the bits of the
-    dense product."""
-    return dec.block.outer(fvals)
-
-
 class PsdCheck(NamedTuple):
     is_psd: bool
     min_eig: float
@@ -595,72 +590,47 @@ def psd_check(
     tol: float | None = None,
     eig_tol: float | None = None,
     dec: EigenDecomposition | None = None,
+    negate: bool = False,
 ) -> PsdCheck:
     """Toleranced nonnegativity test: passes iff min eig >= -tol*(1+||X||).
 
-    `dec` is the spectral decomposition of x, made here with `eig_tol`
-    when None.
+    With `negate` it tests -X, whose least eigenvalue is read as 0.0 minus
+    the largest of X, so that a vanishing form reads +0.0.  `dec` is the
+    spectral decomposition of x, made here with `eig_tol` when None.
     """
     t = DEFAULT_TOLERANCES.psd_tol if tol is None else tol
     if x.n == 0:
         return PsdCheck(True, 0.0)
     if dec is None:
         dec = eigh(x, eig_tol)
-    min_eig = float(dec.values[0])
+    min_eig = 0.0 - float(dec.values[-1]) if negate else float(dec.values[0])
     return PsdCheck(min_eig >= -t * (1.0 + x.norm_max()), min_eig)
 
 
-def _require_psd(x: HermitianMatrix, dec: EigenDecomposition, psd_tol: float, what: str):
-    floor = -psd_tol * (1.0 + x.norm_max())
-    if x.n and dec.values[0] < floor:
-        raise NotPsdError(
-            f"{what}: min eigenvalue {dec.values[0]:.6e} below allowed {floor:.3e}"
-        )
-
-
-def sqrt_psd(
+def psd_root(
     x: HermitianMatrix,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-    dec: EigenDecomposition | None = None,
-) -> HermitianMatrix:
-    """Principal square root of a nonnegative matrix.
+    tols: Tolerances,
+    dec: EigenDecomposition,
+    range_scale: float = 0.0,
+    *,
+    what: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The principal and pseudo-inverse square roots of a nonnegative X.
 
-    Eigenvalues negative within psd_tol are clamped to zero; anything more
-    negative raises NotPsdError rather than being silently repaired.
+    X must pass `psd_check` with tols.psd_tol, or NotPsdError names `what`;
+    eigenvalues negative within it are clamped to zero.  The numerical
+    range keeps the eigenvalues above rank_tol * max(lam_max, range_scale):
+    a difference formed from terms of scale `range_scale` carries roundoff
+    at that scale, and would otherwise promote noise to range directions
+    when it vanishes.  `dec` is the spectral decomposition of x.  Returns
+    the kept mask, R = X^(1/2) and R+, the inverse root on the range and 0
+    on its complement, both as `dec.block.outer` arrays.
     """
-    if dec is None:
-        dec = eigh(x, tols.eig_tol)
-    _require_psd(x, dec, tols.psd_tol, "square root")
-    root_vals = np.sqrt(np.clip(dec.values, 0.0, None))
-    return hermitian(spectral_apply(dec, root_vals), tols.herm_tol)
-
-
-class PinvSqrt(NamedTuple):
-    root: HermitianMatrix            # X^{+1/2}: inverse square root on the range
-    projector: HermitianMatrix       # orthogonal projector onto the numerical range
-    rank: int
-
-
-def pinv_sqrt(
-    x: HermitianMatrix,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-    dec: EigenDecomposition | None = None,
-) -> PinvSqrt:
-    """Pseudo-inverse square root of a nonnegative matrix.
-
-    Eigenvalues at or below tols.rank_tol * max eigenvalue count as kernel
-    and map to zero; the returned projector spans the numerical range and
-    its trace is the numerical rank.
-    """
-    if dec is None:
-        dec = eigh(x, tols.eig_tol)
-    _require_psd(x, dec, tols.psd_tol, "pseudo-inverse square root")
-    lam_max = float(dec.values[-1]) if x.n else 0.0
-    cutoff = tols.rank_tol * max(lam_max, 0.0)
-    kept = dec.values > cutoff
-    inv_vals = np.where(kept, 1.0 / np.sqrt(np.where(kept, dec.values, 1.0)), 0.0)
-    proj_vals = kept.astype(float)
-    root = hermitian(spectral_apply(dec, inv_vals), tols.herm_tol)
-    projector = hermitian(spectral_apply(dec, proj_vals), tols.herm_tol)
-    return PinvSqrt(root, projector, int(np.count_nonzero(kept)))
-
+    check = psd_check(x, tols.psd_tol, dec=dec)
+    if not check.is_psd:
+        raise NotPsdError(f"{what}: metric not PSD (min eig {check.min_eig:.3e})")
+    lam = np.clip(dec.values, 0.0, None)
+    lam_max = float(lam[-1]) if x.n else 0.0
+    kept = lam > tols.rank_tol * max(lam_max, range_scale)
+    inv_vals = np.where(kept, 1.0 / np.sqrt(np.where(kept, lam, 1.0)), 0.0)
+    return kept, dec.block.outer(np.sqrt(lam)), dec.block.outer(inv_vals)

@@ -334,13 +334,9 @@ class DefectForms:
     def psd(
         self, k: int, tol: float, w: int | None = None, negate: bool = False
     ) -> PsdCheck:
-        """Toleranced nonnegativity of `on(k, w)`, or of its negative: the
-        least eigenvalue of -beta_k is 0.0 - the largest of beta_k."""
-        block, dec = self.on(k, w), self.decomposition(k, w)
-        if not negate:
-            return psd_check(block, tol, dec=dec)
-        min_eig = 0.0 - float(dec.values[-1]) if block.n else 0.0
-        return PsdCheck(min_eig >= -tol * (1.0 + block.norm_max()), min_eig)
+        """Toleranced nonnegativity of `on(k, w)`, or of its negative
+        (`psd_check` on the shared decomposition)."""
+        return psd_check(self.on(k, w), tol, dec=self.decomposition(k, w), negate=negate)
 
 
 class FlagResidual(NamedTuple):
@@ -366,16 +362,8 @@ class Classification:
     forms: DefectForms | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "expansive": {"ok": self.expansive.ok, "residual": self.expansive.residual},
-            "m_concave": {"ok": self.m_concave.ok, "residual": self.m_concave.residual},
-            "m_isometric": {
-                "ok": self.m_isometric.ok,
-                "residual": self.m_isometric.residual,
-            },
-            "delta_psd": {"ok": self.delta_psd.ok, "residual": self.delta_psd.residual},
-        }
+        flags = ("expansive", "m_concave", "m_isometric", "delta_psd")
+        return {"m": self.m, **{name: getattr(self, name)._asdict() for name in flags}}
 
 
 def classify(t: OperatorCorner, m: int, tols: Tolerances = DEFAULT_TOLERANCES) -> Classification:

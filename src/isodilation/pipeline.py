@@ -94,13 +94,19 @@ class PipelineResult:
     classification: Classification
     path: str
     q: QSolution | None
-    model: DilationModel
     weights: ShiftWeights
     assembled: AssembledDilation
-    badea_model: DilationModel | None
     badea_assembled: AssembledDilation | None
     verification: VerificationReport
     report: dict
+
+    @property
+    def model(self) -> DilationModel:
+        return self.assembled.model
+
+    @property
+    def badea_model(self) -> DilationModel | None:
+        return None if self.badea_assembled is None else self.badea_assembled.model
 
     @property
     def overall(self) -> bool:
@@ -188,7 +194,7 @@ def run_pipeline(
 
     weights_horizon = max(n_blocks - 1, 8) + m + 1
     q: QSolution | None = None
-    badea_model = badea_assembled = None
+    badea_assembled = None
 
     try:
         if path == "three_concave":
@@ -228,8 +234,7 @@ def run_pipeline(
         assembled, weights, q, badea_assembled, diag_model, seed, trials, tols
     )
     report = _build_report(
-        spec, tols, seed, cls, path, q, model, weights, assembled,
-        badea_model, badea_assembled, verification,
+        spec, tols, seed, cls, path, q, weights, assembled, badea_assembled, verification
     )
     return PipelineResult(
         spec=spec,
@@ -239,10 +244,8 @@ def run_pipeline(
         classification=cls,
         path=path,
         q=q,
-        model=model,
         weights=weights,
         assembled=assembled,
-        badea_model=badea_model,
         badea_assembled=badea_assembled,
         verification=verification,
         report=report,
@@ -250,9 +253,9 @@ def run_pipeline(
 
 
 def _build_report(
-    spec, tols, seed, cls, path, q, model, weights, assembled,
-    badea_model, badea_assembled, verification,
+    spec, tols, seed, cls, path, q, weights, assembled, badea_assembled, verification
 ) -> dict:
+    model = assembled.model
     weights_head = [max_abs(s) for s in weights.weights.mat[:8]]
     model_summary = {
         "path": path,
@@ -278,10 +281,10 @@ def _build_report(
             "iterations": 0,
         }
     badea_summary = None
-    if badea_model is not None:
+    if badea_assembled is not None:
         badea_summary = {
-            "dim_hprime": badea_model.dim_hprime,
-            "u_norm": max_abs(badea_model.u),
+            "dim_hprime": badea_assembled.model.dim_hprime,
+            "u_norm": max_abs(badea_assembled.model.u),
         }
     return {
         "schema_version": 1,

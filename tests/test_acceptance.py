@@ -11,7 +11,7 @@ import numpy as np
 
 from isodilation.builder import assemble_dilation, perturb_weight
 from isodilation.diagonal import build_diagonal_model, dense_agreement_residual
-from isodilation.hermitian import eigh, hermitian, max_abs, sqrt_psd, pinv_sqrt
+from isodilation.hermitian import eigh, hermitian, max_abs, psd_root
 from isodilation.tolerances import DEFAULT_TOLERANCES
 from isodilation.verifier import (
     check_w_m_isometry,
@@ -86,10 +86,12 @@ def test_criterion_3_strict_two_concave(demos):
     ok &= not r.classification.m_isometric.ok
     ok &= abs(r.q.q0 - 0.5) <= 1e-12
     s1 = r.weights.weights.mat[0]
-    # B = (I - A)^(1/2), formed here independently of the weight stack
+    # B = (I - A)^(1/2), formed here by numpy.linalg.eigh, independently
+    # of the weight stack and of the package's kernels
     eye = np.eye(r.model.dim_hprime)
-    b = sqrt_psd(hermitian(eye - r.model.a.mat))
-    s1_vs_b = max_abs(s1 - b.mat)
+    lam, v = np.linalg.eigh(eye - r.model.a.mat)
+    b = (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.conj().T
+    s1_vs_b = max_abs(s1 - b)
     s1_vs_i = max_abs(s1 - eye)
     ok &= s1_vs_b <= 1e-11
     ok &= s1_vs_i > 1e-3
@@ -278,15 +280,15 @@ def test_criterion_9_kernel_properties():
         ok &= dec.basis_residual <= tols.eig_tol
         worst["eig"] = max(worst["eig"], dec.recon_residual / scale)
 
-        root = sqrt_psd(x, dec=dec)
-        sqrt_res = max_abs(root.mat @ root.mat - x.mat)
+        # the root kernel the construction runs: R, R+ and the kept range
+        kept, root, inv_root = psd_root(x, tols, dec, what="criterion 9")
+        sqrt_res = max_abs(root @ root - x.mat)
         ok &= sqrt_res <= tols.sqrt_tol * scale
         worst["sqrt"] = max(worst["sqrt"], sqrt_res / scale)
 
-        inv_root, projector, rank = pinv_sqrt(x, dec=dec)
-        lam_kept = dec.values[dec.values > tols.rank_tol * max(dec.values[-1], 0.0)]
+        lam_kept = dec.values[kept]
         kappa = float(dec.values[-1] / lam_kept[0]) if lam_kept.size else 1.0
-        pinv_res = max_abs(inv_root.mat @ x.mat @ inv_root.mat - projector.mat)
+        pinv_res = max_abs(inv_root @ x.mat @ inv_root - dec.block.outer(kept))
         allowed = tols.sqrt_tol * (1.0 + kappa)
         ok &= pinv_res <= allowed
         worst["pinv"] = max(worst["pinv"], pinv_res / allowed)

@@ -25,11 +25,9 @@ from isodilation.hermitian import (
     hermitian,
     identity,
     max_abs,
-    pinv_sqrt,
     psd_check,
+    psd_root,
     real_monomial,
-    spectral_apply,
-    sqrt_psd,
 )
 from isodilation.operators import DefectForms, dense_corner
 from isodilation.tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -193,7 +191,7 @@ class TestEigh:
     def test_reconstruction_property(self, n, seed):
         x = random_hermitian(np.random.default_rng(seed), n)
         dec = eigh(x)
-        recon = spectral_apply(dec, dec.values)
+        recon = dec.block.outer(dec.values)
         assert max_abs(x.mat - recon) <= DEFAULT_TOLERANCES.eig_tol * (1 + x.norm_max())
         assert np.all(np.diff(dec.values) >= 0)
 
@@ -428,7 +426,7 @@ class TestPermutationBasis:
         assert dec.basis_residual == max_abs(dec.basis.conj().T @ dec.basis - np.eye(n)) == 0.0
         fvals = np.linspace(-1.0, 2.0, n) ** 3
         for f in (dec.values, fvals, np.zeros(n)):
-            assert np.array_equal(spectral_apply(dec, f), _dense_apply(dec.basis, f))
+            assert np.array_equal(dec.block.outer(f), _dense_apply(dec.basis, f))
 
     def test_off_diagonal_below_the_stopping_threshold(self):
         # zero sweeps leave a permutation basis; the residual keeps the
@@ -438,13 +436,13 @@ class TestPermutationBasis:
         assert dec.block.mono is not None
         assert dec.recon_residual == max_abs(x.mat - _dense_apply(dec.basis, dec.values)) > 0.0
         f = np.array([1.0, -0.5, 3.0])
-        assert np.array_equal(spectral_apply(dec, f), _dense_apply(dec.basis, f))
+        assert np.array_equal(dec.block.outer(f), _dense_apply(dec.basis, f))
 
     def test_rotated_input_has_no_permutation(self):
         dec = eigh(hermitian([[2.0, 1.0], [1.0, 2.0]]))
         assert dec.block.mono is None
         f = np.array([0.5, 4.0])
-        assert np.array_equal(spectral_apply(dec, f), _dense_apply(dec.basis, f))
+        assert np.array_equal(dec.block.outer(f), _dense_apply(dec.basis, f))
 
     @pytest.mark.parametrize(
         "entry, monomial",
@@ -469,7 +467,7 @@ class TestPermutationBasis:
         assert dec.recon_residual == max_abs(x.mat - recon)
         assert dec.basis_residual == max_abs(sorted_basis.conj().T @ sorted_basis - np.eye(3))
         f = np.array([0.5, 4.0, -2.0])
-        assert np.array_equal(spectral_apply(dec, f), _dense_apply(sorted_basis, f))
+        assert np.array_equal(dec.block.outer(f), _dense_apply(sorted_basis, f))
 
     def test_clamp_keeps_the_permutation(self):
         # an eigenvalue positive within psd_tol is clamped to zero through
@@ -710,59 +708,71 @@ class TestStructureReaders:
         assert np.array_equal(refused.dot(x), stack @ x)
 
 
+def _roots(x, tols=DEFAULT_TOLERANCES, range_scale=0.0):
+    """psd_root of x on its own decomposition, with that decomposition."""
+    dec = eigh(x, tols.eig_tol)
+    return (*psd_root(x, tols, dec, range_scale, what="square root"), dec)
+
+
 class TestSqrtPsd:
+    """The principal root R that `psd_root` returns."""
+
     def test_identity(self):
-        assert max_abs(sqrt_psd(identity(3)).mat - np.eye(3)) < 1e-14
+        _, root, _, _ = _roots(identity(3))
+        assert max_abs(root - np.eye(3)) < 1e-14
 
     def test_scalar(self):
         # the second weight of the scalar 3-concave walkthrough
-        r = sqrt_psd(hermitian([[1.25]]))
-        assert r.mat[0, 0].real == pytest.approx(math.sqrt(5) / 2, abs=1e-14)
+        _, root, _, _ = _roots(hermitian([[1.25]]))
+        assert root[0, 0].real == pytest.approx(math.sqrt(5) / 2, abs=1e-14)
 
     def test_diagonal(self):
-        r = sqrt_psd(hermitian(np.diag([4.0, 9.0])))
-        assert np.allclose(r.mat, np.diag([2.0, 3.0]), atol=1e-13)
+        _, root, _, _ = _roots(hermitian(np.diag([4.0, 9.0])))
+        assert np.allclose(root, np.diag([2.0, 3.0]), atol=1e-13)
 
     def test_rejects_negative(self):
-        with pytest.raises(NotPsdError):
-            sqrt_psd(hermitian(np.diag([1.0, -1.0])))
+        with pytest.raises(NotPsdError, match="square root: metric not PSD"):
+            _roots(hermitian(np.diag([1.0, -1.0])))
 
     def test_clamps_tiny_negative(self):
-        r = sqrt_psd(hermitian([[-1e-12]]))
-        assert r.mat[0, 0].real == 0.0
+        kept, root, inv_root, _ = _roots(hermitian([[-1e-12]]))
+        assert root[0, 0].real == 0.0
+        assert not kept.any() and inv_root[0, 0] == 0.0
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 10), seed=st.integers(0, 2**31))
     def test_square_reconstructs(self, n, seed):
         x = random_psd(np.random.default_rng(seed), n)
-        r = sqrt_psd(x)
+        _, root, _, _ = _roots(x)
         limit = DEFAULT_TOLERANCES.sqrt_tol * (1.0 + x.norm_max())
-        assert max_abs(r.mat @ r.mat - x.mat) <= limit
-        assert psd_check(r).is_psd
+        assert max_abs(root @ root - x.mat) <= limit
+        assert psd_check(hermitian(root)).is_psd
 
 
 class TestPinvSqrt:
+    """The pseudo-inverse root R+ and the kept range that `psd_root` returns."""
+
     def test_diagonal_with_kernel(self):
-        root, proj, rank = pinv_sqrt(hermitian(np.diag([4.0, 0.0])))
-        assert np.allclose(root.mat, np.diag([0.5, 0.0]), atol=1e-14)
-        assert np.allclose(proj.mat, np.diag([1.0, 0.0]), atol=1e-14)
-        assert rank == 1
+        kept, _, inv_root, dec = _roots(hermitian(np.diag([4.0, 0.0])))
+        assert np.allclose(inv_root, np.diag([0.5, 0.0]), atol=1e-14)
+        assert np.allclose(dec.block.outer(kept), np.diag([1.0, 0.0]), atol=1e-14)
+        assert kept.sum() == 1
 
     def test_identity_full_rank(self):
-        root, proj, rank = pinv_sqrt(identity(4))
-        assert max_abs(root.mat - np.eye(4)) < 1e-13
-        assert rank == 4
+        kept, _, inv_root, _ = _roots(identity(4))
+        assert max_abs(inv_root - np.eye(4)) < 1e-13
+        assert kept.sum() == 4
 
     def test_below_cutoff_treated_as_kernel(self):
-        root, proj, rank = pinv_sqrt(hermitian(np.diag([1.0, 1e-30])), tols=Tolerances(rank_tol=1e-10))
-        assert np.allclose(root.mat, np.diag([1.0, 0.0]))
-        assert np.allclose(proj.mat, np.diag([1.0, 0.0]))
-        assert rank == 1
+        x = hermitian(np.diag([1.0, 1e-30]))
+        kept, _, inv_root, dec = _roots(x, Tolerances(rank_tol=1e-10))
+        assert np.allclose(inv_root, np.diag([1.0, 0.0]))
+        assert np.allclose(dec.block.outer(kept), np.diag([1.0, 0.0]))
+        assert kept.sum() == 1
 
     def test_projector_trace_is_rank(self, rng):
-        x = random_psd(rng, 8)
-        root, proj, rank = pinv_sqrt(x)
-        assert round(proj.mat.trace().real) == rank == 8
+        kept, _, _, dec = _roots(random_psd(rng, 8))
+        assert round(dec.block.outer(kept).trace().real) == kept.sum() == 8
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 10), zeros=st.integers(0, 4), seed=st.integers(0, 2**31))
@@ -775,9 +785,23 @@ class TestPinvSqrt:
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         basis = eigh(hermitian(g + g.conj().T)).basis
         x = hermitian(basis @ np.diag(lam) @ basis.conj().T)
-        root, proj, rank = pinv_sqrt(x)
-        assert rank == n - zeros
-        assert max_abs(root.mat @ x.mat @ root.mat - proj.mat) < 1e-8 * (1 + x.norm_max())
+        kept, _, inv_root, dec = _roots(x)
+        assert kept.sum() == n - zeros
+        projector = dec.block.outer(kept)
+        assert max_abs(inv_root @ x.mat @ inv_root - projector) < 1e-8 * (1 + x.norm_max())
+
+    def test_range_scale_keeps_a_vanishing_difference_out_of_the_range(self):
+        # the roundoff left by a difference of two unit-scale forms that
+        # cancel: relative to its own largest eigenvalue the noise is range,
+        # relative to the scale of the terms (the reference dilation passes
+        # 1 + their norms) it is kernel
+        x = hermitian(np.diag([2e-16, 1e-16, 0.0]))
+        kept, _, _, _ = _roots(x)
+        assert kept.sum() == 2
+        kept, root, inv_root, _ = _roots(x, range_scale=3.0)
+        assert not kept.any()
+        assert max_abs(inv_root) == 0.0
+        assert max_abs(root) < 1e-7
 
 
 class TestPsdCheck:
@@ -800,3 +824,15 @@ class TestPsdCheck:
         assert psd_check(window).is_psd
         assert psd_check(hermitian(-window.mat)).is_psd
         assert abs(psd_check(window).min_eig) < 1e-13
+
+    @pytest.mark.parametrize("diag", [[1.0, -2.0, 0.5], [0.25, 3.0], [-1.0, -4.0], [0.0, 0.0]])
+    def test_negate_tests_the_negative(self, diag):
+        x = hermitian(np.diag(diag))
+        assert psd_check(x, negate=True) == psd_check(hermitian(-x.mat))
+
+    def test_negate_reads_plus_zero_on_a_vanishing_form(self):
+        # -beta's least eigenvalue is read as 0.0 - (largest of beta): never
+        # -0.0, the bits of the reports' m_concave residual
+        negated = psd_check(hermitian(np.zeros((3, 3))), negate=True)
+        assert negated.is_psd
+        assert negated.min_eig == 0.0 and math.copysign(1.0, negated.min_eig) == 1.0

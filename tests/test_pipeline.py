@@ -1,5 +1,6 @@
 """Pipeline orchestration: path selection, report layout, demo catalog."""
 
+import ast
 import json
 import math
 import re
@@ -346,4 +347,30 @@ class TestSelfContainedKernels:
         for path in src.rglob("*.py"):
             if pattern.search(path.read_text()):
                 offenders.append(path.name)
+        assert offenders == []
+
+    def test_one_range_rule(self):
+        """The spectrum is clipped and the numerical range cut in one place:
+        outside `tolerances.py`, `rank_tol` and `np.clip(` appear only in
+        `hermitian.psd_root` and in the independent reference
+        `diagonal.build_diagonal_model`."""
+        src = Path(__file__).resolve().parent.parent / "src" / "isodilation"
+        allowed = {("hermitian.py", "psd_root"), ("diagonal.py", "build_diagonal_model")}
+        pattern = re.compile(r"rank_tol|np\.clip\(")
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            if path.name == "tolerances.py":
+                continue
+            text = path.read_text()
+            functions = [
+                (node.lineno, node.end_lineno, node.name)
+                for node in ast.walk(ast.parse(text))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                if not pattern.search(line):
+                    continue
+                owners = {name for lo, hi, name in functions if lo <= lineno <= hi}
+                if not any((path.name, name) in allowed for name in owners):
+                    offenders.append(f"{path.name}:{lineno}")
         assert offenders == []

@@ -961,6 +961,14 @@ _MUTATION_MATRIX = {
         # Gram-Schmidt, not by a count of norms)
         "stored_s2_phase": set(),
         "u_phase": {"powers_formula"},
+        # the reference dilation's stored blocks ("ref_" rows): the
+        # certificate asks only for a norm gap between the two dilations,
+        # which each corruption keeps, and the reference's unit weights are
+        # read by `apply` alone
+        "ref_t": {"badea_dilation_property", "badea_w_m_isometry"},
+        "ref_u": {"badea_w_m_isometry"},
+        "ref_stored_s2": {"badea_w_m_isometry"},
+        "ref_u_zero": {"badea_minimality", "badea_w_m_isometry"},
     },
     "dense-3concave": {
         "none": set(),
@@ -983,43 +991,55 @@ def mutation_runs(demos):
     return {"strict-2concave": demos.run("strict-2concave"), "dense-3concave": run_pipeline(dense)}
 
 
-def _corrupted(result, what):
-    """(model, weights, dilation) of a run with one stored object corrupted."""
-    model, weights, dil = result.model, result.weights, result.assembled
-    if what == "none":
-        return model, weights, dil
+def _corrupted_blocks(dil, what):
+    """A copy of a dilation with one stored block corrupted."""
     if what == "t":
-        return model, weights, dataclasses.replace(dil, t=Block(dil.t.mat * 1.01))
+        return dataclasses.replace(dil, t=Block(dil.t.mat * 1.01))
     if what == "u":
-        return model, weights, dataclasses.replace(dil, u=Block(dil.u.mat * 1.01))
-    if what in ("u_off_pattern", "u_phase"):
+        return dataclasses.replace(dil, u=Block(dil.u.mat * 1.01))
+    if what in ("u_off_pattern", "u_phase", "u_zero"):
         u = dil.u.mat.copy()
         if what == "u_off_pattern":
             u[0, np.flatnonzero(u[0] == 0)[0]] = 0.01
-        else:
+        elif what == "u_phase":
             u[np.flatnonzero(u[:, 0])[0], 0] *= np.exp(0.5j)
-        return model, weights, dataclasses.replace(dil, u=Block(u))
-    if what in ("stored_s2", "stored_s2_off_diagonal", "stored_s2_phase"):
-        stack = dil.weights.mat.copy()
-        if what == "stored_s2":
-            stack[1] *= 1.01
-        elif what == "stored_s2_off_diagonal":
-            stack[1][0, 1] = 0.01
         else:
-            stack[1][0, 0] *= np.exp(0.5j)
-        return model, weights, dataclasses.replace(dil, weights=Block(stack))
+            u[:] = 0.0
+        return dataclasses.replace(dil, u=Block(u))
+    # a writable copy, also of the reference's read-only identity stack
+    stack = dil.weights.mat.copy()
+    if what == "stored_s2":
+        stack[1] *= 1.01
+    elif what == "stored_s2_off_diagonal":
+        stack[1][0, 1] = 0.01
+    else:
+        stack[1][0, 0] *= np.exp(0.5j)
+    return dataclasses.replace(dil, weights=Block(stack))
+
+
+def _corrupted(result, what):
+    """(model, weights, dilation, reference) of a run with one stored
+    object corrupted; a "ref_" row corrupts the reference dilation."""
+    model, weights, dil = result.model, result.weights, result.assembled
+    reference = result.badea_assembled
+    if what == "none":
+        return model, weights, dil, reference
+    if what.startswith("ref_"):
+        return model, weights, dil, _corrupted_blocks(reference, what[len("ref_"):])
     if what == "basis":
         model = dataclasses.replace(model, basis=model.basis * 1.01)
-        return model, weights, dataclasses.replace(dil, model=model)
+        return model, weights, dataclasses.replace(dil, model=model), reference
     if what == "perturb_s2":
         bumped = perturb_weight(weights, 2, 0.01, result.tolerances)
-        return model, bumped, assemble_dilation(model, bumped, dil.n_blocks)
-    scaled = hermitian(model.a.mat * 1.01, result.tolerances.herm_tol)
-    model = dataclasses.replace(model, a=scaled)
-    return model, weights, dataclasses.replace(dil, model=model)
+        return model, bumped, assemble_dilation(model, bumped, dil.n_blocks), reference
+    if what == "a":
+        scaled = hermitian(model.a.mat * 1.01, result.tolerances.herm_tol)
+        model = dataclasses.replace(model, a=scaled)
+        return model, weights, dataclasses.replace(dil, model=model), reference
+    return model, weights, _corrupted_blocks(dil, what), reference
 
 
-def _failing_checks(result, model, weights, dil) -> set:
+def _failing_checks(result, model, weights, dil, reference) -> set:
     diag = None
     if result.spec.kind == "shift":
         diag = build_diagonal_model(
@@ -1027,7 +1047,7 @@ def _failing_checks(result, model, weights, dil) -> set:
             q_seq=result.q.q_seq, tols=result.tolerances,
         )
     rep = verify_run(
-        dil, weights, result.q, result.badea_assembled, diag,
+        dil, weights, result.q, reference, diag,
         result.seed, DEFAULT_TRIALS, result.tolerances,
     )
     return {c.name for c in rep.checks if not c.passed}
