@@ -81,5 +81,6 @@ from .verifier import (
     check_w_m_isometry,
     check_weight_shift_isometry,
     nonisomorphism_certificate,
+    orbit_grams,
     remark_consistency,
 )

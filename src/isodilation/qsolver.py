@@ -45,6 +45,14 @@ class QSolution:
         return float(self.q_seq[0])
 
 
+def stein_residual(t: OperatorCorner, qm: np.ndarray) -> float:
+    """||T*QT - Q||_max of a metric's leading block qm on the exact window
+    one application of T leaves; the solvers and `q_invariance` call it."""
+    tw = t.leading(qm.shape[0])
+    win = max(tw.window_after(1), 0)
+    return max_abs((tw.congruence(qm) - qm)[:win, :win])
+
+
 def verify_q(
     t: OperatorCorner,
     q: HermitianMatrix,
@@ -58,11 +66,8 @@ def verify_q(
     window only; pure measurement, no mutation.
     """
     w = min(window, q.n, delta.n, t.n)
-    tw = t.leading(w)
-    stein_w = max(tw.window_after(1), 0)
     qm = q.mat[:w, :w]
-    stein_full = tw.congruence(qm) - qm
-    stein = max_abs(stein_full[:stein_w, :stein_w])
+    stein = stein_residual(t, qm)
     diff = hermitian(qm - delta.mat[:w, :w], tols.herm_tol)
     dominance = psd_check(diff, tols.psd_tol, tols.eig_tol).min_eig
     return stein, dominance

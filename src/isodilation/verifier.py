@@ -10,6 +10,9 @@ vectors are complex Gaussian on the permitted support, deterministic given
 the seed.  Each randomized check carries all its trials as the columns of
 one block, and every inner product it reads is one `np.vdot` per column
 (`_column_dots`), summed as the same dot on a lone vector.
+Minimality, the criterion identity and the non-isomorphism certificate
+read one object per dilation, its orbit Grams (`orbit_grams`), and draw
+no trial.
 """
 
 import dataclasses
@@ -21,8 +24,8 @@ import numpy as np
 from .builder import AssembledDilation, DilationModel, ShiftWeights
 from .diagonal import DiagonalModel, dense_agreement_residual
 from .errors import WindowExhaustedError
-from .hermitian import Block, eigh, hermitian, max_abs
-from .qsolver import QSolution
+from .hermitian import Block, hermitian, max_abs
+from .qsolver import QSolution, stein_residual
 from .tolerances import DEFAULT_SEED, DEFAULT_TOLERANCES, DEFAULT_TRIALS, Tolerances
 
 # orbit columns count towards the rank above this fraction of the largest
@@ -62,8 +65,6 @@ class VerificationReport:
 _CHECK_SALTS = {
     "powers_formula": 11,
     "w_m_isometry": 13,
-    "criterion_identity": 17,
-    "nonisomorphism_certificate": 19,
 }
 
 
@@ -88,8 +89,7 @@ def _trial_draws(rng: np.random.Generator, trials: int, sizes) -> np.ndarray:
 
 
 def _trial_block(
-    rng: np.random.Generator, trials: int, size: int, head: int,
-    blocks: int = 0, d: int = 0, at: int = 0,
+    rng: np.random.Generator, trials: int, size: int, head: int, blocks: int, d: int, at: int
 ) -> np.ndarray:
     """A (size, trials) block, one trial per column: complex Gaussian on
     the leading `head` coordinates and on `blocks` blocks of dimension d
@@ -101,14 +101,12 @@ def _trial_block(
     return x
 
 
-def _column_dots(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Re<a_j, b_j> of each column j, b defaulting to a (the squared column
-    norms).  One `np.vdot` per column of contiguous copies: each column
-    sums as the same dot on a lone vector, where one reduction over all
-    columns (`einsum`) sums in another order."""
-    rows_a = np.ascontiguousarray(a.T)
-    rows_b = rows_a if b is None else np.ascontiguousarray(b.T)
-    return np.array([np.vdot(x, y).real for x, y in zip(rows_a, rows_b)])
+def _column_dots(a: np.ndarray) -> np.ndarray:
+    """The squared norm of each column.  One `np.vdot` per column of a
+    contiguous copy: each column sums as the same dot on a lone vector,
+    where one reduction over all columns (`einsum`) sums in another
+    order."""
+    return np.array([np.vdot(x, x).real for x in np.ascontiguousarray(a.T)])
 
 
 def _h_support(model: DilationModel, applications: int) -> int:
@@ -129,6 +127,32 @@ def _result(name, residual, tolerance, window) -> CheckResult:
     return CheckResult(name, residual, tolerance, residual <= tolerance, window)
 
 
+@dataclass(frozen=True)
+class OrbitGrams:
+    """P_1..P_n (`p`, `Block`s) and G_0..G_n (`g`, (w, w) arrays) of a
+    dilation of n blocks; see `orbit_grams`."""
+
+    dilation: AssembledDilation
+    p: list
+    g: list
+
+
+def orbit_grams(dilation: AssembledDilation) -> OrbitGrams:
+    """The orbit of H under W to n_blocks powers, from the stored
+    blocks: P_k = S_(k-1)...S_1 U and G_j = P_H W*^j W^j|_H.  For h
+    in H, W^j h = W^(j-1) (T h) + P_j h with the last term alone in block
+    j, so G_j = T* G_(j-1) T + P_j* P_j with G_0 = I, and
+    <W^(j+r) h, W^j k> = <G_j T^r h, k>.  G_j is exact on the leading
+    window_after(j) block of the corner."""
+    prods = [dilation.u]
+    for k in range(dilation.n_blocks - 1):
+        prods.append(prods[-1].then(dilation.weights[k]))
+    grams = [np.eye(dilation.dim_h, dtype=np.complex128)]
+    for p in prods:
+        grams.append(dilation.t.congruence(grams[-1]) + p.gram())
+    return OrbitGrams(dilation, prods, grams)
+
+
 def verify_run(
     dilation: AssembledDilation,
     weights: ShiftWeights,
@@ -144,15 +168,17 @@ def verify_run(
     `q` is the metric of the general path, `reference` the identity-weight
     dilation of an m = 2 run and `diag` the diagonal model of a shift; each
     adds its checks when given.  The reference dilation's checks carry the
-    prefix `badea_`, and the certificate expects a norm gap exactly when
-    the 1-defect of T does not vanish on its window.
+    prefix `badea_`, and the certificate expects a Gram gap exactly when
+    the 1-defect of T does not vanish on its window.  The orbit Grams of
+    each dilation are built once, here.
     """
     model = dilation.model
     rep = VerificationReport()
     if q is not None:
         scale = 1.0 + q.q.norm_max()
+        w = model.dim_h
         rep.add(_result(
-            "q_invariance", q.stein_residual, tols.stein_tol * scale,
+            "q_invariance", stein_residual(model.corner, q.q.mat[:w, :w]), tols.stein_tol * scale,
             f"Stein residual of the {q.method} metric",
         ))
         rep.add(_result(
@@ -180,13 +206,14 @@ def verify_run(
             f"T* U*U T = U*U on the leading {win}-block",
         ))
 
+    grams = orbit_grams(dilation)
     rep.add(check_cumulative_polynomial(model, weights, tols=tols))
     rep.add(check_weight_shift_isometry(weights, model.m, tols=tols))
     rep.add(check_dilation_property(dilation, tols=tols))
     rep.add(check_powers_formula(dilation, trials=trials, seed=seed, tols=tols))
     rep.add(check_w_m_isometry(dilation, trials=trials, seed=seed, tols=tols))
-    rep.add(check_criterion_identity(model, weights, trials=trials, seed=seed, tols=tols))
-    rep.add(check_minimality(dilation))
+    rep.add(check_criterion_identity(grams, tols=tols))
+    rep.add(check_minimality(grams))
     rep.add(remark_consistency(model, weights, tols=tols))
     if diag is not None:
         rep.add(_result(
@@ -196,17 +223,17 @@ def verify_run(
         ))
 
     if reference is not None:
+        reference_grams = orbit_grams(reference)
         for check in (
             check_dilation_property(reference, tols=tols),
             check_w_m_isometry(reference, trials=trials, seed=seed, tols=tols),
-            check_minimality(reference),
+            check_minimality(reference_grams),
         ):
             rep.add(dataclasses.replace(check, name="badea_" + check.name))
         beta_1 = model.defect_prev.restrict(model.corner.window_after(1))
         isometric = beta_1.norm_max() <= tols.class_tol
         rep.add(nonisomorphism_certificate(
-            dilation, reference, expected_found=not isometric,
-            trials=trials, seed=seed, tols=tols,
+            grams, reference_grams, expected_found=not isometric, tols=tols,
         ))
     return rep
 
@@ -358,47 +385,26 @@ def check_w_m_isometry(
 
 
 def check_criterion_identity(
-    model: DilationModel,
-    weights: ShiftWeights,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = DEFAULT_SEED,
-    tols: Tolerances = DEFAULT_TOLERANCES,
+    grams: OrbitGrams, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> CheckResult:
-    """Scalar criterion for m-isometricity of the dilation.
+    """Operator criterion for m-isometricity of the dilation.
 
-    For h in H the m-defect form of T plus the alternating double sum of
-    ||S_(k-1)...S_1 U T^(l-k) h||^2 must cancel exactly; together with the
-    m-isometry of the weight shift this is equivalent to W being
-    m-isometric.  Every trial is a column of one block, carried through
-    each product at once.
+    The m-defect of W compressed to H, sum_j (-1)^(m-j) C(m, j) G_j, must
+    vanish; it is the m-th forward difference of G_0..G_m, compared on
+    window_after(m), where each of them is exact.  It is the m-defect form
+    of T plus the alternating double sum of ||S_(k-1)...S_1 U T^(l-k) h||^2
+    of the stored blocks; with the m-isometry of the weight shift it is
+    equivalent to W being m-isometric.
     """
+    model = grams.dilation.model
     m = model.m
-    h_dim = _h_support(model, m)
-    d = model.dim_hprime
-    rng = _rng(seed, "criterion_identity")
-
-    prefixes = [Block.identity(d)]
-    for k in range(2, m + 1):
-        prefixes.append(prefixes[-1].then(weights.weights.block[k - 2]))
-
-    h = _trial_block(rng, trials, model.dim_h, h_dim)
-    t_pows = [h]
-    for _ in range(m - 1):
-        t_pows.append(model.corner.dot(t_pows[-1]))
-    u_pows = [model.u_block.dot(t_pow) for t_pow in t_pows]
-    lhs = _column_dots(h, model.defect_m.block.dot(h))
-    for ell in range(1, m + 1):
-        sign = -1.0 if (m - ell) % 2 else 1.0
-        inner = 0.0
-        for k in range(1, ell + 1):
-            inner = inner + _column_dots(prefixes[k - 1].dot(u_pows[ell - k]))
-        lhs = lhs + sign * math.comb(m, ell) * inner
-    residual = np.max(np.abs(lhs) / np.maximum(_column_dots(h), 1e-300), initial=0.0)
+    win = _h_support(model, m)
+    stack = np.stack([grams.g[j][:win, :win] for j in range(m + 1)])
     return _result(
         "criterion_identity",
-        residual,
+        max_abs(np.diff(stack, n=m, axis=0)),
         tols.criterion_tol,
-        f"h on {h_dim} of {model.dim_h} coords, {trials} trials",
+        f"order-{m} difference of G_0..G_{m} on the leading {win} of {model.dim_h} coords",
     )
 
 
@@ -493,99 +499,75 @@ def _gram_schmidt_rank(cols: np.ndarray, thresh: float) -> int:
     return 0 if basis is None else basis.shape[1]
 
 
-def check_minimality(dilation: AssembledDilation) -> CheckResult:
+def check_minimality(grams: OrbitGrams) -> CheckResult:
     """Windowed minimality: the orbit of H under W spans the truncation.
 
-    The orbit columns are W^n e over the H-block basis for n = 0..n_blocks;
-    the residual is the defect of their numerical rank from the full
-    truncated dimension.  The rank is taken block by block: with
-    V_n = span{W^j H : j <= n} and P_k = S_(k-1)...S_1 U,
-
-        W^(n+1) h = W^n (T h) + P_(n+1) h   (the last term in block n+1),
-
-    so V_(n+1) = V_n + ran P_(n+1), an orthogonal sum, and
+    The orbit columns are W^n e over the H-block basis for
+    n = 0..n_blocks; the residual is the defect of their
+    numerical rank from the full truncated dimension.  Since
+    W^(n+1) h = W^n (T h) + P_(n+1) h with the last term alone in block
+    n+1, span{W^j H : j <= n+1} adds ran P_(n+1) orthogonally, and
     rank = dim H + sum_k rank P_k.  Each rank P_k uses the threshold of a
     Gram-Schmidt pass over the whole orbit, _MINIMALITY_REL_TOL times the
-    largest orbit-column norm, read off the Gram matrices of W^n on H.
-    Each P_k is a `Block`, composed from the stored U and weights: on a
-    shift it is a real monomial matrix on U's pattern, P_k* P_k is
-    diagonal and its rank a count of column norms.  Vacuous for a
-    zero-dimensional H'.
+    largest orbit-column norm, read off the diagonals of the G_n.  On a
+    shift each P_k is a real monomial matrix on U's pattern and its rank
+    a count of column norms.  Vacuous for a zero-dimensional H'.
     """
+    dilation = grams.dilation
     if dilation.dim_hprime == 0:
         return _result("minimality", 0.0, 0.0, "vacuous (dim H' = 0)")
     w = dilation.dim_h
     total = dilation.dim_total
-    n_blocks = dilation.n_blocks
-    prods = [dilation.u]
-    for k in range(n_blocks - 1):
-        prods.append(prods[-1].then(dilation.weights[k]))
-    # squared orbit-column norms are the diagonals of (W^n)* W^n on H,
-    # G_n = T* G_(n-1) T + P_n* P_n with G_0 = I
-    gram = np.eye(w, dtype=np.complex128)
     norm_sq = 1.0
-    for p in prods:
-        gram = dilation.t.congruence(gram) + p.gram()
+    for gram in grams.g[1:]:
         norm_sq = max(norm_sq, float(np.max(gram.diagonal().real)))
     thresh = _MINIMALITY_REL_TOL * float(np.sqrt(norm_sq))
-    rank = w + sum(_column_space_rank(p, thresh) for p in prods)
+    rank = w + sum(_column_space_rank(p, thresh) for p in grams.p)
     defect = float(total - rank)
     return _result(
         "minimality",
         defect,
         0.0,
-        f"rank {rank} of {total} from powers 0..{n_blocks} over {w} basis vectors",
+        f"rank {rank} of {total} from powers 0..{len(grams.p)} over {w} basis vectors",
     )
 
 
 def nonisomorphism_certificate(
-    general: AssembledDilation,
-    badea: AssembledDilation,
+    general: OrbitGrams,
+    reference: OrbitGrams,
     expected_found: bool,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = DEFAULT_SEED,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> CheckResult:
-    """Norm-gap obstruction to an isomorphism of the two dilations.
+    """Orbit-Gram obstruction to an isomorphism of two dilations of T.
 
-    Searches windowed h for a gap between ||W (h,0,...)|| and
-    ||W' (h,0,...)||; any unitary fixing H and intertwining the dilations
-    would force the gap to vanish identically, so a gap above cert_tol
-    certifies non-isomorphism.  The gap equals the 1-defect form of T, so
-    a certificate exists exactly when T is not isometric.
+    A unitary that fixes H and intertwines two dilations keeps every
+    <W^i h, W^j k>, so their Grams agree; for m-isometric ones G_j is a
+    polynomial of degree < m in j, so Delta_j = G_j - G'_j, j = 1..m-1,
+    decide it for minimal ones.  Each is read on window_after(j) of the
+    shared corner, where it is exact: a gap above cert_tol certifies
+    non-isomorphism, and a vanishing gap there is only necessary for an
+    isomorphism.  For the m = 2 pair Delta_1 is the 1-defect of T.
 
-    This is a strict-inequality claim: the reported residual is the largest
-    gap found, and the check passes iff the search outcome matches
-    `expected_found`.
+    A strict-inequality claim: the residual is the largest |Delta_j|
+    entry, and the check passes iff the outcome matches `expected_found`.
     """
     ctol = tols.cert_tol
-    w = general.dim_h
-    if badea.dim_h != w:
+    model = general.dilation.model
+    if reference.dilation.dim_h != model.dim_h:
         raise ValueError("both dilations must share the H block")
-    rng = _rng(seed, "nonisomorphism_certificate")
-
-    # candidates as columns: the basis of H, the random trials, and the
-    # extremal eigenvector of the 1-defect, which maximizes its quadratic form
-    columns = [np.eye(w, dtype=np.complex128), _trial_block(rng, trials, w, w)]
-    form = general.model.defect_prev
-    if form.n == w and w > 0:
-        dec = eigh(form, tols.eig_tol)
-        idx = int(np.argmax(np.abs(dec.values)))
-        columns.append(dec.basis[:, idx : idx + 1])
-    h = np.concatenate(columns, axis=1)
-
-    # (h, 0, ...) is a leading block, so each dilation is applied once
-    norm_sq = _column_dots(h)
-    image_gap = np.abs(_column_dots(general.apply(h)) - _column_dots(badea.apply(h)))
-    gaps = np.divide(image_gap, norm_sq, out=np.zeros_like(norm_sq), where=norm_sq != 0.0)
-    max_gap = float(np.max(gaps, initial=0.0))
+    max_gap = 0.0
+    gaps = []
+    for j in range(1, model.m):
+        win = _h_support(model, j)
+        max_gap = max(max_gap, max_abs(general.g[j][:win, :win] - reference.g[j][:win, :win]))
+        gaps.append(f"G_{j} - G'_{j} on the leading {win}")
     found = max_gap > ctol
     return CheckResult(
         "nonisomorphism_certificate",
         float(max_gap),
         float(ctol),
         found == expected_found,
-        f"{w} basis vectors + {trials} random + extremal direction; "
+        f"{', '.join(gaps)} of {model.dim_h} coords; "
         f"certificate {'found' if found else 'not found'} "
         f"(expected {'found' if expected_found else 'not found'})",
     )

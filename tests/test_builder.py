@@ -501,6 +501,7 @@ class TestTableRuleGeneralM4:
             check_criterion_identity,
             check_w_m_isometry,
             check_weight_shift_isometry,
+            orbit_grams,
         )
 
         rule = self._rule()
@@ -523,7 +524,7 @@ class TestTableRuleGeneralM4:
 
         dil = assemble_dilation(model, weights, 6)
         assert check_w_m_isometry(dil).residual <= 1e-10
-        assert check_criterion_identity(model, weights).residual <= 1e-10
+        assert check_criterion_identity(orbit_grams(dil)).residual <= 1e-10
         assert check_weight_shift_isometry(weights, 4).residual <= 1e-11
 
 
