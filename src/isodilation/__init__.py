@@ -10,13 +10,11 @@ from .__about__ import __version__
 from .builder import (
     AssembledDilation,
     DilationModel,
-    ShiftWeights,
     assemble_dilation,
     build_badea_2iso,
     build_general_model,
     build_three_concave_model,
     build_weights,
-    perturb_weight,
 )
 from .diagonal import (
     DiagonalModel,

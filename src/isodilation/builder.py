@@ -28,10 +28,10 @@ p(z) = I - z(z-1)...(z-m+2)/(m-1)! * A, which at integer points is
 p(n) = I - C(n, m-1) A, via the commuting telescoping construction
 S_n = p(n)^(1/2) p(n-1)^(-1/2).  It gives cumulative moduli
 |S_n ... S_1|^2 = p(n) exactly and hence an m-isometric weight shift;
-S_n = I for n < m-1, and S_(m-1) = (I - A)^(1/2) is B.  The weights and
-their cumulative moduli are each one (horizon, d, d) `HermitianMatrix`
-stack, and the assembled W stores the `Block`s of the model and of the
-weight stack, not copies.
+S_n = I for n < m-1, and S_(m-1) = (I - A)^(1/2) is B.  The weights are
+one (horizon, d, d) `HermitianMatrix` stack, and the assembled W stores
+the `Block`s of the model and that stack's own `Block`, not copies; the
+verifier forms the cumulative moduli from the stack W stores.
 """
 
 import dataclasses
@@ -117,34 +117,24 @@ class DilationModel:
 
 
 @dataclass(frozen=True)
-class ShiftWeights:
-    """Weight sequence S_1, S_2, ... with cumulative moduli |S_n...S_1|^2,
-    each one (horizon, d, d) stack: member n-1 is S_n and |S_n...S_1|^2."""
-
-    weights: HermitianMatrix
-    cumulative: HermitianMatrix
-
-    @property
-    def horizon(self) -> int:
-        return self.weights.mat.shape[0]
-
-
-@dataclass(frozen=True)
 class AssembledDilation:
     """Finite truncation of the dilation on H + n_blocks copies of H'.
 
     Stored as its blocks, the `Block`s of the model and of the weight
-    stack, not copies: the corner `t` (w x w), `u` (d x w) and the stacked
-    weights S_1..S_(n_blocks-1) as one (n_blocks-1, d, d) `Block`.  `apply`
-    acts with the truncated W through them, all slices or gathers on a
-    shift; the dense `matrix` is built only on request.  The structure of
-    each stored array is read once, from its own nonzeros, so a corrupted
-    block is multiplied as stored.
+    stack, not copies: the corner `t` (w x w), `u` (d x w) and the whole
+    weight stack S_1..S_horizon as one (horizon, d, d) `Block`, the
+    stack's own.  W applies its leading n_blocks - 1 members; the
+    verifier's weight checks read all of it.  `apply` acts with the
+    truncated W through the blocks, all slices or gathers on a shift; the
+    dense `matrix` is built only on request.
+    The structure of each stored array is read once, from its own
+    nonzeros, so a corrupted block is multiplied as stored.
     """
 
     t: Block
     u: Block
     weights: Block
+    n_blocks: int
     model: DilationModel
 
     @property
@@ -156,12 +146,14 @@ class AssembledDilation:
         return self.u.shape[0]
 
     @property
-    def n_blocks(self) -> int:
-        return self.weights.shape[0] + 1
-
-    @property
     def dim_total(self) -> int:
         return self.dim_h + self.n_blocks * self.dim_hprime
+
+    @cached_property
+    def _applied(self) -> Block:
+        """S_1..S_(n_blocks-1), the members W applies, sliced once so that
+        every `apply` multiplies through one read of their nonzeros."""
+        return self.weights[: self.n_blocks - 1]
 
     def block_slice(self, k: int) -> slice:
         """Coordinate slice of block k (0 is H, 1..n_blocks are H' copies)."""
@@ -194,7 +186,7 @@ class AssembledDilation:
         if d:
             out[w : w + d] = self.u.dot(cols[:w])
             tail = cols[w : w + steps * d].reshape(steps, d, count)
-            out[w + d :] = self.weights[:steps].dot(tail).reshape(steps * d, count)
+            out[w + d :] = self._applied[:steps].dot(tail).reshape(steps * d, count)
         return out if x.ndim == 2 else out[:, 0]
 
     @cached_property
@@ -204,7 +196,7 @@ class AssembledDilation:
         mat[: self.dim_h, : self.dim_h] = self.t.mat
         if self.dim_hprime:
             mat[self.block_slice(1), : self.dim_h] = self.u.mat
-            for j, s in enumerate(self.weights.mat, start=1):
+            for j, s in enumerate(self._applied.mat, start=1):
                 mat[self.block_slice(j + 1), self.block_slice(j)] = s
         mat.setflags(write=False)
         return mat
@@ -222,7 +214,7 @@ def _construct(
     what: str,
     dec: EigenDecomposition | None = None,
     range_scale: float = 0.0,
-) -> tuple[DilationModel, ShiftWeights]:
+) -> tuple[DilationModel, HermitianMatrix]:
     """The construction on the leading w-block of the corner of `forms`.
 
     H' is the numerical range of the metric M >= 0 that `psd_root` keeps,
@@ -250,10 +242,9 @@ def _construct(
 
     if numerator is None:
         a = hermitian(np.zeros((d, d)), tols.herm_tol)
-        eye = HermitianMatrix(
+        weights = HermitianMatrix(
             np.broadcast_to(np.eye(d, dtype=np.complex128), (weights_horizon, d, d)), 0.0
         )
-        weights = ShiftWeights(eye, eye)
         lam_a_min = welldef = form_norm = 0.0
     else:
         r, r_inv = Block(root), Block(inv_root)
@@ -329,7 +320,7 @@ def build_weights(
     horizon: int,
     tols: Tolerances = DEFAULT_TOLERANCES,
     dec: EigenDecomposition | None = None,
-) -> ShiftWeights:
+) -> HermitianMatrix:
     """The telescoping weights S_1 .. S_horizon of p(n) = I - C(n, m-1) A.
 
     At integer points the weight polynomial z(z-1)...(z-m+2)/(m-1)! is the
@@ -337,8 +328,9 @@ def build_weights(
     Hermitian matrix A = V diag(lam) V*, so each weight is formed on that
     one spectrum: S_n = V diag(p_n(lam)^(1/2) p_(n-1)(lam)^(-1/2)) V* with
     p_n(lam) = 1 - C(n, m-1) lam, and |S_n ... S_1|^2 telescopes to p(n).
-    S_n = I for n < m-1 and S_(m-1) = (I - A)^(1/2) = B.  `dec` is the
-    spectral decomposition of A, made here when None.  Raises
+    S_n = I for n < m-1 and S_(m-1) = (I - A)^(1/2) = B.  Returns the
+    (horizon, d, d) stack, member n-1 being S_n.  `dec` is the spectral
+    decomposition of A, made here when None.  Raises
     NotInvertibleError when some p(n) is not positive definite, which a
     nonpositive A rules out.
     """
@@ -358,36 +350,12 @@ def build_weights(
         sqrt_n = np.sqrt(p_n)
         stack[n - 1] = dec.block.outer(sqrt_n * inv_sqrt_prev)
         inv_sqrt_prev = 1.0 / sqrt_n
-    return _with_cumulative(hermitian(stack, tols.herm_tol), tols.herm_tol)
-
-
-def _with_cumulative(weights: HermitianMatrix, herm_tol: float) -> ShiftWeights:
-    """The weight stack with its cumulative moduli |S_n ... S_1|^2."""
-    left = Block.identity(weights.n)
-    cumulative = np.empty_like(weights.mat)
-    for k in range(cumulative.shape[0]):
-        left = left.then(weights.block[k])
-        cumulative[k] = left.gram()
-    return ShiftWeights(weights, hermitian(cumulative, herm_tol))
-
-
-def perturb_weight(
-    weights: ShiftWeights, n: int, amount: float, tols: Tolerances = DEFAULT_TOLERANCES
-) -> ShiftWeights:
-    """Copy of a weight sequence with S_n shifted by amount * I (negative control).
-
-    The cumulative moduli are recomputed from the shifted weights.
-    """
-    if not 1 <= n <= weights.horizon:
-        raise IndexError(f"weight index {n} outside 1..{weights.horizon}")
-    bumped = weights.weights.mat.copy()
-    bumped[n - 1] += amount * np.eye(weights.weights.n)
-    return _with_cumulative(hermitian(bumped, tols.herm_tol), tols.herm_tol)
+    return hermitian(stack, tols.herm_tol)
 
 
 def assemble_dilation(
     model: DilationModel,
-    weights: ShiftWeights,
+    weights: HermitianMatrix,
     n_blocks: int,
 ) -> AssembledDilation:
     """Assemble the truncated dilation from its blocks.
@@ -403,16 +371,14 @@ def assemble_dilation(
         raise DimensionError(f"need at least 2 blocks, got {n_blocks}")
     w = model.dim_h
     d = model.dim_hprime
-    if d and weights.horizon < n_blocks - 1:
+    horizon = weights.mat.shape[0]
+    if horizon < n_blocks - 1:
         raise DimensionError(
-            f"need {n_blocks - 1} weights to fill {n_blocks} blocks, have {weights.horizon}"
+            f"need {n_blocks - 1} weights to fill {n_blocks} blocks, have {horizon}"
         )
     if model.u.shape != (d, w):
         raise DimensionError(f"U must be {d}x{w}, got {model.u.shape}")
-    stack = Block(np.zeros((n_blocks - 1, 0, 0), dtype=np.complex128))
-    if d:
-        stack = weights.weights.block[: n_blocks - 1]
-    return AssembledDilation(model.corner.block, model.u_block, stack, model)
+    return AssembledDilation(model.corner.block, model.u_block, weights.block, n_blocks, model)
 
 
 def build_general_model(
@@ -422,7 +388,7 @@ def build_general_model(
     weights_horizon: int,
     tols: Tolerances = DEFAULT_TOLERANCES,
     forms: DefectForms | None = None,
-) -> tuple[DilationModel, ShiftWeights]:
+) -> tuple[DilationModel, HermitianMatrix]:
     """Run the general construction for an expansive m-concave corner: the
     metric is the invariant Q, the form the m-defect."""
     forms = _forms_of(t, forms, tols)
@@ -438,7 +404,7 @@ def build_three_concave_model(
     weights_horizon: int,
     tols: Tolerances = DEFAULT_TOLERANCES,
     forms: DefectForms | None = None,
-) -> tuple[DilationModel, ShiftWeights]:
+) -> tuple[DilationModel, HermitianMatrix]:
     """Run the 3-concave construction (no expansivity, no metric solve).
 
     The metric is the 2-defect and the form <T* defect_3 T f, g>.  Both
@@ -474,7 +440,7 @@ def build_badea_2iso(
     weights_horizon: int,
     tols: Tolerances = DEFAULT_TOLERANCES,
     forms: DefectForms | None = None,
-) -> tuple[DilationModel, ShiftWeights]:
+) -> tuple[DilationModel, HermitianMatrix]:
     """Reference 2-isometric dilation with identity weights.
 
     The metric is Q minus the 1-defect, which must be nonnegative, and A

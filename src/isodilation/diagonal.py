@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import DilationModel, ShiftWeights
+from .builder import AssembledDilation
 from .errors import NotNegativeError, NotPsdError
 from .hermitian import max_abs
 from .operators import WeightRule
@@ -121,16 +121,15 @@ def embed_support_diagonal(window: int, support: np.ndarray, values: np.ndarray)
     return out
 
 
-def dense_agreement_residual(
-    model: DilationModel,
-    weights: ShiftWeights,
-    diag: DiagonalModel,
-) -> float:
+def dense_agreement_residual(dilation: AssembledDilation, diag: DiagonalModel) -> float:
     """Max-norm disagreement between the dense path and the diagonal path.
 
-    All compressed H'-operators are conjugated back into window coordinates
-    before comparison, so the two paths are compared basis-free.
+    The dense side is the model of the dilation and the weight stack it
+    stores.  All compressed H'-operators are conjugated back into window
+    coordinates before comparison, so the two paths are compared
+    basis-free.
     """
+    model, weights = dilation.model, dilation.weights.mat
     w = model.dim_h
     if w != diag.window:
         raise ValueError(f"window mismatch: dense {w}, diagonal {diag.window}")
@@ -140,9 +139,9 @@ def dense_agreement_residual(
     u_diag_mat = embed_support_diagonal(w, diag.support, diag.u_diag)
     residual = max(residual, max_abs(u_window - u_diag_mat))
     # B is the weight S_(m-1) on both paths, compared with the others
-    count = min(_AGREEMENT_WEIGHTS, weights.horizon, len(diag.weight_diags))
+    count = min(_AGREEMENT_WEIGHTS, len(weights), len(diag.weight_diags))
     for n in sorted({*range(1, count + 1), model.m - 1}):
-        dense_s = model.embed(weights.weights.mat[n - 1])
+        dense_s = model.embed(weights[n - 1])
         diag_s = embed_support_diagonal(w, diag.support, diag.weight_diags[n - 1])
         residual = max(residual, max_abs(dense_s - diag_s))
     return residual

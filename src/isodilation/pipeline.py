@@ -20,7 +20,6 @@ from . import __about__
 from .builder import (
     AssembledDilation,
     DilationModel,
-    ShiftWeights,
     assemble_dilation,
     build_badea_2iso,
     build_general_model,
@@ -28,7 +27,7 @@ from .builder import (
 )
 from .diagonal import build_diagonal_model, defect_diagonal
 from .errors import NotNegativeError, PreconditionError, UnknownDemoError
-from .hermitian import max_abs
+from .hermitian import Block, max_abs
 from .operators import Classification, DefectForms, OperatorCorner, classify, dense_corner, make_shift_corner
 from .qsolver import QSolution, solve_q_shift_diagonal, solve_q_unitary
 from .specfile import OperatorSpecFile, spec_from_dict
@@ -94,7 +93,6 @@ class PipelineResult:
     classification: Classification
     path: str
     q: QSolution | None
-    weights: ShiftWeights
     assembled: AssembledDilation
     badea_assembled: AssembledDilation | None
     verification: VerificationReport
@@ -103,6 +101,10 @@ class PipelineResult:
     @property
     def model(self) -> DilationModel:
         return self.assembled.model
+
+    @property
+    def weights(self) -> Block:
+        return self.assembled.weights
 
     @property
     def badea_model(self) -> DilationModel | None:
@@ -230,12 +232,8 @@ def run_pipeline(
             tols=tols,
         )
 
-    verification = verify_run(
-        assembled, weights, q, badea_assembled, diag_model, seed, trials, tols
-    )
-    report = _build_report(
-        spec, tols, seed, cls, path, q, weights, assembled, badea_assembled, verification
-    )
+    verification = verify_run(assembled, q, badea_assembled, diag_model, seed, trials, tols)
+    report = _build_report(spec, tols, seed, cls, path, q, assembled, badea_assembled, verification)
     return PipelineResult(
         spec=spec,
         tolerances=tols,
@@ -244,7 +242,6 @@ def run_pipeline(
         classification=cls,
         path=path,
         q=q,
-        weights=weights,
         assembled=assembled,
         badea_assembled=badea_assembled,
         verification=verification,
@@ -252,11 +249,9 @@ def run_pipeline(
     )
 
 
-def _build_report(
-    spec, tols, seed, cls, path, q, weights, assembled, badea_assembled, verification
-) -> dict:
+def _build_report(spec, tols, seed, cls, path, q, assembled, badea_assembled, verification) -> dict:
     model = assembled.model
-    weights_head = [max_abs(s) for s in weights.weights.mat[:8]]
+    weights_head = [max_abs(s) for s in assembled.weights.mat[:8]]
     model_summary = {
         "path": path,
         "dim_h": model.dim_h,

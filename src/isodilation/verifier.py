@@ -12,7 +12,10 @@ one block, and every inner product it reads is one `np.vdot` per column
 (`_column_dots`), summed as the same dot on a lone vector.
 Minimality, the criterion identity and the non-isomorphism certificate
 read one object per dilation, its orbit Grams (`orbit_grams`), and draw
-no trial.
+no trial.  Every weight check reads the one weight stack the dilation
+stores: `b_square`, `remark_consistency` and the diagonal agreement read
+its members, and the cumulative and weight-shift checks read the moduli
+|S_n ... S_1|^2 that `_cumulative_moduli` forms from it once per run.
 """
 
 import dataclasses
@@ -21,10 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .builder import AssembledDilation, DilationModel, ShiftWeights
+from .builder import AssembledDilation, DilationModel
 from .diagonal import DiagonalModel, dense_agreement_residual
 from .errors import WindowExhaustedError
-from .hermitian import Block, hermitian, max_abs
+from .hermitian import Block, HermitianMatrix, hermitian, max_abs
 from .qsolver import QSolution, stein_residual
 from .tolerances import DEFAULT_SEED, DEFAULT_TOLERANCES, DEFAULT_TRIALS, Tolerances
 
@@ -153,9 +156,20 @@ def orbit_grams(dilation: AssembledDilation) -> OrbitGrams:
     return OrbitGrams(dilation, prods, grams)
 
 
+def _cumulative_moduli(weights: Block, herm_tol: float) -> HermitianMatrix:
+    """The cumulative moduli |S_n ... S_1|^2, n = 1..horizon, of a weight
+    stack, one (horizon, d, d) stack: each running product is extended by
+    the next weight (`Block.then`) and its Gram taken."""
+    left = Block.identity(weights.shape[-1])
+    cumulative = np.empty(weights.shape, dtype=np.complex128)
+    for k in range(weights.shape[0]):
+        left = left.then(weights[k])
+        cumulative[k] = left.gram()
+    return hermitian(cumulative, herm_tol)
+
+
 def verify_run(
     dilation: AssembledDilation,
-    weights: ShiftWeights,
     q: QSolution | None,
     reference: AssembledDilation | None,
     diag: DiagonalModel | None,
@@ -169,8 +183,10 @@ def verify_run(
     dilation of an m = 2 run and `diag` the diagonal model of a shift; each
     adds its checks when given.  The reference dilation's checks carry the
     prefix `badea_`, and the certificate expects a Gram gap exactly when
-    the 1-defect of T does not vanish on its window.  The orbit Grams of
-    each dilation are built once, here.
+    the 1-defect of T exceeds `cert_tol` on window_after(1), the window
+    and threshold of the certificate itself.  The orbit Grams of each
+    dilation are built once, here, and the cumulative moduli of the main
+    dilation's weight stack.
     """
     model = dilation.model
     rep = VerificationReport()
@@ -191,7 +207,7 @@ def verify_run(
         "quotient form vanishes on the metric kernel",
     ))
     i_minus_a = hermitian(np.eye(model.a.n) - model.a.mat, tols.herm_tol)
-    b = weights.weights.block[model.m - 2]
+    b = dilation.weights[model.m - 2]
     rep.add(_result(
         "b_square", max_abs(b.then(b).mat - i_minus_a.mat),
         tols.sqrt_tol * (1.0 + i_minus_a.norm_max()), "B^2 reconstructs I - A",
@@ -207,17 +223,18 @@ def verify_run(
         ))
 
     grams = orbit_grams(dilation)
-    rep.add(check_cumulative_polynomial(model, weights, tols=tols))
-    rep.add(check_weight_shift_isometry(weights, model.m, tols=tols))
+    cumulative = _cumulative_moduli(dilation.weights, tols.herm_tol)
+    rep.add(check_cumulative_polynomial(model, cumulative, tols=tols))
+    rep.add(check_weight_shift_isometry(cumulative, model.m, tols=tols))
     rep.add(check_dilation_property(dilation, tols=tols))
     rep.add(check_powers_formula(dilation, trials=trials, seed=seed, tols=tols))
     rep.add(check_w_m_isometry(dilation, trials=trials, seed=seed, tols=tols))
     rep.add(check_criterion_identity(grams, tols=tols))
     rep.add(check_minimality(grams))
-    rep.add(remark_consistency(model, weights, tols=tols))
+    rep.add(remark_consistency(dilation, tols=tols))
     if diag is not None:
         rep.add(_result(
-            "diagonal_dense_agreement", dense_agreement_residual(model, weights, diag),
+            "diagonal_dense_agreement", dense_agreement_residual(dilation, diag),
             tols.agreement_tol,
             "diagonal fast path vs dense eigendecomposition path (A, B, U, S)",
         ))
@@ -231,9 +248,8 @@ def verify_run(
         ):
             rep.add(dataclasses.replace(check, name="badea_" + check.name))
         beta_1 = model.defect_prev.restrict(model.corner.window_after(1))
-        isometric = beta_1.norm_max() <= tols.class_tol
         rep.add(nonisomorphism_certificate(
-            grams, reference_grams, expected_found=not isometric, tols=tols,
+            grams, reference_grams, expected_found=beta_1.norm_max() > tols.cert_tol, tols=tols,
         ))
     return rep
 
@@ -296,8 +312,9 @@ def check_powers_formula(
 
     Both sides read the weights stored in `dilation`, so the check covers
     only how `apply` places blocks and the stored T and U against the
-    model.  A corrupted weight passes here; `w_m_isometry` and
-    `weight_shift_m_isometry` are the checks that catch it.
+    model.  A corrupted weight passes here; `w_m_isometry`,
+    `weight_shift_m_isometry` and `cumulative_matches_polynomial` are the
+    checks that catch it.
     """
     model = dilation.model
     m = model.m
@@ -409,22 +426,23 @@ def check_criterion_identity(
 
 
 def check_weight_shift_isometry(
-    weights: ShiftWeights, m: int, tols: Tolerances = DEFAULT_TOLERANCES
+    cumulative: HermitianMatrix, m: int, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> CheckResult:
     """m-isometry of the weight shift in cumulative form.
 
     The m-th forward difference of n -> |S_n ... S_1|^2 (with the empty
-    product at n = 0) must vanish.  The stored cumulative moduli are read;
-    `perturb_weight` recomputes them from a corrupted weight, so the
-    corruption shows here.
+    product at n = 0) must vanish, read on the cumulative moduli of the
+    stored weight stack (`_cumulative_moduli`), so a corrupted stored
+    weight shows here.
     """
-    tolerance = tols.difference_tol * (1.0 + weights.cumulative.norm_max())
-    if weights.horizon < m:
+    tolerance = tols.difference_tol * (1.0 + cumulative.norm_max())
+    horizon = cumulative.mat.shape[0]
+    if horizon < m:
         raise WindowExhaustedError(
-            f"need at least {m} weights for the order-{m} difference, have {weights.horizon}"
+            f"need at least {m} weights for the order-{m} difference, have {horizon}"
         )
-    eye = np.eye(weights.cumulative.n, dtype=np.complex128)
-    stack = np.concatenate([eye[None], weights.cumulative.mat])
+    eye = np.eye(cumulative.n, dtype=np.complex128)
+    stack = np.concatenate([eye[None], cumulative.mat])
     count = len(stack) - m
     residual = max_abs(np.diff(stack, n=m, axis=0))
     return _result(
@@ -436,19 +454,21 @@ def check_weight_shift_isometry(
 
 
 def check_cumulative_polynomial(
-    model: DilationModel, weights: ShiftWeights, tols: Tolerances = DEFAULT_TOLERANCES
+    model: DilationModel, cumulative: HermitianMatrix, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> CheckResult:
-    """Cumulative moduli must equal the weight polynomial at integer points,
+    """Cumulative moduli of the stored weight stack (`_cumulative_moduli`)
+    must equal the weight polynomial at integer points,
     p(n) = I - C(n, m-1) A, formed from the model's representer A."""
-    tolerance = tols.cumulative_tol * (1.0 + weights.cumulative.norm_max())
-    coeffs = np.array([float(math.comb(n, model.m - 1)) for n in range(1, weights.horizon + 1)])
+    tolerance = tols.cumulative_tol * (1.0 + cumulative.norm_max())
+    horizon = cumulative.mat.shape[0]
+    coeffs = np.array([float(math.comb(n, model.m - 1)) for n in range(1, horizon + 1)])
     p = np.eye(model.a.n) - coeffs[:, None, None] * model.a.mat
-    residual = max_abs(weights.cumulative.mat - p)
+    residual = max_abs(cumulative.mat - p)
     return _result(
         "cumulative_matches_polynomial",
         residual,
         tolerance,
-        f"n = 1..{weights.horizon}",
+        f"n = 1..{horizon}",
     )
 
 
@@ -574,10 +594,10 @@ def nonisomorphism_certificate(
 
 
 def remark_consistency(
-    model: DilationModel, weights: ShiftWeights, tols: Tolerances = DEFAULT_TOLERANCES
+    dilation: AssembledDilation, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> CheckResult:
-    """The last nontrivial weight is the identity exactly when the form
-    represented by A vanishes.
+    """The last nontrivial weight S_(m-1) of the stored stack is the
+    identity exactly when the form represented by A vanishes.
 
     On the general path that form is the m-defect, so S_(m-1) = I iff T is
     m-isometric on the window; on the 3-concave path it is the
@@ -585,14 +605,14 @@ def remark_consistency(
     passes when the two indicators agree.  Vacuous for a zero-dimensional
     H'.
     """
+    model = dilation.model
     threshold = tols.class_tol
     if model.dim_hprime == 0:
         return _result("remark_consistency", 0.0, 0.0, "vacuous (dim H' = 0)")
-    if weights.horizon < model.m - 1:
-        raise WindowExhaustedError(
-            f"need weight S_{model.m - 1}, horizon is {weights.horizon}"
-        )
-    s_norm = max_abs(weights.weights.mat[model.m - 2] - np.eye(model.dim_hprime))
+    horizon = dilation.weights.shape[0]
+    if horizon < model.m - 1:
+        raise WindowExhaustedError(f"need weight S_{model.m - 1}, horizon is {horizon}")
+    s_norm = max_abs(dilation.weights.mat[model.m - 2] - np.eye(model.dim_hprime))
     form_norm = model.remark_form_norm
     s_small = s_norm <= threshold
     form_small = form_norm <= threshold

@@ -9,11 +9,12 @@ import math
 
 import numpy as np
 
-from isodilation.builder import assemble_dilation, perturb_weight
+from isodilation.builder import assemble_dilation
 from isodilation.diagonal import build_diagonal_model, dense_agreement_residual
 from isodilation.hermitian import eigh, hermitian, max_abs, psd_root
 from isodilation.tolerances import DEFAULT_TOLERANCES
 from isodilation.verifier import (
+    _cumulative_moduli,
     check_w_m_isometry,
     check_weight_shift_isometry,
 )
@@ -35,7 +36,7 @@ def test_criterion_1_scalar_three_concave_walkthrough(demos):
     r = demos.run("scalar-3concave")
     ok = r.path == "three_concave"
     a = r.model.a.mat[0, 0].real
-    s = r.weights.weights.mat[:3, 0, 0].real
+    s = r.weights.mat[:3, 0, 0].real
     b = s[1]  # B = S_(m-1)
     expected_s = [1.0, math.sqrt(5) / 2, math.sqrt(7.0 / 5.0)]
     ok &= abs(a - (-0.25)) <= 1e-12
@@ -61,7 +62,7 @@ def test_criterion_2_dirichlet_shift(demos):
     a_norm = r.model.a.norm_max()
     ok &= a_norm <= 1e-12
     s_err = max(
-        max_abs(s - np.eye(r.model.dim_hprime)) for s in r.weights.weights.mat
+        max_abs(s - np.eye(r.model.dim_hprime)) for s in r.weights.mat
     )
     ok &= s_err <= 1e-12
     ok &= check_named(r, "w_m_isometry").residual <= 1e-10
@@ -85,7 +86,7 @@ def test_criterion_3_strict_two_concave(demos):
     ok &= beta_err <= 1e-12
     ok &= not r.classification.m_isometric.ok
     ok &= abs(r.q.q0 - 0.5) <= 1e-12
-    s1 = r.weights.weights.mat[0]
+    s1 = r.weights.mat[0]
     # B = (I - A)^(1/2), formed here by numpy.linalg.eigh, independently
     # of the weight stack and of the package's kernels
     eye = np.eye(r.model.dim_hprime)
@@ -171,10 +172,12 @@ def test_criterion_5_equivalence_both_directions(demos):
     # corrupted model: S_2 + 0.1 breaks the shift side, which the difference
     # check localizes, while the m = 2 criterion identity is untouched
     r = demos.run("strict-2concave")
-    bad_weights = perturb_weight(r.weights, 2, 0.1)
-    bad_dil = assemble_dilation(r.model, bad_weights, r.assembled.n_blocks)
+    stack = r.weights.mat.copy()
+    stack[1] += 0.1 * np.eye(r.model.dim_hprime)
+    bad_dil = assemble_dilation(r.model, hermitian(stack), r.assembled.n_blocks)
     iso = check_w_m_isometry(bad_dil)
-    pdiff = check_weight_shift_isometry(bad_weights, 2)
+    bad_moduli = _cumulative_moduli(bad_dil.weights, r.tolerances.herm_tol)
+    pdiff = check_weight_shift_isometry(bad_moduli, 2)
     ok &= (not iso.passed) and iso.residual > 1e-3
     ok &= not pdiff.passed
     details.append(f"corrupted: isometry residual={iso.residual:.2e}, difference fails")
@@ -222,7 +225,7 @@ def test_criterion_7_oracle_equivalence(demos):
             q_seq=r.q.q_seq if r.q is not None else None,
             tols=r.tolerances,
         )
-        direct = dense_agreement_residual(r.model, r.weights, diag)
+        direct = dense_agreement_residual(r.assembled, diag)
         ok &= agree <= 1e-10 and direct <= 1e-10
         details.append(f"{name}: {max(agree, direct):.1e}")
     assert verdict("criterion 7 (oracle equivalence on shift demos)", ok, "; ".join(details))

@@ -14,7 +14,6 @@ from isodilation.builder import (
     build_general_model,
     build_three_concave_model,
     build_weights,
-    perturb_weight,
 )
 from isodilation.diagonal import defect_diagonal
 from isodilation.errors import (
@@ -36,6 +35,7 @@ from isodilation.operators import (
 from isodilation.pipeline import DEMOS, demo_spec, run_pipeline
 from isodilation.qsolver import QSolution, solve_q_shift_diagonal
 from isodilation.tolerances import DEFAULT_TOLERANCES, Tolerances
+from isodilation.verifier import _cumulative_moduli
 
 
 def _oracle_sqrt(x: np.ndarray) -> np.ndarray:
@@ -170,19 +170,24 @@ def p_oracle(lam, m: int, n: int):
     return 1.0 - lam * math.prod(range(n - m + 2, n + 1)) / math.factorial(m - 1)
 
 
+def cumulative(weights):
+    """|S_n ... S_1|^2 of a weight stack, as the verifier forms it."""
+    return _cumulative_moduli(weights.block, DEFAULT_TOLERANCES.herm_tol)
+
+
 class TestPolynomialAndWeights:
     def test_zero_representer_gives_identities(self):
         weights = build_weights(hermitian(np.zeros((3, 3))), 3, 6)
-        for stack in (weights.weights, weights.cumulative):
+        for stack in (weights, cumulative(weights)):
             assert stack.mat.shape == (6, 3, 3)
             assert max_abs(stack.mat - np.eye(3)) < 1e-13
 
     def test_scalar_m3_walkthrough(self):
         # p(n) = 1 + C(n, 2) / 4 for A = -1/4
         weights = build_weights(hermitian([[-0.25]]), 3, 4)
-        cumulative = weights.cumulative.mat[:, 0, 0].real
-        assert cumulative == pytest.approx([1.0, 1.25, 1.75, 2.5], abs=1e-14)
-        s = weights.weights.mat[:3, 0, 0].real
+        moduli = cumulative(weights).mat[:, 0, 0].real
+        assert moduli == pytest.approx([1.0, 1.25, 1.75, 2.5], abs=1e-14)
+        s = weights.mat[:3, 0, 0].real
         assert s[0] == 1.0
         assert s[1] == pytest.approx(math.sqrt(5) / 2, abs=1e-14)
         assert s[2] == pytest.approx(math.sqrt(7.0 / 5.0), abs=1e-14)
@@ -192,10 +197,10 @@ class TestPolynomialAndWeights:
     def test_m2_closed_form(self, a, n):
         # p(n) = 1 + n a and S_n = sqrt((1 + n a) / (1 + (n-1) a))
         weights = build_weights(hermitian([[-a]]), 2, n)
-        s_n = weights.weights.mat[n - 1, 0, 0].real
+        s_n = weights.mat[n - 1, 0, 0].real
         expected = math.sqrt((1 + n * a) / (1 + (n - 1) * a))
         assert s_n == pytest.approx(expected, rel=1e-13)
-        assert weights.weights.mat[0, 0, 0].real == pytest.approx(math.sqrt(1 + a), rel=1e-13)
+        assert weights.mat[0, 0, 0].real == pytest.approx(math.sqrt(1 + a), rel=1e-13)
 
     def test_ratio_bound_closed_form(self):
         # the successive-ratio supremum telescopes to (n+1)/(n-m+2), maximal
@@ -232,9 +237,9 @@ class TestPolynomialAndWeights:
 
         for n in range(1, horizon + 1):
             expected = on_spectrum(np.sqrt(p_oracle(lam, m, n) / p_oracle(lam, m, n - 1)))
-            assert max_abs(weights.weights.mat[n - 1] - expected) <= 1e-9 * max_abs(expected)
+            assert max_abs(weights.mat[n - 1] - expected) <= 1e-9 * max_abs(expected)
         # S_(m-1) is B = (I - A)^(1/2)
-        b = weights.weights.mat[m - 2]
+        b = weights.mat[m - 2]
         assert max_abs(b - on_spectrum(np.sqrt(1.0 - lam))) <= 1e-9 * max_abs(b)
         assert max_abs(b @ b - (np.eye(d) - a.mat)) <= 1e-9 * (1 + a.norm_max())
 
@@ -248,14 +253,14 @@ class TestPolynomialAndWeights:
         weights = build_weights(a, m, horizon)
         # identity prefix of the weights: p(k) = I for k <= m - 2
         for k in range(m - 2):
-            assert max_abs(weights.weights.mat[k] - np.eye(4)) < 1e-12
+            assert max_abs(weights.mat[k] - np.eye(4)) < 1e-12
         # cumulative moduli equal p(n) = I - C(n, m-1) A (telescoping);
         # p(m-1) = B^2 = I - A
         for n in range(1, horizon + 1):
             p_n = np.eye(4) - math.comb(n, m - 1) * a.mat
-            assert max_abs(weights.cumulative.mat[n - 1] - p_n) <= 1e-10 * (1 + max_abs(p_n))
+            assert max_abs(cumulative(weights).mat[n - 1] - p_n) <= 1e-10 * (1 + max_abs(p_n))
         # m-th forward difference of the cumulative sequence vanishes
-        cum = [np.eye(4)] + list(weights.cumulative.mat)
+        cum = [np.eye(4)] + list(cumulative(weights).mat)
         for n in range(len(cum) - m):
             acc = np.zeros((4, 4), dtype=complex)
             for k in range(m + 1):
@@ -274,7 +279,7 @@ class TestPolynomialAndWeights:
         for model, weights in (shift, dense):
             assert model.dim_hprime > 0
             assert not hasattr(model, "b")
-            b = weights.weights.mat[model.m - 2]
+            b = weights.mat[model.m - 2]
             assert max_abs(b @ b - (np.eye(model.dim_hprime) - model.a.mat)) <= 1e-12
             assert model.b_norm == pytest.approx(np.linalg.norm(b, 2), rel=1e-12)
         with pytest.raises(DimensionError):
@@ -284,7 +289,7 @@ class TestPolynomialAndWeights:
         # p(2) = 1 - 2 * 0.5 = 0 is not invertible
         with pytest.raises(NotInvertibleError):
             build_weights(hermitian([[0.5]]), 2, 3)
-        assert build_weights(hermitian([[0.5]]), 2, 1).horizon == 1
+        assert build_weights(hermitian([[0.5]]), 2, 1).mat.shape == (1, 1, 1)
 
 
 class TestAssemble:
@@ -367,17 +372,31 @@ class TestAssemble:
     @pytest.mark.parametrize("name", sorted(DEMOS))
     def test_blocks_are_views_not_copies(self, demos, name):
         r = demos.run(name)
-        for model, weights, dil in (
-            (r.model, r.weights, r.assembled),
-            (r.badea_model, None, r.badea_assembled),
-        ):
+        for model, dil in ((r.model, r.assembled), (r.badea_model, r.badea_assembled)):
             if dil is None:
                 continue
             assert dil.t is model.corner.block
             assert dil.u is model.u_block
-            if weights is not None and model.dim_hprime:
-                assert np.shares_memory(dil.weights.mat, weights.weights.mat)
-                assert dil.weights.shape == (dil.n_blocks - 1,) + weights.weights.mat.shape[1:]
+
+    def test_stores_the_stacks_own_block(self):
+        # W stores the whole weight stack, as the stack's own `Block`, and
+        # n_blocks is the assembly's, not read off the horizon
+        rule = WeightRule.geometric_concave(0.5)
+        corner = make_shift_corner(rule, 20)
+        sol = solve_q_shift_diagonal(corner, defect_diagonal(rule, 1, 18))
+        for horizon in (5, 9):
+            for model, weights in (
+                build_general_model(corner, 2, sol, horizon),
+                build_badea_2iso(corner, sol, horizon),
+            ):
+                dil = assemble_dilation(model, weights, 4)
+                assert dil.weights is weights.block
+                assert dil.weights.shape[0] == horizon
+                assert dil.n_blocks == 4
+                assert dil.matrix.shape == (dil.dim_total,) * 2
+                assert dil.dim_total == model.dim_h + 4 * model.dim_hprime
+                with pytest.raises(DimensionError):
+                    assemble_dilation(model, weights, horizon + 2)
 
     def test_pipeline_never_builds_dense_matrix(self):
         r = run_pipeline(demo_spec("nonisomorphic-pair"))
@@ -412,11 +431,11 @@ class TestBadea:
         assert embedded[1, 1].real == pytest.approx(expected_1, abs=1e-12)
         # all weights are the identity, one read-only stack that the
         # assembled W views
-        assert weights.weights.mat.shape == (8, model.dim_hprime, model.dim_hprime)
-        assert max_abs(weights.weights.mat - np.eye(model.dim_hprime)) == 0.0
-        assert weights.weights.defect == 0.0 and weights.cumulative is weights.weights
-        assert not weights.weights.mat.flags.writeable
-        assert np.shares_memory(dil.weights.mat, weights.weights.mat)
+        assert weights.mat.shape == (8, model.dim_hprime, model.dim_hprime)
+        assert max_abs(weights.mat - np.eye(model.dim_hprime)) == 0.0
+        assert weights.defect == 0.0
+        assert not weights.mat.flags.writeable
+        assert dil.weights is weights.block
         # A = 0 represents no form, so the model claims none
         assert max_abs(model.a.mat) == 0.0 and model.remark_form_norm == 0.0
 
@@ -474,9 +493,9 @@ class TestTableRuleGeneralM3:
         # 3-concave input)
         eye = np.eye(model.dim_hprime)
         b = _oracle_sqrt(eye - model.a.mat)
-        assert max_abs(weights.weights.mat[0] - eye) < 1e-12
-        assert max_abs(weights.weights.mat[1] - b) < 1e-11
-        assert max_abs(weights.weights.mat[1] - eye) > 1e-3
+        assert max_abs(weights.mat[0] - eye) < 1e-12
+        assert max_abs(weights.mat[1] - b) < 1e-11
+        assert max_abs(weights.mat[1] - eye) > 1e-3
         dil = assemble_dilation(model, weights, 5)
         from isodilation.verifier import check_w_m_isometry
 
@@ -517,31 +536,35 @@ class TestTableRuleGeneralM4:
         d = model.dim_hprime
         assert d > 0
         b = _oracle_sqrt(np.eye(d) - model.a.mat)
-        assert max_abs(weights.weights.mat[0] - np.eye(d)) < 1e-12
-        assert max_abs(weights.weights.mat[1] - np.eye(d)) < 1e-12
-        assert max_abs(weights.weights.mat[2] - b) < 1e-11
-        assert max_abs(weights.weights.mat[2] - np.eye(d)) > 1e-3
+        assert max_abs(weights.mat[0] - np.eye(d)) < 1e-12
+        assert max_abs(weights.mat[1] - np.eye(d)) < 1e-12
+        assert max_abs(weights.mat[2] - b) < 1e-11
+        assert max_abs(weights.mat[2] - np.eye(d)) > 1e-3
 
         dil = assemble_dilation(model, weights, 6)
         assert check_w_m_isometry(dil).residual <= 1e-10
         assert check_criterion_identity(orbit_grams(dil)).residual <= 1e-10
-        assert check_weight_shift_isometry(weights, 4).residual <= 1e-11
+        assert check_weight_shift_isometry(cumulative(weights), 4).residual <= 1e-11
 
 
 class TestPerturb:
     def test_cumulative_recomputed(self):
         # A = -1/4, m = 3: p(1) = 1, p(2) = 5/4, p(3) = 7/4
+        # the moduli are formed from the stack they are given, here a copy
+        # with S_2 bumped by 0.1 I
         weights = build_weights(hermitian([[-0.25]]), 3, 5)
-        bumped = perturb_weight(weights, 2, 0.1)
-        s2 = weights.weights.mat[1, 0, 0].real
+        stack = weights.mat.copy()
+        stack[1] += 0.1 * np.eye(1)
+        bumped = hermitian(stack)
+        s2 = weights.mat[1, 0, 0].real
         assert s2 == pytest.approx(math.sqrt(1.25), rel=1e-14)
-        assert bumped.weights.mat[1, 0, 0].real == pytest.approx(s2 + 0.1)
+        assert bumped.mat[1, 0, 0].real == pytest.approx(s2 + 0.1)
         # only S_2 moves, in a copy
-        assert np.array_equal(np.delete(bumped.weights.mat, 1, 0), np.delete(weights.weights.mat, 1, 0))
-        assert weights.weights.mat[1, 0, 0].real == s2
+        assert np.array_equal(np.delete(bumped.mat, 1, 0), np.delete(weights.mat, 1, 0))
+        assert weights.mat[1, 0, 0].real == s2
         # cumulative at n >= 2 reflects the bump, n = 1 keeps p(1)
-        assert max_abs(bumped.cumulative.mat[0] - weights.cumulative.mat[0]) == 0.0
-        assert bumped.cumulative.mat[1, 0, 0].real == pytest.approx((s2 + 0.1) ** 2, rel=1e-13)
-        assert bumped.cumulative.mat[2, 0, 0].real == pytest.approx(
+        assert max_abs(cumulative(bumped).mat[0] - cumulative(weights).mat[0]) == 0.0
+        assert cumulative(bumped).mat[1, 0, 0].real == pytest.approx((s2 + 0.1) ** 2, rel=1e-13)
+        assert cumulative(bumped).mat[2, 0, 0].real == pytest.approx(
             (s2 + 0.1) ** 2 * 1.75 / 1.25, rel=1e-13
         )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isodilation.builder import build_general_model, build_three_concave_model
+from isodilation.builder import assemble_dilation, build_general_model, build_three_concave_model
 from isodilation.diagonal import (
     build_diagonal_model,
     defect_diagonal,
@@ -48,15 +48,15 @@ class TestAgreement:
         diag = build_diagonal_model(
             rule, m, model.dim_h, "general_m", 9, q_seq=sol.q_seq
         )
-        return model, weights, diag
+        return assemble_dilation(model, weights, 6), diag
 
     def test_dirichlet(self):
-        model, weights, diag = self._general(WeightRule.dirichlet(), 2, 24)
-        assert dense_agreement_residual(model, weights, diag) < 1e-10
+        dil, diag = self._general(WeightRule.dirichlet(), 2, 24)
+        assert dense_agreement_residual(dil, diag) < 1e-10
 
     def test_strict_geometric(self):
-        model, weights, diag = self._general(WeightRule.geometric_concave(0.5), 2, 24)
-        assert dense_agreement_residual(model, weights, diag) < 1e-10
+        dil, diag = self._general(WeightRule.geometric_concave(0.5), 2, 24)
+        assert dense_agreement_residual(dil, diag) < 1e-10
 
     # 2-concavity of the geometric rule requires r^2 <= 1 - r, i.e. r below
     # the golden-ratio conjugate; beyond it the 2-defect turns positive at
@@ -64,8 +64,8 @@ class TestAgreement:
     @settings(max_examples=10, deadline=None)
     @given(r=st.floats(0.15, 0.6))
     def test_geometric_family(self, r):
-        model, weights, diag = self._general(WeightRule.geometric_concave(r), 2, 16)
-        assert dense_agreement_residual(model, weights, diag) < 1e-10
+        dil, diag = self._general(WeightRule.geometric_concave(r), 2, 16)
+        assert dense_agreement_residual(dil, diag) < 1e-10
 
     def test_geometric_beyond_concavity_bound_rejected(self):
         # the closed-form metric q_0 = delta_0 is least only on a 2-concave
@@ -82,7 +82,8 @@ class TestAgreement:
         corner = make_shift_corner(rule, n)
         model, weights = build_three_concave_model(corner, weights_horizon=9)
         diag = build_diagonal_model(rule, 3, model.dim_h, "three_concave", 9)
-        assert dense_agreement_residual(model, weights, diag) < 1e-10
+        dil = assemble_dilation(model, weights, 6)
+        assert dense_agreement_residual(dil, diag) < 1e-10
         # A is the constant c^2 (c^2 - 1) on the diagonal
         c2 = 0.64
         assert diag.a_diag == pytest.approx(np.full(diag.support.size, c2 * (c2 - 1)))

@@ -158,4 +158,4 @@ def test_near_unitary_scalar_builds_the_three_concave_dilation():
     assert beta3 < 0.0
     model, weights = build_three_concave_model(t, 6)
     assert model.a.n == 1 and model.a.mat[0, 0].real <= 0.0
-    assert weights.horizon == 6
+    assert weights.mat.shape == (6, 1, 1)

@@ -374,3 +374,30 @@ class TestSelfContainedKernels:
                 if not any((path.name, name) in allowed for name in owners):
                     offenders.append(f"{path.name}:{lineno}")
         assert offenders == []
+
+    def test_one_cumulative_rule(self):
+        """|S_n...S_1|^2 is formed in one place, `verifier._cumulative_moduli`,
+        the one function that takes the Gram of a running product begun at
+        the identity.  Every other Gram is of another object: an eigenbasis
+        (`hermitian._sorted_decomposition`), U (`verify_run`'s
+        `u_invariance`) and the orbit blocks S_(k-1)...S_1 U
+        (`orbit_grams`)."""
+        src = Path(__file__).resolve().parent.parent / "src" / "isodilation"
+        grams, from_identity = set(), set()
+        for path in sorted(src.rglob("*.py")):
+            text = path.read_text()
+            for node in ast.walk(ast.parse(text)):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                body = ast.get_source_segment(text, node)
+                if ".gram()" in body:
+                    grams.add((path.name, node.name))
+                    if "Block.identity(" in body:
+                        from_identity.add((path.name, node.name))
+        assert from_identity == {("verifier.py", "_cumulative_moduli")}
+        assert grams == {
+            ("verifier.py", "_cumulative_moduli"),
+            ("hermitian.py", "_sorted_decomposition"),
+            ("verifier.py", "verify_run"),
+            ("verifier.py", "orbit_grams"),
+        }

@@ -19,17 +19,17 @@ from isodilation.builder import (
     build_badea_2iso,
     build_general_model,
     build_three_concave_model,
-    perturb_weight,
 )
 from isodilation.diagonal import build_diagonal_model, defect_diagonal
 from isodilation.hermitian import Block, hermitian, max_abs
 from isodilation.operators import WeightRule, dense_corner, make_shift_corner
 from isodilation.qsolver import solve_q_shift_diagonal
 from isodilation.specfile import spec_from_dict
-from isodilation.tolerances import DEFAULT_TRIALS
+from isodilation.tolerances import DEFAULT_TOLERANCES, DEFAULT_TRIALS
 from isodilation.verifier import (
     CheckResult,
     _column_dots,
+    _cumulative_moduli,
     _column_space_rank,
     _rng,
     _trial_draws,
@@ -57,6 +57,18 @@ def _random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _grams(dil):
     return orbit_grams(dil)
+
+
+def _cumulative(weights):
+    """|S_n ... S_1|^2 of a weight stack, as `verify_run` forms it."""
+    return _cumulative_moduli(weights.block, DEFAULT_TOLERANCES.herm_tol)
+
+
+def _bumped(weights, n, amount):
+    """A copy of a weight stack with S_n shifted by amount * I."""
+    stack = weights.mat.copy()
+    stack[n - 1] += amount * np.eye(stack.shape[-1])
+    return hermitian(stack)
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +200,7 @@ class TestPowersFormula:
         vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         h[general.block_slice(2)] = vec
         y = general.matrix @ (general.matrix @ h)
-        expected = weights.weights.mat[2] @ (weights.weights.mat[1] @ vec)
+        expected = weights.mat[2] @ (weights.mat[1] @ vec)
         assert np.allclose(y[general.block_slice(4)], expected, atol=1e-12)
 
 
@@ -206,7 +218,7 @@ class TestPowersFormula:
         # both sides of the formula read the stored weights, so a corrupted
         # S_n still satisfies it; the m-isometry check is what catches it
         model, weights, _, _, _ = strict_pair
-        bad = assemble_dilation(model, perturb_weight(weights, 2, 0.1), 6)
+        bad = assemble_dilation(model, _bumped(weights, 2, 0.1), 6)
         assert check_powers_formula(bad).passed
         assert not check_w_m_isometry(bad).passed
 
@@ -441,16 +453,16 @@ class TestEquivalenceBothDirections:
         _, weights, general, _, _ = strict_pair
         assert check_w_m_isometry(general).passed
         assert check_criterion_identity(_grams(general)).passed
-        assert check_weight_shift_isometry(weights, 2).passed
+        assert check_weight_shift_isometry(_cumulative(weights), 2).passed
 
     def test_corrupted_weight_localized(self, strict_pair):
         model, weights, _, _, _ = strict_pair
-        bad_weights = perturb_weight(weights, 2, 0.1)
+        bad_weights = _bumped(weights, 2, 0.1)
         bad_dil = assemble_dilation(model, bad_weights, 6)
         iso = check_w_m_isometry(bad_dil)
         assert not iso.passed
         assert iso.residual > 1e-3
-        pdiff = check_weight_shift_isometry(bad_weights, 2)
+        pdiff = check_weight_shift_isometry(_cumulative(bad_weights), 2)
         assert not pdiff.passed
         # for m = 2 the criterion identity involves only S_1, so the
         # corruption of S_2 is localized by the shift check alone
@@ -465,7 +477,7 @@ class TestEquivalenceBothDirections:
         model, weights, _, _, _ = strict_pair
         bad_model = dataclasses.replace(model, u=model.u + 0.1)
         bad_dil = assemble_dilation(bad_model, weights, 6)
-        assert check_weight_shift_isometry(weights, 2).passed
+        assert check_weight_shift_isometry(_cumulative(weights), 2).passed
         crit = check_criterion_identity(_grams(bad_dil))
         assert not crit.passed
         iso = check_w_m_isometry(bad_dil)
@@ -806,6 +818,25 @@ class TestCertificate:
         res = nonisomorphism_certificate(_grams(general), _grams(badea), expected_found=False)
         assert not res.passed
 
+    @pytest.mark.parametrize("r", [1e-7, 1e-9])
+    def test_near_isometric_shift_expects_no_certificate(self, r):
+        # beta_1(0) = r lies between class_tol and cert_tol: the 1-defect
+        # does not vanish, but Delta_1 = beta_1 is below the certificate's
+        # own threshold, so no certificate is expected, and none is found
+        result = run_pipeline(spec_from_dict({
+            "schema_version": 1,
+            "operator": {"kind": "shift", "rule": {"name": "geometric_concave", "r": r}},
+            "m": 2,
+            "truncation": {"N": 48, "n_blocks": 6},
+        }))
+        tols = result.tolerances
+        assert tols.class_tol < result.model.defect_prev.norm_max() <= tols.cert_tol
+        cert = next(c for c in result.verification.checks if c.name == "nonisomorphism_certificate")
+        assert cert.passed
+        assert cert.window.endswith("certificate not found (expected not found)")
+        if r == 1e-9:
+            assert result.overall, [c.name for c in result.verification.checks if not c.passed]
+
 
 class TestRemark:
     def test_dirichlet_isometric_branch(self):
@@ -814,12 +845,12 @@ class TestRemark:
         delta = defect_diagonal(rule, 1, 14)
         sol = solve_q_shift_diagonal(corner, delta)
         model, weights = build_general_model(corner, 2, sol, 8)
-        res = remark_consistency(model, weights)
+        res = remark_consistency(assemble_dilation(model, weights, 6))
         assert res.passed  # S_1 = I and vanishing defect: consistent
 
     def test_strict_branch(self, strict_pair):
-        model, weights, _, _, _ = strict_pair
-        res = remark_consistency(model, weights)
+        _, _, general, _, _ = strict_pair
+        res = remark_consistency(general)
         assert res.passed  # S_1 != I and nonvanishing defect: consistent
 
     def test_degenerate_vacuous(self):
@@ -829,7 +860,7 @@ class TestRemark:
 
         q = QSolution(hermitian(np.zeros((2, 2))), "zero", None, 0.0, 0.0)
         model, weights = build_general_model(dense_corner(f), 2, q, 6)
-        assert remark_consistency(model, weights).passed
+        assert remark_consistency(assemble_dilation(model, weights, 4)).passed
 
     def test_reference_model_represents_no_form(self):
         # the reference dilation's A is 0, so it claims no form, and its
@@ -839,17 +870,14 @@ class TestRemark:
         sol = solve_q_shift_diagonal(corner, defect_diagonal(rule, 1, 18))
         model, weights = build_badea_2iso(corner, sol, 8)
         assert model.dim_hprime > 0 and model.remark_form_norm == 0.0
-        assert remark_consistency(model, weights).passed
+        assert remark_consistency(assemble_dilation(model, weights, 6)).passed
 
     def test_inconsistent_pair_detected(self, strict_pair):
         # identity weights with a nonvanishing represented form must trip it
-        model, weights, _, _, _ = strict_pair
-        from isodilation.builder import ShiftWeights
-
+        model, _, _, _, _ = strict_pair
         d = model.dim_hprime
         eye = hermitian(np.broadcast_to(np.eye(d), (4, d, d)))
-        fake = ShiftWeights(eye, eye)
-        assert not remark_consistency(model, fake).passed
+        assert not remark_consistency(assemble_dilation(model, eye, 4)).passed
 
 
 # checks the benchmark's report judge sets apart from the rule
@@ -968,23 +996,51 @@ def test_batched_checks_apply_each_dilation_once_per_power(monkeypatch):
     assert len(built) == 1 and built[0] is dense.assembled
 
 
+def test_moduli_formed_once_from_the_main_dilation(monkeypatch):
+    # structural guard: |S_n...S_1|^2 is formed once per run, from the
+    # weight stack the main dilation stores; the reference dilation's
+    # identity weights have no cumulative check and are not multiplied out
+    stacks = []
+    moduli = verifier._cumulative_moduli
+
+    def counting(weights, herm_tol):
+        stacks.append(weights)
+        return moduli(weights, herm_tol)
+
+    monkeypatch.setattr(verifier, "_cumulative_moduli", counting)
+    examples = Path(__file__).resolve().parent.parent / "spec-examples"
+    dense = parse_spec((examples / "dense-3concave.json").read_text())
+    for spec in (demo_spec("strict-2concave"), dense):
+        stacks.clear()
+        result = run_pipeline(spec, seed=1)
+        assert result.overall
+        assert len(stacks) == 1 and stacks[0] is result.assembled.weights
+
+
 # Checks that fail on each corruption of a verified run, re-verified with
 # the pipeline's full check set.  "a" is the representer A, which only
 # `b_square` and `cumulative_matches_polynomial` read (and, on a shift,
 # the diagonal cross-check).  The orbit Grams read the stored T, U and
 # S_1..S_(n_blocks-1), and the criterion their first m + 1, which hold
 # S_1..S_(m-1): so `criterion_identity` sees a stored T and U, and on the
-# 3-concave input (m = 3) a stored S_2, which on the m = 2 shift only
-# `w_m_isometry` sees.  B is no object of its own but S_(m-1) of the
+# 3-concave input (m = 3) a stored S_2.  Every weight check reads the one
+# stack W stores, the cumulative and weight-shift checks through the
+# moduli `verify_run` forms from it: so a stored S_2 scaled by 1.01
+# ("stored_s2") or given an off-diagonal entry fails them and, on the
+# shift, the diagonal cross-check, as "perturb_s2" (S_2 + 0.01 I, the
+# same stack bumped) does.  B is no object of its own but S_(m-1) of the
 # weight stack, so it has no row: on the 3-concave input, where
-# m - 1 = 2, "perturb_s2" corrupts B, and `b_square` sees it.  "q" scales
-# one entry of the stored metric after the solve.
+# m - 1 = 2, "stored_s2" and "perturb_s2" corrupt B, and `b_square` sees
+# it.  "q" scales one entry of the stored metric after the solve.
 _MUTATION_MATRIX = {
     "strict-2concave": {
         "none": set(),
         "t": {"criterion_identity", "dilation_property", "powers_formula", "w_m_isometry"},
         "u": {"criterion_identity", "powers_formula", "w_m_isometry"},
-        "stored_s2": {"w_m_isometry"},
+        "stored_s2": {
+            "cumulative_matches_polynomial", "diagonal_dense_agreement",
+            "w_m_isometry", "weight_shift_m_isometry",
+        },
         "perturb_s2": {
             "cumulative_matches_polynomial", "diagonal_dense_agreement",
             "w_m_isometry", "weight_shift_m_isometry",
@@ -992,15 +1048,19 @@ _MUTATION_MATRIX = {
         "a": {"b_square", "cumulative_matches_polynomial", "diagonal_dense_agreement"},
         # corruptions that leave the exact structure of a shift's blocks
         "u_off_pattern": {"criterion_identity", "powers_formula", "w_m_isometry"},
-        "stored_s2_off_diagonal": {"w_m_isometry"},
+        "stored_s2_off_diagonal": {
+            "cumulative_matches_polynomial", "diagonal_dense_agreement",
+            "w_m_isometry", "weight_shift_m_isometry",
+        },
         "basis": {"diagonal_dense_agreement"},
         # complex entries, multiplied densely: a unit phase on a diagonal
-        # entry of S_2 is a unitarily equivalent dilation, and a phase on
-        # U's column-0 entry shows only against the model's U (U*U and so
-        # every orbit Gram keep their values; the orbit blocks are no longer
-        # real monomials, so minimality ranks them by Gram-Schmidt, not by
-        # a count of norms)
-        "stored_s2_phase": set(),
+        # entry of S_2 is a unitarily equivalent dilation, whose moduli
+        # |S_n...S_1|^2 keep their values, so only the entrywise diagonal
+        # cross-check sees it; a phase on U's column-0 entry shows only
+        # against the model's U (U*U and so every orbit Gram keep their
+        # values; the orbit blocks are no longer real monomials, so
+        # minimality ranks them by Gram-Schmidt, not by a count of norms)
+        "stored_s2_phase": {"diagonal_dense_agreement"},
         "u_phase": {"powers_formula"},
         # the reference dilation's stored blocks ("ref_" rows): the
         # certificate asks only for a Gram gap between the two dilations,
@@ -1016,7 +1076,10 @@ _MUTATION_MATRIX = {
         "none": set(),
         "t": {"criterion_identity", "dilation_property", "powers_formula", "w_m_isometry"},
         "u": {"criterion_identity", "powers_formula", "w_m_isometry"},
-        "stored_s2": {"criterion_identity", "w_m_isometry"},
+        "stored_s2": {
+            "b_square", "criterion_identity", "cumulative_matches_polynomial",
+            "w_m_isometry", "weight_shift_m_isometry",
+        },
         "perturb_s2": {
             "b_square", "criterion_identity", "cumulative_matches_polynomial",
             "w_m_isometry", "weight_shift_m_isometry",
@@ -1060,42 +1123,41 @@ def _corrupted_blocks(dil, what):
 
 
 def _corrupted(result, what):
-    """(model, weights, dilation, reference, metric) of a run with one
-    stored object corrupted; a "ref_" row corrupts the reference
-    dilation."""
-    model, weights, dil = result.model, result.weights, result.assembled
+    """(dilation, reference, metric) of a run with one stored object
+    corrupted; a "ref_" row corrupts the reference dilation."""
+    model, dil = result.model, result.assembled
     reference, q = result.badea_assembled, result.q
     if what == "none":
-        return model, weights, dil, reference, q
+        return dil, reference, q
     if what.startswith("ref_"):
-        return model, weights, dil, _corrupted_blocks(reference, what[len("ref_"):]), q
+        return dil, _corrupted_blocks(reference, what[len("ref_"):]), q
     if what == "q":
         mat = q.q.mat.copy()
         mat[3, 3] *= 1.5
         bumped = dataclasses.replace(q, q=hermitian(mat, result.tolerances.herm_tol))
-        return model, weights, dil, reference, bumped
+        return dil, reference, bumped
     if what == "basis":
         model = dataclasses.replace(model, basis=model.basis * 1.01)
-        return model, weights, dataclasses.replace(dil, model=model), reference, q
+        return dataclasses.replace(dil, model=model), reference, q
     if what == "perturb_s2":
-        bumped = perturb_weight(weights, 2, 0.01, result.tolerances)
-        return model, bumped, assemble_dilation(model, bumped, dil.n_blocks), reference, q
+        return assemble_dilation(model, _bumped(dil.weights, 2, 0.01), dil.n_blocks), reference, q
     if what == "a":
         scaled = hermitian(model.a.mat * 1.01, result.tolerances.herm_tol)
         model = dataclasses.replace(model, a=scaled)
-        return model, weights, dataclasses.replace(dil, model=model), reference, q
-    return model, weights, _corrupted_blocks(dil, what), reference, q
+        return dataclasses.replace(dil, model=model), reference, q
+    return _corrupted_blocks(dil, what), reference, q
 
 
-def _failing_checks(result, model, weights, dil, reference, q) -> set:
+def _failing_checks(result, dil, reference, q) -> set:
+    model = dil.model
     diag = None
     if result.spec.kind == "shift":
         diag = build_diagonal_model(
-            result.spec.rule, model.m, model.dim_h, result.path, weights.horizon,
+            result.spec.rule, model.m, model.dim_h, result.path, dil.weights.shape[0],
             q_seq=result.q.q_seq, tols=result.tolerances,
         )
     rep = verify_run(
-        dil, weights, q, reference, diag,
+        dil, q, reference, diag,
         result.seed, DEFAULT_TRIALS, result.tolerances,
     )
     return {c.name for c in rep.checks if not c.passed}
@@ -1128,7 +1190,7 @@ def _patch_every_binding(monkeypatch, name: str, replacement) -> None:
 # permutation, and its weights and B are real diagonal and multiply as
 # monomials; a non-normal input also takes the dense product for A's
 # eigenbasis (`_clamp_nonpositive`, `build_weights`), the cumulative moduli
-# and B^2 (`verify_run`'s `b_square`).  `embed` (shift runs only) and the
+# (`_cumulative_moduli`) and B^2 (`verify_run`'s `b_square`).  `embed` (shift runs only) and the
 # reference dilation's products (m = 2 only) are not reached.
 _NORMAL_FALLBACK_SITES = {
     "defect_step", "build_three_concave_model", "_construct",
@@ -1136,7 +1198,7 @@ _NORMAL_FALLBACK_SITES = {
     "orbit_grams",
 }
 _DENSE_FALLBACK_SITES = _NORMAL_FALLBACK_SITES | {
-    "_clamp_nonpositive", "build_weights", "_with_cumulative", "verify_run",
+    "_clamp_nonpositive", "build_weights", "_cumulative_moduli", "verify_run",
 }
 
 
