@@ -67,10 +67,12 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 class DilationModel:
     """Everything produced by one construction run, on the exact window.
 
-    `corner` is the window-restricted H-block operator; `basis` holds
-    orthonormal columns spanning H' inside H-coordinates; `u` maps H to H'
-    in the compressed coordinates; `a` lives on H'.  B = S_(m-1) is read
-    from the weight stack.
+    `corner` is the window-restricted H-block operator; `compression` is
+    basis*, the map of H onto H' whose rows are orthonormal vectors of H
+    spanning H' (a row gather on a permutation eigenbasis); `u` maps H to
+    H' in the compressed coordinates; `a` lives on H'.  `compression` and
+    `u` are the read-only `Block`s `_construct` made, U with that
+    compression.  B = S_(m-1) is read from the weight stack.
     """
 
     m: int
@@ -78,8 +80,8 @@ class DilationModel:
     corner: OperatorCorner
     defect_m: HermitianMatrix
     defect_prev: HermitianMatrix
-    basis: np.ndarray
-    u: np.ndarray
+    compression: Block
+    u: Block
     a: HermitianMatrix
     b_norm: float  # spectral norm of B
     welldef_residual: float
@@ -88,32 +90,13 @@ class DilationModel:
     # S_(m-1) = I exactly when this form vanishes.
     remark_form_norm: float = 0.0
 
-    def __post_init__(self):
-        self.basis.setflags(write=False)
-        self.u.setflags(write=False)
-
     @property
     def dim_h(self) -> int:
         return self.corner.n
 
     @property
     def dim_hprime(self) -> int:
-        return self.basis.shape[1]
-
-    @cached_property
-    def compression(self) -> Block:
-        """basis* as a `Block`: the map of H onto H' (a row gather on a
-        permutation eigenbasis); `_construct` stores the one it made U
-        with."""
-        return Block(self.basis.conj().T)
-
-    @cached_property
-    def u_block(self) -> Block:
-        return Block(self.u)
-
-    def embed(self, x: np.ndarray) -> np.ndarray:
-        """Conjugate an H'-operator back into H-coordinates: basis x basis*."""
-        return self.compression.congruence(x)
+        return self.compression.shape[0]
 
 
 @dataclass(frozen=True)
@@ -263,22 +246,23 @@ def _construct(
         lam_a_min = float(a_dec.values[0]) if d else 0.0
 
     compression = Block(basis.conj().T)
+    u = Block(compression.dot(hermitian(root, tols.herm_tol).mat))
+    for block in (compression, u):
+        block.mat.setflags(write=False)
     model = DilationModel(
         m=m,
         path=path,
         corner=forms.corner.leading(w),
         defect_m=forms.on(m, w),
         defect_prev=forms.on(max(m - 1, 1), w),
-        basis=basis,
-        u=compression.dot(hermitian(root, tols.herm_tol).mat),
+        compression=compression,
+        u=u,
         a=a,
         # B = (I - A)^(1/2) is the weight S_(m-1)
         b_norm=float(np.sqrt(1.0 - lam_a_min)) if d else 0.0,
         welldef_residual=welldef,
         remark_form_norm=form_norm,
     )
-    # the block U was made with, so that its structure is read once
-    model.__dict__["compression"] = compression
     return model, weights
 
 
@@ -378,7 +362,7 @@ def assemble_dilation(
         )
     if model.u.shape != (d, w):
         raise DimensionError(f"U must be {d}x{w}, got {model.u.shape}")
-    return AssembledDilation(model.corner.block, model.u_block, weights.block, n_blocks, model)
+    return AssembledDilation(model.corner.block, model.u, weights.block, n_blocks, model)
 
 
 def build_general_model(

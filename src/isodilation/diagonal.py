@@ -7,9 +7,10 @@ the weight rule (no eigendecompositions).  The metric diagonal is shared
 with the dense path, not derived again: on the general path the pipeline
 solves the reported metric (its `q0` and `q_seq`) from the
 (m-1)-defect diagonal of `defect_diagonal`, and `build_diagonal_model`
-receives that same `q_seq`.  The `diagonal_dense_agreement` check
-cross-checks A, B, U and the weights of the dense path against diagonals
-built on this shared metric diagonal.
+receives that same `q_seq`.  `verifier.verify_run` builds the reference
+of every shift run from the model it checks, whose rule, order, path and
+window it reads, and the `diagonal_dense_agreement` check cross-checks
+A, B, U and the weights of the dense path against it.
 """
 
 import math
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import AssembledDilation
+from .builder import AssembledDilation, DilationModel
 from .errors import NotNegativeError, NotPsdError
 from .hermitian import max_abs
 from .operators import WeightRule
@@ -45,40 +46,41 @@ def defect_diagonal(rule: WeightRule, m: int, count: int) -> np.ndarray:
 class DiagonalModel:
     """Diagonals of the construction for a scalar shift, on the window."""
 
-    m: int
-    path: str
     window: int
     support: np.ndarray          # H' indices: metric diagonal above the rank cutoff
     a_diag: np.ndarray           # on support
     u_diag: np.ndarray           # on support
-    weight_diags: tuple          # per n = 1..horizon, values on support
+    weight_diags: tuple          # per n = 1..max(8, m-1), values on support
 
 
 def build_diagonal_model(
-    rule: WeightRule,
-    m: int,
-    window: int,
-    path: str,
-    horizon: int,
+    model: DilationModel,
     q_seq: np.ndarray | None = None,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> DiagonalModel:
-    """Diagonal analogue of the dense construction on the same window."""
-    beta_prev = defect_diagonal(rule, m - 1, window)
+    """Diagonal analogue of the dense construction on the same window.
 
-    if path == "general_m":
+    Reads the construction's inputs off `model`, its shift rule, order,
+    path and window, and none of the A, U or weights it built; `q_seq` is
+    the solved metric diagonal of the general path.  It forms the weights
+    the agreement compares, S_1 .. S_max(8, m-1).
+    """
+    rule, m, window = model.corner.rule, model.m, model.dim_h
+    if rule is None:
+        raise ValueError("the diagonal reference needs a shift corner")
+    if model.path == "general_m":
         if q_seq is None:
             raise ValueError("general path needs the solved metric diagonal")
         metric = np.asarray(q_seq, dtype=float)[:window]
         numerator = defect_diagonal(rule, m, window)
-    elif path == "three_concave":
-        metric = beta_prev
+    elif model.path == "three_concave":
+        metric = defect_diagonal(rule, m - 1, window)
         beta3_next = defect_diagonal(rule, 3, window + 1)
         numerator = np.array(
             [rule.weight_sq(n + 1) * beta3_next[n + 1] for n in range(window)]
         )
     else:
-        raise ValueError(f"unknown path {path!r}")
+        raise ValueError(f"unknown path {model.path!r}")
 
     floor = -tols.psd_tol * (1.0 + float(np.max(np.abs(metric), initial=0.0)))
     if np.min(metric, initial=0.0) < floor:
@@ -98,14 +100,12 @@ def build_diagonal_model(
 
     p_prev = np.ones(support.size)
     diags = []
-    for n in range(1, horizon + 1):
+    for n in range(1, max(_AGREEMENT_WEIGHTS, m - 1) + 1):
         p_n = 1.0 - math.comb(n, m - 1) * a_vals
         diags.append(np.sqrt(p_n / p_prev))
         p_prev = p_n
 
     return DiagonalModel(
-        m=m,
-        path=path,
         window=window,
         support=support,
         a_diag=a_vals,
@@ -133,15 +133,16 @@ def dense_agreement_residual(dilation: AssembledDilation, diag: DiagonalModel) -
     w = model.dim_h
     if w != diag.window:
         raise ValueError(f"window mismatch: dense {w}, diagonal {diag.window}")
-    residual = max_abs(model.embed(model.a.mat) - embed_support_diagonal(w, diag.support, diag.a_diag))
+    embed = model.compression.congruence
+    residual = max_abs(embed(model.a.mat) - embed_support_diagonal(w, diag.support, diag.a_diag))
     # U compared as P * metric_root in window coordinates
-    u_window = model.compression.adjoint_dot(model.u)
+    u_window = model.compression.adjoint_dot(model.u.mat)
     u_diag_mat = embed_support_diagonal(w, diag.support, diag.u_diag)
     residual = max(residual, max_abs(u_window - u_diag_mat))
     # B is the weight S_(m-1) on both paths, compared with the others
     count = min(_AGREEMENT_WEIGHTS, len(weights), len(diag.weight_diags))
     for n in sorted({*range(1, count + 1), model.m - 1}):
-        dense_s = model.embed(weights[n - 1])
+        dense_s = embed(weights[n - 1])
         diag_s = embed_support_diagonal(w, diag.support, diag.weight_diags[n - 1])
         residual = max(residual, max_abs(dense_s - diag_s))
     return residual

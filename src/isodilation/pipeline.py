@@ -5,7 +5,8 @@ expansive + m-concave inputs take the general path; for m = 3 a 3-concave
 but non-expansive input takes the dedicated 3-concave path.  For m = 2 the
 reference identity-weight dilation is built alongside.  The pipeline makes
 no check itself: `verifier.verify_run` makes every check of the run, the
-norm-gap certificate that compares the two dilations among them.
+norm-gap certificate that compares the two dilations among them, and on a
+shift builds the diagonal reference its cross-check reads.
 
 Reports are plain dicts, byte-stable for a fixed (spec, seed, version)
 apart from the single timestamp in the header.
@@ -25,7 +26,7 @@ from .builder import (
     build_general_model,
     build_three_concave_model,
 )
-from .diagonal import build_diagonal_model, defect_diagonal
+from .diagonal import defect_diagonal
 from .errors import NotNegativeError, PreconditionError, UnknownDemoError
 from .hermitian import Block, max_abs
 from .operators import Classification, DefectForms, OperatorCorner, classify, dense_corner, make_shift_corner
@@ -220,19 +221,7 @@ def run_pipeline(
         )
         badea_assembled = assemble_dilation(badea_model, badea_weights, n_blocks)
 
-    diag_model = None
-    if spec.kind == "shift":
-        diag_model = build_diagonal_model(
-            spec.rule,
-            m,
-            model.dim_h,
-            path,
-            weights_horizon,
-            q_seq=q.q_seq if q is not None else None,
-            tols=tols,
-        )
-
-    verification = verify_run(assembled, q, badea_assembled, diag_model, seed, trials, tols)
+    verification = verify_run(assembled, q, badea_assembled, seed, trials, tols)
     report = _build_report(spec, tols, seed, cls, path, q, assembled, badea_assembled, verification)
     return PipelineResult(
         spec=spec,
@@ -279,7 +268,7 @@ def _build_report(spec, tols, seed, cls, path, q, assembled, badea_assembled, ve
     if badea_assembled is not None:
         badea_summary = {
             "dim_hprime": badea_assembled.model.dim_hprime,
-            "u_norm": max_abs(badea_assembled.model.u),
+            "u_norm": max_abs(badea_assembled.model.u.mat),
         }
     return {
         "schema_version": 1,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .builder import AssembledDilation, DilationModel
-from .diagonal import DiagonalModel, dense_agreement_residual
+from .diagonal import build_diagonal_model, dense_agreement_residual
 from .errors import WindowExhaustedError
 from .hermitian import Block, HermitianMatrix, hermitian, max_abs
 from .qsolver import QSolution, stein_residual
@@ -172,21 +172,22 @@ def verify_run(
     dilation: AssembledDilation,
     q: QSolution | None,
     reference: AssembledDilation | None,
-    diag: DiagonalModel | None,
     seed: int,
     trials: int,
     tols: Tolerances,
 ) -> VerificationReport:
     """Every check of one run, in report order.
 
-    `q` is the metric of the general path, `reference` the identity-weight
-    dilation of an m = 2 run and `diag` the diagonal model of a shift; each
-    adds its checks when given.  The reference dilation's checks carry the
-    prefix `badea_`, and the certificate expects a Gram gap exactly when
-    the 1-defect of T exceeds `cert_tol` on window_after(1), the window
-    and threshold of the certificate itself.  The orbit Grams of each
-    dilation are built once, here, and the cumulative moduli of the main
-    dilation's weight stack.
+    `q` is the metric of the general path and `reference` the
+    identity-weight dilation of an m = 2 run; each adds its checks when
+    given.  On a shift (a corner with a rule) the diagonal reference is
+    built here, from the model checked and the solved metric diagonal
+    `q.q_seq`, and compared with the dense blocks.  The reference
+    dilation's checks carry the prefix `badea_`, and the certificate
+    expects a Gram gap exactly when the 1-defect of T exceeds `cert_tol`
+    on window_after(1), the window and threshold of the certificate
+    itself.  The orbit Grams of each dilation are built once, here, and
+    the cumulative moduli of the main dilation's weight stack.
     """
     model = dilation.model
     rep = VerificationReport()
@@ -213,7 +214,7 @@ def verify_run(
         tols.sqrt_tol * (1.0 + i_minus_a.norm_max()), "B^2 reconstructs I - A",
     ))
     if model.path == "general_m":
-        gram = model.u_block.gram()
+        gram = model.u.gram()
         diff = model.corner.congruence(gram) - gram
         win = model.corner.window_after(1)
         rep.add(_result(
@@ -232,7 +233,8 @@ def verify_run(
     rep.add(check_criterion_identity(grams, tols=tols))
     rep.add(check_minimality(grams))
     rep.add(remark_consistency(dilation, tols=tols))
-    if diag is not None:
+    if model.corner.rule is not None:
+        diag = build_diagonal_model(model, None if q is None else q.q_seq, tols)
         rep.add(_result(
             "diagonal_dense_agreement", dense_agreement_residual(dilation, diag),
             tols.agreement_tol,
@@ -351,7 +353,7 @@ def check_powers_formula(
     expected[:w] = t_pows[m]
     if d:
         for k in range(1, min(m, dilation.n_blocks) + 1):
-            expected[dilation.block_slice(k)] = prefixes[k - 1].dot(model.u_block.dot(t_pows[m - k]))
+            expected[dilation.block_slice(k)] = prefixes[k - 1].dot(model.u.dot(t_pows[m - k]))
         for k, prod in products.items():
             expected[dilation.block_slice(k)] = prod.dot(h[dilation.block_slice(k - m)])
 

@@ -90,7 +90,7 @@ class TestBuildAGeneral:
         for n in range(w):
             beta_n = -(2.0 ** -(n + 2)) * (1 - 2.0 ** -(n + 1))
             expected[n] = beta_n * pi[n] / 0.5
-        embedded = model.basis @ model.a.mat @ model.basis.conj().T
+        embedded = model.compression.congruence(model.a.mat)
         for n in range(w):
             assert embedded[n, n].real == pytest.approx(expected[n], abs=1e-12)
 
@@ -150,7 +150,7 @@ class TestBuildAThreeConcave:
         direct, _ = build_three_concave_model(t, 6)
         shared, _ = build_three_concave_model(t, 6, forms=classify(t, 3).forms)
         assert np.array_equal(direct.a.mat, shared.a.mat)
-        assert np.array_equal(direct.basis, shared.basis)
+        assert np.array_equal(direct.compression.mat, shared.compression.mat)
 
     def test_forms_of_another_corner_rejected(self):
         t = dense_corner([[0.5]])
@@ -376,7 +376,10 @@ class TestAssemble:
             if dil is None:
                 continue
             assert dil.t is model.corner.block
-            assert dil.u is model.u_block
+            assert dil.u is model.u
+            # stored once, read-only where the construction made them
+            assert not model.u.mat.flags.writeable
+            assert not model.compression.mat.flags.writeable
 
     def test_stores_the_stacks_own_block(self):
         # W stores the whole weight stack, as the stack's own `Block`, and
@@ -425,7 +428,7 @@ class TestBadea:
         dil = assemble_dilation(model, weights, 4)
         # the gap vanishes exactly at n = 0 and is positive beyond
         assert model.dim_hprime == model.dim_h - 1
-        embedded = model.basis @ model.u
+        embedded = model.compression.adjoint_dot(model.u.mat)
         assert abs(embedded[0, 0]) < 1e-12
         expected_1 = math.sqrt(sol.q_seq[1] - 0.25)
         assert embedded[1, 1].real == pytest.approx(expected_1, abs=1e-12)

@@ -1,5 +1,7 @@
 """Diagonal fast path vs the dense eigendecomposition path."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from isodilation.diagonal import (
     dense_agreement_residual,
 )
 from isodilation.hermitian import max_abs
-from isodilation.operators import WeightRule, defect_form, make_shift_corner
+from isodilation.operators import WeightRule, defect_form, dense_corner, make_shift_corner
 from isodilation.qsolver import solve_q_shift_diagonal
 
 RULES = st.one_of(
@@ -45,9 +47,7 @@ class TestAgreement:
         delta = defect_diagonal(rule, m - 1, n - m)
         sol = solve_q_shift_diagonal(corner, delta)
         model, weights = build_general_model(corner, m, sol, weights_horizon=9)
-        diag = build_diagonal_model(
-            rule, m, model.dim_h, "general_m", 9, q_seq=sol.q_seq
-        )
+        diag = build_diagonal_model(model, sol.q_seq)
         return assemble_dilation(model, weights, 6), diag
 
     def test_dirichlet(self):
@@ -81,9 +81,23 @@ class TestAgreement:
         n = 16
         corner = make_shift_corner(rule, n)
         model, weights = build_three_concave_model(corner, weights_horizon=9)
-        diag = build_diagonal_model(rule, 3, model.dim_h, "three_concave", 9)
+        diag = build_diagonal_model(model)
         dil = assemble_dilation(model, weights, 6)
         assert dense_agreement_residual(dil, diag) < 1e-10
         # A is the constant c^2 (c^2 - 1) on the diagonal
         c2 = 0.64
         assert diag.a_diag == pytest.approx(np.full(diag.support.size, c2 * (c2 - 1)))
+
+    def test_reads_the_model_it_checks(self):
+        # the reference forms the weights the agreement compares,
+        # S_1 .. S_max(8, m-1), and refuses a model of another window
+        dil, diag = self._general(WeightRule.geometric_concave(0.5), 2, 24)
+        assert diag.window == dil.model.dim_h
+        assert len(diag.weight_diags) == 8
+        with pytest.raises(ValueError, match="window mismatch"):
+            dense_agreement_residual(dil, dataclasses.replace(diag, window=diag.window + 1))
+
+    def test_dense_corner_has_no_reference(self):
+        model, _ = build_three_concave_model(dense_corner([[0.5]]), weights_horizon=9)
+        with pytest.raises(ValueError, match="shift corner"):
+            build_diagonal_model(model)

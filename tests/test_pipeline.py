@@ -73,7 +73,7 @@ class TestPathSelection:
         assert result.q is None
         assert result.overall
         # U carries the 2-defect root: constant diagonal |c^2 - 1|
-        u = result.model.basis @ result.model.u
+        u = result.model.compression.adjoint_dot(result.model.u.mat)
         assert u[0, 0].real == pytest.approx(abs(0.8**2 - 1.0), abs=1e-12)
 
     def test_expansive_three_concave_prefers_general(self):
@@ -374,6 +374,40 @@ class TestSelfContainedKernels:
                 if not any((path.name, name) in allowed for name in owners):
                     offenders.append(f"{path.name}:{lineno}")
         assert offenders == []
+
+    def test_no_instance_dict_writes(self):
+        """Every stored object is a field set where it is made: no module
+        reaches into an instance `__dict__`, so none writes into one."""
+        src = Path(__file__).resolve().parent.parent / "src" / "isodilation"
+        offenders = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(src.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "__dict__"
+        ]
+        assert offenders == []
+
+    def test_diagonal_reference_built_by_the_verifier_only(self):
+        """The diagonal reference of a shift is built in one place, the
+        verifier's `verify_run`, from the model it checks."""
+        src = Path(__file__).resolve().parent.parent / "src" / "isodilation"
+        callers = []
+        for path in sorted(src.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            functions = [
+                (node.lineno, node.end_lineno, node.name)
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "build_diagonal_model":
+                    owners = [(lo, f) for lo, hi, f in functions if lo <= node.lineno <= hi]
+                    callers.append((path.name, max(owners)[1] if owners else "<module>"))
+        assert callers == [("verifier.py", "verify_run")]
 
     def test_one_cumulative_rule(self):
         """|S_n...S_1|^2 is formed in one place, `verifier._cumulative_moduli`,

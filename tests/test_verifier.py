@@ -20,7 +20,7 @@ from isodilation.builder import (
     build_general_model,
     build_three_concave_model,
 )
-from isodilation.diagonal import build_diagonal_model, defect_diagonal
+from isodilation.diagonal import defect_diagonal
 from isodilation.hermitian import Block, hermitian, max_abs
 from isodilation.operators import WeightRule, dense_corner, make_shift_corner
 from isodilation.qsolver import solve_q_shift_diagonal
@@ -268,7 +268,7 @@ def _powers_residual_reference(dilation, trials, seed):
         expected[:w] = t_pows[m]
         if d:
             for k in range(1, min(m, dilation.n_blocks) + 1):
-                expected[dilation.block_slice(k)] = prefixes[k - 1] @ (model.u @ t_pows[m - k])
+                expected[dilation.block_slice(k)] = prefixes[k - 1] @ (model.u.mat @ t_pows[m - k])
             for k, prod in products.items():
                 expected[dilation.block_slice(k)] = prod @ h[dilation.block_slice(k - m)]
         norm = float(np.sqrt(np.vdot(h, h).real))
@@ -475,7 +475,7 @@ class TestEquivalenceBothDirections:
         import dataclasses
 
         model, weights, _, _, _ = strict_pair
-        bad_model = dataclasses.replace(model, u=model.u + 0.1)
+        bad_model = dataclasses.replace(model, u=Block(model.u.mat + 0.1))
         bad_dil = assemble_dilation(bad_model, weights, 6)
         assert check_weight_shift_isometry(_cumulative(weights), 2).passed
         crit = check_criterion_identity(_grams(bad_dil))
@@ -1052,6 +1052,8 @@ _MUTATION_MATRIX = {
             "cumulative_matches_polynomial", "diagonal_dense_agreement",
             "w_m_isometry", "weight_shift_m_isometry",
         },
+        # the stored map of H onto H' (`compression`), which U was made
+        # with and which only the diagonal cross-check reads afterwards
         "basis": {"diagonal_dense_agreement"},
         # complex entries, multiplied densely: a unit phase on a diagonal
         # entry of S_2 is a unitarily equivalent dilation, whose moduli
@@ -1137,7 +1139,7 @@ def _corrupted(result, what):
         bumped = dataclasses.replace(q, q=hermitian(mat, result.tolerances.herm_tol))
         return dil, reference, bumped
     if what == "basis":
-        model = dataclasses.replace(model, basis=model.basis * 1.01)
+        model = dataclasses.replace(model, compression=Block(model.compression.mat * 1.01))
         return dataclasses.replace(dil, model=model), reference, q
     if what == "perturb_s2":
         return assemble_dilation(model, _bumped(dil.weights, 2, 0.01), dil.n_blocks), reference, q
@@ -1149,17 +1151,7 @@ def _corrupted(result, what):
 
 
 def _failing_checks(result, dil, reference, q) -> set:
-    model = dil.model
-    diag = None
-    if result.spec.kind == "shift":
-        diag = build_diagonal_model(
-            result.spec.rule, model.m, model.dim_h, result.path, dil.weights.shape[0],
-            q_seq=result.q.q_seq, tols=result.tolerances,
-        )
-    rep = verify_run(
-        dil, q, reference, diag,
-        result.seed, DEFAULT_TRIALS, result.tolerances,
-    )
+    rep = verify_run(dil, q, reference, result.seed, DEFAULT_TRIALS, result.tolerances)
     return {c.name for c in rep.checks if not c.passed}
 
 
@@ -1169,6 +1161,29 @@ def _failing_checks(result, dil, reference, q) -> set:
 def test_mutation_matrix(mutation_runs, case, what):
     r = mutation_runs[case]
     assert _failing_checks(r, *_corrupted(r, what)) == _MUTATION_MATRIX[case][what]
+
+
+@pytest.mark.parametrize(
+    "name,count", [("strict-2concave", 1), ("table-shift-m3", 1), ("dense-3concave", 0)]
+)
+def test_one_diagonal_reference_per_shift_run(monkeypatch, name, count):
+    """`verify_run` builds the diagonal reference of a shift run once, from
+    the model it checks, and none on a dense run."""
+    examples = Path(__file__).resolve().parent.parent / "spec-examples"
+    spec = demo_spec(name) if name in DEMOS else parse_spec((examples / f"{name}.json").read_text())
+    models = []
+    build = verifier.build_diagonal_model
+
+    def counting(model, *args, **kwargs):
+        models.append(model)
+        return build(model, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "build_diagonal_model", counting)
+    result = run_pipeline(spec)
+    assert len(models) == count
+    assert all(model is result.model for model in models)
+    names = {c.name for c in result.verification.checks}
+    assert ("diagonal_dense_agreement" in names) == bool(count)
 
 
 def _patch_every_binding(monkeypatch, name: str, replacement) -> None:
@@ -1190,8 +1205,9 @@ def _patch_every_binding(monkeypatch, name: str, replacement) -> None:
 # permutation, and its weights and B are real diagonal and multiply as
 # monomials; a non-normal input also takes the dense product for A's
 # eigenbasis (`_clamp_nonpositive`, `build_weights`), the cumulative moduli
-# (`_cumulative_moduli`) and B^2 (`verify_run`'s `b_square`).  `embed` (shift runs only) and the
-# reference dilation's products (m = 2 only) are not reached.
+# (`_cumulative_moduli`) and B^2 (`verify_run`'s `b_square`).  The diagonal
+# cross-check (shift runs only) and the reference dilation's products
+# (m = 2 only) are not reached.
 _NORMAL_FALLBACK_SITES = {
     "defect_step", "build_three_concave_model", "_construct",
     "decompose", "apply", "check_dilation_property", "check_powers_formula",
