@@ -19,7 +19,6 @@ from .builder import (
 from .diagonal import (
     DiagonalModel,
     build_diagonal_model,
-    defect_diagonal,
     dense_agreement_residual,
 )
 from .errors import (
@@ -49,9 +48,11 @@ from .hermitian import (
 )
 from .operators import (
     Classification,
+    DefectForms,
     OperatorCorner,
     WeightRule,
     classify,
+    defect_diagonal,
     defect_form,
     dense_corner,
     make_shift_corner,

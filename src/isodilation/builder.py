@@ -13,7 +13,9 @@ on H + l2(H').  One recipe, `_construct`, makes it from two inputs: a
 metric M >= 0, whose numerical range is H' and whose root, compressed to
 H', is U, and a form on H', represented by A <= 0.  The gate, the range
 and both roots R = M^(1/2) and R+ come from one kernel,
-`hermitian.psd_root`.  The three builders only choose the inputs:
+`hermitian.psd_root`.  Each builder takes the run's `DefectForms`, from
+which it reads the corner, the defect forms and the tolerances, and
+only chooses the inputs:
 
 * general path: M is an invariant metric Q with T*QT = Q, and A
   represents the m-defect through the quotient form
@@ -193,12 +195,12 @@ def _construct(
     metric: HermitianMatrix,
     numerator: HermitianMatrix | None,
     weights_horizon: int,
-    tols: Tolerances,
     what: str,
     dec: EigenDecomposition | None = None,
     range_scale: float = 0.0,
 ) -> tuple[DilationModel, HermitianMatrix]:
-    """The construction on the leading w-block of the corner of `forms`.
+    """The construction on the leading w-block of the corner of `forms`,
+    with the run's tolerances `forms.tols`.
 
     H' is the numerical range of the metric M >= 0 that `psd_root` keeps,
     given `range_scale`, and U is the root R of M compressed to it.  A
@@ -213,6 +215,7 @@ def _construct(
     """
     if weights_horizon < m - 1:
         raise DimensionError(f"B is the weight S_{m - 1}; the horizon is {weights_horizon}")
+    tols = forms.tols
     if dec is None:
         dec = eigh(metric, tols.eig_tol)
     kept, root, inv_root = psd_root(metric, tols, dec, range_scale, what=what)
@@ -287,17 +290,6 @@ def _clamp_nonpositive(
     return clamped, dataclasses.replace(dec, values=values)
 
 
-def _forms_of(t: OperatorCorner, forms: DefectForms | None, tols: Tolerances) -> DefectForms:
-    """The run's defect forms of t, or fresh ones for a direct call."""
-    if forms is None:
-        return DefectForms(t, tols)
-    if forms.corner is not t:
-        raise ValueError("the defect forms belong to another corner")
-    if forms.tols != tols:
-        raise ValueError("the defect forms were made with other tolerances")
-    return forms
-
-
 def build_weights(
     a: HermitianMatrix,
     m: int,
@@ -366,40 +358,33 @@ def assemble_dilation(
 
 
 def build_general_model(
-    t: OperatorCorner,
+    forms: DefectForms,
     m: int,
     q: QSolution,
     weights_horizon: int,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-    forms: DefectForms | None = None,
 ) -> tuple[DilationModel, HermitianMatrix]:
-    """Run the general construction for an expansive m-concave corner: the
-    metric is the invariant Q, the form the m-defect."""
-    forms = _forms_of(t, forms, tols)
-    w = min(t.window_after(m), q.q.n)
+    """Run the general construction for the expansive m-concave corner of
+    `forms`: the metric is the invariant Q, the form the m-defect."""
+    w = min(forms.corner.window_after(m), q.q.n)
     return _construct(
         forms, m, "general_m", w, q.q.restrict(w), forms.on(m, w), weights_horizon,
-        tols, "general construction",
+        "general construction",
     )
 
 
 def build_three_concave_model(
-    t: OperatorCorner,
+    forms: DefectForms,
     weights_horizon: int,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-    forms: DefectForms | None = None,
 ) -> tuple[DilationModel, HermitianMatrix]:
     """Run the 3-concave construction (no expansivity, no metric solve).
 
     The metric is the 2-defect and the form <T* defect_3 T f, g>.  Both
     sign preconditions are checked, in this order: the 2-defect must be
     nonnegative and the 3-defect nonpositive on the window.  The gate on
-    the 2-defect and the construction share one decomposition; `forms`
-    supplies the defect forms of t and their decompositions (computed here
-    when None).
+    the 2-defect and the construction share one decomposition of `forms`.
     """
     m = 3
-    forms = _forms_of(t, forms, tols)
+    t, tols = forms.corner, forms.tols
     w = t.window_after(m + 1)  # the represented form compresses beta_3 by T
     if w <= 0:
         raise DimensionError("corner too small for the 3-concave construction")
@@ -414,16 +399,14 @@ def build_three_concave_model(
     numerator = hermitian(t.congruence(forms.full(3).mat)[:w, :w], tols.herm_tol)
     return _construct(
         forms, m, "three_concave", w, forms.on(2, w), numerator, weights_horizon,
-        tols, "3-concave construction", dec=forms.decomposition(2, w),
+        "3-concave construction", dec=forms.decomposition(2, w),
     )
 
 
 def build_badea_2iso(
-    t: OperatorCorner,
+    forms: DefectForms,
     q: QSolution,
     weights_horizon: int,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-    forms: DefectForms | None = None,
 ) -> tuple[DilationModel, HermitianMatrix]:
     """Reference 2-isometric dilation with identity weights.
 
@@ -434,11 +417,10 @@ def build_badea_2iso(
     promote pure noise to range directions when the difference vanishes.
     """
     m = 2
-    forms = _forms_of(t, forms, tols)
-    w = min(t.window_after(m), q.q.n)
+    w = min(forms.corner.window_after(m), q.q.n)
     defect_1 = forms.on(1, w)
-    gap = hermitian(q.q.restrict(w).mat - defect_1.mat, tols.herm_tol)
+    gap = hermitian(q.q.restrict(w).mat - defect_1.mat, forms.tols.herm_tol)
     return _construct(
-        forms, m, "badea_2iso", w, gap, None, weights_horizon, tols,
+        forms, m, "badea_2iso", w, gap, None, weights_horizon,
         "metric minus 1-defect", range_scale=1.0 + q.q.norm_max() + defect_1.norm_max(),
     )

@@ -1,9 +1,11 @@
 """Command line interface.
 
-    dilate --spec FILE [--out FILE] [--seed N] [--tol NAME=VALUE ...]
-    dilate verify --spec FILE
-    dilate demo NAME [--out FILE] [--seed N]
+    dilate --spec FILE [--out FILE] [--seed N] [--trials N] [--tol NAME=VALUE ...]
+    dilate verify --spec FILE [--out FILE] [--tol NAME=VALUE ...]
+    dilate demo NAME [--out FILE] [--seed N] [--trials N]
     dilate --list-demos
+
+An option may stand anywhere; one the command does not read is an error.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 the operator fails
 the preconditions of every construction path, 3 parse or validation errors,
@@ -25,11 +27,23 @@ EXIT_PRECONDITION = 2
 EXIT_SPEC_ERROR = 3
 
 
+# options each command does not read: refused, not dropped
+_NOT_READ = {None: (), "verify": ("seed", "trials"), "demo": ("spec", "tol")}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dilate",
         description="Construct and verify m-isometric dilations of operator corners.",
     )
+    parser.add_argument(
+        "command",
+        nargs="?",
+        choices=("verify", "demo"),
+        help="verify: classification only, no construction; "
+        "demo: run a pinned spec from the built-in catalog",
+    )
+    parser.add_argument("name", nargs="?", metavar="NAME", help="the demo to run")
     parser.add_argument("--spec", metavar="FILE", help="operator spec file (JSON)")
     parser.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
     parser.add_argument("--seed", type=int, help="seed for randomized verification vectors")
@@ -44,18 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override a tolerance (repeatable)",
     )
     parser.add_argument("--list-demos", action="store_true", help="list demo names and exit")
-
-    sub = parser.add_subparsers(dest="command")
-    verify = sub.add_parser("verify", help="classification only, no construction")
-    verify.add_argument("--spec", metavar="FILE", required=True)
-    verify.add_argument("--out", metavar="FILE")
-    verify.add_argument("--tol", metavar="NAME=VALUE", action="append", default=[])
-
-    demo_cmd = sub.add_parser("demo", help="run a pinned spec from the built-in catalog")
-    demo_cmd.add_argument("name", metavar="NAME")
-    demo_cmd.add_argument("--out", metavar="FILE")
-    demo_cmd.add_argument("--seed", type=int)
-    demo_cmd.add_argument("--trials", type=int, default=None)
     return parser
 
 
@@ -86,12 +88,11 @@ def _load_spec(path_str: str):
 
 
 def _trials_kw(args) -> dict:
-    trials = getattr(args, "trials", None)
-    if trials is None:
+    if args.trials is None:
         return {}
-    if trials < 1:
-        raise SpecError(f"--trials must be at least 1, got {trials}")
-    return {"trials": trials}
+    if args.trials < 1:
+        raise SpecError(f"--trials must be at least 1, got {args.trials}")
+    return {"trials": args.trials}
 
 
 def _write(report: dict, out: str | None):
@@ -107,14 +108,26 @@ def _write(report: dict, out: str | None):
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_intermixed_args(argv)
 
-    if getattr(args, "list_demos", False):
+    if args.list_demos:
         for name in sorted(DEMOS):
             print(name)
         return EXIT_OK
+    if args.command == "demo" and args.name is None:
+        parser.error("the following arguments are required: NAME")
+    if args.command != "demo" and args.name is not None:
+        parser.error(f"unrecognized arguments: {args.name}")
 
     try:
+        for name in _NOT_READ[args.command]:
+            if getattr(args, name) not in (None, []):
+                raise SpecError(f"--{name} has no effect on the {args.command} command")
+        if args.command != "demo" and not args.spec:
+            parser.print_usage(sys.stderr)
+            print("error: --spec is required (or use demo/--list-demos)", file=sys.stderr)
+            return EXIT_SPEC_ERROR
+
         if args.command == "verify":
             spec = _load_spec(args.spec)
             overrides = _parse_tol_overrides(args.tol)
@@ -132,10 +145,6 @@ def main(argv=None) -> int:
             _write(result.report, args.out)
             return EXIT_OK if result.overall else EXIT_CHECK_FAILED
 
-        if not args.spec:
-            parser.print_usage(sys.stderr)
-            print("error: --spec is required (or use demo/verify/--list-demos)", file=sys.stderr)
-            return EXIT_SPEC_ERROR
         spec = _load_spec(args.spec)
         overrides = _parse_tol_overrides(args.tol)
         result = run_pipeline(spec, tol_overrides=overrides, seed=args.seed, **_trials_kw(args))

@@ -6,11 +6,12 @@ B, U, and all weights.  This module computes those diagonals straight from
 the weight rule (no eigendecompositions).  The metric diagonal is shared
 with the dense path, not derived again: on the general path the pipeline
 solves the reported metric (its `q0` and `q_seq`) from the
-(m-1)-defect diagonal of `defect_diagonal`, and `build_diagonal_model`
-receives that same `q_seq`.  `verifier.verify_run` builds the reference
-of every shift run from the model it checks, whose rule, order, path and
-window it reads, and the `diagonal_dense_agreement` check cross-checks
-A, B, U and the weights of the dense path against it.
+(m-1)-defect diagonal of `operators.defect_diagonal`, and
+`build_diagonal_model` receives that same `q_seq`.  Only
+`verifier.verify_run` builds the reference, for every shift run, from the
+model it checks, whose rule, order, path and window it reads, and the
+`diagonal_dense_agreement` check cross-checks A, B, U and the weights of
+the dense path against it.
 """
 
 import math
@@ -21,25 +22,11 @@ import numpy as np
 from .builder import AssembledDilation, DilationModel
 from .errors import NotNegativeError, NotPsdError
 from .hermitian import max_abs
-from .operators import WeightRule
+from .operators import defect_diagonal
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 # leading weights S_1 .. S_8 enter the dense agreement residual
 _AGREEMENT_WEIGHTS = 8
-
-
-def defect_diagonal(rule: WeightRule, m: int, count: int) -> np.ndarray:
-    """Diagonal of the m-th defect form of the shift, entries 0 .. count-1.
-
-    `operators.defect_step` on the diagonal: entry n of beta_k is
-    w_(n+1)^2 beta_(k-1)(n+1) - beta_(k-1)(n), from count + m ones, exact
-    for every n (the rule generates the true infinite operator).
-    """
-    w_sq = np.array([rule.weight_sq(j) for j in range(1, count + m)])
-    beta = np.ones(count + m)
-    for _ in range(m):
-        beta = w_sq[: beta.size - 1] * beta[1:] - beta[:-1]
-    return beta
 
 
 @dataclass(frozen=True)

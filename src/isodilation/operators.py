@@ -5,7 +5,7 @@ and exactness metadata.  Products of corners and the defect forms are only
 trustworthy on a leading sub-block; `OperatorCorner.window_after` is the one
 rule for its size, N - (operators applied) * (total bandwidth), which
 replaces closure arguments about the infinite objects by exact finite
-accounting.
+accounting.  `defect_diagonal` is the defect forms' closed form on a shift.
 
 Finite-dimensional inputs (exact=False) are classified globally with no
 window shrink.  Note that a finite-dimensional operator that is both
@@ -16,7 +16,7 @@ therefore exact shift corners.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -244,6 +244,20 @@ def defect_step(
     return hermitian(t.congruence(beta.mat) - beta.mat, tols.herm_tol)
 
 
+def defect_diagonal(rule: WeightRule, m: int, count: int) -> np.ndarray:
+    """Diagonal of the m-th defect form of the shift, entries 0 .. count-1.
+
+    `defect_step` on the diagonal: entry n of beta_k is
+    w_(n+1)^2 beta_(k-1)(n+1) - beta_(k-1)(n), from count + m ones, exact
+    for every n (the rule generates the true infinite operator).
+    """
+    w_sq = np.array([rule.weight_sq(j) for j in range(1, count + m)])
+    beta = np.ones(count + m)
+    for _ in range(m):
+        beta = w_sq[: beta.size - 1] * beta[1:] - beta[:-1]
+    return beta
+
+
 def defect_form(
     t: OperatorCorner, m: int, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> HermitianMatrix:
@@ -276,12 +290,12 @@ class DefectForms:
     one spectral decomposition of that block, made with the tolerances'
     eig_tol; `decompose` makes those of several blocks at once, one Jacobi
     stack per block size; the sign test of -beta_k reads beta_k's own
-    decomposition.  `classify` makes one and hands it to the builders, so
-    the classification flags, the builders' sign gates and the 3-concave
-    quotient form share every form and every decomposition of an identical
-    block.  A smaller block of a form is another matrix and gets its own
-    decomposition.  An instance belongs to one corner and one run; nothing
-    outlives it.
+    decomposition.  It is the run's one context: `classify`, the metric
+    solve and the builders read the corner, the tolerances and the forms
+    from it, so they share every form and every decomposition of an
+    identical block.  A smaller block of a form is another matrix and gets
+    its own decomposition.  An instance belongs to one corner and one run;
+    nothing outlives it.
     """
 
     def __init__(self, t: OperatorCorner, tols: Tolerances = DEFAULT_TOLERANCES):
@@ -350,8 +364,6 @@ class Classification:
 
     Residuals are minimum eigenvalues (for semidefiniteness flags) or
     max-norms (for the isometry flag), measured on the exact window only.
-    `forms` holds the defect forms and decompositions the flags were
-    measured on, for the builders of the same run.
     """
 
     m: int
@@ -359,18 +371,17 @@ class Classification:
     m_concave: FlagResidual
     m_isometric: FlagResidual
     delta_psd: FlagResidual
-    forms: DefectForms | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         flags = ("expansive", "m_concave", "m_isometric", "delta_psd")
         return {"m": self.m, **{name: getattr(self, name)._asdict() for name in flags}}
 
 
-def classify(t: OperatorCorner, m: int, tols: Tolerances = DEFAULT_TOLERANCES) -> Classification:
-    """Classify a corner: expansive, m-concave, m-isometric, and whether the
-    (m-1)-defect is nonnegative (the precondition for the invariant metric)."""
-    ctol = tols.class_tol
-    forms = DefectForms(t, tols)
+def classify(forms: DefectForms, m: int) -> Classification:
+    """Classify the corner of `forms` with its tolerances: expansive,
+    m-concave, m-isometric, and whether the (m-1)-defect is nonnegative
+    (the precondition for the invariant metric)."""
+    ctol = forms.tols.class_tol
 
     iso_norm = forms.on(m).norm_max()
     # beta_1, beta_m and beta_(m-1) in one stack where their windows agree
@@ -384,5 +395,4 @@ def classify(t: OperatorCorner, m: int, tols: Tolerances = DEFAULT_TOLERANCES) -
         m_concave=FlagResidual(concave_check.is_psd, concave_check.min_eig),
         m_isometric=FlagResidual(iso_norm <= ctol * (1.0 + iso_norm), iso_norm),
         delta_psd=FlagResidual(delta_check.is_psd, delta_check.min_eig),
-        forms=forms,
     )

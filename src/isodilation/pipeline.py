@@ -1,6 +1,8 @@
 """Pipeline orchestration: classify, solve the metric, build, assemble, verify.
 
-Path auto-selection follows the scope of the two construction routes:
+A run's one context is the `DefectForms` that `_run_forms` makes from the
+spec; classification, metric solve and builders read it.  Path
+auto-selection follows the scope of the two construction routes:
 expansive + m-concave inputs take the general path; for m = 3 a 3-concave
 but non-expansive input takes the dedicated 3-concave path.  For m = 2 the
 reference identity-weight dilation is built alongside.  The pipeline makes
@@ -26,10 +28,17 @@ from .builder import (
     build_general_model,
     build_three_concave_model,
 )
-from .diagonal import defect_diagonal
 from .errors import NotNegativeError, PreconditionError, UnknownDemoError
 from .hermitian import Block, max_abs
-from .operators import Classification, DefectForms, OperatorCorner, classify, dense_corner, make_shift_corner
+from .operators import (
+    Classification,
+    DefectForms,
+    OperatorCorner,
+    classify,
+    defect_diagonal,
+    dense_corner,
+    make_shift_corner,
+)
 from .qsolver import QSolution, solve_q_shift_diagonal, solve_q_unitary
 from .specfile import OperatorSpecFile, spec_from_dict
 from .tolerances import DEFAULT_SEED, DEFAULT_TRIALS, Tolerances
@@ -88,9 +97,8 @@ class PipelineResult:
     """Everything a pipeline run produced, for reporting and for tests."""
 
     spec: OperatorSpecFile
-    tolerances: Tolerances
+    forms: DefectForms  # the run's context: corner, tolerances, defect forms
     seed: int
-    corner: OperatorCorner
     classification: Classification
     path: str
     q: QSolution | None
@@ -98,6 +106,14 @@ class PipelineResult:
     badea_assembled: AssembledDilation | None
     verification: VerificationReport
     report: dict
+
+    @property
+    def corner(self) -> OperatorCorner:
+        return self.forms.corner
+
+    @property
+    def tolerances(self) -> Tolerances:
+        return self.forms.tols
 
     @property
     def model(self) -> DilationModel:
@@ -116,10 +132,14 @@ class PipelineResult:
         return self.verification.overall
 
 
-def _make_corner(spec: OperatorSpecFile):
+def _run_forms(spec: OperatorSpecFile, tol_overrides: dict | None) -> DefectForms:
+    """The run's context: the spec's corner with its tolerances."""
+    tols = spec.tolerances().replace(**(tol_overrides or {}))
     if spec.kind == "shift":
-        return make_shift_corner(spec.rule, spec.n)
-    return dense_corner(spec.entries_matrix())
+        corner = make_shift_corner(spec.rule, spec.n)
+    else:
+        corner = dense_corner(spec.entries_matrix())
+    return DefectForms(corner, tols)
 
 
 def _admissible_paths(cls: Classification, m: int) -> list[str]:
@@ -135,9 +155,7 @@ def classify_spec(
     spec: OperatorSpecFile, tol_overrides: dict | None = None
 ) -> tuple[Classification, list[str], dict]:
     """Classification-only entry point (the `verify` subcommand)."""
-    tols = spec.tolerances().replace(**(tol_overrides or {}))
-    corner = _make_corner(spec)
-    cls = classify(corner, spec.m, tols)
+    cls = classify(_run_forms(spec, tol_overrides), spec.m)
     admissible = _admissible_paths(cls, spec.m)
     report = {
         "schema_version": 1,
@@ -155,9 +173,10 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _solve_metric(spec, corner, m, tols, forms: DefectForms) -> QSolution:
-    if spec.kind == "shift":
-        delta_diag = defect_diagonal(spec.rule, m - 1, corner.window_after(m))
+def _solve_metric(forms: DefectForms, m: int) -> QSolution:
+    corner, tols = forms.corner, forms.tols
+    if corner.rule is not None:
+        delta_diag = defect_diagonal(corner.rule, m - 1, corner.window_after(m))
         return solve_q_shift_diagonal(corner, delta_diag, tols)
     return solve_q_unitary(corner, forms.on(m - 1), tols)
 
@@ -178,14 +197,13 @@ def run_pipeline(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    tols = spec.tolerances().replace(**(tol_overrides or {}))
+    forms = _run_forms(spec, tol_overrides)
+    tols = forms.tols
     seed = int(seed if seed is not None else (spec.seed if spec.seed is not None else DEFAULT_SEED))
     m = spec.m
     n_blocks = spec.n_blocks
-    corner = _make_corner(spec)
 
-    cls = classify(corner, m, tols)
-    forms = cls.forms
+    cls = classify(forms, m)
     admissible = _admissible_paths(cls, m)
     if not admissible:
         raise PreconditionError(
@@ -201,14 +219,10 @@ def run_pipeline(
 
     try:
         if path == "three_concave":
-            model, weights = build_three_concave_model(
-                corner, weights_horizon, tols=tols, forms=forms
-            )
+            model, weights = build_three_concave_model(forms, weights_horizon)
         else:
-            q = _solve_metric(spec, corner, m, tols, forms)
-            model, weights = build_general_model(
-                corner, m, q, weights_horizon, tols=tols, forms=forms
-            )
+            q = _solve_metric(forms, m)
+            model, weights = build_general_model(forms, m, q, weights_horizon)
         assembled = assemble_dilation(model, weights, n_blocks)
     except NotNegativeError as exc:
         raise PreconditionError(
@@ -216,18 +230,15 @@ def run_pipeline(
             details=cls.as_dict(),
         ) from exc
     if m == 2:  # the general path, the only one m = 2 admits
-        badea_model, badea_weights = build_badea_2iso(
-            corner, q, weights_horizon, tols=tols, forms=forms
-        )
+        badea_model, badea_weights = build_badea_2iso(forms, q, weights_horizon)
         badea_assembled = assemble_dilation(badea_model, badea_weights, n_blocks)
 
     verification = verify_run(assembled, q, badea_assembled, seed, trials, tols)
     report = _build_report(spec, tols, seed, cls, path, q, assembled, badea_assembled, verification)
     return PipelineResult(
         spec=spec,
-        tolerances=tols,
+        forms=forms,
         seed=seed,
-        corner=corner,
         classification=cls,
         path=path,
         q=q,

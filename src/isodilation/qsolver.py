@@ -57,7 +57,6 @@ def verify_q(
     t: OperatorCorner,
     q: HermitianMatrix,
     delta: HermitianMatrix,
-    window: int,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[float, float]:
     """Measure the contract residuals of a candidate metric.
@@ -65,7 +64,7 @@ def verify_q(
     Returns (stein_residual, dominance_residual) computed on the exact
     window only; pure measurement, no mutation.
     """
-    w = min(window, q.n, delta.n, t.n)
+    w = min(q.n, delta.n, t.n)
     qm = q.mat[:w, :w]
     stein = stein_residual(t, qm)
     diff = hermitian(qm - delta.mat[:w, :w], tols.herm_tol)
@@ -125,7 +124,7 @@ def solve_q_shift_diagonal(
 
     q_mat = hermitian(np.diag(q_seq).astype(np.complex128), tols.herm_tol)
     delta_mat = hermitian(np.diag(delta_diag).astype(np.complex128), tols.herm_tol)
-    stein, dominance = verify_q(t, q_mat, delta_mat, w, tols)
+    stein, dominance = verify_q(t, q_mat, delta_mat, tols)
     _check_contract(q_mat, stein, dominance, tols)
     method = "zero" if q_seq[0] == 0.0 else "diagonal_shift"
     return QSolution(q_mat, method, q_seq, stein, dominance)
@@ -148,7 +147,7 @@ def solve_q_unitary(
     if t.exact:
         raise ValueError("the zero metric applies to finite-dimensional operators only")
     q = hermitian(np.zeros((t.n, t.n), dtype=np.complex128), tols.herm_tol)
-    stein, dominance = verify_q(t, q, delta, t.n, tols)
+    stein, dominance = verify_q(t, q, delta, tols)
     floor = -tols.class_tol * (1.0 + delta.norm_max())
     if dominance < floor:
         raise PreconditionError(

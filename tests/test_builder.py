@@ -15,7 +15,6 @@ from isodilation.builder import (
     build_three_concave_model,
     build_weights,
 )
-from isodilation.diagonal import defect_diagonal
 from isodilation.errors import (
     DimensionError,
     IllDefinedFormError,
@@ -28,13 +27,14 @@ from isodilation.operators import (
     DefectForms,
     WeightRule,
     classify,
+    defect_diagonal,
     defect_form,
     dense_corner,
     make_shift_corner,
 )
 from isodilation.pipeline import DEMOS, demo_spec, run_pipeline
 from isodilation.qsolver import QSolution, solve_q_shift_diagonal
-from isodilation.tolerances import DEFAULT_TOLERANCES, Tolerances
+from isodilation.tolerances import DEFAULT_TOLERANCES
 from isodilation.verifier import _cumulative_moduli
 
 
@@ -59,7 +59,7 @@ def _construct_form(metric_diag, numerator_diag):
     metric = hermitian(np.diag(metric_diag).astype(complex))
     numerator = hermitian(np.diag(numerator_diag).astype(complex))
     return _construct(
-        forms, 2, "general_m", n, metric, numerator, 6, DEFAULT_TOLERANCES, "hand-made form"
+        forms, 2, "general_m", n, metric, numerator, 6, "hand-made form"
     )
 
 
@@ -73,7 +73,7 @@ class TestBuildAGeneral:
         corner = make_shift_corner(rule, 12)
         w = corner.window_after(2)
         q = diagonal_q([1.0 / (n + 1) for n in range(w)])
-        model, _ = build_general_model(corner, 2, q, weights_horizon=6)
+        model, _ = build_general_model(DefectForms(corner), 2, q, weights_horizon=6)
         assert max_abs(model.a.mat) < 1e-12
         assert model.welldef_residual < 1e-12
 
@@ -83,7 +83,7 @@ class TestBuildAGeneral:
         w = corner.window_after(2)
         delta = defect_diagonal(rule, 1, w)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, _ = build_general_model(corner, 2, sol, weights_horizon=6)
+        model, _ = build_general_model(DefectForms(corner), 2, sol, weights_horizon=6)
         # cross-check against the closed-form diagonal division
         pi = np.cumprod([1.0] + [rule.weight_sq(j) for j in range(1, w + 1)])
         expected = {}
@@ -118,24 +118,24 @@ class TestBuildAThreeConcave:
 
     def test_scalar_walkthrough(self):
         t = dense_corner([[1 / math.sqrt(2)]])
-        model, _ = build_three_concave_model(t, weights_horizon=6)
+        model, _ = build_three_concave_model(DefectForms(t), weights_horizon=6)
         assert model.a.mat[0, 0].real == pytest.approx(-0.25, abs=1e-13)
 
     def test_zero_operator(self):
         t = dense_corner([[0.0]])
-        model, _ = build_three_concave_model(t, weights_horizon=6)
+        model, _ = build_three_concave_model(DefectForms(t), weights_horizon=6)
         assert model.a.n == 1
         assert max_abs(model.a.mat) == 0.0
 
     def test_isometric_scalar_degenerates(self):
         t = dense_corner([[1.0]])
-        model, _ = build_three_concave_model(t, weights_horizon=6)
+        model, _ = build_three_concave_model(DefectForms(t), weights_horizon=6)
         assert model.a.n == 0  # H' is zero-dimensional
 
     def test_not_three_concave_rejected(self):
         t = dense_corner([[1.5]])
         with pytest.raises(NotNegativeError):
-            build_three_concave_model(t, weights_horizon=6)
+            build_three_concave_model(DefectForms(t), weights_horizon=6)
 
     def test_indefinite_two_defect_rejected_without_classification(self):
         # nilpotent and non-normal: T^2 = 0, so the 2-defect I - 2 T*T is
@@ -143,26 +143,16 @@ class TestBuildAThreeConcave:
         t = dense_corner([[0.0, 1.0], [0.0, 0.0]])
         assert min(np.linalg.eigvalsh(defect_form(t, 2).mat)) == pytest.approx(-1.0)
         with pytest.raises(NotPsdError):
-            build_three_concave_model(t, weights_horizon=6)
+            build_three_concave_model(DefectForms(t), weights_horizon=6)
 
     def test_classification_forms_give_the_same_representer(self):
         t = dense_corner(np.diag([0.5, 0.3j, -0.8]))
-        direct, _ = build_three_concave_model(t, 6)
-        shared, _ = build_three_concave_model(t, 6, forms=classify(t, 3).forms)
+        direct, _ = build_three_concave_model(DefectForms(t), 6)
+        classified = DefectForms(t)
+        classify(classified, 3)
+        shared, _ = build_three_concave_model(classified, 6)
         assert np.array_equal(direct.a.mat, shared.a.mat)
         assert np.array_equal(direct.compression.mat, shared.compression.mat)
-
-    def test_forms_of_another_corner_rejected(self):
-        t = dense_corner([[0.5]])
-        other = classify(dense_corner([[0.5]]), 3).forms
-        with pytest.raises(ValueError):
-            build_three_concave_model(t, 6, forms=other)
-
-    def test_forms_with_other_tolerances_rejected(self):
-        t = dense_corner([[0.5]])
-        forms = classify(t, 3).forms
-        with pytest.raises(ValueError):
-            build_three_concave_model(t, 6, tols=Tolerances(eig_tol=1e-10), forms=forms)
 
 
 def p_oracle(lam, m: int, n: int):
@@ -274,8 +264,8 @@ class TestPolynomialAndWeights:
         rule = WeightRule.geometric_concave(0.5)
         corner = make_shift_corner(rule, 16)
         sol = solve_q_shift_diagonal(corner, defect_diagonal(rule, 1, corner.window_after(2)))
-        shift = build_general_model(corner, 2, sol, weights_horizon=8)
-        dense = build_three_concave_model(dense_corner(np.diag([0.5, 0.3j, -0.8])), 8)
+        shift = build_general_model(DefectForms(corner), 2, sol, weights_horizon=8)
+        dense = build_three_concave_model(DefectForms(dense_corner(np.diag([0.5, 0.3j, -0.8]))), 8)
         for model, weights in (shift, dense):
             assert model.dim_hprime > 0
             assert not hasattr(model, "b")
@@ -283,7 +273,7 @@ class TestPolynomialAndWeights:
             assert max_abs(b @ b - (np.eye(model.dim_hprime) - model.a.mat)) <= 1e-12
             assert model.b_norm == pytest.approx(np.linalg.norm(b, 2), rel=1e-12)
         with pytest.raises(DimensionError):
-            build_three_concave_model(dense_corner(np.diag([0.5, 0.3j, -0.8])), 1)
+            build_three_concave_model(DefectForms(dense_corner(np.diag([0.5, 0.3j, -0.8]))), 1)
 
     def test_p_not_positive_raises(self):
         # p(2) = 1 - 2 * 0.5 = 0 is not invertible
@@ -295,7 +285,7 @@ class TestPolynomialAndWeights:
 class TestAssemble:
     def test_scalar_first_column_and_blocks(self):
         t = dense_corner([[1 / math.sqrt(2)]])
-        model, weights = build_three_concave_model(t, weights_horizon=6)
+        model, weights = build_three_concave_model(DefectForms(t), weights_horizon=6)
         dil = assemble_dilation(model, weights, 4)
         col = dil.matrix[:, 0].real
         assert col == pytest.approx([1 / math.sqrt(2), 0.5, 0, 0, 0], abs=1e-13)
@@ -308,7 +298,7 @@ class TestAssemble:
         f = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         t = dense_corner(f)
         q = QSolution(hermitian(np.zeros((2, 2))), "zero", None, 0.0, 0.0)
-        model, weights = build_general_model(t, 2, q, weights_horizon=6)
+        model, weights = build_general_model(DefectForms(t), 2, q, weights_horizon=6)
         dil = assemble_dilation(model, weights, 4)
         assert model.dim_hprime == 0
         assert dil.dim_total == 2
@@ -319,14 +309,14 @@ class TestAssemble:
         corner = make_shift_corner(rule, 10)
         delta = defect_diagonal(rule, 1, 8)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_general_model(corner, 2, sol, weights_horizon=6)
+        model, weights = build_general_model(DefectForms(corner), 2, sol, weights_horizon=6)
         dil = assemble_dilation(model, weights, 4)
         assert model.dim_hprime == 0
         assert dil.dim_total == model.dim_h
 
     def test_too_few_blocks_rejected(self):
         t = dense_corner([[1 / math.sqrt(2)]])
-        model, weights = build_three_concave_model(t, weights_horizon=6)
+        model, weights = build_three_concave_model(DefectForms(t), weights_horizon=6)
         with pytest.raises(DimensionError):
             assemble_dilation(model, weights, 1)
 
@@ -389,8 +379,8 @@ class TestAssemble:
         sol = solve_q_shift_diagonal(corner, defect_diagonal(rule, 1, 18))
         for horizon in (5, 9):
             for model, weights in (
-                build_general_model(corner, 2, sol, horizon),
-                build_badea_2iso(corner, sol, horizon),
+                build_general_model(DefectForms(corner), 2, sol, horizon),
+                build_badea_2iso(DefectForms(corner), sol, horizon),
             ):
                 dil = assemble_dilation(model, weights, 4)
                 assert dil.weights is weights.block
@@ -414,7 +404,7 @@ class TestBadea:
         corner = make_shift_corner(rule, 12)
         delta = defect_diagonal(rule, 1, 10)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_badea_2iso(corner, sol, 8)
+        model, weights = build_badea_2iso(DefectForms(corner), sol, 8)
         dil = assemble_dilation(model, weights, 4)
         assert model.dim_hprime == 0
         assert dil.dim_total == model.dim_h
@@ -424,7 +414,7 @@ class TestBadea:
         corner = make_shift_corner(rule, 12)
         delta = defect_diagonal(rule, 1, 10)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_badea_2iso(corner, sol, 8)
+        model, weights = build_badea_2iso(DefectForms(corner), sol, 8)
         dil = assemble_dilation(model, weights, 4)
         # the gap vanishes exactly at n = 0 and is positive beyond
         assert model.dim_hprime == model.dim_h - 1
@@ -447,7 +437,7 @@ class TestBadea:
         corner = make_shift_corner(rule, 10)
         delta = defect_diagonal(rule, 1, 8)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_badea_2iso(corner, sol, 8)
+        model, weights = build_badea_2iso(DefectForms(corner), sol, 8)
         dil = assemble_dilation(model, weights, 4)
         assert dil.dim_total == dil.dim_h
 
@@ -458,7 +448,7 @@ class TestBadea:
             hermitian(np.zeros((10, 10))), "zero", np.zeros(10), 0.0, 0.0
         )
         with pytest.raises(NotPsdError):
-            build_badea_2iso(corner, bad, 8)
+            build_badea_2iso(DefectForms(corner), bad, 8)
 
 
 class TestTableRuleGeneralM3:
@@ -478,7 +468,7 @@ class TestTableRuleGeneralM3:
         from isodilation.operators import classify
 
         corner = make_shift_corner(self._rule(), 16)
-        cls = classify(corner, 3)
+        cls = classify(DefectForms(corner), 3)
         assert cls.expansive.ok
         assert cls.m_concave.ok
         assert not cls.m_isometric.ok
@@ -490,7 +480,7 @@ class TestTableRuleGeneralM3:
         corner = make_shift_corner(rule, n)
         delta = defect_diagonal(rule, 2, n - 3)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_general_model(corner, 3, sol, weights_horizon=8)
+        model, weights = build_general_model(DefectForms(corner), 3, sol, weights_horizon=8)
         assert model.dim_hprime > 0
         # S_1 = I but S_2 = B = (I - A)^(1/2) differs from I (strictly
         # 3-concave input)
@@ -529,13 +519,13 @@ class TestTableRuleGeneralM4:
         rule = self._rule()
         n = 16
         corner = make_shift_corner(rule, n)
-        cls = classify(corner, 4)
+        cls = classify(DefectForms(corner), 4)
         assert cls.expansive.ok and cls.m_concave.ok and cls.delta_psd.ok
         assert not cls.m_isometric.ok
 
         delta = defect_diagonal(rule, 3, n - 4)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_general_model(corner, 4, sol, weights_horizon=9)
+        model, weights = build_general_model(DefectForms(corner), 4, sol, weights_horizon=9)
         d = model.dim_hprime
         assert d > 0
         b = _oracle_sqrt(np.eye(d) - model.a.mat)

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +197,11 @@ class TestExitCodes:
 
     def test_no_spec_is_three(self, capsys):
         assert main([]) == 3
+        assert "--spec" in capsys.readouterr().err
+
+    def test_verify_without_spec_is_three(self, capsys):
+        assert main(["verify"]) == 3
+        assert "--spec" in capsys.readouterr().err
 
 
 class TestSubcommands:
@@ -230,6 +236,50 @@ class TestSubcommands:
         report = json.loads(out.read_text())
         check = next(c for c in report["checks"] if c["name"] == "w_m_isometry")
         assert check["tolerance"] == 1e-4
+
+
+STRICT_SHIFT = Path(__file__).resolve().parent.parent / "spec-examples" / "strict-shift.json"
+
+
+class TestOptionPlacement:
+    """An option is read wherever it stands on the command line; one the
+    command does not read is refused, not dropped."""
+
+    def test_out_before_demo_writes_the_file(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["--out", str(out), "demo", "strict-2concave"]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text())["overall"] is True
+
+    def test_seed_before_demo_is_the_report_seed(self, capsys):
+        assert main(["--seed", "5", "demo", "strict-2concave"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 5
+
+    def test_trials_before_demo_is_validated(self, capsys):
+        assert main(["--trials", "0", "demo", "strict-2concave"]) == 3
+        assert "--trials" in capsys.readouterr().err
+
+    def test_tol_before_verify_is_validated(self, capsys):
+        assert main(["--tol", "herm_tol=abc", "verify", "--spec", str(STRICT_SHIFT)]) == 3
+        assert "herm_tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            (["demo", "strict-2concave"], ["--tol", "psd_tol=1e-9"]),
+            (["demo", "strict-2concave"], ["--spec", str(STRICT_SHIFT)]),
+            (["verify", "--spec", str(STRICT_SHIFT)], ["--seed", "5"]),
+            (["verify", "--spec", str(STRICT_SHIFT)], ["--trials", "4"]),
+        ],
+        ids=["demo-tol", "demo-spec", "verify-seed", "verify-trials"],
+    )
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    def test_option_the_command_does_not_read_is_three(self, capsys, command, option, before):
+        argv = option + command if before else command + option
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert option[0] in captured.err
 
 
 class TestProcessInvocation:

@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isodilation.builder import assemble_dilation, build_general_model, build_three_concave_model
-from isodilation.diagonal import (
-    build_diagonal_model,
-    defect_diagonal,
-    dense_agreement_residual,
-)
+from isodilation.diagonal import build_diagonal_model, dense_agreement_residual
 from isodilation.hermitian import max_abs
-from isodilation.operators import WeightRule, defect_form, dense_corner, make_shift_corner
+from isodilation.operators import (
+    DefectForms,
+    WeightRule,
+    defect_diagonal,
+    defect_form,
+    dense_corner,
+    make_shift_corner,
+)
 from isodilation.qsolver import solve_q_shift_diagonal
 
 RULES = st.one_of(
@@ -46,7 +49,7 @@ class TestAgreement:
         corner = make_shift_corner(rule, n)
         delta = defect_diagonal(rule, m - 1, n - m)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_general_model(corner, m, sol, weights_horizon=9)
+        model, weights = build_general_model(DefectForms(corner), m, sol, weights_horizon=9)
         diag = build_diagonal_model(model, sol.q_seq)
         return assemble_dilation(model, weights, 6), diag
 
@@ -80,7 +83,7 @@ class TestAgreement:
         rule = WeightRule.constant(0.8)
         n = 16
         corner = make_shift_corner(rule, n)
-        model, weights = build_three_concave_model(corner, weights_horizon=9)
+        model, weights = build_three_concave_model(DefectForms(corner), weights_horizon=9)
         diag = build_diagonal_model(model)
         dil = assemble_dilation(model, weights, 6)
         assert dense_agreement_residual(dil, diag) < 1e-10
@@ -98,6 +101,6 @@ class TestAgreement:
             dense_agreement_residual(dil, dataclasses.replace(diag, window=diag.window + 1))
 
     def test_dense_corner_has_no_reference(self):
-        model, _ = build_three_concave_model(dense_corner([[0.5]]), weights_horizon=9)
+        model, _ = build_three_concave_model(DefectForms(dense_corner([[0.5]])), weights_horizon=9)
         with pytest.raises(ValueError, match="shift corner"):
             build_diagonal_model(model)

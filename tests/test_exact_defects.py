@@ -36,8 +36,14 @@ import numpy as np
 import pytest
 
 from isodilation.builder import build_three_concave_model
-from isodilation.diagonal import defect_diagonal
-from isodilation.operators import WeightRule, defect_form, dense_corner, make_shift_corner
+from isodilation.operators import (
+    DefectForms,
+    WeightRule,
+    defect_diagonal,
+    defect_form,
+    dense_corner,
+    make_shift_corner,
+)
 
 U = Fraction(1, 2**53)
 N = 64
@@ -156,6 +162,6 @@ def test_near_unitary_scalar_builds_the_three_concave_dilation():
     beta3 = defect_form(t, 3).mat[0, 0].real
     assert abs(Fraction(beta3) - (a - 1) ** 3) <= _scalar_bound(a, 3)
     assert beta3 < 0.0
-    model, weights = build_three_concave_model(t, 6)
+    model, weights = build_three_concave_model(DefectForms(t), 6)
     assert model.a.n == 1 and model.a.mat[0, 0].real <= 0.0
     assert weights.mat.shape == (6, 1, 1)

@@ -282,19 +282,19 @@ class TestDefectForm:
 class TestClassify:
     def test_unweighted_shift_is_isometry(self):
         corner = make_shift_corner(WeightRule.constant(1.0), 10)
-        cls = classify(corner, 2)
+        cls = classify(DefectForms(corner), 2)
         assert cls.expansive.ok and cls.m_concave.ok and cls.m_isometric.ok
 
     def test_geometric_strictly_concave(self):
         corner = make_shift_corner(WeightRule.geometric_concave(0.5), 16)
-        cls = classify(corner, 2)
+        cls = classify(DefectForms(corner), 2)
         assert cls.expansive.ok
         assert cls.m_concave.ok
         assert not cls.m_isometric.ok
         assert cls.m_isometric.residual == pytest.approx(0.125, abs=1e-13)
 
     def test_scalar_three_concave(self):
-        cls = classify(dense_corner([[1 / math.sqrt(2)]]), 3)
+        cls = classify(DefectForms(dense_corner([[1 / math.sqrt(2)]])), 3)
         assert not cls.expansive.ok
         assert cls.m_concave.ok
         assert cls.delta_psd.ok
@@ -302,18 +302,18 @@ class TestClassify:
 
     def test_isometric_implies_concave(self):
         corner = make_shift_corner(WeightRule.dirichlet(), 16)
-        cls = classify(corner, 2)
+        cls = classify(DefectForms(corner), 2)
         assert cls.m_isometric.ok and cls.m_concave.ok
 
     def test_finite_expansive_nonunitary_is_never_concave(self):
         # documented consequence: a finite-dimensional operator that is
         # expansive and m-concave must be unitary
         for entries in ([[math.sqrt(2)]], np.diag([1.2, 1.0]), np.diag([1.5, 1.1, 1.0])):
-            cls = classify(dense_corner(entries), 2)
+            cls = classify(DefectForms(dense_corner(entries)), 2)
             assert cls.expansive.ok
             assert not cls.m_concave.ok
 
     def test_unitary_is_everything(self):
         f = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-        cls = classify(dense_corner(f), 2)
+        cls = classify(DefectForms(dense_corner(f)), 2)
         assert cls.expansive.ok and cls.m_concave.ok and cls.m_isometric.ok

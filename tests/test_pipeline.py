@@ -375,6 +375,43 @@ class TestSelfContainedKernels:
                     offenders.append(f"{path.name}:{lineno}")
         assert offenders == []
 
+    def test_one_run_context(self):
+        """The run's `DefectForms` is made in one place: in `src/`,
+        `DefectForms(` appears only in the pipeline's `_run_forms`."""
+        src = Path(__file__).resolve().parent.parent / "src" / "isodilation"
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            text = path.read_text()
+            functions = [
+                (node.lineno, node.end_lineno, node.name)
+                for node in ast.walk(ast.parse(text))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                if "DefectForms(" not in line:
+                    continue
+                owners = {name for lo, hi, name in functions if lo <= lineno <= hi}
+                if not (path.name == "pipeline.py" and "_run_forms" in owners):
+                    offenders.append(f"{path.name}:{lineno}")
+        assert offenders == []
+
+    def test_only_the_verifier_imports_the_diagonal_reference(self):
+        """The construction never reads the diagonal reference: in `src/`,
+        only `verifier` (and the package's `__init__`) import `diagonal`."""
+        src = Path(__file__).resolve().parent.parent / "src" / "isodilation"
+        importers = set()
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [a.name for a in node.names if not node.module]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                if any(name.split(".")[-1] == "diagonal" for name in names):
+                    importers.add(path.name)
+        assert importers == {"verifier.py", "__init__.py"}
+
     def test_no_instance_dict_writes(self):
         """Every stored object is a field set where it is made: no module
         reaches into an instance `__dict__`, so none writes into one."""

@@ -18,7 +18,7 @@ import pytest
 import isodilation
 from isodilation import classify_spec, demo_spec, parse_spec, run_pipeline, spec_from_dict
 from isodilation.hermitian import hermitian, psd_check
-from isodilation.operators import classify, dense_corner
+from isodilation.operators import DefectForms, classify, dense_corner
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "spec-examples"
 
@@ -32,6 +32,12 @@ SHIFT_M2 = {
 
 def _dense_spec():
     return parse_spec((EXAMPLES / "dense-3concave.json").read_text())
+
+
+def _dense_forms():
+    """The defect forms of the dense example, as a run of it makes them."""
+    spec = _dense_spec()
+    return DefectForms(dense_corner(spec.entries_matrix()), spec.tolerances())
 
 
 def _modules():
@@ -96,9 +102,12 @@ def test_dense_classify_makes_one_stacked_call(calls, m, members):
     """beta_1, beta_m and beta_(m-1) share the window of a dense corner;
     for m = 2 the last is beta_1 again."""
     spec = _dense_spec()
-    cls, _, _ = classify_spec(spec if m == spec.m else dataclasses.replace(spec, m=m))
-    cls.forms.decompose([(1, None), (m, None), (m - 1, None)])
+    classify_spec(spec if m == spec.m else dataclasses.replace(spec, m=m))
     assert calls["stacks"] == [members]
+    forms = _dense_forms()
+    classify(forms, m)
+    forms.decompose([(1, None), (m, None), (m - 1, None)])
+    assert calls["stacks"] == [members, members]
     assert len(set(calls["eigh"])) == members
 
 
@@ -106,7 +115,8 @@ def test_negated_sign_test_reads_the_forms_own_decomposition(calls):
     """The sign test of -beta_k decomposes no second matrix: its least
     eigenvalue is 0.0 minus the largest of beta_k, so a vanishing form
     reads +0.0, as a decomposition of -beta_k did."""
-    forms = classify_spec(_dense_spec())[0].forms
+    forms = _dense_forms()
+    classify(forms, _dense_spec().m)
     decomposed = len(calls["eigh"])
     check = forms.psd(3, 1e-12, negate=True)
     assert len(calls["eigh"]) == decomposed
@@ -114,7 +124,7 @@ def test_negated_sign_test_reads_the_forms_own_decomposition(calls):
     reference = psd_check(hermitian(-forms.on(3).mat), 1e-12)
     assert check.is_psd == reference.is_psd
     assert check.min_eig == pytest.approx(reference.min_eig, abs=1e-13)
-    residual = classify(dense_corner([[1.0]]), 2).m_concave.residual
+    residual = classify(DefectForms(dense_corner([[1.0]])), 2).m_concave.residual
     assert residual == 0.0 and math.copysign(1.0, residual) == 1.0
 
 

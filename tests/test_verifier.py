@@ -20,9 +20,14 @@ from isodilation.builder import (
     build_general_model,
     build_three_concave_model,
 )
-from isodilation.diagonal import defect_diagonal
 from isodilation.hermitian import Block, hermitian, max_abs
-from isodilation.operators import WeightRule, dense_corner, make_shift_corner
+from isodilation.operators import (
+    DefectForms,
+    WeightRule,
+    defect_diagonal,
+    dense_corner,
+    make_shift_corner,
+)
 from isodilation.qsolver import solve_q_shift_diagonal
 from isodilation.specfile import spec_from_dict
 from isodilation.tolerances import DEFAULT_TOLERANCES, DEFAULT_TRIALS
@@ -74,7 +79,7 @@ def _bumped(weights, n, amount):
 @pytest.fixture(scope="module")
 def scalar_model():
     t = dense_corner([[1 / math.sqrt(2)]])
-    model, weights = build_three_concave_model(t, weights_horizon=10)
+    model, weights = build_three_concave_model(DefectForms(t), weights_horizon=10)
     return model, weights, assemble_dilation(model, weights, 5)
 
 
@@ -85,9 +90,9 @@ def strict_pair():
     corner = make_shift_corner(rule, n)
     delta = defect_diagonal(rule, 1, n - 2)
     sol = solve_q_shift_diagonal(corner, delta)
-    model, weights = build_general_model(corner, 2, sol, weights_horizon=10)
+    model, weights = build_general_model(DefectForms(corner), 2, sol, weights_horizon=10)
     general = assemble_dilation(model, weights, 6)
-    bmodel, bweights = build_badea_2iso(corner, sol, 10)
+    bmodel, bweights = build_badea_2iso(DefectForms(corner), sol, 10)
     return model, weights, general, bmodel, assemble_dilation(bmodel, bweights, 6)
 
 
@@ -116,7 +121,7 @@ class TestDilationProperty:
         from isodilation.hermitian import hermitian
 
         q = QSolution(hermitian(np.zeros((2, 2))), "zero", None, 0.0, 0.0)
-        model, weights = build_general_model(dense_corner(f), 2, q, 6)
+        model, weights = build_general_model(DefectForms(dense_corner(f)), 2, q, 6)
         dil = assemble_dilation(model, weights, 4)
         assert check_dilation_property(dil).residual == 0.0
 
@@ -282,7 +287,7 @@ class TestWMIsometry:
         corner = make_shift_corner(rule, 12)
         delta = defect_diagonal(rule, 1, 10)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_general_model(corner, 2, sol, 8)
+        model, weights = build_general_model(DefectForms(corner), 2, sol, 8)
         dil = assemble_dilation(model, weights, 5)
         assert check_w_m_isometry(dil).residual <= 1e-13
 
@@ -440,7 +445,7 @@ class TestCriterionIdentity:
         corner = make_shift_corner(rule, 16)
         delta = defect_diagonal(rule, 1, 14)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_general_model(corner, 2, sol, 8)
+        model, weights = build_general_model(DefectForms(corner), 2, sol, 8)
         dil = assemble_dilation(model, weights, 6)
         assert check_criterion_identity(_grams(dil)).residual <= 1e-10
 
@@ -512,7 +517,7 @@ class TestMinimality:
         from isodilation.hermitian import hermitian
 
         q = QSolution(hermitian(np.zeros((2, 2))), "zero", None, 0.0, 0.0)
-        model, weights = build_general_model(dense_corner(f), 2, q, 6)
+        model, weights = build_general_model(DefectForms(dense_corner(f)), 2, q, 6)
         dil = assemble_dilation(model, weights, 4)
         assert check_minimality(_grams(dil)).passed
 
@@ -688,7 +693,7 @@ class TestBlockMinimalityOracle:
         q, _ = np.linalg.qr(g)
         z = rng.uniform(0.1, 0.95, 8) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 8))
         model, weights = build_three_concave_model(
-            dense_corner((q * z) @ q.conj().T), weights_horizon=10
+            DefectForms(dense_corner((q * z) @ q.conj().T)), weights_horizon=10
         )
         return assemble_dilation(model, weights, 6)
 
@@ -806,9 +811,9 @@ class TestCertificate:
         corner = make_shift_corner(rule, 12)
         delta = defect_diagonal(rule, 1, 10)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_general_model(corner, 2, sol, 8)
+        model, weights = build_general_model(DefectForms(corner), 2, sol, 8)
         general = assemble_dilation(model, weights, 5)
-        badea = assemble_dilation(*build_badea_2iso(corner, sol, 8), 5)
+        badea = assemble_dilation(*build_badea_2iso(DefectForms(corner), sol, 8), 5)
         res = nonisomorphism_certificate(_grams(general), _grams(badea), expected_found=False)
         assert res.passed
         assert res.residual <= 1e-12
@@ -844,7 +849,7 @@ class TestRemark:
         corner = make_shift_corner(rule, 16)
         delta = defect_diagonal(rule, 1, 14)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_general_model(corner, 2, sol, 8)
+        model, weights = build_general_model(DefectForms(corner), 2, sol, 8)
         res = remark_consistency(assemble_dilation(model, weights, 6))
         assert res.passed  # S_1 = I and vanishing defect: consistent
 
@@ -859,7 +864,7 @@ class TestRemark:
         from isodilation.hermitian import hermitian
 
         q = QSolution(hermitian(np.zeros((2, 2))), "zero", None, 0.0, 0.0)
-        model, weights = build_general_model(dense_corner(f), 2, q, 6)
+        model, weights = build_general_model(DefectForms(dense_corner(f)), 2, q, 6)
         assert remark_consistency(assemble_dilation(model, weights, 4)).passed
 
     def test_reference_model_represents_no_form(self):
@@ -868,7 +873,7 @@ class TestRemark:
         rule = WeightRule.geometric_concave(0.5)
         corner = make_shift_corner(rule, 20)
         sol = solve_q_shift_diagonal(corner, defect_diagonal(rule, 1, 18))
-        model, weights = build_badea_2iso(corner, sol, 8)
+        model, weights = build_badea_2iso(DefectForms(corner), sol, 8)
         assert model.dim_hprime > 0 and model.remark_form_norm == 0.0
         assert remark_consistency(assemble_dilation(model, weights, 6)).passed
 
