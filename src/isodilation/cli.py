@@ -8,15 +8,17 @@
 An option may stand anywhere; one the command does not read is an error.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 the operator fails
-the preconditions of every construction path, 3 parse or validation errors,
-an unreadable spec or an unwritable report file.
+the preconditions of every construction path, or a gate of the selected
+path fails at the run's tolerances (the classification is printed either
+way), 3 usage, parse or validation errors, an unreadable spec or an
+unwritable report file.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from .errors import PreconditionError, SpecError, UnknownDemoError
+from .errors import PreconditionError, SpecError
 from .pipeline import DEMOS, classify_spec, demo_spec, emit_report, run_pipeline
 from .specfile import parse_spec
 from .tolerances import DEFAULT_TOLERANCES
@@ -31,8 +33,15 @@ EXIT_SPEC_ERROR = 3
 _NOT_READ = {None: (), "verify": ("seed", "trials"), "demo": ("spec", "tol")}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is an input error: it raises SpecError, which
+        `main` maps to exit code 3 with every other one."""
+        raise SpecError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dilate",
         description="Construct and verify m-isometric dilations of operator corners.",
     )
@@ -106,62 +115,50 @@ def _write(report: dict, out: str | None):
         sys.stdout.write(text)
 
 
+def _resolve(args):
+    """The run's spec and tolerance overrides: the demo's, or the --spec
+    file's with --tol."""
+    for name in _NOT_READ[args.command]:
+        if getattr(args, name) not in (None, []):
+            raise SpecError(f"--{name} has no effect on the {args.command} command")
+    if args.command == "demo":
+        if args.name is None:
+            raise SpecError("the following arguments are required: NAME")
+        return demo_spec(args.name), {}
+    if args.name is not None:
+        raise SpecError(f"unrecognized arguments: {args.name}")
+    if not args.spec:
+        raise SpecError("--spec is required (or use demo/--list-demos)")
+    return _load_spec(args.spec), _parse_tol_overrides(args.tol)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_intermixed_args(argv)
-
-    if args.list_demos:
-        for name in sorted(DEMOS):
-            print(name)
-        return EXIT_OK
-    if args.command == "demo" and args.name is None:
-        parser.error("the following arguments are required: NAME")
-    if args.command != "demo" and args.name is not None:
-        parser.error(f"unrecognized arguments: {args.name}")
-
     try:
-        for name in _NOT_READ[args.command]:
-            if getattr(args, name) not in (None, []):
-                raise SpecError(f"--{name} has no effect on the {args.command} command")
-        if args.command != "demo" and not args.spec:
-            parser.print_usage(sys.stderr)
-            print("error: --spec is required (or use demo/--list-demos)", file=sys.stderr)
-            return EXIT_SPEC_ERROR
-
+        args = _build_parser().parse_intermixed_args(argv)
+        if args.list_demos:
+            for name in sorted(DEMOS):
+                print(name)
+            return EXIT_OK
+        spec, overrides = _resolve(args)
         if args.command == "verify":
-            spec = _load_spec(args.spec)
-            overrides = _parse_tol_overrides(args.tol)
             _, admissible, report = classify_spec(spec, overrides)
-            _write(report, args.out)
-            return EXIT_OK if admissible else EXIT_PRECONDITION
-
-        if args.command == "demo":
-            try:
-                spec = demo_spec(args.name)
-            except UnknownDemoError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_SPEC_ERROR
-            result = run_pipeline(spec, seed=args.seed, **_trials_kw(args))
-            _write(result.report, args.out)
-            return EXIT_OK if result.overall else EXIT_CHECK_FAILED
-
-        spec = _load_spec(args.spec)
-        overrides = _parse_tol_overrides(args.tol)
-        result = run_pipeline(spec, tol_overrides=overrides, seed=args.seed, **_trials_kw(args))
-        _write(result.report, args.out)
-        return EXIT_OK if result.overall else EXIT_CHECK_FAILED
-
+            code = EXIT_OK if admissible else EXIT_PRECONDITION
+        else:
+            result = run_pipeline(spec, overrides, seed=args.seed, **_trials_kw(args))
+            report = result.report
+            code = EXIT_OK if result.overall else EXIT_CHECK_FAILED
+        _write(report, args.out)
+        return code
     except SpecError as exc:
         for line in exc.errors:
             print(f"error: {line}", file=sys.stderr)
         return EXIT_SPEC_ERROR
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if exc.details:
-            for key, value in exc.details.items():
-                if isinstance(value, dict):
-                    print(f"  {key}: ok={value.get('ok')} residual={value.get('residual')}",
-                          file=sys.stderr)
+        for key, value in exc.details.items():
+            if isinstance(value, dict):
+                print(f"  {key}: ok={value.get('ok')} residual={value.get('residual')}",
+                      file=sys.stderr)
         return EXIT_PRECONDITION
 
 

@@ -65,5 +65,5 @@ class SpecValidationError(SpecError):
     """The spec file is well-formed but violates the schema or semantic rules."""
 
 
-class UnknownDemoError(IsodilationError):
+class UnknownDemoError(SpecError):
     """Requested demo name is not in the built-in catalog."""

@@ -35,7 +35,15 @@ from .hermitian import (
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
-RULE_NAMES = ("constant", "dirichlet", "geometric_concave", "table")
+# each rule's spec-file parameters, in the order of its `WeightRule`
+# constructor, with the field that holds each
+RULE_PARAMS = {
+    "constant": (("c", "c"),),
+    "dirichlet": (),
+    "geometric_concave": (("r", "r"),),
+    "table": (("values", "values"), ("tail_value", "tail")),
+}
+RULE_NAMES = tuple(RULE_PARAMS)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,13 @@ from .builder import (
     build_general_model,
     build_three_concave_model,
 )
-from .errors import NotNegativeError, PreconditionError, UnknownDemoError
+from .errors import (
+    IllDefinedFormError,
+    NotNegativeError,
+    NotPsdError,
+    PreconditionError,
+    UnknownDemoError,
+)
 from .hermitian import Block, max_abs
 from .operators import (
     Classification,
@@ -190,15 +196,16 @@ def run_pipeline(
     """Full pipeline: classify, solve the metric, build, assemble, verify.
 
     The classification picks the construction path.  Raises ValueError
-    when trials < 1, and PreconditionError, carrying the failing residuals,
-    when the classification admits no path and when a sign gate of the
-    construction (NotNegativeError) fails: the classification admitted the
-    path, the construction found the operator outside it.
+    when trials < 1, and PreconditionError, carrying the classification,
+    when the classification admits no path and when a gate of the metric
+    solve or of a construction, the m = 2 reference included, fails
+    (NotNegativeError, NotPsdError, IllDefinedFormError): the
+    classification admitted the path, the construction found the operator
+    outside it at the run's tolerances.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     forms = _run_forms(spec, tol_overrides)
-    tols = forms.tols
     seed = int(seed if seed is not None else (spec.seed if spec.seed is not None else DEFAULT_SEED))
     m = spec.m
     n_blocks = spec.n_blocks
@@ -224,17 +231,17 @@ def run_pipeline(
             q = _solve_metric(forms, m)
             model, weights = build_general_model(forms, m, q, weights_horizon)
         assembled = assemble_dilation(model, weights, n_blocks)
-    except NotNegativeError as exc:
+        if m == 2:  # the general path, the only one m = 2 admits
+            badea_model, badea_weights = build_badea_2iso(forms, q, weights_horizon)
+            badea_assembled = assemble_dilation(badea_model, badea_weights, n_blocks)
+    except (NotNegativeError, NotPsdError, IllDefinedFormError) as exc:
         raise PreconditionError(
             f"automatically selected path {path!r} failed its construction gate: {exc}",
             details=cls.as_dict(),
         ) from exc
-    if m == 2:  # the general path, the only one m = 2 admits
-        badea_model, badea_weights = build_badea_2iso(forms, q, weights_horizon)
-        badea_assembled = assemble_dilation(badea_model, badea_weights, n_blocks)
 
-    verification = verify_run(assembled, q, badea_assembled, seed, trials, tols)
-    report = _build_report(spec, tols, seed, cls, path, q, assembled, badea_assembled, verification)
+    verification = verify_run(assembled, q, badea_assembled, seed, trials, forms.tols)
+    report = _build_report(spec, seed, cls, path, q, assembled, badea_assembled, verification)
     return PipelineResult(
         spec=spec,
         forms=forms,
@@ -249,7 +256,7 @@ def run_pipeline(
     )
 
 
-def _build_report(spec, tols, seed, cls, path, q, assembled, badea_assembled, verification) -> dict:
+def _build_report(spec, seed, cls, path, q, assembled, badea_assembled, verification) -> dict:
     model = assembled.model
     weights_head = [max_abs(s) for s in assembled.weights.mat[:8]]
     model_summary = {

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NotPsdError, PreconditionError
+from .errors import ConvergenceError, NotPsdError
 from .hermitian import HermitianMatrix, hermitian, max_abs, psd_check
 from .operators import OperatorCorner
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -140,7 +140,7 @@ def solve_q_unitary(
     An expansive m-concave operator on a finite-dimensional space is
     unitary, so its (m-1)-defect `delta` vanishes and Q = 0 meets the
     contract.  The residuals are measured by `verify_q`.  Raises
-    PreconditionError when Q = 0 fails to dominate `delta` within the
+    NotPsdError when Q = 0 fails to dominate `delta` within the
     classification tolerance class_tol * (1 + ||delta||): the operator is
     then not unitary within tolerance.
     """
@@ -150,7 +150,7 @@ def solve_q_unitary(
     stein, dominance = verify_q(t, q, delta, tols)
     floor = -tols.class_tol * (1.0 + delta.norm_max())
     if dominance < floor:
-        raise PreconditionError(
+        raise NotPsdError(
             "operator is not unitary within tolerance: the zero metric does not "
             f"dominate the defect (min eig {dominance:.3e}, allowed {floor:.3e})"
         )

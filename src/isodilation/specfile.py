@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import SpecParseError, SpecValidationError, WeightRuleError
-from .operators import RULE_NAMES, WeightRule
+from .operators import RULE_PARAMS, WeightRule
 from .tolerances import Tolerances
 
 SCHEMA_VERSION = 1
@@ -137,50 +137,32 @@ class OperatorSpecFile:
 
 
 def _rule_to_json(rule: WeightRule) -> dict:
-    if rule.kind == "constant":
-        return {"name": "constant", "c": rule.c}
-    if rule.kind == "geometric_concave":
-        return {"name": "geometric_concave", "r": rule.r}
-    if rule.kind == "table":
-        return {"name": "table", "values": list(rule.values), "tail_value": rule.tail}
-    return {"name": rule.kind}
+    out = {"name": rule.kind}
+    for key, attr in RULE_PARAMS[rule.kind]:
+        value = getattr(rule, attr)
+        out[key] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def _rule_from_json(data: dict, errors: list) -> WeightRule | None:
     name = data.get("name")
-    if name not in RULE_NAMES:
+    if name not in RULE_PARAMS:
         errors.append(f"operator.rule: unknown weight rule {name!r}")
         return None
+    keys = [key for key, _ in RULE_PARAMS[name]]
     params = {k for k in data if k != "name"}
-    allowed = {
-        "constant": {"c"},
-        "dirichlet": set(),
-        "geometric_concave": {"r"},
-        "table": {"values", "tail_value"},
-    }[name]
-    stray = params - allowed
+    stray = params - set(keys)
     if stray:
         errors.append(
             f"operator.rule: rule {name!r} does not take parameter(s) {sorted(stray)}"
         )
         return None
+    if len(params) < len(keys):
+        needs = " and ".join(keys) if len(keys) > 1 else f"parameter {keys[0]}"
+        errors.append(f"operator.rule: {name} rule requires {needs}")
+        return None
     try:
-        if name == "constant":
-            if "c" not in data:
-                errors.append("operator.rule: constant rule requires parameter c")
-                return None
-            return WeightRule.constant(data["c"])
-        if name == "dirichlet":
-            return WeightRule.dirichlet()
-        if name == "geometric_concave":
-            if "r" not in data:
-                errors.append("operator.rule: geometric_concave rule requires parameter r")
-                return None
-            return WeightRule.geometric_concave(data["r"])
-        if "values" not in data or "tail_value" not in data:
-            errors.append("operator.rule: table rule requires values and tail_value")
-            return None
-        return WeightRule.table(data["values"], data["tail_value"])
+        return getattr(WeightRule, name)(*(data[key] for key in keys))
     except WeightRuleError as exc:
         errors.append(f"operator.rule: {exc}")
     except OverflowError:

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, report emission, reproducibility."""
 
+import ast
 import json
 import math
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from isodilation import cli
 from isodilation.cli import main
 from isodilation.pipeline import DEMOS, demo_spec, run_pipeline
 
@@ -280,6 +282,85 @@ class TestOptionPlacement:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert option[0] in captured.err
+
+
+SPEC_EXAMPLES = Path(__file__).resolve().parent.parent / "spec-examples"
+
+
+class TestExitPolicy:
+    """`main` maps every outcome through one table: a usage error is an
+    input error (3), and a gate of the selected path that fails at the
+    run's tolerances is a precondition failure (2), never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["demo"], "NAME"),
+            (["--bogus"], "--bogus"),
+            (["frob"], "'frob'"),
+            (["--seed", "x", "demo", "strict-2concave"], "--seed"),
+            (["demo", "strict-2concave", "extra"], "extra"),
+        ],
+        ids=["demo-without-name", "unknown-option", "unknown-command", "bad-seed", "extra-argument"],
+    )
+    def test_usage_error_is_three(self, capsys, argv, named):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and named in captured.err
+
+    def test_usage_error_from_the_module_entry_point(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "isodilation.cli", "--bogus"], capture_output=True, text=True
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "error: unrecognized arguments: --bogus\n"
+
+    def test_help_is_zero(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "isodilation.cli", "--help"], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: dilate")
+
+    @pytest.mark.parametrize(
+        "spec, tol, path, gate",
+        [
+            ("dirichlet-2iso", "psd_tol=1e-300", "general_m", "fails to dominate the defect"),
+            ("strict-shift.json", "welldef_tol=1e-300", "general_m", "does not vanish"),
+            ("dense-3concave.json", "welldef_tol=1e-300", "three_concave", "does not vanish"),
+        ],
+        ids=["dirichlet-2iso-psd_tol", "strict-shift-welldef_tol", "dense-3concave-welldef_tol"],
+    )
+    def test_gate_failing_at_the_run_tolerances_is_two(self, tmp_path, capsys, spec, tol, path, gate):
+        if spec in DEMOS:
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(json.dumps(DEMOS[spec]))
+        else:
+            spec_path = SPEC_EXAMPLES / spec
+        assert main(["--spec", str(spec_path), "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        first, *classification = captured.err.splitlines()
+        assert first.startswith(f"error: automatically selected path {path!r} failed its construction gate")
+        assert gate in first
+        assert classification and all(line.startswith("  ") and " ok=" in line for line in classification)
+        assert any(line.startswith("  expansive: ok=") for line in classification)
+
+    def test_main_has_one_exit_table(self):
+        """One `try` in `main`, whose two handlers are the exit table; no
+        other place in the module ends the process or prints usage."""
+        tree = ast.parse(Path(cli.__file__).read_text())
+        main_def = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+        tries = [n for n in ast.walk(main_def) if isinstance(n, ast.Try)]
+        assert len(tries) == 1
+        handled = [h.type.id for h in tries[0].handlers]
+        assert handled == ["SpecError", "PreconditionError"]
+        called = {
+            n.func.attr for n in ast.walk(main_def)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        }
+        assert not called & {"error", "print_usage", "exit"}
 
 
 class TestProcessInvocation:

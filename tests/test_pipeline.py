@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isodilation.errors import PreconditionError, UnknownDemoError
+from isodilation import pipeline
+from isodilation.errors import NotPsdError, PreconditionError, SpecError, UnknownDemoError
 from isodilation.hermitian import max_abs
 from isodilation.pipeline import DEMOS, classify_spec, demo, demo_spec, emit_report, run_pipeline
 from isodilation.specfile import spec_from_dict
@@ -99,6 +100,19 @@ class TestPathSelection:
         with pytest.raises(PreconditionError) as err:
             run_pipeline(spec)
         assert err.value.details["m_concave"]["ok"] is False
+
+    def test_reference_gate_failure_is_a_precondition_failure(self, monkeypatch):
+        """The m = 2 reference is a construction of the run: a gate it
+        fails is a precondition failure carrying the classification, as a
+        gate of the selected path is."""
+        def refuse(forms, q, weights_horizon):
+            raise NotPsdError("metric minus 1-defect: metric not PSD (min eig -1.000e-03)")
+
+        monkeypatch.setattr(pipeline, "build_badea_2iso", refuse)
+        with pytest.raises(PreconditionError) as err:
+            run_pipeline(demo_spec("strict-2concave"))
+        assert "metric minus 1-defect" in str(err.value)
+        assert err.value.details["expansive"]["ok"] is True
 
 
 def _paired_moduli_contraction(seed: int, dim: int, nilpotent: float) -> np.ndarray:
@@ -321,8 +335,9 @@ class TestDemoCatalog:
             assert result.overall, f"{name}: {failing}"
 
     def test_unknown_demo(self):
-        with pytest.raises(UnknownDemoError):
+        with pytest.raises(UnknownDemoError) as err:
             demo_spec("no-such-demo")
+        assert isinstance(err.value, SpecError)  # an input error, exit code 3
 
     def test_catalog_specs_valid(self):
         for name in DEMOS:
@@ -394,6 +409,19 @@ class TestSelfContainedKernels:
                 if not (path.name == "pipeline.py" and "_run_forms" in owners):
                     offenders.append(f"{path.name}:{lineno}")
         assert offenders == []
+
+    def test_only_the_pipeline_decides_preconditions(self):
+        """What is a precondition failure (exit code 2) is decided in one
+        module: in `src/`, `PreconditionError(` is called only in
+        `pipeline.py`."""
+        src = Path(__file__).resolve().parent.parent / "src" / "isodilation"
+        callers = set()
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "PreconditionError"):
+                    callers.add(path.name)
+        assert callers == {"pipeline.py"}
 
     def test_only_the_verifier_imports_the_diagonal_reference(self):
         """The construction never reads the diagonal reference: in `src/`,

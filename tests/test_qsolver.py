@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isodilation.errors import NotPsdError, PreconditionError
+from isodilation.errors import NotPsdError
 from isodilation.hermitian import hermitian, max_abs
 from isodilation.operators import WeightRule, defect_diagonal, dense_corner, make_shift_corner
 from isodilation.pipeline import demo
@@ -166,7 +166,7 @@ class TestUnitaryClosedForm:
         # beta_1 = |t|^2 - 1 > 0, which the zero metric cannot dominate
         t = dense_corner([[entry]])
         delta = hermitian([[entry * entry - 1.0]])
-        with pytest.raises(PreconditionError, match="not unitary"):
+        with pytest.raises(NotPsdError, match="not unitary"):
             solve_q_unitary(t, delta)
 
     def test_defect_within_class_tol_accepted(self):

@@ -137,6 +137,22 @@ class TestParse:
         with pytest.raises(SpecValidationError):
             spec_from_dict(bad)
 
+    @pytest.mark.parametrize(
+        "rule, line",
+        [
+            ({"name": "constant"}, "constant rule requires parameter c"),
+            ({"name": "geometric_concave"}, "geometric_concave rule requires parameter r"),
+            ({"name": "table", "values": [1.0]}, "table rule requires values and tail_value"),
+            ({"name": "dirichlet", "r": 0.5, "c": 1.0}, "rule 'dirichlet' does not take parameter(s) ['c', 'r']"),
+            ({"name": "table", "r": 0.5, "values": [1.0]}, "rule 'table' does not take parameter(s) ['r']"),
+        ],
+        ids=["constant-missing", "geometric-missing", "table-missing", "dirichlet-stray", "table-stray"],
+    )
+    def test_rule_parameter_error_line(self, rule, line):
+        with pytest.raises(SpecValidationError) as err:
+            spec_from_dict(dict(VALID_SHIFT, operator={"kind": "shift", "rule": rule}))
+        assert err.value.errors == [f"operator.rule: {line}"]
+
     @pytest.mark.parametrize("path", ["general_m", "three_concave", "badea_2iso"])
     def test_path_key_rejected(self, path):
         # the classification picks the construction; no spec key forces one
@@ -188,6 +204,20 @@ class TestRoundTrip:
         again = parse_spec(emit_spec(spec))
         assert again == spec
         assert again.to_jsonable() == spec.to_jsonable()
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            {"name": "constant", "c": 1.3},
+            {"name": "table", "values": [1.2, 0.8, 1.5], "tail_value": 1.1},
+        ],
+        ids=["constant", "table"],
+    )
+    def test_rule_parameters_round_trip(self, rule):
+        spec = spec_from_dict(dict(VALID_SHIFT, operator={"kind": "shift", "rule": rule}))
+        again = parse_spec(emit_spec(spec))
+        assert again == spec
+        assert again.to_jsonable()["operator"]["rule"] == rule
 
     def test_tolerances_and_seed_round_trip(self):
         data = dict(VALID_SHIFT, tolerances={"psd_tol": 1e-8}, seed=7)
