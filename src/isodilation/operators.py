@@ -35,16 +35,6 @@ from .hermitian import (
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
-# each rule's spec-file parameters, in the order of its `WeightRule`
-# constructor, with the field that holds each
-RULE_PARAMS = {
-    "constant": (("c", "c"),),
-    "dirichlet": (),
-    "geometric_concave": (("r", "r"),),
-    "table": (("values", "values"), ("tail_value", "tail")),
-}
-RULE_NAMES = tuple(RULE_PARAMS)
-
 
 @dataclass(frozen=True)
 class WeightRule:

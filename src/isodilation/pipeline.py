@@ -1,6 +1,6 @@
 """Pipeline orchestration: classify, solve the metric, build, assemble, verify.
 
-A run's one context is the `DefectForms` that `_run_forms` makes from the
+A run's one context is the `DefectForms` that `_classified` makes from the
 spec; classification, metric solve and builders read it.  Path
 auto-selection follows the scope of the two construction routes:
 expansive + m-concave inputs take the general path; for m = 3 a 3-concave
@@ -29,10 +29,13 @@ from .builder import (
     build_three_concave_model,
 )
 from .errors import (
+    ConvergenceError,
+    HermitianityError,
     IllDefinedFormError,
     NotNegativeError,
     NotPsdError,
     PreconditionError,
+    SpecValidationError,
     UnknownDemoError,
 )
 from .hermitian import Block, max_abs
@@ -46,8 +49,8 @@ from .operators import (
     make_shift_corner,
 )
 from .qsolver import QSolution, solve_q_shift_diagonal, solve_q_unitary
-from .specfile import OperatorSpecFile, spec_from_dict
-from .tolerances import DEFAULT_SEED, DEFAULT_TRIALS, Tolerances
+from .specfile import OperatorSpecFile, check_seed, spec_from_dict
+from .tolerances import DEFAULT_SEED, Tolerances
 from .verifier import VerificationReport, verify_run
 
 DEMOS: dict[str, dict] = {
@@ -89,13 +92,9 @@ DEMOS: dict[str, dict] = {
         "m": 2,
         "truncation": {"n_blocks": 6},
     },
-    "nonisomorphic-pair": {
-        "schema_version": 1,
-        "operator": {"kind": "shift", "rule": {"name": "geometric_concave", "r": 0.5}},
-        "m": 2,
-        "truncation": {"N": 48, "n_blocks": 6},
-    },
 }
+# the m = 2 run of strict-2concave builds the pair the certificate compares
+DEMOS["nonisomorphic-pair"] = DEMOS["strict-2concave"]
 
 
 @dataclass
@@ -138,14 +137,28 @@ class PipelineResult:
         return self.verification.overall
 
 
-def _run_forms(spec: OperatorSpecFile, tol_overrides: dict | None) -> DefectForms:
-    """The run's context: the spec's corner with its tolerances."""
-    tols = spec.tolerances().replace(**(tol_overrides or {}))
+# a failed gate, or a kernel that misses its tolerance: the operator is
+# outside the path at the run's tolerances
+_GATE_ERRORS = (NotNegativeError, NotPsdError, IllDefinedFormError, HermitianityError, ConvergenceError)
+
+
+def _classified(spec: OperatorSpecFile, tol_overrides: dict | None) -> tuple[DefectForms, Classification]:
+    """The run's context, the spec's corner with its tolerances, and its
+    classification.  A bad override raises SpecValidationError, an error
+    of `_GATE_ERRORS` PreconditionError."""
+    try:
+        tols = spec.tolerances().replace(**(tol_overrides or {}))
+    except (ValueError, OverflowError) as exc:
+        raise SpecValidationError(f"tolerances: {exc}") from exc
     if spec.kind == "shift":
         corner = make_shift_corner(spec.rule, spec.n)
     else:
         corner = dense_corner(spec.entries_matrix())
-    return DefectForms(corner, tols)
+    forms = DefectForms(corner, tols)
+    try:
+        return forms, classify(forms, spec.m)
+    except _GATE_ERRORS as exc:
+        raise PreconditionError(f"classification fails at the run's tolerances: {exc}") from exc
 
 
 def _admissible_paths(cls: Classification, m: int) -> list[str]:
@@ -160,14 +173,11 @@ def _admissible_paths(cls: Classification, m: int) -> list[str]:
 def classify_spec(
     spec: OperatorSpecFile, tol_overrides: dict | None = None
 ) -> tuple[Classification, list[str], dict]:
-    """Classification-only entry point (the `verify` subcommand)."""
-    cls = classify(_run_forms(spec, tol_overrides), spec.m)
+    """Classification-only entry point (the `verify` subcommand); raises
+    PreconditionError as `_classified` does."""
+    _, cls = _classified(spec, tol_overrides)
     admissible = _admissible_paths(cls, spec.m)
-    report = {
-        "schema_version": 1,
-        "generated_by": f"isodilation {__about__.__version__}",
-        "generated_at": _timestamp(),
-        "input": spec.to_jsonable(),
+    report = _report_head(spec) | {
         "classification": cls.as_dict(),
         "admissible_paths": admissible,
         "overall": bool(admissible),
@@ -175,8 +185,14 @@ def classify_spec(
     return cls, admissible, report
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+def _report_head(spec: OperatorSpecFile) -> dict:
+    """The keys every report opens with: its version stamps and the input."""
+    return {
+        "schema_version": 1,
+        "generated_by": f"isodilation {__about__.__version__}",
+        "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "input": spec.to_jsonable(),
+    }
 
 
 def _solve_metric(forms: DefectForms, m: int) -> QSolution:
@@ -191,26 +207,24 @@ def run_pipeline(
     spec: OperatorSpecFile,
     tol_overrides: dict | None = None,
     seed: int | None = None,
-    trials: int = DEFAULT_TRIALS,
 ) -> PipelineResult:
     """Full pipeline: classify, solve the metric, build, assemble, verify.
 
-    The classification picks the construction path.  Raises ValueError
-    when trials < 1, and PreconditionError, carrying the classification,
-    when the classification admits no path and when a gate of the metric
-    solve or of a construction, the m = 2 reference included, fails
-    (NotNegativeError, NotPsdError, IllDefinedFormError): the
-    classification admitted the path, the construction found the operator
-    outside it at the run's tolerances.
+    The seed is `seed`, else the spec's, else DEFAULT_SEED; a bad seed
+    (`check_seed`) or override raises SpecValidationError.  The
+    classification picks the construction path.  Raises PreconditionError,
+    carrying the classification once it is made, when the classification
+    admits no path, and when it, the metric solve or a construction (the
+    m = 2 reference included) raises an error of `_GATE_ERRORS`: the
+    operator is outside the path at the run's tolerances.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    forms = _run_forms(spec, tol_overrides)
-    seed = int(seed if seed is not None else (spec.seed if spec.seed is not None else DEFAULT_SEED))
+    if seed is None:
+        seed = spec.seed if spec.seed is not None else DEFAULT_SEED
+    seed = check_seed(seed)
+    forms, cls = _classified(spec, tol_overrides)
     m = spec.m
     n_blocks = spec.n_blocks
 
-    cls = classify(forms, m)
     admissible = _admissible_paths(cls, m)
     if not admissible:
         raise PreconditionError(
@@ -234,13 +248,13 @@ def run_pipeline(
         if m == 2:  # the general path, the only one m = 2 admits
             badea_model, badea_weights = build_badea_2iso(forms, q, weights_horizon)
             badea_assembled = assemble_dilation(badea_model, badea_weights, n_blocks)
-    except (NotNegativeError, NotPsdError, IllDefinedFormError) as exc:
+    except _GATE_ERRORS as exc:
         raise PreconditionError(
             f"automatically selected path {path!r} failed its construction gate: {exc}",
             details=cls.as_dict(),
         ) from exc
 
-    verification = verify_run(assembled, q, badea_assembled, seed, trials, forms.tols)
+    verification = verify_run(assembled, q, badea_assembled, seed, forms.tols)
     report = _build_report(spec, seed, cls, path, q, assembled, badea_assembled, verification)
     return PipelineResult(
         spec=spec,
@@ -288,11 +302,7 @@ def _build_report(spec, seed, cls, path, q, assembled, badea_assembled, verifica
             "dim_hprime": badea_assembled.model.dim_hprime,
             "u_norm": max_abs(badea_assembled.model.u.mat),
         }
-    return {
-        "schema_version": 1,
-        "generated_by": f"isodilation {__about__.__version__}",
-        "generated_at": _timestamp(),
-        "input": spec.to_jsonable(),
+    return _report_head(spec) | {
         "seed": seed,
         "classification": cls.as_dict(),
         "path": path,

@@ -1,7 +1,8 @@
 """Operator spec files: parsing, validation, canonical emission.
 
 Specs are JSON with an explicit schema_version; complex numbers are
-[re, im] pairs.  `SPEC_SCHEMA`, a JSON Schema, states the structure; an
+[re, im] pairs.  `SPEC_SCHEMA`, a JSON Schema, states the structure; its
+rule parameters come from `RULE_PARAMS`, the one list of them.  An
 in-package walker over the few keywords it uses checks a spec against it,
 and dense entries are checked and read in one pass.  Semantic checks (rule
 catalog, parameter ranges, truncation bounds) follow.  Unknown fields and
@@ -10,12 +11,13 @@ unknown rule names are rejected.
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import SpecParseError, SpecValidationError, WeightRuleError
-from .operators import RULE_PARAMS, WeightRule
+from .operators import WeightRule
 from .tolerances import Tolerances
 
 SCHEMA_VERSION = 1
@@ -35,6 +37,20 @@ _ENTRIES = {
 
 _TOLERANCE_FIELDS = sorted(Tolerances.__dataclass_fields__.keys())
 
+_NUMBER = {"type": "number"}
+
+# each rule's spec-file parameters, in the order of its `WeightRule`
+# constructor: key -> (the `WeightRule` field that holds it, its schema)
+RULE_PARAMS = {
+    "constant": {"c": ("c", _NUMBER)},
+    "dirichlet": {},
+    "geometric_concave": {"r": ("r", _NUMBER)},
+    "table": {
+        "values": ("values", {"type": "array", "items": _NUMBER, "minItems": 1}),
+        "tail_value": ("tail", _NUMBER),
+    },
+}
+
 SPEC_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -46,16 +62,10 @@ SPEC_SCHEMA = {
                 "kind": {"enum": ["shift", "dense"]},
                 "rule": {
                     "type": "object",
-                    "properties": {
-                        "name": {"type": "string"},
-                        "c": {"type": "number"},
-                        "r": {"type": "number"},
-                        "values": {
-                            "type": "array",
-                            "items": {"type": "number"},
-                            "minItems": 1,
-                        },
-                        "tail_value": {"type": "number"},
+                    "properties": {"name": {"type": "string"}} | {
+                        key: schema
+                        for params in RULE_PARAMS.values()
+                        for key, (_, schema) in params.items()
                     },
                     "required": ["name"],
                     "additionalProperties": False,
@@ -138,7 +148,7 @@ class OperatorSpecFile:
 
 def _rule_to_json(rule: WeightRule) -> dict:
     out = {"name": rule.kind}
-    for key, attr in RULE_PARAMS[rule.kind]:
+    for key, (attr, _) in RULE_PARAMS[rule.kind].items():
         value = getattr(rule, attr)
         out[key] = list(value) if isinstance(value, tuple) else value
     return out
@@ -149,7 +159,7 @@ def _rule_from_json(data: dict, errors: list) -> WeightRule | None:
     if name not in RULE_PARAMS:
         errors.append(f"operator.rule: unknown weight rule {name!r}")
         return None
-    keys = [key for key, _ in RULE_PARAMS[name]]
+    keys = list(RULE_PARAMS[name])
     params = {k for k in data if k != "name"}
     stray = params - set(keys)
     if stray:
@@ -178,9 +188,9 @@ def _beyond_float(value) -> bool:
     return any(_is_type(v, "integer") and abs(v) > sys.float_info.max for v in items)
 
 
-# Python types of the JSON types; bool, an int subclass, is neither a
-# number nor an integer in JSON.
-_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
+# Python types of the JSON types, an integer from numpy among them (a seed
+# from the API); bool, an int subclass, is neither a number nor an integer.
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": numbers.Integral}
 
 
 def _is_type(value, kind: str) -> bool:
@@ -191,9 +201,9 @@ def _equal(value, expected) -> bool:
     return isinstance(value, bool) == isinstance(expected, bool) and value == expected
 
 
-def _walk(schema: dict, value, path: str, errors: list) -> None:
+def _walk(schema: dict, value, path: str, errors: list) -> list:
     """Append a `(json_path, message)` error for each keyword of `schema`
-    that `value` breaks, walking into properties and items.
+    that `value` breaks, walking into properties and items; return `errors`.
 
     Covers the keywords `SPEC_SCHEMA` uses, with the messages of the JSON
     Schema reference validator; as there, each keyword judges only values
@@ -235,6 +245,7 @@ def _walk(schema: dict, value, path: str, errors: list) -> None:
             verb = "was" if len(extra) == 1 else "were"
             names = ", ".join(map(repr, extra))
             errors.append((path, f"Additional properties are not allowed ({names} {verb} unexpected)"))
+    return errors
 
 
 def _read_entries(rows, errors: list) -> tuple[tuple | None, bool]:
@@ -274,17 +285,28 @@ def _read_entries(rows, errors: list) -> tuple[tuple | None, bool]:
     return (tuple(read) if len(errors) == start else None), finite
 
 
+def _raise_schema_errors(schema_errors: list) -> None:
+    """Raise the errors of `_walk`, if any, one line each in path order."""
+    if schema_errors:
+        errors = [f"{path}: {message}" for path, message in sorted(schema_errors, key=itemgetter(0))]
+        raise SpecValidationError("spec failed schema validation", errors)
+
+
+def check_seed(seed) -> int:
+    """A run's seed as an int, checked against `SPEC_SCHEMA`'s `seed`
+    whatever its source: a bad one raises the spec file's error."""
+    _raise_schema_errors(_walk(SPEC_SCHEMA["properties"]["seed"], seed, "$.seed", []))
+    return int(seed)
+
+
 def spec_from_dict(data: dict) -> OperatorSpecFile:
     """Validate a decoded spec dict and build the typed spec."""
-    schema_errors = []
-    _walk(SPEC_SCHEMA, data, "$", schema_errors)
+    schema_errors = _walk(SPEC_SCHEMA, data, "$", [])
     op = data.get("operator") if isinstance(data, dict) else None
     entries, finite = None, True
     if isinstance(op, dict) and "entries" in op:
         entries, finite = _read_entries(op["entries"], schema_errors)
-    if schema_errors:
-        errors = [f"{path}: {message}" for path, message in sorted(schema_errors, key=itemgetter(0))]
-        raise SpecValidationError("spec failed schema validation", errors)
+    _raise_schema_errors(schema_errors)
 
     errors = []
     kind = op["kind"]

@@ -50,7 +50,7 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
-#: default number of randomized trials per verification check
+#: number of randomized trials per verification check
 DEFAULT_TRIALS = 32
 
 #: default seed for randomized windowed test vectors

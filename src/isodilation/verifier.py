@@ -72,18 +72,18 @@ _CHECK_SALTS = {
 
 
 def _rng(seed: int, name: str) -> np.random.Generator:
-    return np.random.default_rng([int(seed) & 0xFFFFFFFF, _CHECK_SALTS.get(name, 1)])
+    return np.random.default_rng([int(seed), _CHECK_SALTS.get(name, 1)])
 
 
-def _trial_draws(rng: np.random.Generator, trials: int, sizes) -> np.ndarray:
-    """A (trials, sum(sizes)) array whose row i holds one complex Gaussian
+def _trial_draws(rng: np.random.Generator, count: int, sizes) -> np.ndarray:
+    """A (count, sum(sizes)) array whose row i holds one complex Gaussian
     segment per size (n real parts, then n imaginary parts), trial after
     trial.  All of it comes from one `standard_normal` call, split in the
     order of segment-by-segment draws: the Generator's stream is the same,
     so are the values."""
     sizes = list(sizes)
-    raw = rng.standard_normal((trials, 2 * sum(sizes)))
-    out = np.empty((trials, sum(sizes)), dtype=np.complex128)
+    raw = rng.standard_normal((count, 2 * sum(sizes)))
+    out = np.empty((count, sum(sizes)), dtype=np.complex128)
     at = 0
     for n in sizes:
         out[:, at : at + n] = raw[:, 2 * at : 2 * at + n] + 1j * raw[:, 2 * at + n : 2 * (at + n)]
@@ -92,13 +92,13 @@ def _trial_draws(rng: np.random.Generator, trials: int, sizes) -> np.ndarray:
 
 
 def _trial_block(
-    rng: np.random.Generator, trials: int, size: int, head: int, blocks: int, d: int, at: int
+    rng: np.random.Generator, size: int, head: int, blocks: int, d: int, at: int
 ) -> np.ndarray:
-    """A (size, trials) block, one trial per column: complex Gaussian on
-    the leading `head` coordinates and on `blocks` blocks of dimension d
-    laid end to end from coordinate `at`, zero elsewhere."""
-    draws = _trial_draws(rng, trials, [head] + [d] * blocks)
-    x = np.zeros((size, trials), dtype=np.complex128)
+    """A (size, DEFAULT_TRIALS) block, one trial per column: complex
+    Gaussian on the leading `head` coordinates and on `blocks` blocks of
+    dimension d laid end to end from coordinate `at`, zero elsewhere."""
+    draws = _trial_draws(rng, DEFAULT_TRIALS, [head] + [d] * blocks)
+    x = np.zeros((size, DEFAULT_TRIALS), dtype=np.complex128)
     x[:head] = draws[:, :head].T
     x[at : at + blocks * d] = draws[:, head:].T
     return x
@@ -173,7 +173,6 @@ def verify_run(
     q: QSolution | None,
     reference: AssembledDilation | None,
     seed: int,
-    trials: int,
     tols: Tolerances,
 ) -> VerificationReport:
     """Every check of one run, in report order.
@@ -228,8 +227,8 @@ def verify_run(
     rep.add(check_cumulative_polynomial(model, cumulative, tols=tols))
     rep.add(check_weight_shift_isometry(cumulative, model.m, tols=tols))
     rep.add(check_dilation_property(dilation, tols=tols))
-    rep.add(check_powers_formula(dilation, trials=trials, seed=seed, tols=tols))
-    rep.add(check_w_m_isometry(dilation, trials=trials, seed=seed, tols=tols))
+    rep.add(check_powers_formula(dilation, seed=seed, tols=tols))
+    rep.add(check_w_m_isometry(dilation, seed=seed, tols=tols))
     rep.add(check_criterion_identity(grams, tols=tols))
     rep.add(check_minimality(grams))
     rep.add(remark_consistency(dilation, tols=tols))
@@ -245,7 +244,7 @@ def verify_run(
         reference_grams = orbit_grams(reference)
         for check in (
             check_dilation_property(reference, tols=tols),
-            check_w_m_isometry(reference, trials=trials, seed=seed, tols=tols),
+            check_w_m_isometry(reference, seed=seed, tols=tols),
             check_minimality(reference_grams),
         ):
             rep.add(dataclasses.replace(check, name="badea_" + check.name))
@@ -302,7 +301,6 @@ def _leading_difference(a: Block, b: Block, win: int) -> float:
 
 def check_powers_formula(
     dilation: AssembledDilation,
-    trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> CheckResult:
@@ -341,7 +339,7 @@ def check_powers_formula(
         products[k] = prod
 
     # one trial per column, blocks 1..top_block contiguous after H
-    h = _trial_block(rng, trials, dilation.dim_total, h0_dim, top_block, d, dilation.dim_h)
+    h = _trial_block(rng, dilation.dim_total, h0_dim, top_block, d, dilation.dim_h)
     y = h
     for _ in range(m):
         y = dilation.apply(y)
@@ -364,14 +362,13 @@ def check_powers_formula(
         "powers_formula",
         residual,
         tols.powers_tol,
-        f"h0 on {h0_dim} of {w} coords, blocks 1..{top_block}, {trials} trials",
+        f"h0 on {h0_dim} of {w} coords, blocks 1..{top_block}, {DEFAULT_TRIALS} trials",
     )
 
 
 def check_w_m_isometry(
     dilation: AssembledDilation,
     m: int | None = None,
-    trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> CheckResult:
@@ -388,7 +385,7 @@ def check_w_m_isometry(
     top_block = max(dilation.n_blocks - m, 0)
     rng = _rng(seed, "w_m_isometry")
 
-    x = _trial_block(rng, trials, dilation.dim_total, h0_dim, top_block, d, dilation.dim_h)
+    x = _trial_block(rng, dilation.dim_total, h0_dim, top_block, d, dilation.dim_h)
     norms_sq = [_column_dots(x)]
     for _ in range(m):
         x = dilation.apply(x)
@@ -399,7 +396,7 @@ def check_w_m_isometry(
         "w_m_isometry",
         residual,
         tols.isometry_tol,
-        f"support {h0_dim} of {model.dim_h} coords + blocks 1..{top_block}, {trials} trials",
+        f"support {h0_dim} of {model.dim_h} coords + blocks 1..{top_block}, {DEFAULT_TRIALS} trials",
     )
 
 

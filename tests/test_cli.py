@@ -257,10 +257,6 @@ class TestOptionPlacement:
         assert main(["--seed", "5", "demo", "strict-2concave"]) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 5
 
-    def test_trials_before_demo_is_validated(self, capsys):
-        assert main(["--trials", "0", "demo", "strict-2concave"]) == 3
-        assert "--trials" in capsys.readouterr().err
-
     def test_tol_before_verify_is_validated(self, capsys):
         assert main(["--tol", "herm_tol=abc", "verify", "--spec", str(STRICT_SHIFT)]) == 3
         assert "herm_tol" in capsys.readouterr().err
@@ -271,9 +267,8 @@ class TestOptionPlacement:
             (["demo", "strict-2concave"], ["--tol", "psd_tol=1e-9"]),
             (["demo", "strict-2concave"], ["--spec", str(STRICT_SHIFT)]),
             (["verify", "--spec", str(STRICT_SHIFT)], ["--seed", "5"]),
-            (["verify", "--spec", str(STRICT_SHIFT)], ["--trials", "4"]),
         ],
-        ids=["demo-tol", "demo-spec", "verify-seed", "verify-trials"],
+        ids=["demo-tol", "demo-spec", "verify-seed"],
     )
     @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
     def test_option_the_command_does_not_read_is_three(self, capsys, command, option, before):
@@ -300,14 +295,25 @@ class TestExitPolicy:
             (["frob"], "'frob'"),
             (["--seed", "x", "demo", "strict-2concave"], "--seed"),
             (["demo", "strict-2concave", "extra"], "extra"),
+            (["demo", "strict-2concave", "--trials", "4"], "--trials"),
         ],
-        ids=["demo-without-name", "unknown-option", "unknown-command", "bad-seed", "extra-argument"],
+        ids=[
+            "demo-without-name", "unknown-option", "unknown-command", "bad-seed", "extra-argument",
+            "trials-is-no-option",
+        ],
     )
     def test_usage_error_is_three(self, capsys, argv, named):
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and named in captured.err
+
+    def test_negative_seed_is_three(self, capsys):
+        # the seed is checked against the spec schema's, wherever it comes from
+        assert main(["demo", "strict-2concave", "--seed", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: $.seed: -1 is less than the minimum of 0\n"
 
     def test_usage_error_from_the_module_entry_point(self):
         proc = subprocess.run(
@@ -346,6 +352,28 @@ class TestExitPolicy:
         assert gate in first
         assert classification and all(line.startswith("  ") and " ok=" in line for line in classification)
         assert any(line.startswith("  expansive: ok=") for line in classification)
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["--spec", "dense-3concave.json", "--tol", "herm_tol=1e-300"], "deviates from its adjoint"),
+            (["--spec", "dense-3concave.json", "--tol", "eig_tol=1e-300"], "residuals out of tolerance"),
+            (["--spec", "strict-shift.json", "--tol", "stein_tol=1e-300"], "invariance residual"),
+            (["verify", "--spec", "dense-3concave.json", "--tol", "eig_tol=1e-300"],
+             "residuals out of tolerance"),
+        ],
+        ids=["dense-herm_tol", "dense-eig_tol", "shift-stein_tol", "verify-dense-eig_tol"],
+    )
+    def test_tolerance_a_kernel_cannot_meet_is_two(self, capsys, argv, error):
+        # HermitianityError and ConvergenceError: the run's tolerances
+        # cannot be met, a precondition failure like a failed gate
+        at = argv.index("--spec") + 1
+        argv = argv[:at] + [str(SPEC_EXAMPLES / argv[at])] + argv[at + 1:]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and error in captured.err
+        assert "Traceback" not in captured.err
 
     def test_main_has_one_exit_table(self):
         """One `try` in `main`, whose two handlers are the exit table; no

@@ -25,7 +25,6 @@ from isodilation import run_pipeline
 from isodilation.builder import assemble_dilation, build_general_model
 from isodilation.hermitian import hermitian, max_abs
 from isodilation.qsolver import verify_q
-from isodilation.tolerances import DEFAULT_TRIALS
 from isodilation.verifier import nonisomorphism_certificate, orbit_grams, verify_run
 from test_exact_tree import _float_tree, _spec
 
@@ -55,7 +54,7 @@ def family(request):
 def test_every_member_passes_every_check(family):
     _, run, members = family
     for c, (metric, dilation) in members.items():
-        report = verify_run(dilation, metric, None, SEED, DEFAULT_TRIALS, run.tolerances)
+        report = verify_run(dilation, metric, None, SEED, run.tolerances)
         assert [check.name for check in report.checks if not check.passed] == [], c
 
 

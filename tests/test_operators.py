@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from isodilation.errors import WeightRuleError, WindowExhaustedError
 from isodilation.hermitian import Block, max_abs
 from isodilation.operators import (
-    RULE_NAMES,
     DefectForms,
     WeightRule,
     classify,
@@ -18,6 +17,7 @@ from isodilation.operators import (
     dense_corner,
     make_shift_corner,
 )
+from isodilation.specfile import RULE_PARAMS
 
 RULES = st.one_of(
     st.just(WeightRule.dirichlet()),
@@ -130,7 +130,7 @@ def _same_values(got, ref):
 
 class TestBandKernel:
     def test_examples_cover_every_rule(self):
-        assert sorted(RULE_EXAMPLES) == sorted(RULE_NAMES)
+        assert sorted(RULE_EXAMPLES) == sorted(RULE_PARAMS)
 
     @pytest.mark.parametrize("kind", sorted(RULE_EXAMPLES))
     def test_shift_corner_matches_dense(self, kind):

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from isodilation import pipeline
-from isodilation.errors import NotPsdError, PreconditionError, SpecError, UnknownDemoError
+from isodilation.errors import (
+    NotPsdError,
+    PreconditionError,
+    SpecError,
+    SpecValidationError,
+    UnknownDemoError,
+)
 from isodilation.hermitian import max_abs
 from isodilation.pipeline import DEMOS, classify_spec, demo, demo_spec, emit_report, run_pipeline
 from isodilation.specfile import spec_from_dict
@@ -321,10 +327,42 @@ class TestReports:
         assert result.report["badea"] is None
 
 
-@pytest.mark.parametrize("trials", [0, -1])
-def test_trials_below_one_is_refused(trials):
-    with pytest.raises(ValueError, match="trials"):
-        run_pipeline(_spec(), trials=trials)
+class TestRunInputs:
+    """The seed and the tolerance overrides are checked once, in the
+    pipeline, and refused with the error a spec file's get."""
+
+    def test_negative_seed_is_a_spec_error(self):
+        with pytest.raises(SpecValidationError) as info:
+            run_pipeline(_spec(), seed=-1)
+        assert info.value.errors == ["$.seed: -1 is less than the minimum of 0"]
+
+    @pytest.mark.parametrize("seed", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_non_integer_seed_is_a_spec_error(self, seed):
+        with pytest.raises(SpecValidationError, match="schema"):
+            run_pipeline(_spec(), seed=seed)
+
+    @pytest.mark.parametrize("entry", [run_pipeline, classify_spec])
+    @pytest.mark.parametrize(
+        "overrides, line",
+        [
+            ({"bogus_tol": 1e-8}, "tolerances: unknown tolerance 'bogus_tol'"),
+            ({"psd_tol": 0.0}, "tolerances: tolerance psd_tol must be finite and positive, got 0.0"),
+            ({"psd_tol": 10**400}, "tolerances: int too large to convert to float"),
+        ],
+        ids=["unknown", "zero", "beyond-float"],
+    )
+    def test_bad_tolerance_override_is_a_spec_error(self, entry, overrides, line):
+        # the overrides are checked once, where the run's tolerances are made
+        with pytest.raises(SpecValidationError) as info:
+            entry(_spec(), overrides)
+        assert info.value.errors == [line]
+
+    def test_seeds_past_32_bits_do_not_alias(self):
+        def powers(seed):
+            result = run_pipeline(demo_spec("strict-2concave"), seed=seed)
+            return next(c.residual for c in result.verification.checks if c.name == "powers_formula")
+        assert powers(0) != powers(2**32)
+        assert powers(2**32 - 1) != powers(2**33 - 1)
 
 
 class TestDemoCatalog:
@@ -392,7 +430,7 @@ class TestSelfContainedKernels:
 
     def test_one_run_context(self):
         """The run's `DefectForms` is made in one place: in `src/`,
-        `DefectForms(` appears only in the pipeline's `_run_forms`."""
+        `DefectForms(` appears only in the pipeline's `_classified`."""
         src = Path(__file__).resolve().parent.parent / "src" / "isodilation"
         offenders = []
         for path in sorted(src.rglob("*.py")):
@@ -406,7 +444,7 @@ class TestSelfContainedKernels:
                 if "DefectForms(" not in line:
                     continue
                 owners = {name for lo, hi, name in functions if lo <= lineno <= hi}
-                if not (path.name == "pipeline.py" and "_run_forms" in owners):
+                if not (path.name == "pipeline.py" and "_classified" in owners):
                     offenders.append(f"{path.name}:{lineno}")
         assert offenders == []
 
@@ -500,3 +538,29 @@ class TestSelfContainedKernels:
             ("verifier.py", "verify_run"),
             ("verifier.py", "orbit_grams"),
         }
+
+
+_BOUNDARY_OPERATORS = {
+    "dirichlet": {"kind": "shift", "rule": {"name": "dirichlet"}},
+    "constant-1": {"kind": "shift", "rule": {"name": "constant", "c": 1.0}},
+    "constant-0.9": {"kind": "shift", "rule": {"name": "constant", "c": 0.9}},
+    "geometric-0.5": {"kind": "shift", "rule": {"name": "geometric_concave", "r": 0.5}},
+    "dense-1x1": {"kind": "dense", "entries": [[[0.7071067811865476, 0.0]]]},
+}
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("name", sorted(_BOUNDARY_OPERATORS))
+def test_smallest_legal_truncation_exhausts_no_window(name, m):
+    """At N = 2m + 2 and n_blocks = m + 2, the smallest truncation a spec
+    admits, every window a run reads is still nonempty and every block
+    fits: a run passes or is refused as a precondition failure, never with
+    WindowExhaustedError or DimensionError."""
+    operator = _BOUNDARY_OPERATORS[name]
+    truncation = {"n_blocks": m + 2} | ({"N": 2 * m + 2} if operator["kind"] == "shift" else {})
+    spec = spec_from_dict({"operator": operator, "m": m, "truncation": truncation})
+    try:
+        result = run_pipeline(spec)
+    except PreconditionError:
+        return
+    assert result.overall, [c.name for c in result.verification.checks if not c.passed]

@@ -12,7 +12,7 @@ import pytest
 
 from isodilation.errors import SpecParseError, SpecValidationError
 from isodilation.pipeline import DEMOS
-from isodilation.specfile import emit_spec, parse_spec, spec_from_dict
+from isodilation.specfile import RULE_PARAMS, SPEC_SCHEMA, emit_spec, parse_spec, spec_from_dict
 from isodilation.tolerances import Tolerances
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "isodilation"
@@ -226,6 +226,18 @@ class TestRoundTrip:
         assert again == spec
         assert again.tolerances().psd_tol == 1e-8
         assert again.seed == 7
+
+
+def test_rule_properties_are_built_from_rule_params():
+    """`RULE_PARAMS` is the one list of rule parameters: the schema's rule
+    properties are `name` and the parameters of every rule, in order."""
+    rule = SPEC_SCHEMA["properties"]["operator"]["properties"]["rule"]
+    expected = {"name": {"type": "string"}}
+    for params in RULE_PARAMS.values():
+        for key, (_, schema) in params.items():
+            assert expected.setdefault(key, schema) == schema, key
+    assert list(rule["properties"].items()) == list(expected.items())
+    assert list(rule["properties"]) == ["name", "c", "r", "values", "tail_value"]
 
 
 def test_specfile_imports_no_construction_module():

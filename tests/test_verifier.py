@@ -215,8 +215,8 @@ class TestPowersFormula:
         corrupted = dataclasses.replace(general, u=Block(general.u.mat + 0.1))
         for dil in (scalar, general, badea, corrupted):
             for seed in (0, 5):
-                res = check_powers_formula(dil, trials=9, seed=seed)
-                ref = _powers_residual_reference(dil, trials=9, seed=seed)
+                res = check_powers_formula(dil, seed=seed)
+                ref = _powers_residual_reference(dil, DEFAULT_TRIALS, seed)
                 assert res.residual == pytest.approx(ref, rel=1e-12)
 
     def test_perturbed_weight_is_a_consistent_dilation(self, strict_pair):
@@ -1156,7 +1156,7 @@ def _corrupted(result, what):
 
 
 def _failing_checks(result, dil, reference, q) -> set:
-    rep = verify_run(dil, q, reference, result.seed, DEFAULT_TRIALS, result.tolerances)
+    rep = verify_run(dil, q, reference, result.seed, result.tolerances)
     return {c.name for c in rep.checks if not c.passed}
 
 
