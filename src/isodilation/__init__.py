@@ -10,7 +10,6 @@ from .__about__ import __version__
 from .builder import (
     AssembledDilation,
     DilationModel,
-    assemble_dilation,
     build_badea_2iso,
     build_general_model,
     build_three_concave_model,

@@ -1,7 +1,7 @@
-"""Constructive assembly of m-isometric dilations.
+"""Construction of m-isometric dilations.
 
-Given an operator corner T (expansive and m-concave, or 3-concave), the
-builder produces the pieces of the block dilation
+Given an operator corner T (expansive and m-concave, or 3-concave), each
+builder returns the truncation of the block dilation
 
         W = [ T  0   0   0  ...
               U  0   0   0  ...
@@ -9,13 +9,13 @@ builder produces the pieces of the block dilation
               0  0   S2  0  ...
               ...              ]
 
-on H + l2(H').  One recipe, `_construct`, makes it from two inputs: a
-metric M >= 0, whose numerical range is H' and whose root, compressed to
-H', is U, and a form on H', represented by A <= 0.  The gate, the range
-and both roots R = M^(1/2) and R+ come from one kernel,
-`hermitian.psd_root`.  Each builder takes the run's `DefectForms`, from
-which it reads the corner, the defect forms and the tolerances, and
-only chooses the inputs:
+on H + l2(H'), cut to n_blocks copies of H'.  One recipe, `_construct`,
+makes it from two inputs: a metric M >= 0, whose numerical range is H'
+and whose root, compressed to H', is U, and a form on H', represented by
+A <= 0.  The gate, the range and both roots R = M^(1/2) and R+ come from
+one kernel, `hermitian.psd_root`.  Each builder takes the run's
+`DefectForms`, from which it reads the corner, the defect forms and the
+tolerances, and only chooses the inputs:
 
 * general path: M is an invariant metric Q with T*QT = Q, and A
   represents the m-defect through the quotient form
@@ -31,9 +31,10 @@ p(n) = I - C(n, m-1) A, via the commuting telescoping construction
 S_n = p(n)^(1/2) p(n-1)^(-1/2).  It gives cumulative moduli
 |S_n ... S_1|^2 = p(n) exactly and hence an m-isometric weight shift;
 S_n = I for n < m-1, and S_(m-1) = (I - A)^(1/2) is B.  The weights are
-one (horizon, d, d) `HermitianMatrix` stack, and the assembled W stores
-the `Block`s of the model and that stack's own `Block`, not copies; the
-verifier forms the cumulative moduli from the stack W stores.
+one (horizon, d, d) `HermitianMatrix` stack, and the returned
+`AssembledDilation` stores the `Block`s of the model and that stack's own
+`Block`, not copies; the verifier forms the cumulative moduli from the
+stack W stores.
 """
 
 import dataclasses
@@ -63,6 +64,10 @@ from .hermitian import (
 from .operators import DefectForms, OperatorCorner
 from .qsolver import QSolution
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
+
+# the weight stack always holds S_1 .. S_8, which the diagonal cross-check
+# and the report read, whatever the number of blocks
+LEADING_WEIGHTS = 8
 
 
 @dataclass(frozen=True)
@@ -150,28 +155,24 @@ class AssembledDilation:
         return slice(start, start + self.dim_hprime)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """W x for a vector or a block of columns.
+        """W x for a full vector of the truncation or a block of them as
+        columns.
 
-        x holds the leading blocks 0..j of a vector of the truncation, the
-        rest being zero: its length is dim_h + j * dim_hprime, and j =
-        n_blocks for a full vector.  The result holds blocks
-        0..min(j + 1, n_blocks): T and U act on the H part, block k+1
-        receives S_k times block k in one batched product, and the last
-        block's content falls off the truncation.
+        T and U act on the H part, block k+1 receives S_k times block k in
+        one batched product, and the last block's content falls off the
+        truncation.
         """
-        w, d = self.dim_h, self.dim_hprime
+        w, d, n = self.dim_h, self.dim_hprime, self.n_blocks
         cols = x if x.ndim == 2 else x[:, None]
         count = cols.shape[1]
-        j = (cols.shape[0] - w) // d if d else 0
-        if j < 0 or cols.shape[0] != w + j * d or j > self.n_blocks:
-            raise DimensionError(f"length {cols.shape[0]} is not a leading run of blocks")
-        steps = min(j, self.n_blocks - 1)
-        out = np.empty((w + (steps + 1) * d, count), dtype=np.complex128)
+        if cols.shape[0] != self.dim_total:
+            raise DimensionError(f"length {cols.shape[0]} is not {self.dim_total}")
+        out = np.empty((self.dim_total, count), dtype=np.complex128)
         out[:w] = self.t.dot(cols[:w])
         if d:
             out[w : w + d] = self.u.dot(cols[:w])
-            tail = cols[w : w + steps * d].reshape(steps, d, count)
-            out[w + d :] = self._applied[:steps].dot(tail).reshape(steps * d, count)
+            tail = cols[w : w + (n - 1) * d].reshape(n - 1, d, count)
+            out[w + d :] = self._applied.dot(tail).reshape((n - 1) * d, count)
         return out if x.ndim == 2 else out[:, 0]
 
     @cached_property
@@ -194,13 +195,14 @@ def _construct(
     w: int,
     metric: HermitianMatrix,
     numerator: HermitianMatrix | None,
-    weights_horizon: int,
+    n_blocks: int,
     what: str,
     dec: EigenDecomposition | None = None,
     range_scale: float = 0.0,
-) -> tuple[DilationModel, HermitianMatrix]:
-    """The construction on the leading w-block of the corner of `forms`,
-    with the run's tolerances `forms.tols`.
+) -> AssembledDilation:
+    """The dilation on H + n_blocks copies of H' built on the leading
+    w-block of the corner of `forms`, with the run's tolerances
+    `forms.tols`.
 
     H' is the numerical range of the metric M >= 0 that `psd_root` keeps,
     given `range_scale`, and U is the root R of M compressed to it.  A
@@ -210,11 +212,18 @@ def _construct(
     nonpositive; the weights telescope p(n) = I - C(n, m-1) A.  Every
     product is a `Block` product, elementwise for a diagonal X over a
     permutation eigenbasis.  With no numerator A = 0, and every weight is
-    I, one read-only broadcast stack.  `dec` is the spectral decomposition
-    of the metric, made here when None.
+    I, one read-only broadcast stack.  The stack holds S_1 up to the
+    horizon max(n_blocks - 1, LEADING_WEIGHTS) + m + 1, which the
+    verifier's weight checks read past the members W applies.  `dec` is
+    the spectral decomposition of the metric, made here when None.  A
+    zero-dimensional H' yields W = T, the degenerate dilation of an
+    isometric input.  Spec files enforce n_blocks >= m + 2 so every
+    verifier window is nonempty; the dilation itself only needs two
+    blocks.
     """
-    if weights_horizon < m - 1:
-        raise DimensionError(f"B is the weight S_{m - 1}; the horizon is {weights_horizon}")
+    if n_blocks < 2:
+        raise DimensionError(f"need at least 2 blocks, got {n_blocks}")
+    horizon = max(n_blocks - 1, LEADING_WEIGHTS) + m + 1
     tols = forms.tols
     if dec is None:
         dec = eigh(metric, tols.eig_tol)
@@ -229,7 +238,7 @@ def _construct(
     if numerator is None:
         a = hermitian(np.zeros((d, d)), tols.herm_tol)
         weights = HermitianMatrix(
-            np.broadcast_to(np.eye(d, dtype=np.complex128), (weights_horizon, d, d)), 0.0
+            np.broadcast_to(np.eye(d, dtype=np.complex128), (horizon, d, d))
         )
         lam_a_min = welldef = form_norm = 0.0
     else:
@@ -245,7 +254,7 @@ def _construct(
             )
         a_mat = basis_block.congruence(a_full.mat)
         a, a_dec = _clamp_nonpositive(hermitian(a_mat, tols.herm_tol), tols, what)
-        weights = build_weights(a, m, weights_horizon, tols, dec=a_dec)
+        weights = build_weights(a, m, horizon, tols, dec=a_dec)
         lam_a_min = float(a_dec.values[0]) if d else 0.0
 
     compression = Block(basis.conj().T)
@@ -266,7 +275,7 @@ def _construct(
         welldef_residual=welldef,
         remark_form_norm=form_norm,
     )
-    return model, weights
+    return AssembledDilation(model.corner.block, u, weights.block, n_blocks, model)
 
 
 def _clamp_nonpositive(
@@ -329,53 +338,25 @@ def build_weights(
     return hermitian(stack, tols.herm_tol)
 
 
-def assemble_dilation(
-    model: DilationModel,
-    weights: HermitianMatrix,
-    n_blocks: int,
-) -> AssembledDilation:
-    """Assemble the truncated dilation from its blocks.
-
-    Block (0,0) is T, block (1,0) is U, block (j+1, j) is S_j; everything
-    else is zero; all are stored as the `Block`s of the model and of the
-    weight stack, not copies.  A zero-dimensional H' yields W = T, the
-    degenerate dilation of an isometric input.  Spec files enforce n_blocks >= m + 2
-    so every verifier window is nonempty; the assembly itself only needs
-    two blocks.
-    """
-    if n_blocks < 2:
-        raise DimensionError(f"need at least 2 blocks, got {n_blocks}")
-    w = model.dim_h
-    d = model.dim_hprime
-    horizon = weights.mat.shape[0]
-    if horizon < n_blocks - 1:
-        raise DimensionError(
-            f"need {n_blocks - 1} weights to fill {n_blocks} blocks, have {horizon}"
-        )
-    if model.u.shape != (d, w):
-        raise DimensionError(f"U must be {d}x{w}, got {model.u.shape}")
-    return AssembledDilation(model.corner.block, model.u, weights.block, n_blocks, model)
-
-
 def build_general_model(
     forms: DefectForms,
     m: int,
     q: QSolution,
-    weights_horizon: int,
-) -> tuple[DilationModel, HermitianMatrix]:
+    n_blocks: int,
+) -> AssembledDilation:
     """Run the general construction for the expansive m-concave corner of
     `forms`: the metric is the invariant Q, the form the m-defect."""
     w = min(forms.corner.window_after(m), q.q.n)
     return _construct(
-        forms, m, "general_m", w, q.q.restrict(w), forms.on(m, w), weights_horizon,
+        forms, m, "general_m", w, q.q.restrict(w), forms.on(m, w), n_blocks,
         "general construction",
     )
 
 
 def build_three_concave_model(
     forms: DefectForms,
-    weights_horizon: int,
-) -> tuple[DilationModel, HermitianMatrix]:
+    n_blocks: int,
+) -> AssembledDilation:
     """Run the 3-concave construction (no expansivity, no metric solve).
 
     The metric is the 2-defect and the form <T* defect_3 T f, g>.  Both
@@ -398,7 +379,7 @@ def build_three_concave_model(
         )
     numerator = hermitian(t.congruence(forms.full(3).mat)[:w, :w], tols.herm_tol)
     return _construct(
-        forms, m, "three_concave", w, forms.on(2, w), numerator, weights_horizon,
+        forms, m, "three_concave", w, forms.on(2, w), numerator, n_blocks,
         "3-concave construction", dec=forms.decomposition(2, w),
     )
 
@@ -406,8 +387,8 @@ def build_three_concave_model(
 def build_badea_2iso(
     forms: DefectForms,
     q: QSolution,
-    weights_horizon: int,
-) -> tuple[DilationModel, HermitianMatrix]:
+    n_blocks: int,
+) -> AssembledDilation:
     """Reference 2-isometric dilation with identity weights.
 
     The metric is Q minus the 1-defect, which must be nonnegative, and A
@@ -421,6 +402,6 @@ def build_badea_2iso(
     defect_1 = forms.on(1, w)
     gap = hermitian(q.q.restrict(w).mat - defect_1.mat, forms.tols.herm_tol)
     return _construct(
-        forms, m, "badea_2iso", w, gap, None, weights_horizon,
+        forms, m, "badea_2iso", w, gap, None, n_blocks,
         "metric minus 1-defect", range_scale=1.0 + q.q.norm_max() + defect_1.norm_max(),
     )

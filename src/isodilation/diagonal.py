@@ -19,14 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import AssembledDilation, DilationModel
+from .builder import LEADING_WEIGHTS, AssembledDilation, DilationModel
 from .errors import NotNegativeError, NotPsdError
 from .hermitian import max_abs
 from .operators import defect_diagonal
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
-
-# leading weights S_1 .. S_8 enter the dense agreement residual
-_AGREEMENT_WEIGHTS = 8
 
 
 @dataclass(frozen=True)
@@ -37,7 +34,7 @@ class DiagonalModel:
     support: np.ndarray          # H' indices: metric diagonal above the rank cutoff
     a_diag: np.ndarray           # on support
     u_diag: np.ndarray           # on support
-    weight_diags: tuple          # per n = 1..max(8, m-1), values on support
+    weight_diags: tuple          # per n = 1..max(LEADING_WEIGHTS, m-1), on support
 
 
 def build_diagonal_model(
@@ -50,7 +47,7 @@ def build_diagonal_model(
     Reads the construction's inputs off `model`, its shift rule, order,
     path and window, and none of the A, U or weights it built; `q_seq` is
     the solved metric diagonal of the general path.  It forms the weights
-    the agreement compares, S_1 .. S_max(8, m-1).
+    the agreement compares, S_1 .. S_max(LEADING_WEIGHTS, m-1).
     """
     rule, m, window = model.corner.rule, model.m, model.dim_h
     if rule is None:
@@ -87,7 +84,7 @@ def build_diagonal_model(
 
     p_prev = np.ones(support.size)
     diags = []
-    for n in range(1, max(_AGREEMENT_WEIGHTS, m - 1) + 1):
+    for n in range(1, max(LEADING_WEIGHTS, m - 1) + 1):
         p_n = 1.0 - math.comb(n, m - 1) * a_vals
         diags.append(np.sqrt(p_n / p_prev))
         p_prev = p_n
@@ -127,8 +124,7 @@ def dense_agreement_residual(dilation: AssembledDilation, diag: DiagonalModel) -
     u_diag_mat = embed_support_diagonal(w, diag.support, diag.u_diag)
     residual = max(residual, max_abs(u_window - u_diag_mat))
     # B is the weight S_(m-1) on both paths, compared with the others
-    count = min(_AGREEMENT_WEIGHTS, len(weights), len(diag.weight_diags))
-    for n in sorted({*range(1, count + 1), model.m - 1}):
+    for n in sorted({*range(1, LEADING_WEIGHTS + 1), model.m - 1}):
         dense_s = embed(weights[n - 1])
         diag_s = embed_support_diagonal(w, diag.support, diag.weight_diags[n - 1])
         residual = max(residual, max_abs(dense_s - diag_s))

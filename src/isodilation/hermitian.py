@@ -77,14 +77,9 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
 class HermitianMatrix:
     """A square complex matrix stored in symmetrized form (X + X*)/2, or a
     stack (k, n, n) of them.
-
-    `defect` records the max-norm of X - X* seen at construction (the
-    largest over a stack); for each member it must stay below
-    herm_tol * (1 + max-norm of that member) or construction fails.
     """
 
     mat: np.ndarray
-    defect: float
 
     @property
     def n(self) -> int:
@@ -97,7 +92,7 @@ class HermitianMatrix:
         """Leading principal k-by-k block (still Hermitian), of each member."""
         if not 0 <= k <= self.n:
             raise ValueError(f"cannot restrict dimension {self.n} to {k}")
-        return HermitianMatrix(_frozen(self.mat[..., :k, :k].copy()), self.defect)
+        return HermitianMatrix(_frozen(self.mat[..., :k, :k].copy()))
 
     @cached_property
     def block(self) -> "Block":
@@ -108,11 +103,11 @@ def hermitian(x, herm_tol: float | None = None) -> HermitianMatrix:
     """Construct a HermitianMatrix, checking the defect from the adjoint.
 
     A stack is checked and symmetrized member by member, each against its
-    own threshold, with the bits of the member taken alone.
+    own threshold, with the bits of the member taken alone: HermitianityError
+    when the max-norm of X - X* exceeds herm_tol * (1 + max-norm of X).
     """
     tol = DEFAULT_TOLERANCES.herm_tol if herm_tol is None else herm_tol
     mat = as_square_complex(x)
-    defect = 0.0
     # member by member: one pass over a whole weight stack read slower
     for member in mat if mat.ndim == 3 else mat[None]:
         adjoint = member.conj().T
@@ -123,14 +118,13 @@ def hermitian(x, herm_tol: float | None = None) -> HermitianMatrix:
                 f"matrix deviates from its adjoint by {member_defect:.3e} "
                 f"(allowed {allowed:.3e})"
             )
-        defect = max(defect, member_defect)
         member += adjoint
         member /= 2.0
-    return HermitianMatrix(_frozen(mat), defect)
+    return HermitianMatrix(_frozen(mat))
 
 
 def identity(n: int) -> HermitianMatrix:
-    return HermitianMatrix(_frozen(np.eye(n, dtype=np.complex128)), 0.0)
+    return HermitianMatrix(_frozen(np.eye(n, dtype=np.complex128)))
 
 
 @dataclass(frozen=True)

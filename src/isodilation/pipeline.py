@@ -1,4 +1,4 @@
-"""Pipeline orchestration: classify, solve the metric, build, assemble, verify.
+"""Pipeline orchestration: classify, solve the metric, build, verify.
 
 A run's one context is the `DefectForms` that `_classified` makes from the
 spec; classification, metric solve and builders read it.  Path
@@ -21,9 +21,9 @@ from datetime import datetime, timezone
 
 from . import __about__
 from .builder import (
+    LEADING_WEIGHTS,
     AssembledDilation,
     DilationModel,
-    assemble_dilation,
     build_badea_2iso,
     build_general_model,
     build_three_concave_model,
@@ -208,7 +208,7 @@ def run_pipeline(
     tol_overrides: dict | None = None,
     seed: int | None = None,
 ) -> PipelineResult:
-    """Full pipeline: classify, solve the metric, build, assemble, verify.
+    """Full pipeline: classify, solve the metric, build, verify.
 
     The seed is `seed`, else the spec's, else DEFAULT_SEED; a bad seed
     (`check_seed`) or override raises SpecValidationError.  The
@@ -234,20 +234,17 @@ def run_pipeline(
         )
     path = admissible[0]
 
-    weights_horizon = max(n_blocks - 1, 8) + m + 1
     q: QSolution | None = None
     badea_assembled = None
 
     try:
         if path == "three_concave":
-            model, weights = build_three_concave_model(forms, weights_horizon)
+            assembled = build_three_concave_model(forms, n_blocks)
         else:
             q = _solve_metric(forms, m)
-            model, weights = build_general_model(forms, m, q, weights_horizon)
-        assembled = assemble_dilation(model, weights, n_blocks)
+            assembled = build_general_model(forms, m, q, n_blocks)
         if m == 2:  # the general path, the only one m = 2 admits
-            badea_model, badea_weights = build_badea_2iso(forms, q, weights_horizon)
-            badea_assembled = assemble_dilation(badea_model, badea_weights, n_blocks)
+            badea_assembled = build_badea_2iso(forms, q, n_blocks)
     except _GATE_ERRORS as exc:
         raise PreconditionError(
             f"automatically selected path {path!r} failed its construction gate: {exc}",
@@ -272,7 +269,7 @@ def run_pipeline(
 
 def _build_report(spec, seed, cls, path, q, assembled, badea_assembled, verification) -> dict:
     model = assembled.model
-    weights_head = [max_abs(s) for s in assembled.weights.mat[:8]]
+    weights_head = [max_abs(s) for s in assembled.weights.mat[:LEADING_WEIGHTS]]
     model_summary = {
         "path": path,
         "dim_h": model.dim_h,

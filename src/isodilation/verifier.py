@@ -368,7 +368,6 @@ def check_powers_formula(
 
 def check_w_m_isometry(
     dilation: AssembledDilation,
-    m: int | None = None,
     seed: int = DEFAULT_SEED,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> CheckResult:
@@ -379,7 +378,7 @@ def check_w_m_isometry(
     W is applied m times to one block holding every trial as a column.
     """
     model = dilation.model
-    m = model.m if m is None else m
+    m = model.m
     h0_dim = _h_support(model, m)
     d = model.dim_hprime
     top_block = max(dilation.n_blocks - m, 0)

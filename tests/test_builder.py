@@ -1,4 +1,4 @@
-"""Construction tests: representers, weight polynomial, assembly, reference path."""
+"""Construction tests: representers, weight polynomial, the built dilation, reference path."""
 
 import math
 
@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isodilation.builder import (
+    LEADING_WEIGHTS,
     _construct,
-    assemble_dilation,
     build_badea_2iso,
     build_general_model,
     build_three_concave_model,
@@ -73,7 +73,7 @@ class TestBuildAGeneral:
         corner = make_shift_corner(rule, 12)
         w = corner.window_after(2)
         q = diagonal_q([1.0 / (n + 1) for n in range(w)])
-        model, _ = build_general_model(DefectForms(corner), 2, q, weights_horizon=6)
+        model = build_general_model(DefectForms(corner), 2, q, n_blocks=6).model
         assert max_abs(model.a.mat) < 1e-12
         assert model.welldef_residual < 1e-12
 
@@ -83,7 +83,7 @@ class TestBuildAGeneral:
         w = corner.window_after(2)
         delta = defect_diagonal(rule, 1, w)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, _ = build_general_model(DefectForms(corner), 2, sol, weights_horizon=6)
+        model = build_general_model(DefectForms(corner), 2, sol, n_blocks=6).model
         # cross-check against the closed-form diagonal division
         pi = np.cumprod([1.0] + [rule.weight_sq(j) for j in range(1, w + 1)])
         expected = {}
@@ -106,7 +106,7 @@ class TestBuildAGeneral:
     def test_hand_made_form_represented(self):
         # A = R+ X R+ on the range: -1 / 4 on the metric's range, and the
         # represented form's norm is the numerator's
-        model, _ = _construct_form([4.0, 0.0], [-1.0, 0.0])
+        model = _construct_form([4.0, 0.0], [-1.0, 0.0]).model
         assert model.dim_hprime == 1
         assert model.a.mat[0, 0].real == pytest.approx(-0.25, abs=1e-15)
         assert model.remark_form_norm == 1.0
@@ -118,24 +118,24 @@ class TestBuildAThreeConcave:
 
     def test_scalar_walkthrough(self):
         t = dense_corner([[1 / math.sqrt(2)]])
-        model, _ = build_three_concave_model(DefectForms(t), weights_horizon=6)
+        model = build_three_concave_model(DefectForms(t), n_blocks=6).model
         assert model.a.mat[0, 0].real == pytest.approx(-0.25, abs=1e-13)
 
     def test_zero_operator(self):
         t = dense_corner([[0.0]])
-        model, _ = build_three_concave_model(DefectForms(t), weights_horizon=6)
+        model = build_three_concave_model(DefectForms(t), n_blocks=6).model
         assert model.a.n == 1
         assert max_abs(model.a.mat) == 0.0
 
     def test_isometric_scalar_degenerates(self):
         t = dense_corner([[1.0]])
-        model, _ = build_three_concave_model(DefectForms(t), weights_horizon=6)
+        model = build_three_concave_model(DefectForms(t), n_blocks=6).model
         assert model.a.n == 0  # H' is zero-dimensional
 
     def test_not_three_concave_rejected(self):
         t = dense_corner([[1.5]])
         with pytest.raises(NotNegativeError):
-            build_three_concave_model(DefectForms(t), weights_horizon=6)
+            build_three_concave_model(DefectForms(t), n_blocks=6)
 
     def test_indefinite_two_defect_rejected_without_classification(self):
         # nilpotent and non-normal: T^2 = 0, so the 2-defect I - 2 T*T is
@@ -143,14 +143,14 @@ class TestBuildAThreeConcave:
         t = dense_corner([[0.0, 1.0], [0.0, 0.0]])
         assert min(np.linalg.eigvalsh(defect_form(t, 2).mat)) == pytest.approx(-1.0)
         with pytest.raises(NotPsdError):
-            build_three_concave_model(DefectForms(t), weights_horizon=6)
+            build_three_concave_model(DefectForms(t), n_blocks=6)
 
     def test_classification_forms_give_the_same_representer(self):
         t = dense_corner(np.diag([0.5, 0.3j, -0.8]))
-        direct, _ = build_three_concave_model(DefectForms(t), 6)
+        direct = build_three_concave_model(DefectForms(t), 6).model
         classified = DefectForms(t)
         classify(classified, 3)
-        shared, _ = build_three_concave_model(classified, 6)
+        shared = build_three_concave_model(classified, 6).model
         assert np.array_equal(direct.a.mat, shared.a.mat)
         assert np.array_equal(direct.compression.mat, shared.compression.mat)
 
@@ -264,16 +264,15 @@ class TestPolynomialAndWeights:
         rule = WeightRule.geometric_concave(0.5)
         corner = make_shift_corner(rule, 16)
         sol = solve_q_shift_diagonal(corner, defect_diagonal(rule, 1, corner.window_after(2)))
-        shift = build_general_model(DefectForms(corner), 2, sol, weights_horizon=8)
-        dense = build_three_concave_model(DefectForms(dense_corner(np.diag([0.5, 0.3j, -0.8]))), 8)
-        for model, weights in (shift, dense):
+        shift = build_general_model(DefectForms(corner), 2, sol, n_blocks=6)
+        dense = build_three_concave_model(DefectForms(dense_corner(np.diag([0.5, 0.3j, -0.8]))), 6)
+        for dil in (shift, dense):
+            model = dil.model
             assert model.dim_hprime > 0
             assert not hasattr(model, "b")
-            b = weights.mat[model.m - 2]
+            b = dil.weights.mat[model.m - 2]
             assert max_abs(b @ b - (np.eye(model.dim_hprime) - model.a.mat)) <= 1e-12
             assert model.b_norm == pytest.approx(np.linalg.norm(b, 2), rel=1e-12)
-        with pytest.raises(DimensionError):
-            build_three_concave_model(DefectForms(dense_corner(np.diag([0.5, 0.3j, -0.8]))), 1)
 
     def test_p_not_positive_raises(self):
         # p(2) = 1 - 2 * 0.5 = 0 is not invertible
@@ -285,8 +284,7 @@ class TestPolynomialAndWeights:
 class TestAssemble:
     def test_scalar_first_column_and_blocks(self):
         t = dense_corner([[1 / math.sqrt(2)]])
-        model, weights = build_three_concave_model(DefectForms(t), weights_horizon=6)
-        dil = assemble_dilation(model, weights, 4)
+        dil = build_three_concave_model(DefectForms(t), n_blocks=4)
         col = dil.matrix[:, 0].real
         assert col == pytest.approx([1 / math.sqrt(2), 0.5, 0, 0, 0], abs=1e-13)
         subdiag = [dil.matrix[k + 1, k].real for k in range(1, 4)]
@@ -298,9 +296,8 @@ class TestAssemble:
         f = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         t = dense_corner(f)
         q = QSolution(hermitian(np.zeros((2, 2))), "zero", None, 0.0, 0.0)
-        model, weights = build_general_model(DefectForms(t), 2, q, weights_horizon=6)
-        dil = assemble_dilation(model, weights, 4)
-        assert model.dim_hprime == 0
+        dil = build_general_model(DefectForms(t), 2, q, n_blocks=4)
+        assert dil.model.dim_hprime == 0
         assert dil.dim_total == 2
         assert max_abs(dil.matrix - f) < 1e-15
 
@@ -309,16 +306,14 @@ class TestAssemble:
         corner = make_shift_corner(rule, 10)
         delta = defect_diagonal(rule, 1, 8)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_general_model(DefectForms(corner), 2, sol, weights_horizon=6)
-        dil = assemble_dilation(model, weights, 4)
-        assert model.dim_hprime == 0
-        assert dil.dim_total == model.dim_h
+        dil = build_general_model(DefectForms(corner), 2, sol, n_blocks=4)
+        assert dil.model.dim_hprime == 0
+        assert dil.dim_total == dil.model.dim_h
 
     def test_too_few_blocks_rejected(self):
         t = dense_corner([[1 / math.sqrt(2)]])
-        model, weights = build_three_concave_model(DefectForms(t), weights_horizon=6)
         with pytest.raises(DimensionError):
-            assemble_dilation(model, weights, 1)
+            build_three_concave_model(DefectForms(t), n_blocks=1)
 
     @pytest.mark.parametrize("name", sorted(DEMOS))
     def test_apply_matches_dense_matrix(self, demos, name):
@@ -335,29 +330,20 @@ class TestAssemble:
             assert max_abs(dil.apply(cols) - dil.matrix @ cols) <= 1e-13
 
     @pytest.mark.parametrize("name", ["strict-2concave", "scalar-3concave"])
-    def test_apply_on_leading_blocks(self, demos, name):
-        # blocks 0..j with zeros beyond map to the leading rows of W x
+    def test_apply_refuses_all_but_full_vectors(self, demos, name):
+        # leading blocks 0..j of a vector are no input of W
         dil = demos.run(name).assembled
         w, d = dil.dim_h, dil.dim_hprime
-        rng = np.random.default_rng(11)
-        for j in range(dil.n_blocks + 1):
-            x = np.zeros((dil.dim_total, 3), dtype=complex)
-            x[: w + j * d] = rng.standard_normal((w + j * d, 3))
-            short = dil.apply(x[: w + j * d])
-            rows = w + min(j + 1, dil.n_blocks) * d
-            assert short.shape == (rows, 3)
-            assert np.array_equal(short, dil.apply(x)[:rows])
-            assert not np.any(dil.apply(x)[rows:])
-        with pytest.raises(DimensionError):
-            dil.apply(np.zeros(dil.dim_total + d))
+        for rows in [w + j * d for j in range(dil.n_blocks)] + [dil.dim_total + d]:
+            with pytest.raises(DimensionError):
+                dil.apply(np.zeros(rows))
+            with pytest.raises(DimensionError):
+                dil.apply(np.zeros((rows, 3)))
 
     @pytest.mark.parametrize("name", ["strict-2concave", "scalar-3concave", "unitary"])
     def test_apply_to_a_block_of_no_columns(self, demos, name):
         dil = demos.run(name).assembled
-        w, d = dil.dim_h, dil.dim_hprime
-        for j in range(dil.n_blocks + 1):
-            rows = w + min(j + 1, dil.n_blocks) * d
-            assert dil.apply(np.zeros((w + j * d, 0))).shape == (rows, 0)
+        assert dil.apply(np.zeros((dil.dim_total, 0))).shape == (dil.dim_total, 0)
 
     @pytest.mark.parametrize("name", sorted(DEMOS))
     def test_blocks_are_views_not_copies(self, demos, name):
@@ -372,24 +358,22 @@ class TestAssemble:
             assert not model.compression.mat.flags.writeable
 
     def test_stores_the_stacks_own_block(self):
-        # W stores the whole weight stack, as the stack's own `Block`, and
-        # n_blocks is the assembly's, not read off the horizon
+        # W stores the whole read-only weight stack, S_1 up to the horizon
+        # the builder works out from n_blocks and m
         rule = WeightRule.geometric_concave(0.5)
         corner = make_shift_corner(rule, 20)
         sol = solve_q_shift_diagonal(corner, defect_diagonal(rule, 1, 18))
-        for horizon in (5, 9):
-            for model, weights in (
-                build_general_model(DefectForms(corner), 2, sol, horizon),
-                build_badea_2iso(DefectForms(corner), sol, horizon),
+        for n_blocks, horizon in ((4, LEADING_WEIGHTS + 3), (12, 14)):
+            for dil in (
+                build_general_model(DefectForms(corner), 2, sol, n_blocks),
+                build_badea_2iso(DefectForms(corner), sol, n_blocks),
             ):
-                dil = assemble_dilation(model, weights, 4)
-                assert dil.weights is weights.block
-                assert dil.weights.shape[0] == horizon
-                assert dil.n_blocks == 4
+                model = dil.model
+                assert dil.weights.shape == (horizon, model.dim_hprime, model.dim_hprime)
+                assert not dil.weights.mat.flags.writeable
+                assert dil.n_blocks == n_blocks
                 assert dil.matrix.shape == (dil.dim_total,) * 2
-                assert dil.dim_total == model.dim_h + 4 * model.dim_hprime
-                with pytest.raises(DimensionError):
-                    assemble_dilation(model, weights, horizon + 2)
+                assert dil.dim_total == model.dim_h + n_blocks * model.dim_hprime
 
     def test_pipeline_never_builds_dense_matrix(self):
         r = run_pipeline(demo_spec("nonisomorphic-pair"))
@@ -404,31 +388,27 @@ class TestBadea:
         corner = make_shift_corner(rule, 12)
         delta = defect_diagonal(rule, 1, 10)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_badea_2iso(DefectForms(corner), sol, 8)
-        dil = assemble_dilation(model, weights, 4)
-        assert model.dim_hprime == 0
-        assert dil.dim_total == model.dim_h
+        dil = build_badea_2iso(DefectForms(corner), sol, 4)
+        assert dil.model.dim_hprime == 0
+        assert dil.dim_total == dil.model.dim_h
 
     def test_geometric_drops_first_direction(self):
         rule = WeightRule.geometric_concave(0.5)
         corner = make_shift_corner(rule, 12)
         delta = defect_diagonal(rule, 1, 10)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_badea_2iso(DefectForms(corner), sol, 8)
-        dil = assemble_dilation(model, weights, 4)
+        dil = build_badea_2iso(DefectForms(corner), sol, 4)
+        model, weights = dil.model, dil.weights
         # the gap vanishes exactly at n = 0 and is positive beyond
         assert model.dim_hprime == model.dim_h - 1
         embedded = model.compression.adjoint_dot(model.u.mat)
         assert abs(embedded[0, 0]) < 1e-12
         expected_1 = math.sqrt(sol.q_seq[1] - 0.25)
         assert embedded[1, 1].real == pytest.approx(expected_1, abs=1e-12)
-        # all weights are the identity, one read-only stack that the
-        # assembled W views
-        assert weights.mat.shape == (8, model.dim_hprime, model.dim_hprime)
+        # all weights are the identity, one read-only stack that W stores
+        assert weights.shape == (LEADING_WEIGHTS + 3, model.dim_hprime, model.dim_hprime)
         assert max_abs(weights.mat - np.eye(model.dim_hprime)) == 0.0
-        assert weights.defect == 0.0
         assert not weights.mat.flags.writeable
-        assert dil.weights is weights.block
         # A = 0 represents no form, so the model claims none
         assert max_abs(model.a.mat) == 0.0 and model.remark_form_norm == 0.0
 
@@ -437,8 +417,7 @@ class TestBadea:
         corner = make_shift_corner(rule, 10)
         delta = defect_diagonal(rule, 1, 8)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_badea_2iso(DefectForms(corner), sol, 8)
-        dil = assemble_dilation(model, weights, 4)
+        dil = build_badea_2iso(DefectForms(corner), sol, 4)
         assert dil.dim_total == dil.dim_h
 
     def test_dominance_violation_rejected(self):
@@ -448,7 +427,7 @@ class TestBadea:
             hermitian(np.zeros((10, 10))), "zero", np.zeros(10), 0.0, 0.0
         )
         with pytest.raises(NotPsdError):
-            build_badea_2iso(DefectForms(corner), bad, 8)
+            build_badea_2iso(DefectForms(corner), bad, 4)
 
 
 class TestTableRuleGeneralM3:
@@ -480,7 +459,8 @@ class TestTableRuleGeneralM3:
         corner = make_shift_corner(rule, n)
         delta = defect_diagonal(rule, 2, n - 3)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_general_model(DefectForms(corner), 3, sol, weights_horizon=8)
+        dil = build_general_model(DefectForms(corner), 3, sol, n_blocks=5)
+        model, weights = dil.model, dil.weights
         assert model.dim_hprime > 0
         # S_1 = I but S_2 = B = (I - A)^(1/2) differs from I (strictly
         # 3-concave input)
@@ -489,7 +469,6 @@ class TestTableRuleGeneralM3:
         assert max_abs(weights.mat[0] - eye) < 1e-12
         assert max_abs(weights.mat[1] - b) < 1e-11
         assert max_abs(weights.mat[1] - eye) > 1e-3
-        dil = assemble_dilation(model, weights, 5)
         from isodilation.verifier import check_w_m_isometry
 
         assert check_w_m_isometry(dil).passed
@@ -525,7 +504,8 @@ class TestTableRuleGeneralM4:
 
         delta = defect_diagonal(rule, 3, n - 4)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_general_model(DefectForms(corner), 4, sol, weights_horizon=9)
+        dil = build_general_model(DefectForms(corner), 4, sol, n_blocks=6)
+        model, weights = dil.model, dil.weights
         d = model.dim_hprime
         assert d > 0
         b = _oracle_sqrt(np.eye(d) - model.a.mat)
@@ -534,10 +514,10 @@ class TestTableRuleGeneralM4:
         assert max_abs(weights.mat[2] - b) < 1e-11
         assert max_abs(weights.mat[2] - np.eye(d)) > 1e-3
 
-        dil = assemble_dilation(model, weights, 6)
         assert check_w_m_isometry(dil).residual <= 1e-10
         assert check_criterion_identity(orbit_grams(dil)).residual <= 1e-10
-        assert check_weight_shift_isometry(cumulative(weights), 4).residual <= 1e-11
+        moduli = _cumulative_moduli(weights, DEFAULT_TOLERANCES.herm_tol)
+        assert check_weight_shift_isometry(moduli, 4).residual <= 1e-11
 
 
 class TestPerturb:

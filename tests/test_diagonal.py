@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isodilation.builder import assemble_dilation, build_general_model, build_three_concave_model
+from isodilation.builder import LEADING_WEIGHTS, build_general_model, build_three_concave_model
 from isodilation.diagonal import build_diagonal_model, dense_agreement_residual
 from isodilation.hermitian import max_abs
 from isodilation.operators import (
@@ -49,9 +49,8 @@ class TestAgreement:
         corner = make_shift_corner(rule, n)
         delta = defect_diagonal(rule, m - 1, n - m)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_general_model(DefectForms(corner), m, sol, weights_horizon=9)
-        diag = build_diagonal_model(model, sol.q_seq)
-        return assemble_dilation(model, weights, 6), diag
+        dil = build_general_model(DefectForms(corner), m, sol, n_blocks=6)
+        return dil, build_diagonal_model(dil.model, sol.q_seq)
 
     def test_dirichlet(self):
         dil, diag = self._general(WeightRule.dirichlet(), 2, 24)
@@ -83,9 +82,8 @@ class TestAgreement:
         rule = WeightRule.constant(0.8)
         n = 16
         corner = make_shift_corner(rule, n)
-        model, weights = build_three_concave_model(DefectForms(corner), weights_horizon=9)
-        diag = build_diagonal_model(model)
-        dil = assemble_dilation(model, weights, 6)
+        dil = build_three_concave_model(DefectForms(corner), n_blocks=6)
+        diag = build_diagonal_model(dil.model)
         assert dense_agreement_residual(dil, diag) < 1e-10
         # A is the constant c^2 (c^2 - 1) on the diagonal
         c2 = 0.64
@@ -96,11 +94,11 @@ class TestAgreement:
         # S_1 .. S_max(8, m-1), and refuses a model of another window
         dil, diag = self._general(WeightRule.geometric_concave(0.5), 2, 24)
         assert diag.window == dil.model.dim_h
-        assert len(diag.weight_diags) == 8
+        assert len(diag.weight_diags) == LEADING_WEIGHTS == 8
         with pytest.raises(ValueError, match="window mismatch"):
             dense_agreement_residual(dil, dataclasses.replace(diag, window=diag.window + 1))
 
     def test_dense_corner_has_no_reference(self):
-        model, _ = build_three_concave_model(DefectForms(dense_corner([[0.5]])), weights_horizon=9)
+        model = build_three_concave_model(DefectForms(dense_corner([[0.5]])), n_blocks=6).model
         with pytest.raises(ValueError, match="shift corner"):
             build_diagonal_model(model)

@@ -162,6 +162,6 @@ def test_near_unitary_scalar_builds_the_three_concave_dilation():
     beta3 = defect_form(t, 3).mat[0, 0].real
     assert abs(Fraction(beta3) - (a - 1) ** 3) <= _scalar_bound(a, 3)
     assert beta3 < 0.0
-    model, weights = build_three_concave_model(DefectForms(t), 6)
-    assert model.a.n == 1 and model.a.mat[0, 0].real <= 0.0
-    assert weights.mat.shape == (6, 1, 1)
+    dil = build_three_concave_model(DefectForms(t), 6)
+    assert dil.model.a.n == 1 and dil.model.a.mat[0, 0].real <= 0.0
+    assert dil.weights.shape == (12, 1, 1)  # S_1 .. S_(8 + m + 1)

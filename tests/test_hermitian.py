@@ -52,10 +52,11 @@ def random_psd(rng, n, scale=1.0):
 
 
 class TestHermitianConstruction:
-    def test_symmetrizes_and_records_defect(self):
+    def test_symmetrizes_within_tolerance(self):
+        # a defect of 1e-12 passes and is symmetrized away
         h = hermitian([[1.0, 1e-12], [0.0, 2.0]])
-        assert h.defect == pytest.approx(1e-12, rel=1e-6)
         assert max_abs(h.mat - h.mat.conj().T) == 0.0
+        assert h.mat[0, 1] == h.mat[1, 0] == 0.5e-12
 
     def test_transposed_complex_input_reads_like_its_c_ordered_copy(self, rng):
         # a.T is a Fortran-ordered view; the stored copy is C-ordered
@@ -91,7 +92,6 @@ class TestHermitianStack:
         lone = [hermitian(member) for member in x]
         for k, h in enumerate(lone):
             assert np.array_equal(stack.mat[k], h.mat)
-        assert stack.defect == max(h.defect for h in lone)
         assert not stack.mat.flags.writeable
         assert np.array_equal(x, given)  # symmetrized in a copy
 
@@ -102,16 +102,16 @@ class TestHermitianStack:
         tol = 1e-8
         big = np.diag([1e6, 1.0]).astype(complex)
         small = np.array([[1.0, 1e-7], [0.0, 1.0]], dtype=complex)
-        assert hermitian(small + np.diag([1e6, 0.0]), tol).defect == pytest.approx(1e-7)
+        hermitian(small + np.diag([1e6, 0.0]), tol)  # passes against its own scale
         with pytest.raises(HermitianityError, match="allowed 2.000e-08"):
             hermitian(np.stack([big, small]), tol)
         with pytest.raises(HermitianityError):
             hermitian(small, tol)
-        assert hermitian(np.stack([big, big]), tol).defect == 0.0
+        hermitian(np.stack([big, big]), tol)
 
     def test_empty_stacks_and_members(self):
         assert hermitian(np.zeros((0, 3, 3))).mat.shape == (0, 3, 3)
-        assert hermitian(np.zeros((4, 0, 0))).defect == 0.0
+        assert hermitian(np.zeros((4, 0, 0))).mat.shape == (4, 0, 0)
         assert hermitian(np.zeros((0, 0))).n == 0
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 4), (1, 2, 2, 2)])

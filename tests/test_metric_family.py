@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 
 from isodilation import run_pipeline
-from isodilation.builder import assemble_dilation, build_general_model
+from isodilation.builder import build_general_model
 from isodilation.hermitian import hermitian, max_abs
 from isodilation.qsolver import verify_q
 from isodilation.verifier import nonisomorphism_certificate, orbit_grams, verify_run
@@ -46,8 +46,7 @@ def family(request):
         metric = dataclasses.replace(
             q, q=scaled, q_seq=c * q.q_seq, stein_residual=stein, dominance_residual=dominance
         )
-        model, weights = build_general_model(forms, m, metric, run.weights.shape[0])
-        members[c] = (metric, assemble_dilation(model, weights, spec.n_blocks))
+        members[c] = (metric, build_general_model(forms, m, metric, spec.n_blocks))
     return spec, run, members
 
 

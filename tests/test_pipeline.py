@@ -111,7 +111,7 @@ class TestPathSelection:
         """The m = 2 reference is a construction of the run: a gate it
         fails is a precondition failure carrying the classification, as a
         gate of the selected path is."""
-        def refuse(forms, q, weights_horizon):
+        def refuse(forms, q, n_blocks):
             raise NotPsdError("metric minus 1-defect: metric not PSD (min eig -1.000e-03)")
 
         monkeypatch.setattr(pipeline, "build_badea_2iso", refuse)

@@ -15,7 +15,6 @@ import pytest
 from isodilation import DEMOS, demo_spec, parse_spec, run_pipeline, verifier
 from isodilation.builder import (
     AssembledDilation,
-    assemble_dilation,
     build_badea_2iso,
     build_general_model,
     build_three_concave_model,
@@ -65,22 +64,22 @@ def _grams(dil):
 
 
 def _cumulative(weights):
-    """|S_n ... S_1|^2 of a weight stack, as `verify_run` forms it."""
-    return _cumulative_moduli(weights.block, DEFAULT_TOLERANCES.herm_tol)
+    """|S_n ... S_1|^2 of a stored weight stack, as `verify_run` forms it."""
+    return _cumulative_moduli(weights, DEFAULT_TOLERANCES.herm_tol)
 
 
 def _bumped(weights, n, amount):
-    """A copy of a weight stack with S_n shifted by amount * I."""
+    """A copy of a stored weight stack with S_n shifted by amount * I."""
     stack = weights.mat.copy()
     stack[n - 1] += amount * np.eye(stack.shape[-1])
-    return hermitian(stack)
+    return hermitian(stack).block
 
 
 @pytest.fixture(scope="module")
 def scalar_model():
     t = dense_corner([[1 / math.sqrt(2)]])
-    model, weights = build_three_concave_model(DefectForms(t), weights_horizon=10)
-    return model, weights, assemble_dilation(model, weights, 5)
+    dil = build_three_concave_model(DefectForms(t), n_blocks=5)
+    return dil.model, dil.weights, dil
 
 
 @pytest.fixture(scope="module")
@@ -90,10 +89,9 @@ def strict_pair():
     corner = make_shift_corner(rule, n)
     delta = defect_diagonal(rule, 1, n - 2)
     sol = solve_q_shift_diagonal(corner, delta)
-    model, weights = build_general_model(DefectForms(corner), 2, sol, weights_horizon=10)
-    general = assemble_dilation(model, weights, 6)
-    bmodel, bweights = build_badea_2iso(DefectForms(corner), sol, 10)
-    return model, weights, general, bmodel, assemble_dilation(bmodel, bweights, 6)
+    general = build_general_model(DefectForms(corner), 2, sol, n_blocks=6)
+    badea = build_badea_2iso(DefectForms(corner), sol, 6)
+    return general.model, general.weights, general, badea.model, badea
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +119,7 @@ class TestDilationProperty:
         from isodilation.hermitian import hermitian
 
         q = QSolution(hermitian(np.zeros((2, 2))), "zero", None, 0.0, 0.0)
-        model, weights = build_general_model(DefectForms(dense_corner(f)), 2, q, 6)
-        dil = assemble_dilation(model, weights, 4)
+        dil = build_general_model(DefectForms(dense_corner(f)), 2, q, 4)
         assert check_dilation_property(dil).residual == 0.0
 
     def test_scalar_model(self, scalar_model):
@@ -177,11 +174,10 @@ class TestDilationProperty:
 
 
 class TestPowersFormula:
-    def test_hand_computed_scalar_case(self, scalar_model):
-        model, weights, _ = scalar_model
+    def test_hand_computed_scalar_case(self):
         # W^3 applied to (1, 0, 0, 0, 0) lands as
         # (t^3, U t^2, S1 U t, S2 S1 U, 0) with t = 1/sqrt(2), U = 1/2
-        dil = assemble_dilation(model, weights, 4)
+        dil = build_three_concave_model(DefectForms(dense_corner([[1 / math.sqrt(2)]])), 4)
         h = np.zeros(5, dtype=complex)
         h[0] = 1.0
         y = dil.matrix @ (dil.matrix @ (dil.matrix @ h))
@@ -222,8 +218,8 @@ class TestPowersFormula:
     def test_perturbed_weight_is_a_consistent_dilation(self, strict_pair):
         # both sides of the formula read the stored weights, so a corrupted
         # S_n still satisfies it; the m-isometry check is what catches it
-        model, weights, _, _, _ = strict_pair
-        bad = assemble_dilation(model, _bumped(weights, 2, 0.1), 6)
+        _, weights, general, _, _ = strict_pair
+        bad = dataclasses.replace(general, weights=_bumped(weights, 2, 0.1))
         assert check_powers_formula(bad).passed
         assert not check_w_m_isometry(bad).passed
 
@@ -287,8 +283,7 @@ class TestWMIsometry:
         corner = make_shift_corner(rule, 12)
         delta = defect_diagonal(rule, 1, 10)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_general_model(DefectForms(corner), 2, sol, 8)
-        dil = assemble_dilation(model, weights, 5)
+        dil = build_general_model(DefectForms(corner), 2, sol, 5)
         assert check_w_m_isometry(dil).residual <= 1e-13
 
     def test_scalar_three_isometric(self, scalar_model):
@@ -445,8 +440,7 @@ class TestCriterionIdentity:
         corner = make_shift_corner(rule, 16)
         delta = defect_diagonal(rule, 1, 14)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_general_model(DefectForms(corner), 2, sol, 8)
-        dil = assemble_dilation(model, weights, 6)
+        dil = build_general_model(DefectForms(corner), 2, sol, 6)
         assert check_criterion_identity(_grams(dil)).residual <= 1e-10
 
 
@@ -461,9 +455,9 @@ class TestEquivalenceBothDirections:
         assert check_weight_shift_isometry(_cumulative(weights), 2).passed
 
     def test_corrupted_weight_localized(self, strict_pair):
-        model, weights, _, _, _ = strict_pair
+        _, weights, general, _, _ = strict_pair
         bad_weights = _bumped(weights, 2, 0.1)
-        bad_dil = assemble_dilation(model, bad_weights, 6)
+        bad_dil = dataclasses.replace(general, weights=bad_weights)
         iso = check_w_m_isometry(bad_dil)
         assert not iso.passed
         assert iso.residual > 1e-3
@@ -477,11 +471,9 @@ class TestEquivalenceBothDirections:
     def test_corrupted_u_localized_by_criterion(self, strict_pair):
         # the complementary direction: bumping U leaves the weight shift
         # m-isometric but breaks the scalar identity and hence W
-        import dataclasses
-
-        model, weights, _, _, _ = strict_pair
-        bad_model = dataclasses.replace(model, u=Block(model.u.mat + 0.1))
-        bad_dil = assemble_dilation(bad_model, weights, 6)
+        model, weights, general, _, _ = strict_pair
+        bad_u = Block(model.u.mat + 0.1)
+        bad_dil = dataclasses.replace(general, u=bad_u, model=dataclasses.replace(model, u=bad_u))
         assert check_weight_shift_isometry(_cumulative(weights), 2).passed
         crit = check_criterion_identity(_grams(bad_dil))
         assert not crit.passed
@@ -505,8 +497,7 @@ class TestMinimality:
         assert _column_space_rank(Block(prod), 2.0 * _max_column_norm(prod)) == 0
 
     def test_scalar_full_rank(self, scalar_model):
-        model, weights, _ = scalar_model
-        dil = assemble_dilation(model, weights, 5)
+        _, _, dil = scalar_model
         res = check_minimality(_grams(dil))
         assert res.passed
         assert "rank 6 of 6" in res.window
@@ -517,13 +508,11 @@ class TestMinimality:
         from isodilation.hermitian import hermitian
 
         q = QSolution(hermitian(np.zeros((2, 2))), "zero", None, 0.0, 0.0)
-        model, weights = build_general_model(DefectForms(dense_corner(f)), 2, q, 6)
-        dil = assemble_dilation(model, weights, 4)
+        dil = build_general_model(DefectForms(dense_corner(f)), 2, q, 4)
         assert check_minimality(_grams(dil)).passed
 
     def test_zeroed_u_negative_control(self, scalar_model):
-        model, weights, _ = scalar_model
-        dil = assemble_dilation(model, weights, 5)
+        model, _, dil = scalar_model
         bad = dataclasses.replace(dil, u=Block(np.zeros_like(dil.u.mat)))
         res = check_minimality(_grams(bad))
         assert not res.passed
@@ -692,10 +681,7 @@ class TestBlockMinimalityOracle:
         g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         q, _ = np.linalg.qr(g)
         z = rng.uniform(0.1, 0.95, 8) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 8))
-        model, weights = build_three_concave_model(
-            DefectForms(dense_corner((q * z) @ q.conj().T)), weights_horizon=10
-        )
-        return assemble_dilation(model, weights, 6)
+        return build_three_concave_model(DefectForms(dense_corner((q * z) @ q.conj().T)), n_blocks=6)
 
     def _assert_matches(self, dil):
         assert check_minimality(_grams(dil)).residual == dil.dim_total - _dense_orbit_rank(dil)
@@ -811,9 +797,8 @@ class TestCertificate:
         corner = make_shift_corner(rule, 12)
         delta = defect_diagonal(rule, 1, 10)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_general_model(DefectForms(corner), 2, sol, 8)
-        general = assemble_dilation(model, weights, 5)
-        badea = assemble_dilation(*build_badea_2iso(DefectForms(corner), sol, 8), 5)
+        general = build_general_model(DefectForms(corner), 2, sol, 5)
+        badea = build_badea_2iso(DefectForms(corner), sol, 5)
         res = nonisomorphism_certificate(_grams(general), _grams(badea), expected_found=False)
         assert res.passed
         assert res.residual <= 1e-12
@@ -849,8 +834,7 @@ class TestRemark:
         corner = make_shift_corner(rule, 16)
         delta = defect_diagonal(rule, 1, 14)
         sol = solve_q_shift_diagonal(corner, delta)
-        model, weights = build_general_model(DefectForms(corner), 2, sol, 8)
-        res = remark_consistency(assemble_dilation(model, weights, 6))
+        res = remark_consistency(build_general_model(DefectForms(corner), 2, sol, 6))
         assert res.passed  # S_1 = I and vanishing defect: consistent
 
     def test_strict_branch(self, strict_pair):
@@ -864,8 +848,7 @@ class TestRemark:
         from isodilation.hermitian import hermitian
 
         q = QSolution(hermitian(np.zeros((2, 2))), "zero", None, 0.0, 0.0)
-        model, weights = build_general_model(DefectForms(dense_corner(f)), 2, q, 6)
-        assert remark_consistency(assemble_dilation(model, weights, 4)).passed
+        assert remark_consistency(build_general_model(DefectForms(dense_corner(f)), 2, q, 4)).passed
 
     def test_reference_model_represents_no_form(self):
         # the reference dilation's A is 0, so it claims no form, and its
@@ -873,16 +856,16 @@ class TestRemark:
         rule = WeightRule.geometric_concave(0.5)
         corner = make_shift_corner(rule, 20)
         sol = solve_q_shift_diagonal(corner, defect_diagonal(rule, 1, 18))
-        model, weights = build_badea_2iso(DefectForms(corner), sol, 8)
-        assert model.dim_hprime > 0 and model.remark_form_norm == 0.0
-        assert remark_consistency(assemble_dilation(model, weights, 6)).passed
+        dil = build_badea_2iso(DefectForms(corner), sol, 6)
+        assert dil.model.dim_hprime > 0 and dil.model.remark_form_norm == 0.0
+        assert remark_consistency(dil).passed
 
     def test_inconsistent_pair_detected(self, strict_pair):
         # identity weights with a nonvanishing represented form must trip it
-        model, _, _, _, _ = strict_pair
+        model, _, general, _, _ = strict_pair
         d = model.dim_hprime
-        eye = hermitian(np.broadcast_to(np.eye(d), (4, d, d)))
-        assert not remark_consistency(assemble_dilation(model, eye, 4)).passed
+        eye = hermitian(np.broadcast_to(np.eye(d), (4, d, d))).block
+        assert not remark_consistency(dataclasses.replace(general, weights=eye)).passed
 
 
 # checks the benchmark's report judge sets apart from the rule
@@ -1147,7 +1130,7 @@ def _corrupted(result, what):
         model = dataclasses.replace(model, compression=Block(model.compression.mat * 1.01))
         return dataclasses.replace(dil, model=model), reference, q
     if what == "perturb_s2":
-        return assemble_dilation(model, _bumped(dil.weights, 2, 0.01), dil.n_blocks), reference, q
+        return dataclasses.replace(dil, weights=_bumped(dil.weights, 2, 0.01)), reference, q
     if what == "a":
         scaled = hermitian(model.a.mat * 1.01, result.tolerances.herm_tol)
         model = dataclasses.replace(model, a=scaled)

@@ -12,6 +12,14 @@ byte print the same lines:
 
 The optional argument is the root of the checkout to digest (default: the
 one this script lives in); its `src/` and `bench/workloads.py` are used.
+
+`tools/report_digests.txt` holds the digests of this checkout, and
+`tests/test_report_digests.py` recomputes them.  A change that moves
+report bytes on purpose regenerates that file with
+
+    python3 tools/report_digests.py > tools/report_digests.txt
+
+and says why in CHANGES.md.
 """
 
 import hashlib
@@ -53,13 +61,19 @@ def runs(root: Path):
             yield f"spec-examples/{path.name}", iso.parse_spec(path.read_text()), None
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[0]).resolve() if argv else Path(__file__).resolve().parent.parent
-    sys.path.insert(0, str(root / "src"))
+def digests(root: Path):
+    """(name, digest) of every run."""
     import isodilation as iso
 
     for name, spec, seed in runs(root):
-        print(name, _digest(iso.emit_report(iso.run_pipeline(spec, seed=seed).report)))
+        yield name, _digest(iso.emit_report(iso.run_pipeline(spec, seed=seed).report))
+
+
+def main(argv: list[str]) -> int:
+    root = Path(argv[0]).resolve() if argv else Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root / "src"))
+    for name, digest in digests(root):
+        print(name, digest)
     return 0
 
 
