@@ -31,10 +31,13 @@ p(n) = I - C(n, m-1) A, via the commuting telescoping construction
 S_n = p(n)^(1/2) p(n-1)^(-1/2).  It gives cumulative moduli
 |S_n ... S_1|^2 = p(n) exactly and hence an m-isometric weight shift;
 S_n = I for n < m-1, and S_(m-1) = (I - A)^(1/2) is B.  The weights are
-one (horizon, d, d) `HermitianMatrix` stack, and the returned
-`AssembledDilation` stores the `Block`s of the model and that stack's own
-`Block`, not copies; the verifier forms the cumulative moduli from the
-stack W stores.
+one (horizon, d, d) `Block` stack: when the eigenbasis of A is a real
+monomial (on every shift, and on a normal corner whose forms need no
+rotation) every S_n is diagonal and the stack is stored as its (horizon,
+d) diagonals, a monomial `Block`; otherwise it is the `Block` of a dense
+stack checked by `hermitian`.  The returned `AssembledDilation` stores the
+`Block`s of the model and that stack, not copies; the verifier forms the
+cumulative moduli from the stack W stores.
 """
 
 import dataclasses
@@ -57,6 +60,7 @@ from .hermitian import (
     HermitianMatrix,
     eigh,
     hermitian,
+    hermitian_diagonal,
     max_abs,
     psd_check,
     psd_root,
@@ -112,11 +116,12 @@ class AssembledDilation:
 
     Stored as its blocks, the `Block`s of the model and of the weight
     stack, not copies: the corner `t` (w x w), `u` (d x w) and the whole
-    weight stack S_1..S_horizon as one (horizon, d, d) `Block`, the
-    stack's own.  W applies its leading n_blocks - 1 members; the
-    verifier's weight checks read all of it.  `apply` acts with the
-    truncated W through the blocks, all slices or gathers on a shift; the
-    dense `matrix` is built only on request.
+    weight stack S_1..S_horizon as one (horizon, d, d) `Block`, kept as
+    its (horizon, d) diagonals when `build_weights` made it diagonal.  W
+    applies its leading n_blocks - 1 members; the verifier's weight
+    checks read all of it, member by member or as diagonals.  `apply`
+    acts with the truncated W through the blocks, all slices or gathers
+    on a shift; the dense `matrix` is built only on request.
     The structure of each stored array is read once, from its own
     nonzeros, so a corrupted block is multiplied as stored.
     """
@@ -212,7 +217,7 @@ def _construct(
     nonpositive; the weights telescope p(n) = I - C(n, m-1) A.  Every
     product is a `Block` product, elementwise for a diagonal X over a
     permutation eigenbasis.  With no numerator A = 0, and every weight is
-    I, one read-only broadcast stack.  The stack holds S_1 up to the
+    I, one broadcast diagonal stack.  The stack holds S_1 up to the
     horizon max(n_blocks - 1, LEADING_WEIGHTS) + m + 1, which the
     verifier's weight checks read past the members W applies.  `dec` is
     the spectral decomposition of the metric, made here when None.  A
@@ -237,9 +242,7 @@ def _construct(
 
     if numerator is None:
         a = hermitian(np.zeros((d, d)), tols.herm_tol)
-        weights = HermitianMatrix(
-            np.broadcast_to(np.eye(d, dtype=np.complex128), (horizon, d, d))
-        )
+        weights = Block.diag(np.broadcast_to(np.ones(d), (horizon, d)))
         lam_a_min = welldef = form_norm = 0.0
     else:
         r, r_inv = Block(root), Block(inv_root)
@@ -275,7 +278,7 @@ def _construct(
         welldef_residual=welldef,
         remark_form_norm=form_norm,
     )
-    return AssembledDilation(model.corner.block, u, weights.block, n_blocks, model)
+    return AssembledDilation(model.corner.block, u, weights, n_blocks, model)
 
 
 def _clamp_nonpositive(
@@ -305,7 +308,7 @@ def build_weights(
     horizon: int,
     tols: Tolerances = DEFAULT_TOLERANCES,
     dec: EigenDecomposition | None = None,
-) -> HermitianMatrix:
+) -> Block:
     """The telescoping weights S_1 .. S_horizon of p(n) = I - C(n, m-1) A.
 
     At integer points the weight polynomial z(z-1)...(z-m+2)/(m-1)! is the
@@ -314,16 +317,22 @@ def build_weights(
     one spectrum: S_n = V diag(p_n(lam)^(1/2) p_(n-1)(lam)^(-1/2)) V* with
     p_n(lam) = 1 - C(n, m-1) lam, and |S_n ... S_1|^2 telescopes to p(n).
     S_n = I for n < m-1 and S_(m-1) = (I - A)^(1/2) = B.  Returns the
-    (horizon, d, d) stack, member n-1 being S_n.  `dec` is the spectral
-    decomposition of A, made here when None.  Raises
-    NotInvertibleError when some p(n) is not positive definite, which a
-    nonpositive A rules out.
+    (horizon, d, d) stack as a `Block`, member n-1 being S_n.  When V is a
+    real monomial every S_n is the diagonal `outer_diagonal` writes, and
+    the stack is the `Block` of those (horizon, d) diagonals, checked by
+    `hermitian_diagonal`; otherwise it is the `Block` of the dense stack,
+    checked by `hermitian`.  `dec` is the spectral decomposition of A,
+    made here when None.  Raises NotInvertibleError when some p(n) is not
+    positive definite, which a nonpositive A rules out.
     """
     if m < 2:
         raise ValueError(f"weight construction needs m >= 2, got {m}")
     if dec is None:
         dec = eigh(a, tols.eig_tol)
-    stack = np.empty((horizon, a.n, a.n), dtype=np.complex128)
+    basis = dec.block
+    diagonal = basis.mono is not None
+    shape = (horizon, a.n) if diagonal else (horizon, a.n, a.n)
+    stack = np.empty(shape, dtype=np.complex128)
     inv_sqrt_prev = np.ones(a.n)
     for n in range(1, horizon + 1):
         p_n = 1.0 - math.comb(n, m - 1) * dec.values
@@ -333,9 +342,12 @@ def build_weights(
                 "the representer A is not nonpositive"
             )
         sqrt_n = np.sqrt(p_n)
-        stack[n - 1] = dec.block.outer(sqrt_n * inv_sqrt_prev)
+        f = sqrt_n * inv_sqrt_prev
+        stack[n - 1] = basis.outer_diagonal(f) if diagonal else basis.outer(f)
         inv_sqrt_prev = 1.0 / sqrt_n
-    return hermitian(stack, tols.herm_tol)
+    if diagonal:
+        return hermitian_diagonal(stack, tols.herm_tol)
+    return hermitian(stack, tols.herm_tol).block
 
 
 def build_general_model(

@@ -108,12 +108,13 @@ def embed_support_diagonal(window: int, support: np.ndarray, values: np.ndarray)
 def dense_agreement_residual(dilation: AssembledDilation, diag: DiagonalModel) -> float:
     """Max-norm disagreement between the dense path and the diagonal path.
 
-    The dense side is the model of the dilation and the weight stack it
-    stores.  All compressed H'-operators are conjugated back into window
+    The dense side is the model of the dilation and the members S_1 ..
+    S_max(LEADING_WEIGHTS, m-1) of the weight stack it stores, each read
+    alone.  All compressed H'-operators are conjugated back into window
     coordinates before comparison, so the two paths are compared
     basis-free.
     """
-    model, weights = dilation.model, dilation.weights.mat
+    model, weights = dilation.model, dilation.weights
     w = model.dim_h
     if w != diag.window:
         raise ValueError(f"window mismatch: dense {w}, diagonal {diag.window}")
@@ -125,7 +126,7 @@ def dense_agreement_residual(dilation: AssembledDilation, diag: DiagonalModel) -
     residual = max(residual, max_abs(u_window - u_diag_mat))
     # B is the weight S_(m-1) on both paths, compared with the others
     for n in sorted({*range(1, LEADING_WEIGHTS + 1), model.m - 1}):
-        dense_s = embed(weights[n - 1])
+        dense_s = embed(weights[n - 1].mat)
         diag_s = embed_support_diagonal(w, diag.support, diag.weight_diags[n - 1])
         residual = max(residual, max_abs(dense_s - diag_s))
     return residual

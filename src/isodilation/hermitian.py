@@ -30,9 +30,12 @@ lie below the stopping threshold (a diagonal one, say) takes zero sweeps,
 its sorted basis is a permutation matrix, and its residuals and every
 function of it (`Block.outer`) are then writes onto the diagonal.
 
-A `HermitianMatrix` may be a stack (k, n, n), such as a dilation's weights:
-`hermitian()` checks each member against its own threshold, its `block`
-reads the structure of the whole stack once, and `eigh` refuses it.
+A `HermitianMatrix` may be a stack (k, n, n), such as a dilation's weights
+over a basis that is not monomial: `hermitian()` checks each member against
+its own threshold, its `block` reads the structure of the whole stack once,
+and `eigh` refuses it.  A stack of diagonal matrices, such as the weights
+over a monomial basis, stays a `Block` of its (k, n) diagonals from where
+it is made: `hermitian_diagonal` runs the same checks on them.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -121,6 +124,30 @@ def hermitian(x, herm_tol: float | None = None) -> HermitianMatrix:
         member += adjoint
         member /= 2.0
     return HermitianMatrix(_frozen(mat))
+
+
+def hermitian_diagonal(diags, herm_tol: float | None = None) -> "Block":
+    """The stack of diagonal matrices with diagonals `diags` (..., n), as
+    a `Block`, checked as `hermitian` checks their dense stack.
+
+    Entries must be finite (ValueError), and each member's defect from its
+    adjoint, max |x - conj(x)| over its diagonal, must stay within
+    herm_tol * (1 + max |x|) (HermitianityError); symmetrizing then keeps
+    the real part.  O(n) per member, where the dense stack takes O(n^2).
+    """
+    tol = DEFAULT_TOLERANCES.herm_tol if herm_tol is None else herm_tol
+    x = np.asarray(diags, dtype=np.complex128)
+    if x.size and not np.all(np.isfinite(x.view(np.float64))):
+        raise ValueError("matrix entries must be finite")
+    defect = np.max(np.abs(x - x.conj()), axis=-1, initial=0.0)
+    allowed = tol * (1.0 + np.max(np.abs(x), axis=-1, initial=0.0))
+    if (defect > allowed).any():
+        worst = np.argmax(defect - allowed)
+        raise HermitianityError(
+            f"matrix deviates from its adjoint by {defect.flat[worst]:.3e} "
+            f"(allowed {allowed.flat[worst]:.3e})"
+        )
+    return Block.diag(x.real.copy())
 
 
 def identity(n: int) -> HermitianMatrix:
@@ -298,15 +325,30 @@ class Block:
 
     @classmethod
     def monomial(cls, shape: tuple, cols: np.ndarray, vals: np.ndarray) -> "Block":
-        """The real monomial matrix of `shape` with x[i, cols[i]] = vals[i]."""
+        """The real monomial matrix of `shape`, or stack of them, with
+        x[..., i, cols[..., i]] = vals[..., i]."""
         block = cls.__new__(cls)
         block.shape = shape
         block.mono = (cols, vals)  # known, so never read
         return block
 
     @classmethod
+    def diag(cls, vals: np.ndarray) -> "Block":
+        """The diagonal matrix, or stack of them, with real diagonals
+        vals (..., n)."""
+        cols = np.broadcast_to(np.arange(vals.shape[-1]), vals.shape)
+        return cls.monomial(vals.shape + vals.shape[-1:], cols, vals)
+
+    @classmethod
     def identity(cls, n: int) -> "Block":
-        return cls.monomial((n, n), np.arange(n), np.ones(n))
+        return cls.diag(np.ones(n))
+
+    @classmethod
+    def dense(cls, mat: np.ndarray) -> "Block":
+        """`mat` taken dense, its structure not read."""
+        block = cls(mat)
+        block.mono = None
+        return block
 
     @cached_property
     def mono(self) -> tuple | None:
@@ -314,12 +356,26 @@ class Block:
 
     @cached_property
     def mat(self) -> np.ndarray:
-        """The dense form of a block built by `monomial`."""
+        """The read-only dense form of a block built by `monomial`, made
+        only when read."""
         cols, vals = self.mono
-        rows = np.flatnonzero(vals)
         out = np.zeros(self.shape, dtype=np.complex128)
-        out[rows, cols[rows]] = vals[rows]
-        return out
+        # an empty row writes its 0 at column 0, which no other row writes
+        np.put_along_axis(out, cols[..., None], vals[..., None], axis=-1)
+        return _frozen(out)
+
+    def as_diagonal(self) -> np.ndarray | None:
+        """The diagonals (..., n) of a square monomial block whose every
+        nonzero lies on the diagonal; None for any other block."""
+        if self.mono is None:
+            return None
+        cols, vals = self.mono
+        on_diagonal = (cols == np.arange(self.shape[-1])) | (vals == 0.0)
+        return vals if on_diagonal.all() else None
+
+    def norm_max(self) -> float:
+        """Entrywise max-norm, read off the nonzeros of a monomial."""
+        return max_abs(self.mat if self.mono is None else self.mono[1])
 
     @cached_property
     def _entries(self) -> tuple:
@@ -334,13 +390,14 @@ class Block:
         return _index(rows), _index(cols[rows]), vals[rows]
 
     def __getitem__(self, key) -> "Block":
-        """Member or leading members of a stack, with the structure read."""
-        mat = self.mat[key]
-        if mat.shape == self.shape:
-            return self
-        block = Block(mat)
-        block.mono = None if self.mono is None else (self.mono[0][key], self.mono[1][key])
-        return block
+        """Member or leading members of a stack, with the structure read;
+        a monomial's are sliced from its nonzeros, never from `mat`."""
+        if self.mono is None:
+            mat = self.mat[key]
+            return self if mat.shape == self.shape else Block.dense(mat)
+        cols, vals = self.mono[0][key], self.mono[1][key]
+        shape = cols.shape + self.shape[-1:]
+        return self if shape == self.shape else Block.monomial(shape, cols, vals)
 
     def _scatter(self, size: int, dst, src, x: np.ndarray) -> np.ndarray:
         """The rows dst of a size-row result are vals times the rows src of
@@ -388,9 +445,7 @@ class Block:
         """The composition `other` after `self`, other.mat @ self.mat; with
         a refused factor it is dense, and its structure is not read."""
         if self.mono is None or other.mono is None:
-            block = Block(dense_product(other.mat, self.mat))
-            block.mono = None
-            return block
+            return Block.dense(dense_product(other.mat, self.mat))
         (cols, vals), (o_cols, o_vals) = self.mono, other.mono
         return Block.monomial((other.shape[0], self.shape[1]), cols[o_cols], o_vals * vals[o_cols])
 
@@ -400,11 +455,16 @@ class Block:
         the diagonal."""
         if self.mono is None:
             return dense_product(self.mat, f[:, None] * self.mat.conj().T)
-        cols, vals = self.mono
         n = self.shape[0]
         out = np.zeros((n, n), dtype=np.complex128)
-        out.reshape(-1)[:: n + 1] = vals * (f[cols] * vals)
+        out.reshape(-1)[:: n + 1] = self.outer_diagonal(f)
         return out
+
+    def outer_diagonal(self, f: np.ndarray) -> np.ndarray:
+        """The diagonal of `outer(f)` of a square monomial, vals (f[cols]
+        vals); every other entry of it is an exact zero."""
+        cols, vals = self.mono
+        return vals * (f[cols] * vals)
 
     def gram(self) -> np.ndarray:
         """M* M: on a monomial, the diagonal of squared column norms."""

@@ -269,7 +269,7 @@ def run_pipeline(
 
 def _build_report(spec, seed, cls, path, q, assembled, badea_assembled, verification) -> dict:
     model = assembled.model
-    weights_head = [max_abs(s) for s in assembled.weights.mat[:LEADING_WEIGHTS]]
+    weights_head = [assembled.weights[k].norm_max() for k in range(LEADING_WEIGHTS)]
     model_summary = {
         "path": path,
         "dim_h": model.dim_h,

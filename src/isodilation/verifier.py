@@ -15,7 +15,10 @@ read one object per dilation, its orbit Grams (`orbit_grams`), and draw
 no trial.  Every weight check reads the one weight stack the dilation
 stores: `b_square`, `remark_consistency` and the diagonal agreement read
 its members, and the cumulative and weight-shift checks read the moduli
-|S_n ... S_1|^2 that `_cumulative_moduli` forms from it once per run.
+|S_n ... S_1|^2 that `_cumulative_moduli` forms from it once per run.  The
+moduli of a monomial stack are diagonal and kept as their (horizon, d)
+diagonals, on which both checks read their differences when A is
+diagonal too; any other stack keeps them dense.
 """
 
 import dataclasses
@@ -27,7 +30,7 @@ import numpy as np
 from .builder import AssembledDilation, DilationModel
 from .diagonal import build_diagonal_model, dense_agreement_residual
 from .errors import WindowExhaustedError
-from .hermitian import Block, HermitianMatrix, hermitian, max_abs
+from .hermitian import Block, hermitian, hermitian_diagonal, max_abs
 from .qsolver import QSolution, stein_residual
 from .tolerances import DEFAULT_SEED, DEFAULT_TOLERANCES, DEFAULT_TRIALS, Tolerances
 
@@ -156,16 +159,21 @@ def orbit_grams(dilation: AssembledDilation) -> OrbitGrams:
     return OrbitGrams(dilation, prods, grams)
 
 
-def _cumulative_moduli(weights: Block, herm_tol: float) -> HermitianMatrix:
+def _cumulative_moduli(weights: Block, herm_tol: float) -> Block:
     """The cumulative moduli |S_n ... S_1|^2, n = 1..horizon, of a weight
-    stack, one (horizon, d, d) stack: each running product is extended by
-    the next weight (`Block.then`) and its Gram taken."""
+    stack, one (horizon, d, d) `Block`: each running product is extended
+    by the next weight (`Block.then`) and its Gram taken.  The Gram of a
+    monomial is diagonal, so a monomial stack's moduli are the `Block` of
+    their (horizon, d) diagonals; any other stack's are dense."""
     left = Block.identity(weights.shape[-1])
-    cumulative = np.empty(weights.shape, dtype=np.complex128)
+    diagonal = weights.mono is not None
+    cumulative = np.empty(weights.shape[:-1] if diagonal else weights.shape, dtype=np.complex128)
     for k in range(weights.shape[0]):
         left = left.then(weights[k])
-        cumulative[k] = left.gram()
-    return hermitian(cumulative, herm_tol)
+        cumulative[k] = left.gram_diagonal() if diagonal else left.gram()
+    if diagonal:
+        return hermitian_diagonal(cumulative, herm_tol)
+    return Block.dense(hermitian(cumulative, herm_tol).mat)
 
 
 def verify_run(
@@ -424,23 +432,28 @@ def check_criterion_identity(
 
 
 def check_weight_shift_isometry(
-    cumulative: HermitianMatrix, m: int, tols: Tolerances = DEFAULT_TOLERANCES
+    cumulative: Block, m: int, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> CheckResult:
     """m-isometry of the weight shift in cumulative form.
 
     The m-th forward difference of n -> |S_n ... S_1|^2 (with the empty
     product at n = 0) must vanish, read on the cumulative moduli of the
     stored weight stack (`_cumulative_moduli`), so a corrupted stored
-    weight shows here.
+    weight shows here.  Diagonal moduli are differenced as their
+    diagonals: every other entry is an exact zero on both sides.
     """
     tolerance = tols.difference_tol * (1.0 + cumulative.norm_max())
-    horizon = cumulative.mat.shape[0]
+    horizon = cumulative.shape[0]
     if horizon < m:
         raise WindowExhaustedError(
             f"need at least {m} weights for the order-{m} difference, have {horizon}"
         )
-    eye = np.eye(cumulative.n, dtype=np.complex128)
-    stack = np.concatenate([eye[None], cumulative.mat])
+    moduli = cumulative.as_diagonal()
+    if moduli is None:
+        moduli, empty_product = cumulative.mat, np.eye(cumulative.shape[-1])
+    else:
+        empty_product = np.ones(cumulative.shape[-1])
+    stack = np.concatenate([empty_product[None], moduli])
     count = len(stack) - m
     residual = max_abs(np.diff(stack, n=m, axis=0))
     return _result(
@@ -452,16 +465,22 @@ def check_weight_shift_isometry(
 
 
 def check_cumulative_polynomial(
-    model: DilationModel, cumulative: HermitianMatrix, tols: Tolerances = DEFAULT_TOLERANCES
+    model: DilationModel, cumulative: Block, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> CheckResult:
     """Cumulative moduli of the stored weight stack (`_cumulative_moduli`)
     must equal the weight polynomial at integer points,
-    p(n) = I - C(n, m-1) A, formed from the model's representer A."""
+    p(n) = I - C(n, m-1) A, formed from the model's representer A.  When
+    the moduli and A are both diagonal, so is every p(n), and the two are
+    compared on their diagonals."""
     tolerance = tols.cumulative_tol * (1.0 + cumulative.norm_max())
-    horizon = cumulative.mat.shape[0]
+    horizon = cumulative.shape[0]
     coeffs = np.array([float(math.comb(n, model.m - 1)) for n in range(1, horizon + 1)])
-    p = np.eye(model.a.n) - coeffs[:, None, None] * model.a.mat
-    residual = max_abs(cumulative.mat - p)
+    moduli, a_diag = cumulative.as_diagonal(), model.a.block.as_diagonal()
+    if moduli is not None and a_diag is not None:
+        residual = max_abs(moduli - (1.0 - coeffs[:, None] * a_diag))
+    else:
+        p = np.eye(model.a.n) - coeffs[:, None, None] * model.a.mat
+        residual = max_abs(cumulative.mat - p)
     return _result(
         "cumulative_matches_polynomial",
         residual,
@@ -610,7 +629,7 @@ def remark_consistency(
     horizon = dilation.weights.shape[0]
     if horizon < model.m - 1:
         raise WindowExhaustedError(f"need weight S_{model.m - 1}, horizon is {horizon}")
-    s_norm = max_abs(dilation.weights.mat[model.m - 2] - np.eye(model.dim_hprime))
+    s_norm = max_abs(dilation.weights[model.m - 2].mat - np.eye(model.dim_hprime))
     form_norm = model.remark_form_norm
     s_small = s_norm <= threshold
     form_small = form_norm <= threshold

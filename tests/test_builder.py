@@ -162,7 +162,7 @@ def p_oracle(lam, m: int, n: int):
 
 def cumulative(weights):
     """|S_n ... S_1|^2 of a weight stack, as the verifier forms it."""
-    return _cumulative_moduli(weights.block, DEFAULT_TOLERANCES.herm_tol)
+    return _cumulative_moduli(weights, DEFAULT_TOLERANCES.herm_tol)
 
 
 class TestPolynomialAndWeights:
@@ -528,7 +528,7 @@ class TestPerturb:
         weights = build_weights(hermitian([[-0.25]]), 3, 5)
         stack = weights.mat.copy()
         stack[1] += 0.1 * np.eye(1)
-        bumped = hermitian(stack)
+        bumped = hermitian(stack).block
         s2 = weights.mat[1, 0, 0].real
         assert s2 == pytest.approx(math.sqrt(1.25), rel=1e-14)
         assert bumped.mat[1, 0, 0].real == pytest.approx(s2 + 0.1)

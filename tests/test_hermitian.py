@@ -23,6 +23,7 @@ from isodilation.hermitian import (
     eigh,
     eigh_stack,
     hermitian,
+    hermitian_diagonal,
     identity,
     max_abs,
     psd_check,
@@ -133,6 +134,41 @@ class TestHermitianStack:
             eigh(stack)
         with pytest.raises(ValueError, match="stack"):
             eigh_stack([random_hermitian(rng, 3), stack])
+
+
+class TestHermitianDiagonal:
+    """A stack of diagonals is checked as `hermitian` checks its dense
+    stack, and stored as a monomial `Block`."""
+
+    @staticmethod
+    def _embedded(diags):
+        return np.einsum("...i,ij->...ij", diags, np.eye(diags.shape[-1]))
+
+    @pytest.mark.parametrize("shape", [(4,), (5, 4), (0, 3), (3, 0)])
+    def test_matches_the_dense_stack_bit_for_bit(self, rng, shape):
+        diags = np.where(rng.integers(0, 2, shape), rng.standard_normal(shape), 0.0)
+        block = hermitian_diagonal(diags)
+        assert block.shape == shape + shape[-1:]
+        assert block.as_diagonal() is not None
+        assert block.mat.tobytes() == hermitian(self._embedded(diags)).mat.tobytes()
+
+    def test_symmetrizes_a_defect_within_tolerance(self):
+        diags = np.array([[1.0 + 1e-13j, -2.0], [3.0, 0.5 - 1e-13j]])
+        block = hermitian_diagonal(diags)
+        assert np.array_equal(block.as_diagonal(), diags.real)
+        assert np.array_equal(block.mat, hermitian(self._embedded(diags)).mat)
+
+    def test_each_member_keeps_its_own_threshold(self):
+        # member 1 is off by 2e-7 against its own allowance 2e-8, where
+        # member 0 could absorb it
+        tol = 1e-8
+        with pytest.raises(HermitianityError, match="allowed 2.000e-08"):
+            hermitian_diagonal(np.array([[1e6, 1.0], [1.0, 1.0 + 1e-7j]]), tol)
+        hermitian_diagonal(np.array([[1e6, 1.0 + 1e-7j]]), tol)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            hermitian_diagonal(np.array([[1.0, np.inf]]))
 
 
 class TestEigh:
@@ -685,6 +721,22 @@ class TestStructureReaders:
             assert np.array_equal(block.adjoint_dot(x), mat.conj().T @ x)
             assert np.array_equal(block.gram(), mat.conj().T @ mat)
             assert np.array_equal(block.congruence(full), mat.conj().T @ full @ mat)
+
+    def test_dense_form_of_a_monomial_is_read_only(self):
+        # `mat` is made from `mono` when read; a write into it would split
+        # the two, so it raises
+        for block in (Block.identity(3), Block.diag(np.arange(6.0).reshape(2, 3))):
+            assert not block.mat.flags.writeable
+            with pytest.raises(ValueError):
+                block.mat[..., 0, 0] = 2.0
+        assert np.array_equal(Block.identity(3).mat, np.eye(3))
+        assert Block.identity(0).mat.shape == (0, 0)
+
+    def test_as_diagonal_reads_only_a_diagonal(self):
+        assert np.array_equal(Block(np.diag([1.0, 0.0, -2.0]) + 0j).as_diagonal(), [1.0, 0.0, -2.0])
+        assert Block(np.array([[0.0, 1.0], [1.0, 0.0]]) + 0j).as_diagonal() is None
+        assert Block(np.array([[1.0, 1.0], [0.0, 1.0]]) + 0j).as_diagonal() is None
+        assert Block.dense(np.eye(2) + 0j).as_diagonal() is None
 
     def test_stack_dot_and_members_keep_the_structure(self, monkeypatch, rng):
         stack = np.array([_monomial(rng, (4, 4), live) for live in (4, 2, 3)])

@@ -159,6 +159,29 @@ class TestDenseRepresenter:
             assert off_diagonal > 1e-6 * max_abs(a)
 
 
+class TestWeightStackStorage:
+    def test_a_shift_run_never_densifies_its_weight_stack(self):
+        result = run_pipeline(demo_spec("strict-2concave"))
+        for dil in (result.assembled, result.badea_assembled):
+            assert dil.weights.as_diagonal() is not None
+            assert "mat" not in vars(dil.weights)
+
+    def test_a_nonnormal_dense_input_keeps_a_dense_stack(self):
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        t = 0.5 * g / np.linalg.norm(g, 2)
+        assert max_abs(t @ t.conj().T - t.conj().T @ t) > 1e-2
+        entries = [[[float(x.real), float(x.imag)] for x in row] for row in t]
+        result = run_pipeline(spec_from_dict({
+            "operator": {"kind": "dense", "entries": entries},
+            "m": 3,
+            "truncation": {"n_blocks": 6},
+        }))
+        assert result.path == "three_concave"
+        assert result.weights.mono is None
+        assert result.overall, [c["name"] for c in result.report["checks"] if not c["passed"]]
+
+
 def _near_unitary(rng: np.random.Generator, dim: int, perturb: bool) -> np.ndarray:
     """A Haar-like unitary V moved off the unitaries by eps = 10^U(-13, -4):
     V + eps E with E complex Gaussian, or V diag(1 + eps U(0, 1))."""

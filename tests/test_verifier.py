@@ -8,6 +8,7 @@ import importlib
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from isodilation.verifier import (
     _rng,
     _trial_draws,
     check_criterion_identity,
+    check_cumulative_polynomial,
     check_dilation_property,
     check_minimality,
     check_powers_formula,
@@ -479,6 +481,74 @@ class TestEquivalenceBothDirections:
         assert not crit.passed
         iso = check_w_m_isometry(bad_dil)
         assert not iso.passed and iso.residual > 1e-3
+
+
+def _monomial_stack(seed: int) -> Block:
+    """A (h, d, d) stack of real monomials: each member a permutation
+    matrix with signed real values, h <= 12 and d <= 9."""
+    rng = np.random.default_rng(seed)
+    h, d = int(rng.integers(4, 13)), int(rng.integers(1, 10))
+    cols = np.array([rng.permutation(d) for _ in range(h)])
+    vals = rng.uniform(0.5, 2.0, (h, d)) * rng.choice([-1.0, 1.0], (h, d))
+    return Block.monomial((h, d, d), cols, vals)
+
+
+class TestMonomialWeightStack:
+    """A monomial weight stack, and its diagonal moduli, give every weight
+    check the bits of the same stack taken dense."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_checks_match_the_dense_stack(self, seed):
+        stack = _monomial_stack(seed)
+        dense = Block.dense(np.array(stack.mat))
+        h, d = stack.shape[:2]
+        moduli, dense_moduli = _cumulative(stack), _cumulative(dense)
+        assert moduli.as_diagonal() is not None and dense_moduli.mono is None
+        assert np.array_equal(moduli.mat, dense_moduli.mat)
+        rng = np.random.default_rng(seed)
+        a_vals = -rng.uniform(0.0, 1.0, d)
+        g = rng.standard_normal((d, d))
+        for a in (np.diag(a_vals), np.diag(a_vals) - 1e-3 * g @ g.T):
+            for m in (2, 3, 4):
+                model = SimpleNamespace(m=m, a=hermitian(a))
+                for check in (
+                    lambda c: check_cumulative_polynomial(model, c),
+                    lambda c: check_weight_shift_isometry(c, m),
+                ):
+                    ours, theirs = check(moduli), check(dense_moduli)
+                    assert ours.residual == theirs.residual
+                    assert ours.tolerance == theirs.tolerance
+
+    def test_a_shift_runs_checks_match_its_dense_stack(self, strict_pair):
+        # rounding-level residuals, where a slip of either path would show
+        model, weights, _, _, _ = strict_pair
+        moduli = _cumulative(weights)
+        dense_moduli = _cumulative(Block.dense(np.array(weights.mat)))
+        assert moduli.as_diagonal() is not None and model.a.block.as_diagonal() is not None
+        for ours, theirs in (
+            (check_cumulative_polynomial(model, moduli), check_cumulative_polynomial(model, dense_moduli)),
+            (check_weight_shift_isometry(moduli, 2), check_weight_shift_isometry(dense_moduli, 2)),
+        ):
+            assert ours.residual == theirs.residual and ours.tolerance == theirs.tolerance
+            assert ours.passed and ours.residual < 1e-3 * ours.tolerance
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_members_and_products_match_the_dense_stack(self, seed):
+        stack = _monomial_stack(seed)
+        mat = np.array(stack.mat)
+        h = stack.shape[0]
+        assert stack[:h] is stack
+        assert stack[1:3].mono is not None and np.array_equal(stack[1:3].mat, mat[1:3])
+        for k in range(h):
+            member = stack[k]
+            assert member.mono is not None and np.array_equal(member.mat, mat[k])
+            gram = mat[k].conj().T @ mat[k]
+            assert np.array_equal(member.gram_diagonal(), gram.diagonal().real)
+            assert max_abs(gram - np.diag(gram.diagonal())) == 0.0
+            after = stack[k - 1].then(member)
+            assert after.mono is not None
+            assert np.array_equal(after.mat, mat[k] @ mat[k - 1])
+            assert np.array_equal(after.mat, Block.dense(mat[k - 1]).then(Block.dense(mat[k])).mat)
 
 
 def _max_column_norm(cols):
