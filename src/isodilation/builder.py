@@ -37,7 +37,9 @@ rotation) every S_n is diagonal and the stack is stored as its (horizon,
 d) diagonals, a monomial `Block`; otherwise it is the `Block` of a dense
 stack checked by `hermitian`.  The returned `AssembledDilation` stores the
 `Block`s of the model and that stack, not copies; the verifier forms the
-cumulative moduli from the stack W stores.
+cumulative moduli from the stack W stores.  On a shift the metric, A and
+the roots are diagonals and U and the compression monomials, from where
+they are made (`_construct`).
 """
 
 import dataclasses
@@ -61,7 +63,8 @@ from .hermitian import (
     eigh,
     hermitian,
     hermitian_diagonal,
-    max_abs,
+    hermitian_difference,
+    max_difference,
     psd_check,
     psd_root,
 )
@@ -83,7 +86,10 @@ class DilationModel:
     spanning H' (a row gather on a permutation eigenbasis); `u` maps H to
     H' in the compressed coordinates; `a` lives on H'.  `compression` and
     `u` are the read-only `Block`s `_construct` made, U with that
-    compression.  B = S_(m-1) is read from the weight stack.
+    compression: monomials made from their nonzeros when the metric's
+    eigenbasis is one (on a shift), dense otherwise.  `a` and the defect
+    forms are then diagonals too.  B = S_(m-1) is read from the weight
+    stack.
     """
 
     m: int
@@ -215,16 +221,19 @@ def _construct(
     to the range, well defined only when X vanishes on the kernel of R,
     certified by the residual ||X - R (R+ X R+) R||, and it must be
     nonpositive; the weights telescope p(n) = I - C(n, m-1) A.  Every
-    product is a `Block` product, elementwise for a diagonal X over a
-    permutation eigenbasis.  With no numerator A = 0, and every weight is
-    I, one broadcast diagonal stack.  The stack holds S_1 up to the
-    horizon max(n_blocks - 1, LEADING_WEIGHTS) + m + 1, which the
-    verifier's weight checks read past the members W applies.  `dec` is
-    the spectral decomposition of the metric, made here when None.  A
-    zero-dimensional H' yields W = T, the degenerate dilation of an
-    isometric input.  Spec files enforce n_blocks >= m + 2 so every
-    verifier window is nonempty; the dilation itself only needs two
-    blocks.
+    product is a `Block` product.  Over a monomial eigenbasis (a
+    permutation, on a shift) the roots are diagonals, the compression and
+    U monomials made from its nonzeros, and A of a diagonal X the diagonal
+    `congruence_diagonal` forms, each entry the one term of the dense
+    product; any other eigenbasis takes the dense products.  With no
+    numerator A = 0, and every weight is I, one broadcast diagonal stack.
+    The stack holds S_1 up to the horizon max(n_blocks - 1,
+    LEADING_WEIGHTS) + m + 1, which the verifier's weight checks read past
+    the members W applies.  `dec` is the spectral decomposition of the
+    metric, made here when None.  A zero-dimensional H' yields W = T, the
+    degenerate dilation of an isometric input.  Spec files enforce
+    n_blocks >= m + 2 so every verifier window is nonempty; the dilation
+    itself only needs two blocks.
     """
     if n_blocks < 2:
         raise DimensionError(f"need at least 2 blocks, got {n_blocks}")
@@ -233,21 +242,25 @@ def _construct(
     if dec is None:
         dec = eigh(metric, tols.eig_tol)
     kept, root, inv_root = psd_root(metric, tols, dec, range_scale, what=what)
-    if kept.all():  # the eigenbasis itself, its structure read once
-        basis, basis_block = dec.basis, dec.block
-    else:
-        basis = np.ascontiguousarray(dec.basis[:, kept])
-        basis_block = Block(basis)
-    d = basis.shape[1]
+    if dec.block.mono is None:
+        basis_block = dec.block if kept.all() else Block(np.ascontiguousarray(dec.basis[:, kept]))
+        compression = Block(basis_block.mat.conj().T)
+        u = Block(compression.dot(hermitian(root.mat, tols.herm_tol).mat))
+        for block in (compression, u):
+            block.mat.setflags(write=False)
+    else:  # made from the monomial's nonzeros: V* on the kept range, U = V* R
+        compression = dec.block.adjoint()[kept]
+        basis_block = compression.adjoint()
+        u = root.then(compression)
+    d = compression.shape[0]
 
     if numerator is None:
-        a = hermitian(np.zeros((d, d)), tols.herm_tol)
+        a = HermitianMatrix.diag(np.zeros(d))
         weights = Block.diag(np.broadcast_to(np.ones(d), (horizon, d)))
         lam_a_min = welldef = form_norm = 0.0
     else:
-        r, r_inv = Block(root), Block(inv_root)
-        a_full = r_inv.then(numerator.block.then(r_inv))
-        welldef = max_abs(numerator.mat - r.then(a_full.then(r)).mat)
+        a_full = inv_root.then(numerator.block.then(inv_root))
+        welldef = max_difference(numerator.block, root.then(a_full.then(root)))
         form_norm = numerator.norm_max()
         limit = tols.welldef_tol * (1.0 + form_norm)
         if welldef > limit:
@@ -255,15 +268,15 @@ def _construct(
                 f"{what}: form does not vanish on the metric kernel "
                 f"(residual {welldef:.3e}, allowed {limit:.3e})"
             )
-        a_mat = basis_block.congruence(a_full.mat)
-        a, a_dec = _clamp_nonpositive(hermitian(a_mat, tols.herm_tol), tols, what)
+        a_diag = a_full.as_diagonal()
+        if a_diag is not None and basis_block.mono is not None:
+            a = HermitianMatrix.diag(basis_block.congruence_diagonal(a_diag))
+        else:
+            a = hermitian(basis_block.congruence(a_full.mat), tols.herm_tol)
+        a, a_dec = _clamp_nonpositive(a, tols, what)
         weights = build_weights(a, m, horizon, tols, dec=a_dec)
         lam_a_min = float(a_dec.values[0]) if d else 0.0
 
-    compression = Block(basis.conj().T)
-    u = Block(compression.dot(hermitian(root, tols.herm_tol).mat))
-    for block in (compression, u):
-        block.mat.setflags(write=False)
     model = DilationModel(
         m=m,
         path=path,
@@ -298,7 +311,10 @@ def _clamp_nonpositive(
         )
     values = np.minimum(dec.values, 0.0)
     values.setflags(write=False)
-    clamped = hermitian(dec.block.outer(values), tols.herm_tol)
+    if dec.block.mono is None:
+        clamped = hermitian(dec.block.outer(values), tols.herm_tol)
+    else:
+        clamped = HermitianMatrix.diag(dec.block.outer_diagonal(values))
     return clamped, dataclasses.replace(dec, values=values)
 
 
@@ -389,7 +405,11 @@ def build_three_concave_model(
         raise NotNegativeError(
             f"operator is not 3-concave on the window (max eig {-sign.min_eig:.3e})"
         )
-    numerator = hermitian(t.congruence(forms.full(3).mat)[:w, :w], tols.herm_tol)
+    beta_3 = forms.full(3)
+    if beta_3.diagonal is not None and t.block.mono is not None:
+        numerator = HermitianMatrix.diag(t.block.congruence_diagonal(beta_3.diagonal)[:w])
+    else:
+        numerator = hermitian(t.congruence(beta_3.mat)[:w, :w], tols.herm_tol)
     return _construct(
         forms, m, "three_concave", w, forms.on(2, w), numerator, n_blocks,
         "3-concave construction", dec=forms.decomposition(2, w),
@@ -412,7 +432,7 @@ def build_badea_2iso(
     m = 2
     w = min(forms.corner.window_after(m), q.q.n)
     defect_1 = forms.on(1, w)
-    gap = hermitian(q.q.restrict(w).mat - defect_1.mat, forms.tols.herm_tol)
+    gap = hermitian_difference(q.q.restrict(w), defect_1, forms.tols.herm_tol)
     return _construct(
         forms, m, "badea_2iso", w, gap, None, n_blocks,
         "metric minus 1-defect", range_scale=1.0 + q.q.norm_max() + defect_1.norm_max(),

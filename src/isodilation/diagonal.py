@@ -4,14 +4,18 @@ For a scalar shift every object in the construction is diagonal in the
 standard basis: the defect forms, the invariant metric, the representer A,
 B, U, and all weights.  This module computes those diagonals straight from
 the weight rule (no eigendecompositions).  The metric diagonal is shared
-with the dense path, not derived again: on the general path the pipeline
+with the construction, not derived again: on the general path the pipeline
 solves the reported metric (its `q0` and `q_seq`) from the
 (m-1)-defect diagonal of `operators.defect_diagonal`, and
 `build_diagonal_model` receives that same `q_seq`.  Only
 `verifier.verify_run` builds the reference, for every shift run, from the
 model it checks, whose rule, order, path and window it reads, and the
 `diagonal_dense_agreement` check cross-checks A, B, U and the weights of
-the dense path against it.
+the construction against it in window coordinates, through the model's
+map of H onto H' (`compression`).  On a shift that map is a real
+monomial, so an operator on H' is compared as the diagonal its column map
+writes and U as a monomial, O(N) work each; a block stored dense is
+conjugated back into window coordinates densely.
 """
 
 import math
@@ -21,7 +25,7 @@ import numpy as np
 
 from .builder import LEADING_WEIGHTS, AssembledDilation, DilationModel
 from .errors import NotNegativeError, NotPsdError
-from .hermitian import max_abs
+from .hermitian import Block, max_difference
 from .operators import defect_diagonal
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -98,35 +102,44 @@ def build_diagonal_model(
     )
 
 
-def embed_support_diagonal(window: int, support: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Window-sized diagonal matrix with the given values on the support."""
-    out = np.zeros((window, window), dtype=np.complex128)
-    out[support, support] = values
-    return out
-
-
 def dense_agreement_residual(dilation: AssembledDilation, diag: DiagonalModel) -> float:
     """Max-norm disagreement between the dense path and the diagonal path.
 
     The dense side is the model of the dilation and the members S_1 ..
     S_max(LEADING_WEIGHTS, m-1) of the weight stack it stores, each read
-    alone.  All compressed H'-operators are conjugated back into window
-    coordinates before comparison, so the two paths are compared
-    basis-free.
+    alone.  Each is compared in window coordinates, where the diagonal
+    path's values sit on its support: an operator X on H' as C* X C and U
+    as C* U, C the model's `compression`.  When C is a real monomial (on a
+    shift), C* X C of a diagonal X is the diagonal C's column map writes,
+    and C* U a monomial, so the two paths are compared on their nonzeros;
+    any other block is conjugated densely.
     """
     model, weights = dilation.model, dilation.weights
     w = model.dim_h
     if w != diag.window:
         raise ValueError(f"window mismatch: dense {w}, diagonal {diag.window}")
-    embed = model.compression.congruence
-    residual = max_abs(embed(model.a.mat) - embed_support_diagonal(w, diag.support, diag.a_diag))
+    compression = model.compression
+
+    def embed(x: Block) -> Block:
+        x_diag = x.as_diagonal()
+        if compression.mono is None or x_diag is None:
+            return Block.dense(compression.congruence(x.mat))
+        return Block.diag(compression.congruence_diagonal(x_diag))
+
+    def on_support(values: np.ndarray) -> Block:
+        out = np.zeros(w)
+        out[diag.support] = values
+        return Block.diag(out)
+
+    residual = max_difference(embed(model.a.block), on_support(diag.a_diag))
     # U compared as P * metric_root in window coordinates
-    u_window = model.compression.adjoint_dot(model.u.mat)
-    u_diag_mat = embed_support_diagonal(w, diag.support, diag.u_diag)
-    residual = max(residual, max_abs(u_window - u_diag_mat))
+    if compression.mono is None or model.u.mono is None:
+        u_window = Block.dense(compression.adjoint_dot(model.u.mat))
+    else:
+        u_window = model.u.then(compression.adjoint())
+    residual = max(residual, max_difference(u_window, on_support(diag.u_diag)))
     # B is the weight S_(m-1) on both paths, compared with the others
     for n in sorted({*range(1, LEADING_WEIGHTS + 1), model.m - 1}):
-        dense_s = embed(weights[n - 1].mat)
-        diag_s = embed_support_diagonal(w, diag.support, diag.weight_diags[n - 1])
-        residual = max(residual, max_abs(dense_s - diag_s))
+        s_n = embed(weights[n - 1])
+        residual = max(residual, max_difference(s_n, on_support(diag.weight_diags[n - 1])))
     return residual

@@ -19,23 +19,36 @@ what keeps every result bit for bit that of the one-matrix loop (see
 `_apply_rotations`).
 
 Every product with a structured matrix goes through one type, `Block`:
-the one reader `real_monomial` reads a block's structure off its stored
-nonzeros, a real monomial block (a diagonal or a permutation is one)
-multiplies by slices or gathers of its nonzeros, and every other block
-takes `dense_product`.  Each entry of the dense product of a monomial is
-one exact term plus exact zeros, so the structured products give its bits
-without its n^3 work.  An eigenbasis is one such block
-(`EigenDecomposition.block`): an input whose off-diagonal entries already
-lie below the stopping threshold (a diagonal one, say) takes zero sweeps,
-its sorted basis is a permutation matrix, and its residuals and every
-function of it (`Block.outer`) are then writes onto the diagonal.
+a block made with its structure (`Block.monomial`, `Block.diag`) keeps it,
+the one reader `real_monomial` reads the structure of any other block off
+its stored nonzeros, a real monomial block (a diagonal or a permutation is
+one) multiplies by slices or gathers of its nonzeros, and every other
+block takes `dense_product`.  `congruence_diagonal` is M* diag(g) M of a
+monomial on diagonals, and `max_difference` the max-norm of a difference
+of two blocks, read off the nonzeros of monomials.  Each entry of the
+dense product of a monomial is one exact term plus exact zeros, so the
+structured products give its bits without its n^3 work.  An eigenbasis is
+one such block (`EigenDecomposition.block`): an input whose off-diagonal
+entries already lie below the stopping threshold (a diagonal one, say)
+takes zero sweeps, its sorted basis is a permutation matrix, and its
+residuals and every function of it (`Block.outer`) are then writes onto
+the diagonal.
 
-A `HermitianMatrix` may be a stack (k, n, n), such as a dilation's weights
-over a basis that is not monomial: `hermitian()` checks each member against
-its own threshold, its `block` reads the structure of the whole stack once,
-and `eigh` refuses it.  A stack of diagonal matrices, such as the weights
-over a monomial basis, stays a `Block` of its (k, n) diagonals from where
-it is made: `hermitian_diagonal` runs the same checks on them.
+A `HermitianMatrix` is dense, checked and symmetrized by `hermitian()`,
+or a real diagonal held as its (n,) values (`HermitianMatrix.diag`), which
+is exactly Hermitian: on a shift every defect form, the metric and the
+representer are made as diagonals (and `psd_root` returns the roots as
+`Block.diag`s), their `block` is `Block.diag`, and their dense `mat` is
+made only if read.  `eigh_stack` takes a diagonal member without a Jacobi
+buffer: its decomposition has the bits of the same matrix stored dense
+(the stable-sorted values, the permutation basis as a monomial, both
+residuals 0.0).  A dense `HermitianMatrix` may be a
+stack (k, n, n), such as a dilation's weights over a basis that is not
+monomial: `hermitian()` checks each member against its own threshold, its
+`block` reads the structure of the whole stack once, and `eigh` refuses
+it.  A stack of diagonal matrices, such as the weights over a monomial
+basis, stays a `Block` of its (k, n) diagonals from where it is made:
+`hermitian_diagonal` runs the same checks on them.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -76,29 +89,54 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
 class HermitianMatrix:
     """A square complex matrix stored in symmetrized form (X + X*)/2, or a
-    stack (k, n, n) of them.
+    stack (k, n, n) of them; or a real diagonal, stored as its (n,) values.
+
+    A real diagonal is exactly Hermitian, so `diag` takes its values as
+    they are; its `mat` is made only when read, and is read-only.  Every
+    reader below reads the values of a diagonal, never its `mat`.
     """
 
-    mat: np.ndarray
+    def __init__(self, mat: np.ndarray):
+        self.mat = mat
+        self.diagonal = None
+
+    @classmethod
+    def diag(cls, vals) -> "HermitianMatrix":
+        """The real diagonal matrix with diagonal `vals` (n,); its entries
+        must be finite (ValueError), as `hermitian` asks of a dense one."""
+        vals = np.array(vals, dtype=np.float64)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("matrix entries must be finite")
+        x = cls.__new__(cls)
+        x.diagonal = _frozen(vals)
+        return x
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        """The read-only dense form of a diagonal, made only when read."""
+        return self.block.mat
 
     @property
     def n(self) -> int:
-        return self.mat.shape[-1]
+        return (self.mat if self.diagonal is None else self.diagonal).shape[-1]
 
     def norm_max(self) -> float:
-        return max_abs(self.mat)
+        return max_abs(self.mat if self.diagonal is None else self.diagonal)
 
     def restrict(self, k: int) -> "HermitianMatrix":
         """Leading principal k-by-k block (still Hermitian), of each member."""
         if not 0 <= k <= self.n:
             raise ValueError(f"cannot restrict dimension {self.n} to {k}")
+        if self.diagonal is not None:
+            return HermitianMatrix.diag(self.diagonal[:k])
         return HermitianMatrix(_frozen(self.mat[..., :k, :k].copy()))
 
     @cached_property
     def block(self) -> "Block":
+        if self.diagonal is not None:
+            return Block.diag(self.diagonal)
         return Block(self.mat)
 
 
@@ -150,27 +188,44 @@ def hermitian_diagonal(diags, herm_tol: float | None = None) -> "Block":
     return Block.diag(x.real.copy())
 
 
+def hermitian_difference(
+    x: HermitianMatrix, y: HermitianMatrix, herm_tol: float | None = None
+) -> HermitianMatrix:
+    """x - y: the difference of the values when both are diagonals, else
+    `hermitian` of the dense difference."""
+    if x.diagonal is not None and y.diagonal is not None:
+        return HermitianMatrix.diag(x.diagonal - y.diagonal)
+    return hermitian(x.mat - y.mat, herm_tol)
+
+
 def identity(n: int) -> HermitianMatrix:
-    return HermitianMatrix(_frozen(np.eye(n, dtype=np.complex128)))
+    return HermitianMatrix.diag(np.ones(n))
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Spectral decomposition X = V diag(values) V* with ascending values.
 
-    `block` is V as a `Block`: its structure is read off V's stored
-    nonzeros, never assumed, so a permutation basis multiplies as a monomial.
+    `block` is V as a `Block`: the structure of a rotated basis is read off
+    its stored nonzeros, never assumed, so a permutation basis multiplies
+    as a monomial; a diagonal input's permutation basis is made as one
+    (`_diagonal_decomposition`) and keeps no dense basis.
     """
 
     values: np.ndarray          # real, ascending
-    basis: np.ndarray           # unitary, columns are eigenvectors
     recon_residual: float       # ||X - V diag(values) V*||_max
     basis_residual: float       # ||V*V - I||_max
-    block: "Block"              # `Block(basis)`
+    block: "Block"              # V, unitary, columns are eigenvectors
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def basis(self) -> np.ndarray:
+        """V as a dense array: the block's `mat`, made when read on a
+        monomial."""
+        return self.block.mat
 
 
 # Bytes below which each gather of a rotation round stays: a round is
@@ -360,8 +415,10 @@ class Block:
         only when read."""
         cols, vals = self.mono
         out = np.zeros(self.shape, dtype=np.complex128)
-        # an empty row writes its 0 at column 0, which no other row writes
-        np.put_along_axis(out, cols[..., None], vals[..., None], axis=-1)
+        # the rows of a stack end to end; an empty row writes its 0 at
+        # column 0, which no other row writes
+        rows = out.reshape(math.prod(self.shape[:-1]), self.shape[-1])
+        rows[np.arange(rows.shape[0]), cols.reshape(-1)] = vals.reshape(-1)
         return _frozen(out)
 
     def as_diagonal(self) -> np.ndarray | None:
@@ -441,13 +498,36 @@ class Block:
         out[:, cols] = y[:, rows] * vals  # column cols[i] of y M
         return out
 
+    def congruence_diagonal(self, g: np.ndarray) -> np.ndarray:
+        """The diagonal of M* diag(g) M of a monomial M, (v_i g[r_i]) v_i
+        at the column of each nonzero v_i of row r_i, 0 at an empty
+        column: the one term of that entry of `congruence`, whose every
+        other entry is an exact zero."""
+        rows, cols, vals = self._entries
+        out = np.zeros(self.shape[1])
+        out[cols] = (vals * g[rows]) * vals
+        return out
+
+    def adjoint(self) -> "Block":
+        """M* of a monomial M, as a monomial: row c of M* holds v at column
+        r for each nonzero v of M at (r, c)."""
+        cols, vals = self.mono
+        rows = vals.nonzero()[0]
+        out_cols = np.zeros(self.shape[1], dtype=np.intp)
+        out_vals = np.zeros(self.shape[1])
+        out_cols[cols[rows]], out_vals[cols[rows]] = rows, vals[rows]
+        return Block.monomial(self.shape[::-1], out_cols, out_vals)
+
     def then(self, other: "Block") -> "Block":
         """The composition `other` after `self`, other.mat @ self.mat; with
         a refused factor it is dense, and its structure is not read."""
         if self.mono is None or other.mono is None:
             return Block.dense(dense_product(other.mat, self.mat))
         (cols, vals), (o_cols, o_vals) = self.mono, other.mono
-        return Block.monomial((other.shape[0], self.shape[1]), cols[o_cols], o_vals * vals[o_cols])
+        shape = (other.shape[0], self.shape[1])
+        if not vals.size:  # no inner dimension: the zero matrix
+            return Block.monomial(shape, np.zeros(shape[0], dtype=np.intp), np.zeros(shape[0]))
+        return Block.monomial(shape, cols[o_cols], o_vals * vals[o_cols])
 
     def outer(self, f: np.ndarray) -> np.ndarray:
         """M diag(f) M* for a square M, associated as M (diag(f) M*) like
@@ -485,6 +565,23 @@ class Block:
         return out
 
 
+def max_difference(a: Block, b: Block, win: int | None = None) -> float:
+    """max |a - b| over the leading win-block of two square blocks (the
+    whole of them by default).  When both are monomials it is read off
+    their column maps and values: a row's entries differ by |a_i - b_i|
+    where both sit in one column, and by each value alone where they do
+    not, the values in columns past the window read as 0."""
+    win = a.shape[-1] if win is None else win
+    if a.mono is None or b.mono is None:
+        return max_abs(a.mat[:win, :win] - b.mat[:win, :win])
+    (a_cols, a_vals), (b_cols, b_vals) = a.mono, b.mono
+    a_cols, b_cols = a_cols[:win], b_cols[:win]
+    a_vals = np.where(a_cols < win, a_vals[:win], 0.0)
+    b_vals = np.where(b_cols < win, b_vals[:win], 0.0)
+    apart = np.maximum(np.abs(a_vals), np.abs(b_vals))
+    return float(np.max(np.where(a_cols == b_cols, np.abs(a_vals - b_vals), apart), initial=0.0))
+
+
 def _sorted_decomposition(
     x: HermitianMatrix, a: np.ndarray, v: np.ndarray, tol: float, scale: float
 ) -> EigenDecomposition:
@@ -507,7 +604,20 @@ def _sorted_decomposition(
             f"eigendecomposition residuals out of tolerance "
             f"(reconstruction {recon_residual:.3e}, unitarity {basis_residual:.3e})"
         )
-    return EigenDecomposition(_frozen(values), v, recon_residual, basis_residual, block)
+    return EigenDecomposition(_frozen(values), recon_residual, basis_residual, block)
+
+
+def _diagonal_decomposition(x: HermitianMatrix) -> EigenDecomposition:
+    """The decomposition of a diagonal, with the bits `_jacobi` gives the
+    same matrix stored dense: zero sweeps, the stable-sorted values, the
+    permutation basis V = I[:, order] as a monomial (row order[j] holds its
+    1 in column j), and both residuals 0.0, each entry of V diag(values) V*
+    and of V*V being the one exact term it rounds."""
+    order = np.argsort(x.diagonal, kind="stable")
+    cols = np.empty(x.n, dtype=np.intp)
+    cols[order] = np.arange(x.n)
+    block = Block.monomial((x.n, x.n), cols, np.ones(x.n))
+    return EigenDecomposition(_frozen(x.diagonal[order]), 0.0, 0.0, block)
 
 
 def _jacobi(xs: tuple, tol: float, max_sweeps: int) -> list:
@@ -607,8 +717,10 @@ def eigh_stack(
 ) -> tuple[EigenDecomposition, ...]:
     """Cyclic Jacobi eigendecompositions of same-size Hermitian matrices.
 
-    Sweeps rotate away off-diagonal entries round by round until the largest
-    one falls below the stopping threshold.  The members are swept together,
+    A diagonal member (`HermitianMatrix.diag`) takes no sweep and no buffer
+    (`_diagonal_decomposition`).  The others' sweeps rotate away
+    off-diagonal entries round by round until the largest one falls below
+    the stopping threshold.  The members are swept together,
     each round one set of array operations for the whole stack, but each
     keeps its own thresholds and rotates only its own live pairs, and a
     member leaves the stack once it has converged: every result has the bits
@@ -620,18 +732,23 @@ def eigh_stack(
     """
     tol = DEFAULT_TOLERANCES.eig_tol if eig_tol is None else eig_tol
     xs = tuple(xs)
-    if any(x.mat.ndim != 2 for x in xs):
+    if any(x.diagonal is None and x.mat.ndim != 2 for x in xs):
         raise ValueError("eigh takes single matrices, not a stacked HermitianMatrix")
     sizes = {x.n for x in xs}
     if len(sizes) > 1:
         raise ValueError(f"a stack needs matrices of one size, got sizes {sorted(sizes)}")
     if not xs:
         return ()
-    n = xs[0].n
-    if n == 0:
+    if xs[0].n == 0:
         empty = _frozen(np.zeros((0, 0), dtype=np.complex128))
-        return tuple(EigenDecomposition(np.zeros(0), empty, 0.0, 0.0, Block(empty)) for _ in xs)
-    return tuple(_jacobi(xs, tol, max_sweeps))
+        return tuple(EigenDecomposition(np.zeros(0), 0.0, 0.0, Block(empty)) for _ in xs)
+    # a diagonal member needs no sweep and no buffer
+    decs = [None if x.diagonal is None else _diagonal_decomposition(x) for x in xs]
+    swept = [i for i, dec in enumerate(decs) if dec is None]
+    if swept:
+        for i, dec in zip(swept, _jacobi(tuple(xs[i] for i in swept), tol, max_sweeps)):
+            decs[i] = dec
+    return tuple(decs)
 
 
 class PsdCheck(NamedTuple):
@@ -668,7 +785,7 @@ def psd_root(
     range_scale: float = 0.0,
     *,
     what: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, "Block", "Block"]:
     """The principal and pseudo-inverse square roots of a nonnegative X.
 
     X must pass `psd_check` with tols.psd_tol, or NotPsdError names `what`;
@@ -678,7 +795,8 @@ def psd_root(
     at that scale, and would otherwise promote noise to range directions
     when it vanishes.  `dec` is the spectral decomposition of x.  Returns
     the kept mask, R = X^(1/2) and R+, the inverse root on the range and 0
-    on its complement, both as `dec.block.outer` arrays.
+    on its complement, both as `Block`s: the diagonals `outer_diagonal`
+    writes when V is a monomial, the `outer` arrays otherwise.
     """
     check = psd_check(x, tols.psd_tol, dec=dec)
     if not check.is_psd:
@@ -687,4 +805,7 @@ def psd_root(
     lam_max = float(lam[-1]) if x.n else 0.0
     kept = lam > tols.rank_tol * max(lam_max, range_scale)
     inv_vals = np.where(kept, 1.0 / np.sqrt(np.where(kept, lam, 1.0)), 0.0)
-    return kept, dec.block.outer(np.sqrt(lam)), dec.block.outer(inv_vals)
+    if dec.block.mono is None:
+        return kept, Block(dec.block.outer(np.sqrt(lam))), Block(dec.block.outer(inv_vals))
+    root, inv_root = (dec.block.outer_diagonal(f) for f in (np.sqrt(lam), inv_vals))
+    return kept, Block.diag(root), Block.diag(inv_root)

@@ -5,7 +5,10 @@ and exactness metadata.  Products of corners and the defect forms are only
 trustworthy on a leading sub-block; `OperatorCorner.window_after` is the one
 rule for its size, N - (operators applied) * (total bandwidth), which
 replaces closure arguments about the infinite objects by exact finite
-accounting.  `defect_diagonal` is the defect forms' closed form on a shift.
+accounting.  On a real monomial corner (every shift's) the defect forms
+are made as diagonals (`HermitianMatrix.diag`), one recursion step per
+form on (N,) values; `defect_diagonal` is their closed form from the
+weight rule.
 
 Finite-dimensional inputs (exact=False) are classified globally with no
 window shrink.  Note that a finite-dimensional operator that is both
@@ -238,7 +241,11 @@ def defect_step(
     """beta_k = T* beta_(k-1) T - beta_(k-1), the Agler-Stankus recursion
     (m-Isometric transformations of Hilbert space I, IEOT 1995).  Below
     index N - k * bandwidth, T* beta T reads beta_(k-1) inside its own
-    exact window, so the window rule of `window_after` holds."""
+    exact window, so the window rule of `window_after` holds.  On a real
+    monomial corner (a shift's) a diagonal beta_(k-1) gives a diagonal
+    beta_k, each entry the one term of the dense difference."""
+    if beta.diagonal is not None and t.block.mono is not None:
+        return HermitianMatrix.diag(t.block.congruence_diagonal(beta.diagonal) - beta.diagonal)
     return hermitian(t.congruence(beta.mat) - beta.mat, tols.herm_tol)
 
 

@@ -38,7 +38,7 @@ from .errors import (
     SpecValidationError,
     UnknownDemoError,
 )
-from .hermitian import Block, max_abs
+from .hermitian import Block
 from .operators import (
     Classification,
     DefectForms,
@@ -297,7 +297,7 @@ def _build_report(spec, seed, cls, path, q, assembled, badea_assembled, verifica
     if badea_assembled is not None:
         badea_summary = {
             "dim_hprime": badea_assembled.model.dim_hprime,
-            "u_norm": max_abs(badea_assembled.model.u.mat),
+            "u_norm": badea_assembled.model.u.norm_max(),
         }
     return _report_head(spec) | {
         "seed": seed,

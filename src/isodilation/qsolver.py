@@ -6,7 +6,9 @@ Two finite-presentation regimes are supported:
   q_n = q_0 / (w_1^2 ... w_n^2), and the minimal admissible q_0 is the
   supremum of delta_n * (w_1^2 ... w_n^2).  That product is the forward
   difference Delta^(m-1) a(n) of a_n = ||T^n e_0||^2, nonincreasing by
-  m-concavity, so the supremum is its first entry delta_0;
+  m-concavity, so the supremum is its first entry delta_0.  The metric
+  and the defect are diagonals (`HermitianMatrix.diag`), and so are the
+  Stein residual and the dominance gap they are measured by;
 
 * finite-dimensional operators: an expansive m-concave operator on a
   finite-dimensional space is unitary (see `operators`), so its
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NotPsdError
-from .hermitian import HermitianMatrix, hermitian, max_abs, psd_check
+from .hermitian import Block, HermitianMatrix, hermitian, hermitian_difference, max_abs, psd_check
 from .operators import OperatorCorner
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -45,12 +47,17 @@ class QSolution:
         return float(self.q_seq[0])
 
 
-def stein_residual(t: OperatorCorner, qm: np.ndarray) -> float:
-    """||T*QT - Q||_max of a metric's leading block qm on the exact window
-    one application of T leaves; the solvers and `q_invariance` call it."""
-    tw = t.leading(qm.shape[0])
+def stein_residual(t: OperatorCorner, q: Block) -> float:
+    """||T*QT - Q||_max of a metric's leading block q on the exact window
+    one application of T leaves; the solvers, `q_invariance` and
+    `u_invariance` call it.  A diagonal q on a real monomial corner is
+    differenced as its diagonal: every other entry is an exact zero."""
+    tw = t.leading(q.shape[0])
     win = max(tw.window_after(1), 0)
-    return max_abs((tw.congruence(qm) - qm)[:win, :win])
+    diag = q.as_diagonal()
+    if diag is not None and tw.block.mono is not None:
+        return max_abs((tw.block.congruence_diagonal(diag) - diag)[:win])
+    return max_abs((tw.congruence(q.mat) - q.mat)[:win, :win])
 
 
 def verify_q(
@@ -65,9 +72,9 @@ def verify_q(
     window only; pure measurement, no mutation.
     """
     w = min(q.n, delta.n, t.n)
-    qm = q.mat[:w, :w]
-    stein = stein_residual(t, qm)
-    diff = hermitian(qm - delta.mat[:w, :w], tols.herm_tol)
+    qw = q.restrict(w)
+    stein = stein_residual(t, qw.block)
+    diff = hermitian_difference(qw, delta.restrict(w), tols.herm_tol)
     dominance = psd_check(diff, tols.psd_tol, tols.eig_tol).min_eig
     return stein, dominance
 
@@ -122,8 +129,8 @@ def solve_q_shift_diagonal(
     for n in range(1, w):
         q_seq[n] = q_seq[n - 1] / t.rule.weight_sq(n)
 
-    q_mat = hermitian(np.diag(q_seq).astype(np.complex128), tols.herm_tol)
-    delta_mat = hermitian(np.diag(delta_diag).astype(np.complex128), tols.herm_tol)
+    q_mat = HermitianMatrix.diag(q_seq)
+    delta_mat = HermitianMatrix.diag(delta_diag)
     stein, dominance = verify_q(t, q_mat, delta_mat, tols)
     _check_contract(q_mat, stein, dominance, tols)
     method = "zero" if q_seq[0] == 0.0 else "diagonal_shift"

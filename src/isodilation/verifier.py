@@ -19,6 +19,15 @@ its members, and the cumulative and weight-shift checks read the moduli
 moduli of a monomial stack are diagonal and kept as their (horizon, d)
 diagonals, on which both checks read their differences when A is
 diagonal too; any other stack keeps them dense.
+
+On a shift every object these checks compare is diagonal or monomial, and
+each is compared as such, with the bits of the dense comparison: the
+orbit Grams G_j are (w,) diagonals, `q_invariance` and `u_invariance`
+difference T*QT and Q on diagonals (`stein_residual`), `b_square` compares
+B^2 with the diagonal I - A, and the certificate, `remark_consistency` and
+`dilation_property` read differences off column maps and values
+(`max_difference`).  A dense input, or a stored block corrupted off its
+structure, is compared densely.
 """
 
 import dataclasses
@@ -30,7 +39,15 @@ import numpy as np
 from .builder import AssembledDilation, DilationModel
 from .diagonal import build_diagonal_model, dense_agreement_residual
 from .errors import WindowExhaustedError
-from .hermitian import Block, hermitian, hermitian_diagonal, max_abs
+from .hermitian import (
+    Block,
+    hermitian,
+    hermitian_diagonal,
+    hermitian_difference,
+    identity,
+    max_abs,
+    max_difference,
+)
 from .qsolver import QSolution, stein_residual
 from .tolerances import DEFAULT_SEED, DEFAULT_TOLERANCES, DEFAULT_TRIALS, Tolerances
 
@@ -83,13 +100,16 @@ def _trial_draws(rng: np.random.Generator, count: int, sizes) -> np.ndarray:
     segment per size (n real parts, then n imaginary parts), trial after
     trial.  All of it comes from one `standard_normal` call, split in the
     order of segment-by-segment draws: the Generator's stream is the same,
-    so are the values."""
+    so are the values.  Each part is copied into the float64 view of the
+    output, with no complex temporaries."""
     sizes = list(sizes)
     raw = rng.standard_normal((count, 2 * sum(sizes)))
     out = np.empty((count, sum(sizes)), dtype=np.complex128)
+    parts = out.view(np.float64)  # (re, im) pairs
     at = 0
     for n in sizes:
-        out[:, at : at + n] = raw[:, 2 * at : 2 * at + n] + 1j * raw[:, 2 * at + n : 2 * (at + n)]
+        parts[:, 2 * at : 2 * (at + n) : 2] = raw[:, 2 * at : 2 * at + n]
+        parts[:, 2 * at + 1 : 2 * (at + n) : 2] = raw[:, 2 * at + n : 2 * (at + n)]
         at += n
     return out
 
@@ -135,8 +155,9 @@ def _result(name, residual, tolerance, window) -> CheckResult:
 
 @dataclass(frozen=True)
 class OrbitGrams:
-    """P_1..P_n (`p`, `Block`s) and G_0..G_n (`g`, (w, w) arrays) of a
-    dilation of n blocks; see `orbit_grams`."""
+    """P_1..P_n (`p`) and G_0..G_n (`g`) of a dilation of n blocks, all
+    `Block`s, each G_j kept as its diagonal while it is one; see
+    `orbit_grams`."""
 
     dilation: AssembledDilation
     p: list
@@ -149,13 +170,21 @@ def orbit_grams(dilation: AssembledDilation) -> OrbitGrams:
     in H, W^j h = W^(j-1) (T h) + P_j h with the last term alone in block
     j, so G_j = T* G_(j-1) T + P_j* P_j with G_0 = I, and
     <W^(j+r) h, W^j k> = <G_j T^r h, k>.  G_j is exact on the leading
-    window_after(j) block of the corner."""
+    window_after(j) block of the corner.  While T and the P_j are real
+    monomials (on a shift) every G_j is diagonal and formed on its (w,)
+    diagonal, each entry the one term of the dense sum; once a block is
+    not, the G_j are dense from there on."""
+    t = dilation.t
     prods = [dilation.u]
     for k in range(dilation.n_blocks - 1):
         prods.append(prods[-1].then(dilation.weights[k]))
-    grams = [np.eye(dilation.dim_h, dtype=np.complex128)]
+    grams = [Block.diag(np.ones(dilation.dim_h))]
     for p in prods:
-        grams.append(dilation.t.congruence(grams[-1]) + p.gram())
+        g = grams[-1].as_diagonal()
+        if g is None or t.mono is None or p.mono is None:
+            grams.append(Block.dense(t.congruence(grams[-1].mat) + p.gram()))
+        else:
+            grams.append(Block.diag(t.congruence_diagonal(g) + p.gram_diagonal()))
     return OrbitGrams(dilation, prods, grams)
 
 
@@ -202,8 +231,8 @@ def verify_run(
         scale = 1.0 + q.q.norm_max()
         w = model.dim_h
         rep.add(_result(
-            "q_invariance", stein_residual(model.corner, q.q.mat[:w, :w]), tols.stein_tol * scale,
-            f"Stein residual of the {q.method} metric",
+            "q_invariance", stein_residual(model.corner, q.q.restrict(w).block),
+            tols.stein_tol * scale, f"Stein residual of the {q.method} metric",
         ))
         rep.add(_result(
             "q_dominance", max(0.0, -q.dominance_residual), tols.psd_tol * scale,
@@ -214,20 +243,19 @@ def verify_run(
         tols.welldef_tol * (1.0 + model.defect_m.norm_max()),
         "quotient form vanishes on the metric kernel",
     ))
-    i_minus_a = hermitian(np.eye(model.a.n) - model.a.mat, tols.herm_tol)
+    i_minus_a = hermitian_difference(identity(model.a.n), model.a, tols.herm_tol)
     b = dilation.weights[model.m - 2]
     rep.add(_result(
-        "b_square", max_abs(b.then(b).mat - i_minus_a.mat),
+        "b_square", max_difference(b.then(b), i_minus_a.block),
         tols.sqrt_tol * (1.0 + i_minus_a.norm_max()), "B^2 reconstructs I - A",
     ))
     if model.path == "general_m":
-        gram = model.u.gram()
-        diff = model.corner.congruence(gram) - gram
-        win = model.corner.window_after(1)
+        u = model.u
+        gram = Block.dense(u.gram()) if u.mono is None else Block.diag(u.gram_diagonal())
         rep.add(_result(
-            "u_invariance", max_abs(diff[:win, :win]),
-            tols.stein_tol * (1.0 + max_abs(gram)),
-            f"T* U*U T = U*U on the leading {win}-block",
+            "u_invariance", stein_residual(model.corner, gram),
+            tols.stein_tol * (1.0 + gram.norm_max()),
+            f"T* U*U T = U*U on the leading {model.corner.window_after(1)}-block",
         ))
 
     grams = orbit_grams(dilation)
@@ -283,28 +311,13 @@ def check_dilation_property(
     residual = 0.0
     for n in range(1, n_max + 1):
         cur, tn = cur.then(dilation.t), tn.then(t.block)
-        residual = max(residual, _leading_difference(cur, tn, max(t.window_after(n), 1)))
+        residual = max(residual, max_difference(cur, tn, max(t.window_after(n), 1)))
     return _result(
         "dilation_property",
         residual,
         tols.dilation_tol,
         f"powers 1..{n_max} on the leading {w}-block",
     )
-
-
-def _leading_difference(a: Block, b: Block, win: int) -> float:
-    """max |a - b| over the leading win-block.  When both are monomials it
-    is read off their column maps and values: a row's entries differ by
-    |a_i - b_i| where both sit in one column, and by each value alone where
-    they do not, the values in columns past the window read as 0."""
-    if a.mono is None or b.mono is None:
-        return max_abs(a.mat[:win, :win] - b.mat[:win, :win])
-    (a_cols, a_vals), (b_cols, b_vals) = a.mono, b.mono
-    a_cols, b_cols = a_cols[:win], b_cols[:win]
-    a_vals = np.where(a_cols < win, a_vals[:win], 0.0)
-    b_vals = np.where(b_cols < win, b_vals[:win], 0.0)
-    apart = np.maximum(np.abs(a_vals), np.abs(b_vals))
-    return float(np.max(np.where(a_cols == b_cols, np.abs(a_vals - b_vals), apart)))
 
 
 def check_powers_formula(
@@ -422,7 +435,11 @@ def check_criterion_identity(
     model = grams.dilation.model
     m = model.m
     win = _h_support(model, m)
-    stack = np.stack([grams.g[j][:win, :win] for j in range(m + 1)])
+    diagonals = [g.as_diagonal() for g in grams.g[: m + 1]]
+    if any(g is None for g in diagonals):
+        stack = np.stack([g.mat[:win, :win] for g in grams.g[: m + 1]])
+    else:  # every other entry is an exact zero on each G_j
+        stack = np.stack([g[:win] for g in diagonals])
     return _result(
         "criterion_identity",
         max_abs(np.diff(stack, n=m, axis=0)),
@@ -557,7 +574,10 @@ def check_minimality(grams: OrbitGrams) -> CheckResult:
     total = dilation.dim_total
     norm_sq = 1.0
     for gram in grams.g[1:]:
-        norm_sq = max(norm_sq, float(np.max(gram.diagonal().real)))
+        diagonal = gram.as_diagonal()
+        if diagonal is None:
+            diagonal = gram.mat.diagonal().real
+        norm_sq = max(norm_sq, float(np.max(diagonal)))
     thresh = _MINIMALITY_REL_TOL * float(np.sqrt(norm_sq))
     rank = w + sum(_column_space_rank(p, thresh) for p in grams.p)
     defect = float(total - rank)
@@ -596,7 +616,7 @@ def nonisomorphism_certificate(
     gaps = []
     for j in range(1, model.m):
         win = _h_support(model, j)
-        max_gap = max(max_gap, max_abs(general.g[j][:win, :win] - reference.g[j][:win, :win]))
+        max_gap = max(max_gap, max_difference(general.g[j], reference.g[j], win))
         gaps.append(f"G_{j} - G'_{j} on the leading {win}")
     found = max_gap > ctol
     return CheckResult(
@@ -629,7 +649,7 @@ def remark_consistency(
     horizon = dilation.weights.shape[0]
     if horizon < model.m - 1:
         raise WindowExhaustedError(f"need weight S_{model.m - 1}, horizon is {horizon}")
-    s_norm = max_abs(dilation.weights[model.m - 2].mat - np.eye(model.dim_hprime))
+    s_norm = max_difference(dilation.weights[model.m - 2], Block.identity(model.dim_hprime))
     form_norm = model.remark_form_norm
     s_small = s_norm <= threshold
     form_small = form_norm <= threshold

@@ -281,6 +281,7 @@ def test_criterion_9_kernel_properties():
 
         # the root kernel the construction runs: R, R+ and the kept range
         kept, root, inv_root = psd_root(x, tols, dec, what="criterion 9")
+        root, inv_root = root.mat, inv_root.mat
         sqrt_res = max_abs(root @ root - x.mat)
         ok &= sqrt_res <= tols.sqrt_tol * scale
         worst["sqrt"] = max(worst["sqrt"], sqrt_res / scale)

@@ -20,12 +20,15 @@ from isodilation.hermitian import (
     _rotation_rounds,
     _sorted_decomposition,
     Block,
+    HermitianMatrix,
     eigh,
     eigh_stack,
     hermitian,
     hermitian_diagonal,
+    hermitian_difference,
     identity,
     max_abs,
+    max_difference,
     psd_check,
     psd_root,
     real_monomial,
@@ -169,6 +172,54 @@ class TestHermitianDiagonal:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             hermitian_diagonal(np.array([[1.0, np.inf]]))
+
+
+def _dense_twin(x):
+    """A diagonal `HermitianMatrix` made dense, as `hermitian` makes it."""
+    return hermitian(np.diag(x.diagonal).astype(np.complex128))
+
+
+class TestDiagonalForm:
+    """A real diagonal is stored as its values: every reader reads them,
+    and its dense form is made only when read, with the bits `hermitian`
+    gives the same diagonal."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_readers_match_the_dense_twin(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 9))
+        x = HermitianMatrix.diag(rng.standard_normal(n) * rng.integers(0, 2, n))
+        dense = _dense_twin(x)
+        assert x.n == dense.n == n
+        assert x.norm_max() == dense.norm_max()
+        assert x.block.as_diagonal() is x.diagonal
+        for k in range(n + 1):
+            assert np.array_equal(x.restrict(k).diagonal, dense.restrict(k).mat.diagonal().real)
+        assert "mat" not in vars(x)
+        assert np.array_equal(x.mat, dense.mat)  # the sign of a zero aside
+        assert not x.mat.flags.writeable and not x.diagonal.flags.writeable
+        with pytest.raises(ValueError):
+            x.restrict(n + 1)
+
+    def test_takes_a_copy_and_rejects_non_finite(self):
+        vals = np.array([1.0, -2.0])
+        x = HermitianMatrix.diag(vals)
+        vals[0] = 5.0
+        assert x.diagonal[0] == 1.0 and vals.flags.writeable
+        with pytest.raises(ValueError, match="finite"):
+            HermitianMatrix.diag([1.0, np.nan])
+        with pytest.raises(ValueError, match="finite"):
+            HermitianMatrix.diag([np.inf])
+
+    def test_identity_and_difference(self):
+        x = HermitianMatrix.diag([0.5, -1.0, 2.0])
+        i3 = identity(3)
+        assert np.array_equal(i3.diagonal, np.ones(3)) and "mat" not in vars(i3)
+        diff = hermitian_difference(i3, x)
+        assert np.array_equal(diff.diagonal, [0.5, 2.0, -1.0])
+        dense = hermitian_difference(hermitian(np.eye(3)), x)
+        assert dense.diagonal is None
+        assert np.array_equal(dense.mat, hermitian(np.eye(3) - _dense_twin(x).mat).mat)
 
 
 class TestEigh:
@@ -401,6 +452,26 @@ class TestEighStack:
             assert _same_bits(dec, eigh(x))
         assert eigh_stack([]) == ()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_diagonal_member_matches_its_dense_twin(self, seed):
+        # a stack of a diagonal and a dense member: each result has the
+        # bits of that member decomposed alone, and the diagonal's those
+        # of the same matrix stored dense, with no dense basis kept
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        vals = rng.standard_normal(n)
+        vals[rng.integers(0, n, 2)] = vals[0]  # repeated values sort stably
+        diagonal = HermitianMatrix.diag(vals)
+        dense = random_hermitian(rng, n)
+        for xs in ([diagonal, dense], [dense, diagonal]):
+            decs = eigh_stack(xs)
+            for x, dec in zip(xs, decs):
+                assert _same_bits(dec, eigh(x))
+        dec = eigh_stack([diagonal, dense])[0]
+        assert "mat" not in vars(dec.block) and "mat" not in vars(diagonal)
+        assert _same_bits(dec, eigh(_dense_twin(diagonal)))
+        assert dec.recon_residual == 0.0 and dec.basis_residual == 0.0
+
     def test_mixed_sizes_rejected(self):
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError, match="one size"):
@@ -625,6 +696,51 @@ class TestStructureReaders:
             g = rng.standard_normal((dense.shape[0],) * 2) + 0j
             assert np.array_equal(block.congruence(g), dense.conj().T @ g @ dense)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_congruence_diagonal_matches_congruence(self, seed):
+        # M* diag(g) M of a monomial with empty rows and columns, zero and
+        # negative values: its diagonal has the bits of the dense
+        # congruence's, and every other entry of that is zero
+        rng = np.random.default_rng(seed)
+        r, c = (int(v) for v in rng.integers(1, 9, 2))
+        dense = _monomial(rng, (r, c), int(rng.integers(0, min(r, c) + 1)))
+        block = _as_block(dense)
+        g = rng.standard_normal(r) * rng.integers(0, 2, r)
+        full = block.congruence(np.diag(g).astype(np.complex128))
+        out = block.congruence_diagonal(g)
+        assert out.shape == (c,)
+        assert np.array_equal(out, full.diagonal().real)
+        assert max_abs(full - np.diag(full.diagonal())) == 0.0
+        assert not np.any(full.diagonal().imag)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_adjoint_matches_the_dense_adjoint(self, seed):
+        rng = np.random.default_rng(seed)
+        r, c = (int(v) for v in rng.integers(1, 9, 2))
+        dense = _monomial(rng, (r, c), int(rng.integers(0, min(r, c) + 1)))
+        adjoint = _as_block(dense).adjoint()
+        assert adjoint.shape == (c, r)
+        assert np.array_equal(adjoint.mat, dense.conj().T)
+        x = _complex_gaussian(rng, (r, 3))
+        assert np.array_equal(adjoint.dot(x), dense.conj().T @ x)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_max_difference_matches_the_dense_difference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        a, b = (_monomial(rng, (n, n), int(rng.integers(0, n + 1))) for _ in range(2))
+        for win in range(n + 1):
+            expected = max_abs(a[:win, :win] - b[:win, :win])
+            assert max_difference(_as_block(a), _as_block(b), win) == expected
+            assert max_difference(Block.dense(a), _as_block(b), win) == expected
+        assert max_difference(_as_block(a), _as_block(a)) == 0.0
+
+    def test_composition_through_an_empty_dimension_is_zero(self):
+        empty = Block.monomial((0, 3), np.zeros(0, dtype=np.intp), np.zeros(0))
+        wide = Block.monomial((3, 0), np.zeros(3, dtype=np.intp), np.zeros(3))
+        product = empty.then(wide)
+        assert product.shape == (3, 3) and np.array_equal(product.mat, np.zeros((3, 3)))
+
     @pytest.mark.parametrize(
         "shape,offset", [((6, 6), -1), ((6, 6), 0), ((6, 6), 2), ((7, 4), -1), ((4, 7), 1)]
     )
@@ -763,7 +879,8 @@ class TestStructureReaders:
 def _roots(x, tols=DEFAULT_TOLERANCES, range_scale=0.0):
     """psd_root of x on its own decomposition, with that decomposition."""
     dec = eigh(x, tols.eig_tol)
-    return (*psd_root(x, tols, dec, range_scale, what="square root"), dec)
+    kept, root, inv_root = psd_root(x, tols, dec, range_scale, what="square root")
+    return kept, root.mat, inv_root.mat, dec
 
 
 class TestSqrtPsd:

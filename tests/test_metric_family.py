@@ -67,7 +67,7 @@ def test_first_gram_gap_is_the_metric_gap(family):
     grams = {c: orbit_grams(dilation) for c, (_, dilation) in members.items()}
     for c, c_prime in itertools.combinations(SCALES, 2):
         win = members[c][1].model.corner.window_after(1)
-        delta = grams[c].g[1][:win, :win] - grams[c_prime].g[1][:win, :win]
+        delta = grams[c].g[1].mat[:win, :win] - grams[c_prime].g[1].mat[:win, :win]
         assert max_abs(delta - (c - c_prime) * q0[:win, :win]) <= 1e-14
         worst = max(
             abs(Fraction(float(delta[n, n].real)) - Fraction(c - c_prime) * exact_q[n])

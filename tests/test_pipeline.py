@@ -19,7 +19,13 @@ from isodilation.errors import (
 )
 from isodilation.hermitian import max_abs
 from isodilation.pipeline import DEMOS, classify_spec, demo, demo_spec, emit_report, run_pipeline
-from isodilation.specfile import spec_from_dict
+from isodilation.specfile import parse_spec, spec_from_dict
+from isodilation.verifier import (
+    check_criterion_identity,
+    check_minimality,
+    nonisomorphism_certificate,
+    orbit_grams,
+)
 
 
 _JSON_LEAF_TYPES = {str, int, float, bool, type(None)}
@@ -165,6 +171,36 @@ class TestWeightStackStorage:
         for dil in (result.assembled, result.badea_assembled):
             assert dil.weights.as_diagonal() is not None
             assert "mat" not in vars(dil.weights)
+
+    def test_a_shift_run_never_densifies_its_diagonal_forms(self):
+        # the defect forms, the metric and A are stored as their diagonals
+        # and the run reads none of them dense; nor do the checks that read
+        # the orbit Grams densify one
+        result = run_pipeline(demo_spec("strict-2concave"))
+        forms = [result.forms.full(k) for k in range(1, result.model.m + 1)]
+        for dil in (result.assembled, result.badea_assembled):
+            forms += [dil.model.a, dil.model.defect_m, dil.model.defect_prev]
+        for x in forms + [result.q.q]:
+            assert x.diagonal is not None and "mat" not in vars(x)
+        for dil in (result.assembled, result.badea_assembled):
+            assert "mat" not in vars(dil.model.u) and "mat" not in vars(dil.model.compression)
+        general, reference = orbit_grams(result.assembled), orbit_grams(result.badea_assembled)
+        for check in (
+            check_criterion_identity(general),
+            check_minimality(general),
+            nonisomorphism_certificate(general, reference, expected_found=True),
+        ):
+            assert check.passed
+        for gram in general.g + reference.g:
+            assert gram.as_diagonal() is not None and "mat" not in vars(gram)
+
+    def test_a_dense_input_keeps_dense_forms(self):
+        examples = Path(__file__).resolve().parent.parent / "spec-examples"
+        result = run_pipeline(parse_spec((examples / "dense-3concave.json").read_text()))
+        assert result.path == "three_concave" and result.overall
+        for k in range(1, result.model.m + 1):
+            assert result.forms.full(k).diagonal is None
+        assert orbit_grams(result.assembled).g[-1].mono is None
 
     def test_a_nonnormal_dense_input_keeps_a_dense_stack(self):
         rng = np.random.default_rng(5)

@@ -1,10 +1,10 @@
 """One run computes each defect form once and decomposes each matrix once.
 
-Every `isodilation` module that binds `eigh_stack`, `hermitian` or
-`defect_step` is patched with a recorder, so calls through any namespace
-are counted.  `eigh` is the one-member case of `eigh_stack`, so the
-recorder in `hermitian` sees every matrix that reaches the Jacobi kernel
-through either entry point.
+Every `isodilation` module that binds `eigh_stack`, `hermitian`,
+`hermitian_diagonal` or `defect_step` is patched with a recorder, so calls
+through any namespace are counted.  `eigh` is the one-member case of
+`eigh_stack`, so the recorder in `hermitian` sees every matrix that
+reaches the Jacobi kernel through either entry point.
 """
 
 import dataclasses
@@ -50,10 +50,12 @@ def _modules():
 def calls(monkeypatch):
     """Record (input bytes, eig_tol) per matrix decomposed, the member count
     per kernel call, one entry per defect recursion step and herm_tol per
-    hermitian call."""
+    Hermitian check, of a dense matrix (`hermitian`) or of a stack of
+    diagonals (`hermitian_diagonal`)."""
     real_eigh_stack = importlib.import_module("isodilation.hermitian").eigh_stack
     real_hermitian = importlib.import_module("isodilation.hermitian").hermitian
     real_defect_step = importlib.import_module("isodilation.operators").defect_step
+    real_hermitian_diagonal = importlib.import_module("isodilation.hermitian").hermitian_diagonal
     record = {"eigh": [], "stacks": [], "defect_step": [], "hermitian": []}
 
     def eigh_stack(xs, eig_tol=None, *args, **kwargs):
@@ -66,6 +68,10 @@ def calls(monkeypatch):
         record["hermitian"].append(herm_tol)
         return real_hermitian(x, herm_tol)
 
+    def hermitian_diagonal(diags, herm_tol=None):
+        record["hermitian"].append(herm_tol)
+        return real_hermitian_diagonal(diags, herm_tol)
+
     def defect_step(t, beta, *args, **kwargs):
         record["defect_step"].append(beta.n)
         return real_defect_step(t, beta, *args, **kwargs)
@@ -73,6 +79,7 @@ def calls(monkeypatch):
     fakes = (
         ("eigh_stack", eigh_stack, real_eigh_stack),
         ("hermitian", hermitian, real_hermitian),
+        ("hermitian_diagonal", hermitian_diagonal, real_hermitian_diagonal),
         ("defect_step", defect_step, real_defect_step),
     )
     for mod in _modules():

@@ -20,7 +20,8 @@ from isodilation.builder import (
     build_general_model,
     build_three_concave_model,
 )
-from isodilation.hermitian import Block, hermitian, max_abs
+from isodilation.diagonal import build_diagonal_model, dense_agreement_residual
+from isodilation.hermitian import Block, HermitianMatrix, hermitian, max_abs
 from isodilation.operators import (
     DefectForms,
     WeightRule,
@@ -28,7 +29,7 @@ from isodilation.operators import (
     dense_corner,
     make_shift_corner,
 )
-from isodilation.qsolver import solve_q_shift_diagonal
+from isodilation.qsolver import solve_q_shift_diagonal, stein_residual
 from isodilation.specfile import spec_from_dict
 from isodilation.tolerances import DEFAULT_TOLERANCES, DEFAULT_TRIALS
 from isodilation.verifier import (
@@ -398,7 +399,7 @@ class TestOrbitGrams:
             for k, (p, ref) in enumerate(zip(grams.p, prods), start=1):
                 assert max_abs(p.mat - ref) <= 2 * _gamma(k * big_d) * a**k
             for j, (g, ref) in enumerate(zip(grams.g, dense)):
-                assert max_abs(g - ref) <= 2 * _gamma((2 * j + 2) * big_d) * a ** (2 * j)
+                assert max_abs(g.mat - ref) <= 2 * _gamma((2 * j + 2) * big_d) * a ** (2 * j)
 
 
 def _assert_matches_dense_alternating_sum(dil):
@@ -549,6 +550,92 @@ class TestMonomialWeightStack:
             assert after.mono is not None
             assert np.array_equal(after.mat, mat[k] @ mat[k - 1])
             assert np.array_equal(after.mat, Block.dense(mat[k - 1]).then(Block.dense(mat[k])).mat)
+
+
+def _seeded_shift_run(seed: int):
+    """A general-path dilation of a seeded shift, m = 2 with its reference
+    dilation or m = 3 without, built from its own forms, with its metric."""
+    rng = np.random.default_rng(seed)
+    m = 2 + seed % 2
+    n = int(rng.integers(3 * m + 4, 28))
+    if m == 2:
+        rule = WeightRule.geometric_concave(float(rng.uniform(0.2, 0.8)))
+    else:  # ||T^k e_0||^2 = f(k) / f(0), strictly 3-concave and expansive
+        c = float(rng.uniform(0.25, 0.75))
+        f = [(k + 1) ** 2 - c * math.sqrt(k + 1) for k in range(n + m + 1)]
+        rule = WeightRule.table([math.sqrt(f[k] / f[k - 1]) for k in range(1, len(f))], 1.0)
+    corner = make_shift_corner(rule, n)
+    forms = DefectForms(corner)
+    sol = solve_q_shift_diagonal(corner, defect_diagonal(rule, m - 1, corner.window_after(m)))
+    n_blocks = int(rng.integers(m + 2, 9))
+    general = build_general_model(forms, m, sol, n_blocks)
+    reference = build_badea_2iso(forms, sol, n_blocks) if m == 2 else None
+    return sol, general, reference
+
+
+def _taken_dense(dil):
+    """The dilation with every stored block, the model's A and its map of
+    H onto H' given dense, their structure not read."""
+    model = dataclasses.replace(
+        dil.model,
+        a=hermitian(np.array(dil.model.a.mat)),
+        u=Block.dense(np.array(dil.model.u.mat)),
+        compression=Block.dense(np.array(dil.model.compression.mat)),
+    )
+    return dataclasses.replace(
+        dil, t=Block.dense(np.array(dil.t.mat)), u=model.u,
+        weights=Block.dense(np.array(dil.weights.mat)), model=model,
+    )
+
+
+class TestDiagonalKernelsMatchDenseTwins:
+    """On a shift every orbit Gram, the metric and the agreement check's
+    operators are diagonal and formed on their diagonals; each result has
+    the bits of the same objects given dense."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stein_residual(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 20))
+        corner = make_shift_corner(WeightRule.geometric_concave(float(rng.uniform(0.2, 0.8))), n)
+        for w in (n, int(rng.integers(1, n + 1))):
+            q = HermitianMatrix.diag(rng.uniform(0.0, 2.0, w) * rng.integers(0, 2, w))
+            dense = Block.dense(np.array(q.mat))
+            assert q.block.as_diagonal() is not None
+            assert stein_residual(corner, q.block) == stein_residual(corner, dense)
+            assert stein_residual(corner, q.block) == stein_residual(corner, hermitian(q.mat).block)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_orbit_grams(self, seed):
+        _, general, reference = _seeded_shift_run(seed)
+        for dil in (general, reference):
+            if dil is None:
+                continue
+            grams, dense = orbit_grams(dil), orbit_grams(_taken_dense(dil))
+            for j, (g, g_dense) in enumerate(zip(grams.g, dense.g)):
+                assert g.as_diagonal() is not None and "mat" not in vars(g)
+                assert j == 0 or g_dense.mono is None  # G_0 = I either way
+                assert np.array_equal(g.mat, g_dense.mat)
+            ours, theirs = check_criterion_identity(grams), check_criterion_identity(dense)
+            assert ours.residual == theirs.residual and ours.passed
+            assert check_minimality(grams) == check_minimality(dense)
+        if reference is not None:
+            ours = nonisomorphism_certificate(
+                orbit_grams(general), orbit_grams(reference), expected_found=True
+            )
+            theirs = nonisomorphism_certificate(
+                orbit_grams(_taken_dense(general)), orbit_grams(_taken_dense(reference)),
+                expected_found=True,
+            )
+            assert ours == theirs
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dense_agreement_residual(self, seed):
+        sol, general, _ = _seeded_shift_run(seed)
+        diag = build_diagonal_model(general.model, sol.q_seq)
+        ours = dense_agreement_residual(general, diag)
+        assert ours == dense_agreement_residual(_taken_dense(general), diag)
+        assert ours <= DEFAULT_TOLERANCES.agreement_tol
 
 
 def _max_column_norm(cols):
@@ -846,7 +933,7 @@ class TestCertificate:
         r = demos.run(name)
         general, reference = r.assembled, r.badea_assembled
         win = general.model.corner.window_after(1)
-        delta_1 = _grams(general).g[1] - _grams(reference).g[1]
+        delta_1 = _grams(general).g[1].mat - _grams(reference).g[1].mat
         beta_1 = general.model.defect_prev.mat
         bound = _delta_1_bound(general, reference, r.q.q)
         assert max_abs(delta_1[:win, :win] - beta_1[:win, :win]) <= bound
