@@ -5,10 +5,13 @@ and exactness metadata.  Products of corners and the defect forms are only
 trustworthy on a leading sub-block; `OperatorCorner.window_after` is the one
 rule for its size, N - (operators applied) * (total bandwidth), which
 replaces closure arguments about the infinite objects by exact finite
-accounting.  On a real monomial corner (every shift's) the defect forms
-are made as diagonals (`HermitianMatrix.diag`), one recursion step per
-form on (N,) values; `defect_diagonal` is their closed form from the
-weight rule.
+accounting.  A shift corner is made as the real monomial of its weights,
+O(N) storage with no N-by-N array and no structure read back; its leading
+blocks are cut from the same (cols, vals).  On a real monomial corner
+(every shift's) the defect forms are made as diagonals
+(`HermitianMatrix.diag`), one recursion step per form on (N,) values;
+`defect_diagonal` is their closed form from the weight rule.  A dense
+input keeps its dense matrix.
 
 Finite-dimensional inputs (exact=False) are classified globally with no
 window shrink.  Note that a finite-dimensional operator that is both
@@ -115,34 +118,46 @@ class WeightRule:
 class OperatorCorner:
     """N-by-N corner of a banded operator, with exactness metadata.
 
-    exact=True means the matrix is the literal upper-left corner of a
+    exact=True means the block is the literal upper-left corner of a
     declared infinite operator; exact=False means a free-standing
     finite-dimensional operator (no window shrink applies).
 
-    Every product with the corner, `dot` (T x), `adjoint_dot` (T* x) and
-    `congruence` (T* g T), is one of its `block`: on a weighted-shift
-    corner a scaled, shifted slice, O(N) work per column instead of
-    O(N^2), with the dense product's values.
+    The corner is stored as its `block`.  A shift corner is made as the
+    real monomial of its weights (`make_shift_corner`), so no structure is
+    read and no N-by-N array is made unless `matrix` is read; a dense
+    matrix given in its place is taken as `Block(matrix)`, read-only, and
+    keeps dense storage.  Every product with the corner, `dot` (T x),
+    `adjoint_dot` (T* x) and `congruence` (T* g T), is one of its `block`:
+    on a weighted-shift corner a scaled, shifted slice, O(N) work per
+    column instead of O(N^2), with the dense product's values.
     """
 
-    matrix: np.ndarray
+    block: Block
     lower_band: int
     upper_band: int
     exact: bool
     rule: WeightRule | None = None
 
     def __post_init__(self):
-        mat = self.matrix
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"corner must be square, got shape {mat.shape}")
-        rows, cols = np.nonzero(mat)
+        dense = isinstance(self.block, np.ndarray)
+        if dense:
+            object.__setattr__(self, "block", Block(self.block))
+        shape = self.block.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"corner must be square, got shape {shape}")
+        mono = None if dense else self.block.mono
+        if mono is None:
+            rows, cols = np.nonzero(self.block.mat)
+        else:  # the one nonzero of each nonempty row, O(N)
+            rows = mono[1].nonzero()[0]
+            cols = mono[0][rows]
         outside = (rows - cols > self.lower_band) | (cols - rows > self.upper_band)
         if np.any(outside):
             i, j = int(rows[outside][0]), int(cols[outside][0])
-            raise ValueError(
-                f"entry ({i},{j}) = {mat[i, j]} lies outside the declared band"
-            )
-        mat.setflags(write=False)
+            value = self.block.mat[i, j] if mono is None else complex(mono[1][i])
+            raise ValueError(f"entry ({i},{j}) = {value} lies outside the declared band")
+        if dense:
+            self.block.mat.setflags(write=False)
 
     @classmethod
     def spanning(cls, mat: np.ndarray) -> "OperatorCorner":
@@ -155,8 +170,14 @@ class OperatorCorner:
         return cls(mat, max(lower, 0), max(upper, 0), False, None)
 
     @property
+    def matrix(self) -> np.ndarray:
+        """The read-only dense corner: a dense input as given, a monomial
+        one made only when read (for tests, oracles and the dense path)."""
+        return self.block.mat
+
+    @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.block.shape[0]
 
     @property
     def bandwidth(self) -> int:
@@ -166,20 +187,25 @@ class OperatorCorner:
         """Leading k-by-k block; still the exact corner of the same operator.
 
         One per k, made on first use: the metric check and the models of
-        one window share it and the structure its `block` reads.  The
-        leading n-block is the corner itself.
+        one window share it.  A monomial corner's is cut from its (cols,
+        vals), a nonzero in a column past k written as an empty row; any
+        other corner's is a copy of the dense block.  The leading n-block
+        is the corner itself.
         """
         if not 1 <= k <= self.n:
             raise ValueError(f"cannot take leading {k} of dimension {self.n}")
         if k == self.n:
             return self
         if k not in self._leading:
+            mono = self.block.mono
+            if mono is None:
+                block = self.matrix[:k, :k].copy()
+            else:
+                inside = mono[0][:k] < k
+                cols, vals = np.where(inside, mono[0][:k], 0), np.where(inside, mono[1][:k], 0.0)
+                block = Block.monomial((k, k), cols, vals)
             self._leading[k] = OperatorCorner(
-                self.matrix[:k, :k].copy(),
-                self.lower_band,
-                self.upper_band,
-                self.exact,
-                self.rule,
+                block, self.lower_band, self.upper_band, self.exact, self.rule
             )
         return self._leading[k]
 
@@ -192,10 +218,6 @@ class OperatorCorner:
         if not self.exact:
             return self.n
         return self.n - applications * self.bandwidth
-
-    @cached_property
-    def block(self) -> Block:
-        return Block(self.matrix)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """T x for a vector or a block of columns."""
@@ -213,15 +235,16 @@ class OperatorCorner:
 def make_shift_corner(rule: WeightRule, n: int) -> OperatorCorner:
     """Exact corner of the unilateral weighted shift generated by a rule.
 
-    The shift maps basis vector e_{j-1} to w_j e_j, so the matrix carries
-    w_1 .. w_{n-1} on the first subdiagonal.
+    The shift maps basis vector e_{j-1} to w_j e_j, so the corner carries
+    w_1 .. w_{n-1} on the first subdiagonal.  It is made as that real
+    monomial: row j holds w_j at column j - 1, and row 0 is empty (column
+    0, value 0), O(n) storage; `matrix` makes the dense corner if read.
     """
     if n < 2:
         raise ValueError(f"shift corner needs N >= 2, got {n}")
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for j in range(1, n):
-        mat[j, j - 1] = rule.weight(j)
-    return OperatorCorner(mat, 1, 0, True, rule)
+    cols = np.maximum(np.arange(n) - 1, 0)
+    vals = np.array([0.0] + [rule.weight(j) for j in range(1, n)])
+    return OperatorCorner(Block.monomial((n, n), cols, vals), 1, 0, True, rule)
 
 
 def dense_corner(entries) -> OperatorCorner:

@@ -95,35 +95,33 @@ def _rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([int(seed), _CHECK_SALTS.get(name, 1)])
 
 
-def _trial_draws(rng: np.random.Generator, count: int, sizes) -> np.ndarray:
-    """A (count, sum(sizes)) array whose row i holds one complex Gaussian
-    segment per size (n real parts, then n imaginary parts), trial after
-    trial.  All of it comes from one `standard_normal` call, split in the
-    order of segment-by-segment draws: the Generator's stream is the same,
-    so are the values.  Each part is copied into the float64 view of the
-    output, with no complex temporaries."""
-    sizes = list(sizes)
-    raw = rng.standard_normal((count, 2 * sum(sizes)))
-    out = np.empty((count, sum(sizes)), dtype=np.complex128)
-    parts = out.view(np.float64)  # (re, im) pairs
-    at = 0
-    for n in sizes:
-        parts[:, 2 * at : 2 * (at + n) : 2] = raw[:, 2 * at : 2 * at + n]
-        parts[:, 2 * at + 1 : 2 * (at + n) : 2] = raw[:, 2 * at + n : 2 * (at + n)]
-        at += n
-    return out
-
-
 def _trial_block(
-    rng: np.random.Generator, size: int, head: int, blocks: int, d: int, at: int
+    rng: np.random.Generator,
+    size: int,
+    head: int,
+    blocks: int,
+    d: int,
+    at: int,
+    trials: int = DEFAULT_TRIALS,
 ) -> np.ndarray:
-    """A (size, DEFAULT_TRIALS) block, one trial per column: complex
-    Gaussian on the leading `head` coordinates and on `blocks` blocks of
-    dimension d laid end to end from coordinate `at`, zero elsewhere."""
-    draws = _trial_draws(rng, DEFAULT_TRIALS, [head] + [d] * blocks)
-    x = np.zeros((size, DEFAULT_TRIALS), dtype=np.complex128)
-    x[:head] = draws[:, :head].T
-    x[at : at + blocks * d] = draws[:, head:].T
+    """A (size, trials) block, one trial per column: complex Gaussian on
+    the leading `head` coordinates and on `blocks` blocks of dimension d
+    laid end to end from coordinate `at`, zero elsewhere.  Trial after
+    trial, each segment takes n real parts, then n imaginary parts, all
+    from one `standard_normal` call split in the order of segment-by-segment
+    draws: the Generator's stream is the same, so are the values.  The
+    parts go straight into the float64 view of the block, the head's and
+    then every block's as one strided copy each of real and imaginary
+    parts, with no complex temporaries."""
+    raw = rng.standard_normal((trials, 2 * (head + blocks * d)))
+    x = np.zeros((size, trials), dtype=np.complex128)
+    parts = x.view(np.float64)  # (re, im) pairs along each row
+    parts[:head, 0::2] = raw[:, :head].T
+    parts[:head, 1::2] = raw[:, head : 2 * head].T
+    segments = raw[:, 2 * head :].reshape(trials, blocks, 2, d)
+    body = parts[at : at + blocks * d].reshape(blocks, d, 2 * trials)
+    body[:, :, 0::2] = segments[:, :, 0].transpose(1, 2, 0)
+    body[:, :, 1::2] = segments[:, :, 1].transpose(1, 2, 0)
     return x
 
 

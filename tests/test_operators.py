@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isodilation.errors import WeightRuleError, WindowExhaustedError
-from isodilation.hermitian import Block, max_abs
+from isodilation.hermitian import Block, max_abs, real_monomial
 from isodilation.operators import (
     DefectForms,
+    OperatorCorner,
     WeightRule,
     classify,
     defect_form,
@@ -66,6 +67,15 @@ class TestWeightRule:
             bad()
 
 
+# one rule of every kind in the catalog
+RULE_EXAMPLES = {
+    "constant": WeightRule.constant(1.3),
+    "dirichlet": WeightRule.dirichlet(),
+    "geometric_concave": WeightRule.geometric_concave(0.5),
+    "table": WeightRule.table([1.2, 0.8, 1.5], 1.1),
+}
+
+
 class TestShiftCorner:
     def test_unweighted(self):
         corner = make_shift_corner(WeightRule.constant(1.0), 3)
@@ -87,21 +97,73 @@ class TestShiftCorner:
             make_shift_corner(WeightRule.dirichlet(), 1)
 
     def test_band_violation_detected(self):
-        from isodilation.operators import OperatorCorner
-
         # diagonal inside a (0, 0) band is fine
         OperatorCorner(np.eye(2, dtype=np.complex128), 0, 0, True)
         with pytest.raises(ValueError):
             OperatorCorner(np.tril(np.ones((3, 3), dtype=np.complex128)), 1, 0, True)
 
+    @staticmethod
+    def _loop_built(rule, n):
+        """The dense corner as it was built before the monomial: a complex
+        zero matrix with w_j written at (j, j - 1)."""
+        mat = np.zeros((n, n), dtype=np.complex128)
+        for j in range(1, n):
+            mat[j, j - 1] = rule.weight(j)
+        return mat
 
-# one rule of every kind in the catalog
-RULE_EXAMPLES = {
-    "constant": WeightRule.constant(1.3),
-    "dirichlet": WeightRule.dirichlet(),
-    "geometric_concave": WeightRule.geometric_concave(0.5),
-    "table": WeightRule.table([1.2, 0.8, 1.5], 1.1),
-}
+    @pytest.mark.parametrize("n", [2, 3, 48])
+    @pytest.mark.parametrize("kind", sorted(RULE_EXAMPLES))
+    def test_monomial_corner_is_the_loop_built_matrix(self, kind, n):
+        rule = RULE_EXAMPLES[kind]
+        corner = make_shift_corner(rule, n)
+        assert "mat" not in vars(corner.block)
+        ref = self._loop_built(rule, n)
+        assert corner.matrix.dtype == ref.dtype and corner.matrix.shape == ref.shape
+        assert np.array_equal(corner.matrix.view(np.uint64), ref.view(np.uint64))
+        # its structure is the one the reader finds in the dense matrix
+        cols, vals = real_monomial(ref)
+        assert np.array_equal(corner.block.mono[0], cols)
+        assert np.array_equal(corner.block.mono[1].view(np.uint64), vals.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", sorted(RULE_EXAMPLES))
+    def test_leading_block_is_the_dense_slice(self, kind):
+        corner = make_shift_corner(RULE_EXAMPLES[kind], 12)
+        ref = self._loop_built(RULE_EXAMPLES[kind], 12)
+        for k in range(1, 13):
+            lead = corner.leading(k)
+            assert lead.n == k and lead.rule is corner.rule
+            assert (lead.lower_band, lead.upper_band, lead.exact) == (1, 0, True)
+            assert np.array_equal(lead.matrix.view(np.uint64), ref[:k, :k].view(np.uint64))
+            assert lead is corner.leading(k)
+        assert corner.leading(12) is corner
+
+    def test_leading_block_drops_entries_past_its_columns(self):
+        # an upper shift's leading block loses the entry in column k of its
+        # last row, which becomes an empty row
+        mono = Block.monomial((4, 4), np.array([1, 2, 3, 0]), np.array([1.5, 2.5, 3.5, 0.0]))
+        corner = OperatorCorner(mono, 0, 1, True)
+        for k in range(1, 5):
+            lead = corner.leading(k)
+            assert np.array_equal(lead.matrix, corner.matrix[:k, :k])
+        assert list(corner.leading(2).block.mono[0]) == [1, 0]
+
+    def test_monomial_band_violation_raises_the_dense_error(self):
+        cols, vals = np.array([0, 0, 0]), np.array([0.0, 1.0, 2.0])
+        dense = Block.monomial((3, 3), cols, vals).mat.copy()
+        with pytest.raises(ValueError) as dense_error:
+            OperatorCorner(dense, 1, 0, True)
+        with pytest.raises(ValueError) as mono_error:
+            OperatorCorner(Block.monomial((3, 3), cols, vals), 1, 0, True)
+        assert str(mono_error.value) == str(dense_error.value)
+        assert str(mono_error.value) == "entry (2,0) = (2+0j) lies outside the declared band"
+        # inside a wider band both are fine
+        OperatorCorner(Block.monomial((3, 3), cols, vals), 2, 0, True)
+
+    def test_matrix_is_read_only(self):
+        corner = make_shift_corner(WeightRule.dirichlet(), 5)
+        for t in (corner, corner.leading(3), dense_corner(np.eye(3))):
+            with pytest.raises(ValueError):
+                t.matrix[1, 0] = 7.0
 
 
 def _complex(rng, shape):

@@ -4,6 +4,7 @@ import ast
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,13 @@ class TestWeightStackStorage:
             assert x.diagonal is not None and "mat" not in vars(x)
         for dil in (result.assembled, result.badea_assembled):
             assert "mat" not in vars(dil.model.u) and "mat" not in vars(dil.model.compression)
+        # the corner is its weights: neither it nor a leading block of it,
+        # those the run made or any other, is ever dense
+        corner = result.corner
+        assert result.model.corner is corner.leading(result.model.dim_h)
+        assert result.badea_model.corner is result.model.corner
+        for k in range(1, corner.n + 1):
+            assert "mat" not in vars(corner.leading(k).block)
         general, reference = orbit_grams(result.assembled), orbit_grams(result.badea_assembled)
         for check in (
             check_criterion_identity(general),
@@ -193,6 +201,26 @@ class TestWeightStackStorage:
             assert check.passed
         for gram in general.g + reference.g:
             assert gram.as_diagonal() is not None and "mat" not in vars(gram)
+
+    def test_a_large_shift_run_holds_no_n_by_n_array(self):
+        # scale guard: every object of a shift run has O(N) nonzeros, so at
+        # N = 4096 the run passes every check while its peak stays under one
+        # complex N x N array (16 N^2 bytes, 268 MB); a dense corner, or a
+        # dense copy of one, exceeds it
+        n = 4096
+        spec = {**DEMOS["strict-2concave"], "truncation": {"N": n, "n_blocks": 6}}
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            result = run_pipeline(spec_from_dict(spec), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert result.overall, [c.name for c in result.verification.checks if not c.passed]
+        assert peak < 16 * n * n, peak
 
     def test_a_dense_input_keeps_dense_forms(self):
         examples = Path(__file__).resolve().parent.parent / "spec-examples"
