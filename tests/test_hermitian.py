@@ -16,7 +16,9 @@ from isodilation.builder import _clamp_nonpositive
 from isodilation.errors import ConvergenceError, HermitianityError, NotPsdError
 from isodilation.hermitian import (
     _STACK_BYTES,
+    _WARM_START,
     _chunks,
+    _orthonormalized,
     _rotation_rounds,
     _sorted_decomposition,
     Block,
@@ -294,21 +296,25 @@ class TestEigh:
         assert np.max(np.abs(dec.values - ref)) <= limit
 
 
-def _one_matrix_jacobi(x, tol=DEFAULT_TOLERANCES.eig_tol, max_sweeps=64):
+def _one_matrix_jacobi(x, tol=DEFAULT_TOLERANCES.eig_tol, max_sweeps=64, start=None):
     """The one-matrix cyclic Jacobi loop that `eigh_stack` generalizes,
     kept as the loop reference: the stacked kernel must reproduce its bits.
-    Returns (values, basis) for n >= 2."""
+    A matrix that must rotate starts its first sweep from `start`, an
+    (iterate, basis) pair, or from (x, I) when it is None.  Returns
+    (values, basis) for n >= 2."""
     n = x.n
     a = np.array(x.mat)
     scale = max_abs(a)
     stop = max(tol * (1.0 + scale) / 4.0, 8.0 * n * np.finfo(float).eps * scale)
     skip = stop / (8.0 * n)
     v = np.eye(n, dtype=np.complex128)
-    for _ in range(max_sweeps):
+    for sweep in range(max_sweeps):
         off = a.copy()
         np.fill_diagonal(off, 0.0)
         if max_abs(off) <= stop:
             break
+        if sweep == 0 and start is not None:
+            a, v = (np.array(part) for part in start)
         for p, q in _rotation_rounds(n):
             apq = a[p, q]
             mags = np.abs(apq)
@@ -336,6 +342,14 @@ def _one_matrix_jacobi(x, tol=DEFAULT_TOLERANCES.eig_tol, max_sweeps=64):
     values = a.diagonal().real.copy()
     order = np.argsort(values, kind="stable")
     return values[order], v[:, order]
+
+
+def _warm_start(x):
+    """The start `eigh` takes for x when it must rotate: the warm start at
+    n >= _WARM_START (None where it falls back to I), else None."""
+    if x.n < _WARM_START:
+        return None
+    return hermitian_module._warm_starts(x.mat[None])[0]
 
 
 def _sweeps_needed(x):
@@ -387,13 +401,18 @@ class TestEighStack:
     @pytest.mark.parametrize("seed, n", [(1, 5), (2, 12), (3, 24), (10, 47), (11, 48)])
     def test_members_keep_the_bits_of_a_lone_decomposition(self, seed, n):
         xs = _mixed_stack(seed, n)
-        # the members leave the stack after different numbers of sweeps
-        assert len({_sweeps_needed(x) for x in xs}) >= 3
+        sweeps = {_sweeps_needed(x) for x in xs}
+        if n < _WARM_START:
+            # the members leave the stack after different numbers of sweeps
+            assert len(sweeps) >= 3
+        else:
+            # the diagonal member takes none, every warm start one
+            assert sweeps == {0, 1}
         stacked = eigh_stack(xs)
         assert len(stacked) == len(xs)
         for x, dec in zip(xs, stacked):
             assert _same_bits(dec, eigh(x))
-            values, basis = _one_matrix_jacobi(x)
+            values, basis = _one_matrix_jacobi(x, start=_warm_start(x))
             assert np.array_equal(dec.values, values)
             assert np.array_equal(dec.basis, basis)
         # a reordered stack gives every member the same bits
@@ -434,7 +453,8 @@ class TestEighStack:
         forms = DefectForms(dense_corner(u @ np.diag(z) @ u.conj().T))
         xs = [forms.on(k) for k in (1, 3, 2)]
         assert len(_chunks(len(xs) * (n // 2), 2 * n)) == 1
-        assert min(_sweeps_needed(x) for x in xs) >= 2
+        # each warm start rotates in its one finishing sweep
+        assert [_sweeps_needed(x) for x in xs] == [1, 1, 1]
         for x, dec in zip(xs, eigh_stack(xs)):
             assert _same_bits(dec, eigh(x))
 
@@ -492,6 +512,151 @@ class TestEighStack:
         with pytest.raises(ConvergenceError) as reversed_stack:
             eigh_stack([second, diagonal, first], max_sweeps=1)
         assert str(reversed_stack.value) == str(other.value)
+
+
+def _unitary(rng, n):
+    q, r = np.linalg.qr(_complex_gaussian(rng, (n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _with_spectrum(rng, values):
+    u = _unitary(rng, len(values))
+    return hermitian(u @ np.diag(values) @ u.conj().T)
+
+
+def _block_diagonal(*blocks):
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n), dtype=np.complex128)
+    at = 0
+    for b in blocks:
+        out[at : at + b.shape[0], at : at + b.shape[0]] = b
+        at += b.shape[0]
+    return hermitian(out)
+
+
+def _warm_case(name, n):
+    """Inputs at n >= _WARM_START that stress the tridiagonal start."""
+    rng = np.random.default_rng(n)
+    if name == "repeated-with-zeros":
+        # the criterion-9 family: n/3 exact zeros, then a value n/3 times
+        third = n // 3
+        return _with_spectrum(rng, np.concatenate(
+            [np.zeros(third), np.full(third, 2.5), rng.uniform(1e-4, 10.0, n - 2 * third)]))
+    if name == "clusters":
+        # groups of four eigenvalues 1e-9 apart
+        return _with_spectrum(rng, np.repeat(rng.uniform(-1.0, 1.0, n // 4 + 1), 4)[:n]
+                              + 1e-9 * np.tile(np.arange(4), n // 4 + 1)[:n])
+    if name == "split":
+        # block diagonal: the tridiagonal form splits where the blocks meet,
+        # and twin blocks repeat every eigenvalue
+        twin = random_hermitian(rng, n // 3).mat
+        return _block_diagonal(twin, random_hermitian(rng, n - 2 * (n // 3)).mat, twin)
+    if name == "zero-first-column":
+        return _block_diagonal(np.array([[1.5]]), random_hermitian(rng, n - 1).mat)
+    if name == "rank-one":
+        u = _complex_gaussian(rng, n)
+        return hermitian(np.outer(u, u.conj()))
+    scale = {"odd": 1.0, "small": 1e-3, "large": 1e3}[name]
+    return random_hermitian(rng, n, scale=scale)
+
+
+class TestWarmStart:
+    """A member of size n >= _WARM_START that must rotate starts its sweeps
+    from the eigenbasis of its tridiagonal form; the sweeps and the
+    residual checks are those of a cold start."""
+
+    @pytest.mark.parametrize(
+        "name, n",
+        [("repeated-with-zeros", 48), ("repeated-with-zeros", _WARM_START), ("clusters", 48),
+         ("split", 48), ("zero-first-column", 48), ("rank-one", 48), ("odd", 33), ("odd", 47),
+         ("small", 48), ("large", 48)],
+    )
+    def test_hard_spectra_start_warm_and_match_the_oracle(self, name, n):
+        x = _warm_case(name, n)
+        assert n >= _WARM_START and _warm_start(x) is not None
+        dec = eigh(x)
+        limit = DEFAULT_TOLERANCES.eig_tol * (1.0 + x.norm_max())
+        assert dec.recon_residual <= limit
+        assert dec.basis_residual <= DEFAULT_TOLERANCES.eig_tol
+        ref = np.linalg.eigvalsh(x.mat)
+        assert np.max(np.abs(dec.values - ref)) <= 1e-11 * (1.0 + x.norm_max())
+        assert _sweeps_needed(x) <= 1
+
+    @pytest.mark.parametrize(
+        "normal", [True, False], ids=["normal-contraction", "non-normal-half-norm"]
+    )
+    def test_defect_forms_take_one_finishing_sweep(self, normal):
+        # the stack `classify` sweeps at dim 48: beta_1, beta_3 and beta_2.
+        # Two off-diagonal checks, one before and one after the finishing
+        # sweep; a fallback to cold sweeps takes six or more
+        rng = np.random.default_rng(21)
+        n = 48
+        if normal:
+            z = rng.uniform(0.1, 0.95, n) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
+            u = _unitary(rng, n)
+            t = u @ np.diag(z) @ u.conj().T
+        else:
+            g = _complex_gaussian(rng, (n, n))
+            t = 0.5 * g / np.linalg.norm(g, 2)
+        forms = DefectForms(dense_corner(t))
+        xs = [forms.on(k) for k in (1, 3, 2)]
+        assert all(x.n == n for x in xs)
+        checks = []
+        check = hermitian_module._off_diagonal_max
+        hermitian_module._off_diagonal_max = lambda a: checks.append(a.shape) or check(a)
+        try:
+            eigh_stack(xs)
+        finally:
+            hermitian_module._off_diagonal_max = check
+        assert len(checks) <= 2
+
+    def test_poor_start_converges_through_the_same_sweeps(self, monkeypatch):
+        # a random unitary start, seeded by the member, is far from an
+        # eigenbasis: the sweeps still converge and the residual checks
+        # pass, members leave the stack after different numbers of sweeps,
+        # and each keeps the bits of its decomposition alone
+        def random_starts(mats):
+            starts = []
+            for x in mats:
+                u = _unitary(np.random.default_rng(int(np.abs(x).sum() * 1e6) % 2**32), x.shape[0])
+                iterate = u.conj().T @ x @ u
+                starts.append(((iterate + iterate.conj().T) / 2.0, u))
+            return starts
+
+        xs = _mixed_stack(13, 40)
+        monkeypatch.setattr(hermitian_module, "_warm_starts", random_starts)
+        sweeps = [_sweeps_needed(x) for x in xs]
+        assert sweeps[0] == 0 and min(sweeps[1:]) >= 2 and len(set(sweeps)) >= 3
+        for x, dec in zip(xs, eigh_stack(xs)):
+            assert _same_bits(dec, eigh(x))
+            assert dec.recon_residual <= DEFAULT_TOLERANCES.eig_tol * (1.0 + x.norm_max())
+            ref = np.linalg.eigvalsh(x.mat)
+            assert np.max(np.abs(dec.values - ref)) <= 1e-11 * (1.0 + x.norm_max())
+            values, basis = _one_matrix_jacobi(x, start=random_starts(x.mat[None])[0])
+            assert np.array_equal(dec.values, values) and np.array_equal(dec.basis, basis)
+
+    def test_start_that_is_not_unitary_falls_back_to_the_cold_bits(self, monkeypatch):
+        # a basis off unitarity by more than 64 n eps is refused: the
+        # member starts from I, with the bits of the cold loop
+        x = random_hermitian(np.random.default_rng(14), 24)
+        monkeypatch.setattr(hermitian_module, "_orthonormalized", lambda z: 1.0001 * z)
+        assert hermitian_module._warm_starts(np.array([x.mat, x.mat])) == [None, None]
+        dec = eigh(x)
+        values, basis = _one_matrix_jacobi(x)
+        assert np.array_equal(dec.values, values) and np.array_equal(dec.basis, basis)
+        assert _sweeps_needed(x) >= 4
+
+    def test_lost_columns_are_replaced(self, rng):
+        # repeated and zero columns lie in the span of those before them
+        n = 20
+        z = rng.standard_normal((n, n))
+        z[:, 5] = z[:, 3]
+        z[:, 9:12] = z[:, 8:9]
+        z[:, 15] = z[:, 0] + 1e-14 * z[:, 1]
+        q = _orthonormalized(z)
+        assert max_abs(q.T @ q - np.eye(n)) <= 64 * n * np.finfo(float).eps
+        # the columns that were not lost keep their directions
+        assert abs(abs(q[:, 0] @ z[:, 0]) - np.sqrt(z[:, 0] @ z[:, 0])) < 1e-12
 
 
 def _dense_apply(basis, fvals):
