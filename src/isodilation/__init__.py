@@ -67,7 +67,7 @@ from .pipeline import (
 )
 from .qsolver import QSolution, solve_q_shift_diagonal, solve_q_unitary, verify_q
 from .specfile import OperatorSpecFile, emit_spec, parse_spec, spec_from_dict
-from .tolerances import DEFAULT_SEED, DEFAULT_TOLERANCES, DEFAULT_TRIALS, Tolerances
+from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .verifier import (
     CheckResult,
     VerificationReport,

@@ -123,13 +123,13 @@ class AssembledDilation:
     Stored as its blocks, the `Block`s of the model and of the weight
     stack, not copies: the corner `t` (w x w), `u` (d x w) and the whole
     weight stack S_1..S_horizon as one (horizon, d, d) `Block`, kept as
-    its (horizon, d) diagonals when `build_weights` made it diagonal.  W
-    applies its leading n_blocks - 1 members; the verifier's weight
-    checks read all of it, member by member or as diagonals.  `apply`
-    acts with the truncated W through the blocks, all slices or gathers
-    on a shift; the dense `matrix` is built only on request.
-    The structure of each stored array is read once, from its own
-    nonzeros, so a corrupted block is multiplied as stored.
+    its (horizon, d) diagonals when `build_weights` made it diagonal.  The
+    subdiagonal of W holds its leading n_blocks - 1 members; the
+    verifier's weight checks read all of it, member by member or as
+    diagonals.  The dense `matrix` is built only on request, as a
+    reference for tests.  The structure of each stored array is read
+    once, from its own nonzeros, so a corrupted block is multiplied as
+    stored.
     """
 
     t: Block
@@ -150,12 +150,6 @@ class AssembledDilation:
     def dim_total(self) -> int:
         return self.dim_h + self.n_blocks * self.dim_hprime
 
-    @cached_property
-    def _applied(self) -> Block:
-        """S_1..S_(n_blocks-1), the members W applies, sliced once so that
-        every `apply` multiplies through one read of their nonzeros."""
-        return self.weights[: self.n_blocks - 1]
-
     def block_slice(self, k: int) -> slice:
         """Coordinate slice of block k (0 is H, 1..n_blocks are H' copies)."""
         if k == 0:
@@ -165,27 +159,6 @@ class AssembledDilation:
         start = self.dim_h + (k - 1) * self.dim_hprime
         return slice(start, start + self.dim_hprime)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """W x for a full vector of the truncation or a block of them as
-        columns.
-
-        T and U act on the H part, block k+1 receives S_k times block k in
-        one batched product, and the last block's content falls off the
-        truncation.
-        """
-        w, d, n = self.dim_h, self.dim_hprime, self.n_blocks
-        cols = x if x.ndim == 2 else x[:, None]
-        count = cols.shape[1]
-        if cols.shape[0] != self.dim_total:
-            raise DimensionError(f"length {cols.shape[0]} is not {self.dim_total}")
-        out = np.empty((self.dim_total, count), dtype=np.complex128)
-        out[:w] = self.t.dot(cols[:w])
-        if d:
-            out[w : w + d] = self.u.dot(cols[:w])
-            tail = cols[w : w + (n - 1) * d].reshape(n - 1, d, count)
-            out[w + d :] = self._applied.dot(tail).reshape((n - 1) * d, count)
-        return out if x.ndim == 2 else out[:, 0]
-
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense truncated block matrix, read-only, built on first use."""
@@ -193,7 +166,7 @@ class AssembledDilation:
         mat[: self.dim_h, : self.dim_h] = self.t.mat
         if self.dim_hprime:
             mat[self.block_slice(1), : self.dim_h] = self.u.mat
-            for j, s in enumerate(self._applied.mat, start=1):
+            for j, s in enumerate(self.weights[: self.n_blocks - 1].mat, start=1):
                 mat[self.block_slice(j + 1), self.block_slice(j)] = s
         mat.setflags(write=False)
         return mat

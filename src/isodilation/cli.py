@@ -1,8 +1,8 @@
 """Command line interface.
 
-    dilate --spec FILE [--out FILE] [--seed N] [--tol NAME=VALUE ...]
+    dilate --spec FILE [--out FILE] [--tol NAME=VALUE ...]
     dilate verify --spec FILE [--out FILE] [--tol NAME=VALUE ...]
-    dilate demo NAME [--out FILE] [--seed N]
+    dilate demo NAME [--out FILE]
     dilate --list-demos
 
 An option may stand anywhere; one the command does not read is an error.
@@ -10,8 +10,10 @@ An option may stand anywhere; one the command does not read is an error.
 Exit codes: 0 all checks passed, 1 some check failed, 2 the operator fails
 the preconditions of every construction path, or a gate of the selected
 path or a kernel cannot meet the run's tolerances (the classification is
-printed once made), 3 usage, parse or validation errors (a seed below 0
-among them), an unreadable spec or an unwritable report file.
+printed once made), 3 usage, parse or validation errors (an unknown
+option or spec key among them, `--seed` and `seed` too: every check is
+exact and no run reads a seed), an unreadable spec or an unwritable
+report file.
 """
 
 import argparse
@@ -29,7 +31,7 @@ EXIT_SPEC_ERROR = 3
 
 
 # options each command does not read: refused, not dropped
-_NOT_READ = {None: (), "verify": ("seed",), "demo": ("spec", "tol")}
+_NOT_READ = {None: (), "verify": (), "demo": ("spec", "tol")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("name", nargs="?", metavar="NAME", help="the demo to run")
     parser.add_argument("--spec", metavar="FILE", help="operator spec file (JSON)")
     parser.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
-    parser.add_argument("--seed", type=int, help="seed for randomized verification vectors (>= 0)")
     parser.add_argument(
         "--tol",
         metavar="NAME=VALUE",
@@ -124,7 +125,7 @@ def main(argv=None) -> int:
             _, admissible, report = classify_spec(spec, overrides)
             code = EXIT_OK if admissible else EXIT_PRECONDITION
         else:
-            result = run_pipeline(spec, overrides, seed=args.seed)
+            result = run_pipeline(spec, overrides)
             report = result.report
             code = EXIT_OK if result.overall else EXIT_CHECK_FAILED
         _write(report, args.out)

@@ -10,8 +10,9 @@ no check itself: `verifier.verify_run` makes every check of the run, the
 norm-gap certificate that compares the two dilations among them, and on a
 shift builds the diagonal reference its cross-check reads.
 
-Reports are plain dicts, byte-stable for a fixed (spec, seed, version)
-apart from the single timestamp in the header.
+Reports are plain dicts, byte-stable for a fixed (spec, version) apart
+from the single timestamp in the header: no check draws a trial, so no
+seed enters a run.
 """
 
 import dataclasses
@@ -49,8 +50,8 @@ from .operators import (
     make_shift_corner,
 )
 from .qsolver import QSolution, solve_q_shift_diagonal, solve_q_unitary
-from .specfile import OperatorSpecFile, check_seed, spec_from_dict
-from .tolerances import DEFAULT_SEED, Tolerances
+from .specfile import OperatorSpecFile, spec_from_dict
+from .tolerances import Tolerances
 from .verifier import VerificationReport, verify_run
 
 DEMOS: dict[str, dict] = {
@@ -103,7 +104,6 @@ class PipelineResult:
 
     spec: OperatorSpecFile
     forms: DefectForms  # the run's context: corner, tolerances, defect forms
-    seed: int
     classification: Classification
     path: str
     q: QSolution | None
@@ -210,17 +210,15 @@ def run_pipeline(
 ) -> PipelineResult:
     """Full pipeline: classify, solve the metric, build, verify.
 
-    The seed is `seed`, else the spec's, else DEFAULT_SEED; a bad seed
-    (`check_seed`) or override raises SpecValidationError.  The
-    classification picks the construction path.  Raises PreconditionError,
-    carrying the classification once it is made, when the classification
-    admits no path, and when it, the metric solve or a construction (the
-    m = 2 reference included) raises an error of `_GATE_ERRORS`: the
-    operator is outside the path at the run's tolerances.
+    `seed` is accepted and ignored: no check draws a trial, and
+    `bench/run.py` still passes it on every run.  A bad tolerance
+    override raises SpecValidationError.  The classification picks the
+    construction path.  Raises PreconditionError, carrying the
+    classification once it is made, when the classification admits no
+    path, and when it, the metric solve or a construction (the m = 2
+    reference included) raises an error of `_GATE_ERRORS`: the operator
+    is outside the path at the run's tolerances.
     """
-    if seed is None:
-        seed = spec.seed if spec.seed is not None else DEFAULT_SEED
-    seed = check_seed(seed)
     forms, cls = _classified(spec, tol_overrides)
     m = spec.m
     n_blocks = spec.n_blocks
@@ -251,12 +249,11 @@ def run_pipeline(
             details=cls.as_dict(),
         ) from exc
 
-    verification = verify_run(assembled, q, badea_assembled, seed, forms.tols)
-    report = _build_report(spec, seed, cls, path, q, assembled, badea_assembled, verification)
+    verification = verify_run(assembled, q, badea_assembled, forms.tols)
+    report = _build_report(spec, cls, path, q, assembled, badea_assembled, verification)
     return PipelineResult(
         spec=spec,
         forms=forms,
-        seed=seed,
         classification=cls,
         path=path,
         q=q,
@@ -267,7 +264,7 @@ def run_pipeline(
     )
 
 
-def _build_report(spec, seed, cls, path, q, assembled, badea_assembled, verification) -> dict:
+def _build_report(spec, cls, path, q, assembled, badea_assembled, verification) -> dict:
     model = assembled.model
     weights_head = [assembled.weights[k].norm_max() for k in range(LEADING_WEIGHTS)]
     model_summary = {
@@ -300,7 +297,6 @@ def _build_report(spec, seed, cls, path, q, assembled, badea_assembled, verifica
             "u_norm": badea_assembled.model.u.norm_max(),
         }
     return _report_head(spec) | {
-        "seed": seed,
         "classification": cls.as_dict(),
         "path": path,
         "q_solution": q_summary,
@@ -323,6 +319,6 @@ def demo_spec(name: str) -> OperatorSpecFile:
     return spec_from_dict(DEMOS[name])
 
 
-def demo(name: str, seed: int | None = None) -> PipelineResult:
+def demo(name: str) -> PipelineResult:
     """Run a pinned spec from the built-in catalog."""
-    return run_pipeline(demo_spec(name), seed=seed)
+    return run_pipeline(demo_spec(name))

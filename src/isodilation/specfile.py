@@ -90,7 +90,6 @@ SPEC_SCHEMA = {
             "properties": {name: {"type": "number", "exclusiveMinimum": 0} for name in _TOLERANCE_FIELDS},
             "additionalProperties": False,
         },
-        "seed": {"type": "integer", "minimum": 0},
     },
     "required": ["operator", "m", "truncation"],
     "additionalProperties": False,
@@ -113,7 +112,6 @@ class OperatorSpecFile:
     entries: tuple | None = None
     n: int | None = None
     tolerance_overrides: tuple = field(default_factory=tuple)  # sorted (name, value)
-    seed: int | None = None
 
     def entries_matrix(self):
         """Dense entries as a nested list of complex numbers."""
@@ -141,8 +139,6 @@ class OperatorSpecFile:
         out["truncation"] = trunc
         if self.tolerance_overrides:
             out["tolerances"] = dict(self.tolerance_overrides)
-        if self.seed is not None:
-            out["seed"] = self.seed
         return out
 
 
@@ -188,8 +184,9 @@ def _beyond_float(value) -> bool:
     return any(_is_type(v, "integer") and abs(v) > sys.float_info.max for v in items)
 
 
-# Python types of the JSON types, an integer from numpy among them (a seed
-# from the API); bool, an int subclass, is neither a number nor an integer.
+# Python types of the JSON types, an integer from numpy among them (in a
+# dict given to `spec_from_dict`); bool, an int subclass, is neither a
+# number nor an integer.
 _TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": numbers.Integral}
 
 
@@ -292,13 +289,6 @@ def _raise_schema_errors(schema_errors: list) -> None:
         raise SpecValidationError("spec failed schema validation", errors)
 
 
-def check_seed(seed) -> int:
-    """A run's seed as an int, checked against `SPEC_SCHEMA`'s `seed`
-    whatever its source: a bad one raises the spec file's error."""
-    _raise_schema_errors(_walk(SPEC_SCHEMA["properties"]["seed"], seed, "$.seed", []))
-    return int(seed)
-
-
 def spec_from_dict(data: dict) -> OperatorSpecFile:
     """Validate a decoded spec dict and build the typed spec."""
     schema_errors = _walk(SPEC_SCHEMA, data, "$", [])
@@ -314,7 +304,6 @@ def spec_from_dict(data: dict) -> OperatorSpecFile:
     trunc = data["truncation"]
     n_blocks = trunc["n_blocks"]
     n = trunc.get("N")
-    seed = data.get("seed")
     overrides = tuple(sorted((data.get("tolerances") or {}).items()))
     try:
         Tolerances().replace(**dict(overrides))
@@ -365,7 +354,6 @@ def spec_from_dict(data: dict) -> OperatorSpecFile:
         entries=entries,
         n=n,
         tolerance_overrides=overrides,
-        seed=seed,
     )
 
 

@@ -50,11 +50,5 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
-#: number of randomized trials per verification check
-DEFAULT_TRIALS = 32
-
-#: default seed for randomized windowed test vectors
-DEFAULT_SEED = 0xD11A710
-
 #: sweep budget for the cyclic Jacobi eigensolver
 DEFAULT_JACOBI_SWEEPS = 64

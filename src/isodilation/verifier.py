@@ -3,22 +3,28 @@
 `verify_run` makes every check of a run, in report order, and each check
 but two reads its verdict off one rule, residual <= tolerance (`_result`).
 All checks are measurements on exact windows: the truncated dilation is not
-globally m-isometric (boundary blocks leak), so each check restricts its
-test vectors to supports whose forward orbit under the required number of
-applications stays inside exact blocks and coordinates.  Randomized test
-vectors are complex Gaussian on the permitted support, deterministic given
-the seed.  Each randomized check carries all its trials as the columns of
-one block, and every inner product it reads is one `np.vdot` per column
-(`_column_dots`), summed as the same dot on a lone vector.
-Minimality, the criterion identity and the non-isomorphism certificate
-read one object per dilation, its orbit Grams (`orbit_grams`), and draw
-no trial.  Every weight check reads the one weight stack the dilation
-stores: `b_square`, `remark_consistency` and the diagonal agreement read
-its members, and the cumulative and weight-shift checks read the moduli
-|S_n ... S_1|^2 that `_cumulative_moduli` forms from it once per run.  The
-moduli of a monomial stack are diagonal and kept as their (horizon, d)
-diagonals, on which both checks read their differences when A is
-diagonal too; any other stack keeps them dense.
+globally m-isometric (boundary blocks leak), so each check reads only the
+coordinates and blocks whose forward orbit under the required number of
+applications stays inside exact blocks and coordinates.  No check draws a
+trial: each is an exact identity on objects the run stores.  W is a block
+lower shift, W(h, x_1, x_2, ...) = (T h, U h, S_1 x_1, S_2 x_2, ...), so
+W^j carries H into H and blocks 1..j and block k into block k + j alone,
+and on the exact window W*^j W^j is block diagonal,
+G_j + sum_k |S_(k+j-1)...S_k|^2.  The m-isometry of W (`w_m_isometry`)
+is the order-m difference of those diagonal blocks, and the closed form
+of the blocks of W^m (`powers_formula`) holds for any stored blocks, so
+that check compares the stored T and U with the model's.
+Minimality, the criterion identity, the m-isometry and the
+non-isomorphism certificate read one object per dilation, its orbit Grams
+(`orbit_grams`).  Every weight check reads the one weight stack the
+dilation stores: `b_square`, `remark_consistency` and the diagonal
+agreement read its members, and the cumulative and weight-shift checks
+read the moduli |S_n ... S_1|^2 that `_cumulative_moduli` forms from it
+once per run; `w_m_isometry` forms the block moduli at each start from its
+slices the same way.  The moduli of a monomial stack are diagonal and kept
+as their (horizon, d) diagonals, on which the checks read their
+differences (when A is diagonal too, for the polynomial); any other stack
+keeps them dense.
 
 On a shift every object these checks compare is diagonal or monomial, and
 each is compared as such, with the bits of the dense comparison: the
@@ -49,7 +55,7 @@ from .hermitian import (
     max_difference,
 )
 from .qsolver import QSolution, stein_residual
-from .tolerances import DEFAULT_SEED, DEFAULT_TOLERANCES, DEFAULT_TRIALS, Tolerances
+from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 # orbit columns count towards the rank above this fraction of the largest
 # orbit-column norm
@@ -83,54 +89,6 @@ class VerificationReport:
     def add(self, check: CheckResult) -> CheckResult:
         self.checks.append(check)
         return check
-
-
-_CHECK_SALTS = {
-    "powers_formula": 11,
-    "w_m_isometry": 13,
-}
-
-
-def _rng(seed: int, name: str) -> np.random.Generator:
-    return np.random.default_rng([int(seed), _CHECK_SALTS.get(name, 1)])
-
-
-def _trial_block(
-    rng: np.random.Generator,
-    size: int,
-    head: int,
-    blocks: int,
-    d: int,
-    at: int,
-    trials: int = DEFAULT_TRIALS,
-) -> np.ndarray:
-    """A (size, trials) block, one trial per column: complex Gaussian on
-    the leading `head` coordinates and on `blocks` blocks of dimension d
-    laid end to end from coordinate `at`, zero elsewhere.  Trial after
-    trial, each segment takes n real parts, then n imaginary parts, all
-    from one `standard_normal` call split in the order of segment-by-segment
-    draws: the Generator's stream is the same, so are the values.  The
-    parts go straight into the float64 view of the block, the head's and
-    then every block's as one strided copy each of real and imaginary
-    parts, with no complex temporaries."""
-    raw = rng.standard_normal((trials, 2 * (head + blocks * d)))
-    x = np.zeros((size, trials), dtype=np.complex128)
-    parts = x.view(np.float64)  # (re, im) pairs along each row
-    parts[:head, 0::2] = raw[:, :head].T
-    parts[:head, 1::2] = raw[:, head : 2 * head].T
-    segments = raw[:, 2 * head :].reshape(trials, blocks, 2, d)
-    body = parts[at : at + blocks * d].reshape(blocks, d, 2 * trials)
-    body[:, :, 0::2] = segments[:, :, 0].transpose(1, 2, 0)
-    body[:, :, 1::2] = segments[:, :, 1].transpose(1, 2, 0)
-    return x
-
-
-def _column_dots(a: np.ndarray) -> np.ndarray:
-    """The squared norm of each column.  One `np.vdot` per column of a
-    contiguous copy: each column sums as the same dot on a lone vector,
-    where one reduction over all columns (`einsum`) sums in another
-    order."""
-    return np.array([np.vdot(x, x).real for x in np.ascontiguousarray(a.T)])
 
 
 def _h_support(model: DilationModel, applications: int) -> int:
@@ -207,7 +165,6 @@ def verify_run(
     dilation: AssembledDilation,
     q: QSolution | None,
     reference: AssembledDilation | None,
-    seed: int,
     tols: Tolerances,
 ) -> VerificationReport:
     """Every check of one run, in report order.
@@ -221,7 +178,8 @@ def verify_run(
     expects a Gram gap exactly when the 1-defect of T exceeds `cert_tol`
     on window_after(1), the window and threshold of the certificate
     itself.  The orbit Grams of each dilation are built once, here, and
-    the cumulative moduli of the main dilation's weight stack.
+    the cumulative moduli of the main dilation's weight stack;
+    `w_m_isometry` forms the block moduli of each dilation's stack.
     """
     model = dilation.model
     rep = VerificationReport()
@@ -261,8 +219,8 @@ def verify_run(
     rep.add(check_cumulative_polynomial(model, cumulative, tols=tols))
     rep.add(check_weight_shift_isometry(cumulative, model.m, tols=tols))
     rep.add(check_dilation_property(dilation, tols=tols))
-    rep.add(check_powers_formula(dilation, seed=seed, tols=tols))
-    rep.add(check_w_m_isometry(dilation, seed=seed, tols=tols))
+    rep.add(check_powers_formula(dilation, tols=tols))
+    rep.add(check_w_m_isometry(grams, tols=tols))
     rep.add(check_criterion_identity(grams, tols=tols))
     rep.add(check_minimality(grams))
     rep.add(remark_consistency(dilation, tols=tols))
@@ -278,7 +236,7 @@ def verify_run(
         reference_grams = orbit_grams(reference)
         for check in (
             check_dilation_property(reference, tols=tols),
-            check_w_m_isometry(reference, seed=seed, tols=tols),
+            check_w_m_isometry(reference_grams, tols=tols),
             check_minimality(reference_grams),
         ):
             rep.add(dataclasses.replace(check, name="badea_" + check.name))
@@ -296,11 +254,11 @@ def check_dilation_property(
 
     By the block structure row 0 of W contains only T, so block 0 of W x
     is T x_0 and (W^n)_00 = T (W^(n-1))_00.  Only block 0 is carried, as
-    the composition of the stored T's block (`t`, as in `apply`)
-    n times: the blocks 1..n of W^n H never enter block 0 of a later
-    power, so dropping them leaves the residual unchanged.  It is
-    rounding-level regardless of truncation (zero when the stored T is the
-    model's T) and is compared on the shrinking exact window of T^n.
+    the composition of the stored T's block (`t`) n times: the blocks
+    1..n of W^n H never enter block 0 of a later power, so dropping them
+    leaves the residual unchanged.  It is rounding-level regardless of
+    truncation (zero when the stored T is the model's T) and is compared
+    on the shrinking exact window of T^n.
     """
     n_max = dilation.n_blocks
     t = dilation.model.corner
@@ -319,102 +277,88 @@ def check_dilation_property(
 
 
 def check_powers_formula(
-    dilation: AssembledDilation,
-    seed: int = DEFAULT_SEED,
-    tols: Tolerances = DEFAULT_TOLERANCES,
+    dilation: AssembledDilation, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> CheckResult:
-    """Closed-form block formula for W^m h against direct multiplication.
+    """Closed-form block formula for W^m: the stored T and U are the model's.
 
     Block k of W^m h is T^m h_0 (k = 0), U T^(m-1) h_0 (k = 1),
     S_(k-1)...S_1 U T^(m-k) h_0 (2 <= k <= m), and S_(k-1)...S_(k-m) h_(k-m)
-    beyond.  Test vectors are supported so every referenced entry is exact.
-
-    Both sides read the weights stored in `dilation`, so the check covers
-    only how `apply` places blocks and the stored T and U against the
-    model.  A corrupted weight passes here; `w_m_isometry`,
-    `weight_shift_m_isometry` and `cumulative_matches_polynomial` are the
-    checks that catch it.
+    beyond.  W is a block lower shift, so the formula holds for whatever
+    blocks it stores; what it asserts of a dilation is that those blocks
+    are the model's.  The residual compares the stored T with the model's
+    corner and the stored U with the model's U (`max_difference`), on
+    their column maps and values when both are monomials.  The weights
+    are the model's stack itself; `w_m_isometry`, `weight_shift_m_isometry`
+    and `cumulative_matches_polynomial` read them.
     """
     model = dilation.model
-    m = model.m
-    w = model.dim_h
-    d = model.dim_hprime
-    h0_dim = _h_support(model, m)
-    top_block = max(dilation.n_blocks - m, 0)
-    rng = _rng(seed, "powers_formula")
-
-    # weight products do not depend on the trial: the prefixes
-    # S_(k-1)...S_1 for k <= m and the products S_(k-1)...S_(k-m) beyond
-    weights = [dilation.weights[k] for k in range(dilation.n_blocks - 1)]
-    one = Block.identity(d)
-    prefixes = [one]
-    for k in range(2, min(m, dilation.n_blocks) + 1):
-        prefixes.append(prefixes[-1].then(weights[k - 2]))
-    products = {}
-    for k in range(m + 1, dilation.n_blocks + 1):
-        prod = one
-        for i in range(k - m, k):
-            prod = prod.then(weights[i - 1])
-        products[k] = prod
-
-    # one trial per column, blocks 1..top_block contiguous after H
-    h = _trial_block(rng, dilation.dim_total, h0_dim, top_block, d, dilation.dim_h)
-    y = h
-    for _ in range(m):
-        y = dilation.apply(y)
-
-    expected = np.zeros_like(h)
-    t_pows = [h[:w]]
-    for _ in range(m):
-        t_pows.append(model.corner.dot(t_pows[-1]))
-    expected[:w] = t_pows[m]
-    if d:
-        for k in range(1, min(m, dilation.n_blocks) + 1):
-            expected[dilation.block_slice(k)] = prefixes[k - 1].dot(model.u.dot(t_pows[m - k]))
-        for k, prod in products.items():
-            expected[dilation.block_slice(k)] = prod.dot(h[dilation.block_slice(k - m)])
-
-    norms = np.sqrt(_column_dots(h))
-    errors = np.max(np.abs(y - expected), axis=0, initial=0.0)
-    residual = float(np.max(errors / np.maximum(norms, 1.0), initial=0.0))
+    residual = max(
+        max_difference(dilation.t, model.corner.block),
+        max_difference(dilation.u, model.u),
+    )
     return _result(
         "powers_formula",
         residual,
         tols.powers_tol,
-        f"h0 on {h0_dim} of {w} coords, blocks 1..{top_block}, {DEFAULT_TRIALS} trials",
+        f"stored T ({model.dim_h} x {model.dim_h}) and U ({model.dim_hprime} x {model.dim_h}) "
+        "against the model's",
     )
 
 
-def check_w_m_isometry(
-    dilation: AssembledDilation,
-    seed: int = DEFAULT_SEED,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> CheckResult:
-    """m-isometry defect of W on windowed test vectors.
+def _moduli_difference(cumulative: Block, m: int) -> float:
+    """The largest entry of the order-m forward differences of I followed
+    by the members of a stack of moduli; diagonal moduli are differenced
+    as their diagonals, every other entry being an exact zero."""
+    moduli = cumulative.as_diagonal()
+    if moduli is None:
+        moduli, empty_product = cumulative.mat, np.eye(cumulative.shape[-1])
+    else:
+        empty_product = np.ones(cumulative.shape[-1])
+    return max_abs(np.diff(np.concatenate([empty_product[None], moduli]), n=m, axis=0))
 
-    The m-th forward difference of k -> ||W^k x||^2 must vanish for every x
-    whose m-step forward orbit stays inside exact blocks and coordinates.
-    W is applied m times to one block holding every trial as a column.
+
+def _gram_difference(grams: OrbitGrams, m: int, win: int) -> float:
+    """The largest entry of the order-m forward difference of G_0..G_m on
+    their leading win-block, on the diagonals when every G_j is one."""
+    diagonals = [g.as_diagonal() for g in grams.g[: m + 1]]
+    if any(g is None for g in diagonals):
+        stack = np.stack([g.mat[:win, :win] for g in grams.g[: m + 1]])
+    else:  # every other entry is an exact zero on each G_j
+        stack = np.stack([g[:win] for g in diagonals])
+    return max_abs(np.diff(stack, n=m, axis=0))
+
+
+def check_w_m_isometry(
+    grams: OrbitGrams, tols: Tolerances = DEFAULT_TOLERANCES
+) -> CheckResult:
+    """m-isometry of W on the exact window, read off its block identity.
+
+    W is a block lower shift: W^j carries H into H and blocks 1..j, and
+    block k into block k + j alone.  So on every block whose orbit stays
+    stored W*^j W^j is block diagonal, G_j + sum_k |S_(k+j-1)...S_k|^2,
+    and the order-m forward difference of j -> ||W^j x||^2 vanishes for
+    every x of the window exactly when that of each diagonal block does:
+    of the orbit Grams G_j on window_after(m), and of the block moduli at
+    each start k = 1..n_blocks - m, with I at j = 0.  The moduli at a
+    start are formed by `_cumulative_moduli` from the stored
+    S_k..S_(k+m-1), as diagonals on a monomial stack.  The residual is the
+    largest entry of all these differences.
     """
+    dilation = grams.dilation
     model = dilation.model
     m = model.m
-    h0_dim = _h_support(model, m)
-    d = model.dim_hprime
-    top_block = max(dilation.n_blocks - m, 0)
-    rng = _rng(seed, "w_m_isometry")
-
-    x = _trial_block(rng, dilation.dim_total, h0_dim, top_block, d, dilation.dim_h)
-    norms_sq = [_column_dots(x)]
-    for _ in range(m):
-        x = dilation.apply(x)
-        norms_sq.append(_column_dots(x))
-    defect = np.diff(norms_sq, n=m, axis=0)[0]
-    residual = np.max(np.abs(defect) / np.maximum(norms_sq[0], 1e-300), initial=0.0)
+    win = _h_support(model, m)
+    top = dilation.n_blocks - m
+    residual = _gram_difference(grams, m, win)
+    for k in range(top):
+        moduli = _cumulative_moduli(dilation.weights[k : k + m], tols.herm_tol)
+        residual = max(residual, _moduli_difference(moduli, m))
     return _result(
         "w_m_isometry",
         residual,
         tols.isometry_tol,
-        f"support {h0_dim} of {model.dim_h} coords + blocks 1..{top_block}, {DEFAULT_TRIALS} trials",
+        f"order-{m} differences of G_0..G_{m} on the leading {win} of {model.dim_h} coords "
+        f"and of the block moduli at starts 1..{top}",
     )
 
 
@@ -433,14 +377,9 @@ def check_criterion_identity(
     model = grams.dilation.model
     m = model.m
     win = _h_support(model, m)
-    diagonals = [g.as_diagonal() for g in grams.g[: m + 1]]
-    if any(g is None for g in diagonals):
-        stack = np.stack([g.mat[:win, :win] for g in grams.g[: m + 1]])
-    else:  # every other entry is an exact zero on each G_j
-        stack = np.stack([g[:win] for g in diagonals])
     return _result(
         "criterion_identity",
-        max_abs(np.diff(stack, n=m, axis=0)),
+        _gram_difference(grams, m, win),
         tols.criterion_tol,
         f"order-{m} difference of G_0..G_{m} on the leading {win} of {model.dim_h} coords",
     )
@@ -463,19 +402,11 @@ def check_weight_shift_isometry(
         raise WindowExhaustedError(
             f"need at least {m} weights for the order-{m} difference, have {horizon}"
         )
-    moduli = cumulative.as_diagonal()
-    if moduli is None:
-        moduli, empty_product = cumulative.mat, np.eye(cumulative.shape[-1])
-    else:
-        empty_product = np.ones(cumulative.shape[-1])
-    stack = np.concatenate([empty_product[None], moduli])
-    count = len(stack) - m
-    residual = max_abs(np.diff(stack, n=m, axis=0))
     return _result(
         "weight_shift_m_isometry",
-        residual,
+        _moduli_difference(cumulative, m),
         tolerance,
-        f"order-{m} differences at n = 0..{count - 1}",
+        f"order-{m} differences at n = 0..{horizon - m}",
     )
 
 

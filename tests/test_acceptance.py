@@ -17,6 +17,7 @@ from isodilation.verifier import (
     _cumulative_moduli,
     check_w_m_isometry,
     check_weight_shift_isometry,
+    orbit_grams,
 )
 
 SHIFT_DEMOS = ("dirichlet-2iso", "strict-2concave", "nonisomorphic-pair")
@@ -175,7 +176,7 @@ def test_criterion_5_equivalence_both_directions(demos):
     stack = r.weights.mat.copy()
     stack[1] += 0.1 * np.eye(r.model.dim_hprime)
     bad_dil = dataclasses.replace(r.assembled, weights=hermitian(stack).block)
-    iso = check_w_m_isometry(bad_dil)
+    iso = check_w_m_isometry(orbit_grams(bad_dil))
     bad_moduli = _cumulative_moduli(bad_dil.weights, r.tolerances.herm_tol)
     pdiff = check_weight_shift_isometry(bad_moduli, 2)
     ok &= (not iso.passed) and iso.residual > 1e-3

@@ -101,7 +101,8 @@ class TestExitCodes:
             ('{"name":"constant","c":HUGE}', "", "parameter c"),
             ('{"name":"table","values":[1.5,HUGE],"tail_value":1.0}', "", "parameter values"),
             ('{"name":"dirichlet"}', ',"tolerances":{"psd_tol":HUGE}', "psd_tol"),
-            ('{"name":"dirichlet"}', ',"seed":LONG', "$.seed"),
+            # no run reads a seed: the key is refused as unknown
+            ('{"name":"dirichlet"}', ',"seed":LONG', "'seed' was unexpected"),
         ],
         ids=["rule-parameter", "table-value", "tolerance", "seed-past-digit-limit"],
     )
@@ -152,7 +153,6 @@ class TestExitCodes:
             ("m", DIRICHLET_SPEC.replace('"m":2', '"m":2.0')),
             ("N", DIRICHLET_SPEC.replace('"N":24', '"N":24.0')),
             ("n_blocks", DIRICHLET_SPEC.replace('"n_blocks":5', '"n_blocks":5.0')),
-            ("seed", DIRICHLET_SPEC.replace('"m":2', '"seed":3.0,"m":2')),
         ],
     )
     def test_float_in_an_integer_field_is_three(self, tmp_path, capsys, key, text):
@@ -253,10 +253,6 @@ class TestOptionPlacement:
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text())["overall"] is True
 
-    def test_seed_before_demo_is_the_report_seed(self, capsys):
-        assert main(["--seed", "5", "demo", "strict-2concave"]) == 0
-        assert json.loads(capsys.readouterr().out)["seed"] == 5
-
     def test_tol_before_verify_is_validated(self, capsys):
         assert main(["--tol", "herm_tol=abc", "verify", "--spec", str(STRICT_SHIFT)]) == 3
         assert "herm_tol" in capsys.readouterr().err
@@ -266,9 +262,8 @@ class TestOptionPlacement:
         [
             (["demo", "strict-2concave"], ["--tol", "psd_tol=1e-9"]),
             (["demo", "strict-2concave"], ["--spec", str(STRICT_SHIFT)]),
-            (["verify", "--spec", str(STRICT_SHIFT)], ["--seed", "5"]),
         ],
-        ids=["demo-tol", "demo-spec", "verify-seed"],
+        ids=["demo-tol", "demo-spec"],
     )
     @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
     def test_option_the_command_does_not_read_is_three(self, capsys, command, option, before):
@@ -293,7 +288,7 @@ class TestExitPolicy:
             (["demo"], "NAME"),
             (["--bogus"], "--bogus"),
             (["frob"], "'frob'"),
-            (["--seed", "x", "demo", "strict-2concave"], "--seed"),
+            (["demo", "strict-2concave", "--seed", "x"], "--seed"),
             (["demo", "strict-2concave", "extra"], "extra"),
             (["demo", "strict-2concave", "--trials", "4"], "--trials"),
         ],
@@ -309,11 +304,40 @@ class TestExitPolicy:
         assert captured.err.startswith("error:") and named in captured.err
 
     def test_negative_seed_is_three(self, capsys):
-        # the seed is checked against the spec schema's, wherever it comes from
+        # `--seed` is no option: every check is exact
         assert main(["demo", "strict-2concave", "--seed", "-1"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: $.seed: -1 is less than the minimum of 0\n"
+        assert captured.err == "error: unrecognized arguments: --seed -1\n"
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["verify", "--spec", str(STRICT_SHIFT), "--seed", "5"], "unrecognized arguments: --seed 5"),
+            (["--spec", str(STRICT_SHIFT), "--seed=7"], "unrecognized arguments: --seed=7"),
+            # where a command may still stand, the value is read as the command
+            (["--seed", "5", "demo", "strict-2concave"], "argument command: invalid choice: '5'"),
+            (["--seed", "5", "verify", "--spec", str(STRICT_SHIFT)],
+             "argument command: invalid choice: '5'"),
+        ],
+        ids=["after-verify", "spec", "before-demo", "before-verify"],
+    )
+    def test_seed_is_no_option(self, capsys, argv, line):
+        # every check is exact: no run reads a seed
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {line}")
+
+    def test_seed_is_no_spec_key(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(DIRICHLET_SPEC.replace('"m":2', '"seed":3,"m":2'))
+        assert main(["--spec", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: $: Additional properties are not allowed ('seed' was unexpected)\n"
+        )
 
     def test_usage_error_from_the_module_entry_point(self):
         proc = subprocess.run(
@@ -411,7 +435,7 @@ class TestProcessInvocation:
             out = tmp_path / out_name
             proc = subprocess.run(
                 [sys.executable, "-m", "isodilation.cli", "--spec", str(spec),
-                 "--out", str(out), "--seed", "42"],
+                 "--out", str(out)],
                 capture_output=True,
                 text=True,
             )
@@ -438,11 +462,6 @@ class TestReportStability:
         assert json.dumps(self._strip_timestamp(a), sort_keys=True) == json.dumps(
             self._strip_timestamp(b), sort_keys=True
         )
-
-    def test_seed_is_echoed(self):
-        spec = demo_spec("strict-2concave")
-        report = run_pipeline(spec, seed=99).report
-        assert report["seed"] == 99
 
     def test_check_fields_complete(self):
         report = run_pipeline(demo_spec("strict-2concave")).report

@@ -27,13 +27,11 @@ BASES = dict(
         "m": 3,
         "truncation": {"N": 48, "n_blocks": 6},
         "tolerances": {"isometry_tol": 1e-10, "psd_tol": 1e-9},
-        "seed": 7,
     },
     constant={
         "operator": {"kind": "shift", "rule": {"name": "constant", "c": 1}},
         "m": 2,
         "truncation": {"N": 48, "n_blocks": 6},
-        "seed": 0,
     },
     dense={
         "operator": {"kind": "dense", "entries": [[[0.5, 0], [0.0, 0.25]], [[0, 0], [-0.5, 1]]]},
@@ -43,12 +41,12 @@ BASES = dict(
 )
 
 # A wrong type at every level (null, bool, number, string, array, object),
-# the bounds of m (2), N and n_blocks (1), seed (0) and every tolerance
+# the bounds of m (2), N and n_blocks (1) and every tolerance
 # (exclusive 0) with their neighbours, floats with and without an integral
 # value, and the complex pairs of one and of three numbers.
 REPLACEMENTS = [None, True, False, -1, 0, 1, 2, 0.0, 1.0, 2.0, 0.5, "x", [], {}, [1.0], [1, 2, 3]]
 
-INTEGER_FIELDS = (("m",), ("seed",), ("truncation", "N"), ("truncation", "n_blocks"))
+INTEGER_FIELDS = (("m",), ("truncation", "N"), ("truncation", "n_blocks"))
 
 
 def _nodes(value, path=()):
@@ -155,7 +153,6 @@ def test_integral_float_is_no_integer(path):
         (lambda d: d["operator"]["rule"].update(values=[]), "$.operator.rule.values"),
         (lambda d: d["tolerances"].update(psd_tol=0), "$.tolerances.psd_tol"),
         (lambda d: d.update(m=1), "$.m"),
-        (lambda d: d.update(seed=-1), "$.seed"),
         (lambda d: d["truncation"].update(N=0), "$.truncation.N"),
         (lambda d: d["truncation"].update(n_blocks=0), "$.truncation.n_blocks"),
         (lambda d: d.update(path="general_m"), "$"),

@@ -219,13 +219,24 @@ class TestRoundTrip:
         assert again == spec
         assert again.to_jsonable()["operator"]["rule"] == rule
 
-    def test_tolerances_and_seed_round_trip(self):
-        data = dict(VALID_SHIFT, tolerances={"psd_tol": 1e-8}, seed=7)
+    def test_tolerances_round_trip(self):
+        data = dict(VALID_SHIFT, tolerances={"psd_tol": 1e-8})
         spec = spec_from_dict(data)
         again = parse_spec(emit_spec(spec))
         assert again == spec
         assert again.tolerances().psd_tol == 1e-8
-        assert again.seed == 7
+
+    @pytest.mark.parametrize(
+        "seed", [7, 0, 1.0, -1], ids=["integer", "zero", "integral-float", "negative"]
+    )
+    def test_seed_is_an_unknown_key(self, seed):
+        # no run reads a seed, so a spec carrying one is refused, whatever
+        # its value, with the one error of an unknown key
+        with pytest.raises(SpecValidationError) as info:
+            spec_from_dict(dict(VALID_SHIFT, seed=seed))
+        assert info.value.errors == [
+            "$: Additional properties are not allowed ('seed' was unexpected)"
+        ]
 
 
 def test_rule_properties_are_built_from_rule_params():

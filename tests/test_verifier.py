@@ -15,7 +15,6 @@ import pytest
 
 from isodilation import DEMOS, demo_spec, parse_spec, run_pipeline, verifier
 from isodilation.builder import (
-    AssembledDilation,
     build_badea_2iso,
     build_general_model,
     build_three_concave_model,
@@ -31,14 +30,11 @@ from isodilation.operators import (
 )
 from isodilation.qsolver import solve_q_shift_diagonal, stein_residual
 from isodilation.specfile import spec_from_dict
-from isodilation.tolerances import DEFAULT_TOLERANCES, DEFAULT_TRIALS
+from isodilation.tolerances import DEFAULT_TOLERANCES
 from isodilation.verifier import (
     CheckResult,
-    _column_dots,
     _cumulative_moduli,
     _column_space_rank,
-    _rng,
-    _trial_block,
     check_criterion_identity,
     check_cumulative_polynomial,
     check_dilation_property,
@@ -54,12 +50,6 @@ from isodilation.verifier import (
 
 # the package exports the function `hermitian` under the module's name
 hermitian_module = importlib.import_module("isodilation.hermitian")
-
-
-def _random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
-    """One complex Gaussian segment drawn alone: the per-vector reference
-    for the verifier's batched `_trial_block`."""
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 def _grams(dil):
@@ -110,7 +100,7 @@ def deep_table_run():
         "operator": {"kind": "shift", "rule": {"name": "table", "values": values, "tail_value": 1.0}},
         "m": 3,
         "truncation": {"N": 48, "n_blocks": 24},
-    }), seed=1)
+    }))
     assert result.overall and result.path == "general_m"
     return result
 
@@ -153,7 +143,7 @@ class TestDilationProperty:
             assert check_dilation_property(dil).residual == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
     def test_corrupted_stored_t_fails(self, strict_pair):
-        # `apply` multiplies by the stored t, the reference powers by the
+        # the powers of W carry the stored t, the reference powers the
         # model's corner: a stored T that disagrees must show
         _, _, general, _, _ = strict_pair
         bad = dataclasses.replace(general, t=Block(general.t.mat * 1.01))
@@ -207,28 +197,70 @@ class TestPowersFormula:
         expected = weights.mat[2] @ (weights.mat[1] @ vec)
         assert np.allclose(y[general.block_slice(4)], expected, atol=1e-12)
 
-
-    def test_batched_matches_per_trial_reference(self, scalar_model, strict_pair):
+    def test_closed_form_holds_for_any_stored_blocks(self, scalar_model, strict_pair):
+        # W is a block lower shift, so the blocks of the dense W^m are the
+        # closed form of whatever T, U and weights it stores, corrupted or
+        # not: block 0 of column 0 is T^m, block k <= m is
+        # S_(k-1)...S_1 U T^(m-k), block k > m of column k - m is
+        # S_(k-1)...S_(k-m), and every other block is zero.  Each entry of
+        # either side is a chain of at most m products of length at most
+        # D = dim_total, within gamma_(mD) a^m of its exact value
         _, _, scalar = scalar_model
         _, _, general, _, badea = strict_pair
-        corrupted = dataclasses.replace(general, u=Block(general.u.mat + 0.1))
-        for dil in (scalar, general, badea, corrupted):
-            for seed in (0, 5):
-                res = check_powers_formula(dil, seed=seed)
-                ref = _powers_residual_reference(dil, DEFAULT_TRIALS, seed)
-                assert res.residual == pytest.approx(ref, rel=1e-12)
+        for dil in (
+            scalar, general, badea,
+            dataclasses.replace(general, u=Block(general.u.mat + 0.1)),
+            dataclasses.replace(general, t=Block(general.t.mat * 1.01)),
+            dataclasses.replace(general, weights=_bumped(general.weights, 2, 0.1)),
+        ):
+            m, n, big_d = dil.model.m, dil.n_blocks, dil.dim_total
+            t, u, s = dil.t.mat, dil.u.mat, dil.weights.mat
+            expected = np.zeros((big_d, big_d), dtype=np.complex128)
+            col = dil.block_slice(0)
+            t_pows = [np.eye(dil.dim_h)]
+            for _ in range(m):
+                t_pows.append(t @ t_pows[-1])
+            expected[col, col] = t_pows[m]
+            prefix = u
+            for k in range(1, m + 1):
+                expected[dil.block_slice(k), col] = prefix @ t_pows[m - k]
+                prefix = s[k - 1] @ prefix
+            for k in range(m + 1, n + 1):
+                prod = np.eye(dil.dim_hprime)
+                for i in range(k - m, k):
+                    prod = s[i - 1] @ prod
+                expected[dil.block_slice(k), dil.block_slice(k - m)] = prod
+            power = np.eye(big_d)
+            for _ in range(m):
+                power = dil.matrix @ power
+            bound = 2 * _gamma(m * big_d) * _abs_norm(dil.matrix) ** m
+            assert max_abs(power - expected) <= bound
+
+    def test_residual_is_the_stored_block_difference(self, scalar_model, strict_pair):
+        _, _, scalar = scalar_model
+        _, _, general, _, badea = strict_pair
+        for dil in (
+            scalar, general, badea,
+            dataclasses.replace(general, u=Block(general.u.mat + 0.1)),
+            dataclasses.replace(general, t=Block(general.t.mat * 1.01)),
+        ):
+            model = dil.model
+            ref = max(
+                max_abs(dil.t.mat - model.corner.matrix), max_abs(dil.u.mat - model.u.mat)
+            )
+            assert check_powers_formula(dil).residual == ref
 
     def test_perturbed_weight_is_a_consistent_dilation(self, strict_pair):
-        # both sides of the formula read the stored weights, so a corrupted
-        # S_n still satisfies it; the m-isometry check is what catches it
+        # the formula holds for any stored weights, so a corrupted S_n
+        # still satisfies it; the m-isometry check is what catches it
         _, weights, general, _, _ = strict_pair
         bad = dataclasses.replace(general, weights=_bumped(weights, 2, 0.1))
         assert check_powers_formula(bad).passed
-        assert not check_w_m_isometry(bad).passed
+        assert not check_w_m_isometry(_grams(bad)).passed
 
     def test_blocks_disagreeing_with_model_fail(self, strict_pair):
-        # W^m is applied from the stored blocks, the closed form reads T and
-        # U from the model: a stored block that disagrees must show
+        # the stored T and U are compared with the model's: a stored block
+        # that disagrees must show
         _, _, general, _, _ = strict_pair
         for bad in (
             dataclasses.replace(general, u=Block(general.u.mat + 0.1)),
@@ -239,47 +271,6 @@ class TestPowersFormula:
             assert res.residual > 1e-3
 
 
-def _powers_residual_reference(dilation, trials, seed):
-    """check_powers_formula one trial vector at a time."""
-    model = dilation.model
-    weights = dilation.weights.mat
-    m, w, d = model.m, model.dim_h, model.dim_hprime
-    h0_dim = model.corner.window_after(m)
-    top_block = dilation.n_blocks - m
-    rng = _rng(seed, "powers_formula")
-    prefixes = [np.eye(d, dtype=np.complex128)]
-    for k in range(2, min(m, dilation.n_blocks) + 1):
-        prefixes.append(weights[k - 2] @ prefixes[-1])
-    products = {}
-    for k in range(m + 1, dilation.n_blocks + 1):
-        prod = np.eye(d, dtype=np.complex128)
-        for i in range(k - m, k):
-            prod = weights[i - 1] @ prod
-        products[k] = prod
-    residual = 0.0
-    for _ in range(trials):
-        h = np.zeros(dilation.dim_total, dtype=np.complex128)
-        h[:h0_dim] = _random_complex(rng, h0_dim)
-        for j in range(1, top_block + 1):
-            h[dilation.block_slice(j)] = _random_complex(rng, d)
-        y = h
-        for _ in range(m):
-            y = dilation.apply(y)
-        expected = np.zeros_like(h)
-        t_pows = [h[:w].copy()]
-        for _ in range(m):
-            t_pows.append(model.corner.matrix @ t_pows[-1])
-        expected[:w] = t_pows[m]
-        if d:
-            for k in range(1, min(m, dilation.n_blocks) + 1):
-                expected[dilation.block_slice(k)] = prefixes[k - 1] @ (model.u.mat @ t_pows[m - k])
-            for k, prod in products.items():
-                expected[dilation.block_slice(k)] = prod @ h[dilation.block_slice(k - m)]
-        norm = float(np.sqrt(np.vdot(h, h).real))
-        residual = max(residual, float(np.max(np.abs(y - expected))) / max(norm, 1.0))
-    return residual
-
-
 class TestWMIsometry:
     def test_unweighted_shift_corner(self):
         rule = WeightRule.constant(1.0)
@@ -287,43 +278,74 @@ class TestWMIsometry:
         delta = defect_diagonal(rule, 1, 10)
         sol = solve_q_shift_diagonal(corner, delta)
         dil = build_general_model(DefectForms(corner), 2, sol, 5)
-        assert check_w_m_isometry(dil).residual <= 1e-13
+        assert check_w_m_isometry(_grams(dil)).residual <= 1e-13
 
     def test_scalar_three_isometric(self, scalar_model):
         _, _, dil = scalar_model
-        assert check_w_m_isometry(dil).residual <= 1e-10
+        assert check_w_m_isometry(_grams(dil)).residual <= 1e-10
 
     def test_badea_two_isometric(self, strict_pair):
         _, _, _, _, badea = strict_pair
-        assert check_w_m_isometry(badea).residual <= 1e-10
+        assert check_w_m_isometry(_grams(badea)).residual <= 1e-10
+
+    @pytest.mark.parametrize("name", sorted(DEMOS) + ["dense-3concave", "deep-table"])
+    def test_matches_the_dense_block_identity(self, request, demos, mutation_runs, name):
+        # Delta^m of (W^j)* W^j, j = 0..m, from the dense W on the window
+        # (H's window_after(m) and blocks 1..n_blocks - m) is block
+        # diagonal, and its largest entry is the check's residual, both
+        # within the forward-error bound of the order-m difference
+        if name in DEMOS:
+            result = demos.run(name)
+        elif name == "deep-table":
+            result = request.getfixturevalue("deep_table_run")
+        else:
+            result = mutation_runs[name]
+        for dil in (result.assembled, result.badea_assembled):
+            if dil is None:
+                continue
+            defect, labels = _dense_m_defect(dil)
+            bound = _difference_bound(dil)
+            apart = labels[:, None] != labels[None, :]
+            assert max_abs(defect[apart]) <= bound
+            assert abs(check_w_m_isometry(_grams(dil)).residual - max_abs(defect)) <= bound
 
 
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_batched_matches_per_trial_reference(self, scalar_model, strict_pair, deep_table_run, seed):
-        # shift and 1x1 products are elementwise, so each column of the
-        # trial block keeps the bits of the lone vector
-        _, _, general, _, badea = strict_pair
-        for dil in (scalar_model[2], general, badea, deep_table_run.assembled):
-            res = check_w_m_isometry(dil, seed=seed)
-            assert res.residual == _w_m_isometry_reference(dil, DEFAULT_TRIALS, seed)
+def _dense_m_defect(dil):
+    """The alternating sum sum_j (-1)^(m-j) C(m, j) (W^j)* W^j of the dense
+    W, restricted to the window of the m-isometry check: the leading
+    window_after(m) coordinates of H and blocks 1..n_blocks - m.  Returns
+    it with the block of each window coordinate (0 for H)."""
+    m = dil.model.m
+    blocks = [np.arange(dil.model.corner.window_after(m))] + [
+        np.arange(dil.dim_total)[dil.block_slice(k)] for k in range(1, dil.n_blocks - m + 1)
+    ]
+    window = np.concatenate(blocks)
+    labels = np.concatenate([np.full(len(b), k) for k, b in enumerate(blocks)])
+    power = np.eye(dil.dim_total, dtype=np.complex128)
+    defect = np.zeros((len(window), len(window)), dtype=np.complex128)
+    for j in range(m + 1):
+        gram = power.conj().T @ power
+        defect += (-1) ** (m - j) * math.comb(m, j) * gram[np.ix_(window, window)]
+        power = dil.matrix @ power
+    return defect, labels
 
-    def test_dense_batched_within_forward_error_of_per_trial_reference(self, mutation_runs):
-        # a blocked dense product sums in another order than a matrix-vector
-        # product.  ||W^k x||^2 is a chain of k products and a dot, each of
-        # length at most D = dim_total, so in either order it lies within
-        # gamma_((2k+2)D) a^(2k) ||x||^2 of its exact value, where a is the
-        # spectral norm of |W| (entrywise) and gamma_n = n u / (1 - n u); the
-        # residuals differ by at most the binomial sum of twice these bounds
-        dil = mutation_runs["dense-3concave"].assembled
-        m, big_d = dil.model.m, dil.dim_total
-        a = _abs_norm(dil.matrix)
-        bound = sum(
-            math.comb(m, k) * 2 * _gamma((2 * k + 2) * big_d) * a ** (2 * k) for k in range(m + 1)
-        )
-        for seed in (0, 5):
-            res = check_w_m_isometry(dil, seed=seed).residual
-            ref = _w_m_isometry_reference(dil, DEFAULT_TRIALS, seed)
-            assert abs(res - ref) <= bound
+
+def _difference_bound(dil) -> float:
+    """Forward-error bound of an order-m difference of (W^j)* W^j.
+
+    Each block of (W^j)* W^j, dense or formed from the stored blocks (G_j
+    or a block modulus), is within gamma_((2j+2)D) a^(2j) of its exact
+    value, D = dim_total and a the spectral norm of the entrywise |W|
+    (TestOrbitGrams), and the order-m difference and the alternating sum
+    each round m + 1 terms of size C(m, j) a^(2j) at most m + 1 times, so
+    two such differences differ by at most
+    sum_j C(m, j) 2 gamma_((2j+2)D + m + 1) a^(2j)."""
+    m, big_d = dil.model.m, dil.dim_total
+    a = _abs_norm(dil.matrix)
+    return sum(
+        math.comb(m, j) * 2 * _gamma((2 * j + 2) * big_d + m + 1) * a ** (2 * j)
+        for j in range(m + 1)
+    )
 
 
 def _abs_norm(x: np.ndarray) -> float:
@@ -336,28 +358,6 @@ def _gamma(n: int) -> float:
     """The forward-error constant gamma_n = n u / (1 - n u) of a sum of n terms."""
     u = np.finfo(float).eps / 2
     return n * u / (1 - n * u)
-
-
-def _w_m_isometry_reference(dilation, trials, seed):
-    """check_w_m_isometry one trial vector at a time: one application of W
-    per vector and power, each norm one `np.vdot`."""
-    model = dilation.model
-    m, d = model.m, model.dim_hprime
-    h0_dim = model.corner.window_after(m)
-    top_block = max(dilation.n_blocks - m, 0)
-    rng = _rng(seed, "w_m_isometry")
-    residual = 0.0
-    for _ in range(trials):
-        x = np.zeros(dilation.dim_total, dtype=np.complex128)
-        x[:h0_dim] = _random_complex(rng, h0_dim)
-        for j in range(1, top_block + 1):
-            x[dilation.block_slice(j)] = _random_complex(rng, d)
-        norms_sq = [float(np.vdot(x, x).real)]
-        for _ in range(m):
-            x = dilation.apply(x)
-            norms_sq.append(float(np.vdot(x, x).real))
-        residual = max(residual, abs(np.diff(norms_sq, n=m)[0]) / max(norms_sq[0], 1e-300))
-    return residual
 
 
 def _dense_orbit(dil):
@@ -403,25 +403,16 @@ class TestOrbitGrams:
 
 
 def _assert_matches_dense_alternating_sum(dil):
-    # each G_j on either side is within gamma_((2j+2)D) a^(2j) of its
-    # exact value (TestOrbitGrams), and the order-m difference and the
-    # alternating sum each round m + 1 terms of size C(m, j) a^(2j)
-    # at most m + 1 times, so the two residuals differ by at most
-    # sum_j C(m, j) 2 gamma_((2j+2)D + m + 1) a^(2j)
-    m, big_d = dil.model.m, dil.dim_total
+    # the two residuals differ by at most `_difference_bound`
+    m = dil.model.m
     win = dil.model.corner.window_after(m)
     dense = _dense_orbit(dil)[1]
     operator = sum(
         (-1) ** (m - j) * math.comb(m, j) * dense[j][:win, :win] for j in range(m + 1)
     )
-    a = _abs_norm(dil.matrix)
-    bound = sum(
-        math.comb(m, j) * 2 * _gamma((2 * j + 2) * big_d + m + 1) * a ** (2 * j)
-        for j in range(m + 1)
-    )
     res = check_criterion_identity(_grams(dil))
     assert res.passed
-    assert abs(res.residual - max_abs(operator)) <= bound
+    assert abs(res.residual - max_abs(operator)) <= _difference_bound(dil)
 
 
 class TestCriterionIdentity:
@@ -453,7 +444,7 @@ class TestEquivalenceBothDirections:
 
     def test_intact_model_all_pass(self, strict_pair):
         _, weights, general, _, _ = strict_pair
-        assert check_w_m_isometry(general).passed
+        assert check_w_m_isometry(_grams(general)).passed
         assert check_criterion_identity(_grams(general)).passed
         assert check_weight_shift_isometry(_cumulative(weights), 2).passed
 
@@ -461,7 +452,7 @@ class TestEquivalenceBothDirections:
         _, weights, general, _, _ = strict_pair
         bad_weights = _bumped(weights, 2, 0.1)
         bad_dil = dataclasses.replace(general, weights=bad_weights)
-        iso = check_w_m_isometry(bad_dil)
+        iso = check_w_m_isometry(_grams(bad_dil))
         assert not iso.passed
         assert iso.residual > 1e-3
         pdiff = check_weight_shift_isometry(_cumulative(bad_weights), 2)
@@ -480,7 +471,7 @@ class TestEquivalenceBothDirections:
         assert check_weight_shift_isometry(_cumulative(weights), 2).passed
         crit = check_criterion_identity(_grams(bad_dil))
         assert not crit.passed
-        iso = check_w_m_isometry(bad_dil)
+        iso = check_w_m_isometry(_grams(bad_dil))
         assert not iso.passed and iso.residual > 1e-3
 
 
@@ -1070,75 +1061,23 @@ def test_check_results_are_built_only_by_the_verdict_rule():
     }
 
 
-def test_column_norms_match_per_column_vdot():
-    # each column sums as the dot of a lone vector, to the last bit
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((97, 13)) + 1j * rng.standard_normal((97, 13))
-    assert np.array_equal(_column_dots(a), [np.vdot(c.copy(), c.copy()).real for c in a.T])
-    assert np.array_equal(_column_dots(a[:, :0]), np.zeros(0))
-
-
-@pytest.mark.parametrize(
-    "trials,head,d,top_block",
-    [(32, 7, 3, 4), (32, 7, 3, 0), (32, 7, 0, 4), (32, 1, 5, 2), (1, 1, 0, 0), (0, 4, 2, 2)],
-    ids=["32-trials", "top-block-0", "d-0", "head-1", "one-trial", "no-trials"],
-)
-def test_one_call_draws_match_the_sequential_stream(trials, head, d, top_block):
-    # the trial block holds, trial after trial, the head's segment and then
-    # one segment per block, each drawn alone, with zeros between and after
-    at, size = head + 2, head + 2 + top_block * d + 3
-    rng = _rng(5, "w_m_isometry")
-    expected = np.zeros((size, trials), dtype=np.complex128)
-    for i in range(trials):
-        expected[:head, i] = _random_complex(rng, head)
-        for k in range(top_block):
-            expected[at + k * d : at + (k + 1) * d, i] = _random_complex(rng, d)
-    after = rng.standard_normal(3)
-    rng = _rng(5, "w_m_isometry")
-    block = _trial_block(rng, size, head, top_block, d, at, trials)
-    assert block.shape == (size, trials)
-    assert np.array_equal(block.view(np.uint64), expected.view(np.uint64))
-    # the stream goes on where the sequential draws left it
-    assert np.array_equal(rng.standard_normal(3), after)
-
-
-def test_batched_checks_apply_each_dilation_once_per_power(monkeypatch):
-    # structural guard: the powers and m-isometry checks apply W m times to
-    # their whole trial block, and a return to one application per vector
-    # fails here; the orbit Grams are built once per dilation, and the
-    # certificate reads them, applying neither dilation and decomposing
-    # nothing
-    calls, built = [], []
-    apply, grams = AssembledDilation.apply, verifier.orbit_grams
-
-    def counting_apply(self, x):
-        calls.append((sys._getframe(1).f_code.co_name, self, x.shape))
-        return apply(self, x)
+def test_orbit_grams_built_once_per_dilation(monkeypatch):
+    # structural guard: the orbit Grams are built once per dilation, and
+    # the m-isometry, criterion, minimality and certificate checks read
+    # them; the verifier decomposes nothing
+    built = []
+    grams = verifier.orbit_grams
 
     def counting_grams(dilation):
         built.append(dilation)
         return grams(dilation)
 
-    monkeypatch.setattr(AssembledDilation, "apply", counting_apply)
     monkeypatch.setattr(verifier, "orbit_grams", counting_grams)
     # the strict-2concave demo is the N = 48 spec of the shift-m2 workload
-    result = run_pipeline(demo_spec("strict-2concave"), seed=1)
-    m = result.model.m
-    main = result.assembled
+    result = run_pipeline(demo_spec("strict-2concave"))
     assert len(built) == 2
-    assert built[0] is main and built[1] is result.badea_assembled
-    assert not [shape for caller, _, shape in calls if caller == "nonisomorphism_certificate"]
+    assert built[0] is result.assembled and built[1] is result.badea_assembled
     assert not hasattr(verifier, "eigh")
-    powers = [shape for caller, _, shape in calls if caller == "check_powers_formula"]
-    assert powers == [(main.dim_total, DEFAULT_TRIALS)] * m
-    for dil in (main, result.badea_assembled):
-        isometry = [
-            shape for caller, who, shape in calls if caller == "check_w_m_isometry" and who is dil
-        ]
-        assert isometry == [(dil.dim_total, DEFAULT_TRIALS)] * m
-    # the compression check carries block 0 with the stored T alone
-    assert not [shape for caller, _, shape in calls if caller == "check_dilation_property"]
-    assert {caller for caller, _, _ in calls} == {"check_powers_formula", "check_w_m_isometry"}
     # one dilation, one build, on a run without a reference
     built.clear()
     examples = Path(__file__).resolve().parent.parent / "spec-examples"
@@ -1149,8 +1088,11 @@ def test_batched_checks_apply_each_dilation_once_per_power(monkeypatch):
 
 def test_moduli_formed_once_from_the_main_dilation(monkeypatch):
     # structural guard: |S_n...S_1|^2 is formed once per run, from the
-    # weight stack the main dilation stores; the reference dilation's
-    # identity weights have no cumulative check and are not multiplied out
+    # weight stack the main dilation stores; after it the m-isometry check
+    # forms the block moduli of each dilation, main then reference, from
+    # the m stored weights S_k..S_(k+m-1) at each start k = 1..n_blocks - m,
+    # so 1 + 4 + 4 stacks on the m = 2 demo (6 blocks) and 1 + 3 on the
+    # m = 3 example (6 blocks)
     stacks = []
     moduli = verifier._cumulative_moduli
 
@@ -1163,9 +1105,15 @@ def test_moduli_formed_once_from_the_main_dilation(monkeypatch):
     dense = parse_spec((examples / "dense-3concave.json").read_text())
     for spec in (demo_spec("strict-2concave"), dense):
         stacks.clear()
-        result = run_pipeline(spec, seed=1)
+        result = run_pipeline(spec)
         assert result.overall
-        assert len(stacks) == 1 and stacks[0] is result.assembled.weights
+        dilations = [d for d in (result.assembled, result.badea_assembled) if d is not None]
+        m, top = result.model.m, result.assembled.n_blocks - result.model.m
+        assert len(stacks) == 1 + top * len(dilations) == {2: 9, 3: 4}[m]
+        assert stacks[0] is result.assembled.weights
+        starts = [(dil, k) for dil in dilations for k in range(top)]
+        for stack, (dil, k) in zip(stacks[1:], starts):
+            assert np.array_equal(stack.mat, dil.weights.mat[k : k + m])
 
 
 # Checks that fail on each corruption of a verified run, re-verified with
@@ -1218,7 +1166,7 @@ _MUTATION_MATRIX = {
         # the reference dilation's stored blocks ("ref_" rows): the
         # certificate asks only for a Gram gap between the two dilations,
         # which each corruption keeps, and the reference's unit weights are
-        # read by `apply` alone
+        # read by `w_m_isometry` alone
         "ref_t": {"badea_dilation_property", "badea_w_m_isometry"},
         "ref_u": {"badea_w_m_isometry"},
         "ref_stored_s2": {"badea_w_m_isometry"},
@@ -1302,7 +1250,7 @@ def _corrupted(result, what):
 
 
 def _failing_checks(result, dil, reference, q) -> set:
-    rep = verify_run(dil, q, reference, result.seed, result.tolerances)
+    rep = verify_run(dil, q, reference, result.tolerances)
     return {c.name for c in rep.checks if not c.passed}
 
 
@@ -1361,8 +1309,7 @@ def _patch_every_binding(monkeypatch, name: str, replacement) -> None:
 # (m = 2 only) are not reached.
 _NORMAL_FALLBACK_SITES = {
     "defect_step", "build_three_concave_model", "_construct",
-    "decompose", "apply", "check_dilation_property", "check_powers_formula",
-    "orbit_grams",
+    "decompose", "check_dilation_property", "orbit_grams",
 }
 _DENSE_FALLBACK_SITES = _NORMAL_FALLBACK_SITES | {
     "_clamp_nonpositive", "build_weights", "_cumulative_moduli", "verify_run",
@@ -1441,7 +1388,7 @@ class TestStructurePaths:
         monkeypatch.setattr(verifier, "_gram_schmidt_rank", banned)
         _patch_every_binding(monkeypatch, "dense_product", banned)
         # the strict-2concave demo is the N = 48 spec of the shift-m2 workload
-        result = run_pipeline(demo_spec("strict-2concave"), seed=1)
+        result = run_pipeline(demo_spec("strict-2concave"))
         assert result.overall, [c.name for c in result.verification.checks if not c.passed]
         names = {c.name for c in result.verification.checks}
         assert {"minimality", "badea_minimality", "diagonal_dense_agreement"} <= names
@@ -1475,7 +1422,7 @@ class TestStructurePaths:
             monkeypatch.setattr(Block, name, self._counted(getattr(Block, name), products))
         # the largest spec of the shift-m2 workload
         spec = {**DEMOS["strict-2concave"], "truncation": {"N": 192, "n_blocks": 6}}
-        result = run_pipeline(spec_from_dict(spec), seed=1)
+        result = run_pipeline(spec_from_dict(spec))
         assert result.overall and result.model.dim_h == 190
         assert reads["real_monomial"] == 0, reads
         assert products["count"] > 0, products

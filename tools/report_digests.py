@@ -1,10 +1,12 @@
 """Print one `name sha256` line per report of a fixed set of 43 runs.
 
-The set is every `bench/workloads.py` spec at seeds 1, 7 and 1234, each
-run with that seed; the demos; and the specs of `spec-examples/`, each
-with its own seed.  The `generated_at` and `generated_by` lines are
-stripped before hashing, so two checkouts whose reports agree byte for
-byte print the same lines:
+The set is every `bench/workloads.py` spec at seeds 1, 7 and 1234, the
+seed picking the workload's specs; the demos; and the specs of
+`spec-examples/`.  Each run also passes its seed (None for a demo or an
+example) to `run_pipeline`, which ignores it, so that the tool still
+digests a checkout whose verifier read one.  The `generated_at` and
+`generated_by` lines are stripped before hashing, so two checkouts whose
+reports agree byte for byte print the same lines:
 
     python3 tools/report_digests.py > after.txt
     python3 tools/report_digests.py /path/to/other/checkout > before.txt
@@ -44,7 +46,7 @@ def _workloads(root: Path):
 
 
 def runs(root: Path):
-    """(name, spec, seed) of every run, seed None for the spec's own."""
+    """(name, spec, seed) of every run, seed None for a demo or an example."""
     import numpy as np
 
     import isodilation as iso
